@@ -79,7 +79,7 @@ func usage() {
   get ue <id> <rnti>
   get cmd <seq> [-wait 2s]
   get slices [name]
-  watch [-enb N] [-kinds hello,up,down,stats,ue,meas,handover,health,slice] [-count N] [-timeout 10s]
+  watch [-enb N] [-kinds hello,up,down,stats,ue,meas,handover,health,slice,cmd_failed] [-count N] [-timeout 10s]
   set slice -f <file|->
   set shares <enb> <s1,s2,...> [-module mac] [-vsf dl_ue_sched] [-wait 2s]
   set vsf <enb> <name> [-module mac] [-vsf dl_ue_sched] [-wait 2s]

@@ -79,18 +79,12 @@ type (
 	Master = controller.Master
 	// MasterOptions configures master behaviour.
 	MasterOptions = controller.Options
-	// App is a northbound application; see also TickerApp and EventApp.
+	// App is a northbound application; see also TickerApp and WatchApp.
 	App = controller.App
 	// TickerApp runs once per master TTI cycle.
 	TickerApp = controller.TickerApp
-	// EventApp receives agent events.
-	EventApp = controller.EventApp
-	// LifecycleApp receives AgentUp/AgentDown liveness transitions.
-	LifecycleApp = controller.LifecycleApp
 	// Context is the northbound API handed to applications.
 	Context = controller.Context
-	// AgentEvent is a data-plane event dispatched to applications.
-	AgentEvent = controller.AgentEvent
 	// RIB is the RAN information base.
 	RIB = controller.RIB
 	// WatchEvent is one typed, sequenced RIB delta on the event layer.
@@ -107,10 +101,6 @@ type (
 	AppInfo = controller.AppInfo
 	// CmdOutcome is the terminal fate of one sequenced command.
 	CmdOutcome = controller.CmdOutcome
-	// AdmissionEvent is one slice admission-control outcome.
-	AdmissionEvent = controller.AdmissionEvent
-	// AdmissionApp receives slice admission outcomes as an application.
-	AdmissionApp = controller.AdmissionApp
 	// SharePlan is the typed per-group share actuation resource.
 	SharePlan = controller.SharePlan
 	// HealthState grades an agent session (Healthy…HealthDown).
@@ -248,6 +238,7 @@ const (
 	WatchHandover  = controller.WatchHandover
 	WatchHealth    = controller.WatchHealth
 	WatchSlice     = controller.WatchSlice
+	WatchCmdFailed = controller.WatchCmdFailed
 	WatchAllEvents = controller.WatchAll
 )
 

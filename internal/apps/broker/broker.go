@@ -4,8 +4,8 @@
 // (the WatchApp delta feed) to compute per-slice SLA attainment, re-plans
 // the per-group share vector across every member cell each epoch —
 // water-filling capacity between slices by deficit — and runs admission
-// control on arriving slices, publishing typed AdmissionEvents through
-// the registry. Pushes respect agent health (never toward a Suspect
+// control on arriving slices, publishing its decisions as slice events on
+// the watch stream. Pushes respect agent health (never toward a Suspect
 // agent; the newest plan replays on recovery) and ride reliable command
 // delivery when the master has it enabled.
 package broker
@@ -268,22 +268,9 @@ func (b *Broker) OnTick(ctx *controller.Context, cycle lte.Subframe) {
 	}
 	offset := int64(cycle - b.base)
 	b.measure(ctx)
-	pending := b.admissions(ctx, offset)
+	b.admissions(ctx, offset)
 	plan := b.computePlan()
 	b.recordShares(plan)
-	// Admission events carry the share the first post-decision plan
-	// granted, so they are emitted after the re-plan.
-	for _, ev := range pending {
-		for _, e := range b.entries {
-			if e.spec.Name == ev.Slice {
-				ev.Share = e.st.Share
-			}
-		}
-		ctx.EmitAdmission(ev)
-		ctx.EmitSliceEvent(controller.WatchEvent{
-			Slice: ev.Slice, Decision: ev.Decision.String(), Attainment: ev.Projected,
-		})
-	}
 	b.pushPlan(ctx, plan)
 	b.Epochs++
 }
@@ -394,10 +381,9 @@ func (b *Broker) entryByGroup(group int) *entry {
 // admissions runs admission control over slices whose arrival point has
 // passed: the projected attainment — what the free-capacity model says
 // the newcomer would attain at its fair share — is compared against the
-// spec's policy thresholds. Returns the decisions to emit (shares are
-// filled in after the re-plan).
-func (b *Broker) admissions(ctx *controller.Context, offset int64) []controller.AdmissionEvent {
-	var out []controller.AdmissionEvent
+// spec's policy thresholds, and each decision is published as a slice
+// event carrying the projection.
+func (b *Broker) admissions(ctx *controller.Context, offset int64) {
 	for _, e := range b.entries {
 		if e.arrived || offset < e.spec.ArriveAt {
 			continue
@@ -413,14 +399,10 @@ func (b *Broker) admissions(ctx *controller.Context, offset int64) []controller.
 			e.st.Decision = slice.Degraded
 		}
 		e.st.Projected = p
-		out = append(out, controller.AdmissionEvent{
-			Slice:     e.spec.Name,
-			Group:     e.spec.Group,
-			Decision:  e.st.Decision,
-			Projected: p,
+		ctx.EmitSliceEvent(controller.WatchEvent{
+			Slice: e.spec.Name, Decision: e.st.Decision.String(), Attainment: p,
 		})
 	}
-	return out
 }
 
 // project estimates the SLA attainment an arriving slice would reach at

@@ -47,7 +47,7 @@ type inflightHO struct {
 	target   lte.ENBID
 	issuedAt lte.Subframe
 	// seq is the reliable-delivery sequence number of the command (0 when
-	// reliable delivery is disabled), correlating OnCommandFailed.
+	// reliable delivery is disabled), correlating cmd_failed events.
 	seq uint64
 }
 
@@ -82,14 +82,74 @@ func hoKey(enb lte.ENBID, rnti lte.RNTI, imsi uint64) uint64 {
 	return uint64(enb)<<32 | uint64(rnti)
 }
 
-// OnMeasReport implements controller.MobilityApp: one A3 report, at most
-// one handover command.
-func (m *MobilityManager) OnMeasReport(ctx *controller.Context, ev controller.MeasEvent) {
-	rep := ev.Report
+// OnWatch implements controller.WatchApp: the manager's whole event side.
+// Liveness, health and delivery-failure events retire in-flight entries
+// whose handover can no longer be trusted to finish, completions retire
+// the one that did, and each A3 report is a handover decision.
+func (m *MobilityManager) OnWatch(ctx *controller.Context, ev controller.WatchEvent) {
+	switch ev.Kind {
+	case controller.WatchMeas:
+		m.onMeasReport(ctx, ev.ENB, ev.Payload.(*protocol.MeasReport))
+	case controller.WatchHandover:
+		hc := ev.Payload.(*protocol.HandoverComplete)
+		key := hoKey(hc.SourceENB, hc.SourceRNTI, hc.IMSI)
+		m.mu.Lock()
+		if _, ok := m.inflight[key]; ok {
+			delete(m.inflight, key)
+			m.completed++
+		}
+		m.mu.Unlock()
+	case controller.WatchDown:
+		// An agent disconnecting mid-handover (serving side: the command
+		// may never have been executed; target side: the completion may
+		// never arrive) retires every in-flight entry touching it at once
+		// instead of leaking it until the command timeout. The affected UE
+		// re-arms — its next A3 report (agents repeat reports at the RRC
+		// report interval while the condition holds) re-routes it through
+		// whatever targets are still up, or re-admits it to the serving
+		// cell's loop once that agent resyncs.
+		m.retire(&m.canceled, func(ho inflightHO) bool {
+			return ho.serving == ev.ENB || ho.target == ev.ENB
+		})
+	case controller.WatchHealth:
+		// A target cell turning Suspect cancels every in-flight handover
+		// into it — the UE re-arms and its next A3 report routes it through
+		// a healthy target instead of waiting out the command timeout
+		// against a cell that may never admit it. Degraded targets are left
+		// alone (the command likely still lands), and the serving side
+		// keeps its entries — the command is already with the serving
+		// agent, canceling master-side state would only double-command.
+		if ev.Health >= controller.Suspect {
+			m.retire(&m.canceled, func(ho inflightHO) bool { return ho.target == ev.ENB })
+		}
+	case controller.WatchCmdFailed:
+		// A handover command that exhausted its retransmission budget (or
+		// died with its session) is provably not executing: retire it so
+		// the UE re-arms for the next report.
+		m.retire(&m.failed, func(ho inflightHO) bool { return ho.seq == ev.CmdSeq })
+	}
+}
+
+// retire drops every in-flight entry gone selects, counting each in
+// *counter.
+func (m *MobilityManager) retire(counter *int, gone func(inflightHO) bool) {
+	m.mu.Lock()
+	for k, ho := range m.inflight {
+		if gone(ho) {
+			delete(m.inflight, k)
+			*counter++
+		}
+	}
+	m.mu.Unlock()
+}
+
+// onMeasReport handles one A3 report from the serving agent: at most one
+// handover command.
+func (m *MobilityManager) onMeasReport(ctx *controller.Context, serving lte.ENBID, rep *protocol.MeasReport) {
 	if len(rep.Neighbors) == 0 {
 		return
 	}
-	key := hoKey(ev.ENB, rep.RNTI, rep.IMSI)
+	key := hoKey(serving, rep.RNTI, rep.IMSI)
 	m.mu.Lock()
 	_, busy := m.inflight[key]
 	m.mu.Unlock()
@@ -100,8 +160,8 @@ func (m *MobilityManager) OnMeasReport(ctx *controller.Context, ev controller.Me
 	if pol == nil {
 		pol = StrongestNeighbor{}
 	}
-	target, cell, ok := pol.Pick(ctx.RIB(), ev)
-	if !ok || target == ev.ENB || !ctx.RIB().Connected(target) {
+	target, cell, ok := pol.Pick(ctx.RIB(), serving, rep)
+	if !ok || target == serving || !ctx.RIB().Connected(target) {
 		return
 	}
 	// Never hand a UE into a gray-failing cell: a Suspect agent is alive at
@@ -124,98 +184,18 @@ func (m *MobilityManager) OnMeasReport(ctx *controller.Context, ev controller.Me
 	if m.MinMarginDB > 0 && measured && margin < m.MinMarginDB {
 		return
 	}
-	seq, err := ctx.CommandHandover(ev.ENB, rep.RNTI, rep.IMSI, target, cell)
+	seq, err := ctx.CommandHandover(serving, rep.RNTI, rep.IMSI, target, cell)
 	if err != nil {
 		return // session gone; the next report retries
 	}
 	m.mu.Lock()
 	m.inflight[key] = inflightHO{
-		serving: ev.ENB, target: target, issuedAt: ctx.Now, seq: seq,
+		serving: serving, target: target, issuedAt: ctx.Now, seq: seq,
 	}
 	m.decisions = append(m.decisions, HandoverDecision{
-		RNTI: rep.RNTI, IMSI: rep.IMSI, From: ev.ENB, To: target,
+		RNTI: rep.RNTI, IMSI: rep.IMSI, From: serving, To: target,
 		AtCycle: ctx.Now, MarginDB: margin,
 	})
-	m.mu.Unlock()
-}
-
-// OnHandoverComplete implements controller.MobilityApp.
-func (m *MobilityManager) OnHandoverComplete(_ *controller.Context, ev controller.HandoverEvent) {
-	hc := ev.Complete
-	key := hoKey(hc.SourceENB, hc.SourceRNTI, hc.IMSI)
-	m.mu.Lock()
-	if _, ok := m.inflight[key]; ok {
-		delete(m.inflight, key)
-		m.completed++
-	}
-	m.mu.Unlock()
-}
-
-// OnAgentDown implements controller.LifecycleApp: an agent disconnecting
-// mid-handover (serving side: the command may never have been executed;
-// target side: the completion may never arrive) retires every in-flight
-// entry touching it immediately instead of leaking it until the command
-// timeout. The affected UE re-arms at once — its next A3 report (agents
-// repeat reports at the RRC report interval while the condition holds)
-// re-routes it through whatever targets are still up, or re-admits it to
-// the serving cell's loop once that agent resyncs.
-func (m *MobilityManager) OnAgentDown(_ *controller.Context, enb lte.ENBID) {
-	m.mu.Lock()
-	for k, ho := range m.inflight {
-		if ho.serving == enb || ho.target == enb {
-			delete(m.inflight, k)
-			m.canceled++
-		}
-	}
-	m.mu.Unlock()
-}
-
-// OnAgentUp implements controller.LifecycleApp. Nothing to reconcile: the
-// down event already cleared the agent's in-flight entries, and fresh A3
-// reports rebuild the decision state from the resynced RIB.
-func (m *MobilityManager) OnAgentUp(*controller.Context, lte.ENBID) {}
-
-// OnAgentDegraded implements controller.HealthApp: a target cell turning
-// Suspect cancels every in-flight handover into it — the UE re-arms and
-// its next A3 report routes it through a healthy target instead of
-// waiting out the command timeout against a cell that may never admit it.
-// Degraded targets are left alone (the command likely still lands), and
-// the serving side keeps its entries — the command is already with the
-// serving agent, canceling master-side state would only double-command.
-func (m *MobilityManager) OnAgentDegraded(_ *controller.Context, enb lte.ENBID, state controller.HealthState) {
-	if state < controller.Suspect {
-		return
-	}
-	m.mu.Lock()
-	for k, ho := range m.inflight {
-		if ho.target == enb {
-			delete(m.inflight, k)
-			m.canceled++
-		}
-	}
-	m.mu.Unlock()
-}
-
-// OnAgentRecovered implements controller.HealthApp. Nothing to replay:
-// recovered cells simply become eligible targets again.
-func (m *MobilityManager) OnAgentRecovered(*controller.Context, lte.ENBID) {}
-
-// OnCommandFailed implements controller.DeliveryApp: a handover command
-// that exhausted its retransmission budget (or died with its session) is
-// provably not executing, so its in-flight entry is retired immediately
-// and the UE re-arms for the next report.
-func (m *MobilityManager) OnCommandFailed(_ *controller.Context, _ lte.ENBID, seq uint64, _ protocol.Payload) {
-	if seq == 0 {
-		return
-	}
-	m.mu.Lock()
-	for k, ho := range m.inflight {
-		if ho.seq == seq {
-			delete(m.inflight, k)
-			m.failed++
-			break
-		}
-	}
 	m.mu.Unlock()
 }
 
@@ -298,8 +278,10 @@ func (m *MobilityManager) Failed() int {
 // TargetPolicy picks the handover target for an A3 measurement report.
 type TargetPolicy interface {
 	Name() string
-	// Pick returns the target eNodeB/cell, or ok=false to skip the report.
-	Pick(rib *controller.RIB, ev controller.MeasEvent) (lte.ENBID, lte.CellID, bool)
+	// Pick returns the target eNodeB/cell for a report raised by the
+	// serving eNodeB, or ok=false to skip the report. The report is
+	// read-only.
+	Pick(rib *controller.RIB, serving lte.ENBID, rep *protocol.MeasReport) (lte.ENBID, lte.CellID, bool)
 }
 
 // StrongestNeighbor hands over to the best-measured neighbour cell (the
@@ -311,8 +293,8 @@ func (StrongestNeighbor) Name() string { return "strongest-neighbor" }
 
 // Pick implements TargetPolicy. Suspect cells are skipped like
 // disconnected ones: the next-strongest healthy neighbour wins.
-func (StrongestNeighbor) Pick(rib *controller.RIB, ev controller.MeasEvent) (lte.ENBID, lte.CellID, bool) {
-	for _, n := range ev.Report.Neighbors {
+func (StrongestNeighbor) Pick(rib *controller.RIB, _ lte.ENBID, rep *protocol.MeasReport) (lte.ENBID, lte.CellID, bool) {
+	for _, n := range rep.Neighbors {
 		if rib.Connected(n.ENB) && rib.HealthOf(n.ENB) < controller.Suspect {
 			return n.ENB, n.Cell, true
 		}
@@ -332,12 +314,12 @@ type LoadBalanced struct {
 func (LoadBalanced) Name() string { return "load-balanced" }
 
 // Pick implements TargetPolicy.
-func (p LoadBalanced) Pick(rib *controller.RIB, ev controller.MeasEvent) (lte.ENBID, lte.CellID, bool) {
-	servingLoad := rib.UECount(ev.ENB)
+func (p LoadBalanced) Pick(rib *controller.RIB, serving lte.ENBID, rep *protocol.MeasReport) (lte.ENBID, lte.CellID, bool) {
+	servingLoad := rib.UECount(serving)
 	var best lte.ENBID
 	var bestCell lte.CellID
 	bestScore := -1e18
-	for _, n := range ev.Report.Neighbors {
+	for _, n := range rep.Neighbors {
 		if !rib.Connected(n.ENB) || rib.HealthOf(n.ENB) >= controller.Suspect {
 			continue
 		}

@@ -255,22 +255,22 @@ func TestTargetPolicies(t *testing.T) {
 	s.RunSeconds(0.5) // let stats populate the RIB
 	rib := s.Master.RIB()
 
-	ev := controller.MeasEvent{ENB: 1, Report: &protocol.MeasReport{
+	rep := &protocol.MeasReport{
 		RNTI: 0x46, IMSI: 100, Cell: 0,
 		ServingRSRPdBm: -105,
 		Neighbors: []protocol.NeighborMeas{
 			{ENB: 2, Cell: 0, RSRPdBm: -90},
 			{ENB: 3, Cell: 0, RSRPdBm: -93},
 		},
-	}}
-	if enb, _, ok := (apps.StrongestNeighbor{}).Pick(rib, ev); !ok || enb != 2 {
+	}
+	if enb, _, ok := (apps.StrongestNeighbor{}).Pick(rib, 1, rep); !ok || enb != 2 {
 		t.Errorf("StrongestNeighbor picked %d (ok=%v), want 2", enb, ok)
 	}
-	if enb, _, ok := (apps.LoadBalanced{LoadWeight: 2}).Pick(rib, ev); !ok || enb != 3 {
+	if enb, _, ok := (apps.LoadBalanced{LoadWeight: 2}).Pick(rib, 1, rep); !ok || enb != 3 {
 		t.Errorf("LoadBalanced picked %d (ok=%v), want 3 (4 UEs on eNB 2)", enb, ok)
 	}
 	// With a negligible weight the signal wins again.
-	if enb, _, ok := (apps.LoadBalanced{LoadWeight: 0.1}).Pick(rib, ev); !ok || enb != 2 {
+	if enb, _, ok := (apps.LoadBalanced{LoadWeight: 0.1}).Pick(rib, 1, rep); !ok || enb != 2 {
 		t.Errorf("LoadBalanced(0.1) picked %d (ok=%v), want 2", enb, ok)
 	}
 }

@@ -30,7 +30,7 @@ func (c *Context) RIB() *RIB { return c.master.rib }
 // enabled (Options.CmdRetryTTI), command-kind payloads are sequenced and
 // retransmitted until acknowledged; the assigned sequence number is
 // returned directly (0 for non-sequenced payloads) — the caller's handle
-// for correlating a later ControlAck or OnCommandFailed. Returning it
+// for correlating a later ControlAck or cmd_failed event. Returning it
 // from the issuing call keeps the correlation race-free: there is no
 // shared "last sequence" register to read after the fact.
 func (c *Context) Send(enb lte.ENBID, p protocol.Payload) (uint64, error) {
@@ -134,14 +134,6 @@ func (c *Context) ApplyShares(enb lte.ENBID, plan SharePlan) (uint64, error) {
 		Set(vsf, yamlite.Map().
 			Set("parameters", yamlite.Map().Set("rb_share", seq)))))
 	return c.PushPolicy(enb, doc)
-}
-
-// SetSliceShares pushes the share vector of an active slicing VSF
-// (the RAN-sharing reconfiguration of Fig. 12a). It predates the
-// SharePlan resource model and survives as a convenience wrapper over
-// ApplyShares; new callers should use ApplyShares directly.
-func (c *Context) SetSliceShares(enb lte.ENBID, module, vsf string, shares []float64) (uint64, error) {
-	return c.ApplyShares(enb, SharePlan{Module: module, VSF: vsf, Shares: shares})
 }
 
 // signUpdate mirrors agent.Sign (the two packages share the protocol, not

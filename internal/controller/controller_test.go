@@ -2,11 +2,13 @@ package controller_test
 
 import (
 	"testing"
+	"time"
 
 	"flexran/internal/agent"
 	"flexran/internal/controller"
 	"flexran/internal/enb"
 	"flexran/internal/lte"
+	"flexran/internal/metrics"
 	"flexran/internal/protocol"
 	"flexran/internal/radio"
 	"flexran/internal/sched"
@@ -16,13 +18,13 @@ import (
 // rig wires one master and one agent-enabled eNodeB over a simulated link
 // and steps them in lockstep.
 type rig struct {
-	t       *testing.T
-	master  *controller.Master
-	agent   *agent.Agent
-	enb     *enb.ENB
-	mEp     *transport.SimEndpoint // master side
-	aEp     *transport.SimEndpoint // agent side
-	deliver func(*protocol.Message)
+	t      *testing.T
+	master *controller.Master
+	agent  *agent.Agent
+	enb    *enb.ENB
+	mEp    *transport.SimEndpoint // master side
+	aEp    *transport.SimEndpoint // agent side
+	sess   *controller.AgentSession
 }
 
 func newRig(t *testing.T, opts controller.Options, netemToMaster, netemToAgent transport.Netem) *rig {
@@ -32,7 +34,7 @@ func newRig(t *testing.T, opts controller.Options, netemToMaster, netemToAgent t
 	m := controller.NewMaster(opts)
 	aEp, mEp := transport.NewSimPair(netemToMaster, netemToAgent)
 	r := &rig{t: t, master: m, agent: a, enb: e, mEp: mEp, aEp: aEp}
-	r.deliver = m.HandleAgent(mEp.Send)
+	r.sess = m.HandleAgentSession(mEp.Send)
 	a.Connect(aEp.Send)
 	return r
 }
@@ -45,9 +47,7 @@ func (r *rig) step() {
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	for _, m := range msgs {
-		r.deliver(m)
-	}
+	r.sess.Deliver(msgs...)
 	// Master cycle.
 	r.master.Tick()
 	// Deliver master->agent traffic.
@@ -283,7 +283,7 @@ func TestPushNativeVSF(t *testing.T) {
 	}
 }
 
-func TestSetSliceShares(t *testing.T) {
+func TestApplySharesReachesAgent(t *testing.T) {
 	r := newRig(t, controller.DefaultOptions(), transport.Netem{}, transport.Netem{})
 	r.run(3)
 	ctx := r.ctx()
@@ -291,7 +291,8 @@ func TestSetSliceShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.run(3)
-	if _, err := ctx.SetSliceShares(9, "mac", agent.OpDLUESched, []float64{0.4, 0.6}); err != nil {
+	plan := controller.SharePlan{Module: "mac", VSF: agent.OpDLUESched, Shares: []float64{0.4, 0.6}}
+	if _, err := ctx.ApplyShares(9, plan); err != nil {
 		t.Fatal(err)
 	}
 	r.run(3)
@@ -300,17 +301,20 @@ func TestSetSliceShares(t *testing.T) {
 			t.Errorf("nack: %s", a.Detail)
 		}
 	}
-	if _, err := ctx.SetSliceShares(9, "mac", agent.OpDLUESched, []float64{0.9, 0.9}); err == nil {
+	plan.Shares = []float64{0.9, 0.9}
+	if _, err := ctx.ApplyShares(9, plan); err == nil {
 		t.Error("invalid shares accepted locally")
 	}
 }
 
-// eventCounter collects dispatched events.
-type eventCounter struct{ events []controller.AgentEvent }
+// eventCounter collects the UE events of the watch stream.
+type eventCounter struct{ events []controller.WatchEvent }
 
 func (e *eventCounter) Name() string { return "events" }
-func (e *eventCounter) OnEvent(_ *controller.Context, ev controller.AgentEvent) {
-	e.events = append(e.events, ev)
+func (e *eventCounter) OnWatch(_ *controller.Context, ev controller.WatchEvent) {
+	if ev.Kind == controller.WatchUE {
+		e.events = append(e.events, ev)
+	}
 }
 
 func TestEventNotificationService(t *testing.T) {
@@ -321,7 +325,7 @@ func TestEventNotificationService(t *testing.T) {
 	r.run(5)
 	var sawRA, sawAttach bool
 	for _, ev := range ec.events {
-		switch ev.Type {
+		switch ev.UEType {
 		case protocol.UEEventRandomAccess:
 			sawRA = true
 		case protocol.UEEventAttach:
@@ -357,12 +361,27 @@ func TestAppPriorityOrdering(t *testing.T) {
 	}
 }
 
-func TestCycleTimesRecorded(t *testing.T) {
+// TestLoopStatsTimesCoreAndApps: an attached LoopStats gets one sample per
+// cycle on both Fig. 8 legs — the RIB-updater slot and the application
+// slot — and the app doing the work shows up on the apps leg, not the
+// core one.
+func TestLoopStatsTimesCoreAndApps(t *testing.T) {
 	r := newRig(t, controller.DefaultOptions(), transport.Netem{}, transport.Netem{})
+	r.master.Register(appFunc{name: "busy", fn: func(*controller.Context, lte.Subframe) {
+		for t0 := time.Now(); time.Since(t0) < 200*time.Microsecond; {
+		}
+	}}, 0)
+	var ls metrics.LoopStats
+	r.master.SetLoopStats(&ls)
 	r.run(50)
-	core, apps := r.master.CycleTimes()
-	if core.Len() != 50 || apps.Len() != 50 {
-		t.Errorf("cycle samples = %d/%d", core.Len(), apps.Len())
+	if ls.Ingest.Count() != 50 || ls.Apps.Count() != 50 {
+		t.Errorf("cycle samples = %d/%d", ls.Ingest.Count(), ls.Apps.Count())
+	}
+	if apps := ls.Apps.Quantile(0.5); apps < 200*time.Microsecond {
+		t.Errorf("median apps leg = %v, want >= the app's 200µs spin", apps)
+	}
+	if core, apps := ls.Ingest.Quantile(0.5), ls.Apps.Quantile(0.5); core >= apps {
+		t.Errorf("median core leg %v >= apps leg %v: the app's time leaked into core", core, apps)
 	}
 	if r.master.Cycle() != 50 {
 		t.Errorf("cycles = %d", r.master.Cycle())

@@ -6,14 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// The app registry and the single dispatch mechanism. Every built-in
-// execution pattern — WatchApp, LifecycleApp, HealthApp, DeliveryApp,
-// TickerApp, EventApp, MobilityApp — is dispatched by dispatchTo from one
-// registry walk per cycle, in priority order, with per-app event/error
-// counters and panic containment. Apps can be registered, deregistered
-// and retuned at runtime; structural changes take effect at the next
-// cycle boundary (the tick snapshots the registry), so in-tick delivery
-// order stays deterministic.
+// The app registry and the single dispatch mechanism. The two execution
+// patterns of §4.4 — event-based (WatchApp) and periodic (TickerApp) —
+// are dispatched by dispatchTo from one registry walk per cycle, in
+// priority order, with per-app event/error counters and panic
+// containment. Apps can be registered, deregistered and retuned at
+// runtime; structural changes take effect at the next cycle boundary (the
+// tick snapshots the registry), so in-tick delivery order stays
+// deterministic.
 
 // appEntry is one registered application. events and errors are atomic so
 // AppInfos can read them while a tick is dispatching.
@@ -179,31 +179,14 @@ func runOp(ctx *Context, op masterOp) {
 	op.fn(ctx)
 }
 
-// dispatchApps runs the application slot: one registry walk, every
-// execution pattern dispatched per app in a fixed order. The order within
-// one app is: the raw delta stream (WatchApp), liveness, health, delivery
-// failures, admission outcomes, the periodic tick, UE events, handover
-// completions, then measurement reports — liveness and health first so an
-// app never acts on stale per-agent state this cycle, completions before
-// reports so a finished handover re-arms a mobility app before new
-// reports are considered.
-func (m *Master) dispatchApps(ctx *Context, apps []*appEntry,
-	watchEvs []WatchEvent, life []lifeEvent, healthEvs []healthEvent,
-	cmdFails []cmdFailure, admEvs []AdmissionEvent,
-	events []AgentEvent, hos []HandoverEvent, meas []MeasEvent) {
-	for _, e := range apps {
-		m.dispatchTo(ctx, e, watchEvs, life, healthEvs, cmdFails, admEvs, events, hos, meas)
-	}
-}
-
-// dispatchTo delivers one cycle's dispatches to one app, counting
-// callbacks and containing panics: a panicking app loses the rest of its
-// cycle (errors counter incremented) but never takes down the loop or
-// starves the apps after it.
-func (m *Master) dispatchTo(ctx *Context, e *appEntry,
-	watchEvs []WatchEvent, life []lifeEvent, healthEvs []healthEvent,
-	cmdFails []cmdFailure, admEvs []AdmissionEvent,
-	events []AgentEvent, hos []HandoverEvent, meas []MeasEvent) {
+// dispatchTo delivers one cycle to one app: every event the cycle
+// published, in stream order, then the periodic tick — so an app never
+// ticks on per-agent state (liveness, health, in-flight commands) the
+// cycle's events have already invalidated. Callbacks are counted and
+// panics contained: a panicking app loses the rest of its cycle (errors
+// counter incremented) but never takes down the loop or starves the apps
+// after it.
+func (m *Master) dispatchTo(ctx *Context, e *appEntry, evs []WatchEvent) {
 	// Counting rides the defer so a panicking callback is still counted as
 	// dispatched (its Events row then explains the Errors row).
 	n := uint64(0)
@@ -216,68 +199,13 @@ func (m *Master) dispatchTo(ctx *Context, e *appEntry,
 		}
 	}()
 	if wApp, ok := e.app.(WatchApp); ok {
-		for i := range watchEvs {
+		for i := range evs {
 			n++
-			wApp.OnWatch(ctx, watchEvs[i])
-		}
-	}
-	if lcApp, ok := e.app.(LifecycleApp); ok {
-		// Liveness first: an app must not act on stale per-agent
-		// state (in-flight commands, cached decisions) this cycle.
-		for _, lv := range life {
-			n++
-			if lv.up {
-				lcApp.OnAgentUp(ctx, lv.enb)
-			} else {
-				lcApp.OnAgentDown(ctx, lv.enb)
-			}
-		}
-	}
-	if hApp, ok := e.app.(HealthApp); ok {
-		// Health next, same reasoning: gate before acting this cycle.
-		for _, hv := range healthEvs {
-			n++
-			if hv.state == Healthy {
-				hApp.OnAgentRecovered(ctx, hv.enb)
-			} else {
-				hApp.OnAgentDegraded(ctx, hv.enb, hv.state)
-			}
-		}
-	}
-	if dApp, ok := e.app.(DeliveryApp); ok {
-		for _, cf := range cmdFails {
-			n++
-			dApp.OnCommandFailed(ctx, cf.enb, cf.seq, cf.payload)
-		}
-	}
-	if aApp, ok := e.app.(AdmissionApp); ok {
-		// Admission outcomes before the tick, like health: an app must see
-		// a slice's new admission state before acting this cycle.
-		for _, ev := range admEvs {
-			n++
-			aApp.OnAdmission(ctx, ev)
+			wApp.OnWatch(ctx, evs[i])
 		}
 	}
 	if ticker, ok := e.app.(TickerApp); ok {
 		n++
 		ticker.OnTick(ctx, m.cycle)
-	}
-	if evApp, ok := e.app.(EventApp); ok {
-		for _, ev := range events {
-			n++
-			evApp.OnEvent(ctx, ev)
-		}
-	}
-	if mobApp, ok := e.app.(MobilityApp); ok {
-		// Completions first, so a finished handover re-arms the app
-		// before this cycle's new reports are considered.
-		for _, ev := range hos {
-			n++
-			mobApp.OnHandoverComplete(ctx, ev)
-		}
-		for _, ev := range meas {
-			n++
-			mobApp.OnMeasReport(ctx, ev)
-		}
 	}
 }

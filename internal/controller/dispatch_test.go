@@ -1,10 +1,13 @@
 package controller_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"flexran/internal/controller"
 	"flexran/internal/lte"
+	"flexran/internal/protocol"
 )
 
 func TestDeregisterRemovesApp(t *testing.T) {
@@ -154,5 +157,62 @@ func TestDoPanicStillClosesDone(t *testing.T) {
 	}
 	if after != 1 {
 		t.Errorf("second op ran %d times", after)
+	}
+}
+
+// orderApp logs every callback it receives into a log shared with the
+// other apps of the test, and panics inside OnWatch at one chosen event.
+type orderApp struct {
+	name       string
+	log        *[]string
+	panicAtSeq uint64
+}
+
+func (a *orderApp) Name() string { return a.name }
+func (a *orderApp) OnWatch(_ *controller.Context, ev controller.WatchEvent) {
+	*a.log = append(*a.log, fmt.Sprintf("%s:%v#%d", a.name, ev.Kind, ev.Seq))
+	if ev.Seq == a.panicAtSeq {
+		panic("bad event")
+	}
+}
+func (a *orderApp) OnTick(_ *controller.Context, cycle lte.Subframe) {
+	*a.log = append(*a.log, fmt.Sprintf("%s:tick@%d", a.name, cycle))
+}
+
+// TestDispatchOrderingContract pins the one delivery path: per app in
+// priority order, the cycle's events in Seq order and then OnTick; a panic
+// in OnWatch costs that app the rest of its cycle (later events and the
+// tick) and nothing else; every dispatched callback — the panicking one
+// included — counts in AppInfo.Events, every recovered panic in Errors.
+func TestDispatchOrderingContract(t *testing.T) {
+	m, sess := scripted(controller.DefaultOptions(), 7)
+	var log []string
+	m.Register(&orderApp{name: "low", log: &log}, 1)
+	m.Register(&orderApp{name: "high", log: &log, panicAtSeq: 2}, 9)
+
+	sess[7].Deliver(hello(7, 0)) // seq 1
+	m.Tick()
+	sess[7].Deliver( // seq 2, 3
+		statsReply(7, 1, protocol.UEStats{RNTI: 70}),
+		protocol.New(7, 1, &protocol.UEEvent{Type: protocol.UEEventAttach, RNTI: 70}),
+	)
+	m.Tick()
+	sess[7].Deliver(statsReply(7, 2, protocol.UEStats{RNTI: 70})) // seq 4
+	m.Tick()
+
+	want := []string{
+		"high:hello#1", "high:tick@0", "low:hello#1", "low:tick@0",
+		"high:stats#2" /* panics: no ue#3, no tick */, "low:stats#2", "low:ue#3", "low:tick@1",
+		"high:stats#4", "high:tick@2", "low:stats#4", "low:tick@2",
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("dispatch order:\n got %v\nwant %v", log, want)
+	}
+	wantInfos := []controller.AppInfo{
+		{Name: "high", Priority: 9, Events: 5, Errors: 1},
+		{Name: "low", Priority: 1, Events: 7, Errors: 0},
+	}
+	if infos := m.AppInfos(); !reflect.DeepEqual(infos, wantInfos) {
+		t.Errorf("AppInfos() = %+v, want %+v", infos, wantInfos)
 	}
 }

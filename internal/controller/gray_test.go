@@ -6,26 +6,21 @@ import (
 
 	"flexran/internal/agent"
 	"flexran/internal/controller"
-	"flexran/internal/lte"
 	"flexran/internal/protocol"
 	"flexran/internal/transport"
 )
 
-// deliveryRecorder captures OnCommandFailed dispatches.
+// deliveryRecorder captures the cmd_failed events of the watch stream.
 type deliveryRecorder struct {
-	fails []failRec
-}
-
-type failRec struct {
-	enb     lte.ENBID
-	seq     uint64
-	payload protocol.Payload
+	fails []controller.WatchEvent
 }
 
 func (*deliveryRecorder) Name() string { return "delivery-recorder" }
 
-func (d *deliveryRecorder) OnCommandFailed(_ *controller.Context, enb lte.ENBID, seq uint64, p protocol.Payload) {
-	d.fails = append(d.fails, failRec{enb: enb, seq: seq, payload: p})
+func (d *deliveryRecorder) OnWatch(_ *controller.Context, ev controller.WatchEvent) {
+	if ev.Kind == controller.WatchCmdFailed {
+		d.fails = append(d.fails, ev)
+	}
 }
 
 // The exactly-once acceptance gate: 30% loss plus heavy duplication in
@@ -75,42 +70,58 @@ func TestReliableDeliveryExactlyOnceUnderLoss(t *testing.T) {
 	}
 }
 
-// A dead path must not fail silently: when the budget runs out the issuing
-// app hears about it, with the sequence number and the original payload.
+// A dead path must not fail silently: when the retransmission budget runs
+// out, or the session closes with the command unacknowledged, one
+// cmd_failed event reaches both an in-process WatchApp and a Master.Watch
+// subscriber, carrying the issuing call's sequence number and the original
+// payload.
 func TestCommandFailureSurfacedToApp(t *testing.T) {
-	opts := controller.DefaultOptions()
-	opts.CmdRetryTTI = 5
-	opts.CmdRetryBudget = 2
-	r := newRig(t, opts,
-		transport.Netem{},
-		transport.Netem{LossProb: 1, Seed: 5}, // nothing reaches the agent
-	)
-	rec := &deliveryRecorder{}
-	r.master.Register(rec, 7)
-	r.run(3)
-	ctx := r.ctx()
+	for _, tc := range []struct {
+		name string
+		fail func(r *rig) // what kills the delivery after the push
+	}{
+		{"budget exhausted", func(r *rig) { r.run(100) }},
+		{"session closed", func(r *rig) { r.sess.Close(); r.run(2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := controller.DefaultOptions()
+			opts.CmdRetryTTI = 5
+			opts.CmdRetryBudget = 2
+			r := newRig(t, opts,
+				transport.Netem{},
+				transport.Netem{LossProb: 1, Seed: 5}, // nothing reaches the agent
+			)
+			rec := &deliveryRecorder{}
+			r.master.Register(rec, 7)
+			w := r.master.Watch(controller.WatchFilter{Kinds: controller.WatchCmdFailed}, 0)
+			defer w.Cancel()
+			r.run(3)
 
-	seq, err := ctx.PushPolicy(9, "mac:\n  dl_ue_sched:\n    behavior: rr\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq == 0 {
-		t.Fatal("sequenced send assigned no sequence number")
-	}
-	r.run(100)
+			seq, err := r.ctx().PushPolicy(9, "mac:\n  dl_ue_sched:\n    behavior: rr\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq == 0 {
+				t.Fatal("sequenced send assigned no sequence number")
+			}
+			tc.fail(r)
 
-	if len(rec.fails) != 1 {
-		t.Fatalf("failures surfaced = %d, want 1", len(rec.fails))
-	}
-	f := rec.fails[0]
-	if f.enb != 9 || f.seq != seq {
-		t.Errorf("failure = enb %d seq %d, want enb 9 seq %d", f.enb, f.seq, seq)
-	}
-	if _, ok := f.payload.(*protocol.PolicyReconf); !ok {
-		t.Errorf("failure payload = %T, want *protocol.PolicyReconf", f.payload)
-	}
-	if got := r.agent.SequencedApplied(); got != 0 {
-		t.Errorf("agent applied %d commands across a dead link", got)
+			if len(rec.fails) != 1 || len(w.Events()) != 1 {
+				t.Fatalf("failures surfaced: app %d, watcher %d, want 1 each",
+					len(rec.fails), len(w.Events()))
+			}
+			for who, f := range map[string]controller.WatchEvent{"app": rec.fails[0], "watcher": <-w.Events()} {
+				if f.ENB != 9 || f.CmdSeq != seq {
+					t.Errorf("%s: failure = enb %d seq %d, want enb 9 seq %d", who, f.ENB, f.CmdSeq, seq)
+				}
+				if _, ok := f.Payload.(*protocol.PolicyReconf); !ok {
+					t.Errorf("%s: failure payload = %T, want *protocol.PolicyReconf", who, f.Payload)
+				}
+			}
+			if got := r.agent.SequencedApplied(); got != 0 {
+				t.Errorf("agent applied %d commands across a dead link", got)
+			}
+		})
 	}
 }
 

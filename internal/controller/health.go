@@ -67,36 +67,8 @@ func (h *HealthState) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("controller: unknown health state %q", s)
 }
 
-// HealthApp receives health transitions from the monitor: OnAgentDegraded
-// fires on every downgrade (Healthy→Degraded, Degraded→Suspect, …) and on a
-// partial recovery to a still-unhealthy state, always carrying the new
-// state; OnAgentRecovered fires once the session has held Healthy
-// conditions for the recovery window. Both dispatch in the application
-// slot, before OnTick, in session attach order.
-type HealthApp interface {
-	App
-	OnAgentDegraded(ctx *Context, enb lte.ENBID, state HealthState)
-	OnAgentRecovered(ctx *Context, enb lte.ENBID)
-}
-
-// DeliveryApp receives reliable-command outcomes: OnCommandFailed fires
-// when a sequenced command exhausted its retransmission budget or its
-// session closed with the command still unacknowledged. The payload is the
-// one passed to the issuing Send (never pooled; safe to retain). seq is
-// the sequence number the issuing call returned — apps correlate by
-// keeping that return value, not by reading shared master state.
-type DeliveryApp interface {
-	App
-	OnCommandFailed(ctx *Context, enb lte.ENBID, seq uint64, payload protocol.Payload)
-}
-
-// healthEvent is one monitor transition queued for app-slot dispatch.
-type healthEvent struct {
-	enb   lte.ENBID
-	state HealthState
-}
-
-// cmdFailure is one reliable-delivery failure queued for dispatch.
+// cmdFailure is one reliable-delivery failure, queued for the command-
+// outcome registry and the cycle's cmd_failed watch event.
 type cmdFailure struct {
 	enb     lte.ENBID
 	seq     uint64
@@ -141,7 +113,7 @@ func sequencedKind(p protocol.Payload) bool {
 // stamped with the next sequence number and the payload is retained for
 // retransmission until the agent's ControlAck retires it. The assigned
 // sequence number is returned directly to the caller — the correlation
-// handle for OnCommandFailed, Acks and the command-outcome registry (0
+// handle for cmd_failed events, Acks and the command-outcome registry (0
 // when the payload was not sequenced). Callers reach it through
 // Context.Send and the Context command helpers, which run in the
 // application slot — sequence assignment is therefore serial and
@@ -263,14 +235,14 @@ func (m *Master) failPending(s *session, enb lte.ENBID) {
 }
 
 // healthTick evaluates every bound session against the health thresholds
-// and returns the transitions to dispatch this cycle. Downgrades apply
+// and returns the transitions to publish this cycle. Downgrades apply
 // immediately; recovery (including partial recovery to a better but still
 // unhealthy state) requires the improved conditions to hold for
 // HealthRecoverTTI cycles — the hysteresis that keeps a flapping link from
 // flapping the policy layer. Runs after the updater barrier and the
 // heartbeat, so per-session fields are stable.
-func (m *Master) healthTick(sessions []*session) []healthEvent {
-	var evs []healthEvent
+func (m *Master) healthTick(sessions []*session) []WatchEvent {
+	var evs []WatchEvent
 	enbs := m.snapshotBindings(sessions)
 	for i, s := range sessions {
 		if enbs[i] == 0 || s.isClosed() {
@@ -283,7 +255,7 @@ func (m *Master) healthTick(sessions []*session) []healthEvent {
 			s.health = target
 			s.healthOKSince = 0
 			m.rib.setHealth(enbs[i], target)
-			evs = append(evs, healthEvent{enb: enbs[i], state: target})
+			evs = append(evs, WatchEvent{Kind: WatchHealth, ENB: enbs[i], Health: target})
 		case target < s.health:
 			// Better: hold the improvement for the recovery window first.
 			if s.healthOKSince == 0 {
@@ -293,7 +265,7 @@ func (m *Master) healthTick(sessions []*session) []healthEvent {
 				s.health = target
 				s.healthOKSince = 0
 				m.rib.setHealth(enbs[i], target)
-				evs = append(evs, healthEvent{enb: enbs[i], state: target})
+				evs = append(evs, WatchEvent{Kind: WatchHealth, ENB: enbs[i], Health: target})
 			}
 		default:
 			s.healthOKSince = 0

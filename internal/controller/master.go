@@ -41,7 +41,7 @@ type Options struct {
 	EchoPeriodTTI int
 	// EchoMissBudget is how many consecutive unanswered Echo periods a
 	// session survives; one more closes it (DisconnectAgent semantics:
-	// the RIB marks the agent down and an AgentDown event is dispatched).
+	// the RIB marks the agent down and a down event is published).
 	EchoMissBudget int
 	// NoResync suppresses the ResyncRequest the master normally sends
 	// after each HelloAck, leaving RIB repopulation to periodic reports
@@ -55,8 +55,9 @@ type Options struct {
 	RTTProbePeriodTTI int
 	// HealthPeriodTTI is the health monitor's evaluation period: every
 	// period each bound session is re-scored (see HealthState) and
-	// transitions dispatch to HealthApp implementers. 0 disables the
-	// monitor; every agent then reads as Healthy while connected.
+	// transitions are published as health events on the watch stream. 0
+	// disables the monitor; every agent then reads as Healthy while
+	// connected.
 	HealthPeriodTTI int
 	// HealthSuspectTTI marks a session Suspect when its report staleness
 	// or command-RTT estimate reaches this many cycles — the gray-failure
@@ -78,8 +79,8 @@ type Options struct {
 	// the pre-sequencing one.
 	CmdRetryTTI int
 	// CmdRetryBudget caps retransmissions per command before the delivery
-	// is reported failed (DeliveryApp.OnCommandFailed). 0 means the
-	// default budget of 5.
+	// is reported failed (a cmd_failed event on the watch stream). 0 means
+	// the default budget of 5.
 	CmdRetryBudget int
 }
 
@@ -98,19 +99,10 @@ func DefaultOptions() Options {
 	}
 }
 
-// AgentEvent is a data-plane event dispatched to event-based applications
-// by the Event Notification Service.
-type AgentEvent struct {
-	ENB  lte.ENBID
-	SF   lte.Subframe
-	Type protocol.UEEventType
-	RNTI lte.RNTI
-	Cell lte.CellID
-}
-
 // App is a RAN control/management application registered with the master.
-// Applications additionally implement TickerApp (periodic pattern) and/or
-// EventApp (event-based pattern) — the two execution patterns of §4.4.
+// Applications additionally implement TickerApp (the periodic pattern)
+// and/or WatchApp (the event-based pattern, see watch.go) — the two
+// execution patterns of §4.4.
 type App interface {
 	Name() string
 }
@@ -119,58 +111,6 @@ type App interface {
 type TickerApp interface {
 	App
 	OnTick(ctx *Context, cycle lte.Subframe)
-}
-
-// EventApp receives agent events after each RIB update.
-type EventApp interface {
-	App
-	OnEvent(ctx *Context, ev AgentEvent)
-}
-
-// MeasEvent is an A3 measurement report dispatched to mobility apps.
-type MeasEvent struct {
-	// ENB is the serving (reporting) agent.
-	ENB lte.ENBID
-	// SF is the agent subframe stamped on the report.
-	SF lte.Subframe
-	// Report is the A3 report; apps must treat it as read-only.
-	Report *protocol.MeasReport
-}
-
-// HandoverEvent is a handover completion dispatched to mobility apps.
-type HandoverEvent struct {
-	// ENB is the target agent that admitted the UE.
-	ENB lte.ENBID
-	SF  lte.Subframe
-	// Complete is the notification; apps must treat it as read-only.
-	Complete *protocol.HandoverComplete
-}
-
-// MobilityApp receives the mobility control-loop inputs: A3 measurement
-// reports from serving agents and handover completions from target agents
-// (the third execution pattern next to TickerApp and EventApp).
-type MobilityApp interface {
-	App
-	OnMeasReport(ctx *Context, ev MeasEvent)
-	OnHandoverComplete(ctx *Context, ev HandoverEvent)
-}
-
-// LifecycleApp receives agent liveness transitions: OnAgentDown fires when
-// a session closes (transport death, heartbeat-miss disconnect, or an
-// epoch takeover by a reconnecting agent) and OnAgentUp fires once the
-// reconnected agent's StateSnapshot has been absorbed — i.e. when the RIB
-// shard is authoritative again. Apps holding per-agent in-flight state
-// (like the MobilityManager's commanded handovers) reconcile on these.
-type LifecycleApp interface {
-	App
-	OnAgentUp(ctx *Context, enb lte.ENBID)
-	OnAgentDown(ctx *Context, enb lte.ENBID)
-}
-
-// lifeEvent is one agent liveness transition queued for dispatch.
-type lifeEvent struct {
-	enb lte.ENBID
-	up  bool
 }
 
 // session is the master-side state of one agent transport. Inbound
@@ -272,12 +212,8 @@ type ackEvent struct {
 // delta stream's per-session recording, populated only while the watch
 // hub has consumers (see watch.go).
 type tickSink struct {
-	events []AgentEvent
-	meas   []MeasEvent
-	hos    []HandoverEvent
-	acks   []ackEvent
-	life   []lifeEvent
-	watch  []WatchEvent
+	acks  []ackEvent
+	watch []WatchEvent
 }
 
 // Master is the FlexRAN master controller.
@@ -291,12 +227,15 @@ type Master struct {
 	// survives session closes, making the epoch fence a total order: a
 	// ghost Hello from any previous incarnation — even one whose session
 	// is long gone — can never rebind the agent.
-	epochs      map[lte.ENBID]uint64
-	ingest      []*session // every attached session, in attach order
-	apps        []*appEntry
-	nextApp     int
-	acks        []protocol.ControlAck
-	pendingLife []lifeEvent // liveness transitions queued outside the updater
+	epochs  map[lte.ENBID]uint64
+	ingest  []*session // every attached session, in attach order
+	apps    []*appEntry
+	nextApp int
+	acks    []protocol.ControlAck
+	// pendingDown queues the agents whose session closed outside the
+	// updater (transport death, heartbeat-miss disconnect), for the next
+	// publish phase.
+	pendingDown []lte.ENBID
 	// pendingOps queues operations for the tick goroutine (Master.Do):
 	// northbound actuations and runtime retunes run at the start of the
 	// next application slot, serialized with command sequencing.
@@ -308,11 +247,9 @@ type Master struct {
 	// sweep (session closes).
 	nextCmdSeq     uint64
 	pendingCmdFail []cmdFailure
-	// pendingAdmission and pendingSliceWatch queue slice-broker outputs —
-	// admission outcomes and slice-kind watch events — emitted during one
-	// application slot for dispatch/publication at the next cycle (see
-	// admission.go).
-	pendingAdmission  []AdmissionEvent
+	// pendingSliceWatch queues the slice-kind watch events a slice broker
+	// emitted during one application slot, for publication at the next
+	// cycle (see EmitSliceEvent).
 	pendingSliceWatch []WatchEvent
 
 	// watch fans the RIB delta stream out to subscribers; watchSeq is the
@@ -325,16 +262,11 @@ type Master struct {
 
 	cycle lte.Subframe
 
-	// Task-manager accounting (Fig. 8): per-cycle CPU time spent in the
-	// RIB updater ("core components") and in applications.
-	coreTime metrics.Series
-	appsTime metrics.Series
-
-	// loopStats is the wall-clock deployment's deadline/latency sink:
-	// Tick feeds the ingest→RIB-apply leg, the EchoReply TS path feeds the
-	// command-round-trip leg. Atomic because applyInbound reads it from
-	// parallel updater workers; nil (simulated runs) disables every
-	// observation and the RTT probes.
+	// loopStats is the deadline/latency sink: Tick feeds the RIB-updater
+	// ("core components") and application legs — the Fig. 8 split — and
+	// the EchoReply TS path feeds the command-round-trip leg. Atomic
+	// because applyInbound reads it from parallel updater workers; nil
+	// (the default) disables every observation, clock read and RTT probe.
 	loopStats atomic.Pointer[metrics.LoopStats]
 
 	// Per-tick scratch for the updater-slot partition and the heartbeat's
@@ -389,10 +321,11 @@ const defaultTrustKey = "flexran-dev-trust-key"
 // master's updater writes).
 func (m *Master) RIB() *RIB { return m.rib }
 
-// SetLoopStats attaches the real-time engine's deadline/latency sink:
-// each Tick observes the RIB Updater slot into ls.Ingest, and with
-// Options.RTTProbePeriodTTI > 0 the master sends wall-clock-stamped Echo
-// probes whose mirrored timestamps feed ls.RTT. Passing nil detaches.
+// SetLoopStats attaches the deadline/latency sink: each Tick observes the
+// RIB Updater slot into ls.Ingest and the application slot into ls.Apps,
+// and with Options.RTTProbePeriodTTI > 0 the master sends wall-clock-
+// stamped Echo probes whose mirrored timestamps feed ls.RTT. Passing nil
+// detaches.
 func (m *Master) SetLoopStats(ls *metrics.LoopStats) { m.loopStats.Store(ls) }
 
 // AgentSession is the master-side handle of one attached agent transport.
@@ -432,13 +365,6 @@ func (m *Master) HandleAgentSession(send func(*protocol.Message) error) *AgentSe
 	return &AgentSession{m: m, s: s}
 }
 
-// HandleAgent is the single-message convenience form of
-// HandleAgentSession, kept for drivers that deliver one message at a time.
-func (m *Master) HandleAgent(send func(*protocol.Message) error) func(*protocol.Message) {
-	as := m.HandleAgentSession(send)
-	return func(msg *protocol.Message) { as.Deliver(msg) }
-}
-
 func (m *Master) closeSession(s *session) {
 	s.qmu.Lock()
 	s.closed = true
@@ -458,7 +384,7 @@ func (m *Master) closeSession(s *session) {
 	owner := enb != 0 && m.sessions[enb] == s
 	if owner {
 		delete(m.sessions, enb)
-		m.pendingLife = append(m.pendingLife, lifeEvent{enb: enb})
+		m.pendingDown = append(m.pendingDown, enb)
 	}
 	m.mu.Unlock()
 	if owner {
@@ -478,7 +404,7 @@ func (m *Master) DisconnectAgent(enb lte.ENBID) {
 	if m.rib.Connected(enb) {
 		m.rib.applyDisconnect(enb)
 		m.mu.Lock()
-		m.pendingLife = append(m.pendingLife, lifeEvent{enb: enb})
+		m.pendingDown = append(m.pendingDown, enb)
 		m.mu.Unlock()
 	}
 }
@@ -515,33 +441,35 @@ func (m *Master) Send(enb lte.ENBID, p protocol.Payload) error {
 
 // Tick runs one task-manager cycle: the RIB Updater slot (drain the
 // per-session ingest queues into the RIB — at most one updater per
-// agent), then the application slot (priority-ordered OnTick calls and
-// event dispatch). With Options.Workers > 1 the updater slot fans the
-// session batches out across a worker pool; per-session ordering and the
-// session-ordered merge of events/acks keep the observable behaviour
-// identical to the serial updater. In the deployment mode each cycle is
-// pinned to one TTI; in simulation the caller invokes Tick once per
-// simulated subframe.
+// agent), then the application slot (per app in priority order: the
+// cycle's watch events, then OnTick). With Options.Workers > 1 the updater
+// slot fans the session batches out across a worker pool; per-session
+// ordering and the session-ordered merge of events/acks keep the
+// observable behaviour identical to the serial updater. In the deployment
+// mode each cycle is pinned to one TTI; in simulation the caller invokes
+// Tick once per simulated subframe.
 func (m *Master) Tick() {
 	m.mu.Lock()
 	sessions := append(m.sessScratch[:0], m.ingest...)
 	m.sessScratch = sessions
 	apps := append(m.appScratch[:0], m.apps...)
 	m.appScratch = apps
-	// Liveness transitions queued since the last cycle (transport closes)
-	// dispatch before anything this cycle's updater produces.
-	life := m.pendingLife
-	m.pendingLife = nil
-	// Slice-broker outputs emitted during the previous application slot
-	// dispatch and publish this cycle.
-	admEvs := m.pendingAdmission
-	m.pendingAdmission = nil
+	// Sessions closed since the last cycle (transport closes) publish
+	// before anything this cycle's updater produces.
+	priorDown := m.pendingDown
+	m.pendingDown = nil
+	// Slice events emitted during the previous application slot publish
+	// this cycle.
 	sliceWatch := m.pendingSliceWatch
 	m.pendingSliceWatch = nil
 	m.mu.Unlock()
 
 	// --- RIB Updater slot ---
-	t0 := time.Now()
+	ls := m.loopStats.Load()
+	var t0 time.Time
+	if ls != nil {
+		t0 = time.Now()
+	}
 	batches := m.batchScratch
 	if cap(batches) < len(sessions) {
 		batches = make([][]*protocol.Message, len(sessions))
@@ -561,33 +489,18 @@ func (m *Master) Tick() {
 	m.sinkScratch = sinks
 	for i := range sinks {
 		sk := &sinks[i]
-		sk.events = sk.events[:0]
-		sk.meas = sk.meas[:0]
-		sk.hos = sk.hos[:0]
 		sk.acks = sk.acks[:0]
-		sk.life = sk.life[:0]
 		sk.watch = sk.watch[:0]
 	}
-	// Liveness transitions that bypassed the sinks bracket the per-sink
-	// stream in the watch emit: [:priorLife] arrived before this updater
-	// pass, [postLifeStart:] is raised after it (heartbeat closes).
-	priorLife := len(life)
 	slots := m.updaterSlots(sessions, batches)
 	conc.ForEach(m.opts.Workers, len(slots), func(j int) {
 		for _, i := range slots[j] {
 			m.applyBatch(sessions[i], batches[i], &sinks[i])
 		}
 	})
-	var events []AgentEvent
-	var meas []MeasEvent
-	var hos []HandoverEvent
 	var acks []ackEvent
 	for i := range sinks {
-		events = append(events, sinks[i].events...)
-		meas = append(meas, sinks[i].meas...)
-		hos = append(hos, sinks[i].hos...)
 		acks = append(acks, sinks[i].acks...)
-		life = append(life, sinks[i].life...)
 	}
 	if len(acks) > 0 {
 		m.mu.Lock()
@@ -601,13 +514,12 @@ func (m *Master) Tick() {
 	// transport would otherwise linger in the ingest list forever.
 	for _, s := range sessions {
 		if s.fenced.Load() && !s.isClosed() {
-			m.closeSession(s) // non-owner: no AgentDown, no RIB change
+			m.closeSession(s) // non-owner: no down event, no RIB change
 		}
 	}
 	if m.opts.EchoPeriodTTI > 0 {
 		m.heartbeat(sessions)
 	}
-	ls := m.loopStats.Load()
 	if ls != nil && m.opts.RTTProbePeriodTTI > 0 &&
 		m.cycle%lte.Subframe(m.opts.RTTProbePeriodTTI) == 0 {
 		m.rttProbe(sessions)
@@ -616,13 +528,12 @@ func (m *Master) Tick() {
 		m.maintainSubscriptions(sessions)
 	}
 	m.pruneClosed(sessions)
-	// Heartbeat-driven disconnects queued just now dispatch this cycle,
-	// as do delivery failures from those closes. Queued northbound
-	// operations submitted by now run this cycle too.
+	// Heartbeat-driven disconnects queued just now publish this cycle, as
+	// do delivery failures from those closes. Queued northbound operations
+	// submitted by now run this cycle too.
 	m.mu.Lock()
-	postLifeStart := len(life)
-	life = append(life, m.pendingLife...)
-	m.pendingLife = nil
+	postDown := m.pendingDown
+	m.pendingDown = nil
 	cmdFails := m.pendingCmdFail
 	m.pendingCmdFail = nil
 	ops := m.pendingOps
@@ -631,7 +542,7 @@ func (m *Master) Tick() {
 	if m.opts.CmdRetryTTI > 0 {
 		cmdFails = m.retrySweep(sessions, cmdFails)
 	}
-	var healthEvs []healthEvent
+	var healthEvs []WatchEvent
 	if m.opts.HealthPeriodTTI > 0 && m.cycle%lte.Subframe(m.opts.HealthPeriodTTI) == 0 {
 		healthEvs = m.healthTick(sessions)
 	}
@@ -640,25 +551,27 @@ func (m *Master) Tick() {
 	}
 	var watchEvs []WatchEvent
 	if m.watch.active() {
-		watchEvs = m.emitWatch(life[:priorLife], sinks, life[postLifeStart:], healthEvs, sliceWatch)
-	}
-	core := time.Since(t0)
-	if ls != nil {
-		ls.Ingest.Observe(core)
+		watchEvs = m.emitWatch(priorDown, sinks, postDown, healthEvs, cmdFails, sliceWatch)
 	}
 
 	// --- Application slot ---
-	t1 := time.Now()
+	var t1 time.Time
+	if ls != nil {
+		t1 = time.Now()
+		ls.Ingest.Observe(t1.Sub(t0))
+	}
 	ctx := &Context{master: m, Now: m.cycle}
 	if len(ops) > 0 {
 		m.runOps(ctx, ops)
 	}
-	m.dispatchApps(ctx, apps, watchEvs, life, healthEvs, cmdFails, admEvs, events, hos, meas)
-	appsDur := time.Since(t1)
+	for _, e := range apps {
+		m.dispatchTo(ctx, e, watchEvs)
+	}
+	if ls != nil {
+		ls.Apps.Observe(time.Since(t1))
+	}
 
 	m.mu.Lock()
-	m.coreTime.Add(float64(m.cycle), core.Seconds()*1000)
-	m.appsTime.Add(float64(m.cycle), appsDur.Seconds()*1000)
 	m.cycle++
 	m.mu.Unlock()
 }
@@ -769,7 +682,6 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 		m.rib.applyResync(msg.ENB, p)
 		m.verifySubscriptions(msg.ENB, p.Subs)
 		s.lastReport = m.cycle
-		sink.life = append(sink.life, lifeEvent{enb: msg.ENB, up: true})
 		if m.watch.active() {
 			sink.watch = append(sink.watch, WatchEvent{Kind: WatchUp, ENB: msg.ENB, SF: p.SF})
 		}
@@ -798,9 +710,6 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 		}
 	case *protocol.UEEvent:
 		m.rib.applyUEEvent(msg.ENB, p)
-		sink.events = append(sink.events, AgentEvent{
-			ENB: msg.ENB, SF: msg.SF, Type: p.Type, RNTI: p.RNTI, Cell: p.Cell,
-		})
 		if m.watch.active() {
 			sink.watch = append(sink.watch, WatchEvent{
 				Kind: WatchUE, ENB: msg.ENB, SF: msg.SF,
@@ -823,18 +732,18 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 		}
 	case *protocol.MeasReport:
 		m.rib.applyMeasReport(msg.ENB, msg.SF, p)
-		sink.meas = append(sink.meas, MeasEvent{ENB: msg.ENB, SF: msg.SF, Report: p})
 		if m.watch.active() {
 			sink.watch = append(sink.watch, WatchEvent{
 				Kind: WatchMeas, ENB: msg.ENB, SF: msg.SF, Cell: p.Cell, RNTI: p.RNTI,
+				Payload: p,
 			})
 		}
 	case *protocol.HandoverComplete:
 		m.rib.applyHandoverComplete(msg.ENB, p)
-		sink.hos = append(sink.hos, HandoverEvent{ENB: msg.ENB, SF: msg.SF, Complete: p})
 		if m.watch.active() {
 			sink.watch = append(sink.watch, WatchEvent{
 				Kind: WatchHandover, ENB: msg.ENB, SF: msg.SF, Cell: p.Cell, RNTI: p.RNTI,
+				Payload: p,
 			})
 		}
 	case *protocol.ControlAck:
@@ -886,11 +795,8 @@ func (m *Master) handleHello(s *session, enb lte.ENBID, p *protocol.Hello, sink 
 		m.epochs[enb] = p.Epoch
 	}
 	m.mu.Unlock()
-	if takeover {
-		sink.life = append(sink.life, lifeEvent{enb: enb})
-		if m.watch.active() {
-			sink.watch = append(sink.watch, WatchEvent{Kind: WatchDown, ENB: enb})
-		}
+	if takeover && m.watch.active() {
+		sink.watch = append(sink.watch, WatchEvent{Kind: WatchDown, ENB: enb})
 	}
 	if !dup {
 		// A duplicate Hello (lost HelloAck, retransmission) must not wipe
@@ -966,7 +872,7 @@ func (m *Master) verifySubscriptions(enb lte.ENBID, subs []protocol.StatsRequest
 // heartbeat runs the liveness probe over every session: a bound session
 // that delivered nothing for EchoPeriodTTI cycles is sent an Echo; each
 // further silent period is a miss, and exceeding EchoMissBudget closes the
-// session (RIB disconnect + AgentDown). Any applied inbound message resets
+// session (RIB disconnect + down event). Any applied inbound message resets
 // the miss count — with per-TTI reporting the probes never even fire.
 // A session that has not completed a handshake yet is left alone — its
 // agent may still be retransmitting Hellos through a lossy link, and
@@ -991,7 +897,7 @@ func (m *Master) heartbeat(sessions []*session) {
 			continue // probe outstanding; give it a full period
 		}
 		if s.echoMisses >= m.opts.EchoMissBudget {
-			m.closeSession(s) // queues the AgentDown
+			m.closeSession(s) // queues the down event
 			continue
 		}
 		s.echoMisses++
@@ -1103,13 +1009,4 @@ func (m *Master) Cycle() lte.Subframe {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cycle
-}
-
-// CycleTimes returns the per-cycle CPU time series (milliseconds) of the
-// core components (RIB updater) and the applications — the Fig. 8 data.
-func (m *Master) CycleTimes() (core, apps *metrics.Series) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, a := m.coreTime, m.appsTime
-	return &c, &a
 }

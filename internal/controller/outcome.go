@@ -12,9 +12,9 @@ import (
 // either an agent ControlAck or a delivery failure. The registry records
 // those terminal outcomes by sequence number so off-loop callers (the
 // northbound actuation endpoints) can correlate a push with its result —
-// in-process apps keep using DeliveryApp/Acks. Recording is gated on an
-// atomic flag (TrackCommands) so simulated runs and masters without a
-// northbound pay nothing.
+// in-process apps use cmd_failed watch events and Acks. Recording is gated
+// on an atomic flag (TrackCommands) so simulated runs and masters without
+// a northbound pay nothing.
 
 // CmdOutcome is the terminal result of one sequenced command.
 type CmdOutcome struct {

@@ -272,20 +272,22 @@ func TestResyncRebuildsShardInOneCycle(t *testing.T) {
 	}
 }
 
-// lifeRecorder captures lifecycle dispatch order.
+// lifeRecorder captures the order of up/down events on the watch stream.
 type lifeRecorder struct {
 	ups, downs []lte.ENBID
 	order      []string
 }
 
 func (*lifeRecorder) Name() string { return "life-recorder" }
-func (l *lifeRecorder) OnAgentUp(_ *controller.Context, enb lte.ENBID) {
-	l.ups = append(l.ups, enb)
-	l.order = append(l.order, "up")
-}
-func (l *lifeRecorder) OnAgentDown(_ *controller.Context, enb lte.ENBID) {
-	l.downs = append(l.downs, enb)
-	l.order = append(l.order, "down")
+func (l *lifeRecorder) OnWatch(_ *controller.Context, ev controller.WatchEvent) {
+	switch ev.Kind {
+	case controller.WatchUp:
+		l.ups = append(l.ups, ev.ENB)
+		l.order = append(l.order, "up")
+	case controller.WatchDown:
+		l.downs = append(l.downs, ev.ENB)
+		l.order = append(l.order, "down")
+	}
 }
 
 // TestLifecycleEventsOnReconnect: close → AgentDown; resynced reconnect →
@@ -451,7 +453,7 @@ func TestResyncRestoresRIBAfterRigReconnect(t *testing.T) {
 	// Reconnect on the same link: new master-side session, epoch bump.
 	// The UE attached long after the initial connect-time snapshot, so its
 	// live state (CQI 13) can only reach the RIB through the new resync.
-	r.deliver = r.master.HandleAgent(r.mEp.Send)
+	r.sess = r.master.HandleAgentSession(r.mEp.Send)
 	r.agent.Connect(r.aEp.Send)
 	r.run(5)
 

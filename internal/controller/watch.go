@@ -11,10 +11,11 @@ import (
 	"flexran/internal/protocol"
 )
 
-// The watch layer turns the RIB Updater's mutations into a typed,
-// sequenced delta stream: every applied Hello, resync, stats report, UE
-// event, measurement report, handover completion, liveness transition and
-// health transition becomes one WatchEvent. Consumers — northbound
+// The watch layer is the controller's one notification path. It turns the
+// RIB Updater's mutations into a typed, sequenced delta stream: every
+// applied Hello, resync, stats report, UE event, measurement report,
+// handover completion, liveness transition, health transition and
+// reliable-delivery failure becomes one WatchEvent. Consumers — northbound
 // watchers (Master.Watch) and in-process applications (WatchApp) — get
 // incremental deltas instead of polling snapshots.
 //
@@ -36,35 +37,48 @@ const (
 	// the Hello's configuration.
 	WatchHello WatchKind = 1 << iota
 	// WatchUp: a reconnected agent's StateSnapshot was absorbed — the RIB
-	// shard is authoritative again (mirrors LifecycleApp.OnAgentUp).
+	// shard is authoritative again.
 	WatchUp
-	// WatchDown: the agent's session closed or was displaced (mirrors
-	// LifecycleApp.OnAgentDown).
+	// WatchDown: the agent's session closed (transport death or
+	// heartbeat-miss disconnect) or was displaced by a reconnecting
+	// agent's newer epoch. Apps holding per-agent in-flight state
+	// reconcile on it.
 	WatchDown
 	// WatchStats: a statistics report was applied; the event carries the
 	// report's UE count and aggregate DL rate.
 	WatchStats
 	// WatchUE: a UE attach/detach/random-access event was applied.
 	WatchUE
-	// WatchMeas: an A3 measurement report was applied.
+	// WatchMeas: an A3 measurement report was applied; ENB is the serving
+	// (reporting) agent and Payload the *protocol.MeasReport.
 	WatchMeas
-	// WatchHandover: a handover completion was applied on the target.
+	// WatchHandover: a handover completion was applied; ENB is the target
+	// agent that admitted the UE and Payload the
+	// *protocol.HandoverComplete.
 	WatchHandover
-	// WatchHealth: the health monitor changed an agent's grade.
+	// WatchHealth: the health monitor changed an agent's grade — every
+	// downgrade, every partial recovery to a still-unhealthy grade, and
+	// the recovery to Healthy once it held for the recovery window.
 	WatchHealth
 	// WatchSlice: a slice broker published a slice transition — an
-	// admission decision or a violation-state change (see admission.go).
+	// admission decision or a violation-state change (see EmitSliceEvent).
 	WatchSlice
+	// WatchCmdFailed: a sequenced command exhausted its retransmission
+	// budget, or its session closed with the command unacknowledged.
+	// CmdSeq is the sequence number the issuing call returned — apps
+	// correlate by keeping that return value — and Payload the command as
+	// passed to the issuing Send (never pooled; safe to retain).
+	WatchCmdFailed
 
 	// WatchAll selects every kind (the zero filter behaves identically).
 	WatchAll = WatchHello | WatchUp | WatchDown | WatchStats | WatchUE |
-		WatchMeas | WatchHandover | WatchHealth | WatchSlice
+		WatchMeas | WatchHandover | WatchHealth | WatchSlice | WatchCmdFailed
 )
 
 // watchKindNames orders the kind names by bit position.
 var watchKindNames = []string{
 	"hello", "up", "down", "stats", "ue", "meas", "handover", "health",
-	"slice",
+	"slice", "cmd_failed",
 }
 
 // String names a single kind, or a comma-joined list for a mask.
@@ -159,6 +173,14 @@ type WatchEvent struct {
 	Slice      string  `json:"slice,omitempty"`
 	Decision   string  `json:"decision,omitempty"`
 	Attainment float64 `json:"attainment,omitempty"`
+	// CmdSeq is the failed command's sequence number (cmd_failed kind).
+	CmdSeq uint64 `json:"cmd_seq,omitempty"`
+	// Payload is the protocol message behind the event, for in-process
+	// consumers: the *protocol.MeasReport (meas kind), the
+	// *protocol.HandoverComplete (handover kind), the failed command
+	// (cmd_failed kind); nil elsewhere. Read-only — every consumer of the
+	// stream shares the one value.
+	Payload protocol.Payload `json:"-"`
 }
 
 // WatchFilter selects a subset of the stream: ENB 0 matches every agent,
@@ -179,12 +201,11 @@ func (f WatchFilter) match(ev *WatchEvent) bool {
 	return true
 }
 
-// WatchApp receives the sequenced delta stream in-process: OnWatch is
-// called once per published event, in the application slot before every
-// other dispatch, in stream order. It is the subscription half of the
-// uniform dispatch mechanism — built-in apps like the Monitor consume the
-// same stream a northbound watcher does, synchronously and therefore
-// deterministically.
+// WatchApp is the event-based execution pattern: OnWatch is called once
+// per published event, in stream order, in the application slot of the
+// cycle that published it and before the app's own OnTick. In-process apps
+// consume the same stream a northbound watcher does, synchronously and
+// therefore deterministically.
 type WatchApp interface {
 	App
 	OnWatch(ctx *Context, ev WatchEvent)
@@ -319,26 +340,30 @@ func (m *Master) Watch(filter WatchFilter, buffer int) *Watcher {
 }
 
 // emitWatch is Tick's serial publish phase: it concatenates this cycle's
-// deltas in the deterministic dispatch order — liveness transitions queued
-// before the updater ran, then each session sink's recorded events in
-// attach order, then liveness transitions raised after the updater
-// (heartbeat closes), then health transitions, then slice transitions
-// queued during the previous application slot — assigns gap-free sequence
+// deltas in the deterministic stream order — sessions closed before the
+// updater ran, then each session sink's recorded events in attach order,
+// then sessions closed after the updater (heartbeat closes), then health
+// transitions, then delivery failures, then slice transitions queued
+// during the previous application slot — assigns gap-free sequence
 // numbers, and fans the batch out to watchers. The merged slice is reused
 // scratch, returned for the in-process WatchApp dispatch.
-func (m *Master) emitWatch(prior []lifeEvent, sinks []tickSink, post []lifeEvent, health []healthEvent, slices []WatchEvent) []WatchEvent {
+func (m *Master) emitWatch(prior []lte.ENBID, sinks []tickSink, post []lte.ENBID,
+	health []WatchEvent, fails []cmdFailure, slices []WatchEvent) []WatchEvent {
 	evs := m.watchScratch[:0]
-	for _, lv := range prior {
-		evs = append(evs, lifeWatchEvent(lv))
+	for _, enb := range prior {
+		evs = append(evs, WatchEvent{Kind: WatchDown, ENB: enb})
 	}
 	for i := range sinks {
 		evs = append(evs, sinks[i].watch...)
 	}
-	for _, lv := range post {
-		evs = append(evs, lifeWatchEvent(lv))
+	for _, enb := range post {
+		evs = append(evs, WatchEvent{Kind: WatchDown, ENB: enb})
 	}
-	for _, hv := range health {
-		evs = append(evs, WatchEvent{Kind: WatchHealth, ENB: hv.enb, Health: hv.state})
+	evs = append(evs, health...)
+	for _, cf := range fails {
+		evs = append(evs, WatchEvent{
+			Kind: WatchCmdFailed, ENB: cf.enb, CmdSeq: cf.seq, Payload: cf.payload,
+		})
 	}
 	evs = append(evs, slices...)
 	for i := range evs {
@@ -351,11 +376,22 @@ func (m *Master) emitWatch(prior []lifeEvent, sinks []tickSink, post []lifeEvent
 	return evs
 }
 
-// lifeWatchEvent converts a liveness transition that bypassed the sinks
-// (transport or heartbeat closes) into its stream form.
-func lifeWatchEvent(lv lifeEvent) WatchEvent {
-	if lv.up {
-		return WatchEvent{Kind: WatchUp, ENB: lv.enb}
+// EmitSliceEvent queues one slice-kind event for the watch stream — how a
+// slice broker (or any app running admission control) publishes admission
+// decisions and violation-state changes. Routing them through the stream
+// rather than app-to-app calls keeps the delivery order deterministic and
+// lets apps, northbound watchers and tests observe admission without
+// coupling to the broker. The Kind is forced to WatchSlice, and Seq/Cycle
+// are assigned when the next cycle's serial publish phase merges the event
+// after that cycle's RIB deltas. Dropped when nothing is watching, like
+// every other recording.
+func (c *Context) EmitSliceEvent(ev WatchEvent) {
+	m := c.master
+	if !m.watch.active() {
+		return
 	}
-	return WatchEvent{Kind: WatchDown, ENB: lv.enb}
+	ev.Kind = WatchSlice
+	m.mu.Lock()
+	m.pendingSliceWatch = append(m.pendingSliceWatch, ev)
+	m.mu.Unlock()
 }

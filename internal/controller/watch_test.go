@@ -145,9 +145,10 @@ func TestWatchCancelStopsRecording(t *testing.T) {
 }
 
 // TestWatchDeterministicAcrossWorkers is the acceptance criterion: a
-// subscriber observes UE attach, stats deltas, liveness and health
-// transitions identically — same events, same order, same sequence
-// numbers — whatever the updater-slot parallelism.
+// subscriber observes UE attach, stats deltas, measurement reports,
+// handover completions, liveness and health transitions and delivery
+// failures identically — same events, same order, same sequence numbers,
+// same payloads — whatever the updater-slot parallelism.
 func TestWatchDeterministicAcrossWorkers(t *testing.T) {
 	script := func(workers int) []controller.WatchEvent {
 		opts := controller.Options{
@@ -157,31 +158,53 @@ func TestWatchDeterministicAcrossWorkers(t *testing.T) {
 			HealthPeriodTTI:   5,
 			HealthDegradedTTI: 20,
 			HealthSuspectTTI:  60,
+			CmdRetryTTI:       2,
+			CmdRetryBudget:    1,
 		}
 		enbs := []lte.ENBID{1, 2, 3, 4, 5, 6}
 		m, sess := scripted(opts, enbs...)
 		w := m.Watch(controller.WatchFilter{}, 1<<16)
 		defer w.Cancel()
+		// Nothing acks in this world: the command to eNodeB 1 runs out of
+		// retransmissions, the one to eNodeB 2 dies with its session.
+		m.Register(appFunc{name: "pusher", fn: func(c *controller.Context, cycle lte.Subframe) {
+			if cycle == 20 || cycle == 30 {
+				c.PushPolicy(lte.ENBID(cycle/10-1), "agent:\n  sync_period: 1\n") //nolint:errcheck
+			}
+		}}, 0)
 
 		for tick := 0; tick < 100; tick++ {
 			sf := lte.Subframe(tick)
+			if tick == 31 {
+				sess[2].Close()
+			}
 			for _, e := range enbs {
-				switch {
-				case tick == 0:
+				next := e%6 + 1
+				switch tick {
+				case 0:
 					sess[e].Deliver(hello(e, 0))
-				case tick == 5:
+					continue
+				case 5:
 					sess[e].Deliver(protocol.New(e, sf, &protocol.UEEvent{
 						Type: protocol.UEEventAttach, RNTI: lte.RNTI(100 + e), Cell: 0,
 					}))
-					fallthrough
-				default:
-					// eNodeBs 4..6 go silent after tick 10: their report
-					// staleness walks them down the health ladder.
-					if e <= 3 || tick <= 10 {
-						sess[e].Deliver(statsReply(e, sf, protocol.UEStats{
-							RNTI: lte.RNTI(100 + e), DLRateKbps: uint32(10 * e),
-						}))
-					}
+				case 7:
+					sess[e].Deliver(protocol.New(e, sf, &protocol.MeasReport{
+						RNTI: lte.RNTI(100 + e), IMSI: uint64(e), ServingRSRPdBm: -100,
+						Neighbors: []protocol.NeighborMeas{{ENB: next, RSRPdBm: -90}},
+					}))
+				case 8:
+					sess[e].Deliver(protocol.New(e, sf, &protocol.HandoverComplete{
+						RNTI: lte.RNTI(200 + e), IMSI: uint64(next),
+						SourceENB: next, SourceRNTI: lte.RNTI(100 + next),
+					}))
+				}
+				// eNodeBs 4..6 go silent after tick 10: their report
+				// staleness walks them down the health ladder.
+				if e <= 3 || tick <= 10 {
+					sess[e].Deliver(statsReply(e, sf, protocol.UEStats{
+						RNTI: lte.RNTI(100 + e), DLRateKbps: uint32(10 * e),
+					}))
 				}
 			}
 			m.Tick()
@@ -203,11 +226,32 @@ func TestWatchDeterministicAcrossWorkers(t *testing.T) {
 		kinds[ev.Kind]++
 	}
 	for _, k := range []controller.WatchKind{
-		controller.WatchHello, controller.WatchStats,
-		controller.WatchUE, controller.WatchHealth,
+		controller.WatchHello, controller.WatchStats, controller.WatchUE,
+		controller.WatchHealth, controller.WatchDown, controller.WatchMeas,
+		controller.WatchHandover,
 	} {
 		if kinds[k] == 0 {
 			t.Errorf("script produced no %v events", k)
+		}
+	}
+	if kinds[controller.WatchCmdFailed] != 2 {
+		t.Errorf("script produced %d cmd_failed events, want 2 (budget + session close)",
+			kinds[controller.WatchCmdFailed])
+	}
+	for _, ev := range want {
+		var ok bool
+		switch ev.Kind {
+		case controller.WatchMeas:
+			_, ok = ev.Payload.(*protocol.MeasReport)
+		case controller.WatchHandover:
+			_, ok = ev.Payload.(*protocol.HandoverComplete)
+		case controller.WatchCmdFailed:
+			_, ok = ev.Payload.(*protocol.PolicyReconf)
+		default:
+			ok = ev.Payload == nil
+		}
+		if !ok {
+			t.Errorf("%v event seq %d carries payload %T", ev.Kind, ev.Seq, ev.Payload)
 		}
 	}
 	for _, workers := range []int{2, 4, 8} {
@@ -216,7 +260,7 @@ func TestWatchDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: stream diverged (%d events vs %d serial)",
 				workers, len(got), len(want))
 			for i := range want {
-				if i >= len(got) || got[i] != want[i] {
+				if i >= len(got) || !reflect.DeepEqual(got[i], want[i]) {
 					t.Errorf("workers=%d first divergence at %d: got %+v want %+v",
 						workers, i, at(got, i), want[i])
 					break

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"runtime"
+	"time"
 
 	"flexran/internal/apps"
 	"flexran/internal/controller"
 	"flexran/internal/lte"
+	"flexran/internal/metrics"
 	"flexran/internal/radio"
 	"flexran/internal/sched"
 	"flexran/internal/sim"
@@ -19,8 +21,8 @@ import (
 // monitoring app running).
 type Fig8Result struct {
 	AgentCounts []int
-	CoreMs      []float64 // mean RIB-updater time per cycle
-	AppsMs      []float64 // mean application time per cycle
+	CoreMs      []float64 // median RIB-updater time per cycle
+	AppsMs      []float64 // median application time per cycle
 	IdleMs      []float64 // remainder of the 1 ms TTI budget
 	HeapMB      []float64
 }
@@ -56,24 +58,30 @@ func runFig8(scale float64) Result {
 			})
 		}
 		o := controller.DefaultOptions()
+		// The LoopStats attached below must add no probe traffic to the
+		// simulated run.
+		o.RTTProbePeriodTTI = 0
 		s := sim.MustNew(sim.Config{Master: &o}, enbs...)
 		s.Master.Register(apps.NewRemoteScheduler(2, sched.NewRoundRobin()), 100)
 		s.Master.Register(apps.NewMonitor(10), 0)
 		s.WaitAttached(3000)
-		warmCycles := s.Master.Cycle()
+		// Timing starts after warm-up. The medians are the figure: one
+		// descheduled cycle moves a mean over a few hundred wall-clock
+		// samples, not their median.
+		var ls metrics.LoopStats
+		s.Master.SetLoopStats(&ls)
 		s.RunSeconds(seconds)
-		core, appsT := s.Master.CycleTimes()
-		coreMean := core.After(float64(warmCycles)).Mean()
-		appsMean := appsT.After(float64(warmCycles)).Mean()
+		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+		core, appsT := ms(ls.Ingest.Quantile(0.5)), ms(ls.Apps.Quantile(0.5))
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		idle := 1.0 - coreMean - appsMean
+		idle := 1.0 - core - appsT
 		if idle < 0 {
 			idle = 0
 		}
-		res.CoreMs = append(res.CoreMs, coreMean)
-		res.AppsMs = append(res.AppsMs, appsMean)
+		res.CoreMs = append(res.CoreMs, core)
+		res.AppsMs = append(res.AppsMs, appsT)
 		res.IdleMs = append(res.IdleMs, idle)
 		res.HeapMB = append(res.HeapMB, float64(m.HeapAlloc)/(1<<20))
 	}

@@ -23,7 +23,6 @@ import (
 	"flexran/internal/agent"
 	"flexran/internal/controller"
 	"flexran/internal/lte"
-	"flexran/internal/protocol"
 	"flexran/internal/radio"
 	"flexran/internal/sim"
 	"flexran/internal/transport"
@@ -173,8 +172,10 @@ func (p *grayPusher) OnTick(ctx *controller.Context, cycle lte.Subframe) {
 	}
 }
 
-func (p *grayPusher) OnCommandFailed(_ *controller.Context, _ lte.ENBID, _ uint64, _ protocol.Payload) {
-	p.failed++
+func (p *grayPusher) OnWatch(_ *controller.Context, ev controller.WatchEvent) {
+	if ev.Kind == controller.WatchCmdFailed {
+		p.failed++
+	}
 }
 
 // lossyDelivery pushes total commands through a 30%-lossy channel with the

@@ -161,6 +161,10 @@ type LoopStats struct {
 	// Ingest is the master leg: the RIB Updater slot (ingest→RIB apply),
 	// per Tick.
 	Ingest Histogram
+	// Apps is the master's application slot (event dispatch plus OnTick
+	// over every registered app), per Tick — with Ingest, the
+	// core-versus-applications split of the paper's Fig. 8.
+	Apps Histogram
 	// RTT is the command round trip, measured by the Echo TS timestamp
 	// path (master stamps wall clock into Echo, the agent mirrors it in
 	// EchoReply, the master observes the difference on apply).
@@ -201,6 +205,7 @@ func (l *LoopStats) Profile() string {
 		{"step  ", &l.Step},
 		{"report", &l.Report},
 		{"ingest", &l.Ingest},
+		{"apps  ", &l.Apps},
 		{"rtt   ", &l.RTT},
 	} {
 		if leg.h.Count() == 0 {

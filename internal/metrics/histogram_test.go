@@ -105,9 +105,10 @@ func TestLoopStatsProfile(t *testing.T) {
 		t.Fatalf("miss rate %.4f", r)
 	}
 	ls.Step.Observe(20 * time.Microsecond)
+	ls.Apps.Observe(40 * time.Microsecond)
 	ls.RTT.Observe(300 * time.Microsecond)
 	prof := ls.Profile()
-	for _, want := range []string{"ticks=11", "misses=2", "step", "rtt"} {
+	for _, want := range []string{"ticks=11", "misses=2", "step", "apps", "rtt"} {
 		if !strings.Contains(prof, want) {
 			t.Errorf("profile missing %q:\n%s", want, prof)
 		}

@@ -186,17 +186,6 @@ func (s *Series) Min() float64 {
 	return m
 }
 
-// After returns the sub-series with sample times strictly greater than t0.
-func (s *Series) After(t0 float64) *Series {
-	out := &Series{}
-	for i, t := range s.T {
-		if t > t0 {
-			out.Add(t, s.V[i])
-		}
-	}
-	return out
-}
-
 // Between returns the sub-series with t0 < time <= t1.
 func (s *Series) Between(t0, t1 float64) *Series {
 	out := &Series{}

@@ -116,10 +116,6 @@ func TestSeries(t *testing.T) {
 	if got := s.Min(); got != 10 {
 		t.Errorf("Min() = %v, want 10", got)
 	}
-	after := s.After(1)
-	if after.Len() != 2 || after.V[0] != 20 {
-		t.Errorf("After(1) = %+v", after)
-	}
 	mid := s.Between(1, 2)
 	if mid.Len() != 1 || mid.V[0] != 20 {
 		t.Errorf("Between(1,2) = %+v", mid)

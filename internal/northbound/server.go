@@ -173,6 +173,7 @@ type LoopView struct {
 	Step     SummaryView `json:"step"`
 	Report   SummaryView `json:"report"`
 	Ingest   SummaryView `json:"ingest"`
+	Apps     SummaryView `json:"apps"`
 	RTT      SummaryView `json:"rtt"`
 }
 
@@ -295,6 +296,7 @@ func (s *Server) handleLoop(w http.ResponseWriter, _ *http.Request) {
 		Step:   summaryView(s.ls.Step.Summary()),
 		Report: summaryView(s.ls.Report.Summary()),
 		Ingest: summaryView(s.ls.Ingest.Summary()),
+		Apps:   summaryView(s.ls.Apps.Summary()),
 		RTT:    summaryView(s.ls.RTT.Summary()),
 	})
 }
@@ -583,18 +585,14 @@ func (s *Server) handleShares(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if req.Module == "" {
-		req.Module = "mac"
-	}
-	if req.VSF == "" {
-		req.VSF = "dl_ue_sched"
-	}
 	if req.ENB == 0 || len(req.Shares) == 0 {
 		writeErr(w, http.StatusBadRequest, "enb and shares are required")
 		return
 	}
 	seq, err := s.doCmd(r, func(ctx *controller.Context) (uint64, error) {
-		return ctx.SetSliceShares(req.ENB, req.Module, req.VSF, req.Shares)
+		return ctx.ApplyShares(req.ENB, controller.SharePlan{
+			Module: req.Module, VSF: req.VSF, Shares: req.Shares,
+		})
 	})
 	respondCmd(w, seq, err)
 }

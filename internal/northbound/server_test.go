@@ -44,7 +44,7 @@ func startHarness(t *testing.T, mods ...func(*northbound.Server)) *harness {
 	opts.CmdRetryTTI = 2 // sequenced actuation, so /cmd/{seq} has outcomes
 	m := controller.NewMaster(opts)
 	aEp, mEp := transport.NewSimPair(transport.Netem{}, transport.Netem{})
-	deliver := m.HandleAgent(mEp.Send)
+	sess := m.HandleAgentSession(mEp.Send)
 	a.Connect(aEp.Send)
 
 	nb := northbound.New(m, nil)
@@ -63,9 +63,7 @@ func startHarness(t *testing.T, mods ...func(*northbound.Server)) *harness {
 		if err != nil {
 			panic(err)
 		}
-		for _, msg := range msgs {
-			deliver(msg)
-		}
+		sess.Deliver(msgs...)
 		m.Tick()
 		msgs, err = aEp.AdvanceTo(sf)
 		if err != nil {

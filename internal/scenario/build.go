@@ -27,7 +27,7 @@ import (
 	"flexran/internal/yamlite"
 )
 
-// LifecycleEvent is one AgentUp/AgentDown dispatch observed by the
+// LifecycleEvent is one up/down liveness transition observed by the
 // engine's built-in lifecycle recorder.
 type LifecycleEvent struct {
 	Cycle lte.Subframe `json:"cycle"`
@@ -53,20 +53,15 @@ type lifecycleLog struct {
 
 func (*lifecycleLog) Name() string { return "scenario-lifecycle" }
 
-func (l *lifecycleLog) OnAgentUp(ctx *controller.Context, id lte.ENBID) {
-	l.events = append(l.events, LifecycleEvent{Cycle: ctx.Now, ENB: id, Up: true})
-}
-
-func (l *lifecycleLog) OnAgentDown(ctx *controller.Context, id lte.ENBID) {
-	l.events = append(l.events, LifecycleEvent{Cycle: ctx.Now, ENB: id, Up: false})
-}
-
-func (l *lifecycleLog) OnAgentDegraded(ctx *controller.Context, id lte.ENBID, state controller.HealthState) {
-	l.health = append(l.health, HealthEvent{Cycle: ctx.Now, ENB: id, State: int(state)})
-}
-
-func (l *lifecycleLog) OnAgentRecovered(ctx *controller.Context, id lte.ENBID) {
-	l.health = append(l.health, HealthEvent{Cycle: ctx.Now, ENB: id, State: int(controller.Healthy)})
+func (l *lifecycleLog) OnWatch(_ *controller.Context, ev controller.WatchEvent) {
+	switch ev.Kind {
+	case controller.WatchUp, controller.WatchDown:
+		l.events = append(l.events, LifecycleEvent{
+			Cycle: ev.Cycle, ENB: ev.ENB, Up: ev.Kind == controller.WatchUp,
+		})
+	case controller.WatchHealth:
+		l.health = append(l.health, HealthEvent{Cycle: ev.Cycle, ENB: ev.ENB, State: int(ev.Health)})
+	}
 }
 
 // activityProbe feeds an InterferenceSwitched channel from another
@@ -477,8 +472,8 @@ func (rt *Runtime) nodeOf(id lte.ENBID) *sim.Node {
 
 // registerApps wires the declared northbound applications. The lifecycle
 // recorder always registers first (priority 1) so the Summary sees every
-// AgentUp/AgentDown; declared apps follow in document order at priorities
-// 10, 20, ... — a deterministic dispatch order.
+// up/down and health event; declared apps follow in document order at
+// priorities 10, 20, ... — a deterministic dispatch order.
 func (rt *Runtime) registerApps() error {
 	if rt.Sim.Master == nil {
 		return nil

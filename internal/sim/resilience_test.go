@@ -148,7 +148,7 @@ func TestLinkCutHeartbeatDetectsAndResyncRecovers(t *testing.T) {
 	opts.EchoPeriodTTI = 10
 	opts.EchoMissBudget = 2
 	s := resilienceScenario(t, opts)
-	mm := apps.NewMobilityManager() // rides along: LifecycleApp dispatch must not disturb it
+	mm := apps.NewMobilityManager() // rides along: down/up events must not disturb it
 	s.Master.Register(mm, 5)
 	rib := s.Master.RIB()
 	s.Run(100)

@@ -203,7 +203,7 @@ type FaultKind int
 const (
 	// FaultLinkCut blackholes the control channel in both directions and
 	// drops everything in flight. The master notices via heartbeat misses
-	// (DisconnectAgent + AgentDown); the agent notices nothing — exactly
+	// (DisconnectAgent + a down event); the agent notices nothing — exactly
 	// like a netem blackhole under a TCP session that has not timed out.
 	FaultLinkCut FaultKind = iota
 	// FaultLinkRestore re-enables the channel and redials: a fresh

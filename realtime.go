@@ -25,8 +25,9 @@ import (
 // stall surfaces as due steps plus an explicit miss count instead of the
 // silently coalesced ticks a time.Ticker delivers. With an attached
 // LoopStats the 1 ms budget is observable end to end — deadline misses,
-// the agent report encode+send leg, the master ingest→RIB-apply leg and
-// the Echo-TS command round trip all land in log-bucketed histograms.
+// the agent report encode+send leg, the master ingest→RIB-apply and
+// application legs and the Echo-TS command round trip all land in
+// log-bucketed histograms.
 
 // DefaultMasterAddr is the default FlexRAN control port.
 const DefaultMasterAddr = ":2210"
@@ -56,7 +57,7 @@ type RTConfig struct {
 	Period time.Duration
 	// Stats, when non-nil, receives deadline accounting and latency
 	// histograms from the loop (and is attached to the master/agent so
-	// the ingest, report and RTT legs are measured too).
+	// the ingest, apps, report and RTT legs are measured too).
 	Stats *LoopStats
 }
 
@@ -88,9 +89,9 @@ func ServeMasterRT(m *Master, addr string, stop <-chan struct{}, cfg RTConfig) e
 // absorbed in batches — each reader drains everything its connection has
 // buffered and hands the whole batch to the per-session ingest queue in
 // one operation, so per-TTI reports from many agents contend on no shared
-// lock. The loop owns the listener and blocks until stop is closed (which
-// also closes every accepted connection — readers never outlive the
-// server) or the listener fails.
+// lock. The loop owns the listener and blocks until stop is closed; by the
+// time it returns, the listener and every accepted connection are closed
+// (readers never outlive the server, and the address can be bound again).
 func ServeMasterListener(m *Master, l *ControlListener, stop <-chan struct{}, cfg RTConfig) error {
 	ls := cfg.Stats
 	if ls != nil {
@@ -99,12 +100,17 @@ func ServeMasterListener(m *Master, l *ControlListener, stop <-chan struct{}, cf
 
 	// Live-connection registry: closing stop must tear down the accepted
 	// connections too, or their readers block in RecvBatch forever — one
-	// leaked goroutine and socket per agent that ever attached.
+	// leaked goroutine and socket per agent that ever attached. The
+	// teardown has its own goroutine so that it is prompt even while the
+	// tick loop is catching up on late cycles; the loop's return waits for
+	// it on torn.
 	var connMu sync.Mutex
 	conns := make(map[*transport.Conn]struct{})
 	stopped := false
+	torn := make(chan struct{})
 
 	go func() {
+		defer close(torn)
 		<-stop
 		l.Close()
 		connMu.Lock()
@@ -158,6 +164,7 @@ func ServeMasterListener(m *Master, l *ControlListener, stop <-chan struct{}, cf
 			timer.Reset(d.Sub(now))
 			select {
 			case <-stop:
+				<-torn
 				return nil
 			case <-timer.C:
 			}
@@ -242,7 +249,16 @@ func RunAgentLoopRT(a *Agent, masterAddr string, stop <-chan struct{}, cfg RTCon
 	defer conn.Close()
 	a.Connect(conn.Send)
 
+	// closedErr is the loop's result once the transport has closed. A close
+	// observed after stop is the shutdown itself, not a failure: the master
+	// tears its connections down on the same stop, and the closed Recv
+	// channel can win a select against stop.
 	closedErr := func() error {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
 		if err := conn.Err(); err != nil {
 			return fmt.Errorf("flexran: control channel: %w", err)
 		}

@@ -202,3 +202,45 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 		return runtime.NumGoroutine() <= before+3
 	})
 }
+
+// TestRealTimeStopIsCleanExit is the regression test for the shutdown race
+// in the wall-clock loops: stop makes the master close its connections,
+// and an agent loop that saw the closed transport before it saw stop
+// reported "control channel: EOF" for what was a clean shutdown (about one
+// start/stop cycle in eight). Every cycle rebinds the same address, so it
+// also pins that ServeMasterListener returns only after its listener is
+// closed. Each cycle is event-driven: it stops the moment the master has
+// applied the agent's Hello.
+func TestRealTimeStopIsCleanExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	addr := "127.0.0.1:0"
+	for cycle := 0; cycle < 100; cycle++ {
+		m := flexran.NewMaster(flexran.DefaultMasterOptions())
+		hello := m.Watch(flexran.WatchFilter{Kinds: flexran.WatchHello}, 1)
+		l, err := flexran.ListenControl(addr)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		addr = l.Addr().String()
+		stop := make(chan struct{})
+		errc := make(chan error, 2)
+		go func() { errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
+		a := startAgentENB(t, 4, 1)
+		go func() { errc <- flexran.RunAgentLoop(a, addr, stop) }()
+
+		select {
+		case <-hello.Events():
+		case <-time.After(5 * time.Second):
+			close(stop)
+			t.Fatalf("cycle %d: agent never attached", cycle)
+		}
+		close(stop)
+		for i := 0; i < 2; i++ {
+			if err := <-errc; err != nil {
+				t.Fatalf("cycle %d: loop error: %v", cycle, err)
+			}
+		}
+	}
+}
