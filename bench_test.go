@@ -201,10 +201,7 @@ func BenchmarkDSLEval(b *testing.B) {
 func BenchmarkStatsReplyEncode(b *testing.B) {
 	rep := &protocol.StatsReply{ID: 1, SF: 1000}
 	for i := 0; i < 16; i++ {
-		rep.UEs = append(rep.UEs, enb.UEReport{
-			RNTI: lte.RNTI(0x46 + i), CQI: 12, DLQueue: 15000,
-			AvgDLKbps: 9000,
-		}.ToProtocolUEStats())
+		rep.UEs.Append(gateUERow(i))
 	}
 	msg := protocol.New(1, 1000, rep)
 	b.ResetTimer()

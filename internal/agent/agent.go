@@ -80,7 +80,7 @@ type statsSub struct {
 	sentOnce bool
 	// rep is the subscription's reusable report: refilled in place every
 	// period, serialized synchronously by the transport on emit, never
-	// retained by the receive side (the master deep-copies what it keeps).
+	// retained by the receive side (the master copies out what it keeps).
 	rep protocol.StatsReply
 }
 
@@ -143,9 +143,8 @@ type Agent struct {
 	loopStats *metrics.LoopStats
 
 	// Per-TTI scratch, reused across subframes so steady-state reporting
-	// allocates nothing: data-plane snapshots, the due-subscription sweep
+	// allocates nothing: the cell snapshots, the due-subscription sweep
 	// and the triggered-mode fingerprint encoder.
-	ueScratch   []enb.UEReport
 	cellScratch []enb.CellReport
 	subScratch  []*statsSub
 	hashEnc     wire.Encoder
@@ -725,38 +724,18 @@ func (a *Agent) onSubframe(sf lte.Subframe) {
 }
 
 // buildReport assembles a StatsReply for a subscription's content flags,
-// refilling rep in place: the per-subscription reply and the per-entry
-// SubbandCQI/LCs scratch are reused every period, so steady-state report
-// construction allocates nothing. The returned reply (== rep) is valid
-// until the subscription's next report is built; transports serialize it
-// synchronously on emit.
+// refilling rep in place: the eNodeB writes its UE lanes straight into the
+// per-subscription reply's table, whose capacity is reused every period, so
+// steady-state report construction allocates nothing. The returned reply
+// (== rep) is valid until the subscription's next report is built;
+// transports serialize it synchronously on emit.
 func (a *Agent) buildReport(req *protocol.StatsRequest, rep *protocol.StatsReply, sf lte.Subframe) *protocol.StatsReply {
-	cells := rep.Cells
 	rep.ID, rep.SF = req.ID, sf
-	rep.Cells = cells[:0]
+	rep.Cells = rep.Cells[:0]
 	if req.Flags&(protocol.StatsQueues|protocol.StatsCQI|protocol.StatsRates|protocol.StatsHARQ) != 0 {
-		a.ueScratch = a.enb.AppendUEReports(a.ueScratch[:0])
-		rep.GrowUEs(len(a.ueScratch))
-		for i, r := range a.ueScratch {
-			s := &rep.UEs[i]
-			r.FillProtocolUEStats(s)
-			if req.Flags&protocol.StatsQueues == 0 {
-				s.DLQueue, s.ULQueue = 0, 0
-				s.LCs = s.LCs[:0]
-			}
-			if req.Flags&protocol.StatsCQI == 0 {
-				s.CQI = 0
-				s.SubbandCQI = s.SubbandCQI[:0]
-			}
-			if req.Flags&protocol.StatsRates == 0 {
-				s.DLRateKbps, s.ULRateKbps = 0, 0
-			}
-			if req.Flags&protocol.StatsHARQ == 0 {
-				s.HARQRetx = 0
-			}
-		}
+		a.enb.FillUETable(&rep.UEs, req.Flags)
 	} else {
-		rep.GrowUEs(0)
+		rep.UEs.Resize(0)
 	}
 	if req.Flags&protocol.StatsCell != 0 {
 		a.cellScratch = a.enb.AppendCellReports(a.cellScratch[:0])
@@ -793,7 +772,7 @@ func (a *Agent) reportHash(rep *protocol.StatsReply) uint64 {
 }
 
 // buildSnapshot assembles the agent's authoritative state for a resync:
-// the eNodeB configuration, one full statistics entry plus identity per UE
+// the eNodeB configuration, one full statistics row plus identity per UE
 // (RNTI order), the cell statistics and the active subscriptions. Snapshots
 // are rare (reconnects), so this path allocates freely.
 func (a *Agent) buildSnapshot() *protocol.StateSnapshot {
@@ -805,8 +784,8 @@ func (a *Agent) buildSnapshot() *protocol.StateSnapshot {
 	a.mu.Unlock()
 	snap.SF = a.enb.Now()
 	snap.Config = a.enb.Config()
+	a.enb.FillUETable(&snap.UEs, protocol.StatsAll)
 	for _, r := range a.enb.UEReports() {
-		snap.UEs = append(snap.UEs, r.ToProtocolUEStats())
 		snap.Configs = append(snap.Configs, protocol.UEConfig{
 			RNTI: r.RNTI, Cell: r.Cell, IMSI: r.IMSI,
 		})

@@ -113,7 +113,7 @@ func TestOneOffStatsReport(t *testing.T) {
 		t.Fatal("no stats reply")
 	}
 	rep := m.Payload.(*protocol.StatsReply)
-	if len(rep.UEs) != 1 || rep.UEs[0].CQI != 9 {
+	if rep.UEs.Len() != 1 || rep.UEs.CQI[0] != 9 {
 		t.Errorf("report = %+v", rep)
 	}
 	if len(rep.Cells) != 1 || rep.Cells[0].TotalPRB != 50 {

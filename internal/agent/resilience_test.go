@@ -76,7 +76,7 @@ func TestResyncRequestAnswersFullSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(snap.Config, h.enb.Config()) {
 		t.Errorf("snapshot config = %+v", snap.Config)
 	}
-	if len(snap.UEs) != 1 || snap.UEs[0].RNTI != rnti || snap.UEs[0].CQI != 12 {
+	if snap.UEs.Len() != 1 || snap.UEs.RNTI[0] != rnti || snap.UEs.CQI[0] != 12 {
 		t.Errorf("snapshot UEs = %+v", snap.UEs)
 	}
 	if len(snap.Configs) != 1 || snap.Configs[0].IMSI != 1 || snap.Configs[0].RNTI != rnti {

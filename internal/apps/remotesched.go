@@ -8,6 +8,7 @@ package apps
 import (
 	"flexran/internal/controller"
 	"flexran/internal/lte"
+	"flexran/internal/protocol"
 	"flexran/internal/sched"
 )
 
@@ -28,6 +29,11 @@ type RemoteScheduler struct {
 	Sent int
 
 	lastTarget map[lte.ENBID]lte.Subframe
+
+	// Per-tick RIB snapshots, reused across ticks and agents so the read
+	// path allocates nothing at steady state.
+	agents []lte.ENBID
+	ues    []protocol.UEStats
 }
 
 // NewRemoteScheduler builds the app.
@@ -47,7 +53,8 @@ func (*RemoteScheduler) Name() string { return "remote-scheduler" }
 // centralized scheduler consumes) and pushes the decision.
 func (r *RemoteScheduler) OnTick(ctx *controller.Context, _ lte.Subframe) {
 	rib := ctx.RIB()
-	for _, enbID := range rib.Agents() {
+	r.agents = rib.AppendAgents(r.agents[:0])
+	for _, enbID := range r.agents {
 		if !rib.Connected(enbID) {
 			continue
 		}
@@ -66,7 +73,9 @@ func (r *RemoteScheduler) OnTick(ctx *controller.Context, _ lte.Subframe) {
 			Dir:      lte.Downlink,
 			TotalPRB: r.prbs(ctx, enbID),
 		}
-		for _, ue := range rib.UEsOf(enbID) {
+		r.ues = rib.AppendUEsOf(enbID, r.ues[:0])
+		for i := range r.ues {
+			ue := &r.ues[i]
 			if ue.DLQueue == 0 {
 				continue
 			}

@@ -700,12 +700,12 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 		s.lastReport = m.cycle
 		if m.watch.active() {
 			var kbps float64
-			for i := range p.UEs {
-				kbps += float64(p.UEs[i].DLRateKbps)
+			for _, r := range p.UEs.DLRateKbps {
+				kbps += float64(r)
 			}
 			sink.watch = append(sink.watch, WatchEvent{
 				Kind: WatchStats, ENB: msg.ENB, SF: p.SF,
-				UEs: len(p.UEs), DLKbps: kbps,
+				UEs: p.UEs.Len(), DLKbps: kbps,
 			})
 		}
 	case *protocol.UEEvent:

@@ -23,9 +23,9 @@ func hello(enb lte.ENBID, epoch uint64) *protocol.Message {
 
 // statsWithCQI builds a one-UE StatsReply carrying a marker CQI.
 func statsWithCQI(sf lte.Subframe, rnti lte.RNTI, cqi lte.CQI) *protocol.Message {
-	return protocol.New(7, sf, &protocol.StatsReply{ID: 1, SF: sf, UEs: []protocol.UEStats{
-		{RNTI: rnti, Cell: 0, CQI: cqi},
-	}})
+	return protocol.New(7, sf, &protocol.StatsReply{ID: 1, SF: sf, UEs: protocol.UETableOf(
+		protocol.UEStats{RNTI: rnti, Cell: 0, CQI: cqi},
+	)})
 }
 
 // TestLostHelloRetransmitRecovers is the lost-handshake regression test:
@@ -241,10 +241,10 @@ func TestResyncRebuildsShardInOneCycle(t *testing.T) {
 	sess.Deliver(protocol.New(7, 2, &protocol.StateSnapshot{
 		Epoch: 1, SF: 2,
 		Config: protocol.ENBConfig{ID: 7, Cells: []protocol.CellConfig{{Cell: 0}}},
-		UEs: []protocol.UEStats{
-			{RNTI: 0x46, Cell: 0, CQI: 12, DLQueue: 500, SubbandCQI: []uint8{11, 12}},
-			{RNTI: 0x47, Cell: 0, CQI: 7},
-		},
+		UEs: protocol.UETableOf(
+			protocol.UEStats{RNTI: 0x46, Cell: 0, CQI: 12, DLQueue: 500, SubbandCQI: []uint8{11, 12}},
+			protocol.UEStats{RNTI: 0x47, Cell: 0, CQI: 7},
+		),
 		Configs: []protocol.UEConfig{
 			{RNTI: 0x46, Cell: 0, IMSI: 1001},
 			{RNTI: 0x47, Cell: 0, IMSI: 1002},
@@ -389,7 +389,7 @@ func TestReconnectStormConverges(t *testing.T) {
 		return protocol.New(7, lte.Subframe(epoch), &protocol.StateSnapshot{
 			Epoch: epoch, SF: lte.Subframe(100 * epoch),
 			Config:  protocol.ENBConfig{ID: 7, Cells: []protocol.CellConfig{{Cell: 0}}},
-			UEs:     []protocol.UEStats{{RNTI: 0x46, Cell: 0, CQI: cqi}},
+			UEs:     protocol.UETableOf(protocol.UEStats{RNTI: 0x46, Cell: 0, CQI: cqi}),
 			Configs: []protocol.UEConfig{{RNTI: 0x46, Cell: 0, IMSI: 4242}},
 		})
 	}

@@ -6,6 +6,8 @@
 package controller
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,6 +51,16 @@ type agentShard struct {
 	// only by healthTick in the master's serial phase; read lock-free by
 	// policy code via HealthOf.
 	health atomic.Uint32
+
+	// rows remembers which record each row of the last statistics report
+	// resolved to (guarded by mu). An agent reports the same UEs in the
+	// same order TTI after TTI, so while a report's RNTI and Cell columns
+	// repeat the remembered ones exactly and rowsValid holds — no record
+	// was removed since — applyStats skips the two map lookups per row.
+	rowRNTI   []lte.RNTI
+	rowCell   []lte.CellID
+	rowRec    []*UERecord
+	rowsValid bool
 }
 
 // ribTopology is the copy-on-write agent directory. The shard set only
@@ -115,8 +127,8 @@ func (r *RIB) applyDisconnect(enb lte.ENBID) {
 }
 
 // applyResync rebuilds an agent's shard from a StateSnapshot: the UE forest
-// under every cell is replaced wholesale by the snapshot's entries (full
-// statistics deep-copied, identities joined by RNTI), cell statistics and
+// under every cell is replaced wholesale by the snapshot's rows (full
+// statistics copied out, identities joined by RNTI), cell statistics and
 // the agent-time watermark are refreshed, and the agent is marked live.
 // This is the one-cycle RIB convergence path after a reconnect — no
 // dependence on periodic reports trickling the state back in. If the
@@ -133,26 +145,21 @@ func (r *RIB) applyResync(enb lte.ENBID, snap *protocol.StateSnapshot) {
 	for i := range snap.Configs {
 		imsis[snap.Configs[i].RNTI] = snap.Configs[i].IMSI
 	}
-	count := 0
 	sh.mu.Lock()
 	for _, c := range sh.cells {
 		for rnti := range c.UEs {
-			delete(c.UEs, rnti)
+			sh.removeUE(c, rnti)
 		}
 	}
-	for i := range snap.UEs {
-		us := &snap.UEs[i]
-		c := sh.cells[us.Cell]
+	for i, n := 0, snap.UEs.Len(); i < n; i++ {
+		rnti := snap.UEs.RNTI[i]
+		c := sh.cells[snap.UEs.Cell[i]]
 		if c == nil {
 			continue
 		}
-		u := &UERecord{Config: protocol.UEConfig{
-			RNTI: us.RNTI, Cell: us.Cell, IMSI: imsis[us.RNTI],
-		}}
-		u.Stats.CopyFrom(us)
+		u := sh.ue(c, rnti, imsis[rnti]) // an RNTI listed twice keeps its last row
+		snap.UEs.Row(i, &u.Stats)
 		u.UpdatedSF = snap.SF
-		c.UEs[us.RNTI] = u
-		count++
 	}
 	for _, cs := range snap.Cells {
 		if c := sh.cells[cs.Cell]; c != nil {
@@ -160,9 +167,34 @@ func (r *RIB) applyResync(enb lte.ENBID, snap *protocol.StateSnapshot) {
 		}
 	}
 	sh.mu.Unlock()
-	sh.ueCount.Store(int64(count))
 	sh.advanceSF(snap.SF)
 	sh.connected.Store(true)
+}
+
+// ue returns the record of a UE under cell c, creating it when this is the
+// first the shard hears of the RNTI, and fills in the IMSI once a message
+// that knows it (imsi != 0) comes by; removeUE drops a record. Every change
+// to a shard's record set goes through these two (sh.mu held), which keep
+// the lock-free UE count in step. A removal also forgets the remembered row
+// resolution, which may point at the record; an addition cannot change what
+// a remembered row resolves to (every such row has its record already).
+func (sh *agentShard) ue(c *CellRecord, rnti lte.RNTI, imsi uint64) *UERecord {
+	u := c.UEs[rnti]
+	if u == nil {
+		u = &UERecord{Config: protocol.UEConfig{RNTI: rnti, Cell: c.Config.Cell}}
+		c.UEs[rnti] = u
+		sh.ueCount.Add(1)
+	}
+	if u.Config.IMSI == 0 {
+		u.Config.IMSI = imsi
+	}
+	return u
+}
+
+func (sh *agentShard) removeUE(c *CellRecord, rnti lte.RNTI) {
+	delete(c.UEs, rnti)
+	sh.ueCount.Add(-1)
+	sh.rowsValid = false
 }
 
 // advanceSF lifts the shard's agent-time watermark to sf (monotonic).
@@ -197,29 +229,34 @@ func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
 			c.Stats = cs
 		}
 	}
-	added := 0
-	for i := range rep.UEs {
-		us := &rep.UEs[i]
-		c := sh.cells[us.Cell]
+	// Row by row out of the columns: Row writes into the record's own
+	// SubbandCQI/LCs capacity, so the record never aliases the reply (a
+	// pooled decode, released and reused after this tick, or an agent's
+	// in-place report scratch) and steady-state updates allocate nothing.
+	ues := &rep.UEs
+	if sh.rowsValid && slices.Equal(sh.rowRNTI, ues.RNTI) && slices.Equal(sh.rowCell, ues.Cell) {
+		for i, u := range sh.rowRec {
+			ues.Row(i, &u.Stats)
+			u.UpdatedSF = rep.SF
+		}
+		return
+	}
+	sh.rowRec = sh.rowRec[:0]
+	for i, n := 0, ues.Len(); i < n; i++ {
+		c := sh.cells[ues.Cell[i]]
 		if c == nil {
 			continue
 		}
-		u := c.UEs[us.RNTI]
-		if u == nil {
-			u = &UERecord{Config: protocol.UEConfig{RNTI: us.RNTI, Cell: us.Cell}}
-			c.UEs[us.RNTI] = u
-			added++
-		}
-		// Deep copy: the reply may be a pooled decode (released and reused
-		// after this tick) or an agent's in-place report scratch, so the
-		// record must own its SubbandCQI/LCs bytes. CopyFrom reuses the
-		// record's existing capacity, keeping steady-state updates
-		// allocation-free.
-		u.Stats.CopyFrom(us)
+		u := sh.ue(c, ues.RNTI[i], 0)
+		ues.Row(i, &u.Stats)
 		u.UpdatedSF = rep.SF
+		sh.rowRec = append(sh.rowRec, u)
 	}
-	if added != 0 {
-		sh.ueCount.Add(int64(added))
+	// Remember the resolution only if every row has a record (none sat in
+	// an unknown cell).
+	if sh.rowsValid = len(sh.rowRec) == ues.Len(); sh.rowsValid {
+		sh.rowRNTI = append(sh.rowRNTI[:0], ues.RNTI...)
+		sh.rowCell = append(sh.rowCell[:0], ues.Cell...)
 	}
 }
 
@@ -236,15 +273,7 @@ func (r *RIB) applyMeasReport(enb lte.ENBID, sf lte.Subframe, rep *protocol.Meas
 	if c == nil {
 		return
 	}
-	u := c.UEs[rep.RNTI]
-	if u == nil {
-		u = &UERecord{Config: protocol.UEConfig{RNTI: rep.RNTI, Cell: rep.Cell, IMSI: rep.IMSI}}
-		c.UEs[rep.RNTI] = u
-		sh.ueCount.Add(1)
-	}
-	if u.Config.IMSI == 0 {
-		u.Config.IMSI = rep.IMSI
-	}
+	u := sh.ue(c, rep.RNTI, rep.IMSI)
 	u.Meas = rep
 	u.MeasSF = sf
 }
@@ -267,15 +296,7 @@ func (r *RIB) applyHandoverComplete(to lte.ENBID, hc *protocol.HandoverComplete)
 	if c == nil {
 		return
 	}
-	u := c.UEs[hc.RNTI]
-	if u == nil {
-		u = &UERecord{Config: protocol.UEConfig{RNTI: hc.RNTI, Cell: hc.Cell, IMSI: hc.IMSI}}
-		c.UEs[hc.RNTI] = u
-		sh.ueCount.Add(1)
-	}
-	if u.Config.IMSI == 0 {
-		u.Config.IMSI = hc.IMSI
-	}
+	sh.ue(c, hc.RNTI, hc.IMSI)
 }
 
 func (r *RIB) applyUEEvent(enb lte.ENBID, ev *protocol.UEEvent) {
@@ -291,16 +312,10 @@ func (r *RIB) applyUEEvent(enb lte.ENBID, ev *protocol.UEEvent) {
 	}
 	switch ev.Type {
 	case protocol.UEEventAttach, protocol.UEEventRandomAccess:
-		if _, ok := c.UEs[ev.RNTI]; !ok {
-			c.UEs[ev.RNTI] = &UERecord{
-				Config: protocol.UEConfig{RNTI: ev.RNTI, Cell: ev.Cell},
-			}
-			sh.ueCount.Add(1)
-		}
+		sh.ue(c, ev.RNTI, 0)
 	case protocol.UEEventDetach:
 		if _, ok := c.UEs[ev.RNTI]; ok {
-			delete(c.UEs, ev.RNTI)
-			sh.ueCount.Add(-1)
+			sh.removeUE(c, ev.RNTI)
 		}
 	}
 }
@@ -472,8 +487,13 @@ func (r *RIB) AppendUEsOf(enb lte.ENBID, dst []protocol.UEStats) []protocol.UESt
 			dst[n].CopyFrom(&u.Stats)
 		}
 	}
-	out := dst[start:]
-	sort.Slice(out, func(i, j int) bool { return out[i].RNTI < out[j].RNTI })
+	// Map order is arbitrary, so this nearly always sorts; swapping whole
+	// rows (their slice headers travel with them) needs no closure over
+	// out and no reflection, which is what keeps the call allocation-free.
+	byRNTI := func(a, b protocol.UEStats) int { return cmp.Compare(a.RNTI, b.RNTI) }
+	if out := dst[start:]; !slices.IsSortedFunc(out, byRNTI) {
+		slices.SortFunc(out, byRNTI)
+	}
 	return dst
 }
 

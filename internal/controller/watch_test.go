@@ -22,7 +22,7 @@ func scripted(opts controller.Options, enbs ...lte.ENBID) (*controller.Master, m
 }
 
 func statsReply(enb lte.ENBID, sf lte.Subframe, ues ...protocol.UEStats) *protocol.Message {
-	return protocol.New(enb, sf, &protocol.StatsReply{SF: sf, UEs: ues})
+	return protocol.New(enb, sf, &protocol.StatsReply{SF: sf, UEs: protocol.UETableOf(ues...)})
 }
 
 func TestWatchKindParse(t *testing.T) {

@@ -317,9 +317,20 @@ func TestReportsAndConversions(t *testing.T) {
 	if !ok {
 		t.Fatal("missing report")
 	}
-	ps := rep.ToProtocolUEStats()
-	if ps.RNTI != rnti || ps.CQI != 12 {
+	var tab protocol.UETable
+	e.FillUETable(&tab, protocol.StatsAll)
+	var ps protocol.UEStats
+	tab.Row(0, &ps)
+	if tab.Len() != 1 || ps.RNTI != rnti || ps.CQI != 12 || ps.DLQueue != uint64(rep.DLQueue) ||
+		len(ps.SubbandCQI) != SubbandsAt10MHz || len(ps.LCs) != 3 || ps.LCs[2].Bytes != ps.DLQueue ||
+		ps.RSRPdBm != -68 {
 		t.Errorf("protocol stats = %+v", ps)
+	}
+	e.FillUETable(&tab, protocol.StatsRates)
+	tab.Row(0, &ps)
+	if ps.RNTI != rnti || ps.CQI != 0 || ps.DLQueue != 0 || len(ps.SubbandCQI) != 0 || len(ps.LCs) != 0 ||
+		ps.DLRateKbps != uint32(rep.AvgDLKbps) || ps.RSRPdBm != -68 {
+		t.Errorf("rates-only protocol stats = %+v", ps)
 	}
 	cells := e.CellReports()
 	if len(cells) != 1 || cells[0].TotalPRB != 50 {

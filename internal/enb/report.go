@@ -75,20 +75,13 @@ func (e *ENB) report(s int32) UEReport {
 	}
 }
 
-// AppendUEReports appends a snapshot of every UE to dst, ordered by RNTI
-// (e.order is kept sorted incrementally, so no per-snapshot sort). Callers
-// on the per-TTI path pass a reused scratch slice (dst[:0]) to make the
-// snapshot allocation-free at steady state.
-func (e *ENB) AppendUEReports(dst []UEReport) []UEReport {
-	for _, s := range e.order {
-		dst = append(dst, e.report(s))
-	}
-	return dst
-}
-
 // UEReports snapshots every UE into a fresh slice, ordered by RNTI.
 func (e *ENB) UEReports() []UEReport {
-	return e.AppendUEReports(make([]UEReport, 0, len(e.order)))
+	out := make([]UEReport, 0, len(e.order))
+	for _, s := range e.order {
+		out = append(out, e.report(s))
+	}
+	return out
 }
 
 // UEs returns the RNTIs of all current UEs, ordered.
@@ -153,69 +146,83 @@ func (e *ENB) Active(cellID lte.CellID, sf lte.Subframe) bool {
 // 10 MHz carrier (36.213 Table 7.2.1-3).
 const SubbandsAt10MHz = 13
 
-// ToProtocolUEStats converts a snapshot into the protocol's report entry,
-// including the subband CQIs, per-LC queue reports and L3 measurements the
-// OAI agent forwards each TTI. The subband values are a deterministic
-// ripple around the wideband CQI (the PHY abstraction has no frequency-
-// selective model); RSRP/RSRQ derive from the CQI operating point.
-func (r UEReport) ToProtocolUEStats() protocol.UEStats {
-	var s protocol.UEStats
-	r.FillProtocolUEStats(&s)
-	return s
-}
-
-// FillProtocolUEStats is ToProtocolUEStats writing into a caller-owned
-// entry: s's SubbandCQI/LCs capacity is reused, so a report builder that
-// refills one StatsReply per subscription allocates nothing per TTI. All
-// other fields of s are overwritten.
-func (r UEReport) FillProtocolUEStats(s *protocol.UEStats) {
-	sb, lcs := s.SubbandCQI, s.LCs
-	*s = protocol.UEStats{
-		RNTI:            r.RNTI,
-		Cell:            r.Cell,
-		CQI:             r.CQI,
-		DLQueue:         uint64(r.DLQueue),
-		ULQueue:         uint64(r.ULQueue),
-		DLRateKbps:      uint32(r.AvgDLKbps),
-		ULRateKbps:      uint32(r.AvgULKbps),
-		HARQRetx:        r.HARQRetx,
-		LastSchedSF:     r.LastSched,
-		PowerHeadroomDB: 40 - 2*int32(r.CQI),
-		RSRPdBm:         -140 + 6*int32(r.CQI),
-		RSRQdB:          -20 + int32(r.CQI),
-		Group:           r.Group,
-	}
-	s.SubbandCQI = sb[:0]
-	if r.CQI > 0 {
-		for i := 0; i < SubbandsAt10MHz; i++ {
-			ripple := int(r.RNTI) + i*7
-			c := int(r.CQI) + ripple%3 - 1
-			if c < 1 {
-				c = 1
-			}
-			if c > lte.MaxCQI {
-				c = lte.MaxCQI
-			}
-			s.SubbandCQI = append(s.SubbandCQI, uint8(c))
+// FillUETable writes the statistics report of every UE into t, one row per
+// UE in RNTI order, straight from the hot and cold lanes and column by
+// column: no per-UE snapshot is built on the way. flags selects the report
+// components as a subscription does; the columns of an unselected component
+// stay zero (and its subband/LC lists empty), identity, last-scheduled
+// subframe, L3 measurements and group are always filled. t's capacity is
+// reused, so a report builder refilling one table per subscription
+// allocates nothing per TTI.
+//
+// The subband CQIs are a deterministic ripple around the wideband CQI (the
+// PHY abstraction has no frequency-selective model); power headroom and
+// RSRP/RSRQ derive from the CQI operating point.
+func (e *ENB) FillUETable(t *protocol.UETable, flags protocol.StatsFlags) {
+	t.Resize(len(e.order))
+	h := &e.hot
+	for i, s := range e.order {
+		c := &e.cold[s]
+		cqi := int32(h.cqi[s])
+		t.RNTI[i] = h.rnti[s]
+		t.Cell[i] = c.params.Cell
+		t.LastSchedSF[i] = h.lastSched[s]
+		t.PowerHeadroomDB[i] = 40 - 2*cqi
+		t.RSRPdBm[i] = -140 + 6*cqi
+		t.RSRQdB[i] = -20 + cqi
+		if c.params.Group > 0 {
+			t.Group[i] = uint32(c.params.Group)
 		}
 	}
-	s.LCs = append(lcs[:0],
-		protocol.LCReport{LCID: 1, Bytes: uint64(r.SigQueue)},                         // SRB1
-		protocol.LCReport{LCID: 2, Bytes: 0},                                          // SRB2
-		protocol.LCReport{LCID: 3, Bytes: uint64(r.DLQueue), HoLDelayMs: holDelay(r)}, // default DRB
-	)
+	if flags&protocol.StatsQueues != 0 {
+		for i, s := range e.order {
+			dlq := uint64(h.dlQueue[s])
+			t.DLQueue[i] = dlq
+			t.ULQueue[i] = uint64(h.ulQueue[s])
+			// SRB1, SRB2 and the default DRB.
+			t.LCID = append(t.LCID, 1, 2, 3)
+			t.LCBytes = append(t.LCBytes, uint64(h.sigPending[s]), 0, dlq)
+			t.LCHoLMs = append(t.LCHoLMs, 0, 0, holDelay(h.dlQueue[s], h.avgDL[s]))
+			t.LCEnd[i] = uint32(len(t.LCID))
+		}
+	}
+	if flags&protocol.StatsCQI != 0 {
+		for i, s := range e.order {
+			cqi := h.cqi[s]
+			t.CQI[i] = cqi
+			if cqi > 0 {
+				for sb := 0; sb < SubbandsAt10MHz; sb++ {
+					ripple := int(h.rnti[s]) + sb*7
+					v := int(cqi) + ripple%3 - 1
+					t.Subbands = append(t.Subbands, uint8(max(1, min(v, lte.MaxCQI))))
+				}
+			}
+			t.SubbandEnd[i] = uint32(len(t.Subbands))
+		}
+	}
+	if flags&protocol.StatsRates != 0 {
+		for i, s := range e.order {
+			t.DLRateKbps[i] = uint32(h.avgDL[s])
+			t.ULRateKbps[i] = uint32(h.avgUL[s])
+		}
+	}
+	if flags&protocol.StatsHARQ != 0 {
+		for i, s := range e.order {
+			t.HARQRetx[i] = e.cold[s].harqRetx
+		}
+	}
 }
 
 // holDelay estimates the head-of-line delay of the data bearer from the
 // queue depth and the served rate.
-func holDelay(r UEReport) uint32 {
-	if r.AvgDLKbps < 1 {
-		if r.DLQueue > 0 {
+func holDelay(dlQueue int, avgDLKbps float64) uint32 {
+	if avgDLKbps < 1 {
+		if dlQueue > 0 {
 			return 1000
 		}
 		return 0
 	}
-	ms := float64(r.DLQueue) * 8 / r.AvgDLKbps
+	ms := float64(dlQueue) * 8 / avgDLKbps
 	if ms > 10000 {
 		ms = 10000
 	}

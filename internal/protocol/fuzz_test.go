@@ -4,64 +4,14 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"flexran/internal/lte"
 )
 
-// seedPayloads returns one populated instance of every message kind, the
-// fuzz corpus seed (and the guarantee that round-trip fuzzing exercises
-// each payload decoder).
-func seedPayloads() []Payload {
-	return []Payload{
-		&Hello{Version: ProtocolVersion, Epoch: 3, Config: ENBConfig{
-			ID: 3, Cells: []CellConfig{
-				{Cell: 0, Bandwidth: lte.BW10MHz, Duplex: lte.FDD, TxMode: 1, Antennas: 2, Band: 5},
-			},
-		}},
-		&HelloAck{Version: ProtocolVersion, MasterID: "master-0", Epoch: 3},
-		&Echo{Seq: 7, SenderSF: 11, TS: 1700000000000000001},
-		&EchoReply{Seq: 7, SenderSF: 12, TS: 1700000000000000002},
-		&ENBConfigRequest{},
-		&ENBConfigReply{Config: ENBConfig{ID: 8, Cells: []CellConfig{{Cell: 1}}}},
-		&UEConfigRequest{},
-		&UEConfigReply{UEs: []UEConfig{{RNTI: 0x46, Cell: 0, IMSI: 208950000000001}}},
-		&StatsRequest{ID: 2, Mode: StatsTriggered, PeriodTTI: 5, Flags: StatsAll},
-		&StatsReply{ID: 2, SF: 777, UEs: []UEStats{{
-			RNTI: 0x46, CQI: 12, DLQueue: 15000,
-			SubbandCQI:      []uint8{11, 12, 13},
-			LCs:             []LCReport{{LCID: 3, Bytes: 15000, HoLDelayMs: 13}},
-			PowerHeadroomDB: 16, RSRPdBm: -68, RSRQdB: -8,
-		}}, Cells: []CellStats{{Cell: 0, UsedPRB: 42, TotalPRB: 50, ABS: true}}},
-		&SubframeTrigger{SF: 4242},
-		&DLSchedule{Cell: 0, TargetSF: 800, Allocs: []Alloc{{RNTI: 0x46, RBCount: 25, MCS: 20}}},
-		&ULSchedule{Cell: 0, TargetSF: 804, Allocs: []Alloc{{RNTI: 0x46, RBStart: 10, RBCount: 8, MCS: 12}}},
-		&UEEvent{Type: UEEventAttach, RNTI: 0x48, Cell: 1},
-		&VSFUpdate{Module: "mac", VSF: "dl_ue_sched", Name: "pf-v2",
-			VSFKind: VSFProgram, Program: []byte{1, 2, 3}, Signature: []byte{9, 9}},
-		&PolicyReconf{Doc: "mac:\n  dl_ue_sched:\n    behavior: pf-v2\n"},
-		&ControlAck{OK: true, Detail: "applied"},
-		&ControlAck{OK: false, Detail: "vsf: unknown module", Seq: 42},
-		&MeasReport{RNTI: 0x46, IMSI: 208950000000001, Cell: 0,
-			ServingRSRPdBm: -97, ServingRSRQdB: -11,
-			Neighbors: []NeighborMeas{{ENB: 2, Cell: 0, RSRPdBm: -91, RSRQdB: -7}}},
-		&HandoverCommand{RNTI: 0x46, IMSI: 208950000000001, TargetENB: 2},
-		&HandoverComplete{RNTI: 0x52, IMSI: 208950000000001, SourceENB: 1, SourceRNTI: 0x46},
-		&ResyncRequest{Epoch: 4},
-		&StateSnapshot{Epoch: 4, SF: 900,
-			Config: ENBConfig{ID: 3, Cells: []CellConfig{{Cell: 0, Bandwidth: lte.BW10MHz}}},
-			UEs: []UEStats{{RNTI: 0x46, Cell: 0, CQI: 9, DLQueue: 400,
-				SubbandCQI: []uint8{8, 9, 10}, LCs: []LCReport{{LCID: 1, Bytes: 40}}}},
-			Configs: []UEConfig{{RNTI: 0x46, Cell: 0, IMSI: 208950000000001}},
-			Cells:   []CellStats{{Cell: 0, UsedPRB: 10, TotalPRB: 50}},
-			Subs:    []StatsRequest{{ID: 1, Mode: StatsPeriodic, PeriodTTI: 1, Flags: StatsAll}}},
-	}
-}
-
-// TestSeedPayloadsCoverEveryKind pins the corpus to the kind space: adding
-// a message kind without seeding the fuzzer here is a test failure.
+// TestSeedPayloadsCoverEveryKind pins the fuzz seeds (the wire corpus's
+// payloads) to the kind space: adding a message kind without a populated
+// payload there is a test failure.
 func TestSeedPayloadsCoverEveryKind(t *testing.T) {
 	seen := map[Kind]bool{}
-	for _, p := range seedPayloads() {
+	for _, p := range corpusPayloads() {
 		seen[p.Kind()] = true
 	}
 	for k := KindHello; k < kindMax; k++ {
@@ -76,7 +26,7 @@ func TestSeedPayloadsCoverEveryKind(t *testing.T) {
 // encodes to identical bytes (canonical form), with payloads structurally
 // equal. Nothing may panic.
 func FuzzPayloadRoundTrip(f *testing.F) {
-	for _, p := range seedPayloads() {
+	for _, p := range corpusPayloads() {
 		f.Add(Encode(New(7, 12345, p)))
 	}
 	// Sequenced command envelope (reliable delivery): CmdSeq occupies
@@ -86,6 +36,10 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 	f.Add(Encode(seqd))
 	f.Add([]byte{})
 	f.Add([]byte{0x08, 0xff, 0xff})
+	// Every way a UE block can be malformed, as a starting point for more.
+	for _, h := range hostileBlocks() {
+		f.Add(h.frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {

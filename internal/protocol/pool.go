@@ -12,7 +12,8 @@ package protocol
 //     free lists. After Release the message and its payload must not be
 //     touched.
 //   - Anything that must outlive Release has to be copied out first. The
-//     RIB deep-copies UEStats (UEStats.CopyFrom) for exactly this reason.
+//     RIB copies each report row into its own record (UETable.Row) for
+//     exactly this reason.
 //   - Kinds whose payloads are retained by pointer downstream (MeasReport
 //     is stored in the RIB, Hello/config replies alias their Cells slice,
 //     VSFUpdate's program bytes reach the module cache) are deliberately
@@ -134,9 +135,7 @@ func AppendMessage(dst []byte, m *Message) []byte {
 // the repeated-field decode fast path: decoding into the slice element
 // directly avoids the per-element heap allocation a stack temporary would
 // cost escaping through the Unmarshaler interface. The element is NOT
-// cleared — the caller must reset it before decoding (zero-assign for
-// scalar element types; reset() where inner slice capacity must survive,
-// as in StatsReply.UEs).
+// cleared — the caller must zero-assign it before decoding.
 func grow[T any](s []T) ([]T, *T) {
 	n := len(s)
 	if n < cap(s) {

@@ -11,7 +11,7 @@ import (
 func poolStatsReply(n int, base uint64) *StatsReply {
 	rep := &StatsReply{ID: uint32(base), SF: lte.Subframe(base)}
 	for i := 0; i < n; i++ {
-		rep.UEs = append(rep.UEs, UEStats{
+		rep.UEs.Append(&UEStats{
 			RNTI:       lte.RNTI(base) + lte.RNTI(i),
 			CQI:        lte.CQI(1 + (int(base)+i)%15),
 			DLQueue:    base * uint64(i+1),
@@ -50,7 +50,7 @@ func TestDecodePooledMatchesDecode(t *testing.T) {
 // previous decode (entry counts, subband bytes, LC reports, scalars).
 func TestDecodePooledReuseNoStaleState(t *testing.T) {
 	big := Encode(New(1, 1, poolStatsReply(32, 1000)))
-	small := &StatsReply{ID: 2, SF: 3, UEs: []UEStats{{RNTI: 9, CQI: 4}}}
+	small := &StatsReply{ID: 2, SF: 3, UEs: UETableOf(UEStats{RNTI: 9, CQI: 4})}
 	smallB := Encode(New(2, 3, small))
 
 	// Cycle the big reply through the pool several times, then decode the
@@ -69,10 +69,11 @@ func TestDecodePooledReuseNoStaleState(t *testing.T) {
 	}
 	defer m.Release()
 	got := m.Payload.(*StatsReply)
-	if got.ID != 2 || got.SF != 3 || len(got.Cells) != 0 || len(got.UEs) != 1 {
+	if got.ID != 2 || got.SF != 3 || len(got.Cells) != 0 || got.UEs.Len() != 1 {
 		t.Fatalf("stale state leaked into reused reply: %+v", got)
 	}
-	u := got.UEs[0]
+	var u UEStats
+	got.UEs.Row(0, &u)
 	if u.RNTI != 9 || u.CQI != 4 || u.DLQueue != 0 ||
 		len(u.SubbandCQI) != 0 || len(u.LCs) != 0 {
 		t.Fatalf("stale state leaked into reused UE entry: %+v", u)

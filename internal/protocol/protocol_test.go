@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -31,86 +32,8 @@ func roundTrip(t *testing.T, p Payload) *Message {
 }
 
 func TestRoundTripAllKinds(t *testing.T) {
-	payloads := []Payload{
-		&Hello{Version: 1, Config: ENBConfig{
-			ID: 3,
-			Cells: []CellConfig{
-				{Cell: 0, Bandwidth: lte.BW10MHz, Duplex: lte.FDD, TxMode: 1, Antennas: 2, Band: 5},
-				{Cell: 1, Bandwidth: lte.BW5MHz, Duplex: lte.TDD, TxMode: 1, Antennas: 1, Band: 7},
-			},
-		}},
-		&HelloAck{Version: 1, MasterID: "master-0"},
-		&Echo{Seq: 9, SenderSF: 100, TS: 1700000000123456789},
-		&EchoReply{Seq: 9, SenderSF: 101, TS: 1700000000123456789},
-		&ENBConfigRequest{},
-		&ENBConfigReply{Config: ENBConfig{ID: 8}},
-		&UEConfigRequest{},
-		&UEConfigReply{UEs: []UEConfig{
-			{RNTI: 0x46, Cell: 0, IMSI: 208950000000001},
-			{RNTI: 0x47, Cell: 0, IMSI: 208950000000002},
-		}},
-		&StatsRequest{ID: 2, Mode: StatsPeriodic, PeriodTTI: 1, Flags: StatsAll},
-		&StatsReply{
-			ID: 2, SF: 777,
-			UEs: []UEStats{{
-				RNTI: 0x46, Cell: 0, CQI: 12, DLQueue: 15000, ULQueue: 200,
-				DLRateKbps: 9000, ULRateKbps: 800, HARQRetx: 3, LastSchedSF: 776,
-				SubbandCQI: []uint8{11, 12, 13, 12, 11, 12, 13, 12, 11, 12, 13, 12, 11},
-				LCs: []LCReport{
-					{LCID: 1, Bytes: 0},
-					{LCID: 3, Bytes: 15000, HoLDelayMs: 13},
-				},
-				PowerHeadroomDB: 16, RSRPdBm: -68, RSRQdB: -8,
-			}},
-			Cells: []CellStats{{Cell: 0, UsedPRB: 42, TotalPRB: 50, ABS: true}},
-		},
-		&SubframeTrigger{SF: 4242},
-		&DLSchedule{Cell: 0, TargetSF: 800, Allocs: []Alloc{
-			{RNTI: 0x46, RBStart: 0, RBCount: 25, MCS: 20},
-			{RNTI: 0x47, RBStart: 25, RBCount: 25, MCS: 8},
-		}},
-		&ULSchedule{Cell: 0, TargetSF: 804, Allocs: []Alloc{
-			{RNTI: 0x46, RBStart: 10, RBCount: 8, MCS: 12},
-		}},
-		&UEEvent{Type: UEEventAttach, RNTI: 0x48, Cell: 1},
-		&VSFUpdate{
-			Module: "mac", VSF: "dl_ue_sched", Name: "pf-v2",
-			VSFKind: VSFProgram, Program: []byte{1, 2, 3},
-			Signature: []byte{9, 9},
-		},
-		&PolicyReconf{Doc: "mac:\n  dl_ue_sched:\n    behavior: pf-v2\n"},
-		&ControlAck{OK: true, Detail: "applied"},
-		&MeasReport{
-			RNTI: 0x46, IMSI: 208950000000001, Cell: 0,
-			ServingRSRPdBm: -97, ServingRSRQdB: -11,
-			Neighbors: []NeighborMeas{
-				{ENB: 2, Cell: 0, RSRPdBm: -91, RSRQdB: -7},
-				{ENB: 3, Cell: 1, RSRPdBm: -104, RSRQdB: -15},
-			},
-		},
-		&HandoverCommand{RNTI: 0x46, IMSI: 208950000000001, TargetENB: 2, TargetCell: 0},
-		&HandoverComplete{RNTI: 0x52, IMSI: 208950000000001, Cell: 0, SourceENB: 1, SourceRNTI: 0x46},
-		&ResyncRequest{Epoch: 7},
-		&StateSnapshot{
-			Epoch: 7, SF: 1234,
-			Config: ENBConfig{ID: 3, Cells: []CellConfig{
-				{Cell: 0, Bandwidth: lte.BW10MHz, Duplex: lte.FDD, Antennas: 2},
-			}},
-			UEs: []UEStats{{
-				RNTI: 0x46, Cell: 0, CQI: 11, DLQueue: 900,
-				SubbandCQI: []uint8{10, 11, 12},
-				LCs:        []LCReport{{LCID: 1, Bytes: 12}, {LCID: 3, Bytes: 900, HoLDelayMs: 4}},
-			}},
-			Configs: []UEConfig{{RNTI: 0x46, Cell: 0, IMSI: 208950000000001}},
-			Cells:   []CellStats{{Cell: 0, UsedPRB: 7, TotalPRB: 50}},
-			Subs: []StatsRequest{
-				{ID: 1, Mode: StatsPeriodic, PeriodTTI: 1, Flags: StatsAll},
-				{ID: 9, Mode: StatsTriggered, Flags: StatsCQI},
-			},
-		},
-	}
 	seen := map[Kind]bool{}
-	for _, p := range payloads {
+	for _, p := range corpusPayloads() {
 		roundTrip(t, p)
 		seen[p.Kind()] = true
 	}
@@ -208,7 +131,7 @@ func TestStatsReplySizeGrowsSublinearly(t *testing.T) {
 	size := func(n int) int {
 		r := &StatsReply{ID: 1, SF: 1000}
 		for i := 0; i < n; i++ {
-			r.UEs = append(r.UEs, UEStats{
+			r.UEs.Append(&UEStats{
 				RNTI: lte.RNTI(0x46 + i), CQI: 10,
 				DLQueue: 100000, DLRateKbps: 5000, LastSchedSF: 999,
 			})
@@ -222,20 +145,107 @@ func TestStatsReplySizeGrowsSublinearly(t *testing.T) {
 	}
 }
 
-func TestPropertyStatsReplyRoundTrip(t *testing.T) {
-	f := func(id uint32, sf uint32, rnti uint16, cqi uint8, q uint64) bool {
-		in := &StatsReply{
-			ID: id, SF: lte.Subframe(sf),
-			UEs: []UEStats{{RNTI: lte.RNTI(rnti), CQI: lte.CQI(cqi % 16), DLQueue: q}},
-		}
-		out, err := Decode(Encode(New(1, lte.Subframe(sf), in)))
-		if err != nil {
-			return false
-		}
-		return reflect.DeepEqual(out.Payload, in)
+// randomRow draws one UE row with every field populated (variable-length
+// subband and LC lists, including empty ones).
+func randomRow(rnd *rand.Rand, i int) UEStats {
+	s := UEStats{
+		RNTI: lte.RNTI(rnd.Intn(1 << 16)), Cell: lte.CellID(rnd.Intn(3)),
+		CQI:     lte.CQI(rnd.Intn(16)),
+		DLQueue: rnd.Uint64() >> uint(rnd.Intn(64)), ULQueue: uint64(rnd.Intn(1 << 20)),
+		DLRateKbps: rnd.Uint32(), ULRateKbps: uint32(rnd.Intn(200)),
+		HARQRetx: uint32(rnd.Intn(4)), LastSchedSF: lte.Subframe(rnd.Intn(1 << 30)),
+		PowerHeadroomDB: int32(rnd.Intn(80) - 40), RSRPdBm: -int32(rnd.Intn(140)),
+		RSRQdB: int32(rnd.Uint32()), Group: rnd.Intn(4),
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for j := rnd.Intn(3) * 7 % 14; j > 0; j-- { // 0, 7 or 13 subbands
+		s.SubbandCQI = append(s.SubbandCQI, uint8(1+rnd.Intn(15)))
+	}
+	for j := (i + rnd.Intn(2)) % 4; j > 0; j-- {
+		s.LCs = append(s.LCs, LCReport{LCID: uint8(j), Bytes: uint64(rnd.Intn(1 << 16)), HoLDelayMs: uint32(rnd.Intn(3))})
+	}
+	return s
+}
+
+// maskRow zeroes the report components flags does not select, the way a
+// subscription's filler leaves their columns alone.
+func maskRow(s UEStats, flags StatsFlags) UEStats {
+	if flags&StatsQueues == 0 {
+		s.DLQueue, s.ULQueue, s.LCs = 0, 0, nil
+	}
+	if flags&StatsCQI == 0 {
+		s.CQI, s.SubbandCQI = 0, nil
+	}
+	if flags&StatsRates == 0 {
+		s.DLRateKbps, s.ULRateKbps = 0, 0
+	}
+	if flags&StatsHARQ == 0 {
+		s.HARQRetx = 0
+	}
+	return s
+}
+
+// tableRows reads a table back row by row.
+func tableRows(t *UETable) []UEStats {
+	rows := make([]UEStats, t.Len())
+	for i := range rows {
+		t.Row(i, &rows[i])
+	}
+	return rows
+}
+
+// TestPropertyStatsReplyRoundTrip round-trips seeded random tables of 0, 1,
+// 32 and 200 UEs under every subset of the per-UE StatsFlags, through both
+// payloads that carry a UE block and through both decode paths. The pooled
+// decode reuses a table a full report has just been through, so a column
+// the masked report omits must read back as zeros, not as what was there.
+func TestPropertyStatsReplyRoundTrip(t *testing.T) {
+	rnd := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, 32, 200} {
+		full := make([]UEStats, n)
+		for i := range full {
+			full[i] = randomRow(rnd, i)
+		}
+		dirty := Encode(New(1, 1, &StatsReply{ID: 1, UEs: UETableOf(full...)}))
+		for flags := StatsFlags(0); flags < StatsCell; flags++ {
+			want := make([]UEStats, n)
+			for i := range want {
+				want[i] = maskRow(full[i], flags)
+			}
+			sf := lte.Subframe(rnd.Uint32())
+			for _, p := range []Payload{
+				&StatsReply{ID: rnd.Uint32(), SF: sf, UEs: UETableOf(want...)},
+				&StateSnapshot{Epoch: 3, SF: sf, UEs: UETableOf(want...)},
+			} {
+				b := Encode(New(1, sf, p))
+				out, err := Decode(b)
+				if err != nil {
+					t.Fatalf("%v n=%d flags=%#x: %v", p.Kind(), n, flags, err)
+				}
+				if !reflect.DeepEqual(out.Payload, p) {
+					t.Fatalf("%v n=%d flags=%#x: payload mismatch:\n got %+v\nwant %+v", p.Kind(), n, flags, out.Payload, p)
+				}
+				if m, err := DecodePooled(dirty); err != nil {
+					t.Fatal(err)
+				} else {
+					m.Release()
+				}
+				pooled, err := DecodePooled(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []UEStats
+				switch pp := pooled.Payload.(type) {
+				case *StatsReply:
+					got = tableRows(&pp.UEs)
+				case *StateSnapshot:
+					got = tableRows(&pp.UEs)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v n=%d flags=%#x: pooled rows mismatch", p.Kind(), n, flags)
+				}
+				pooled.Release()
+			}
+		}
 	}
 }
 

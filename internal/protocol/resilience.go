@@ -57,8 +57,8 @@ type StateSnapshot struct {
 	SF lte.Subframe
 	// Config is the eNodeB configuration (as in Hello).
 	Config ENBConfig
-	// UEs carries one full statistics entry per UE, ordered by RNTI.
-	UEs []UEStats
+	// UEs carries one full statistics row per UE, ordered by RNTI.
+	UEs UETable
 	// Configs carries the matching UE identities (IMSI), ordered by RNTI.
 	Configs []UEConfig
 	// Cells carries the per-cell statistics.
@@ -71,14 +71,16 @@ type StateSnapshot struct {
 // Kind implements Payload.
 func (*StateSnapshot) Kind() Kind { return KindStateSnapshot }
 
+// snapUEs is the wire field of the snapshot's UE block — the same block a
+// StatsReply carries. Field 4 carried one nested message per UE before it;
+// it is retired and must not be reused.
+const snapUEs = 8
+
 // MarshalWire implements wire.Marshaler.
 func (p *StateSnapshot) MarshalWire(e *wire.Encoder) {
 	e.Uint(1, p.Epoch)
 	e.Uint(2, uint64(p.SF))
 	e.Message(3, &p.Config)
-	for i := range p.UEs {
-		e.Message(4, &p.UEs[i])
-	}
 	for i := range p.Configs {
 		e.Message(5, &p.Configs[i])
 	}
@@ -87,6 +89,9 @@ func (p *StateSnapshot) MarshalWire(e *wire.Encoder) {
 	}
 	for i := range p.Subs {
 		e.Message(7, &p.Subs[i])
+	}
+	if p.UEs.Len() > 0 {
+		e.Message(snapUEs, &p.UEs)
 	}
 }
 
@@ -102,11 +107,6 @@ func (p *StateSnapshot) UnmarshalWire(d *wire.Decoder) error {
 			return readSF(d, &p.SF)
 		case 3:
 			return d.ReadMessage(&p.Config)
-		case 4:
-			var u *UEStats
-			p.UEs, u = grow(p.UEs)
-			u.reset()
-			return d.ReadMessage(u)
 		case 5:
 			var c *UEConfig
 			p.Configs, c = grow(p.Configs)
@@ -122,6 +122,8 @@ func (p *StateSnapshot) UnmarshalWire(d *wire.Decoder) error {
 			p.Subs, s = grow(p.Subs)
 			*s = StatsRequest{}
 			return d.ReadMessage(s)
+		case snapUEs:
+			return d.ReadMessage(&p.UEs)
 		}
 		return d.Skip()
 	})

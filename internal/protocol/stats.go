@@ -100,37 +100,13 @@ type LCReport struct {
 	HoLDelayMs uint32 // head-of-line delay estimate
 }
 
-// MarshalWire implements wire.Marshaler.
-func (l *LCReport) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(l.LCID))
-	e.Uint(2, l.Bytes)
-	e.Uint(3, uint64(l.HoLDelayMs))
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (l *LCReport) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		v, err := d.ReadUint()
-		if err != nil {
-			return err
-		}
-		switch f {
-		case 1:
-			l.LCID = uint8(v)
-		case 2:
-			l.Bytes = v
-		case 3:
-			l.HoLDelayMs = uint32(v)
-		}
-		return nil
-	})
-}
-
 // UEStats is the per-UE component of a statistics report: buffer status
 // reports, wideband and per-subband channel quality, rate information and
 // L3 measurements (Table 1 "Statistics"). The breadth mirrors the OAI
 // agent's per-TTI MAC report, which is why statistics dominate the
-// agent-to-master signaling volume in Fig. 7a.
+// agent-to-master signaling volume in Fig. 7a. It is the row type of a
+// UETable — reports carry the table, not a list of these — and what the
+// RIB keeps per UE and hands to applications.
 type UEStats struct {
 	RNTI        lte.RNTI
 	Cell        lte.CellID
@@ -151,118 +127,20 @@ type UEStats struct {
 	RSRPdBm int32
 	RSRQdB  int32
 	// Group is the UE's slice-group label (the operator/slice index the
-	// agent-side slicing scheduler keys on). Zero — the default group — is
-	// omitted from the wire, so deployments without slicing produce
-	// byte-identical reports.
+	// agent-side slicing scheduler keys on). Zero is the default group; a
+	// report whose UEs are all in it — a deployment without slicing —
+	// carries no group column at all.
 	Group int
 }
 
-// reset clears every field while keeping the slices' capacity, so a reused
-// entry never leaks stale state into a report that omits a field.
-func (s *UEStats) reset() {
-	sb, lcs := s.SubbandCQI, s.LCs
-	*s = UEStats{}
-	s.SubbandCQI = sb[:0]
-	s.LCs = lcs[:0]
-}
-
-// CopyFrom deep-copies src into s, reusing s's slice capacity. Retainers of
-// decoded statistics (the RIB's UE records) must copy rather than alias:
-// decoded payloads may come from the free lists and are reused after
-// Release, which would corrupt any aliased SubbandCQI/LCs slices.
+// CopyFrom deep-copies src into s, reusing s's slice capacity: the RIB's
+// readers hand out copies, never aliases of a record's SubbandCQI/LCs,
+// which the updater refills in place.
 func (s *UEStats) CopyFrom(src *UEStats) {
 	sb, lcs := s.SubbandCQI, s.LCs
 	*s = *src
 	s.SubbandCQI = append(sb[:0], src.SubbandCQI...)
 	s.LCs = append(lcs[:0], src.LCs...)
-}
-
-// MarshalWire implements wire.Marshaler.
-func (s *UEStats) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(s.RNTI))
-	e.Uint(2, uint64(s.Cell))
-	e.Uint(3, uint64(s.CQI))
-	e.Uint(4, s.DLQueue)
-	e.Uint(5, s.ULQueue)
-	e.Uint(6, uint64(s.DLRateKbps))
-	e.Uint(7, uint64(s.ULRateKbps))
-	e.Uint(8, uint64(s.HARQRetx))
-	e.Uint(9, uint64(s.LastSchedSF))
-	if len(s.SubbandCQI) > 0 {
-		e.BytesField(10, s.SubbandCQI)
-	}
-	for i := range s.LCs {
-		e.Message(11, &s.LCs[i])
-	}
-	e.Int(12, int64(s.PowerHeadroomDB))
-	e.Int(13, int64(s.RSRPdBm))
-	e.Int(14, int64(s.RSRQdB))
-	if s.Group > 0 {
-		e.Uint(15, uint64(s.Group))
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (s *UEStats) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 10:
-			b, err := d.ReadBytes()
-			if err != nil {
-				return err
-			}
-			s.SubbandCQI = append(s.SubbandCQI[:0], b...)
-			return nil
-		case 11:
-			var lc *LCReport
-			s.LCs, lc = grow(s.LCs)
-			*lc = LCReport{}
-			return d.ReadMessage(lc)
-		case 12, 13, 14:
-			v, err := d.ReadInt()
-			if err != nil {
-				return err
-			}
-			switch f {
-			case 12:
-				s.PowerHeadroomDB = int32(v)
-			case 13:
-				s.RSRPdBm = int32(v)
-			case 14:
-				s.RSRQdB = int32(v)
-			}
-			return nil
-		case 1, 2, 3, 4, 5, 6, 7, 8, 9, 15:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			switch f {
-			case 1:
-				s.RNTI = lte.RNTI(v)
-			case 2:
-				s.Cell = lte.CellID(v)
-			case 3:
-				s.CQI = lte.CQI(v)
-			case 4:
-				s.DLQueue = v
-			case 5:
-				s.ULQueue = v
-			case 6:
-				s.DLRateKbps = uint32(v)
-			case 7:
-				s.ULRateKbps = uint32(v)
-			case 8:
-				s.HARQRetx = uint32(v)
-			case 9:
-				s.LastSchedSF = lte.Subframe(v)
-			case 15:
-				s.Group = int(v)
-			}
-			return nil
-		}
-		return d.Skip()
-	})
 }
 
 // CellStats is the per-cell component of a statistics report.
@@ -304,51 +182,44 @@ func (s *CellStats) UnmarshalWire(d *wire.Decoder) error {
 
 // StatsReply carries one report for a subscription. Per-UE entries are
 // aggregated into a single message — the paper attributes the sublinear
-// growth of agent-to-master overhead (Fig. 7a) to exactly this aggregation.
+// growth of agent-to-master overhead (Fig. 7a) to exactly this aggregation
+// — and within it into one columnar block (see UETable).
 type StatsReply struct {
 	ID    uint32
 	SF    lte.Subframe
-	UEs   []UEStats
+	UEs   UETable
 	Cells []CellStats
 }
 
 // Kind implements Payload.
 func (*StatsReply) Kind() Kind { return KindStatsReply }
 
-// reset implements poolable. The UEs are truncated, not dropped: their
-// inner slices keep their capacity and are reused by the next decode.
+// reset implements poolable. The table and the cells are truncated, not
+// dropped: their capacity is reused by the next decode.
 func (p *StatsReply) reset() {
-	ues, cells := p.UEs, p.Cells
-	*p = StatsReply{}
-	p.UEs = ues[:0]
-	p.Cells = cells[:0]
+	p.ID, p.SF = 0, 0
+	p.UEs.Resize(0)
+	p.Cells = p.Cells[:0]
 }
 
-// GrowUEs extends the UEs slice to length n, reusing capacity (and the
-// per-entry SubbandCQI/LCs scratch of previous entries) where available.
-// Every entry is reset. This is the report builder's fast path: a
-// subscription reuses one StatsReply and refills it each TTI.
-func (p *StatsReply) GrowUEs(n int) {
-	if cap(p.UEs) < n {
-		ues := make([]UEStats, n)
-		copy(ues, p.UEs[:cap(p.UEs)])
-		p.UEs = ues
-	}
-	p.UEs = p.UEs[:n]
-	for i := range p.UEs {
-		p.UEs[i].reset()
-	}
-}
+// StatsReply wire fields. Field 3 carried one nested message per UE before
+// the columnar block; it is retired and must not be reused.
+const (
+	statsID    = 1
+	statsSF    = 2
+	statsCells = 4
+	statsUEs   = 5
+)
 
 // MarshalWire implements wire.Marshaler.
 func (p *StatsReply) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.ID))
-	e.Uint(2, uint64(p.SF))
-	for i := range p.UEs {
-		e.Message(3, &p.UEs[i])
-	}
+	e.Uint(statsID, uint64(p.ID))
+	e.Uint(statsSF, uint64(p.SF))
 	for i := range p.Cells {
-		e.Message(4, &p.Cells[i])
+		e.Message(statsCells, &p.Cells[i])
+	}
+	if p.UEs.Len() > 0 {
+		e.Message(statsUEs, &p.UEs)
 	}
 }
 
@@ -356,22 +227,17 @@ func (p *StatsReply) MarshalWire(e *wire.Encoder) {
 func (p *StatsReply) UnmarshalWire(d *wire.Decoder) error {
 	return eachField(d, func(f int) error {
 		switch f {
-		case 1:
+		case statsID:
 			return readU32(d, &p.ID)
-		case 2:
+		case statsSF:
 			return readSF(d, &p.SF)
-		case 3:
-			// reset(), not zero-assign: a pooled reply reuses the entry's
-			// SubbandCQI/LCs capacity left behind by the previous decode.
-			var u *UEStats
-			p.UEs, u = grow(p.UEs)
-			u.reset()
-			return d.ReadMessage(u)
-		case 4:
+		case statsCells:
 			var c *CellStats
 			p.Cells, c = grow(p.Cells)
 			*c = CellStats{}
 			return d.ReadMessage(c)
+		case statsUEs:
+			return d.ReadMessage(&p.UEs)
 		}
 		return d.Skip()
 	})

@@ -311,12 +311,12 @@ func TestTCPConnRoundTrip(t *testing.T) {
 	defer server.Close()
 
 	// client -> server
-	want := &protocol.StatsReply{ID: 3, SF: 55, UEs: []protocol.UEStats{{RNTI: 0x46, CQI: 9}}}
+	want := &protocol.StatsReply{ID: 3, SF: 55, UEs: protocol.UETableOf(protocol.UEStats{RNTI: 0x46, CQI: 9})}
 	if err := client.Send(protocol.New(2, 55, want)); err != nil {
 		t.Fatal(err)
 	}
 	got := <-server.Recv()
-	if got.ENB != 2 || got.Payload.(*protocol.StatsReply).UEs[0].CQI != 9 {
+	if got.ENB != 2 || got.Payload.(*protocol.StatsReply).UEs.CQI[0] != 9 {
 		t.Errorf("server received %+v", got)
 	}
 

@@ -60,25 +60,41 @@ func TestMessageInPlaceMatchesSubEncoder(t *testing.T) {
 	}
 }
 
-// TestUintSliceInPlace pins the in-place packed-varint field against the
-// old temp-slice encoding, across the length-byte boundary.
-func TestUintSliceInPlace(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 127, 128, 1000} {
-		vs := make([]uint64, n)
-		for i := range vs {
-			vs[i] = uint64(i) * 997
+// TestPackedInPlace pins the in-place packed columns against encoding the
+// payload in a sub-encoder and emitting it with BytesField, across the
+// one-, two- and three-byte length boundaries (127/128, 16,383/16,384).
+func TestPackedInPlace(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 127, 128, 1000, 16383, 16384, 20000} {
+		us := make([]uint8, n) // one byte each: the payload is exactly n bytes
+		ws := make([]uint64, n)
+		is := make([]int32, n)
+		for i := range us {
+			us[i] = uint8(i % 128)
+			ws[i] = uint64(i) * 997
+			is[i] = int32(i%2*2-1) * int32(i)
 		}
-		var got, want Encoder
-		got.UintSlice(5, vs)
-		want.key(5, TBytes)
-		var tmp []byte
-		for _, v := range vs {
-			tmp = AppendUvarint(tmp, v)
+		var got, want, sub Encoder
+		got.Uint(7, 99) // nonzero prefix: the backpatch must not clobber it
+		want.Uint(7, 99)
+		PackUints(&got, 5, us)
+		PackUints(&got, 6, ws)
+		PackSints(&got, 9, is)
+		for _, v := range us {
+			sub.Varint(uint64(v))
 		}
-		want.buf = AppendUvarint(want.buf, uint64(len(tmp)))
-		want.buf = append(want.buf, tmp...)
+		want.BytesField(5, sub.Bytes())
+		sub.Reset()
+		for _, v := range ws {
+			sub.Varint(v)
+		}
+		want.BytesField(6, sub.Bytes())
+		sub.Reset()
+		for _, v := range is {
+			sub.Varint(Zigzag(int64(v)))
+		}
+		want.BytesField(9, sub.Bytes())
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%d elements: in-place UintSlice differs", n)
+			t.Fatalf("%d elements: in-place packed columns differ from the sub-encoder encoding", n)
 		}
 	}
 }

@@ -34,6 +34,8 @@ var (
 	ErrTruncated = errors.New("wire: truncated message")
 	ErrOverflow  = errors.New("wire: varint overflows 64 bits")
 	ErrWireType  = errors.New("wire: unexpected wire type")
+	ErrRange     = errors.New("wire: packed value out of range for its column")
+	ErrTrailing  = errors.New("wire: trailing bytes after the last packed value")
 )
 
 // MaxFieldNumber is the largest supported field number.
@@ -127,21 +129,23 @@ func (e *Encoder) String(field int, s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// beginBytes opens a length-delimited field for in-place encoding: it
-// writes the key, reserves a one-byte length slot and returns the offset
-// of the first payload byte. endBytes backpatches the real length.
-func (e *Encoder) beginBytes(field int) int {
+// Begin opens a length-delimited field for in-place encoding: it writes
+// the key, reserves a one-byte length slot and returns the offset of the
+// first payload byte, which End needs to backpatch the real length. Between
+// the two the caller appends the payload — a nested message's fields, or
+// the bare values of a packed repeated column (Varint).
+func (e *Encoder) Begin(field int) int {
 	e.key(field, TBytes)
 	e.buf = append(e.buf, 0)
 	return len(e.buf)
 }
 
-// endBytes closes a length-delimited field opened by beginBytes. The
-// common case (payload < 128 bytes) patches the reserved byte in place;
-// longer payloads shift the tail right to make room for the multi-byte
-// varint. Either way the bytes produced are identical to encoding the
-// payload separately and copying it in — without the sub-buffer.
-func (e *Encoder) endBytes(start int) {
+// End closes a length-delimited field opened by Begin. The common case
+// (payload < 128 bytes) patches the reserved byte in place; longer payloads
+// shift the tail right to make room for the multi-byte varint. Either way
+// the bytes produced are identical to encoding the payload separately and
+// copying it in — without the sub-buffer.
+func (e *Encoder) End(start int) {
 	n := len(e.buf) - start
 	if n < 0x80 {
 		e.buf[start-1] = byte(n)
@@ -158,18 +162,110 @@ func (e *Encoder) endBytes(start int) {
 // message is encoded directly into this encoder's buffer (no sub-encoder
 // allocation); the length prefix is backpatched afterwards.
 func (e *Encoder) Message(field int, m Marshaler) {
-	start := e.beginBytes(field)
+	start := e.Begin(field)
 	m.MarshalWire(e)
-	e.endBytes(start)
+	e.End(start)
 }
 
-// UintSlice encodes a packed repeated varint field in place.
-func (e *Encoder) UintSlice(field int, vs []uint64) {
-	start := e.beginBytes(field)
-	for _, v := range vs {
-		e.buf = AppendUvarint(e.buf, v)
+// Varint appends a bare varint (no key) to the open field.
+func (e *Encoder) Varint(v uint64) {
+	if v < 0x80 {
+		e.buf = append(e.buf, byte(v))
+		return
 	}
-	e.endBytes(start)
+	e.buf = AppendUvarint(e.buf, v)
+}
+
+// Uint constrains the element types of a packed unsigned column.
+type Uint interface {
+	~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// Sint constrains the element types of a packed zigzag column.
+type Sint interface {
+	~int8 | ~int16 | ~int32 | ~int64
+}
+
+// PackUints encodes vs as one packed repeated varint field.
+func PackUints[T Uint](e *Encoder, field int, vs []T) {
+	mark := e.Begin(field)
+	for _, v := range vs {
+		e.Varint(uint64(v))
+	}
+	e.End(mark)
+}
+
+// PackSints encodes vs as one packed repeated zigzag varint field.
+func PackSints[T Sint](e *Encoder, field int, vs []T) {
+	mark := e.Begin(field)
+	for _, v := range vs {
+		e.Varint(Zigzag(int64(v)))
+	}
+	e.End(mark)
+}
+
+// UnpackUints decodes the payload of a packed varint field into dst: b must
+// hold exactly len(dst) varints, each within T's range, and nothing else.
+// dst is caller-owned, so the unpack allocates nothing and its size is never
+// taken from the input.
+func UnpackUints[T Uint](b []byte, dst []T) error {
+	limit := uint64(^T(0))
+	pos := 0
+	for i := range dst {
+		if pos >= len(b) {
+			return ErrTruncated
+		}
+		v := uint64(b[pos])
+		if v < 0x80 {
+			pos++
+		} else {
+			var n int
+			if v, n = binary.Uvarint(b[pos:]); n <= 0 {
+				return varintErr(n)
+			}
+			pos += n
+		}
+		if v > limit {
+			return ErrRange
+		}
+		dst[i] = T(v)
+	}
+	if pos != len(b) {
+		return ErrTrailing
+	}
+	return nil
+}
+
+// UnpackSints is UnpackUints for a zigzag column.
+func UnpackSints[T Sint](b []byte, dst []T) error {
+	pos := 0
+	for i := range dst {
+		if pos >= len(b) {
+			return ErrTruncated
+		}
+		u, n := binary.Uvarint(b[pos:])
+		if n <= 0 {
+			return varintErr(n)
+		}
+		pos += n
+		v := Unzigzag(u)
+		if int64(T(v)) != v {
+			return ErrRange
+		}
+		dst[i] = T(v)
+	}
+	if pos != len(b) {
+		return ErrTrailing
+	}
+	return nil
+}
+
+// varintErr maps binary.Uvarint's failure count to the decoder's errors.
+func varintErr(n int) error {
+	if n == 0 {
+		return ErrTruncated
+	}
+	return ErrOverflow
 }
 
 // Decoder reads tagged fields from an encoded message.
@@ -208,6 +304,10 @@ func (d *Decoder) Next() (bool, error) {
 	}
 }
 
+// Remaining returns the bytes of the message not yet consumed. A decoder
+// that sizes anything from a count it read bounds the count by this first.
+func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
+
 // Field returns the field number of the pending field.
 func (d *Decoder) Field() int { return d.field }
 
@@ -215,12 +315,14 @@ func (d *Decoder) Field() int { return d.field }
 func (d *Decoder) WireType() Type { return d.typ }
 
 func (d *Decoder) uvarint() (uint64, error) {
+	// Keys, lengths and most values fit one byte.
+	if d.pos < len(d.buf) && d.buf[d.pos] < 0x80 {
+		d.pos++
+		return uint64(d.buf[d.pos-1]), nil
+	}
 	v, n := binary.Uvarint(d.buf[d.pos:])
 	if n <= 0 {
-		if n == 0 {
-			return 0, ErrTruncated
-		}
-		return 0, ErrOverflow
+		return 0, varintErr(n)
 	}
 	d.pos += n
 	return v, nil
@@ -297,24 +399,6 @@ func (d *Decoder) ReadMessage(m Unmarshaler) error {
 	err = m.UnmarshalWire(d)
 	*d = saved
 	return err
-}
-
-// ReadUintSlice consumes a packed repeated varint field.
-func (d *Decoder) ReadUintSlice() ([]uint64, error) {
-	b, err := d.ReadBytes()
-	if err != nil {
-		return nil, err
-	}
-	sub := NewDecoder(b)
-	var out []uint64
-	for sub.pos < len(sub.buf) {
-		v, err := sub.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // Skip consumes the pending field without interpreting it. This is how

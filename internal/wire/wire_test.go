@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -202,26 +203,72 @@ func TestMarshalUnmarshalHelpers(t *testing.T) {
 	}
 }
 
-func TestUintSlice(t *testing.T) {
-	var e Encoder
-	want := []uint64{0, 1, 127, 128, 1 << 40}
-	e.UintSlice(3, want)
+// packed returns a copy of the payload of the single packed field in e.
+func packed(t *testing.T, e *Encoder) []byte {
+	t.Helper()
 	d := NewDecoder(e.Bytes())
-	ok, err := d.Next()
-	if !ok || err != nil {
+	if ok, err := d.Next(); !ok || err != nil {
+		t.Fatal(ok, err)
+	}
+	b, err := d.ReadBytes()
+	if err != nil || d.Remaining() != 0 {
+		t.Fatal(err, d.Remaining())
+	}
+	return bytes.Clone(b)
+}
+
+func TestPackedUints(t *testing.T) {
+	var e Encoder
+	want := []uint64{0, 1, 127, 128, 1 << 40, math.MaxUint64}
+	PackUints(&e, 3, want)
+	b := packed(t, &e)
+	got := make([]uint64, len(want))
+	if err := UnpackUints(b, got); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadUintSlice()
-	if err != nil {
+	if !slices.Equal(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+
+	e.Reset()
+	swant := []int32{0, -1, 1, -64, 64, math.MinInt32, math.MaxInt32}
+	PackSints(&e, 4, swant)
+	sb := packed(t, &e)
+	sgot := make([]int32, len(swant))
+	if err := UnpackSints(sb, sgot); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
+	if !slices.Equal(sgot, swant) {
+		t.Errorf("got %v, want %v", sgot, swant)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("slice[%d] = %d, want %d", i, got[i], want[i])
+
+	// Exactly len(dst) values: one short, one long, out of range for the
+	// column's type, truncated and overlong varints are all errors.
+	over := bytes.Repeat([]byte{0xff}, 10)
+	over = append(over, 0x01)
+	for _, c := range []struct {
+		name string
+		err  error
+		want error
+	}{
+		{"one short", UnpackUints(b, make([]uint64, len(want)+1)), ErrTruncated},
+		{"one long", UnpackUints(b, make([]uint64, len(want)-1)), ErrTrailing},
+		{"uint8 range", UnpackUints([]byte{0x80, 0x02}, make([]uint8, 1)), ErrRange},
+		{"uint16 range", UnpackUints([]byte{0x80, 0x80, 0x04}, make([]uint16, 1)), ErrRange},
+		{"uint32 range", UnpackUints([]byte{0x80, 0x80, 0x80, 0x80, 0x10}, make([]uint32, 1)), ErrRange},
+		{"int32 range", UnpackSints([]byte{0x80, 0x80, 0x80, 0x80, 0x20}, make([]int32, 1)), ErrRange},
+		{"truncated varint", UnpackUints([]byte{0x01, 0x80}, make([]uint64, 2)), ErrTruncated},
+		{"11-byte varint", UnpackUints(over, make([]uint64, 1)), ErrOverflow},
+		{"11-byte zigzag", UnpackSints(over, make([]int64, 1)), ErrOverflow},
+		{"short zigzag", UnpackSints(nil, make([]int32, 1)), ErrTruncated},
+		{"long zigzag", UnpackSints([]byte{0, 0}, make([]int32, 1)), ErrTrailing},
+	} {
+		if !errors.Is(c.err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, c.err, c.want)
 		}
+	}
+	if err := UnpackUints(nil, []uint16(nil)); err != nil {
+		t.Errorf("empty column: %v", err)
 	}
 }
 
