@@ -383,6 +383,16 @@ func TestRRCPolicy(t *testing.T) {
 	if h.agent.RRC().Hysteresis() != 5.5 || h.agent.RRC().TimeToTrigger() != 80 {
 		t.Errorf("rrc = %v/%v", h.agent.RRC().Hysteresis(), h.agent.RRC().TimeToTrigger())
 	}
+	// Policy documents arrive from the wire: a hysteresis no RSRP margin
+	// can be compared against must be refused, not stored.
+	for _, bad := range []string{"NaN", "+Inf", "-Inf", "-1", "abc"} {
+		if err := h.agent.Reconfigure("rrc:\n  handover_hysteresis_db: " + bad + "\n"); err == nil {
+			t.Errorf("handover_hysteresis_db: %s accepted", bad)
+		}
+	}
+	if got := h.agent.RRC().Hysteresis(); got != 5.5 {
+		t.Errorf("hysteresis = %v after rejected documents, want 5.5", got)
+	}
 }
 
 func TestDroppedSendsWithoutTransport(t *testing.T) {

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"flexran/internal/protocol"
@@ -132,8 +133,10 @@ func (r *RRCModule) Reconfigure(doc *yamlite.Node) error {
 		val := doc.Get(key)
 		switch key {
 		case "handover_hysteresis_db":
+			// A NaN hysteresis would make every A3 comparison false: the
+			// cell would silently never report a handover candidate.
 			f, err := val.Float()
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0) || math.IsInf(f, 1) {
 				return fmt.Errorf("agent: bad hysteresis %q", val.Str())
 			}
 			r.hysteresisDB = f

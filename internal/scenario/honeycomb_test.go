@@ -41,6 +41,10 @@ func TestHoneycombRingCounts(t *testing.T) {
 			t.Errorf("rings=%d: %d eNodeBs, want %d", rings, len(sc.ENBs), want)
 		}
 	}
+	// The ring limit is the largest honeycomb inside the eNodeB limit.
+	if sc := parseHC(t, "    rings: "+itoa(maxRings)); len(sc.ENBs) > maxENBs || 1+3*(maxRings+1)*(maxRings+2) <= maxENBs {
+		t.Errorf("maxRings=%d yields %d eNodeBs against maxENBs=%d", maxRings, len(sc.ENBs), maxENBs)
+	}
 	// An explicit count truncates the spiral mid-ring.
 	sc := parseHC(t, "    enbs: 10")
 	if len(sc.ENBs) != 10 {

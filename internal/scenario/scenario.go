@@ -12,47 +12,39 @@
 // behavioural drift in sim/sched/mobility/resilience code shows up as a
 // digest mismatch in CI — no new Go test required.
 //
-// Document layout (all sections except run/topology are optional):
+// A document has up to eight sections besides name and description — run,
+// topology, ues, master, apps, slicing, slices, faults — of which only run
+// and topology are required; unknown keys are errors. Every knob of every
+// section, with its constraint and default, is listed in the knob
+// reference of scenarios/README.md, which a test generates from the field
+// tables below. The smallest useful document:
 //
-//	name: highway-pingpong
-//	description: walkers bouncing between two cells
+//	name: quickstart
 //	run:
-//	  ttis: 20000          # TTIs after the attach phase
-//	  attach_ttis: 2000    # attach-phase budget
-//	  seed: 1              # base seed mixed into derived seeds
-//	  workers: 0           # engine pool size (CLI -workers overrides)
+//	  ttis: 2000
 //	topology:
 //	  enbs:
 //	    - id: 1
-//	      x: 0             # with power_dbm, adds a radio-map site
-//	      power_dbm: 43
-//	  # or generated: grid: {enbs: 256} / honeycomb: {rings: 3, pitch_m: 500}
 //	ues:
-//	  - count: 3
+//	  - count: 2
 //	    enb: 1
 //	    imsi_base: 100
-//	    mobility: {model: waypoint, path: [[150, 0], [850, 0]], ...}
+//	    channel:
+//	      model: fixed
+//	      cqi: 12
 //	    traffic:
-//	      - {kind: cbr, share: 1.0, rate_kbps: 500}
-//	apps:
-//	  - {kind: mobility, policy: strongest}
-//	slices:
-//	  elastic: true        # false = static weight-proportional plan
-//	  epoch_ttis: 200      # broker control period
-//	  specs:
-//	    - {name: gold, group: 0, weight: 2, min_throughput_kbps: 4000}
-//	    - {name: bronze, group: 1, arrive_at: 4000, reject_below: 0.3}
-//	faults:
-//	  - {at: 500, kind: link_cut, enb: 1}
+//	      - kind: cbr
+//	        rate_kbps: 500
 package scenario
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"flexran/internal/lte"
 	"flexran/internal/slice"
@@ -337,69 +329,28 @@ func LoadNamed(name string) (*Scenario, error) {
 	return nil, fmt.Errorf("scenario: %s not found (run from the repository tree)", rel)
 }
 
+// Limits on what one document can make the parser and the builder
+// allocate. They are constants, not knobs: scale-4096enb, the largest
+// world in the library, sits 16x (eNodeBs) and 40x (UEs) below them.
+const (
+	maxENBs        = 65536
+	maxUEs         = 4 << 20
+	maxCellsPerENB = 256
+	// maxRings is the largest honeycomb whose 1+3R(R+1) sites fit maxENBs.
+	maxRings = 147
+	// maxRunSeconds keeps run.seconds * TTIsPerSecond inside a 32-bit int.
+	maxRunSeconds = math.MaxInt32 / lte.TTIsPerSecond
+)
+
 // Parse parses and validates a scenario document.
 func Parse(doc string) (*Scenario, error) {
 	root, err := yamlite.Parse(doc)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	if root.Kind != yamlite.KindMap {
-		return nil, fmt.Errorf("scenario: document root must be a map")
-	}
-	sc := &Scenario{
-		Run: RunSpec{
-			AttachTTIs:        DefaultAttachTTIs,
-			PingPongWindowTTI: DefaultPingPongWindowTTI,
-		},
-		Master: &MasterDecl{
-			StatsPeriodTTI: 1,
-			SyncPeriodTTI:  1,
-			EchoPeriodTTI:  20,
-			EchoMissBudget: 3,
-		},
-	}
-	for _, key := range root.Keys() {
-		val := root.Get(key)
-		switch key {
-		case "name":
-			sc.Name = val.Str()
-		case "description":
-			sc.Description = val.Str()
-		case "run":
-			if err := sc.parseRun(val); err != nil {
-				return nil, err
-			}
-		case "topology":
-			if err := sc.parseTopology(val); err != nil {
-				return nil, err
-			}
-		case "ues":
-			if err := sc.parseUEs(val); err != nil {
-				return nil, err
-			}
-		case "master":
-			if err := sc.parseMaster(val); err != nil {
-				return nil, err
-			}
-		case "apps":
-			if err := sc.parseApps(val); err != nil {
-				return nil, err
-			}
-		case "slicing":
-			if err := sc.parseSlicing(val); err != nil {
-				return nil, err
-			}
-		case "slices":
-			if err := sc.parseSlices(val); err != nil {
-				return nil, err
-			}
-		case "faults":
-			if err := sc.parseFaults(val); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("scenario: unknown top-level key %q", key)
-		}
+	sc := new(Scenario)
+	if err := decodeMap(root, "", scenarioTable(sc)); err != nil {
+		return nil, err
 	}
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -407,165 +358,126 @@ func Parse(doc string) (*Scenario, error) {
 	return sc, nil
 }
 
-// ---------------------------------------------------------------------------
-// Section parsers. Every section rejects unknown keys so typos surface as
-// errors instead of silently ignored knobs.
+// Sections. Each xTable function gives its (zero) destination the
+// section's defaults and returns the section's field table; each parseX
+// function decodes a node against that table and then applies the checks
+// that span several keys. scenarios/README.md carries a knob reference
+// generated from these tables.
 
-func (sc *Scenario) parseRun(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: run section must be a map")
+func scenarioTable(sc *Scenario) []field {
+	*sc = Scenario{Master: new(MasterDecl)}
+	master := masterTable(sc.Master)
+	return []field{
+		{"name", str(&sc.Name)},
+		{"description", str(&sc.Description)},
+		{"run", section(runTable(&sc.Run))},
+		{"topology", section(topologyTable(&sc.ENBs))},
+		{"ues", list(&sc.UEs, parseUEGroup)},
+		{"master", value{`a map or "none"`, nil, func(n *yamlite.Node, where string) error {
+			switch {
+			case n.Kind == yamlite.KindScalar && n.Str() == "none":
+				sc.Master = nil
+				return nil
+			case n.Kind != yamlite.KindMap:
+				return mustBe(noun(where), `a map or "none"`)
+			}
+			return decodeMap(n, where, master)
+		}}},
+		{"apps", list(&sc.Apps, parseApp)},
+		{"slicing", list(&sc.Slices, parseSlicing)},
+		{"slices", sub(parseSlices, intoPtr(&sc.Broker))},
+		{"faults", list(&sc.Faults, parseFault)},
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "ttis":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: run.ttis must be a positive integer")
-			}
-			sc.Run.TTIs = int(v)
-		case "seconds":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return fmt.Errorf("scenario: run.seconds must be a positive number")
-			}
-			sc.Run.TTIs = int(f * lte.TTIsPerSecond)
-		case "attach_ttis":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: run.attach_ttis must be a non-negative integer")
-			}
-			sc.Run.AttachTTIs = int(v)
-		case "workers":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: run.workers must be a non-negative integer")
-			}
-			sc.Run.Workers = int(v)
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return fmt.Errorf("scenario: run.seed must be an integer")
-			}
-			sc.Run.Seed = v
-		case "pingpong_window_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: run.pingpong_window_tti must be a positive integer")
-			}
-			sc.Run.PingPongWindowTTI = int(v)
-		case "no_fast_forward":
-			b, err := val.Bool()
-			if err != nil {
-				return fmt.Errorf("scenario: run.no_fast_forward must be a boolean")
-			}
-			sc.Run.NoFastForward = b
-		default:
-			return fmt.Errorf("scenario: run has no knob %q", key)
-		}
-	}
-	return nil
 }
 
-func (sc *Scenario) parseTopology(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: topology section must be a map")
+func runTable(r *RunSpec) []field {
+	*r = RunSpec{AttachTTIs: DefaultAttachTTIs, PingPongWindowTTI: DefaultPingPongWindowTTI}
+	var seconds float64
+	return []field{
+		{"ttis", posInt(&r.TTIs)},
+		{"seconds", after(posNum(&seconds), func(_ *yamlite.Node, where string) error {
+			if seconds > maxRunSeconds {
+				return fmt.Errorf("scenario: %s: %g exceeds the limit of %d seconds", where, seconds, maxRunSeconds)
+			}
+			r.TTIs = int(seconds * lte.TTIsPerSecond)
+			return nil
+		})},
+		{"attach_ttis", nonNegInt(&r.AttachTTIs)},
+		{"workers", nonNegInt(&r.Workers)},
+		{"seed", anyInt(&r.Seed)},
+		{"pingpong_window_tti", posInt(&r.PingPongWindowTTI)},
+		{"no_fast_forward", boolean(&r.NoFastForward)},
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "grid":
-			if err := sc.parseGrid(val); err != nil {
-				return err
-			}
-		case "honeycomb":
-			if err := sc.parseHoneycomb(val); err != nil {
-				return err
-			}
-		case "enbs":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return fmt.Errorf("scenario: topology.enbs must be a sequence")
-			}
-			for i, item := range val.Items() {
-				d, err := parseENB(item, fmt.Sprintf("topology.enbs[%d]", i))
-				if err != nil {
-					return err
-				}
-				sc.ENBs = append(sc.ENBs, d)
-			}
-		default:
-			return fmt.Errorf("scenario: topology has no knob %q", key)
-		}
+}
+
+func topologyTable(enbs *[]ENBDecl) []field {
+	generated := func(more []ENBDecl) { *enbs = append(*enbs, more...) }
+	return []field{
+		{"grid", sub(parseGrid, generated)},
+		{"honeycomb", sub(parseHoneycomb, generated)},
+		{"enbs", list(enbs, parseENB)},
 	}
-	return nil
+}
+
+// lattice is the parameter set of the two topology generators.
+type lattice struct {
+	enbs, cols       int // grid: cols 0 = ceil(sqrt(enbs))
+	rings            int // honeycomb, when byRings
+	byRings          bool
+	sectors          int
+	spacing, powerDB float64
+	seedBase         int64
+}
+
+// site returns generated eNodeB i of the lattice at (x, y).
+func (l *lattice) site(i int, x, y float64) ENBDecl {
+	return ENBDecl{
+		ID: lte.ENBID(i + 1), Agent: true, Seed: l.seedBase + int64(i), Cells: l.sectors,
+		X: x, Y: y, PowerDBm: l.powerDB, HasSite: true,
+	}
+}
+
+func gridTable(l *lattice) []field {
+	*l = lattice{sectors: 1, spacing: 500, powerDB: 43, seedBase: 1}
+	return []field{
+		{"enbs", upTo(posInt(&l.enbs), maxENBs, "eNodeBs")},
+		{"cols", posInt(&l.cols)},
+		{"spacing_m", posNum(&l.spacing)},
+		{"power_dbm", number(&l.powerDB)},
+		{"seed_base", anyInt(&l.seedBase)},
+	}
 }
 
 // parseGrid expands "topology.grid" into a row-major lattice of
 // single-cell agent eNodeBs with ids 1..N, each carrying one site.
-func (sc *Scenario) parseGrid(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: topology.grid must be a map")
+func parseGrid(n *yamlite.Node, where string) ([]ENBDecl, error) {
+	var l lattice
+	if err := decodeMap(n, where, gridTable(&l)); err != nil {
+		return nil, err
 	}
-	count, cols := 0, 0
-	spacing, power := 500.0, 43.0
-	var seedBase int64 = 1
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "enbs":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.grid.enbs must be a positive integer")
-			}
-			count = int(v)
-		case "cols":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.grid.cols must be a positive integer")
-			}
-			cols = int(v)
-		case "spacing_m":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return fmt.Errorf("scenario: topology.grid.spacing_m must be a positive number")
-			}
-			spacing = f
-		case "power_dbm":
-			f, err := val.Float()
-			if err != nil {
-				return fmt.Errorf("scenario: topology.grid.power_dbm must be a number")
-			}
-			power = f
-		case "seed_base":
-			v, err := val.Int()
-			if err != nil {
-				return fmt.Errorf("scenario: topology.grid.seed_base must be an integer")
-			}
-			seedBase = v
-		default:
-			return fmt.Errorf("scenario: topology.grid has no knob %q", key)
-		}
+	if l.enbs == 0 {
+		return nil, fmt.Errorf("scenario: %s.enbs is required", where)
 	}
-	if count == 0 {
-		return fmt.Errorf("scenario: topology.grid.enbs is required")
+	if l.cols == 0 {
+		l.cols = int(math.Ceil(math.Sqrt(float64(l.enbs))))
 	}
-	if cols == 0 {
-		cols = int(math.Ceil(math.Sqrt(float64(count))))
+	out := make([]ENBDecl, l.enbs)
+	for i := range out {
+		out[i] = l.site(i, float64(i%l.cols)*l.spacing, float64(i/l.cols)*l.spacing)
 	}
-	for i := 0; i < count; i++ {
-		sc.ENBs = append(sc.ENBs, ENBDecl{
-			ID:    lte.ENBID(i + 1),
-			Agent: true,
-			Seed:  seedBase + int64(i),
-			Cells: 1,
-			X:     float64(i%cols) * spacing,
-			Y:     float64(i/cols) * spacing,
+	return out, nil
+}
 
-			PowerDBm: power,
-			HasSite:  true,
-		})
+func honeycombTable(l *lattice) []field {
+	*l = lattice{sectors: 1, spacing: 500, powerDB: 43, seedBase: 1}
+	return []field{
+		{"enbs", upTo(posInt(&l.enbs), maxENBs, "eNodeBs")},
+		{"rings", then(upTo(nonNegInt(&l.rings), maxRings, "rings"), func() { l.byRings = true })},
+		{"pitch_m", posNum(&l.spacing)},
+		{"sectors", upTo(posInt(&l.sectors), maxCellsPerENB, "cells per eNodeB")},
+		{"power_dbm", number(&l.powerDB)},
+		{"seed_base", anyInt(&l.seedBase)},
 	}
-	return nil
 }
 
 // parseHoneycomb expands "topology.honeycomb" into a hexagonal cellular
@@ -573,80 +485,23 @@ func (sc *Scenario) parseGrid(n *yamlite.Node) error {
 // centre eNodeB, the classic honeycomb layout of LTE planning studies.
 // Exactly one of `enbs` (site count, spiral truncated mid-ring) or
 // `rings` (complete rings R, yielding 1+3R(R+1) sites) selects the size.
-func (sc *Scenario) parseHoneycomb(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: topology.honeycomb must be a map")
+func parseHoneycomb(n *yamlite.Node, where string) ([]ENBDecl, error) {
+	var l lattice
+	if err := decodeMap(n, where, honeycombTable(&l)); err != nil {
+		return nil, err
 	}
-	count, rings := 0, -1
-	pitch, power := 500.0, 43.0
-	sectors := 1
-	var seedBase int64 = 1
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "enbs":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.enbs must be a positive integer")
-			}
-			count = int(v)
-		case "rings":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.rings must be a non-negative integer")
-			}
-			rings = int(v)
-		case "pitch_m":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return fmt.Errorf("scenario: topology.honeycomb.pitch_m must be a positive number")
-			}
-			pitch = f
-		case "sectors":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.sectors must be a positive integer")
-			}
-			sectors = int(v)
-		case "power_dbm":
-			f, err := val.Float()
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.power_dbm must be a number")
-			}
-			power = f
-		case "seed_base":
-			v, err := val.Int()
-			if err != nil {
-				return fmt.Errorf("scenario: topology.honeycomb.seed_base must be an integer")
-			}
-			seedBase = v
-		default:
-			return fmt.Errorf("scenario: topology.honeycomb has no knob %q", key)
-		}
+	if (l.enbs == 0) != l.byRings {
+		return nil, fmt.Errorf("scenario: %s needs exactly one of enbs or rings", where)
 	}
-	if (count == 0) == (rings < 0) {
-		return fmt.Errorf("scenario: topology.honeycomb needs exactly one of enbs or rings")
+	if l.byRings {
+		l.enbs = 1 + 3*l.rings*(l.rings+1)
 	}
-	if count == 0 {
-		count = 1 + 3*rings*(rings+1)
-	}
-	for i, ax := range hexSpiral(count) {
+	out := make([]ENBDecl, l.enbs)
+	for i, ax := range hexSpiral(l.enbs) {
 		// Axial-to-plane: unit hexagonal lattice scaled by the site pitch.
-		x := pitch * (float64(ax.q) + float64(ax.r)/2)
-		y := pitch * float64(ax.r) * math.Sqrt(3) / 2
-		sc.ENBs = append(sc.ENBs, ENBDecl{
-			ID:    lte.ENBID(i + 1),
-			Agent: true,
-			Seed:  seedBase + int64(i),
-			Cells: sectors,
-			X:     x,
-			Y:     y,
-
-			PowerDBm: power,
-			HasSite:  true,
-		})
+		out[i] = l.site(i, l.spacing*(float64(ax.q)+float64(ax.r)/2), l.spacing*float64(ax.r)*math.Sqrt(3)/2)
 	}
-	return nil
+	return out, nil
 }
 
 // hexAxial is a cell of the hexagonal lattice in axial coordinates.
@@ -676,260 +531,76 @@ func hexSpiral(n int) []hexAxial {
 	return out[:n]
 }
 
-func parseENB(n *yamlite.Node, where string) (ENBDecl, error) {
-	d := ENBDecl{Agent: true, Cells: 1}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return d, fmt.Errorf("scenario: %s must be a map", where)
+func enbTable(d *ENBDecl) []field {
+	*d = ENBDecl{Agent: true, Cells: 1}
+	return []field{
+		{"id", posInt(&d.ID)},
+		{"agent", boolean(&d.Agent)},
+		{"seed", anyInt(&d.Seed)},
+		{"cells", upTo(posInt(&d.Cells), maxCellsPerENB, "cells per eNodeB")},
+		{"x", number(&d.X)},
+		{"y", number(&d.Y)},
+		{"power_dbm", then(number(&d.PowerDBm), func() { d.HasSite = true })},
+		{"to_master", sub(parseNetem, into(&d.ToMaster))},
+		{"to_agent", sub(parseNetem, into(&d.ToAgent))},
+		{"policy", value{"a map (raw agent policy document)", nil, func(n *yamlite.Node, where string) error {
+			if n.Kind != yamlite.KindMap {
+				return mustBe(where, "a map")
+			}
+			d.Policy = n
+			return nil
+		}}},
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "id":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.id must be a positive integer", where)
-			}
-			d.ID = lte.ENBID(v)
-		case "agent":
-			b, err := val.Bool()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.agent must be a boolean", where)
-			}
-			d.Agent = b
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			d.Seed = v
-		case "cells":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.cells must be a positive integer", where)
-			}
-			d.Cells = int(v)
-		case "x":
-			f, err := val.Float()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.x must be a number", where)
-			}
-			d.X = f
-		case "y":
-			f, err := val.Float()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.y must be a number", where)
-			}
-			d.Y = f
-		case "power_dbm":
-			f, err := val.Float()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.power_dbm must be a number", where)
-			}
-			d.PowerDBm = f
-			d.HasSite = true
-		case "to_master":
-			ne, err := parseNetem(val, where+".to_master")
-			if err != nil {
-				return d, err
-			}
-			d.ToMaster = ne
-		case "to_agent":
-			ne, err := parseNetem(val, where+".to_agent")
-			if err != nil {
-				return d, err
-			}
-			d.ToAgent = ne
-		case "policy":
-			if val == nil || val.Kind != yamlite.KindMap {
-				return d, fmt.Errorf("scenario: %s.policy must be a map", where)
-			}
-			d.Policy = val
-		default:
-			return d, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	if d.ID == 0 {
-		return d, fmt.Errorf("scenario: %s.id is required", where)
-	}
-	return d, nil
 }
 
-func parseNetem(n *yamlite.Node, where string) (NetemDecl, error) {
-	var d NetemDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return d, fmt.Errorf("scenario: %s must be a map", where)
+func parseENB(n *yamlite.Node, where string) (d ENBDecl, err error) {
+	if err = decodeMap(n, where, enbTable(&d)); err == nil && d.ID == 0 {
+		err = fmt.Errorf("scenario: %s.id is required", where)
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "delay_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.delay_tti must be a non-negative integer", where)
-			}
-			d.DelayTTI = int(v)
-		case "jitter_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.jitter_tti must be a non-negative integer", where)
-			}
-			d.JitterTTI = int(v)
-		case "loss":
-			f, err := val.Float()
-			if err != nil || f < 0 || f > 1 {
-				return d, fmt.Errorf("scenario: %s.loss must be a probability in [0, 1]", where)
-			}
-			d.Loss = f
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			d.Seed = v
-		case "burst_loss":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.burst_loss must be a probability in [0, 1]", where)
-			}
-			d.BurstLoss = f
-		case "burst_enter":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.burst_enter must be a probability in [0, 1]", where)
-			}
-			d.BurstEnter = f
-		case "burst_exit":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.burst_exit must be a probability in [0, 1]", where)
-			}
-			d.BurstExit = f
-		case "dup":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.dup must be a probability in [0, 1]", where)
-			}
-			d.Dup = f
-		case "reorder":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.reorder must be a probability in [0, 1]", where)
-			}
-			d.Reorder = f
-		case "reorder_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.reorder_tti must be a non-negative integer", where)
-			}
-			d.ReorderTTI = int(v)
-		case "corrupt":
-			f, err := probVal(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.corrupt must be a probability in [0, 1]", where)
-			}
-			d.Corrupt = f
-		case "stall_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.stall_tti must be a non-negative integer", where)
-			}
-			d.StallTTI = int(v)
-		default:
-			return d, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	return d, nil
+	return d, err
 }
 
-func (sc *Scenario) parseUEs(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return fmt.Errorf("scenario: ues section must be a sequence")
+func netemTable(d *NetemDecl) []field {
+	return []field{
+		{"delay_tti", nonNegInt(&d.DelayTTI)},
+		{"jitter_tti", nonNegInt(&d.JitterTTI)},
+		{"loss", prob(&d.Loss)},
+		{"seed", anyInt(&d.Seed)},
+		{"burst_loss", prob(&d.BurstLoss)},
+		{"burst_enter", prob(&d.BurstEnter)},
+		{"burst_exit", prob(&d.BurstExit)},
+		{"dup", prob(&d.Dup)},
+		{"reorder", prob(&d.Reorder)},
+		{"reorder_tti", nonNegInt(&d.ReorderTTI)},
+		{"corrupt", prob(&d.Corrupt)},
+		{"stall_tti", nonNegInt(&d.StallTTI)},
 	}
-	for i, item := range n.Items() {
-		g, err := parseUEGroup(item, fmt.Sprintf("ues[%d]", i))
-		if err != nil {
-			return err
-		}
-		sc.UEs = append(sc.UEs, g)
-	}
-	return nil
 }
 
-func parseUEGroup(n *yamlite.Node, where string) (UEGroup, error) {
-	g := UEGroup{Count: 1}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return g, fmt.Errorf("scenario: %s must be a map", where)
+func parseNetem(n *yamlite.Node, where string) (d NetemDecl, err error) {
+	err = decodeMap(n, where, netemTable(&d))
+	return d, err
+}
+
+func ueGroupTable(g *UEGroup) []field {
+	*g = UEGroup{Count: 1}
+	return []field{
+		{"count", posInt(&g.Count)},
+		{"enb", enbOrAll(&g.ENB, &g.AllENBs)},
+		{"cell", nonNegInt(&g.Cell)},
+		{"imsi_base", posInt(&g.IMSIBase)},
+		{"group", nonNegInt(&g.Group)},
+		{"placement", sub(parsePlacement, intoPtr(&g.Place))},
+		{"mobility", sub(parseMobility, intoPtr(&g.Mobility))},
+		{"channel", sub(parseChannel, into(&g.Channel))},
+		{"traffic", trafficMix(&g.DL)},
+		{"uplink", trafficMix(&g.UL)},
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "count":
-			v, err := posInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.count must be a positive integer", where)
-			}
-			g.Count = int(v)
-		case "enb":
-			if val.Str() == "all" {
-				g.AllENBs = true
-				break
-			}
-			v, err := posInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.enb must be a positive integer or \"all\"", where)
-			}
-			g.ENB = lte.ENBID(v)
-		case "cell":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.cell must be a non-negative integer", where)
-			}
-			g.Cell = lte.CellID(v)
-		case "imsi_base":
-			v, err := posInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.imsi_base must be a positive integer", where)
-			}
-			g.IMSIBase = uint64(v)
-		case "group":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return g, fmt.Errorf("scenario: %s.group must be a non-negative integer", where)
-			}
-			g.Group = int(v)
-		case "placement":
-			p, err := parsePlacement(val, where+".placement")
-			if err != nil {
-				return g, err
-			}
-			g.Place = &p
-		case "mobility":
-			m, err := parseMobility(val, where+".mobility")
-			if err != nil {
-				return g, err
-			}
-			g.Mobility = &m
-		case "channel":
-			c, err := parseChannel(val, where+".channel")
-			if err != nil {
-				return g, err
-			}
-			g.Channel = c
-		case "traffic":
-			mix, err := parseTrafficMix(val, where+".traffic")
-			if err != nil {
-				return g, err
-			}
-			g.DL = mix
-		case "uplink":
-			mix, err := parseTrafficMix(val, where+".uplink")
-			if err != nil {
-				return g, err
-			}
-			g.UL = mix
-		default:
-			return g, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+}
+
+func parseUEGroup(n *yamlite.Node, where string) (g UEGroup, err error) {
+	if err = decodeMap(n, where, ueGroupTable(&g)); err != nil {
+		return g, err
 	}
 	if g.IMSIBase == 0 {
 		return g, fmt.Errorf("scenario: %s.imsi_base is required", where)
@@ -940,128 +611,44 @@ func parseUEGroup(n *yamlite.Node, where string) (UEGroup, error) {
 	return g, nil
 }
 
-func parsePoint(n *yamlite.Node, where string) (PointDecl, error) {
-	fs, err := n.Floats()
-	if err != nil || len(fs) != 2 {
-		return PointDecl{}, fmt.Errorf("scenario: %s must be an [x, y] pair", where)
+func placementTable(p *PlacementDecl) []field {
+	// Whichever corner or endpoint is written last names the shape.
+	corner := func(kind string, dst *PointDecl) value {
+		return then(point(dst), func() { p.Kind = kind })
 	}
-	return PointDecl{X: fs[0], Y: fs[1]}, nil
+	return []field{
+		{"at", corner("at", &p.At)},
+		{"from", corner("line", &p.From)},
+		{"to", corner("line", &p.To)},
+		{"min", corner("box", &p.Min)},
+		{"max", corner("box", &p.Max)},
+		{"seed", anyInt(&p.Seed)},
+	}
 }
 
-func parsePlacement(n *yamlite.Node, where string) (PlacementDecl, error) {
-	var p PlacementDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return p, fmt.Errorf("scenario: %s must be a map", where)
+func parsePlacement(n *yamlite.Node, where string) (p PlacementDecl, err error) {
+	if err = decodeMap(n, where, placementTable(&p)); err == nil && p.Kind == "" {
+		err = fmt.Errorf("scenario: %s needs at/from+to/min+max", where)
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "at":
-			pt, err := parsePoint(val, where+".at")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.At = "at", pt
-		case "from":
-			pt, err := parsePoint(val, where+".from")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.From = "line", pt
-		case "to":
-			pt, err := parsePoint(val, where+".to")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.To = "line", pt
-		case "min":
-			pt, err := parsePoint(val, where+".min")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.Min = "box", pt
-		case "max":
-			pt, err := parsePoint(val, where+".max")
-			if err != nil {
-				return p, err
-			}
-			p.Kind, p.Max = "box", pt
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return p, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			p.Seed = v
-		default:
-			return p, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	if p.Kind == "" {
-		return p, fmt.Errorf("scenario: %s needs at/from+to/min+max", where)
-	}
-	return p, nil
+	return p, err
 }
 
-func parseMobility(n *yamlite.Node, where string) (MobilityDecl, error) {
-	var m MobilityDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return m, fmt.Errorf("scenario: %s must be a map", where)
+func mobilityTable(m *MobilityDecl) []field {
+	return []field{
+		{"model", str(&m.Model)},
+		{"path", points(&m.Path)},
+		{"speed_mps", nonNegNum(&m.SpeedMps)},
+		{"speed_step_mps", number(&m.SpeedStepMps)},
+		{"ping_pong", boolean(&m.PingPong)},
+		{"min", point(&m.Min)},
+		{"max", point(&m.Max)},
+		{"seed", anyInt(&m.Seed)},
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "model":
-			m.Model = val.Str()
-		case "path":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return m, fmt.Errorf("scenario: %s.path must be a sequence of [x, y] pairs", where)
-			}
-			for _, it := range val.Items() {
-				pt, err := parsePoint(it, where+".path")
-				if err != nil {
-					return m, err
-				}
-				m.Path = append(m.Path, pt)
-			}
-		case "speed_mps":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return m, fmt.Errorf("scenario: %s.speed_mps must be a non-negative number", where)
-			}
-			m.SpeedMps = f
-		case "speed_step_mps":
-			f, err := val.Float()
-			if err != nil {
-				return m, fmt.Errorf("scenario: %s.speed_step_mps must be a number", where)
-			}
-			m.SpeedStepMps = f
-		case "ping_pong":
-			b, err := val.Bool()
-			if err != nil {
-				return m, fmt.Errorf("scenario: %s.ping_pong must be a boolean", where)
-			}
-			m.PingPong = b
-		case "min":
-			pt, err := parsePoint(val, where+".min")
-			if err != nil {
-				return m, err
-			}
-			m.Min = pt
-		case "max":
-			pt, err := parsePoint(val, where+".max")
-			if err != nil {
-				return m, err
-			}
-			m.Max = pt
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return m, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			m.Seed = v
-		default:
-			return m, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+}
+
+func parseMobility(n *yamlite.Node, where string) (m MobilityDecl, err error) {
+	if err = decodeMap(n, where, mobilityTable(&m)); err != nil {
+		return m, err
 	}
 	switch m.Model {
 	case "static", "waypoint", "random_waypoint":
@@ -1076,91 +663,28 @@ func parseMobility(n *yamlite.Node, where string) (MobilityDecl, error) {
 	return m, nil
 }
 
-func parseChannel(n *yamlite.Node, where string) (ChannelDecl, error) {
-	c := ChannelDecl{Model: "auto", Rho: 0.99, Sigma: 1.5}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return c, fmt.Errorf("scenario: %s must be a map", where)
+func channelTable(c *ChannelDecl) []field {
+	*c = ChannelDecl{Model: "auto", Rho: 0.99, Sigma: 1.5}
+	return []field{
+		{"model", str(&c.Model)},
+		{"cqi", cqi(&c.CQI)},
+		{"mean", number(&c.Mean)},
+		{"rho", floatIn(&c.Rho, "in [0, 1)", func(f float64) bool { return f >= 0 && f < 1 })},
+		{"sigma", nonNegNum(&c.Sigma)},
+		{"seed", anyInt(&c.Seed)},
+		{"a", cqi(&c.A)},
+		{"b", cqi(&c.B)},
+		{"half_period_tti", posInt(&c.HalfPeriodTTI)},
+		{"clear", cqi(&c.Clear)},
+		{"hit", cqi(&c.Hit)},
+		{"interferer_enb", posInt(&c.InterfererENB)},
+		{"interferer_cell", nonNegInt(&c.InterfererCell)},
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "model":
-			c.Model = val.Str()
-		case "cqi":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.cqi must be a CQI in [1, 15]", where)
-			}
-			c.CQI = v
-		case "mean":
-			f, err := val.Float()
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.mean must be a number", where)
-			}
-			c.Mean = f
-		case "rho":
-			f, err := val.Float()
-			if err != nil || f < 0 || f >= 1 {
-				return c, fmt.Errorf("scenario: %s.rho must be in [0, 1)", where)
-			}
-			c.Rho = f
-		case "sigma":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return c, fmt.Errorf("scenario: %s.sigma must be a non-negative number", where)
-			}
-			c.Sigma = f
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			c.Seed = v
-		case "a":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.a must be a CQI in [1, 15]", where)
-			}
-			c.A = v
-		case "b":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.b must be a CQI in [1, 15]", where)
-			}
-			c.B = v
-		case "half_period_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.half_period_tti must be a positive integer", where)
-			}
-			c.HalfPeriodTTI = v
-		case "clear":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.clear must be a CQI in [1, 15]", where)
-			}
-			c.Clear = v
-		case "hit":
-			v, err := cqiVal(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.hit must be a CQI in [1, 15]", where)
-			}
-			c.Hit = v
-		case "interferer_enb":
-			v, err := posInt(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.interferer_enb must be a positive integer", where)
-			}
-			c.InterfererENB = lte.ENBID(v)
-		case "interferer_cell":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return c, fmt.Errorf("scenario: %s.interferer_cell must be a non-negative integer", where)
-			}
-			c.InterfererCell = lte.CellID(v)
-		default:
-			return c, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+}
+
+func parseChannel(n *yamlite.Node, where string) (c ChannelDecl, err error) {
+	if err = decodeMap(n, where, channelTable(&c)); err != nil {
+		return c, err
 	}
 	switch c.Model {
 	case "auto", "geo":
@@ -1186,101 +710,46 @@ func parseChannel(n *yamlite.Node, where string) (ChannelDecl, error) {
 	return c, nil
 }
 
-func parseTrafficMix(n *yamlite.Node, where string) ([]TrafficDecl, error) {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return nil, fmt.Errorf("scenario: %s must be a sequence", where)
-	}
-	var mix []TrafficDecl
-	for i, item := range n.Items() {
-		d, err := parseTraffic(item, fmt.Sprintf("%s[%d]", where, i))
-		if err != nil {
-			return nil, err
+// trafficMix decodes a group's traffic mix: a non-empty sequence of
+// components whose shares sum to 1 (a lone component may omit its share).
+func trafficMix(dst *[]TrafficDecl) value {
+	return after(list(dst, parseTraffic), func(_ *yamlite.Node, where string) error {
+		mix := *dst
+		if len(mix) == 0 {
+			return fmt.Errorf("scenario: %s must not be empty", where)
 		}
-		mix = append(mix, d)
-	}
-	if len(mix) == 0 {
-		return nil, fmt.Errorf("scenario: %s must not be empty", where)
-	}
-	if len(mix) == 1 && mix[0].Share == 0 {
-		mix[0].Share = 1
-	}
-	sum := 0.0
-	for _, d := range mix {
-		sum += d.Share
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("scenario: %s: shares sum to %.3f, want 1.0", where, sum)
-	}
-	return mix, nil
+		if len(mix) == 1 && mix[0].Share == 0 {
+			mix[0].Share = 1
+		}
+		sum := 0.0
+		for _, d := range mix {
+			sum += d.Share
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			return fmt.Errorf("scenario: %s: shares sum to %.3f, want 1.0", where, sum)
+		}
+		return nil
+	})
 }
 
-func parseTraffic(n *yamlite.Node, where string) (TrafficDecl, error) {
-	var d TrafficDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return d, fmt.Errorf("scenario: %s must be a map", where)
+func trafficTable(d *TrafficDecl) []field {
+	return []field{
+		{"kind", str(&d.Kind)},
+		{"share", fraction(&d.Share)},
+		{"rate_kbps", posNum(&d.RateKbps)},
+		{"mean_kbps", posNum(&d.MeanKbps)},
+		{"packet_bytes", posInt(&d.PacketBytes)},
+		{"on_tti", posInt(&d.OnTTI)},
+		{"off_tti", posInt(&d.OffTTI)},
+		{"start_tti", nonNegInt(&d.StartTTI)},
+		{"stop_tti", nonNegInt(&d.StopTTI)},
+		{"seed", anyInt(&d.Seed)},
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "kind":
-			d.Kind = val.Str()
-		case "share":
-			f, err := val.Float()
-			if err != nil || f <= 0 || f > 1 {
-				return d, fmt.Errorf("scenario: %s.share must be in (0, 1]", where)
-			}
-			d.Share = f
-		case "rate_kbps":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return d, fmt.Errorf("scenario: %s.rate_kbps must be a positive number", where)
-			}
-			d.RateKbps = f
-		case "mean_kbps":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return d, fmt.Errorf("scenario: %s.mean_kbps must be a positive number", where)
-			}
-			d.MeanKbps = f
-		case "packet_bytes":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.packet_bytes must be a positive integer", where)
-			}
-			d.PacketBytes = int(v)
-		case "on_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.on_tti must be a positive integer", where)
-			}
-			d.OnTTI = int(v)
-		case "off_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.off_tti must be a positive integer", where)
-			}
-			d.OffTTI = int(v)
-		case "start_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.start_tti must be a non-negative integer", where)
-			}
-			d.StartTTI = v
-		case "stop_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.stop_tti must be a non-negative integer", where)
-			}
-			d.StopTTI = v
-		case "seed":
-			v, err := val.Int()
-			if err != nil {
-				return d, fmt.Errorf("scenario: %s.seed must be an integer", where)
-			}
-			d.Seed = v
-		default:
-			return d, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+}
+
+func parseTraffic(n *yamlite.Node, where string) (d TrafficDecl, err error) {
+	if err = decodeMap(n, where, trafficTable(&d)); err != nil {
+		return d, err
 	}
 	switch d.Kind {
 	case "cbr":
@@ -1304,230 +773,49 @@ func parseTraffic(n *yamlite.Node, where string) (TrafficDecl, error) {
 	return d, nil
 }
 
-func (sc *Scenario) parseMaster(n *yamlite.Node) error {
-	if n != nil && n.Kind == yamlite.KindScalar && n.Str() == "none" {
-		sc.Master = nil
-		return nil
+func masterTable(m *MasterDecl) []field {
+	*m = MasterDecl{StatsPeriodTTI: 1, SyncPeriodTTI: 1, EchoPeriodTTI: 20, EchoMissBudget: 3}
+	return []field{
+		{"stats_period_tti", nonNegInt(&m.StatsPeriodTTI)},
+		{"sync_period_tti", nonNegInt(&m.SyncPeriodTTI)},
+		{"echo_period_tti", nonNegInt(&m.EchoPeriodTTI)},
+		{"echo_miss_budget", nonNegInt(&m.EchoMissBudget)},
+		{"no_resync", boolean(&m.NoResync)},
+		{"workers", nonNegInt(&m.Workers)},
+		{"health_period_tti", nonNegInt(&m.HealthPeriodTTI)},
+		{"health_suspect_tti", nonNegInt(&m.HealthSuspectTTI)},
+		{"health_degraded_tti", nonNegInt(&m.HealthDegradedTTI)},
+		{"health_recover_tti", nonNegInt(&m.HealthRecoverTTI)},
+		{"cmd_retry_tti", nonNegInt(&m.CmdRetryTTI)},
+		{"cmd_retry_budget", nonNegInt(&m.CmdRetryBudget)},
 	}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: master section must be a map or \"none\"")
-	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "stats_period_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.stats_period_tti must be a non-negative integer")
-			}
-			sc.Master.StatsPeriodTTI = int(v)
-		case "sync_period_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.sync_period_tti must be a non-negative integer")
-			}
-			sc.Master.SyncPeriodTTI = int(v)
-		case "echo_period_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.echo_period_tti must be a non-negative integer")
-			}
-			sc.Master.EchoPeriodTTI = int(v)
-		case "echo_miss_budget":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.echo_miss_budget must be a non-negative integer")
-			}
-			sc.Master.EchoMissBudget = int(v)
-		case "no_resync":
-			b, err := val.Bool()
-			if err != nil {
-				return fmt.Errorf("scenario: master.no_resync must be a boolean")
-			}
-			sc.Master.NoResync = b
-		case "workers":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.workers must be a non-negative integer")
-			}
-			sc.Master.Workers = int(v)
-		case "health_period_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.health_period_tti must be a non-negative integer")
-			}
-			sc.Master.HealthPeriodTTI = int(v)
-		case "health_suspect_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.health_suspect_tti must be a non-negative integer")
-			}
-			sc.Master.HealthSuspectTTI = int(v)
-		case "health_degraded_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.health_degraded_tti must be a non-negative integer")
-			}
-			sc.Master.HealthDegradedTTI = int(v)
-		case "health_recover_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.health_recover_tti must be a non-negative integer")
-			}
-			sc.Master.HealthRecoverTTI = int(v)
-		case "cmd_retry_tti":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.cmd_retry_tti must be a non-negative integer")
-			}
-			sc.Master.CmdRetryTTI = int(v)
-		case "cmd_retry_budget":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: master.cmd_retry_budget must be a non-negative integer")
-			}
-			sc.Master.CmdRetryBudget = int(v)
-		default:
-			return fmt.Errorf("scenario: master has no knob %q", key)
-		}
-	}
-	return nil
 }
 
-func (sc *Scenario) parseApps(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return fmt.Errorf("scenario: apps section must be a sequence")
+func appTable(a *AppDecl) []field {
+	*a = AppDecl{PeriodTTI: 100, Policy: "strongest", CommandTimeoutTTI: 200, ABS: 4}
+	return []field{
+		{"kind", str(&a.Kind)},
+		{"period_tti", posInt(&a.PeriodTTI)},
+		{"policy", oneOf(&a.Policy, "target policy", "strongest", "load_balanced")},
+		{"load_weight", nonNegNum(&a.LoadWeight)},
+		{"min_margin_db", nonNegNum(&a.MinMarginDB)},
+		{"command_timeout_tti", posInt(&a.CommandTimeoutTTI)},
+		{"retune_at", posInt(&a.RetuneAt)},
+		{"retune_policy", oneOf(&a.RetunePolicy, "target policy", "strongest", "load_balanced")},
+		{"retune_load_weight", nonNegNum(&a.RetuneLoadWeight)},
+		{"enb", posInt(&a.ENB)},
+		{"plan", list(&a.Plan, parseShareChange)},
+		{"macro_enb", posInt(&a.MacroENB)},
+		{"macro_cell", nonNegInt(&a.MacroCell)},
+		{"small_enbs", enbIDs(&a.SmallENBs)},
+		{"abs", intIn(&a.ABS, 1, 9, "in [1, 9]")},
+		{"optimized", boolean(&a.Optimized)},
 	}
-	for i, item := range n.Items() {
-		a, err := parseApp(item, fmt.Sprintf("apps[%d]", i))
-		if err != nil {
-			return err
-		}
-		sc.Apps = append(sc.Apps, a)
-	}
-	return nil
 }
 
-func parseApp(n *yamlite.Node, where string) (AppDecl, error) {
-	a := AppDecl{
-		PeriodTTI:         100,
-		Policy:            "strongest",
-		CommandTimeoutTTI: 200,
-		ABS:               4,
-	}
-	if n == nil || n.Kind != yamlite.KindMap {
-		return a, fmt.Errorf("scenario: %s must be a map", where)
-	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "kind":
-			a.Kind = val.Str()
-		case "period_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.period_tti must be a positive integer", where)
-			}
-			a.PeriodTTI = int(v)
-		case "policy":
-			switch val.Str() {
-			case "strongest", "load_balanced":
-				a.Policy = val.Str()
-			default:
-				return a, fmt.Errorf("scenario: %s.policy: unknown target policy %q", where, val.Str())
-			}
-		case "load_weight":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return a, fmt.Errorf("scenario: %s.load_weight must be a non-negative number", where)
-			}
-			a.LoadWeight = f
-		case "min_margin_db":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return a, fmt.Errorf("scenario: %s.min_margin_db must be a non-negative number", where)
-			}
-			a.MinMarginDB = f
-		case "command_timeout_tti":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.command_timeout_tti must be a positive integer", where)
-			}
-			a.CommandTimeoutTTI = int(v)
-		case "retune_at":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.retune_at must be a positive integer", where)
-			}
-			a.RetuneAt = v
-		case "retune_policy":
-			switch val.Str() {
-			case "strongest", "load_balanced":
-				a.RetunePolicy = val.Str()
-			default:
-				return a, fmt.Errorf("scenario: %s.retune_policy: unknown target policy %q", where, val.Str())
-			}
-		case "retune_load_weight":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return a, fmt.Errorf("scenario: %s.retune_load_weight must be a non-negative number", where)
-			}
-			a.RetuneLoadWeight = f
-		case "enb":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.enb must be a positive integer", where)
-			}
-			a.ENB = lte.ENBID(v)
-		case "plan":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return a, fmt.Errorf("scenario: %s.plan must be a sequence", where)
-			}
-			for j, it := range val.Items() {
-				ch, err := parseShareChange(it, fmt.Sprintf("%s.plan[%d]", where, j))
-				if err != nil {
-					return a, err
-				}
-				a.Plan = append(a.Plan, ch)
-			}
-		case "macro_enb":
-			v, err := posInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.macro_enb must be a positive integer", where)
-			}
-			a.MacroENB = lte.ENBID(v)
-		case "macro_cell":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.macro_cell must be a non-negative integer", where)
-			}
-			a.MacroCell = lte.CellID(v)
-		case "small_enbs":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return a, fmt.Errorf("scenario: %s.small_enbs must be a sequence", where)
-			}
-			for _, it := range val.Items() {
-				v, err := posInt(it)
-				if err != nil {
-					return a, fmt.Errorf("scenario: %s.small_enbs must hold positive integers", where)
-				}
-				a.SmallENBs = append(a.SmallENBs, lte.ENBID(v))
-			}
-		case "abs":
-			v, err := posInt(val)
-			if err != nil || v > 9 {
-				return a, fmt.Errorf("scenario: %s.abs must be in [1, 9]", where)
-			}
-			a.ABS = int(v)
-		case "optimized":
-			b, err := val.Bool()
-			if err != nil {
-				return a, fmt.Errorf("scenario: %s.optimized must be a boolean", where)
-			}
-			a.Optimized = b
-		default:
-			return a, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
+func parseApp(n *yamlite.Node, where string) (a AppDecl, err error) {
+	if err = decodeMap(n, where, appTable(&a)); err != nil {
+		return a, err
 	}
 	if a.Kind != "mobility" && (a.RetuneAt > 0 || a.RetunePolicy != "") {
 		return a, fmt.Errorf("scenario: %s: retune knobs apply to mobility apps only", where)
@@ -1556,231 +844,90 @@ func parseApp(n *yamlite.Node, where string) (AppDecl, error) {
 	return a, nil
 }
 
-func parseShareChange(n *yamlite.Node, where string) (ShareChangeDecl, error) {
-	var ch ShareChangeDecl
-	if n == nil || n.Kind != yamlite.KindMap {
-		return ch, fmt.Errorf("scenario: %s must be a map", where)
+func shareChangeTable(ch *ShareChangeDecl) []field {
+	return []field{
+		{"at", nonNegInt(&ch.At)},
+		{"shares", floats(&ch.Shares)},
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "at":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return ch, fmt.Errorf("scenario: %s.at must be a non-negative integer", where)
-			}
-			ch.At = v
-		case "shares":
-			fs, err := val.Floats()
-			if err != nil || len(fs) == 0 {
-				return ch, fmt.Errorf("scenario: %s.shares must be a float sequence", where)
-			}
-			ch.Shares = fs
-		default:
-			return ch, fmt.Errorf("scenario: %s has no knob %q", where, key)
-		}
-	}
-	if ch.Shares == nil {
-		return ch, fmt.Errorf("scenario: %s.shares is required", where)
-	}
-	return ch, nil
 }
 
-func (sc *Scenario) parseSlicing(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return fmt.Errorf("scenario: slicing section must be a sequence")
+func parseShareChange(n *yamlite.Node, where string) (ch ShareChangeDecl, err error) {
+	if err = decodeMap(n, where, shareChangeTable(&ch)); err == nil && ch.Shares == nil {
+		err = fmt.Errorf("scenario: %s.shares is required", where)
 	}
-	for i, item := range n.Items() {
-		where := fmt.Sprintf("slicing[%d]", i)
-		d := SliceDecl{Scheduler: "rr"}
-		if item == nil || item.Kind != yamlite.KindMap {
-			return fmt.Errorf("scenario: %s must be a map", where)
-		}
-		for _, key := range item.Keys() {
-			val := item.Get(key)
-			switch key {
-			case "enb":
-				if val.Str() == "all" {
-					d.All = true
-					break
-				}
-				v, err := posInt(val)
-				if err != nil {
-					return fmt.Errorf("scenario: %s.enb must be a positive integer or \"all\"", where)
-				}
-				d.ENB = lte.ENBID(v)
-			case "shares":
-				fs, err := val.Floats()
-				if err != nil || len(fs) == 0 {
-					return fmt.Errorf("scenario: %s.shares must be a float sequence", where)
-				}
-				d.Shares = fs
-			case "work_conserving":
-				b, err := val.Bool()
-				if err != nil {
-					return fmt.Errorf("scenario: %s.work_conserving must be a boolean", where)
-				}
-				d.WorkConserving = b
-			case "scheduler":
-				switch val.Str() {
-				case "rr", "pf":
-					d.Scheduler = val.Str()
-				default:
-					return fmt.Errorf("scenario: %s.scheduler: unknown scheduler %q", where, val.Str())
-				}
-			default:
-				return fmt.Errorf("scenario: %s has no knob %q", where, key)
-			}
-		}
-		if d.Shares == nil {
-			return fmt.Errorf("scenario: %s.shares is required", where)
-		}
-		if d.ENB == 0 && !d.All {
-			return fmt.Errorf("scenario: %s.enb is required (an id or \"all\")", where)
-		}
-		sum := 0.0
-		for _, f := range d.Shares {
-			if f < 0 || f > 1 {
-				return fmt.Errorf("scenario: %s.shares must hold fractions in [0, 1]", where)
-			}
-			sum += f
-		}
-		if sum > 1+1e-9 {
-			return fmt.Errorf("scenario: %s.shares sum to %.3f, want <= 1.0", where, sum)
-		}
-		sc.Slices = append(sc.Slices, d)
-	}
-	return nil
+	return ch, err
 }
 
-func (sc *Scenario) parseSlices(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindMap {
-		return fmt.Errorf("scenario: slices section must be a map")
+func slicingTable(d *SliceDecl) []field {
+	*d = SliceDecl{Scheduler: "rr"}
+	return []field{
+		{"enb", enbOrAll(&d.ENB, &d.All)},
+		{"shares", floats(&d.Shares)},
+		{"work_conserving", boolean(&d.WorkConserving)},
+		{"scheduler", oneOf(&d.Scheduler, "scheduler", "rr", "pf")},
 	}
-	d := &SlicesDecl{Elastic: true, Scheduler: "rr"}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "epoch_ttis":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: slices.epoch_ttis must be a positive integer")
-			}
-			d.EpochTTIs = int(v)
-		case "elastic":
-			b, err := val.Bool()
-			if err != nil {
-				return fmt.Errorf("scenario: slices.elastic must be a boolean")
-			}
-			d.Elastic = b
-		case "work_conserving":
-			b, err := val.Bool()
-			if err != nil {
-				return fmt.Errorf("scenario: slices.work_conserving must be a boolean")
-			}
-			d.WorkConserving = b
-		case "scheduler":
-			switch val.Str() {
-			case "rr", "pf":
-				d.Scheduler = val.Str()
-			default:
-				return fmt.Errorf("scenario: slices.scheduler: unknown scheduler %q", val.Str())
-			}
-		case "hysteresis_epochs":
-			v, err := posInt(val)
-			if err != nil {
-				return fmt.Errorf("scenario: slices.hysteresis_epochs must be a positive integer")
-			}
-			d.HysteresisEpochs = int(v)
-		case "degrade_factor":
-			f, err := val.Float()
-			if err != nil || f <= 0 || f > 1 {
-				return fmt.Errorf("scenario: slices.degrade_factor must be in (0, 1]")
-			}
-			d.DegradeFactor = f
-		case "specs":
-			if val == nil || val.Kind != yamlite.KindSeq {
-				return fmt.Errorf("scenario: slices.specs must be a sequence")
-			}
-			for i, item := range val.Items() {
-				sp, err := parseSliceSpec(item, fmt.Sprintf("slices.specs[%d]", i))
-				if err != nil {
-					return err
-				}
-				d.Specs = append(d.Specs, sp)
-			}
-		default:
-			return fmt.Errorf("scenario: slices has no knob %q", key)
-		}
-	}
-	if len(d.Specs) == 0 {
-		return fmt.Errorf("scenario: slices.specs must declare at least one slice")
-	}
-	sc.Broker = d
-	return nil
 }
 
-func parseSliceSpec(n *yamlite.Node, where string) (slice.Spec, error) {
-	var sp slice.Spec
-	if n == nil || n.Kind != yamlite.KindMap {
-		return sp, fmt.Errorf("scenario: %s must be a map", where)
+func parseSlicing(n *yamlite.Node, where string) (d SliceDecl, err error) {
+	if err = decodeMap(n, where, slicingTable(&d)); err != nil {
+		return d, err
 	}
-	for _, key := range n.Keys() {
-		val := n.Get(key)
-		switch key {
-		case "name":
-			sp.Name = val.Str()
-		case "group":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return sp, fmt.Errorf("scenario: %s.group must be a non-negative integer", where)
-			}
-			sp.Group = int(v)
-		case "weight":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return sp, fmt.Errorf("scenario: %s.weight must be a non-negative number", where)
-			}
-			sp.Weight = f
-		case "min_throughput_kbps":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return sp, fmt.Errorf("scenario: %s.min_throughput_kbps must be a positive number", where)
-			}
-			sp.SLA.MinThroughputKbps = f
-		case "max_queue_ms":
-			f, err := val.Float()
-			if err != nil || f <= 0 {
-				return sp, fmt.Errorf("scenario: %s.max_queue_ms must be a positive number", where)
-			}
-			sp.SLA.MaxQueueMs = f
-		case "arrive_at":
-			v, err := nonNegInt(val)
-			if err != nil {
-				return sp, fmt.Errorf("scenario: %s.arrive_at must be a non-negative integer", where)
-			}
-			sp.ArriveAt = v
-		case "admit_above":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return sp, fmt.Errorf("scenario: %s.admit_above must be a non-negative number", where)
-			}
-			sp.Admission.AdmitAbove = f
-		case "reject_below":
-			f, err := val.Float()
-			if err != nil || f < 0 {
-				return sp, fmt.Errorf("scenario: %s.reject_below must be a non-negative number", where)
-			}
-			sp.Admission.RejectBelow = f
-		case "hysteresis_epochs":
-			v, err := posInt(val)
-			if err != nil {
-				return sp, fmt.Errorf("scenario: %s.hysteresis_epochs must be a positive integer", where)
-			}
-			sp.HysteresisEpochs = int(v)
-		default:
-			return sp, fmt.Errorf("scenario: %s has no knob %q", where, key)
+	if d.Shares == nil {
+		return d, fmt.Errorf("scenario: %s.shares is required", where)
+	}
+	if d.ENB == 0 && !d.All {
+		return d, fmt.Errorf("scenario: %s.enb is required (an id or \"all\")", where)
+	}
+	sum := 0.0
+	for _, f := range d.Shares {
+		if f < 0 || f > 1 {
+			return d, fmt.Errorf("scenario: %s.shares must hold fractions in [0, 1]", where)
 		}
+		sum += f
+	}
+	if sum > 1+1e-9 {
+		return d, fmt.Errorf("scenario: %s.shares sum to %.3f, want <= 1.0", where, sum)
+	}
+	return d, nil
+}
+
+func slicesTable(d *SlicesDecl) []field {
+	*d = SlicesDecl{Elastic: true, Scheduler: "rr"}
+	return []field{
+		{"epoch_ttis", posInt(&d.EpochTTIs)},
+		{"elastic", boolean(&d.Elastic)},
+		{"work_conserving", boolean(&d.WorkConserving)},
+		{"scheduler", oneOf(&d.Scheduler, "scheduler", "rr", "pf")},
+		{"hysteresis_epochs", posInt(&d.HysteresisEpochs)},
+		{"degrade_factor", fraction(&d.DegradeFactor)},
+		{"specs", list(&d.Specs, parseSliceSpec)},
+	}
+}
+
+func parseSlices(n *yamlite.Node, where string) (d SlicesDecl, err error) {
+	if err = decodeMap(n, where, slicesTable(&d)); err == nil && len(d.Specs) == 0 {
+		err = fmt.Errorf("scenario: %s.specs must declare at least one slice", where)
+	}
+	return d, err
+}
+
+func sliceSpecTable(sp *slice.Spec) []field {
+	return []field{
+		{"name", str(&sp.Name)},
+		{"group", nonNegInt(&sp.Group)},
+		{"weight", nonNegNum(&sp.Weight)},
+		{"min_throughput_kbps", posNum(&sp.SLA.MinThroughputKbps)},
+		{"max_queue_ms", posNum(&sp.SLA.MaxQueueMs)},
+		{"arrive_at", nonNegInt(&sp.ArriveAt)},
+		{"admit_above", nonNegNum(&sp.Admission.AdmitAbove)},
+		{"reject_below", nonNegNum(&sp.Admission.RejectBelow)},
+		{"hysteresis_epochs", posInt(&sp.HysteresisEpochs)},
+	}
+}
+
+func parseSliceSpec(n *yamlite.Node, where string) (sp slice.Spec, err error) {
+	if err = decodeMap(n, where, sliceSpecTable(&sp)); err != nil {
+		return sp, err
 	}
 	if err := sp.Validate(); err != nil {
 		return sp, fmt.Errorf("scenario: %s: %v", where, err)
@@ -1788,66 +935,35 @@ func parseSliceSpec(n *yamlite.Node, where string) (slice.Spec, error) {
 	return sp, nil
 }
 
-func (sc *Scenario) parseFaults(n *yamlite.Node) error {
-	if n == nil || n.Kind != yamlite.KindSeq {
-		return fmt.Errorf("scenario: faults section must be a sequence")
+func faultTable(d *FaultDecl) []field {
+	// An unknown kind is reported under the fault, not under its kind key.
+	kind := oneOf(&d.Kind, "fault kind", "link_cut", "link_restore", "agent_restart", "netem_set", "agent_stall", "agent_resume")
+	underKey := kind.decode
+	kind.decode = func(n *yamlite.Node, where string) error {
+		return underKey(n, strings.TrimSuffix(where, ".kind"))
 	}
-	for i, item := range n.Items() {
-		where := fmt.Sprintf("faults[%d]", i)
-		var d FaultDecl
-		if item == nil || item.Kind != yamlite.KindMap {
-			return fmt.Errorf("scenario: %s must be a map", where)
-		}
-		for _, key := range item.Keys() {
-			val := item.Get(key)
-			switch key {
-			case "at":
-				v, err := nonNegInt(val)
-				if err != nil {
-					return fmt.Errorf("scenario: %s.at must be a non-negative integer", where)
-				}
-				d.At = v
-			case "kind":
-				switch val.Str() {
-				case "link_cut", "link_restore", "agent_restart", "netem_set", "agent_stall", "agent_resume":
-					d.Kind = val.Str()
-				default:
-					return fmt.Errorf("scenario: %s: unknown fault kind %q", where, val.Str())
-				}
-			case "enb":
-				v, err := posInt(val)
-				if err != nil {
-					return fmt.Errorf("scenario: %s.enb must be a positive integer", where)
-				}
-				d.ENB = lte.ENBID(v)
-			case "to_master":
-				ne, err := parseNetem(val, where+".to_master")
-				if err != nil {
-					return err
-				}
-				d.ToMaster = &ne
-			case "to_agent":
-				ne, err := parseNetem(val, where+".to_agent")
-				if err != nil {
-					return err
-				}
-				d.ToAgent = &ne
-			default:
-				return fmt.Errorf("scenario: %s has no knob %q", where, key)
-			}
-		}
-		if d.Kind == "" {
-			return fmt.Errorf("scenario: %s.kind is required", where)
-		}
-		if d.ENB == 0 {
-			return fmt.Errorf("scenario: %s.enb is required", where)
-		}
-		sc.Faults = append(sc.Faults, d)
+	return []field{
+		{"at", nonNegInt(&d.At)},
+		{"kind", kind},
+		{"enb", posInt(&d.ENB)},
+		{"to_master", sub(parseNetem, intoPtr(&d.ToMaster))},
+		{"to_agent", sub(parseNetem, intoPtr(&d.ToAgent))},
 	}
-	return nil
 }
 
-// ---------------------------------------------------------------------------
+func parseFault(n *yamlite.Node, where string) (d FaultDecl, err error) {
+	if err = decodeMap(n, where, faultTable(&d)); err != nil {
+		return d, err
+	}
+	if d.Kind == "" {
+		return d, fmt.Errorf("scenario: %s.kind is required", where)
+	}
+	if d.ENB == 0 {
+		return d, fmt.Errorf("scenario: %s.enb is required", where)
+	}
+	return d, nil
+}
+
 // Cross-section validation.
 
 func (sc *Scenario) validate() error {
@@ -1860,49 +976,56 @@ func (sc *Scenario) validate() error {
 	if len(sc.ENBs) == 0 {
 		return fmt.Errorf("scenario: topology declares no eNodeBs")
 	}
+	if len(sc.ENBs) > maxENBs {
+		return fmt.Errorf("scenario: topology declares %d eNodeBs, the limit is %d", len(sc.ENBs), maxENBs)
+	}
 	byID := map[lte.ENBID]*ENBDecl{}
+	all := make([]*ENBDecl, len(sc.ENBs))
 	for i := range sc.ENBs {
 		d := &sc.ENBs[i]
 		if byID[d.ID] != nil {
 			return fmt.Errorf("scenario: duplicate eNodeB id %d", d.ID)
 		}
-		byID[d.ID] = d
+		byID[d.ID], all[i] = d, d
 	}
-	hasMap := false
-	for i := range sc.ENBs {
-		if sc.ENBs[i].HasSite {
-			hasMap = true
-		}
-	}
-	imsis := map[uint64]bool{}
+	hasMap := slices.ContainsFunc(sc.ENBs, func(d ENBDecl) bool { return d.HasSite })
+	// Each group owns the contiguous IMSI range [lo, hi); no two may overlap.
+	type imsiRange struct{ lo, hi uint64 }
+	var imsis []imsiRange
+	var ues int64
 	for i := range sc.UEs {
 		g := &sc.UEs[i]
 		where := fmt.Sprintf("ues[%d]", i)
-		targets := []*ENBDecl{byID[g.ENB]}
-		if g.AllENBs {
-			targets = targets[:0]
-			for j := range sc.ENBs {
-				targets = append(targets, &sc.ENBs[j])
+		targets := all
+		if !g.AllENBs {
+			if targets = []*ENBDecl{byID[g.ENB]}; targets[0] == nil {
+				return fmt.Errorf("scenario: %s.enb: unknown eNodeB %d", where, g.ENB)
 			}
-		} else if targets[0] == nil {
-			return fmt.Errorf("scenario: %s.enb: unknown eNodeB %d", where, g.ENB)
 		}
 		for _, t := range targets {
 			if int(g.Cell) >= t.Cells {
 				return fmt.Errorf("scenario: %s.cell: eNodeB %d has no cell %d", where, t.ID, g.Cell)
 			}
 		}
-		n := g.Count
+		// Clamp before multiplying so a hostile count cannot overflow.
+		n := min(int64(g.Count), maxUEs+1)
 		if g.AllENBs {
-			n *= len(sc.ENBs)
+			n *= int64(len(sc.ENBs))
 		}
-		for k := 0; k < n; k++ {
-			imsi := g.IMSIBase + uint64(k)
-			if imsis[imsi] {
-				return fmt.Errorf("scenario: %s: IMSI %d collides with another group", where, imsi)
+		if ues += n; ues > maxUEs {
+			return fmt.Errorf("scenario: %s.count: the document declares more than the limit of %d UEs", where, maxUEs)
+		}
+		own := imsiRange{g.IMSIBase, g.IMSIBase + uint64(n)}
+		first := own.hi // lowest IMSI of this group inside an earlier one
+		for _, r := range imsis {
+			if at := max(own.lo, r.lo); at < min(first, r.hi) {
+				first = at
 			}
-			imsis[imsi] = true
 		}
+		if first < own.hi {
+			return fmt.Errorf("scenario: %s: IMSI %d collides with another group", where, first)
+		}
+		imsis = append(imsis, own)
 		// Resolve "auto" the same way the builder will: geo with a radio
 		// map, fixed without one — so every geo-channel constraint below
 		// covers both spellings.
@@ -1985,13 +1108,7 @@ func (sc *Scenario) validate() error {
 		if len(sc.Slices) > 0 {
 			return fmt.Errorf("scenario: slices and slicing sections are mutually exclusive (the broker owns the slicer)")
 		}
-		hasAgent := false
-		for i := range sc.ENBs {
-			if sc.ENBs[i].Agent {
-				hasAgent = true
-			}
-		}
-		if !hasAgent {
+		if !slices.ContainsFunc(sc.ENBs, func(d ENBDecl) bool { return d.Agent }) {
 			return fmt.Errorf("scenario: slices need at least one agent eNodeB")
 		}
 		names := map[string]bool{}
@@ -2045,56 +1162,6 @@ func (sc *Scenario) validate() error {
 	}
 	// eNodeBs must be declared in a stable id order for deterministic
 	// engine sharding regardless of map iteration anywhere upstream.
-	sorted := sort.SliceIsSorted(sc.ENBs, func(i, j int) bool { return sc.ENBs[i].ID < sc.ENBs[j].ID })
-	if !sorted {
-		sort.SliceStable(sc.ENBs, func(i, j int) bool { return sc.ENBs[i].ID < sc.ENBs[j].ID })
-	}
+	slices.SortStableFunc(sc.ENBs, func(a, b ENBDecl) int { return cmp.Compare(a.ID, b.ID) })
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Scalar helpers.
-
-func posInt(n *yamlite.Node) (int64, error) {
-	v, err := n.Int()
-	if err != nil {
-		return 0, err
-	}
-	if v <= 0 {
-		return 0, errors.New("not positive")
-	}
-	return v, nil
-}
-
-func nonNegInt(n *yamlite.Node) (int64, error) {
-	v, err := n.Int()
-	if err != nil {
-		return 0, err
-	}
-	if v < 0 {
-		return 0, errors.New("negative")
-	}
-	return v, nil
-}
-
-func probVal(n *yamlite.Node) (float64, error) {
-	f, err := n.Float()
-	if err != nil {
-		return 0, err
-	}
-	if f < 0 || f > 1 {
-		return 0, errors.New("out of range")
-	}
-	return f, nil
-}
-
-func cqiVal(n *yamlite.Node) (int64, error) {
-	v, err := n.Int()
-	if err != nil {
-		return 0, err
-	}
-	if v < 1 || v > int64(lte.MaxCQI) {
-		return 0, errors.New("out of range")
-	}
-	return v, nil
 }

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"flexran/internal/ue"
 )
@@ -326,6 +328,79 @@ master:
 `, "", 1),
 			want: "scenario: ues[0] declares no traffic",
 		},
+		{
+			name: "IMSI collision reports the lowest shared IMSI",
+			doc: strings.Replace(minimalDoc, "imsi_base: 100", "imsi_base: 200", 1) + `  - count: 5
+    enb: 1
+    imsi_base: 100
+    traffic:
+      - kind: full_buffer
+  - count: 150
+    enb: 1
+    imsi_base: 98
+    traffic:
+      - kind: full_buffer
+`,
+			want: "scenario: ues[2]: IMSI 100 collides with another group",
+		},
+		// Hostile sizes (testdata/hostile, also fed to flexran-scn validate
+		// in CI): each used to panic, hang or be misreported.
+		{
+			name: "honeycomb rings beyond the limit",
+			doc:  hostileDoc(t, "honeycomb-rings.yaml"),
+			want: "scenario: topology.honeycomb.rings: 3000000000 exceeds the limit of 147 rings",
+		},
+		{
+			name: "grid eNodeBs beyond the limit",
+			doc:  hostileDoc(t, "grid-enbs.yaml"),
+			want: "scenario: topology.grid.enbs: 4000000000000 exceeds the limit of 65536 eNodeBs",
+		},
+		{
+			name: "UE count beyond the limit",
+			doc:  hostileDoc(t, "ue-count.yaml"),
+			want: "scenario: ues[0].count: the document declares more than the limit of 4194304 UEs",
+		},
+		{
+			name: "eNodeB id beyond 32 bits",
+			doc:  hostileDoc(t, "enb-id.yaml"),
+			want: "scenario: topology.enbs[1].id must be a positive integer",
+		},
+		{
+			name: "UE count beyond the limit through enb all",
+			doc: strings.Replace(strings.Replace(minimalDoc, "    - id: 1", "    - id: 1\n    - id: 2\n    - id: 3", 1),
+				"count: 2\n    enb: 1", "count: 2000000\n    enb: all", 1),
+			want: "scenario: ues[0].count: the document declares more than the limit of 4194304 UEs",
+		},
+		{
+			name: "run seconds beyond the limit",
+			doc:  strings.Replace(minimalDoc, "ttis: 100", "seconds: 1e300", 1),
+			want: "scenario: run.seconds: 1e+300 exceeds the limit of 2147483 seconds",
+		},
+		{
+			name: "cell beyond 16 bits",
+			doc:  strings.Replace(minimalDoc, "    enb: 1\n", "    enb: 1\n    cell: 65536\n", 1),
+			want: "scenario: ues[0].cell must be a non-negative integer",
+		},
+		{
+			name: "NaN probability",
+			doc: strings.Replace(minimalDoc, "    - id: 1", `    - id: 1
+      to_master:
+        loss: NaN`, 1),
+			want: "scenario: topology.enbs[0].to_master.loss must be a probability in [0, 1]",
+		},
+		{
+			name: "infinite coordinate",
+			doc:  strings.Replace(minimalDoc, "    - id: 1", "    - id: 1\n      x: -Inf", 1),
+			want: "scenario: topology.enbs[0].x must be a number",
+		},
+		{
+			name: "NaN slicing share",
+			doc: minimalDoc + `slicing:
+  - enb: 1
+    shares: [NaN, 0.5]
+`,
+			want: "scenario: slicing[0].shares must be a float sequence",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -337,6 +412,29 @@ master:
 				t.Fatalf("error = %q\n      want %q", err.Error(), tc.want)
 			}
 		})
+	}
+}
+
+func hostileDoc(t *testing.T, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "hostile", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestValidationIsQuick holds the cross-section checks to the size of the
+// document, not of the world it declares: the largest legal UE population
+// validates without a per-UE table.
+func TestValidationIsQuick(t *testing.T) {
+	doc := strings.Replace(minimalDoc, "count: 2", fmt.Sprint("count: ", maxUEs), 1)
+	start := time.Now()
+	if _, err := Parse(doc); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Parse took %v for a 17-line document", d)
 	}
 }
 
