@@ -171,13 +171,11 @@ func New(e *enb.ENB, opts Options) *Agent {
 		a.mgmt.Name(): a.mgmt,
 		a.rrc.Name():  a.rrc,
 	}
+	// The MAC module picks the operation's VSF by in.Dir.
+	schedule := func(_ lte.CellID, in sched.Input) []sched.Alloc { return a.mac.Schedule(in) }
 	e.SetHooks(enb.Hooks{
-		DLSchedule: func(_ lte.CellID, in sched.Input) []sched.Alloc {
-			return a.mac.Schedule(OpDLUESched, in)
-		},
-		ULSchedule: func(_ lte.CellID, in sched.Input) []sched.Alloc {
-			return a.mac.Schedule(OpULUESched, in)
-		},
+		DLSchedule:    schedule,
+		ULSchedule:    schedule,
 		OnUEEvent:     a.onUEEvent,
 		OnSubframe:    a.onSubframe,
 		OnMeasurement: a.onMeasurement,

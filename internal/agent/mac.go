@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
@@ -53,32 +54,51 @@ var NativeVSFStore = map[string]func() sched.Scheduler{
 // cache, the active VSF per CMI operation, and the remote-decision stubs
 // fed by DLSchedule/ULSchedule commands.
 type MACModule struct {
-	mu     sync.Mutex
-	cache  map[string]sched.Scheduler // "<op>/<name>" -> implementation
-	active map[string]sched.Scheduler // op -> active implementation
-	names  map[string]string          // op -> active cache name
-	stubs  map[string]*sched.RemoteStub
+	mu    sync.Mutex
+	cache map[string]*cachedVSF // "<op>/<name>" -> implementation
+	stubs map[string]*sched.RemoteStub
+	// active is the active cache entry per operation, indexed by the
+	// direction the operation schedules: the data plane reads it every TTI
+	// per cell, so it is one atomic load, not a lock and a string-keyed
+	// lookup, and a swap stores a pointer the cache already holds.
+	active [2]atomic.Pointer[cachedVSF]
+}
+
+// cachedVSF is one cached implementation under its cache name. Entries
+// are immutable: a re-install under the same name replaces the entry.
+type cachedVSF struct {
+	name string
+	impl sched.Scheduler
+}
+
+// opDir maps a CMI operation name to the direction it schedules.
+func opDir(op string) (lte.Direction, bool) {
+	switch op {
+	case OpDLUESched:
+		return lte.Downlink, true
+	case OpULUESched:
+		return lte.Uplink, true
+	}
+	return 0, false
 }
 
 // NewMACModule builds the module with local round robin active on both
 // operations and the native store preloaded into the cache.
 func NewMACModule() *MACModule {
 	m := &MACModule{
-		cache:  map[string]sched.Scheduler{},
-		active: map[string]sched.Scheduler{},
-		names:  map[string]string{},
-		stubs:  map[string]*sched.RemoteStub{},
+		cache: map[string]*cachedVSF{},
+		stubs: map[string]*sched.RemoteStub{},
 	}
 	for _, op := range []string{OpDLUESched, OpULUESched} {
 		for name, mk := range NativeVSFStore {
 			impl := mk()
-			m.cache[op+"/"+name] = impl
+			m.cache[op+"/"+name] = &cachedVSF{name: name, impl: impl}
 			if stub, ok := impl.(*sched.RemoteStub); ok {
 				m.stubs[op] = stub
 			}
 		}
-		m.active[op] = m.cache[op+"/rr"]
-		m.names[op] = "rr"
+		dir, _ := opDir(op)
+		m.active[dir].Store(m.cache[op+"/rr"])
 	}
 	return m
 }
@@ -86,16 +106,10 @@ func NewMACModule() *MACModule {
 // Name implements Module.
 func (*MACModule) Name() string { return "mac" }
 
-// Schedule runs the active VSF for an operation (called from the data
-// plane hooks every TTI).
-func (m *MACModule) Schedule(op string, in sched.Input) []sched.Alloc {
-	m.mu.Lock()
-	impl := m.active[op]
-	m.mu.Unlock()
-	if impl == nil {
-		return nil
-	}
-	return impl.Schedule(in)
+// Schedule runs the active VSF of the operation scheduling in.Dir (called
+// from the data plane hooks every TTI).
+func (m *MACModule) Schedule(in sched.Input) []sched.Alloc {
+	return m.active[in.Dir].Load().impl.Schedule(in)
 }
 
 // PushDecision stores a remote scheduling command into the operation's
@@ -152,7 +166,7 @@ func (m *MACModule) InstallVSF(up *protocol.VSFUpdate) error {
 		return fmt.Errorf("agent: unknown VSF payload kind %d", up.VSFKind)
 	}
 	m.mu.Lock()
-	m.cache[up.VSF+"/"+up.Name] = impl
+	m.cache[up.VSF+"/"+up.Name] = &cachedVSF{name: up.Name, impl: impl}
 	m.mu.Unlock()
 	return nil
 }
@@ -181,7 +195,7 @@ func (m *MACModule) InstallLocal(op, name string, impl sched.Scheduler) error {
 		return fmt.Errorf("agent: mac has no VSF operation %q", op)
 	}
 	m.mu.Lock()
-	m.cache[op+"/"+name] = impl
+	m.cache[op+"/"+name] = &cachedVSF{name: name, impl: impl}
 	m.mu.Unlock()
 	return nil
 }
@@ -198,22 +212,27 @@ func (m *MACModule) RemoteStub(op string) *sched.RemoteStub {
 // Activate swaps the active VSF of an operation to a cached entry. This is
 // the hot-swap measured in §5.4 (≈100 ns in the paper's C prototype).
 func (m *MACModule) Activate(op, name string) error {
+	dir, ok := opDir(op)
+	if !ok {
+		return fmt.Errorf("agent: mac has no VSF operation %q", op)
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	impl, ok := m.cache[op+"/"+name]
+	vsf, ok := m.cache[op+"/"+name]
+	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("agent: no cached VSF %q for %s", name, op)
 	}
-	m.active[op] = impl
-	m.names[op] = name
+	m.active[dir].Store(vsf)
 	return nil
 }
 
 // ActiveName returns the cache name of the operation's active VSF.
 func (m *MACModule) ActiveName(op string) string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.names[op]
+	dir, ok := opDir(op)
+	if !ok {
+		return ""
+	}
+	return m.active[dir].Load().name
 }
 
 // CachedVSFs lists the cache keys, sorted (for inspection/monitoring).
@@ -254,10 +273,8 @@ func (m *MACModule) Reconfigure(doc *yamlite.Node) error {
 }
 
 func (m *MACModule) applyParams(op string, params *yamlite.Node) error {
-	m.mu.Lock()
-	impl := m.active[op]
-	m.mu.Unlock()
-	p, ok := impl.(sched.Parametrizable)
+	dir, _ := opDir(op) // Reconfigure vetted op
+	p, ok := m.active[dir].Load().impl.(sched.Parametrizable)
 	if !ok {
 		return fmt.Errorf("agent: active VSF %q accepts no parameters", m.ActiveName(op))
 	}

@@ -120,8 +120,9 @@ type TickerApp interface {
 type session struct {
 	send func(*protocol.Message) error
 
-	qmu    sync.Mutex // guards queue and closed
+	qmu    sync.Mutex // guards queue, taken and closed
 	queue  []*protocol.Message
+	taken  []*protocol.Message // the batch the last drain handed out
 	closed bool
 
 	// fenced marks a session displaced by a newer-epoch Hello for the same
@@ -182,11 +183,15 @@ func (s *session) enqueue(msgs []*protocol.Message) {
 	}
 }
 
-// drain takes the queued batch.
+// drain takes the queued batch. The session keeps two backing arrays and
+// swaps them, so a steady-state enqueue never buys a new one: the batch
+// returned here is dead after the Tick that took it, and the next drain
+// turns it into the ingest queue again (applyBatch has nilled its entries
+// by then).
 func (s *session) drain() []*protocol.Message {
 	s.qmu.Lock()
 	out := s.queue
-	s.queue = nil
+	s.queue, s.taken = s.taken[:0], out
 	s.qmu.Unlock()
 	return out
 }
@@ -652,9 +657,10 @@ func (m *Master) snapshotBindings(sessions []*session) []lte.ENBID {
 // built directly rather than decoded, so in-process drivers and tests that
 // Deliver hand-made messages are unaffected.
 func (m *Master) applyBatch(s *session, msgs []*protocol.Message, sink *tickSink) {
-	for _, msg := range msgs {
+	for i, msg := range msgs {
 		m.applyInbound(s, msg, sink)
 		msg.Release()
+		msgs[i] = nil // the batch's array is recycled by the next drain
 	}
 }
 

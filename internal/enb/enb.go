@@ -18,8 +18,9 @@
 // touches (CQI, queues, averaging, HARQ bookkeeping) live in dense parallel
 // lanes indexed by a compact slot id, while the rarely-touched remainder
 // (identity, attach supervision, DRX) sits in a parallel cold array. Slots
-// are recycled through a free list on detach/handover, and two compact maps
-// (RNTI→slot, IMSI→slot) provide O(1) lookups without per-UE heap objects.
+// are recycled through a free list on detach/handover; a dense RNTI-indexed
+// table (RNTI→slot, on the per-TTI path) and a compact map (IMSI→slot)
+// provide O(1) lookups without per-UE heap objects.
 package enb
 
 import (
@@ -204,8 +205,11 @@ type ENB struct {
 	// order is the live slots in ascending RNTI order, kept sorted
 	// incrementally (insertion keeps the invariant; removal preserves it),
 	// so per-TTI sweeps never re-sort and never touch a map.
-	order      []int32
-	slotOf     map[lte.RNTI]int32
+	order []int32
+	// slotOf maps RNTI→slot by direct index: entry rnti-FirstUERNTI holds
+	// slot+1, 0 for an RNTI no live UE holds. It grows to the highest RNTI
+	// handed out; read it through lookup, which bounds-checks both ends.
+	slotOf     []int32
 	slotByIMSI map[uint64]int32
 	free       []int32 // recycled slots (fully zeroed)
 
@@ -249,7 +253,6 @@ func New(cfg Config) *ENB {
 	e := &ENB{
 		cfg:        cfg,
 		cells:      map[lte.CellID]*cell{},
-		slotOf:     map[lte.RNTI]int32{},
 		slotByIMSI: map[uint64]int32{},
 		rnd:        rand.New(rand.NewSource(cfg.Seed + 1)),
 		nextRNTI:   lte.FirstUERNTI,
@@ -385,6 +388,43 @@ func (e *ENB) trackChannel(ch radio.Model, delta int) {
 	}
 }
 
+// lookup resolves an RNTI to its slot. Any value is safe to ask about —
+// reserved RNTIs below FirstUERNTI, ones never handed out, ones a remote
+// scheduler invented — and reads as "unknown UE".
+func (e *ENB) lookup(rnti lte.RNTI) (int32, bool) {
+	i := int(rnti) - int(lte.FirstUERNTI)
+	if i < 0 || i >= len(e.slotOf) || e.slotOf[i] == 0 {
+		return 0, false
+	}
+	return e.slotOf[i] - 1, true
+}
+
+// bindRNTI allocates a slot for a new UE under the next free C-RNTI:
+// nextRNTI, wrapping from the top of the 16-bit range back to FirstUERNTI
+// and skipping values live UEs still hold. It fails when every C-RNTI is
+// taken.
+func (e *ENB) bindRNTI() (lte.RNTI, int32, error) {
+	const span = 1<<16 - int(lte.FirstUERNTI)
+	for tries := 0; tries < span; tries++ {
+		rnti := e.nextRNTI
+		if e.nextRNTI++; e.nextRNTI < lte.FirstUERNTI {
+			e.nextRNTI = lte.FirstUERNTI
+		}
+		if _, live := e.lookup(rnti); live {
+			continue
+		}
+		i := int(rnti - lte.FirstUERNTI)
+		for len(e.slotOf) <= i {
+			e.slotOf = append(e.slotOf, 0)
+		}
+		s := e.allocSlot()
+		e.slotOf[i] = s + 1
+		e.hot.rnti[s] = rnti
+		return rnti, s, nil
+	}
+	return 0, 0, fmt.Errorf("enb: eNodeB %d has no free C-RNTI", e.cfg.ID)
+}
+
 // AddUE starts the attach procedure for a new UE and returns its RNTI.
 func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	if _, ok := e.cells[p.Cell]; !ok {
@@ -393,17 +433,16 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	if p.Channel == nil {
 		p.Channel = radio.Fixed(lte.MaxCQI)
 	}
-	rnti := e.nextRNTI
-	e.nextRNTI++
-	s := e.allocSlot()
-	e.hot.rnti[s] = rnti
+	rnti, s, err := e.bindRNTI()
+	if err != nil {
+		return 0, err
+	}
 	e.hot.state[s] = StateAttaching
 	e.hot.sigPending[s] = e.cfg.AttachSignalingBytes
 	c := &e.cold[s]
 	c.params = p
 	c.deadline = e.sf + lte.Subframe(e.cfg.AttachTimeoutTTI)
 	c.attempts = 1
-	e.slotOf[rnti] = s
 	e.slotByIMSI[p.IMSI] = s
 	e.insertOrdered(s)
 	e.trackChannel(p.Channel, 1)
@@ -413,13 +452,13 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 
 // RemoveUE detaches a UE.
 func (e *ENB) RemoveUE(rnti lte.RNTI) {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.lookup(rnti)
 	if !ok {
 		return
 	}
 	cellID := e.cold[s].params.Cell
 	e.trackChannel(e.cold[s].params.Channel, -1)
-	delete(e.slotOf, rnti)
+	e.slotOf[rnti-lte.FirstUERNTI] = 0
 	delete(e.slotByIMSI, e.cold[s].params.IMSI)
 	for i, os := range e.order {
 		if os == s {
@@ -458,7 +497,7 @@ type HandoverState struct {
 // for forwarding; like RemoveUE it raises a detach event (the source
 // agent's notification that the UE left this cell).
 func (e *ENB) ReleaseUE(rnti lte.RNTI) (HandoverState, bool) {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.lookup(rnti)
 	if !ok {
 		return HandoverState{}, false
 	}
@@ -490,10 +529,10 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	if st.Params.Channel == nil {
 		st.Params.Channel = radio.Fixed(lte.MaxCQI)
 	}
-	rnti := e.nextRNTI
-	e.nextRNTI++
-	s := e.allocSlot()
-	e.hot.rnti[s] = rnti
+	rnti, s, err := e.bindRNTI()
+	if err != nil {
+		return 0, err
+	}
 	e.hot.state[s] = StateConnected
 	dlQueue := min(st.DLQueue, e.cfg.DLQueueCap)
 	e.hot.dlQueue[s] = dlQueue
@@ -507,7 +546,6 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	c.ulDelivered = st.ULDelivered
 	c.dlDropped = st.DLDropped + uint64(st.DLQueue-dlQueue)
 	c.harqRetx = st.HARQRetx
-	e.slotOf[rnti] = s
 	e.slotByIMSI[st.Params.IMSI] = s
 	e.insertOrdered(s)
 	e.trackChannel(st.Params.Channel, 1)
@@ -518,7 +556,7 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 // SetDRX configures discontinuous reception for a UE (Table 1 "DRX
 // commands"). cycleTTI 0 disables DRX.
 func (e *ENB) SetDRX(rnti lte.RNTI, cycleTTI, onDuration int) error {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.lookup(rnti)
 	if !ok {
 		return fmt.Errorf("enb: unknown UE %d", rnti)
 	}
@@ -536,7 +574,7 @@ func (e *ENB) SetDRX(rnti lte.RNTI, cycleTTI, onDuration int) error {
 // DLEnqueue adds downlink bytes for a UE (the EPC injection path).
 // It returns the bytes accepted after the queue cap.
 func (e *ENB) DLEnqueue(rnti lte.RNTI, bytes int) int {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.lookup(rnti)
 	if !ok || bytes <= 0 {
 		return 0
 	}
@@ -552,7 +590,7 @@ func (e *ENB) DLEnqueue(rnti lte.RNTI, bytes int) int {
 // ULEnqueue adds uplink bytes at the UE (its traffic generator). The first
 // byte after an empty buffer raises a scheduling-request event.
 func (e *ENB) ULEnqueue(rnti lte.RNTI, bytes int) int {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.lookup(rnti)
 	if !ok || bytes <= 0 {
 		return 0
 	}
@@ -722,7 +760,7 @@ func (e *ENB) schedInput(c *cell, sf lte.Subframe, dir lte.Direction) sched.Inpu
 func (e *ENB) apply(c *cell, sf lte.Subframe, dir lte.Direction, allocs []sched.Alloc, budget int) int {
 	used := 0
 	for _, a := range allocs {
-		s, ok := e.slotOf[a.RNTI]
+		s, ok := e.lookup(a.RNTI)
 		if !ok || a.RBCount <= 0 {
 			continue
 		}

@@ -126,7 +126,7 @@ func TestThroughputScalesWithCQI(t *testing.T) {
 		e := newENB(t)
 		rnti := addConnected(t, e, radio.Fixed(15))
 		// Switch to the probed CQI after attach.
-		e.cold[e.slotOf[rnti]].params.Channel = radio.Fixed(c)
+		e.cold[slotFor(t, e, rnti)].params.Channel = radio.Fixed(c)
 		for i := 0; i < 2000; i++ {
 			e.DLEnqueue(rnti, 1<<20)
 			e.Step()
@@ -211,7 +211,7 @@ func TestHARQStaleCQICausesRetransmissions(t *testing.T) {
 	// margin recovery.
 	e := newENB(t)
 	rnti := addConnected(t, e, radio.Fixed(15))
-	e.cold[e.slotOf[rnti]].params.Channel = radio.Fixed(3) // channel collapses
+	e.cold[slotFor(t, e, rnti)].params.Channel = radio.Fixed(3) // channel collapses
 	e.SetHooks(Hooks{DLSchedule: func(_ lte.CellID, in sched.Input) []sched.Alloc {
 		var out []sched.Alloc
 		for _, u := range in.UEs {

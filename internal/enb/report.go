@@ -32,7 +32,7 @@ type UEReport struct {
 
 // UEReport returns the snapshot for one UE, with ok=false when unknown.
 func (e *ENB) UEReport(rnti lte.RNTI) (UEReport, bool) {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.lookup(rnti)
 	if !ok {
 		return UEReport{}, false
 	}
@@ -95,7 +95,7 @@ func (e *ENB) UEs() []lte.RNTI {
 
 // Connected reports whether a UE has completed attachment.
 func (e *ENB) Connected(rnti lte.RNTI) bool {
-	s, ok := e.slotOf[rnti]
+	s, ok := e.lookup(rnti)
 	return ok && e.hot.state[s] == StateConnected
 }
 

@@ -7,6 +7,16 @@ import (
 	"flexran/internal/radio"
 )
 
+// slotFor resolves a live UE's slot through the lookup helper.
+func slotFor(t *testing.T, e *ENB, rnti lte.RNTI) int32 {
+	t.Helper()
+	s, ok := e.lookup(rnti)
+	if !ok {
+		t.Fatalf("RNTI %d has no slot", rnti)
+	}
+	return s
+}
+
 // dirtySlot attaches a UE, drives traffic through it until every hot lane
 // holds nonzero state, and returns its slot id.
 func dirtySlot(t *testing.T, e *ENB) (lte.RNTI, int32) {
@@ -17,7 +27,7 @@ func dirtySlot(t *testing.T, e *ENB) (lte.RNTI, int32) {
 	for i := 0; i < 20; i++ {
 		e.Step()
 	}
-	s := e.slotOf[rnti]
+	s := slotFor(t, e, rnti)
 	r, _ := e.UEReport(rnti)
 	if r.CQI == 0 || r.AvgDLKbps == 0 || r.AvgULKbps == 0 || r.DLDelivered == 0 || r.LastSched == 0 {
 		t.Fatalf("failed to dirty the slot: %+v", r)
@@ -48,7 +58,7 @@ func TestSlotReuseNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.slotOf[rnti]; got != s {
+	if got := slotFor(t, e, rnti); got != s {
 		t.Fatalf("new UE got slot %d, want recycled slot %d", got, s)
 	}
 	if len(e.hot.rnti) != lanes || len(e.cold) != lanes {
@@ -102,7 +112,7 @@ func TestHandoverSlotReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.slotOf[rnti]; got != s {
+	if got := slotFor(t, e, rnti); got != s {
 		t.Fatalf("admission got slot %d, want recycled slot %d", got, s)
 	}
 	r, _ := e.UEReport(rnti)

@@ -28,6 +28,25 @@ type Bearer struct {
 	// Accounting.
 	DLOffered  uint64 // bytes presented by the traffic source
 	DLAccepted uint64 // bytes accepted into the RLC queue
+
+	// enb is the serving eNodeB behind ENB, resolved once at Attach and
+	// Handover so per-TTI injection needs no table lookup; nil once the
+	// bearer is detached.
+	enb *enb.ENB
+}
+
+// Downlink forwards bytes down the bearer into the serving eNodeB's RLC
+// queue, returning the bytes accepted (the rest were dropped at the RLC
+// cap). A caller that holds the bearer injects here directly; EPC.Downlink
+// is the same forward behind an IMSI lookup.
+func (b *Bearer) Downlink(bytes int) (int, error) {
+	if b.enb == nil {
+		return 0, fmt.Errorf("epc: bearer of IMSI %d is detached", b.IMSI)
+	}
+	accepted := b.enb.DLEnqueue(b.RNTI, bytes)
+	b.DLOffered += uint64(bytes)
+	b.DLAccepted += uint64(accepted)
+	return accepted, nil
 }
 
 // EPC routes user-plane traffic to registered eNodeBs.
@@ -53,13 +72,14 @@ func (c *EPC) Register(e *enb.ENB) {
 
 // Attach creates the default bearer for a subscriber.
 func (c *EPC) Attach(imsi uint64, enbID lte.ENBID, rnti lte.RNTI) (*Bearer, error) {
-	if _, ok := c.enbs[enbID]; !ok {
+	e, ok := c.enbs[enbID]
+	if !ok {
 		return nil, fmt.Errorf("epc: unknown eNodeB %d", enbID)
 	}
 	if _, dup := c.bearers[imsi]; dup {
 		return nil, fmt.Errorf("epc: IMSI %d already attached", imsi)
 	}
-	b := &Bearer{IMSI: imsi, ENB: enbID, RNTI: rnti, TEID: c.nextTEID}
+	b := &Bearer{IMSI: imsi, ENB: enbID, RNTI: rnti, TEID: c.nextTEID, enb: e}
 	c.nextTEID++
 	c.bearers[imsi] = b
 	return b, nil
@@ -67,7 +87,10 @@ func (c *EPC) Attach(imsi uint64, enbID lte.ENBID, rnti lte.RNTI) (*Bearer, erro
 
 // Detach removes a subscriber's bearer.
 func (c *EPC) Detach(imsi uint64) {
-	delete(c.bearers, imsi)
+	if b, ok := c.bearers[imsi]; ok {
+		b.enb = nil // a holder of the bearer must not inject past the detach
+		delete(c.bearers, imsi)
+	}
 }
 
 // Downlink routes bytes toward a subscriber, returning the bytes accepted
@@ -77,14 +100,7 @@ func (c *EPC) Downlink(imsi uint64, bytes int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("epc: no bearer for IMSI %d", imsi)
 	}
-	e := c.enbs[b.ENB]
-	if e == nil {
-		return 0, fmt.Errorf("epc: eNodeB %d gone", b.ENB)
-	}
-	accepted := e.DLEnqueue(b.RNTI, bytes)
-	b.DLOffered += uint64(bytes)
-	b.DLAccepted += uint64(accepted)
-	return accepted, nil
+	return b.Downlink(bytes)
 }
 
 // Bearer returns a subscriber's bearer.
@@ -110,9 +126,10 @@ func (c *EPC) Handover(imsi uint64, newENB lte.ENBID, newRNTI lte.RNTI) error {
 	if !ok {
 		return fmt.Errorf("epc: no bearer for IMSI %d", imsi)
 	}
-	if _, ok := c.enbs[newENB]; !ok {
+	e, ok := c.enbs[newENB]
+	if !ok {
 		return fmt.Errorf("epc: unknown eNodeB %d", newENB)
 	}
-	b.ENB, b.RNTI = newENB, newRNTI
+	b.ENB, b.RNTI, b.enb = newENB, newRNTI, e
 	return nil
 }

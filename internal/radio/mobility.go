@@ -212,13 +212,17 @@ func (m *Map) SINRdB(p Point, serving lte.ENBID) (float64, bool) {
 	if sv == nil {
 		return 0, false
 	}
-	var intf []Transmitter
+	// Same sum, in the same site order, as SINRdB over the list of every
+	// other eNodeB's transmitters — without building the list (this runs
+	// per UE per TTI, and the Map is shared across workers).
+	sig := dbmToMw(sv.Tx.PowerDBm - PathLossDB(Distance(p, sv.Tx.Pos)))
+	intf := dbmToMw(NoiseDBm)
 	for i := range m.Sites {
-		if m.Sites[i].ENB != serving {
-			intf = append(intf, m.Sites[i].Tx)
+		if t := &m.Sites[i]; t.ENB != serving {
+			intf += dbmToMw(t.Tx.PowerDBm - PathLossDB(Distance(p, t.Tx.Pos)))
 		}
 	}
-	return SINRdB(p, sv.Tx, intf, nil), true
+	return 10 * math.Log10(sig/intf), true
 }
 
 // ---------------------------------------------------------------------------

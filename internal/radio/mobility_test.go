@@ -278,3 +278,53 @@ func TestMapQueries(t *testing.T) {
 		t.Errorf("RSRQ = %v (ok=%v), want negative", q, ok)
 	}
 }
+
+// gridMap is a 4 x 4 grid of single-site eNodeBs, 900 m apart (the ctl-mix
+// world's geometry).
+func gridMap() *Map {
+	var sites []Site
+	for e := 0; e < 16; e++ {
+		sites = append(sites, Site{ENB: lte.ENBID(e + 1), Tx: Transmitter{
+			Pos: Point{X: float64(e%4) * 900, Y: float64(e/4) * 900}, PowerDBm: 43,
+		}})
+	}
+	return NewMap(sites...)
+}
+
+// Map.SINRdB sums the interference in place; it must stay bit-identical to
+// SINRdB over the explicit list of every other eNodeB's transmitters (the
+// goldens pin every CQI it quantizes to).
+func TestMapSINRMatchesInterfererList(t *testing.T) {
+	m := gridMap()
+	walker := &Waypoint{Path: []Point{{X: -200, Y: 100}, {X: 2900, Y: 2600}}, SpeedMps: 3000, PingPong: true}
+	for sf := lte.Subframe(0); sf < 2000; sf++ {
+		p := walker.PositionAt(sf)
+		serving := lte.ENBID(1 + sf%16)
+		var intf []Transmitter
+		for _, s := range m.Sites {
+			if s.ENB != serving {
+				intf = append(intf, s.Tx)
+			}
+		}
+		want := SINRdB(p, m.bestSite(p, serving).Tx, intf, nil)
+		if got, ok := m.SINRdB(p, serving); !ok || got != want {
+			t.Fatalf("sf %d: SINRdB = %v, %v; want %v bit for bit", sf, got, ok, want)
+		}
+	}
+}
+
+// TestAllocGateGeoChannelCQI gates the per-UE per-TTI channel query of a
+// mobile UE: position, serving SINR against 15 interfering sites, CQI —
+// all on the stack. (Measured: 0 allocs/op; the interferer list it used to
+// build was 55 % of ctl-mix's allocated objects.)
+func TestAllocGateGeoChannelCQI(t *testing.T) {
+	g := NewGeoChannel(gridMap(), &Waypoint{Path: []Point{{X: 750, Y: 850}, {X: 1150, Y: 1000}}, SpeedMps: 30, PingPong: true}, 6)
+	sf := lte.Subframe(0)
+	var sum int
+	if got := testing.AllocsPerRun(1000, func() { sf++; sum += int(g.CQI(sf)) }); got != 0 {
+		t.Errorf("GeoChannel.CQI: %.1f allocs/op, want 0", got)
+	}
+	if sum == 0 {
+		t.Error("the walker never reported a CQI: the gate measured nothing")
+	}
+}

@@ -6,12 +6,13 @@
 //
 // Schedulers are pure with respect to the data plane: they map an Input
 // snapshot (backlogged UEs with channel state) to a list of allocations.
-// Some keep internal fairness state (rotation pointers), which is
-// explicitly documented per type.
+// Every scheduler owns the working set of its own Schedule calls (index,
+// key and result slices, reused across TTIs), and some keep fairness state
+// (rotation pointers), which is explicitly documented per type.
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"flexran/internal/lte"
 )
@@ -55,6 +56,14 @@ type Alloc struct {
 // Scheduler maps an input snapshot to allocations. Implementations must
 // never allocate more than Input.TotalPRB resource blocks in total and
 // must keep allocations disjoint.
+//
+// A Scheduler is not safe for concurrent use, and the slice Schedule
+// returns is valid until the next Schedule call on the same value: the
+// schedulers of this package keep their working set, result included, on
+// the scheduler and reuse it every TTI. One instance therefore serves one
+// cell direction (or one application loop); callers consume or copy the
+// result before asking again. The same rule holds the other way round for
+// Input.UEs, which a scheduler must neither retain nor modify.
 type Scheduler interface {
 	// Name identifies the scheduler (used as VSF cache keys and in
 	// policy documents).
@@ -68,19 +77,28 @@ func bytesPerPRB(dir lte.Direction, c lte.CQI) int {
 	return lte.TBSBytes(dir, c, 1)
 }
 
+// workset is the per-scheduler working set: the backlogged index, one
+// priority key per Input.UEs entry and the result, all reused from call to
+// call so a steady-state Schedule allocates nothing.
+type workset struct {
+	idx  []int
+	keys []float64
+	out  []Alloc
+}
+
 // FillByOrder allocates PRBs to UEs in the given priority order (indices
-// into in.UEs). Each UE receives just enough PRBs to drain its queue this
-// TTI, and the remainder flows to the next UE — a work-conserving greedy
-// fill used by every priority-ordered scheduler in this package.
-func FillByOrder(in Input, order []int) []Alloc {
-	var out []Alloc
+// into in.UEs), appending to out. Each UE receives just enough PRBs to
+// drain its queue this TTI, and the remainder flows to the next UE — a
+// work-conserving greedy fill used by every priority-ordered scheduler in
+// this package.
+func FillByOrder(in Input, order []int, out []Alloc) []Alloc {
 	rbStart := 0
 	left := in.TotalPRB
 	for _, idx := range order {
 		if left == 0 {
 			break
 		}
-		ue := in.UEs[idx]
+		ue := &in.UEs[idx]
 		per := bytesPerPRB(in.Dir, ue.CQI)
 		if ue.QueueBytes <= 0 || per == 0 {
 			continue
@@ -102,19 +120,54 @@ func FillByOrder(in Input, order []int) []Alloc {
 	return out
 }
 
-// backlogged returns the indices of servable UEs (non-empty queue, CQI>0),
-// sorted by RNTI for determinism.
-func backlogged(in Input) []int {
-	var idx []int
-	for i, ue := range in.UEs {
+// backlogged fills w.idx with the indices of servable UEs (non-empty
+// queue, CQI>0) in ascending RNTI order, for determinism. Both producers
+// of an Input (the eNodeB's snapshot and the RIB's) already deliver RNTI
+// order, so the sort runs only for a caller that did not.
+func (w *workset) backlogged(in Input) []int {
+	idx := w.idx[:0]
+	ascending := true
+	var prev lte.RNTI
+	for i := range in.UEs {
+		ue := &in.UEs[i]
 		if ue.QueueBytes > 0 && ue.CQI > 0 {
+			if ue.RNTI < prev {
+				ascending = false
+			}
+			prev = ue.RNTI
 			idx = append(idx, i)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return in.UEs[idx[a]].RNTI < in.UEs[idx[b]].RNTI
-	})
+	if !ascending {
+		slices.SortFunc(idx, func(a, b int) int { return int(in.UEs[a].RNTI) - int(in.UEs[b].RNTI) })
+	}
+	w.idx = idx
 	return idx
+}
+
+// fillByKey orders idx by descending w.keys (indexed like in.UEs), ties
+// keeping their RNTI order, and greedily fills in that order.
+func (w *workset) fillByKey(in Input, idx []int) []Alloc {
+	keys := w.keys
+	// Not cmp.Compare: it orders NaN first, and a NaN key must stay what
+	// it always was under ">" — incomparable, so left where it stands.
+	slices.SortStableFunc(idx, func(a, b int) int {
+		switch {
+		case keys[a] > keys[b]:
+			return -1
+		case keys[a] < keys[b]:
+			return 1
+		}
+		return 0
+	})
+	w.out = FillByOrder(in, idx, w.out[:0])
+	return w.out
+}
+
+// sizeKeys returns w.keys with room for one key per in.UEs entry.
+func (w *workset) sizeKeys(in Input) []float64 {
+	w.keys = slices.Grow(w.keys[:0], len(in.UEs))[:len(in.UEs)]
+	return w.keys
 }
 
 // RoundRobin is the fair equal-share scheduler: every backlogged UE gets
@@ -123,6 +176,7 @@ func backlogged(in Input) []int {
 // of the Fig. 12b MNO.
 type RoundRobin struct {
 	rot int // rotation offset for remainder distribution
+	ws  workset
 }
 
 // NewRoundRobin returns a fair equal-share scheduler.
@@ -133,25 +187,32 @@ func (*RoundRobin) Name() string { return "rr" }
 
 // Schedule implements Scheduler.
 func (s *RoundRobin) Schedule(in Input) []Alloc {
-	idx := backlogged(in)
+	idx := s.ws.backlogged(in)
 	if len(idx) == 0 {
 		return nil
 	}
 	share := in.TotalPRB / len(idx)
 	extra := in.TotalPRB % len(idx)
-	var out []Alloc
+	out := s.ws.out[:0]
 	rbStart := 0
 	spare := 0 // PRBs returned by UEs that need less than their share
+	// Rotate so the +1 remainder moves across UEs over time.
+	at := s.rot % len(idx)
 	for pos := range idx {
-		// Rotate so the +1 remainder moves across UEs over time.
-		i := idx[(pos+s.rot)%len(idx)]
-		ue := in.UEs[i]
+		ue := &in.UEs[idx[at]]
+		if at++; at == len(idx) {
+			at = 0
+		}
 		quota := share
 		if pos < extra {
 			quota++
 		}
-		per := bytesPerPRB(in.Dir, ue.CQI)
-		need := (ue.QueueBytes + per - 1) / per
+		// One uplink PRB at CQI 1 carries less than a byte: such a UE
+		// needs nothing and its quota flows on as spare.
+		need := 0
+		if per := bytesPerPRB(in.Dir, ue.CQI); per > 0 {
+			need = (ue.QueueBytes + per - 1) / per
+		}
 		n := quota + spare
 		if n > need {
 			spare = n - need
@@ -171,13 +232,14 @@ func (s *RoundRobin) Schedule(in Input) []Alloc {
 		rbStart += n
 	}
 	s.rot++
+	s.ws.out = out
 	return out
 }
 
 // ProportionalFair ranks UEs by instantaneous-rate over average-rate, the
 // classic PF metric, then greedily fills. The average rate is supplied by
 // the MAC in UEInfo.AvgRateKbps.
-type ProportionalFair struct{}
+type ProportionalFair struct{ ws workset }
 
 // NewProportionalFair returns a PF scheduler.
 func NewProportionalFair() *ProportionalFair { return &ProportionalFair{} }
@@ -187,14 +249,15 @@ func (*ProportionalFair) Name() string { return "pf" }
 
 // Schedule implements Scheduler.
 func (s *ProportionalFair) Schedule(in Input) []Alloc {
-	idx := backlogged(in)
-	sort.SliceStable(idx, func(a, b int) bool {
-		return pfMetric(in, in.UEs[idx[a]]) > pfMetric(in, in.UEs[idx[b]])
-	})
-	return FillByOrder(in, idx)
+	idx := s.ws.backlogged(in)
+	keys := s.ws.sizeKeys(in)
+	for _, i := range idx {
+		keys[i] = pfMetric(in, &in.UEs[i])
+	}
+	return s.ws.fillByKey(in, idx)
 }
 
-func pfMetric(in Input, ue UEInfo) float64 {
+func pfMetric(in Input, ue *UEInfo) float64 {
 	inst := float64(lte.TBSBits(in.Dir, ue.CQI, in.TotalPRB)) // bits/TTI
 	avg := ue.AvgRateKbps
 	if avg < 1 {
@@ -205,7 +268,7 @@ func pfMetric(in Input, ue UEInfo) float64 {
 
 // MaxCQI always serves the best channel first (maximum-throughput,
 // fairness-free; the baseline that motivates PF).
-type MaxCQI struct{}
+type MaxCQI struct{ ws workset }
 
 // NewMaxCQI returns a max-CQI scheduler.
 func NewMaxCQI() *MaxCQI { return &MaxCQI{} }
@@ -215,11 +278,12 @@ func (*MaxCQI) Name() string { return "maxcqi" }
 
 // Schedule implements Scheduler.
 func (s *MaxCQI) Schedule(in Input) []Alloc {
-	idx := backlogged(in)
-	sort.SliceStable(idx, func(a, b int) bool {
-		return in.UEs[idx[a]].CQI > in.UEs[idx[b]].CQI
-	})
-	return FillByOrder(in, idx)
+	idx := s.ws.backlogged(in)
+	keys := s.ws.sizeKeys(in)
+	for _, i := range idx {
+		keys[i] = float64(in.UEs[i].CQI)
+	}
+	return s.ws.fillByKey(in, idx)
 }
 
 // MetricFunc scores one UE; higher runs first. UEs scoring negative are
@@ -233,6 +297,7 @@ type MetricFunc func(in Input, ue UEInfo) float64
 type Metric struct {
 	name string
 	fn   MetricFunc
+	ws   workset
 }
 
 // NewMetric builds a metric scheduler.
@@ -245,19 +310,13 @@ func (m *Metric) Name() string { return m.name }
 
 // Schedule implements Scheduler.
 func (m *Metric) Schedule(in Input) []Alloc {
-	idx := backlogged(in)
-	scores := make(map[int]float64, len(idx))
-	for _, i := range idx {
-		scores[i] = m.fn(in, in.UEs[i])
-	}
+	idx := m.ws.backlogged(in)
+	keys := m.ws.sizeKeys(in)
 	kept := idx[:0]
 	for _, i := range idx {
-		if scores[i] >= 0 {
+		if keys[i] = m.fn(in, in.UEs[i]); keys[i] >= 0 {
 			kept = append(kept, i)
 		}
 	}
-	sort.SliceStable(kept, func(a, b int) bool {
-		return scores[kept[a]] > scores[kept[b]]
-	})
-	return FillByOrder(in, kept)
+	return m.ws.fillByKey(in, kept)
 }

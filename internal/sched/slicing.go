@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"flexran/internal/lte"
@@ -26,6 +27,19 @@ type Slicer struct {
 	// operator throughput tracks the configured quota exactly.
 	workConserving bool
 	groups         map[int]Scheduler
+
+	// Working set of one Schedule call, reused across TTIs: the input's
+	// UEs reordered group by group, the bounds and quota of each group's
+	// run in it, and the merged result.
+	part []UEInfo
+	runs []groupRun
+	out  []Alloc
+}
+
+// groupRun is one group's share of a Schedule call: its UEs are
+// part[lo:hi] and quota its PRB budget.
+type groupRun struct {
+	group, lo, hi, quota int
 }
 
 // NewSlicer builds a slicing scheduler. shares[g] is the PRB fraction of
@@ -74,20 +88,19 @@ func (s *Slicer) Schedule(in Input) []Alloc {
 	shares := s.shares
 	s.mu.Unlock()
 
-	// Partition UEs by group; groups beyond the share vector get 0.
-	byGroup := map[int][]UEInfo{}
-	for _, ue := range in.UEs {
-		byGroup[ue.Group] = append(byGroup[ue.Group], ue)
-	}
-	groups := make([]int, 0, len(byGroup))
-	for g := range byGroup {
-		groups = append(groups, g)
-	}
-	sort.Ints(groups)
-
-	quota := make(map[int]int, len(groups))
+	// Partition UEs by group, ascending, each group keeping the input's
+	// UE order; groups beyond the share vector get 0.
+	part := append(s.part[:0], in.UEs...)
+	s.part = part
+	slices.SortStableFunc(part, func(a, b UEInfo) int { return cmp.Compare(a.Group, b.Group) })
+	runs := s.runs[:0]
 	assigned := 0
-	for _, g := range groups {
+	for lo := 0; lo < len(part); {
+		g := part[lo].Group
+		hi := lo + 1
+		for hi < len(part) && part[hi].Group == g {
+			hi++
+		}
 		var q int
 		if g >= 0 && g < len(shares) {
 			q = int(shares[g]*float64(in.TotalPRB) + 0.5)
@@ -95,23 +108,25 @@ func (s *Slicer) Schedule(in Input) []Alloc {
 		if assigned+q > in.TotalPRB {
 			q = in.TotalPRB - assigned
 		}
-		quota[g] = q
+		runs = append(runs, groupRun{group: g, lo: lo, hi: hi, quota: q})
 		assigned += q
+		lo = hi
 	}
+	s.runs = runs
 	spare := in.TotalPRB - assigned
 
-	var out []Alloc
+	out := s.out[:0]
 	rbStart := 0
-	for _, g := range groups {
-		q := quota[g]
+	for _, r := range runs {
+		q := r.quota
 		if s.workConserving {
 			q += spare
 		}
 		if q == 0 {
 			continue
 		}
-		sub := Input{SF: in.SF, Dir: in.Dir, TotalPRB: q, UEs: byGroup[g]}
-		allocs := s.groupSched(g).Schedule(sub)
+		sub := Input{SF: in.SF, Dir: in.Dir, TotalPRB: q, UEs: part[r.lo:r.hi]}
+		allocs := s.groupSched(r.group).Schedule(sub)
 		used := 0
 		for _, a := range allocs {
 			a.RBStart = rbStart + used
@@ -126,6 +141,7 @@ func (s *Slicer) Schedule(in Input) []Alloc {
 		}
 		rbStart += used
 	}
+	s.out = out
 	return out
 }
 
@@ -187,6 +203,7 @@ type RemoteStub struct {
 	pending map[lte.Subframe][]Alloc
 	applied int
 	missed  int
+	out     []Alloc // result of the last Schedule, reused
 }
 
 // NewRemoteStub returns an empty stub.
@@ -223,7 +240,7 @@ func (s *RemoteStub) Schedule(in Input) []Alloc {
 	s.applied++
 	// Clamp to budget defensively: the master may have computed against a
 	// stale configuration.
-	var out []Alloc
+	out := s.out[:0]
 	used := 0
 	for _, a := range allocs {
 		if used+a.RBCount > in.TotalPRB {
@@ -243,6 +260,7 @@ func (s *RemoteStub) Schedule(in Input) []Alloc {
 			s.missed++
 		}
 	}
+	s.out = out
 	return out
 }
 

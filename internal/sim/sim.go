@@ -97,6 +97,9 @@ type Node struct {
 
 	RNTIs []lte.RNTI // by UESpec order
 	specs []UESpec
+	// bearers holds each UE's EPC bearer, by UESpec order, so per-TTI
+	// downlink injection reaches the serving eNodeB without a lookup.
+	bearers []*epc.Bearer
 
 	// spill holds downlink injections whose bearer points at a foreign
 	// eNodeB (possible after a handover); they are replayed serially
@@ -139,7 +142,7 @@ type Node struct {
 }
 
 type spillDL struct {
-	imsi  uint64
+	br    *epc.Bearer
 	bytes int
 }
 
@@ -325,10 +328,12 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sim: adding UE %d: %w", u.IMSI, err)
 			}
-			if _, err := s.EPC.Attach(u.IMSI, spec.ID, rnti); err != nil {
+			br, err := s.EPC.Attach(u.IMSI, spec.ID, rnti)
+			if err != nil {
 				return nil, fmt.Errorf("sim: bearer for UE %d: %w", u.IMSI, err)
 			}
 			n.RNTIs = append(n.RNTIs, rnti)
+			n.bearers = append(n.bearers, br)
 		}
 		s.Nodes = append(s.Nodes, n)
 		s.byENB[spec.ID] = n
@@ -389,17 +394,18 @@ func (s *Sim) injectTraffic(n *Node, sf lte.Subframe) {
 		n.genSF = sf
 	}
 	id := n.ENB.ID()
-	for i, spec := range n.specs {
+	for i := range n.specs {
+		spec := &n.specs[i]
 		if spec.DL != nil {
 			if b := spec.DL.BytesAt(sf); b > 0 {
 				// The bearer normally terminates at this node's own
 				// eNodeB; after a handover it may point at a foreign
 				// one, whose queues another worker owns — defer those
 				// to the serial mop-up after the barrier.
-				if br, ok := s.EPC.Bearer(spec.IMSI); ok && br.ENB != id {
-					n.spill = append(n.spill, spillDL{imsi: spec.IMSI, bytes: b})
+				if br := n.bearers[i]; br.ENB != id {
+					n.spill = append(n.spill, spillDL{br: br, bytes: b})
 				} else {
-					s.EPC.Downlink(spec.IMSI, b) //nolint:errcheck // bearer exists by construction
+					br.Downlink(b) //nolint:errcheck // a detached bearer takes no traffic
 				}
 			}
 		}
@@ -418,12 +424,10 @@ func (s *Sim) injectTraffic(n *Node, sf lte.Subframe) {
 func (s *Sim) drainSpill() {
 	for _, n := range s.Nodes {
 		for _, d := range n.spill {
-			if br, ok := s.EPC.Bearer(d.imsi); ok {
-				if tn := s.byENB[br.ENB]; tn != nil {
-					tn.asleep = false
-				}
+			if tn := s.byENB[d.br.ENB]; tn != nil {
+				tn.asleep = false
 			}
-			s.EPC.Downlink(d.imsi, d.bytes) //nolint:errcheck // bearer checked during injection
+			d.br.Downlink(d.bytes) //nolint:errcheck // a detached bearer takes no traffic
 		}
 		n.spill = n.spill[:0]
 	}
@@ -501,7 +505,7 @@ func (s *Sim) executeHandover(src *Node, cmd protocol.HandoverCommand) {
 	if !ok {
 		return
 	}
-	spec := src.specs[idx]
+	spec, br := src.specs[idx], src.bearers[idx]
 	srcCell := st.Params.Cell
 	st.Params.Cell = cmd.TargetCell
 	if rt, ok := st.Params.Channel.(radio.Retargetable); ok {
@@ -524,9 +528,11 @@ func (s *Sim) executeHandover(src *Node, cmd protocol.HandoverCommand) {
 	s.EPC.Handover(spec.IMSI, cmd.TargetENB, newRNTI) //nolint:errcheck // bearer exists by construction
 	src.RNTIs = append(src.RNTIs[:idx], src.RNTIs[idx+1:]...)
 	src.specs = append(src.specs[:idx], src.specs[idx+1:]...)
+	src.bearers = append(src.bearers[:idx], src.bearers[idx+1:]...)
 	spec.Cell = cmd.TargetCell
 	tgt.specs = append(tgt.specs, spec)
 	tgt.RNTIs = append(tgt.RNTIs, newRNTI)
+	tgt.bearers = append(tgt.bearers, br)
 	if tgt.Agent != nil {
 		tgt.Agent.NotifyHandoverComplete(newRNTI, spec.IMSI, cmd.TargetCell, src.ENB.ID(), cmd.RNTI)
 	}
