@@ -163,7 +163,8 @@ type Hooks struct {
 	// OnMeasurement receives a connected UE's L3 measurements every
 	// Config.MeasPeriodTTI subframes (only for UEs whose channel model
 	// implements radio.NeighborMeasurer). The agent's RRC module runs A3
-	// evaluation on this stream.
+	// evaluation on this stream. neighbors is the eNodeB's measurement
+	// scratch, valid only during the call.
 	OnMeasurement func(rnti lte.RNTI, cellID lte.CellID, serving radio.Meas, neighbors []radio.Meas)
 }
 
@@ -230,6 +231,9 @@ type ENB struct {
 	// (safe: schedulers must not retain the slice past the call, and the
 	// DL and UL passes of one cell run sequentially).
 	schedUEs []sched.UEInfo
+	// measBuf is the reusable neighbour list behind the measurement sweep
+	// (safe: OnMeasurement must not retain the slice past the call).
+	measBuf []radio.Meas
 }
 
 // New builds an eNodeB with local default schedulers (round robin), i.e.
@@ -639,7 +643,8 @@ func (e *ENB) Step() {
 			if !ok {
 				continue
 			}
-			serving, neighbors := nm.Measure(sf)
+			serving, neighbors := nm.Measure(sf, e.measBuf)
+			e.measBuf = neighbors
 			e.hooks.OnMeasurement(h.rnti[s], e.cold[s].params.Cell, serving, neighbors)
 		}
 	}

@@ -31,15 +31,34 @@ func (s Static) PositionAt(lte.Subframe) Point { return Point(s) }
 
 // Waypoint walks a polyline at constant speed. With PingPong the walker
 // bounces between the endpoints forever; otherwise it stops at the last
-// waypoint. The model is a pure function of the subframe, so it is
-// trivially deterministic and safe to re-query.
+// waypoint. The position is a pure function of the subframe, so the model
+// is deterministic and safe to re-query; it measures its polyline once and
+// keeps the lengths, so it is not safe for concurrent use.
 type Waypoint struct {
-	// Path is the polyline to follow (at least one point).
+	// Path is the polyline to follow (at least one point). Assigning a new
+	// slice is honoured by the next PositionAt; the points of a slice that
+	// PositionAt has seen must not be modified in place.
 	Path []Point
 	// SpeedMps is the walking speed in meters per second.
 	SpeedMps float64
 	// PingPong reverses direction at the ends instead of stopping.
 	PingPong bool
+
+	// segs[i] is Distance(Path[i], Path[i+1]) and total their sum in path
+	// order, for the Path slice whose first element is measured.
+	segs     []float64
+	total    float64
+	measured *Point
+}
+
+// measure records the segment lengths of the current Path.
+func (w *Waypoint) measure() {
+	w.segs, w.total = make([]float64, len(w.Path)-1), 0
+	for i := range w.segs {
+		w.segs[i] = Distance(w.Path[i], w.Path[i+1])
+		w.total += w.segs[i]
+	}
+	w.measured = &w.Path[0]
 }
 
 // PositionAt implements Mobility.
@@ -50,10 +69,10 @@ func (w *Waypoint) PositionAt(sf lte.Subframe) Point {
 	if len(w.Path) == 1 || w.SpeedMps <= 0 {
 		return w.Path[0]
 	}
-	total := 0.0
-	for i := 1; i < len(w.Path); i++ {
-		total += Distance(w.Path[i-1], w.Path[i])
+	if w.measured != &w.Path[0] || len(w.segs) != len(w.Path)-1 {
+		w.measure()
 	}
+	total := w.total
 	if total == 0 {
 		return w.Path[0]
 	}
@@ -68,14 +87,13 @@ func (w *Waypoint) PositionAt(sf lte.Subframe) Point {
 	} else if dist >= total {
 		return w.Path[len(w.Path)-1]
 	}
-	for i := 1; i < len(w.Path); i++ {
-		seg := Distance(w.Path[i-1], w.Path[i])
+	for i, seg := range w.segs {
 		if dist <= seg {
 			if seg == 0 {
-				return w.Path[i]
+				return w.Path[i+1]
 			}
 			f := dist / seg
-			a, b := w.Path[i-1], w.Path[i]
+			a, b := w.Path[i], w.Path[i+1]
 			return Point{X: a.X + f*(b.X-a.X), Y: a.Y + f*(b.Y-a.Y)}
 		}
 		dist -= seg
@@ -225,6 +243,50 @@ func (m *Map) SINRdB(p Point, serving lte.ENBID) (float64, bool) {
 	return 10 * math.Log10(sig/intf), true
 }
 
+// survey is one exact evaluation of the map at a point: a single pass over
+// Sites that computes every site's distance and path loss once and yields
+// what SINRdB, RSRPdBm and rssiDBm would, bit for bit (same expressions, same
+// summation order), plus the distance to the nearest site.
+type survey struct {
+	best     int     // index of the serving eNodeB's strongest site, -1 if it has none
+	rsrpDBm  float64 // received power from that site
+	sigMw    float64 // the same in mW
+	intfMw   float64 // noise plus every other eNodeB's sites, in site order
+	totalMw  float64 // noise plus every site, in site order (the RSSI)
+	nearestM float64 // distance to the nearest site of the map
+}
+
+// sinrDB is the serving SINR of the survey (meaningful when best >= 0).
+func (sv *survey) sinrDB() float64 { return 10 * math.Log10(sv.sigMw/sv.intfMw) }
+
+// survey evaluates the map at p for a UE served by an eNodeB. A non-nil
+// neighbors receives one Meas per site of every other eNodeB, in site order,
+// with RSRPdBm set (RSRQ needs the finished total).
+func (m *Map) survey(p Point, serving lte.ENBID, neighbors *[]Meas) survey {
+	sv := survey{best: -1, intfMw: noiseMw, totalMw: noiseMw, nearestM: math.Inf(1)}
+	for i := range m.Sites {
+		s := &m.Sites[i]
+		d := Distance(p, s.Tx.Pos)
+		if d < sv.nearestM {
+			sv.nearestM = d
+		}
+		rsrp := s.Tx.PowerDBm - PathLossDB(d)
+		mw := dbmToMw(rsrp)
+		sv.totalMw += mw
+		if s.ENB == serving {
+			if sv.best < 0 || rsrp > sv.rsrpDBm {
+				sv.best, sv.rsrpDBm, sv.sigMw = i, rsrp, mw
+			}
+			continue
+		}
+		sv.intfMw += mw
+		if neighbors != nil {
+			*neighbors = append(*neighbors, Meas{ENB: s.ENB, Cell: s.Cell, RSRPdBm: rsrp})
+		}
+	}
+	return sv
+}
+
 // ---------------------------------------------------------------------------
 // GeoChannel: position-derived CQI and neighbour measurements.
 
@@ -241,8 +303,11 @@ type Meas struct {
 // quality of every other site of the map.
 type NeighborMeasurer interface {
 	// Measure returns the serving measurement and the neighbour list
-	// (every other site, strongest first) at subframe sf.
-	Measure(sf lte.Subframe) (serving Meas, neighbors []Meas)
+	// (every other site, strongest first) at subframe sf. The list is
+	// built in buf's storage, overwriting it (and growing it when too
+	// small; nil is fine), so a caller that sweeps many UEs passes the
+	// previous result back in and allocates nothing.
+	Measure(sf lte.Subframe, buf []Meas) (serving Meas, neighbors []Meas)
 }
 
 // Retargetable is the optional channel-model extension the handover path
@@ -256,11 +321,77 @@ type Retargetable interface {
 // model yields a position, the radio map yields the serving SINR there,
 // and the standard quantizer yields the CQI. It also implements
 // NeighborMeasurer (A3 measurement input) and Retargetable (handover).
+//
+// A GeoChannel is not safe for concurrent use: CQI keeps a hold on the
+// channel. It is called only from the Step of the eNodeB that owns the UE,
+// and a channel changes owner only inside a handover, which the engine runs
+// between TTIs with no Step in flight. The Map is shared by every channel of
+// a deployment and only ever read; its sites must not change while a channel
+// uses it.
 type GeoChannel struct {
 	Map *Map
 	Mob Mobility
 
 	serving lte.ENBID
+	hold    cqiHold
+	exact   uint64 // exact evaluations so far: the CQI calls no hold answered
+}
+
+// cqiHold is a proof that the CQI cannot change near a point: every
+// position strictly within sqrt(r2) of at, on the map on, quantizes to cqi.
+// The zero value holds nothing.
+type cqiHold struct {
+	on  *Map
+	at  Point
+	r2  float64
+	cqi lte.CQI
+}
+
+// Proof constants of the hold radius, not knobs. holdEpsDB is taken off the
+// threshold margin and dwarfs the rounding error of an SINR evaluation
+// (around 1e-13 dB); holdSlack shrinks the radius and dwarfs the rounding
+// error of the radius, of the nearest-site distance and of the squared
+// displacement it is compared with (around 1e-15 relative).
+const (
+	holdEpsDB = 1e-6
+	holdSlack = 1e-3
+)
+
+// holdRadius returns the radius around a point within which the CQI
+// quantized there cannot change, given the distance D from the point to the
+// nearest site of the map and the margin m, in dB, between the SINR at the
+// point and the nearest CQI threshold on either side. 0 means no hold.
+//
+// Derivation. Path loss is PL(d) = 128.1 + s*log10(max(d, 1 m)/1 km) with
+// s = pathLossSlopeDB. Move the UE by at most r < D. Site i, at distance
+// d_i >= D before, is then between d_i-r and d_i+r away, and both
+// (d_i+r)/d_i <= 1 + r/D <= D/(D-r) and (d_i-r)/d_i >= (D-r)/D; the 1 m
+// floor only narrows that. So every site's path loss, hence its received
+// power in dB, moves by at most
+//
+//	delta = s*log10(D/(D-r)).
+//
+// The serving term is the maximum over the serving eNodeB's sites of such
+// powers, so it moves by at most delta (whichever site is the strongest
+// afterwards). Interference plus noise is a sum in mW whose every term is
+// scaled by a factor within 10^(+-delta/10) (the noise term by 1), so the
+// sum is scaled by a factor in that range and moves by at most delta in dB.
+// SINR is the difference of the two: |dSINR| <= 2*delta. The quantizer
+// output changes only when the SINR crosses a threshold, which it cannot
+// while 2*delta < m, that is while
+//
+//	r < D*(1 - 10^(-m/(2s))).
+//
+// The radius returned is that with m reduced by holdEpsDB, shrunk by
+// holdSlack, and capped at D - 1 so that no distance reaches the floor.
+// There is no hold when m <= holdEpsDB (the SINR sits on a threshold), when
+// D <= 1 m, or when either is NaN.
+func holdRadius(nearestM, marginDB float64) float64 {
+	if !(marginDB > holdEpsDB && nearestM > 1) {
+		return 0
+	}
+	shrink := math.Pow(10, -(marginDB-holdEpsDB)/(2*pathLossSlopeDB))
+	return math.Min(nearestM*(1-shrink)*(1-holdSlack), nearestM-1)
 }
 
 // NewGeoChannel builds the channel of one UE served by an eNodeB.
@@ -271,8 +402,12 @@ func NewGeoChannel(m *Map, mob Mobility, serving lte.ENBID) *GeoChannel {
 // Serving returns the current serving eNodeB.
 func (g *GeoChannel) Serving() lte.ENBID { return g.serving }
 
-// Retarget implements Retargetable.
-func (g *GeoChannel) Retarget(enb lte.ENBID) { g.serving = enb }
+// Retarget implements Retargetable. The hold was proved for the old
+// serving eNodeB, so it is dropped.
+func (g *GeoChannel) Retarget(enb lte.ENBID) {
+	g.serving = enb
+	g.hold = cqiHold{}
+}
 
 // Position returns the UE position at a subframe.
 func (g *GeoChannel) Position(sf lte.Subframe) Point {
@@ -286,7 +421,9 @@ func (g *GeoChannel) Position(sf lte.Subframe) Point {
 // stationary UE (Static or absent mobility) over a fixed site map sees the
 // same SINR — hence the same CQI — at every subframe. Serving-cell changes
 // go through Retarget, which only happens inside a handover (the UE is
-// re-admitted, so constancy is re-evaluated by the new owner).
+// re-admitted, so constancy is re-evaluated by the new owner). The hold CQI
+// leaves behind never changes a result, so calling or not calling CQI is
+// still unobservable.
 func (g *GeoChannel) ConstantCQI() bool {
 	if g.Mob == nil {
 		return true
@@ -295,37 +432,46 @@ func (g *GeoChannel) ConstantCQI() bool {
 	return static
 }
 
-// CQI implements Model.
+// CQI implements Model: CQIFromSINRdB(Map.SINRdB(position, serving)), or 0
+// when the serving eNodeB has no site. While the position stays strictly
+// inside the disc of the current hold the answer is the held one; otherwise
+// the map is surveyed exactly and the result arms the next hold (see
+// holdRadius for why the two cannot differ).
 func (g *GeoChannel) CQI(sf lte.Subframe) lte.CQI {
-	sinr, ok := g.Map.SINRdB(g.Position(sf), g.serving)
-	if !ok {
+	p := g.Position(sf)
+	h := &g.hold
+	if dx, dy := p.X-h.at.X, p.Y-h.at.Y; dx*dx+dy*dy < h.r2 && h.on == g.Map {
+		return h.cqi
+	}
+	g.exact++
+	g.hold = cqiHold{}
+	sv := g.Map.survey(p, g.serving, nil)
+	if sv.best < 0 {
 		return 0
 	}
-	return CQIFromSINRdB(sinr)
+	sinr := sv.sinrDB()
+	cqi := CQIFromSINRdB(sinr)
+	if r := holdRadius(sv.nearestM, thresholdMarginDB(sinr)); r > 0 {
+		g.hold = cqiHold{on: g.Map, at: p, r2: r * r, cqi: cqi}
+	}
+	return cqi
 }
 
 // Measure implements NeighborMeasurer. The serving measurement is the
 // serving eNodeB's strongest site at the UE position (multi-cell eNodeBs
 // camp the UE on their best carrier); all of its sites are excluded from
 // the neighbour list.
-func (g *GeoChannel) Measure(sf lte.Subframe) (Meas, []Meas) {
-	p := g.Position(sf)
-	rssi := g.Map.rssiDBm(p)
+func (g *GeoChannel) Measure(sf lte.Subframe, buf []Meas) (Meas, []Meas) {
+	neighbors := buf[:0]
+	sv := g.Map.survey(g.Position(sf), g.serving, &neighbors)
+	rssi := 10 * math.Log10(sv.totalMw)
 	var serving Meas
-	var neighbors []Meas
-	servingSite := g.Map.bestSite(p, g.serving)
-	for i := range g.Map.Sites {
-		s := &g.Map.Sites[i]
-		if s.ENB == g.serving && s != servingSite {
-			continue
-		}
-		rsrp := s.Tx.PowerDBm - PathLossDB(Distance(p, s.Tx.Pos))
-		m := Meas{ENB: s.ENB, Cell: s.Cell, RSRPdBm: rsrp, RSRQdB: rsrp - rssi}
-		if s == servingSite {
-			serving = m
-			continue
-		}
-		neighbors = append(neighbors, m)
+	if sv.best >= 0 {
+		s := &g.Map.Sites[sv.best]
+		serving = Meas{ENB: s.ENB, Cell: s.Cell, RSRPdBm: sv.rsrpDBm, RSRQdB: sv.rsrpDBm - rssi}
+	}
+	for i := range neighbors {
+		neighbors[i].RSRQdB = neighbors[i].RSRPdBm - rssi
 	}
 	// Strongest neighbour first; ties broken by id for determinism.
 	for i := 1; i < len(neighbors); i++ {

@@ -194,7 +194,7 @@ func TestGeoChannelRetarget(t *testing.T) {
 func TestGeoChannelMeasure(t *testing.T) {
 	m := testMap()
 	ch := NewGeoChannel(m, Static(Point{X: 700}), 1)
-	serving, neighbors := ch.Measure(0)
+	serving, neighbors := ch.Measure(0, nil)
 	if serving.ENB != 1 {
 		t.Fatalf("serving meas for eNB %d, want 1", serving.ENB)
 	}
@@ -221,7 +221,7 @@ func TestGeoChannelMeasureSorted(t *testing.T) {
 		Site{ENB: 4, Cell: 0, Tx: Transmitter{Pos: Point{X: 1200}, PowerDBm: 43}},
 	)
 	ch := NewGeoChannel(m, Static(Point{X: 500}), 1)
-	_, neighbors := ch.Measure(0)
+	_, neighbors := ch.Measure(0, nil)
 	if len(neighbors) != 3 {
 		t.Fatalf("got %d neighbours, want 3", len(neighbors))
 	}
@@ -245,7 +245,7 @@ func TestGeoChannelMultiSiteServing(t *testing.T) {
 		Site{ENB: 2, Cell: 0, Tx: Transmitter{Pos: Point{X: 1000}, PowerDBm: 43}},
 	)
 	ch := NewGeoChannel(m, Static(Point{X: 380}), 1)
-	serving, neighbors := ch.Measure(0)
+	serving, neighbors := ch.Measure(0, nil)
 	if serving.Cell != 1 {
 		t.Errorf("serving cell = %d, want 1 (the near carrier)", serving.Cell)
 	}
@@ -314,17 +314,28 @@ func TestMapSINRMatchesInterfererList(t *testing.T) {
 }
 
 // TestAllocGateGeoChannelCQI gates the per-UE per-TTI channel query of a
-// mobile UE: position, serving SINR against 15 interfering sites, CQI —
-// all on the stack. (Measured: 0 allocs/op; the interferer list it used to
-// build was 55 % of ctl-mix's allocated objects.)
+// mobile UE — a held call, an exact evaluation (position, serving SINR
+// against 15 interfering sites, CQI, next hold) and a handover — all on the
+// stack. (Measured: 0 allocs/op; the interferer list it used to build was
+// 55 % of ctl-mix's allocated objects.)
 func TestAllocGateGeoChannelCQI(t *testing.T) {
 	g := NewGeoChannel(gridMap(), &Waypoint{Path: []Point{{X: 750, Y: 850}, {X: 1150, Y: 1000}}, SpeedMps: 30, PingPong: true}, 6)
 	sf := lte.Subframe(0)
 	var sum int
-	if got := testing.AllocsPerRun(1000, func() { sf++; sum += int(g.CQI(sf)) }); got != 0 {
+	const runs = 1000
+	if got := testing.AllocsPerRun(runs, func() {
+		sf++
+		sum += int(g.CQI(sf))
+		if sf%100 == 0 {
+			g.Retarget(6 + lte.ENBID(sf/100%2))
+		}
+	}); got != 0 {
 		t.Errorf("GeoChannel.CQI: %.1f allocs/op, want 0", got)
 	}
 	if sum == 0 {
 		t.Error("the walker never reported a CQI: the gate measured nothing")
+	}
+	if g.exact < runs/100 || g.exact > runs/2 {
+		t.Errorf("%d exact evaluations in %d calls: the gate must cover held calls and misses", g.exact, runs)
 	}
 }

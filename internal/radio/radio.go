@@ -140,13 +140,17 @@ func Distance(a, b Point) float64 {
 	return math.Hypot(a.X-b.X, a.Y-b.Y)
 }
 
+// pathLossSlopeDB is the path-loss slope in dB per decade of distance. The
+// hold bound of GeoChannel.CQI is derived from it.
+const pathLossSlopeDB = 37.6
+
 // PathLossDB is the 3GPP TR 36.814 urban-macro NLOS model:
 // 128.1 + 37.6 log10(d_km), floored at 1 m distance.
 func PathLossDB(distanceM float64) float64 {
 	if distanceM < 1 {
 		distanceM = 1
 	}
-	return 128.1 + 37.6*math.Log10(distanceM/1000)
+	return 128.1 + pathLossSlopeDB*math.Log10(distanceM/1000)
 }
 
 // Transmitter is a downlink interference source (a cell).
@@ -176,6 +180,9 @@ func SINRdB(ue Point, serving Transmitter, interferers []Transmitter, active fun
 
 func dbmToMw(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
+// noiseMw is the noise floor in mW.
+var noiseMw = dbmToMw(NoiseDBm)
+
 // cqiSINRThresholdsDB maps SINR to CQI: entry i is the minimum SINR (dB)
 // to report CQI i+1. Derived from the usual AWGN link-level thresholds
 // (~10% BLER operating points, ≈1.5-2 dB per CQI step).
@@ -193,6 +200,17 @@ func CQIFromSINRdB(sinr float64) lte.CQI {
 		}
 	}
 	return cqi
+}
+
+// thresholdMarginDB is the distance in dB from an SINR to the nearest CQI
+// threshold on either side: how far the SINR can move before CQIFromSINRdB
+// may answer differently. NaN for a NaN SINR.
+func thresholdMarginDB(sinr float64) float64 {
+	m := math.Inf(1)
+	for _, thr := range cqiSINRThresholdsDB {
+		m = math.Min(m, math.Abs(sinr-thr))
+	}
+	return m
 }
 
 // InterferenceSwitched is the channel of a UE whose quality depends on
