@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"flexran/internal/wire"
 )
 
 // TestSeedPayloadsCoverEveryKind pins the fuzz seeds (the wire corpus's
@@ -39,6 +41,18 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 	// Every way a UE block can be malformed, as a starting point for more.
 	for _, h := range hostileBlocks() {
 		f.Add(h.frame)
+	}
+	// Values no field can hold, and fields no struct declares: one unknown
+	// field of each wire type in the innermost message of every payload.
+	for _, r := range rangeFrames() {
+		f.Add(r.frame)
+	}
+	for _, p := range corpusPayloads() {
+		_, levels := (&injector{target: -1}).inject(f, p)
+		for _, wt := range []wire.Type{wire.TVarint, wire.TFixed64, wire.TBytes} {
+			frame, _ := (&injector{target: len(levels) - 1, wt: wt, body: []byte("new")}).inject(f, p)
+			f.Add(frame)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)

@@ -20,43 +20,17 @@ type NeighborMeas struct {
 	RSRQdB  int32
 }
 
-// MarshalWire implements wire.Marshaler.
-func (n *NeighborMeas) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(n.ENB))
-	e.Uint(2, uint64(n.Cell))
-	e.Int(3, int64(n.RSRPdBm))
-	e.Int(4, int64(n.RSRQdB))
-}
+var neighborMeasFields = newFields(
+	uintF(1, "enb", func(p *NeighborMeas) *lte.ENBID { return &p.ENB }),
+	uintF(2, "cell", func(p *NeighborMeas) *lte.CellID { return &p.Cell }),
+	sintF(3, "rsrp_dbm", func(p *NeighborMeas) *int32 { return &p.RSRPdBm }),
+	sintF(4, "rsrq_db", func(p *NeighborMeas) *int32 { return &p.RSRQdB }),
+)
 
-// UnmarshalWire implements wire.Unmarshaler.
-func (n *NeighborMeas) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1, 2:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			if f == 1 {
-				n.ENB = lte.ENBID(v)
-			} else {
-				n.Cell = lte.CellID(v)
-			}
-			return nil
-		case 3, 4:
-			v, err := d.ReadInt()
-			if err != nil {
-				return err
-			}
-			if f == 3 {
-				n.RSRPdBm = int32(v)
-			} else {
-				n.RSRQdB = int32(v)
-			}
-			return nil
-		}
-		return d.Skip()
-	})
+// MarshalWire and UnmarshalWire implement the wire interfaces through neighborMeasFields.
+func (p *NeighborMeas) MarshalWire(e *wire.Encoder) { neighborMeasFields.marshal(p, e) }
+func (p *NeighborMeas) UnmarshalWire(d *wire.Decoder) error {
+	return neighborMeasFields.unmarshal(p, d)
 }
 
 // MeasReport is an A3 event report: the serving-cell operating point and
@@ -73,59 +47,19 @@ type MeasReport struct {
 	Neighbors      []NeighborMeas
 }
 
-// Kind implements Payload.
-func (*MeasReport) Kind() Kind { return KindMeasReport }
+var measReportFields = newFields(
+	uintF(1, "rnti", func(p *MeasReport) *lte.RNTI { return &p.RNTI }),
+	uintF(2, "imsi", func(p *MeasReport) *uint64 { return &p.IMSI }),
+	uintF(3, "cell", func(p *MeasReport) *lte.CellID { return &p.Cell }),
+	sintF(4, "serving_rsrp_dbm", func(p *MeasReport) *int32 { return &p.ServingRSRPdBm }),
+	sintF(5, "serving_rsrq_db", func(p *MeasReport) *int32 { return &p.ServingRSRQdB }),
+	repF(6, "neighbors", func(p *MeasReport) *[]NeighborMeas { return &p.Neighbors }),
+)
 
-// MarshalWire implements wire.Marshaler.
-func (p *MeasReport) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.RNTI))
-	e.Uint(2, p.IMSI)
-	e.Uint(3, uint64(p.Cell))
-	e.Int(4, int64(p.ServingRSRPdBm))
-	e.Int(5, int64(p.ServingRSRQdB))
-	for i := range p.Neighbors {
-		e.Message(6, &p.Neighbors[i])
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *MeasReport) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1, 2, 3:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			switch f {
-			case 1:
-				p.RNTI = lte.RNTI(v)
-			case 2:
-				p.IMSI = v
-			case 3:
-				p.Cell = lte.CellID(v)
-			}
-			return nil
-		case 4, 5:
-			v, err := d.ReadInt()
-			if err != nil {
-				return err
-			}
-			if f == 4 {
-				p.ServingRSRPdBm = int32(v)
-			} else {
-				p.ServingRSRQdB = int32(v)
-			}
-			return nil
-		case 6:
-			var nm *NeighborMeas
-			p.Neighbors, nm = grow(p.Neighbors)
-			*nm = NeighborMeas{}
-			return d.ReadMessage(nm)
-		}
-		return d.Skip()
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through measReportFields.
+func (*MeasReport) Kind() Kind                            { return KindMeasReport }
+func (p *MeasReport) MarshalWire(e *wire.Encoder)         { measReportFields.marshal(p, e) }
+func (p *MeasReport) UnmarshalWire(d *wire.Decoder) error { return measReportFields.unmarshal(p, d) }
 
 // HandoverCommand orders the serving agent to hand a UE over to a target
 // cell (the master command closing the A3 loop).
@@ -136,43 +70,18 @@ type HandoverCommand struct {
 	TargetCell lte.CellID
 }
 
-// Kind implements Payload.
-func (*HandoverCommand) Kind() Kind { return KindHandoverCommand }
+var handoverCommandFields = newFields(
+	uintF(1, "rnti", func(p *HandoverCommand) *lte.RNTI { return &p.RNTI }),
+	uintF(2, "imsi", func(p *HandoverCommand) *uint64 { return &p.IMSI }),
+	uintF(3, "target_enb", func(p *HandoverCommand) *lte.ENBID { return &p.TargetENB }),
+	uintF(4, "target_cell", func(p *HandoverCommand) *lte.CellID { return &p.TargetCell }),
+)
 
-// reset implements poolable.
-func (p *HandoverCommand) reset() { *p = HandoverCommand{} }
-
-// MarshalWire implements wire.Marshaler.
-func (p *HandoverCommand) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.RNTI))
-	e.Uint(2, p.IMSI)
-	e.Uint(3, uint64(p.TargetENB))
-	e.Uint(4, uint64(p.TargetCell))
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
+// Kind, MarshalWire and UnmarshalWire implement Payload through handoverCommandFields.
+func (*HandoverCommand) Kind() Kind                    { return KindHandoverCommand }
+func (p *HandoverCommand) MarshalWire(e *wire.Encoder) { handoverCommandFields.marshal(p, e) }
 func (p *HandoverCommand) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1, 2, 3, 4:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			switch f {
-			case 1:
-				p.RNTI = lte.RNTI(v)
-			case 2:
-				p.IMSI = v
-			case 3:
-				p.TargetENB = lte.ENBID(v)
-			case 4:
-				p.TargetCell = lte.CellID(v)
-			}
-			return nil
-		}
-		return d.Skip()
-	})
+	return handoverCommandFields.unmarshal(p, d)
 }
 
 // HandoverComplete is the target agent's notification that the UE context
@@ -189,41 +98,17 @@ type HandoverComplete struct {
 	SourceRNTI lte.RNTI
 }
 
-// Kind implements Payload.
-func (*HandoverComplete) Kind() Kind { return KindHandoverComplete }
+var handoverCompleteFields = newFields(
+	uintF(1, "rnti", func(p *HandoverComplete) *lte.RNTI { return &p.RNTI }),
+	uintF(2, "imsi", func(p *HandoverComplete) *uint64 { return &p.IMSI }),
+	uintF(3, "cell", func(p *HandoverComplete) *lte.CellID { return &p.Cell }),
+	uintF(4, "source_enb", func(p *HandoverComplete) *lte.ENBID { return &p.SourceENB }),
+	uintF(5, "source_rnti", func(p *HandoverComplete) *lte.RNTI { return &p.SourceRNTI }),
+)
 
-// MarshalWire implements wire.Marshaler.
-func (p *HandoverComplete) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.RNTI))
-	e.Uint(2, p.IMSI)
-	e.Uint(3, uint64(p.Cell))
-	e.Uint(4, uint64(p.SourceENB))
-	e.Uint(5, uint64(p.SourceRNTI))
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
+// Kind, MarshalWire and UnmarshalWire implement Payload through handoverCompleteFields.
+func (*HandoverComplete) Kind() Kind                    { return KindHandoverComplete }
+func (p *HandoverComplete) MarshalWire(e *wire.Encoder) { handoverCompleteFields.marshal(p, e) }
 func (p *HandoverComplete) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1, 2, 3, 4, 5:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			switch f {
-			case 1:
-				p.RNTI = lte.RNTI(v)
-			case 2:
-				p.IMSI = v
-			case 3:
-				p.Cell = lte.CellID(v)
-			case 4:
-				p.SourceENB = lte.ENBID(v)
-			case 5:
-				p.SourceRNTI = lte.RNTI(v)
-			}
-			return nil
-		}
-		return d.Skip()
-	})
+	return handoverCompleteFields.unmarshal(p, d)
 }

@@ -8,6 +8,10 @@ import (
 // ProtocolVersion is the FlexRAN protocol revision implemented here.
 const ProtocolVersion = 1
 
+// Every struct below declares its wire form once, in the field table that
+// follows it (fields.go): the table is its encoder, its decoder, its pool
+// reset and its entry in the README's protocol reference.
+
 // ---------------------------------------------------------------------------
 // Agent management (session establishment, liveness, configuration)
 
@@ -25,32 +29,16 @@ type Hello struct {
 	Epoch uint64
 }
 
-// Kind implements Payload.
-func (*Hello) Kind() Kind { return KindHello }
+var helloFields = newFields(
+	uintF(1, "version", func(p *Hello) *uint32 { return &p.Version }),
+	msgF(2, "config", func(p *Hello) *ENBConfig { return &p.Config }),
+	uintF(3, "epoch", func(p *Hello) *uint64 { return &p.Epoch }),
+)
 
-// MarshalWire implements wire.Marshaler.
-func (h *Hello) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(h.Version))
-	e.Message(2, &h.Config)
-	e.Uint(3, h.Epoch)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (h *Hello) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1:
-			return readU32(d, &h.Version)
-		case 2:
-			return d.ReadMessage(&h.Config)
-		case 3:
-			v, err := d.ReadUint()
-			h.Epoch = v
-			return err
-		}
-		return d.Skip()
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through helloFields.
+func (*Hello) Kind() Kind                            { return KindHello }
+func (p *Hello) MarshalWire(e *wire.Encoder)         { helloFields.marshal(p, e) }
+func (p *Hello) UnmarshalWire(d *wire.Decoder) error { return helloFields.unmarshal(p, d) }
 
 // HelloAck is the master's response accepting an agent session.
 type HelloAck struct {
@@ -61,34 +49,16 @@ type HelloAck struct {
 	Epoch uint64
 }
 
-// Kind implements Payload.
-func (*HelloAck) Kind() Kind { return KindHelloAck }
+var helloAckFields = newFields(
+	uintF(1, "version", func(p *HelloAck) *uint32 { return &p.Version }),
+	stringF(2, "master_id", func(p *HelloAck) *string { return &p.MasterID }),
+	uintF(3, "epoch", func(p *HelloAck) *uint64 { return &p.Epoch }),
+)
 
-// MarshalWire implements wire.Marshaler.
-func (h *HelloAck) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(h.Version))
-	e.String(2, h.MasterID)
-	e.Uint(3, h.Epoch)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (h *HelloAck) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1:
-			return readU32(d, &h.Version)
-		case 2:
-			s, err := d.ReadString()
-			h.MasterID = s
-			return err
-		case 3:
-			v, err := d.ReadUint()
-			h.Epoch = v
-			return err
-		}
-		return d.Skip()
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through helloAckFields.
+func (*HelloAck) Kind() Kind                            { return KindHelloAck }
+func (p *HelloAck) MarshalWire(e *wire.Encoder)         { helloAckFields.marshal(p, e) }
+func (p *HelloAck) UnmarshalWire(d *wire.Decoder) error { return helloAckFields.unmarshal(p, d) }
 
 // Echo is a keepalive/liveness probe; EchoReply mirrors its sequence.
 // TS is the EchoTS timestamp path: the sender's wall clock in Unix
@@ -101,39 +71,16 @@ type Echo struct {
 	TS       int64
 }
 
-// Kind implements Payload.
-func (*Echo) Kind() Kind { return KindEcho }
+var echoFields = newFields(
+	uintF(1, "seq", func(p *Echo) *uint64 { return &p.Seq }),
+	uintF(2, "sender_sf", func(p *Echo) *lte.Subframe { return &p.SenderSF }),
+	optUintF(3, "ts", func(p *Echo) *int64 { return &p.TS }),
+)
 
-// reset implements poolable.
-func (p *Echo) reset() { *p = Echo{} }
-
-// MarshalWire implements wire.Marshaler.
-func (p *Echo) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, p.Seq)
-	e.Uint(2, uint64(p.SenderSF))
-	if p.TS != 0 {
-		e.Uint(3, uint64(p.TS))
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *Echo) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1:
-			v, err := d.ReadUint()
-			p.Seq = v
-			return err
-		case 2:
-			return readSF(d, &p.SenderSF)
-		case 3:
-			v, err := d.ReadUint()
-			p.TS = int64(v)
-			return err
-		}
-		return d.Skip()
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through echoFields.
+func (*Echo) Kind() Kind                            { return KindEcho }
+func (p *Echo) MarshalWire(e *wire.Encoder)         { echoFields.marshal(p, e) }
+func (p *Echo) UnmarshalWire(d *wire.Decoder) error { return echoFields.unmarshal(p, d) }
 
 // EchoReply answers an Echo, mirroring its sequence, subframe stamp and
 // TS timestamp.
@@ -143,39 +90,16 @@ type EchoReply struct {
 	TS       int64
 }
 
-// Kind implements Payload.
-func (*EchoReply) Kind() Kind { return KindEchoReply }
+var echoReplyFields = newFields(
+	uintF(1, "seq", func(p *EchoReply) *uint64 { return &p.Seq }),
+	uintF(2, "sender_sf", func(p *EchoReply) *lte.Subframe { return &p.SenderSF }),
+	optUintF(3, "ts", func(p *EchoReply) *int64 { return &p.TS }),
+)
 
-// reset implements poolable.
-func (p *EchoReply) reset() { *p = EchoReply{} }
-
-// MarshalWire implements wire.Marshaler.
-func (p *EchoReply) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, p.Seq)
-	e.Uint(2, uint64(p.SenderSF))
-	if p.TS != 0 {
-		e.Uint(3, uint64(p.TS))
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *EchoReply) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1:
-			v, err := d.ReadUint()
-			p.Seq = v
-			return err
-		case 2:
-			return readSF(d, &p.SenderSF)
-		case 3:
-			v, err := d.ReadUint()
-			p.TS = int64(v)
-			return err
-		}
-		return d.Skip()
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through echoReplyFields.
+func (*EchoReply) Kind() Kind                            { return KindEchoReply }
+func (p *EchoReply) MarshalWire(e *wire.Encoder)         { echoReplyFields.marshal(p, e) }
+func (p *EchoReply) UnmarshalWire(d *wire.Decoder) error { return echoReplyFields.unmarshal(p, d) }
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -190,40 +114,18 @@ type CellConfig struct {
 	Band      uint16
 }
 
-// MarshalWire implements wire.Marshaler.
-func (c *CellConfig) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(c.Cell))
-	e.Uint(2, uint64(c.Bandwidth))
-	e.Uint(3, uint64(c.Duplex))
-	e.Uint(4, uint64(c.TxMode))
-	e.Uint(5, uint64(c.Antennas))
-	e.Uint(6, uint64(c.Band))
-}
+var cellConfigFields = newFields(
+	uintF(1, "cell", func(p *CellConfig) *lte.CellID { return &p.Cell }),
+	uintF(2, "bandwidth", func(p *CellConfig) *lte.Bandwidth { return &p.Bandwidth }),
+	uintF(3, "duplex", func(p *CellConfig) *lte.Duplex { return &p.Duplex }),
+	uintF(4, "tx_mode", func(p *CellConfig) *lte.TransmissionMode { return &p.TxMode }),
+	uintF(5, "antennas", func(p *CellConfig) *uint8 { return &p.Antennas }),
+	uintF(6, "band", func(p *CellConfig) *uint16 { return &p.Band }),
+)
 
-// UnmarshalWire implements wire.Unmarshaler.
-func (c *CellConfig) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		v, err := d.ReadUint()
-		if err != nil {
-			return err
-		}
-		switch f {
-		case 1:
-			c.Cell = lte.CellID(v)
-		case 2:
-			c.Bandwidth = lte.Bandwidth(v)
-		case 3:
-			c.Duplex = lte.Duplex(v)
-		case 4:
-			c.TxMode = lte.TransmissionMode(v)
-		case 5:
-			c.Antennas = uint8(v)
-		case 6:
-			c.Band = uint16(v)
-		}
-		return nil
-	})
-}
+// MarshalWire and UnmarshalWire implement the wire interfaces through cellConfigFields.
+func (p *CellConfig) MarshalWire(e *wire.Encoder)         { cellConfigFields.marshal(p, e) }
+func (p *CellConfig) UnmarshalWire(d *wire.Decoder) error { return cellConfigFields.unmarshal(p, d) }
 
 // ENBConfig describes an eNodeB and its cells.
 type ENBConfig struct {
@@ -231,46 +133,25 @@ type ENBConfig struct {
 	Cells []CellConfig
 }
 
-// MarshalWire implements wire.Marshaler.
-func (c *ENBConfig) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(c.ID))
-	for i := range c.Cells {
-		e.Message(2, &c.Cells[i])
-	}
-}
+var enbConfigFields = newFields(
+	uintF(1, "id", func(p *ENBConfig) *lte.ENBID { return &p.ID }),
+	repF(2, "cells", func(p *ENBConfig) *[]CellConfig { return &p.Cells }),
+)
 
-// UnmarshalWire implements wire.Unmarshaler.
-func (c *ENBConfig) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1:
-			v, err := d.ReadUint()
-			c.ID = lte.ENBID(v)
-			return err
-		case 2:
-			var cell CellConfig
-			if err := d.ReadMessage(&cell); err != nil {
-				return err
-			}
-			c.Cells = append(c.Cells, cell)
-			return nil
-		}
-		return d.Skip()
-	})
-}
+// MarshalWire and UnmarshalWire implement the wire interfaces through enbConfigFields.
+func (p *ENBConfig) MarshalWire(e *wire.Encoder)         { enbConfigFields.marshal(p, e) }
+func (p *ENBConfig) UnmarshalWire(d *wire.Decoder) error { return enbConfigFields.unmarshal(p, d) }
 
 // ENBConfigRequest asks the agent for its ENBConfig.
 type ENBConfigRequest struct{}
 
-// Kind implements Payload.
-func (*ENBConfigRequest) Kind() Kind { return KindENBConfigRequest }
+var enbConfigRequestFields = newFields[ENBConfigRequest]()
 
-// MarshalWire implements wire.Marshaler.
-func (*ENBConfigRequest) MarshalWire(*wire.Encoder) {}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (*ENBConfigRequest) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(int) error { return d.Skip() })
+// Kind, MarshalWire and UnmarshalWire implement Payload through enbConfigRequestFields.
+func (*ENBConfigRequest) Kind() Kind                    { return KindENBConfigRequest }
+func (p *ENBConfigRequest) MarshalWire(e *wire.Encoder) { enbConfigRequestFields.marshal(p, e) }
+func (p *ENBConfigRequest) UnmarshalWire(d *wire.Decoder) error {
+	return enbConfigRequestFields.unmarshal(p, d)
 }
 
 // ENBConfigReply returns the agent's ENBConfig.
@@ -278,20 +159,15 @@ type ENBConfigReply struct {
 	Config ENBConfig
 }
 
-// Kind implements Payload.
-func (*ENBConfigReply) Kind() Kind { return KindENBConfigReply }
+var enbConfigReplyFields = newFields(
+	msgF(1, "config", func(p *ENBConfigReply) *ENBConfig { return &p.Config }),
+)
 
-// MarshalWire implements wire.Marshaler.
-func (r *ENBConfigReply) MarshalWire(e *wire.Encoder) { e.Message(1, &r.Config) }
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *ENBConfigReply) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		if f == 1 {
-			return d.ReadMessage(&r.Config)
-		}
-		return d.Skip()
-	})
+// Kind, MarshalWire and UnmarshalWire implement Payload through enbConfigReplyFields.
+func (*ENBConfigReply) Kind() Kind                    { return KindENBConfigReply }
+func (p *ENBConfigReply) MarshalWire(e *wire.Encoder) { enbConfigReplyFields.marshal(p, e) }
+func (p *ENBConfigReply) UnmarshalWire(d *wire.Decoder) error {
+	return enbConfigReplyFields.unmarshal(p, d)
 }
 
 // UEConfig describes one attached UE.
@@ -301,44 +177,26 @@ type UEConfig struct {
 	IMSI uint64
 }
 
-// MarshalWire implements wire.Marshaler.
-func (u *UEConfig) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(u.RNTI))
-	e.Uint(2, uint64(u.Cell))
-	e.Uint(3, u.IMSI)
-}
+var ueConfigFields = newFields(
+	uintF(1, "rnti", func(p *UEConfig) *lte.RNTI { return &p.RNTI }),
+	uintF(2, "cell", func(p *UEConfig) *lte.CellID { return &p.Cell }),
+	uintF(3, "imsi", func(p *UEConfig) *uint64 { return &p.IMSI }),
+)
 
-// UnmarshalWire implements wire.Unmarshaler.
-func (u *UEConfig) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		v, err := d.ReadUint()
-		if err != nil {
-			return err
-		}
-		switch f {
-		case 1:
-			u.RNTI = lte.RNTI(v)
-		case 2:
-			u.Cell = lte.CellID(v)
-		case 3:
-			u.IMSI = v
-		}
-		return nil
-	})
-}
+// MarshalWire and UnmarshalWire implement the wire interfaces through ueConfigFields.
+func (p *UEConfig) MarshalWire(e *wire.Encoder)         { ueConfigFields.marshal(p, e) }
+func (p *UEConfig) UnmarshalWire(d *wire.Decoder) error { return ueConfigFields.unmarshal(p, d) }
 
 // UEConfigRequest asks the agent for the attached-UE list.
 type UEConfigRequest struct{}
 
-// Kind implements Payload.
-func (*UEConfigRequest) Kind() Kind { return KindUEConfigRequest }
+var ueConfigRequestFields = newFields[UEConfigRequest]()
 
-// MarshalWire implements wire.Marshaler.
-func (*UEConfigRequest) MarshalWire(*wire.Encoder) {}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (*UEConfigRequest) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(int) error { return d.Skip() })
+// Kind, MarshalWire and UnmarshalWire implement Payload through ueConfigRequestFields.
+func (*UEConfigRequest) Kind() Kind                    { return KindUEConfigRequest }
+func (p *UEConfigRequest) MarshalWire(e *wire.Encoder) { ueConfigRequestFields.marshal(p, e) }
+func (p *UEConfigRequest) UnmarshalWire(d *wire.Decoder) error {
+	return ueConfigRequestFields.unmarshal(p, d)
 }
 
 // UEConfigReply lists the currently attached UEs.
@@ -346,29 +204,15 @@ type UEConfigReply struct {
 	UEs []UEConfig
 }
 
-// Kind implements Payload.
-func (*UEConfigReply) Kind() Kind { return KindUEConfigReply }
+var ueConfigReplyFields = newFields(
+	repF(1, "ues", func(p *UEConfigReply) *[]UEConfig { return &p.UEs }),
+)
 
-// MarshalWire implements wire.Marshaler.
-func (r *UEConfigReply) MarshalWire(e *wire.Encoder) {
-	for i := range r.UEs {
-		e.Message(1, &r.UEs[i])
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *UEConfigReply) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		if f == 1 {
-			var u UEConfig
-			if err := d.ReadMessage(&u); err != nil {
-				return err
-			}
-			r.UEs = append(r.UEs, u)
-			return nil
-		}
-		return d.Skip()
-	})
+// Kind, MarshalWire and UnmarshalWire implement Payload through ueConfigReplyFields.
+func (*UEConfigReply) Kind() Kind                    { return KindUEConfigReply }
+func (p *UEConfigReply) MarshalWire(e *wire.Encoder) { ueConfigReplyFields.marshal(p, e) }
+func (p *UEConfigReply) UnmarshalWire(d *wire.Decoder) error {
+	return ueConfigReplyFields.unmarshal(p, d)
 }
 
 // ---------------------------------------------------------------------------
@@ -407,37 +251,16 @@ type UEEvent struct {
 	Cell lte.CellID
 }
 
-// Kind implements Payload.
-func (*UEEvent) Kind() Kind { return KindUEEvent }
+var ueEventFields = newFields(
+	uintF(1, "type", func(p *UEEvent) *UEEventType { return &p.Type }),
+	uintF(2, "rnti", func(p *UEEvent) *lte.RNTI { return &p.RNTI }),
+	uintF(3, "cell", func(p *UEEvent) *lte.CellID { return &p.Cell }),
+)
 
-// reset implements poolable.
-func (p *UEEvent) reset() { *p = UEEvent{} }
-
-// MarshalWire implements wire.Marshaler.
-func (p *UEEvent) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.Type))
-	e.Uint(2, uint64(p.RNTI))
-	e.Uint(3, uint64(p.Cell))
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *UEEvent) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		v, err := d.ReadUint()
-		if err != nil {
-			return err
-		}
-		switch f {
-		case 1:
-			p.Type = UEEventType(v)
-		case 2:
-			p.RNTI = lte.RNTI(v)
-		case 3:
-			p.Cell = lte.CellID(v)
-		}
-		return nil
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through ueEventFields.
+func (*UEEvent) Kind() Kind                            { return KindUEEvent }
+func (p *UEEvent) MarshalWire(e *wire.Encoder)         { ueEventFields.marshal(p, e) }
+func (p *UEEvent) UnmarshalWire(d *wire.Decoder) error { return ueEventFields.unmarshal(p, d) }
 
 // SubframeTrigger is the per-TTI synchronization message the agent emits
 // when the master subscribes to subframe sync (used by centralized
@@ -449,19 +272,18 @@ type SubframeTrigger struct {
 // Kind implements Payload.
 func (*SubframeTrigger) Kind() Kind { return KindSubframeTrigger }
 
-// reset implements poolable.
+// reset is the kind's pool reset (kinds table).
 func (p *SubframeTrigger) reset() { *p = SubframeTrigger{} }
 
-// MarshalWire implements wire.Marshaler.
-func (p *SubframeTrigger) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.SF))
-}
+// MarshalWire implements wire.Marshaler. Sent every TTI under centralized
+// scheduling, so the codec is written out, not table-driven.
+func (p *SubframeTrigger) MarshalWire(e *wire.Encoder) { e.Uint(1, uint64(p.SF)) }
 
 // UnmarshalWire implements wire.Unmarshaler.
 func (p *SubframeTrigger) UnmarshalWire(d *wire.Decoder) error {
 	return eachField(d, func(f int) error {
 		if f == 1 {
-			return readSF(d, &p.SF)
+			return readUint(d, &p.SF)
 		}
 		return d.Skip()
 	})
@@ -504,51 +326,20 @@ type VSFUpdate struct {
 	Signature []byte
 }
 
-// Kind implements Payload.
-func (*VSFUpdate) Kind() Kind { return KindVSFUpdate }
+var vsfUpdateFields = newFields(
+	stringF(1, "module", func(p *VSFUpdate) *string { return &p.Module }),
+	stringF(2, "vsf", func(p *VSFUpdate) *string { return &p.VSF }),
+	stringF(3, "name", func(p *VSFUpdate) *string { return &p.Name }),
+	uintF(4, "vsf_kind", func(p *VSFUpdate) *VSFKind { return &p.VSFKind }),
+	stringF(5, "ref", func(p *VSFUpdate) *string { return &p.Ref }),
+	bytesF(6, "program", func(p *VSFUpdate) *[]byte { return &p.Program }),
+	bytesF(7, "signature", func(p *VSFUpdate) *[]byte { return &p.Signature }),
+)
 
-// MarshalWire implements wire.Marshaler.
-func (p *VSFUpdate) MarshalWire(e *wire.Encoder) {
-	e.String(1, p.Module)
-	e.String(2, p.VSF)
-	e.String(3, p.Name)
-	e.Uint(4, uint64(p.VSFKind))
-	e.String(5, p.Ref)
-	e.BytesField(6, p.Program)
-	e.BytesField(7, p.Signature)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *VSFUpdate) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		var err error
-		switch f {
-		case 1:
-			p.Module, err = d.ReadString()
-		case 2:
-			p.VSF, err = d.ReadString()
-		case 3:
-			p.Name, err = d.ReadString()
-		case 4:
-			var v uint64
-			v, err = d.ReadUint()
-			p.VSFKind = VSFKind(v)
-		case 5:
-			p.Ref, err = d.ReadString()
-		case 6:
-			var b []byte
-			b, err = d.ReadBytes()
-			p.Program = append([]byte(nil), b...)
-		case 7:
-			var b []byte
-			b, err = d.ReadBytes()
-			p.Signature = append([]byte(nil), b...)
-		default:
-			err = d.Skip()
-		}
-		return err
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through vsfUpdateFields.
+func (*VSFUpdate) Kind() Kind                            { return KindVSFUpdate }
+func (p *VSFUpdate) MarshalWire(e *wire.Encoder)         { vsfUpdateFields.marshal(p, e) }
+func (p *VSFUpdate) UnmarshalWire(d *wire.Decoder) error { return vsfUpdateFields.unmarshal(p, d) }
 
 // PolicyReconf carries a policy reconfiguration document (paper Fig. 3):
 // yamlite text selecting VSF behaviors and setting their parameters.
@@ -556,22 +347,15 @@ type PolicyReconf struct {
 	Doc string
 }
 
-// Kind implements Payload.
-func (*PolicyReconf) Kind() Kind { return KindPolicyReconf }
+var policyReconfFields = newFields(
+	stringF(1, "doc", func(p *PolicyReconf) *string { return &p.Doc }),
+)
 
-// MarshalWire implements wire.Marshaler.
-func (p *PolicyReconf) MarshalWire(e *wire.Encoder) { e.String(1, p.Doc) }
-
-// UnmarshalWire implements wire.Unmarshaler.
+// Kind, MarshalWire and UnmarshalWire implement Payload through policyReconfFields.
+func (*PolicyReconf) Kind() Kind                    { return KindPolicyReconf }
+func (p *PolicyReconf) MarshalWire(e *wire.Encoder) { policyReconfFields.marshal(p, e) }
 func (p *PolicyReconf) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		if f == 1 {
-			var err error
-			p.Doc, err = d.ReadString()
-			return err
-		}
-		return d.Skip()
-	})
+	return policyReconfFields.unmarshal(p, d)
 }
 
 // ControlAck reports the outcome of a command or delegation message.
@@ -584,66 +368,27 @@ type ControlAck struct {
 	Seq    uint64
 }
 
-// Kind implements Payload.
-func (*ControlAck) Kind() Kind { return KindControlAck }
+var controlAckFields = newFields(
+	boolF(1, "ok", func(p *ControlAck) *bool { return &p.OK }),
+	stringF(2, "detail", func(p *ControlAck) *string { return &p.Detail }),
+	optUintF(3, "seq", func(p *ControlAck) *uint64 { return &p.Seq }),
+)
 
-// reset implements poolable.
-func (p *ControlAck) reset() { *p = ControlAck{} }
+// Kind, MarshalWire and UnmarshalWire implement Payload through controlAckFields.
+func (*ControlAck) Kind() Kind                            { return KindControlAck }
+func (p *ControlAck) MarshalWire(e *wire.Encoder)         { controlAckFields.marshal(p, e) }
+func (p *ControlAck) UnmarshalWire(d *wire.Decoder) error { return controlAckFields.unmarshal(p, d) }
 
-// MarshalWire implements wire.Marshaler.
-func (p *ControlAck) MarshalWire(e *wire.Encoder) {
-	e.Bool(1, p.OK)
-	e.String(2, p.Detail)
-	if p.Seq != 0 {
-		e.Uint(3, p.Seq)
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *ControlAck) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		var err error
-		switch f {
-		case 1:
-			p.OK, err = d.ReadBool()
-		case 2:
-			p.Detail, err = d.ReadString()
-		case 3:
-			p.Seq, err = d.ReadUint()
-		default:
-			err = d.Skip()
-		}
-		return err
-	})
-}
-
-// ---------------------------------------------------------------------------
-// small decode helpers
-
-// eachField drives a decode loop, calling fn for every field.
+// eachField drives the decode loop of a hand-written decoder, calling fn
+// for every field; fn must consume it.
 func eachField(d *wire.Decoder, fn func(field int) error) error {
 	for {
 		ok, err := d.Next()
-		if err != nil {
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			return nil
 		}
 		if err := fn(d.Field()); err != nil {
 			return err
 		}
 	}
-}
-
-func readU32(d *wire.Decoder, dst *uint32) error {
-	v, err := d.ReadUint()
-	*dst = uint32(v)
-	return err
-}
-
-func readSF(d *wire.Decoder, dst *lte.Subframe) error {
-	v, err := d.ReadUint()
-	*dst = lte.Subframe(v)
-	return err
 }

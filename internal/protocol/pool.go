@@ -8,16 +8,17 @@ package protocol
 // Ownership contract:
 //
 //   - DecodePooled returns a message owned by the caller; calling Release
-//     hands the envelope (and, for poolable kinds, the payload) back to the
+//     hands the envelope (and, for pooled kinds, the payload) back to the
 //     free lists. After Release the message and its payload must not be
 //     touched.
 //   - Anything that must outlive Release has to be copied out first. The
 //     RIB copies each report row into its own record (UETable.Row) for
 //     exactly this reason.
-//   - Kinds whose payloads are retained by pointer downstream (MeasReport
-//     is stored in the RIB, Hello/config replies alias their Cells slice,
-//     VSFUpdate's program bytes reach the module cache) are deliberately
-//     NOT in the free lists: Release recycles only their envelope and the
+//   - Which kinds have a free list is the pool column of the kinds table
+//     (protocol.go), each row saying who keeps a decoded payload. A kind
+//     somebody does keep (MeasReport is stored in the RIB, Hello/config
+//     replies alias their Cells slice, VSFUpdate's program bytes reach the
+//     module cache) has none: Release recycles only its envelope and the
 //     payload stays alive for its retainers.
 //   - Release on a message built by New (or by hand) is a no-op, so code
 //     paths and tests that keep messages around are unaffected.
@@ -29,46 +30,14 @@ import (
 	"flexran/internal/wire"
 )
 
-// poolable payloads can be recycled through the per-kind free lists.
-// reset must clear every field while keeping slice capacity, so a reused
-// payload never leaks stale fields into a message that omits them.
-type poolable interface {
-	Payload
-	reset()
-}
-
 var msgPool = sync.Pool{New: func() interface{} { return new(Message) }}
 
-// payloadPools is indexed by Kind. A nil entry marks a kind whose payloads
-// must not be recycled (see the ownership contract above).
-var payloadPools [kindMax]*sync.Pool
-
-func registerPool(k Kind, newFn func() interface{}) {
-	payloadPools[k] = &sync.Pool{New: newFn}
-}
-
-func init() {
-	registerPool(KindEcho, func() interface{} { return &Echo{} })
-	registerPool(KindEchoReply, func() interface{} { return &EchoReply{} })
-	registerPool(KindStatsRequest, func() interface{} { return &StatsRequest{} })
-	registerPool(KindStatsReply, func() interface{} { return &StatsReply{} })
-	registerPool(KindSubframeTrigger, func() interface{} { return &SubframeTrigger{} })
-	registerPool(KindDLSchedule, func() interface{} { return &DLSchedule{} })
-	registerPool(KindULSchedule, func() interface{} { return &ULSchedule{} })
-	registerPool(KindUEEvent, func() interface{} { return &UEEvent{} })
-	registerPool(KindControlAck, func() interface{} { return &ControlAck{} })
-	registerPool(KindHandoverCommand, func() interface{} { return &HandoverCommand{} })
-	registerPool(KindResyncRequest, func() interface{} { return &ResyncRequest{} })
-	// KindStateSnapshot is deliberately absent: like Hello, its ENBConfig
-	// may be retained by the RIB when the snapshot creates the shard.
-}
-
 // acquirePayload returns a payload for a kind: from the kind's free list
-// when pooling was requested and the kind allows it, freshly allocated
+// when pooling was requested and the kind has one, freshly allocated
 // otherwise. The bool reports whether the payload came from a pool.
 func acquirePayload(k Kind, wantPool bool) (Payload, bool, error) {
-	if wantPool && k > KindInvalid && k < kindMax && payloadPools[k] != nil {
-		return payloadPools[k].Get().(Payload), true, nil
+	if wantPool && k < kindMax && kinds[k].pool != nil {
+		return kinds[k].pool.Get().(Payload), true, nil
 	}
 	p, err := newPayload(k)
 	return p, false, err
@@ -89,7 +58,7 @@ func AcquireMessage(enb lte.ENBID, sf lte.Subframe, p Payload) *Message {
 }
 
 // DecodePooled parses a message from bytes like Decode, but draws the
-// envelope — and the payload, for poolable kinds — from the free lists.
+// envelope — and the payload, for pooled kinds — from the free lists.
 // The decoded message owns no part of b (payload decoders copy what they
 // keep), so the caller may reuse b immediately. Call Release when done.
 func DecodePooled(b []byte) (*Message, error) {
@@ -105,7 +74,7 @@ func DecodePooled(b []byte) (*Message, error) {
 }
 
 // Release recycles a message obtained from AcquireMessage or DecodePooled.
-// For DecodePooled messages with poolable payloads the payload is reset and
+// For DecodePooled messages of pooled kinds the payload is reset and
 // returned to its kind's free list too. Messages built by New (or composite
 // literals) are untouched — Release is a no-op for them — so retaining
 // such messages stays safe.
@@ -114,10 +83,9 @@ func (m *Message) Release() {
 		return
 	}
 	if m.poolPayload {
-		if p, ok := m.Payload.(poolable); ok {
-			p.reset()
-			payloadPools[p.Kind()].Put(p)
-		}
+		k := &kinds[m.Payload.Kind()]
+		k.reset(m.Payload)
+		k.pool.Put(m.Payload)
 	}
 	*m = Message{}
 	msgPool.Put(m)

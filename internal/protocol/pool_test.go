@@ -45,19 +45,51 @@ func TestDecodePooledMatchesDecode(t *testing.T) {
 	pooled.Release()
 }
 
-// TestDecodePooledReuseNoStaleState pins the reset contract: a released
-// payload reused for a smaller message must not leak any field of the
-// previous decode (entry counts, subband bytes, LC reports, scalars).
+// TestDecodePooledReuseNoStaleState pins the reset contract for every
+// pooled kind of the kinds table: after the kind's fully populated corpus
+// payload has been through DecodePooled and Release a few times, whatever
+// payload the free list hands back for an empty message of that kind must
+// read as the zero value — every scalar zero, every slice and UE-block
+// column of length 0 (capacity is the point of pooling and is not state).
+// A field added to a hand-kept reset's struct and forgotten in the reset
+// fails here.
 func TestDecodePooledReuseNoStaleState(t *testing.T) {
-	big := Encode(New(1, 1, poolStatsReply(32, 1000)))
-	small := &StatsReply{ID: 2, SF: 3, UEs: UETableOf(UEStats{RNTI: 9, CQI: 4})}
-	smallB := Encode(New(2, 3, small))
+	full := map[Kind]Payload{}
+	for _, p := range corpusPayloads() {
+		full[p.Kind()] = p
+	}
+	for k := KindHello; k < kindMax; k++ {
+		if kinds[k].pool == nil {
+			continue
+		}
+		big := Encode(New(1, 1, full[k]))
+		empty := Encode(New(2, 3, kinds[k].new()))
+		for i := 0; i < 4; i++ {
+			m, err := DecodePooled(big)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(m.Payload, full[k]) {
+				t.Fatalf("%v: pooled decode = %+v, want %+v", k, m.Payload, full[k])
+			}
+			m.Release()
+		}
+		m, err := DecodePooled(empty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !zeroOrEmpty(reflect.ValueOf(m.Payload).Elem()) {
+			t.Errorf("%v: stale state leaked into a reused payload: %+v", k, m.Payload)
+		}
+		m.Release()
+	}
 
-	// Cycle the big reply through the pool several times, then decode the
-	// small one: whatever payload the pool hands back must decode to
-	// exactly the small reply.
+	// And one level down, the way the RIB reads a report: a reply reused
+	// for a smaller one hands out exactly the smaller one's row.
+	bigB := Encode(New(1, 1, poolStatsReply(32, 1000)))
+	smallB := Encode(New(2, 3, &StatsReply{ID: 2, SF: 3, UEs: UETableOf(UEStats{RNTI: 9, CQI: 4})}))
 	for i := 0; i < 4; i++ {
-		m, err := DecodePooled(big)
+		m, err := DecodePooled(bigB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,6 +110,23 @@ func TestDecodePooledReuseNoStaleState(t *testing.T) {
 		len(u.SubbandCQI) != 0 || len(u.LCs) != 0 {
 		t.Fatalf("stale state leaked into reused UE entry: %+v", u)
 	}
+}
+
+// zeroOrEmpty reports whether v is its zero value, taking a slice of
+// length 0 for zero whatever its capacity.
+func zeroOrEmpty(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Slice:
+		return v.Len() == 0
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !zeroOrEmpty(v.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return v.IsZero()
 }
 
 // TestAcquireMessageOwnership pins AcquireMessage's contract: the envelope

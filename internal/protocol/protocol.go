@@ -12,14 +12,26 @@
 // Every message carries a small envelope (kind, eNodeB id, subframe stamp)
 // and one payload. Serialization uses the internal/wire varint codec (the
 // stdlib-only stand-in for Google Protocol Buffers used by the original
-// implementation); unknown fields are skipped so the protocol can evolve
-// without breaking deployed agents, a design requirement the paper
-// emphasizes.
+// implementation); unknown fields of any wire type are skipped so the
+// protocol can evolve without breaking deployed agents, a design
+// requirement the paper emphasizes, and a value its Go field cannot hold is
+// an error (wire.ErrRange), never a truncated one.
+//
+// As a .proto file would, the package says each thing once: what a kind is
+// (name, Fig. 7 category, constructor, whether decoded payloads are
+// recycled) is its row of the kinds table below, and a message struct's wire
+// form is the field table declared beside it (fields.go), which is its
+// encoder, decoder and pool reset. Only what travels every TTI — the
+// envelope, StatsReply with its CellStats and UE block, the two schedules
+// with their Allocs, SubframeTrigger — has a hand-tuned codec, checked
+// against a test-side table. The README's "Southbound protocol reference"
+// is generated from these tables.
 package protocol
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"flexran/internal/lte"
 	"flexran/internal/wire"
@@ -56,22 +68,6 @@ const (
 	kindMax // sentinel
 )
 
-var kindNames = [...]string{
-	"invalid", "hello", "hello_ack", "echo", "echo_reply",
-	"enb_config_request", "enb_config_reply", "ue_config_request",
-	"ue_config_reply", "stats_request", "stats_reply", "subframe_trigger",
-	"dl_schedule", "ul_schedule", "ue_event", "vsf_update",
-	"policy_reconf", "control_ack", "meas_report", "handover_command",
-	"handover_complete", "resync_request", "state_snapshot",
-}
-
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
 // Signaling categories used by the evaluation's overhead breakdowns
 // (paper Fig. 7). Every message kind belongs to exactly one category.
 const (
@@ -82,20 +78,88 @@ const (
 	CatDelegation = "control delegation"
 )
 
+// kindInfo is everything the package knows about one message kind.
+type kindInfo struct {
+	name     string
+	category string // the Fig. 7 accounting bucket
+	new      func() Payload
+	// pool and reset are set for the kinds DecodePooled recycles: Release
+	// resets the payload and returns it to pool. They are nil for a kind
+	// whose decoded payloads somebody downstream keeps.
+	pool  *sync.Pool
+	reset func(Payload)
+	// why is the reason beside that choice: who still holds the payload
+	// after Release, or that the kind is too rare to pool. The ownership
+	// contract is in pool.go.
+	why string
+}
+
+// payloadOf is a pointer to the message struct T that is a Payload.
+type payloadOf[T any] interface {
+	*T
+	Payload
+}
+
+// retained declares a kind whose decoded payloads are never recycled:
+// somebody keeps them, or they are too rare for a free list to matter.
+func retained[T any, P payloadOf[T]](name, category, why string) kindInfo {
+	return kindInfo{name: name, category: category, why: why,
+		new: func() Payload { return P(new(T)) }}
+}
+
+// pooled declares a kind whose decoded payloads the ingest loops are done
+// with inside the tick, so DecodePooled draws them from a free list. reset
+// must clear every field while keeping slice capacity — a field table's
+// reset does — so a reused payload leaks nothing into a message that omits
+// a field.
+func pooled[T any, P payloadOf[T]](name, category string, reset func(*T)) kindInfo {
+	k := retained[T, P](name, category, "consumed within the tick")
+	k.pool = &sync.Pool{New: func() any { return P(new(T)) }}
+	k.reset = func(p Payload) { reset((*T)(p.(P))) }
+	return k
+}
+
+// kinds is the one registry of message kinds, indexed by Kind: String,
+// Category, the decoder's constructor and the free lists all read it.
+var kinds = [kindMax]kindInfo{
+	KindInvalid:          {name: "invalid", category: CatManagement},
+	KindHello:            retained[Hello]("hello", CatManagement, "the RIB keeps Config.Cells"),
+	KindHelloAck:         retained[HelloAck]("hello_ack", CatManagement, "rare: once per session"),
+	KindEcho:             pooled("echo", CatManagement, echoFields.reset),
+	KindEchoReply:        pooled("echo_reply", CatManagement, echoReplyFields.reset),
+	KindENBConfigRequest: retained[ENBConfigRequest]("enb_config_request", CatManagement, "rare: on demand"),
+	KindENBConfigReply:   retained[ENBConfigReply]("enb_config_reply", CatManagement, "the RIB keeps Config.Cells"),
+	KindUEConfigRequest:  retained[UEConfigRequest]("ue_config_request", CatManagement, "rare: on demand"),
+	KindUEConfigReply:    retained[UEConfigReply]("ue_config_reply", CatManagement, "rare: on demand"),
+	KindStatsRequest:     pooled("stats_request", CatStats, statsRequestFields.reset),
+	KindStatsReply:       pooled("stats_reply", CatStats, (*StatsReply).reset),
+	KindSubframeTrigger:  pooled("subframe_trigger", CatSync, (*SubframeTrigger).reset),
+	KindDLSchedule:       pooled("dl_schedule", CatCommands, (*DLSchedule).reset),
+	KindULSchedule:       pooled("ul_schedule", CatCommands, (*ULSchedule).reset),
+	KindUEEvent:          pooled("ue_event", CatManagement, ueEventFields.reset),
+	KindVSFUpdate:        retained[VSFUpdate]("vsf_update", CatDelegation, "the module cache keeps Program"),
+	KindPolicyReconf:     retained[PolicyReconf]("policy_reconf", CatDelegation, "rare: on demand"),
+	KindControlAck:       pooled("control_ack", CatManagement, controlAckFields.reset),
+	KindMeasReport:       retained[MeasReport]("meas_report", CatStats, "the RIB stores it, watchers receive it"),
+	KindHandoverCommand:  pooled("handover_command", CatCommands, handoverCommandFields.reset),
+	KindHandoverComplete: retained[HandoverComplete]("handover_complete", CatManagement, "watchers receive it"),
+	KindResyncRequest:    pooled("resync_request", CatManagement, resyncRequestFields.reset),
+	KindStateSnapshot:    retained[StateSnapshot]("state_snapshot", CatManagement, "the RIB may keep Config.Cells"),
+}
+
+func (k Kind) String() string {
+	if k < kindMax {
+		return kinds[k].name
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
 // Category returns the Fig. 7 accounting bucket for a message kind.
 func (k Kind) Category() string {
-	switch k {
-	case KindStatsRequest, KindStatsReply, KindMeasReport:
-		return CatStats
-	case KindSubframeTrigger:
-		return CatSync
-	case KindDLSchedule, KindULSchedule, KindHandoverCommand:
-		return CatCommands
-	case KindVSFUpdate, KindPolicyReconf:
-		return CatDelegation
-	default:
-		return CatManagement
+	if k < kindMax {
+		return kinds[k].category
 	}
+	return CatManagement
 }
 
 // Payload is one decoded message body.
@@ -169,39 +233,21 @@ func (m *Message) UnmarshalWire(d *wire.Decoder) error {
 		}
 		switch d.Field() {
 		case envKind:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			kind = Kind(v)
+			err = readUint(d, &kind)
 		case envENB:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			m.ENB = lte.ENBID(v)
+			err = readUint(d, &m.ENB)
 		case envSF:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			m.SF = lte.Subframe(v)
+			err = readUint(d, &m.SF)
 		case envPayload:
 			payloadRaw, err = d.ReadBytes()
-			if err != nil {
-				return err
-			}
 			seenPayload = true
 		case envCmdSeq:
-			v, err := d.ReadUint()
-			if err != nil {
-				return err
-			}
-			m.CmdSeq = v
+			err = readUint(d, &m.CmdSeq)
 		default:
-			if err := d.Skip(); err != nil {
-				return err
-			}
+			err = d.Skip()
+		}
+		if err != nil {
+			return err
 		}
 	}
 	if !seenPayload {
@@ -221,53 +267,10 @@ func (m *Message) UnmarshalWire(d *wire.Decoder) error {
 
 // newPayload allocates the payload struct for a kind.
 func newPayload(k Kind) (Payload, error) {
-	switch k {
-	case KindHello:
-		return &Hello{}, nil
-	case KindHelloAck:
-		return &HelloAck{}, nil
-	case KindEcho:
-		return &Echo{}, nil
-	case KindEchoReply:
-		return &EchoReply{}, nil
-	case KindENBConfigRequest:
-		return &ENBConfigRequest{}, nil
-	case KindENBConfigReply:
-		return &ENBConfigReply{}, nil
-	case KindUEConfigRequest:
-		return &UEConfigRequest{}, nil
-	case KindUEConfigReply:
-		return &UEConfigReply{}, nil
-	case KindStatsRequest:
-		return &StatsRequest{}, nil
-	case KindStatsReply:
-		return &StatsReply{}, nil
-	case KindSubframeTrigger:
-		return &SubframeTrigger{}, nil
-	case KindDLSchedule:
-		return &DLSchedule{}, nil
-	case KindULSchedule:
-		return &ULSchedule{}, nil
-	case KindUEEvent:
-		return &UEEvent{}, nil
-	case KindVSFUpdate:
-		return &VSFUpdate{}, nil
-	case KindPolicyReconf:
-		return &PolicyReconf{}, nil
-	case KindControlAck:
-		return &ControlAck{}, nil
-	case KindMeasReport:
-		return &MeasReport{}, nil
-	case KindHandoverCommand:
-		return &HandoverCommand{}, nil
-	case KindHandoverComplete:
-		return &HandoverComplete{}, nil
-	case KindResyncRequest:
-		return &ResyncRequest{}, nil
-	case KindStateSnapshot:
-		return &StateSnapshot{}, nil
+	if k >= kindMax || kinds[k].new == nil {
+		return nil, fmt.Errorf("protocol: unknown message kind %d", uint8(k))
 	}
-	return nil, fmt.Errorf("protocol: unknown message kind %d", uint8(k))
+	return kinds[k].new(), nil
 }
 
 // Encode serializes a message to bytes.

@@ -23,25 +23,15 @@ type ResyncRequest struct {
 	Epoch uint64
 }
 
-// Kind implements Payload.
-func (*ResyncRequest) Kind() Kind { return KindResyncRequest }
+var resyncRequestFields = newFields(
+	uintF(1, "epoch", func(p *ResyncRequest) *uint64 { return &p.Epoch }),
+)
 
-// reset implements poolable.
-func (p *ResyncRequest) reset() { *p = ResyncRequest{} }
-
-// MarshalWire implements wire.Marshaler.
-func (p *ResyncRequest) MarshalWire(e *wire.Encoder) { e.Uint(1, p.Epoch) }
-
-// UnmarshalWire implements wire.Unmarshaler.
+// Kind, MarshalWire and UnmarshalWire implement Payload through resyncRequestFields.
+func (*ResyncRequest) Kind() Kind                    { return KindResyncRequest }
+func (p *ResyncRequest) MarshalWire(e *wire.Encoder) { resyncRequestFields.marshal(p, e) }
 func (p *ResyncRequest) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		if f == 1 {
-			v, err := d.ReadUint()
-			p.Epoch = v
-			return err
-		}
-		return d.Skip()
-	})
+	return resyncRequestFields.unmarshal(p, d)
 }
 
 // StateSnapshot is the agent's authoritative state at one subframe: the
@@ -68,63 +58,22 @@ type StateSnapshot struct {
 	Subs []StatsRequest
 }
 
-// Kind implements Payload.
-func (*StateSnapshot) Kind() Kind { return KindStateSnapshot }
+// The UE block is the block a StatsReply carries; it took over from field
+// 4, one nested message per UE, and is sent last as the newest field.
+var stateSnapshotFields = newFields(
+	uintF(1, "epoch", func(p *StateSnapshot) *uint64 { return &p.Epoch }),
+	uintF(2, "sf", func(p *StateSnapshot) *lte.Subframe { return &p.SF }),
+	msgF(3, "config", func(p *StateSnapshot) *ENBConfig { return &p.Config }),
+	retired[StateSnapshot](4, "ues, one message per UE"),
+	repF(5, "configs", func(p *StateSnapshot) *[]UEConfig { return &p.Configs }),
+	repF(6, "cells", func(p *StateSnapshot) *[]CellStats { return &p.Cells }),
+	repF(7, "subs", func(p *StateSnapshot) *[]StatsRequest { return &p.Subs }),
+	ueBlockF(8, "ues", func(p *StateSnapshot) *UETable { return &p.UEs }),
+)
 
-// snapUEs is the wire field of the snapshot's UE block — the same block a
-// StatsReply carries. Field 4 carried one nested message per UE before it;
-// it is retired and must not be reused.
-const snapUEs = 8
-
-// MarshalWire implements wire.Marshaler.
-func (p *StateSnapshot) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, p.Epoch)
-	e.Uint(2, uint64(p.SF))
-	e.Message(3, &p.Config)
-	for i := range p.Configs {
-		e.Message(5, &p.Configs[i])
-	}
-	for i := range p.Cells {
-		e.Message(6, &p.Cells[i])
-	}
-	for i := range p.Subs {
-		e.Message(7, &p.Subs[i])
-	}
-	if p.UEs.Len() > 0 {
-		e.Message(snapUEs, &p.UEs)
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
+// Kind, MarshalWire and UnmarshalWire implement Payload through stateSnapshotFields.
+func (*StateSnapshot) Kind() Kind                    { return KindStateSnapshot }
+func (p *StateSnapshot) MarshalWire(e *wire.Encoder) { stateSnapshotFields.marshal(p, e) }
 func (p *StateSnapshot) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1:
-			v, err := d.ReadUint()
-			p.Epoch = v
-			return err
-		case 2:
-			return readSF(d, &p.SF)
-		case 3:
-			return d.ReadMessage(&p.Config)
-		case 5:
-			var c *UEConfig
-			p.Configs, c = grow(p.Configs)
-			*c = UEConfig{}
-			return d.ReadMessage(c)
-		case 6:
-			var c *CellStats
-			p.Cells, c = grow(p.Cells)
-			*c = CellStats{}
-			return d.ReadMessage(c)
-		case 7:
-			var s *StatsRequest
-			p.Subs, s = grow(p.Subs)
-			*s = StatsRequest{}
-			return d.ReadMessage(s)
-		case snapUEs:
-			return d.ReadMessage(&p.UEs)
-		}
-		return d.Skip()
-	})
+	return stateSnapshotFields.unmarshal(p, d)
 }

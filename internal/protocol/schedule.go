@@ -5,6 +5,10 @@ import (
 	"flexran/internal/wire"
 )
 
+// The scheduling commands travel every TTI under centralized scheduling
+// (32 Allocs a cell), so their codecs are written out, not table-driven;
+// reference_test.go checks them against their field tables.
+
 // Alloc is one UE's allocation within a scheduling decision: the resource
 // blocks and modulation/coding the data plane must apply.
 type Alloc struct {
@@ -24,22 +28,27 @@ func (a *Alloc) MarshalWire(e *wire.Encoder) {
 	e.Uint(4, uint64(a.MCS))
 }
 
-// UnmarshalWire implements wire.Unmarshaler.
+// UnmarshalWire implements wire.Unmarshaler. Every field is a varint, so the
+// value is read before the number is looked at; a field of another wire type
+// is one a newer peer added, and is skipped.
 func (a *Alloc) UnmarshalWire(d *wire.Decoder) error {
 	return eachField(d, func(f int) error {
+		if d.WireType() != wire.TVarint {
+			return d.Skip()
+		}
 		v, err := d.ReadUint()
 		if err != nil {
 			return err
 		}
 		switch f {
 		case 1:
-			a.RNTI = lte.RNTI(v)
+			return narrow(&a.RNTI, v)
 		case 2:
-			a.RBStart = uint16(v)
+			return narrow(&a.RBStart, v)
 		case 3:
-			a.RBCount = uint16(v)
+			return narrow(&a.RBCount, v)
 		case 4:
-			a.MCS = lte.MCS(v)
+			return narrow(&a.MCS, v)
 		}
 		return nil
 	})
@@ -58,7 +67,7 @@ type DLSchedule struct {
 // Kind implements Payload.
 func (*DLSchedule) Kind() Kind { return KindDLSchedule }
 
-// reset implements poolable.
+// reset is the kind's pool reset (kinds table).
 func (p *DLSchedule) reset() {
 	allocs := p.Allocs
 	*p = DLSchedule{}
@@ -79,11 +88,9 @@ func (p *DLSchedule) UnmarshalWire(d *wire.Decoder) error {
 	return eachField(d, func(f int) error {
 		switch f {
 		case 1:
-			v, err := d.ReadUint()
-			p.Cell = lte.CellID(v)
-			return err
+			return readUint(d, &p.Cell)
 		case 2:
-			return readSF(d, &p.TargetSF)
+			return readUint(d, &p.TargetSF)
 		case 3:
 			var a *Alloc
 			p.Allocs, a = grow(p.Allocs)
@@ -105,38 +112,8 @@ type ULSchedule struct {
 // Kind implements Payload.
 func (*ULSchedule) Kind() Kind { return KindULSchedule }
 
-// reset implements poolable.
-func (p *ULSchedule) reset() {
-	allocs := p.Allocs
-	*p = ULSchedule{}
-	p.Allocs = allocs[:0]
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p *ULSchedule) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.Cell))
-	e.Uint(2, uint64(p.TargetSF))
-	for i := range p.Allocs {
-		e.Message(3, &p.Allocs[i])
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *ULSchedule) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1:
-			v, err := d.ReadUint()
-			p.Cell = lte.CellID(v)
-			return err
-		case 2:
-			return readSF(d, &p.TargetSF)
-		case 3:
-			var a *Alloc
-			p.Allocs, a = grow(p.Allocs)
-			*a = Alloc{}
-			return d.ReadMessage(a)
-		}
-		return d.Skip()
-	})
-}
+// The uplink command's wire form is the downlink's under another kind, so
+// its codec and reset are DLSchedule's.
+func (p *ULSchedule) reset()                              { (*DLSchedule)(p).reset() }
+func (p *ULSchedule) MarshalWire(e *wire.Encoder)         { (*DLSchedule)(p).MarshalWire(e) }
+func (p *ULSchedule) UnmarshalWire(d *wire.Decoder) error { return (*DLSchedule)(p).UnmarshalWire(d) }

@@ -57,39 +57,18 @@ type StatsRequest struct {
 	Flags     StatsFlags
 }
 
-// Kind implements Payload.
-func (*StatsRequest) Kind() Kind { return KindStatsRequest }
+var statsRequestFields = newFields(
+	uintF(1, "id", func(p *StatsRequest) *uint32 { return &p.ID }),
+	uintF(2, "mode", func(p *StatsRequest) *StatsMode { return &p.Mode }),
+	uintF(3, "period_tti", func(p *StatsRequest) *uint32 { return &p.PeriodTTI }),
+	uintF(4, "flags", func(p *StatsRequest) *StatsFlags { return &p.Flags }),
+)
 
-// reset implements poolable.
-func (p *StatsRequest) reset() { *p = StatsRequest{} }
-
-// MarshalWire implements wire.Marshaler.
-func (p *StatsRequest) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.ID))
-	e.Uint(2, uint64(p.Mode))
-	e.Uint(3, uint64(p.PeriodTTI))
-	e.Uint(4, uint64(p.Flags))
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
+// Kind, MarshalWire and UnmarshalWire implement Payload through statsRequestFields.
+func (*StatsRequest) Kind() Kind                    { return KindStatsRequest }
+func (p *StatsRequest) MarshalWire(e *wire.Encoder) { statsRequestFields.marshal(p, e) }
 func (p *StatsRequest) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		v, err := d.ReadUint()
-		if err != nil {
-			return err
-		}
-		switch f {
-		case 1:
-			p.ID = uint32(v)
-		case 2:
-			p.Mode = StatsMode(v)
-		case 3:
-			p.PeriodTTI = uint32(v)
-		case 4:
-			p.Flags = StatsFlags(v)
-		}
-		return nil
-	})
+	return statsRequestFields.unmarshal(p, d)
 }
 
 // LCReport is the per-logical-channel queue component of a UE report
@@ -159,20 +138,25 @@ func (s *CellStats) MarshalWire(e *wire.Encoder) {
 	e.Bool(4, s.ABS)
 }
 
-// UnmarshalWire implements wire.Unmarshaler.
+// UnmarshalWire implements wire.Unmarshaler. Every field is a varint, so the
+// value is read before the number is looked at; a field of another wire type
+// is one a newer peer added, and is skipped.
 func (s *CellStats) UnmarshalWire(d *wire.Decoder) error {
 	return eachField(d, func(f int) error {
+		if d.WireType() != wire.TVarint {
+			return d.Skip()
+		}
 		v, err := d.ReadUint()
 		if err != nil {
 			return err
 		}
 		switch f {
 		case 1:
-			s.Cell = lte.CellID(v)
+			return narrow(&s.Cell, v)
 		case 2:
-			s.UsedPRB = uint32(v)
+			return narrow(&s.UsedPRB, v)
 		case 3:
-			s.TotalPRB = uint32(v)
+			return narrow(&s.TotalPRB, v)
 		case 4:
 			s.ABS = v != 0
 		}
@@ -194,8 +178,8 @@ type StatsReply struct {
 // Kind implements Payload.
 func (*StatsReply) Kind() Kind { return KindStatsReply }
 
-// reset implements poolable. The table and the cells are truncated, not
-// dropped: their capacity is reused by the next decode.
+// reset is the kind's pool reset (kinds table). The table and the cells
+// are truncated, not dropped: their capacity is reused by the next decode.
 func (p *StatsReply) reset() {
 	p.ID, p.SF = 0, 0
 	p.UEs.Resize(0)
@@ -228,9 +212,9 @@ func (p *StatsReply) UnmarshalWire(d *wire.Decoder) error {
 	return eachField(d, func(f int) error {
 		switch f {
 		case statsID:
-			return readU32(d, &p.ID)
+			return readUint(d, &p.ID)
 		case statsSF:
-			return readSF(d, &p.SF)
+			return readUint(d, &p.SF)
 		case statsCells:
 			var c *CellStats
 			p.Cells, c = grow(p.Cells)
