@@ -16,15 +16,20 @@ import (
 	"flexran/internal/protocol"
 )
 
-// UERecord is a UE leaf of the RIB.
+// UERecord is a UE leaf of the RIB. While the agent's latest statistics
+// report has a row for the UE, the UE's statistics are that row of the
+// shard's table; Stats holds them otherwise — a resync's, or the last row
+// the UE had before a report left it out. RIB.UEStats and RIB.UEsOf read
+// whichever applies.
 type UERecord struct {
-	Config    protocol.UEConfig
-	Stats     protocol.UEStats
-	UpdatedSF lte.Subframe // agent subframe of the latest stats
+	Config protocol.UEConfig
+	Stats  protocol.UEStats
 	// Meas is the latest A3 measurement report (nil before the first);
 	// MeasSF stamps when it arrived.
 	Meas   *protocol.MeasReport
 	MeasSF lte.Subframe
+
+	row int // 1 + the UE's row in the shard's table; 0 = none, Stats applies
 }
 
 // CellRecord is a cell node of the RIB.
@@ -52,13 +57,14 @@ type agentShard struct {
 	// policy code via HealthOf.
 	health atomic.Uint32
 
-	// rows remembers which record each row of the last statistics report
-	// resolved to (guarded by mu). An agent reports the same UEs in the
-	// same order TTI after TTI, so while a report's RNTI and Cell columns
-	// repeat the remembered ones exactly and rowsValid holds — no record
-	// was removed since — applyStats skips the two map lookups per row.
-	rowRNTI   []lte.RNTI
-	rowCell   []lte.CellID
+	// tbl is a copy of the agent's latest statistics report and rowRec the
+	// record each of its rows resolved to, nil for a row in a cell the agent
+	// never announced (both guarded by mu). An agent reports the same UEs in
+	// the same order TTI after TTI, so while a report's RNTI and Cell
+	// columns equal tbl's and rowsValid holds — no record was removed since
+	// — applyStats copies the report over tbl column by column and touches
+	// no record.
+	tbl       protocol.UETable
 	rowRec    []*UERecord
 	rowsValid bool
 }
@@ -159,7 +165,6 @@ func (r *RIB) applyResync(enb lte.ENBID, snap *protocol.StateSnapshot) {
 		}
 		u := sh.ue(c, rnti, imsis[rnti]) // an RNTI listed twice keeps its last row
 		snap.UEs.Row(i, &u.Stats)
-		u.UpdatedSF = snap.SF
 	}
 	for _, cs := range snap.Cells {
 		if c := sh.cells[cs.Cell]; c != nil {
@@ -177,7 +182,8 @@ func (r *RIB) applyResync(enb lte.ENBID, snap *protocol.StateSnapshot) {
 // to a shard's record set goes through these two (sh.mu held), which keep
 // the lock-free UE count in step. A removal also forgets the remembered row
 // resolution, which may point at the record; an addition cannot change what
-// a remembered row resolves to (every such row has its record already).
+// a remembered row resolves to (every row in a known cell has its record
+// already, and a shard's cells are fixed at Hello).
 func (sh *agentShard) ue(c *CellRecord, rnti lte.RNTI, imsi uint64) *UERecord {
 	u := c.UEs[rnti]
 	if u == nil {
@@ -229,35 +235,48 @@ func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
 			c.Stats = cs
 		}
 	}
-	// Row by row out of the columns: Row writes into the record's own
-	// SubbandCQI/LCs capacity, so the record never aliases the reply (a
-	// pooled decode, released and reused after this tick, or an agent's
-	// in-place report scratch) and steady-state updates allocate nothing.
+	// The report is copied into the shard's own table, never kept: the reply
+	// may be a pooled decode, released and reused after this tick, a
+	// New-built message delivered again, or an agent's in-place report
+	// scratch. Once the table's columns have grown, the copy allocates
+	// nothing.
 	ues := &rep.UEs
-	if sh.rowsValid && slices.Equal(sh.rowRNTI, ues.RNTI) && slices.Equal(sh.rowCell, ues.Cell) {
-		for i, u := range sh.rowRec {
-			ues.Row(i, &u.Stats)
-			u.UpdatedSF = rep.SF
-		}
+	if sh.rowsValid && slices.Equal(sh.tbl.RNTI, ues.RNTI) && slices.Equal(sh.tbl.Cell, ues.Cell) {
+		sh.tbl.CopyFrom(ues)
 		return
 	}
+	// The row set changed. Every record that had a row first takes its own
+	// copy of it (detach), so a record this report leaves out keeps its last
+	// statistics; then the rows are resolved again.
+	for _, u := range sh.rowRec {
+		if u != nil && u.row > 0 {
+			sh.tbl.Row(u.row-1, &u.Stats)
+			u.row = 0
+		}
+	}
+	sh.tbl.CopyFrom(ues)
 	sh.rowRec = sh.rowRec[:0]
 	for i, n := 0, ues.Len(); i < n; i++ {
-		c := sh.cells[ues.Cell[i]]
-		if c == nil {
-			continue
+		var u *UERecord
+		if c := sh.cells[ues.Cell[i]]; c != nil {
+			u = sh.ue(c, ues.RNTI[i], 0)
+			u.row = i + 1                // an RNTI listed twice reads its last row
+			u.Stats = protocol.UEStats{} // the row holds them now
 		}
-		u := sh.ue(c, ues.RNTI[i], 0)
-		ues.Row(i, &u.Stats)
-		u.UpdatedSF = rep.SF
 		sh.rowRec = append(sh.rowRec, u)
 	}
-	// Remember the resolution only if every row has a record (none sat in
-	// an unknown cell).
-	if sh.rowsValid = len(sh.rowRec) == ues.Len(); sh.rowsValid {
-		sh.rowRNTI = append(sh.rowRNTI[:0], ues.RNTI...)
-		sh.rowCell = append(sh.rowCell[:0], ues.Cell...)
+	sh.rowsValid = true
+}
+
+// statsOf copies u's latest statistics into dst, reusing dst's
+// SubbandCQI/LCs capacity (sh.mu held): u's row of the shard's table while
+// it has one, else its own Stats.
+func (sh *agentShard) statsOf(u *UERecord, dst *protocol.UEStats) {
+	if u.row > 0 {
+		sh.tbl.Row(u.row-1, dst)
+		return
 	}
+	dst.CopyFrom(&u.Stats)
 }
 
 // applyMeasReport attaches an A3 measurement report to the UE's record
@@ -401,8 +420,8 @@ func (r *RIB) CellStats(enb lte.ENBID, cellID lte.CellID) (protocol.CellStats, b
 }
 
 // UEStats returns the latest stats of one UE. The returned snapshot is a
-// deep copy: the updater refills the record's SubbandCQI/LCs in place, so
-// handing out aliases would let a later update mutate a reader's snapshot.
+// deep copy: the updater overwrites the shard's table in place, so handing
+// out aliases would let a later update mutate a reader's snapshot.
 func (r *RIB) UEStats(enb lte.ENBID, rnti lte.RNTI) (protocol.UEStats, bool) {
 	sh := r.shard(enb)
 	if sh == nil {
@@ -413,7 +432,7 @@ func (r *RIB) UEStats(enb lte.ENBID, rnti lte.RNTI) (protocol.UEStats, bool) {
 	for _, c := range sh.cells {
 		if u, ok := c.UEs[rnti]; ok {
 			var out protocol.UEStats
-			out.CopyFrom(&u.Stats)
+			sh.statsOf(u, &out)
 			return out, true
 		}
 	}
@@ -484,7 +503,7 @@ func (r *RIB) AppendUEsOf(enb lte.ENBID, dst []protocol.UEStats) []protocol.UESt
 			} else {
 				dst = append(dst, protocol.UEStats{})
 			}
-			dst[n].CopyFrom(&u.Stats)
+			sh.statsOf(u, &dst[n])
 		}
 	}
 	// Map order is arbitrary, so this nearly always sorts; swapping whole

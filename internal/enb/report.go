@@ -190,13 +190,7 @@ func (e *ENB) FillUETable(t *protocol.UETable, flags protocol.StatsFlags) {
 		for i, s := range e.order {
 			cqi := h.cqi[s]
 			t.CQI[i] = cqi
-			if cqi > 0 {
-				for sb := 0; sb < SubbandsAt10MHz; sb++ {
-					ripple := int(h.rnti[s]) + sb*7
-					v := int(cqi) + ripple%3 - 1
-					t.Subbands = append(t.Subbands, uint8(max(1, min(v, lte.MaxCQI))))
-				}
-			}
+			t.Subbands = append(t.Subbands, subbandCQIs(h.rnti[s], cqi)...)
 			t.SubbandEnd[i] = uint32(len(t.Subbands))
 		}
 	}
@@ -212,6 +206,32 @@ func (e *ENB) FillUETable(t *protocol.UETable, flags protocol.StatsFlags) {
 		}
 	}
 }
+
+// subbandCQIs returns the subband CQIs a UE reports at wideband CQI cqi:
+// none at CQI 0, else a read-only row of subbandRipple.
+func subbandCQIs(rnti lte.RNTI, cqi lte.CQI) []uint8 {
+	if cqi == 0 {
+		return nil
+	}
+	return subbandRipple[rnti%3][min(int(cqi), lte.MaxCQI+1)][:]
+}
+
+// subbandRipple[r][cqi] holds the subband CQIs of a UE whose RNTI is r
+// modulo 3 at wideband CQI cqi: subband sb reads cqi + (rnti + 7·sb)%3 − 1,
+// clamped to [1, MaxCQI]. That depends on the RNTI only through rnti%3, so
+// three rows of residues cover every UE. Row MaxCQI+1 stands for every CQI
+// above MaxCQI, all of whose subbands clamp to MaxCQI; row 0 is unused.
+var subbandRipple = func() (t [3][lte.MaxCQI + 2][SubbandsAt10MHz]uint8) {
+	for r := range t {
+		for cqi := 1; cqi < len(t[r]); cqi++ {
+			for sb := range t[r][cqi] {
+				v := cqi + (r+sb*7)%3 - 1
+				t[r][cqi][sb] = uint8(max(1, min(v, lte.MaxCQI)))
+			}
+		}
+	}
+	return t
+}()
 
 // holDelay estimates the head-of-line delay of the data bearer from the
 // queue depth and the served rate.

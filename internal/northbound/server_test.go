@@ -106,7 +106,10 @@ func (h *harness) sync(fn func()) {
 }
 
 // attachUE adds a UE and waits for it to connect (the driver is stepping
-// in the background).
+// in the background) and for the master to have applied a report carrying
+// it: the random-access event creates the UE's RIB record, zero-valued,
+// a moment before the report that fills it, in the same master cycle, and
+// an HTTP read can land in between.
 func (h *harness) attachUE(imsi uint64) lte.RNTI {
 	h.t.Helper()
 	var rnti lte.RNTI
@@ -118,13 +121,19 @@ func (h *harness) attachUE(imsi uint64) lte.RNTI {
 		h.t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for !h.connected(rnti) {
+	for !h.connected(rnti) || !h.reported(rnti) {
 		if time.Now().After(deadline) {
 			h.t.Fatal("UE failed to attach")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	return rnti
+}
+
+// reported reports whether the RIB holds statistics for the UE.
+func (h *harness) reported(rnti lte.RNTI) bool {
+	st, ok := h.master.RIB().UEStats(9, rnti)
+	return ok && st.RNTI == rnti
 }
 
 // connected reads UE state on the driver goroutine.

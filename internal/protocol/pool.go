@@ -12,8 +12,10 @@ package protocol
 //     free lists. After Release the message and its payload must not be
 //     touched.
 //   - Anything that must outlive Release has to be copied out first. The
-//     RIB copies each report row into its own record (UETable.Row) for
-//     exactly this reason.
+//     RIB copies each report into its agent's own table, one bulk copy per
+//     column (UETable.CopyFrom), for exactly this reason: it never keeps or
+//     swaps in the decoded table, which a message built by New would share
+//     with every later delivery of that message.
 //   - Which kinds have a free list is the pool column of the kinds table
 //     (protocol.go), each row saying who keeps a decoded payload. A kind
 //     somebody does keep (MeasReport is stored in the RIB, Hello/config

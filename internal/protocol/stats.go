@@ -113,8 +113,8 @@ type UEStats struct {
 }
 
 // CopyFrom deep-copies src into s, reusing s's slice capacity: the RIB's
-// readers hand out copies, never aliases of a record's SubbandCQI/LCs,
-// which the updater refills in place.
+// readers hand out copies, never aliases of the RIB's own storage, which
+// the updater overwrites in place.
 func (s *UEStats) CopyFrom(src *UEStats) {
 	sb, lcs := s.SubbandCQI, s.LCs
 	*s = *src

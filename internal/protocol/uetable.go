@@ -129,6 +129,31 @@ func (t *UETable) Row(i int, s *UEStats) {
 	}
 }
 
+// CopyFrom makes t a copy of src, one bulk copy per column into t's own
+// capacity: t shares no memory with src afterwards, so it outlives a pooled
+// src, and a t whose columns have grown to src's size allocates nothing.
+func (t *UETable) CopyFrom(src *UETable) {
+	t.RNTI = append(t.RNTI[:0], src.RNTI...)
+	t.Cell = append(t.Cell[:0], src.Cell...)
+	t.CQI = append(t.CQI[:0], src.CQI...)
+	t.DLQueue = append(t.DLQueue[:0], src.DLQueue...)
+	t.ULQueue = append(t.ULQueue[:0], src.ULQueue...)
+	t.DLRateKbps = append(t.DLRateKbps[:0], src.DLRateKbps...)
+	t.ULRateKbps = append(t.ULRateKbps[:0], src.ULRateKbps...)
+	t.HARQRetx = append(t.HARQRetx[:0], src.HARQRetx...)
+	t.LastSchedSF = append(t.LastSchedSF[:0], src.LastSchedSF...)
+	t.PowerHeadroomDB = append(t.PowerHeadroomDB[:0], src.PowerHeadroomDB...)
+	t.RSRPdBm = append(t.RSRPdBm[:0], src.RSRPdBm...)
+	t.RSRQdB = append(t.RSRQdB[:0], src.RSRQdB...)
+	t.Group = append(t.Group[:0], src.Group...)
+	t.SubbandEnd = append(t.SubbandEnd[:0], src.SubbandEnd...)
+	t.Subbands = append(t.Subbands[:0], src.Subbands...)
+	t.LCEnd = append(t.LCEnd[:0], src.LCEnd...)
+	t.LCID = append(t.LCID[:0], src.LCID...)
+	t.LCBytes = append(t.LCBytes[:0], src.LCBytes...)
+	t.LCHoLMs = append(t.LCHoLMs[:0], src.LCHoLMs...)
+}
+
 // Append adds s as the last row. A negative Group reads as the default
 // group, 0.
 func (t *UETable) Append(s *UEStats) {

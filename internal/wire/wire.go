@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Type is the wire type of an encoded field.
@@ -186,73 +188,142 @@ type Sint interface {
 	~int8 | ~int16 | ~int32 | ~int64
 }
 
-// PackUints encodes vs as one packed repeated varint field.
+// PackUints encodes vs as one packed repeated varint field. The column's
+// worst case is reserved once and the varints are written by index, with
+// no append per byte.
 func PackUints[T Uint](e *Encoder, field int, vs []T) {
 	mark := e.Begin(field)
+	b, n := e.reserve(len(vs) * maxVarintLen[T]())
 	for _, v := range vs {
-		e.Varint(uint64(v))
+		n = putVarint(b, n, uint64(v))
 	}
+	e.buf = b[:n]
 	e.End(mark)
 }
 
-// PackSints encodes vs as one packed repeated zigzag varint field.
+// PackSints encodes vs as one packed repeated zigzag varint field, like
+// PackUints.
 func PackSints[T Sint](e *Encoder, field int, vs []T) {
 	mark := e.Begin(field)
+	b, n := e.reserve(len(vs) * maxVarintLen[T]())
 	for _, v := range vs {
-		e.Varint(Zigzag(int64(v)))
+		n = putVarint(b, n, Zigzag(int64(v)))
 	}
+	e.buf = b[:n]
 	e.End(mark)
+}
+
+// reserve grows the buffer to hold n more bytes and returns it extended to
+// its capacity, with the offset of the first free byte.
+func (e *Encoder) reserve(n int) ([]byte, int) {
+	b := slices.Grow(e.buf, n)
+	return b[:cap(b)], len(b)
+}
+
+// maxVarintLen is the longest varint a value of T encodes to (its zigzag,
+// for a signed T): 2, 3, 5 or 10 bytes for 8, 16, 32 or 64 bits.
+func maxVarintLen[T Uint | Sint]() int {
+	var v T
+	return (8*int(unsafe.Sizeof(v)) + 6) / 7
+}
+
+// putVarint writes v at b[n:] and returns the offset after it. A value
+// below 2^14 is stored as two bytes with the length picked without a
+// branch, so b[n:] must hold v's varint and at least two bytes — which a
+// column reserved at two or more bytes per value always does.
+func putVarint(b []byte, n int, v uint64) int {
+	if v < 1<<14 {
+		more := (v + 1<<14 - 0x80) >> 14 // 1 from 0x80 up, else 0
+		b[n], b[n+1] = byte(v)|byte(more<<7), byte(v>>7)
+		return n + 1 + int(more)
+	}
+	for v >= 0x80 {
+		b[n] = byte(v) | 0x80
+		v >>= 7
+		n++
+	}
+	b[n] = byte(v)
+	return n + 1
 }
 
 // UnpackUints decodes the payload of a packed varint field into dst: b must
 // hold exactly len(dst) varints, each within T's range, and nothing else.
 // dst is caller-owned, so the unpack allocates nothing and its size is never
 // taken from the input.
-func UnpackUints[T Uint](b []byte, dst []T) error {
-	limit := uint64(^T(0))
-	pos := 0
-	for i := range dst {
-		if pos >= len(b) {
-			return ErrTruncated
-		}
-		v := uint64(b[pos])
-		if v < 0x80 {
-			pos++
-		} else {
-			var n int
-			if v, n = binary.Uvarint(b[pos:]); n <= 0 {
-				return varintErr(n)
-			}
-			pos += n
-		}
-		if v > limit {
-			return ErrRange
-		}
-		dst[i] = T(v)
-	}
-	if pos != len(b) {
-		return ErrTrailing
-	}
-	return nil
-}
+func UnpackUints[T Uint](b []byte, dst []T) error { return unpack(b, dst, false) }
 
 // UnpackSints is UnpackUints for a zigzag column.
-func UnpackSints[T Sint](b []byte, dst []T) error {
+func UnpackSints[T Sint](b []byte, dst []T) error { return unpack(b, dst, true) }
+
+// Masks over eight varint bytes loaded little-endian: their continuation
+// bits, and their low bits (a zigzag value's sign).
+const (
+	contBits8 = 0x8080808080808080
+	lowBits8  = 0x0101010101010101
+)
+
+// unpack is UnpackUints and UnpackSints. Where eight values remain and the
+// next eight bytes carry no continuation bit, one load decodes all eight:
+// each is a one-byte value below 0x80, in range for every column type, and
+// its zigzag, in [-64, 63], fits even an int8. Anywhere else the values are
+// decoded one at a time — inline up to three bytes — until the eight bytes
+// that failed the test are consumed, so the bytes accepted and the error
+// returned are those of a value-by-value decode.
+func unpack[T Uint | Sint](b []byte, dst []T, zigzag bool) error {
 	pos := 0
-	for i := range dst {
-		if pos >= len(b) {
-			return ErrTruncated
+	for i := 0; i < len(dst); {
+		stop := len(b)
+		if len(dst)-i >= 8 && len(b)-pos >= 8 {
+			x := binary.LittleEndian.Uint64(b[pos:])
+			if x&contBits8 == 0 {
+				if zigzag { // per byte: u>>1 ^ -(u&1), as an int8
+					x = (x >> 1 & 0x7f7f7f7f7f7f7f7f) ^ (x & lowBits8 * 0xff)
+				}
+				d := dst[i : i+8 : i+8]
+				d[0], d[1], d[2], d[3] = T(int8(x)), T(int8(x>>8)), T(int8(x>>16)), T(int8(x>>24))
+				d[4], d[5], d[6], d[7] = T(int8(x>>32)), T(int8(x>>40)), T(int8(x>>48)), T(int8(x>>56))
+				i, pos = i+8, pos+8
+				continue
+			}
+			stop = pos + 8
 		}
-		u, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			return varintErr(n)
+		for {
+			if pos >= len(b) {
+				return ErrTruncated
+			}
+			v := uint64(b[pos])
+			switch {
+			case v < 0x80:
+				pos++
+			case pos+1 < len(b) && b[pos+1] < 0x80:
+				v = v&0x7f | uint64(b[pos+1])<<7
+				pos += 2
+			case pos+2 < len(b) && b[pos+2] < 0x80:
+				v = v&0x7f | uint64(b[pos+1]&0x7f)<<7 | uint64(b[pos+2])<<14
+				pos += 3
+			default:
+				var n int
+				if v, n = binary.Uvarint(b[pos:]); n <= 0 {
+					return varintErr(n)
+				}
+				pos += n
+			}
+			if zigzag {
+				s := Unzigzag(v)
+				if int64(T(s)) != s {
+					return ErrRange
+				}
+				dst[i] = T(s)
+			} else {
+				if uint64(T(v)) != v {
+					return ErrRange
+				}
+				dst[i] = T(v)
+			}
+			if i++; i == len(dst) || pos >= stop {
+				break
+			}
 		}
-		pos += n
-		v := Unzigzag(u)
-		if int64(T(v)) != v {
-			return ErrRange
-		}
-		dst[i] = T(v)
 	}
 	if pos != len(b) {
 		return ErrTrailing
