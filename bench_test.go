@@ -2,28 +2,26 @@ package flexran_test
 
 // The benchmark harness: one testing.B benchmark per table and figure of
 // the paper's evaluation (each runs the corresponding experiment driver at
-// a reduced measurement window and reports domain metrics), plus
-// micro-benchmarks for the latency/throughput claims the paper makes about
-// the platform itself: VSF activation (~100 ns in §5.4), per-TTI agent
-// report serialization, DSL scheduler evaluation, data-plane stepping and
-// master cycle cost.
+// a reduced measurement window and reports domain metrics), plus the
+// micro-benchmarks that bench/ has no metric for: VSF activation (~100 ns
+// in §5.4), VSF install and DSL evaluation, the agent report TTI, the
+// IMSI lookup, and the idle fast-forward pair. The codec, transport,
+// eNodeB step, scheduler and full-platform TTI are measured end to end
+// and per layer by the bench/ module, the one performance ledger; no
+// benchmark here keeps a stored baseline. Allocation budgets are tests,
+// in alloc_gate_test.go.
 //
-// Regenerate everything with:
+// Run everything with:
 //
-//	go test -bench=. -benchmem .
+//	go test -run '^$' -bench=. -benchmem .
 
 import (
-	"fmt"
 	"testing"
 
 	"flexran"
 	"flexran/internal/agent"
-	"flexran/internal/enb"
 	"flexran/internal/experiments"
-	"flexran/internal/lte"
 	"flexran/internal/protocol"
-	"flexran/internal/radio"
-	"flexran/internal/sched"
 	"flexran/internal/vsfdsl"
 	"flexran/internal/wire"
 )
@@ -149,18 +147,19 @@ func BenchmarkFig12bPolicyCDF(b *testing.B) {
 
 // --- Platform micro-benchmarks ---
 
-// BenchmarkVSFSwap measures VSF activation: the paper reports ~103 ns to
-// swap between a local and a remote scheduler (§5.4).
-func BenchmarkVSFSwap(b *testing.B) {
-	m := agent.NewMACModule()
-	names := [2]string{"rr", "pf"}
+// benchOp times the operation build returns; the builders are shared with
+// TestAllocGateBudgets, so the gate and the benchmark measure one fixture.
+func benchOp(b *testing.B, build func(testing.TB) func()) {
+	op := build(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Activate(agent.OpDLUESched, names[i&1]); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }
+
+// BenchmarkVSFSwap measures VSF activation: the paper reports ~103 ns to
+// swap between a local and a remote scheduler (§5.4).
+func BenchmarkVSFSwap(b *testing.B) { benchOp(b, vsfSwapOp) }
 
 // BenchmarkVSFInstall measures the full code-push path: decode + verify +
 // cache a pushed DSL program.
@@ -182,236 +181,13 @@ func BenchmarkVSFInstall(b *testing.B) {
 }
 
 // BenchmarkDSLEval measures one sandboxed scheduling-metric evaluation.
-func BenchmarkDSLEval(b *testing.B) {
-	p := vsfdsl.MustCompile(
-		"queue > 0 ? inst_rate / max(avg_rate, 1) : -1",
-		[]string{"queue", "inst_rate", "avg_rate"})
-	env := []float64{15000, 23800, 4000}
-	stack := make([]float64, p.MaxStack())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.EvalStack(env, stack); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStatsReplyEncode measures serializing one 16-UE per-TTI report
-// (the dominant message of Fig. 7a).
-func BenchmarkStatsReplyEncode(b *testing.B) {
-	rep := &protocol.StatsReply{ID: 1, SF: 1000}
-	for i := 0; i < 16; i++ {
-		rep.UEs.Append(gateUERow(i))
-	}
-	msg := protocol.New(1, 1000, rep)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.SetBytes(int64(len(protocol.Encode(msg))))
-	}
-}
-
-// BenchmarkMessageRoundTripPooled measures the PR 3 southbound fast path:
-// serializing a 32-UE StatsReply into a reused buffer (in-place nested
-// encoding, pooled encoder) and decoding it through the protocol free
-// lists (pooled envelope + payload, recycled scratch). Steady state is
-// 0 allocs/op; compare BenchmarkStatsReplyEncode for the encode half on
-// its own.
-func BenchmarkMessageRoundTripPooled(b *testing.B) {
-	msg := protocol.New(1, 1000, gateStatsReply(32))
-	var buf []byte
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = protocol.AppendMessage(buf[:0], msg)
-		m, err := protocol.DecodePooled(buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Release()
-		b.SetBytes(int64(len(buf)))
-	}
-}
-
-// BenchmarkConnSend measures one framed transport send of a 16-UE report:
-// header and payload coalesced into the connection's reused write buffer,
-// one Write per message (0 allocs/op at steady state).
-func BenchmarkConnSend(b *testing.B) {
-	c := newPipeConn(b)
-	msg := protocol.New(1, 1000, gateStatsReply(16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Send(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkConnSendBatch measures a coalesced 16-message flush through
-// Conn.SendBatch: every frame of the batch is assembled into one buffer
-// and written with a single Write — one syscall per flushed batch instead
-// of one (pre-PR 3: two) per message.
-func BenchmarkConnSendBatch(b *testing.B) {
-	c := newPipeConn(b)
-	msgs := make([]*protocol.Message, 16)
-	for i := range msgs {
-		msgs[i] = protocol.New(1, 1000, &protocol.SubframeTrigger{SF: lte.Subframe(i)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.SendBatch(msgs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N*len(msgs))/b.Elapsed().Seconds()/1e6, "Mmsg/s")
-}
+func BenchmarkDSLEval(b *testing.B) { benchOp(b, dslEvalOp) }
 
 // BenchmarkAgentReportTTI measures one agent report TTI: a 16-UE eNodeB
 // subframe with a per-TTI full-stats subscription — data-plane step,
 // snapshot, in-place report build and emit (the sender half of the
 // dominant Fig. 7a message, before serialization).
-func BenchmarkAgentReportTTI(b *testing.B) {
-	e := enb.New(enb.Config{ID: 1, Seed: 1})
-	a := agent.New(e, agent.Options{})
-	a.Connect(func(m *protocol.Message) error { return nil })
-	var rntis []lte.RNTI
-	for i := 0; i < 16; i++ {
-		rnti, err := e.AddUE(enb.UEParams{IMSI: uint64(i + 1), Cell: 0, Channel: radio.Fixed(12)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rntis = append(rntis, rnti)
-	}
-	a.Deliver(protocol.New(1, 0, &protocol.StatsRequest{
-		ID: 1, Mode: protocol.StatsPeriodic, PeriodTTI: 1, Flags: protocol.StatsAll,
-	}))
-	for i := 0; i < 200; i++ {
-		e.Step()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range rntis {
-			e.DLEnqueue(r, 3000)
-		}
-		e.Step()
-	}
-}
-
-// BenchmarkENBStep measures one data-plane TTI with 16 backlogged UEs.
-func BenchmarkENBStep(b *testing.B) {
-	e := enb.New(enb.Config{ID: 1, Seed: 1})
-	var rntis []lte.RNTI
-	for i := 0; i < 16; i++ {
-		rnti, err := e.AddUE(enb.UEParams{IMSI: uint64(i), Cell: 0, Channel: radio.Fixed(12)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rntis = append(rntis, rnti)
-	}
-	for i := 0; i < 100; i++ {
-		e.Step()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range rntis {
-			e.DLEnqueue(r, 3000)
-		}
-		e.Step()
-	}
-}
-
-// BenchmarkSchedulerPF measures one PF scheduling decision over 16 UEs.
-func BenchmarkSchedulerPF(b *testing.B) {
-	pf := sched.NewProportionalFair()
-	in := sched.Input{SF: 1, Dir: lte.Downlink, TotalPRB: 50}
-	for i := 0; i < 16; i++ {
-		in.UEs = append(in.UEs, sched.UEInfo{
-			RNTI: lte.RNTI(i + 1), CQI: lte.CQI(3 + i%12),
-			QueueBytes: 20000, AvgRateKbps: float64(500 + i*100),
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in.SF++
-		pf.Schedule(in)
-	}
-}
-
-// BenchmarkSimTTI measures one full-platform TTI: EPC + eNodeB + agent +
-// protocol + master with 16 UEs and per-TTI reporting.
-func BenchmarkSimTTI(b *testing.B) {
-	opts := flexran.DefaultMasterOptions()
-	var specs []flexran.UESpec
-	for i := 0; i < 16; i++ {
-		specs = append(specs, flexran.UESpec{
-			IMSI: uint64(i + 1), Channel: flexran.FixedChannel(12),
-			DL: flexran.NewCBR(500),
-		})
-	}
-	s := flexran.MustNewSim(flexran.SimConfig{Master: &opts},
-		flexran.ENBSpec{ID: 1, Agent: true, Seed: 1, UEs: specs})
-	s.WaitAttached(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// newScaleSim builds the 64-eNodeB scale scenario used by the parallel
-// engine benchmark: 64 agents with per-TTI reporting, 8 backlogged UEs
-// each (512 UEs total), stepped by a worker pool of the given size.
-func newScaleSim(workers int) *flexran.Sim {
-	opts := flexran.DefaultMasterOptions()
-	var enbs []flexran.ENBSpec
-	for e := 0; e < 64; e++ {
-		spec := flexran.ENBSpec{
-			ID: flexran.ENBID(e + 1), Agent: true, Seed: int64(e + 1),
-		}
-		for u := 0; u < 8; u++ {
-			spec.UEs = append(spec.UEs, flexran.UESpec{
-				IMSI:    uint64(e*100 + u + 1),
-				Channel: flexran.FixedChannel(flexran.CQI(6 + (e+u)%9)),
-				DL:      flexran.NewCBR(500),
-			})
-		}
-		enbs = append(enbs, spec)
-	}
-	s := flexran.MustNewSim(flexran.SimConfig{Master: &opts, Workers: workers}, enbs...)
-	s.WaitAttached(2000)
-	return s
-}
-
-// BenchmarkHandoverScenario measures a mobility-heavy TTI: two cells,
-// eight walkers ping-ponging across the border with geometry-derived CQI,
-// A3 evaluation at the agents and the MobilityManager executing handovers
-// — the full control loop per subframe, migrations included.
-func BenchmarkHandoverScenario(b *testing.B) {
-	rmap := flexran.NewRadioMap(
-		flexran.RadioSite{ENB: 1, Cell: 0, Tx: flexran.Transmitter{Pos: flexran.Point{X: 0}, PowerDBm: 43}},
-		flexran.RadioSite{ENB: 2, Cell: 0, Tx: flexran.Transmitter{Pos: flexran.Point{X: 1000}, PowerDBm: 43}},
-	)
-	spec1 := flexran.ENBSpec{ID: 1, Agent: true, Seed: 1}
-	for u := 0; u < 8; u++ {
-		spec1.UEs = append(spec1.UEs, flexran.UESpec{
-			IMSI: uint64(100 + u),
-			Channel: flexran.NewGeoChannel(rmap, &flexran.WaypointMobility{
-				Path:     []flexran.Point{{X: 200}, {X: 800}},
-				SpeedMps: float64(80 + 20*u),
-				PingPong: true,
-			}, 1),
-			DL: flexran.NewCBR(400),
-		})
-	}
-	opts := flexran.DefaultMasterOptions()
-	s := flexran.MustNewSim(flexran.SimConfig{Master: &opts},
-		spec1, flexran.ENBSpec{ID: 2, Agent: true, Seed: 2})
-	s.Master.Register(flexran.NewMobilityManager(), 5)
-	s.WaitAttached(2000)
-	base := len(s.Handovers()) // exclude any warmup-phase migrations
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-	b.ReportMetric(float64(len(s.Handovers())-base)/float64(b.N)*1000, "handovers/ksf")
-}
+func BenchmarkAgentReportTTI(b *testing.B) { benchOp(b, agentReportTTIOp) }
 
 // newSparseSim builds the sparse-activity scale scenario behind the idle
 // fast-forward benchmarks: 4096 masterless eNodeBs with two silent UEs
@@ -436,7 +212,7 @@ func newSparseSim(noFF bool) *flexran.Sim {
 		}
 		enbs = append(enbs, spec)
 	}
-	s := flexran.MustNewSim(flexran.SimConfig{NoFastForward: noFF}, enbs...)
+	s := flexran.MustNewSim(flexran.SimConfig{Workers: 1, NoFastForward: noFF}, enbs...)
 	s.WaitAttached(2000)
 	return s
 }
@@ -446,58 +222,14 @@ func newSparseSim(noFF bool) *flexran.Sim {
 // the cost is the sleep bookkeeping plus ~41 real eNodeB steps. Compare
 // BenchmarkSimTTISparseNoSkip — the same world with the engine disabled —
 // for the speedup the skip machinery buys at scale.
-func BenchmarkSimTTISparse(b *testing.B) {
-	s := newSparseSim(false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
+func BenchmarkSimTTISparse(b *testing.B) { benchOp(b, sparseSimOp(false)) }
 
 // BenchmarkSimTTISparseNoSkip is the no-skip baseline of the sparse-scale
 // pair: every one of the 4096 eNodeBs steps every subframe.
-func BenchmarkSimTTISparseNoSkip(b *testing.B) {
-	s := newSparseSim(true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
+func BenchmarkSimTTISparseNoSkip(b *testing.B) { benchOp(b, sparseSimOp(true)) }
 
 // BenchmarkIMSILookup measures the per-subscriber O(1) report path on a
 // 10,000-UE eNodeB: the compact IMSI→slot map plus a struct-of-arrays
 // snapshot gather, the lookup the EPC accounting sweep performs per
 // subscriber at scale.
-func BenchmarkIMSILookup(b *testing.B) {
-	e := enb.New(enb.Config{ID: 1, Seed: 1})
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if _, err := e.AddUE(enb.UEParams{IMSI: uint64(i + 1), Cell: 0, Channel: radio.Fixed(10)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, ok := e.UEReportByIMSI(uint64(i%n + 1))
-		if !ok || r.IMSI != uint64(i%n+1) {
-			b.Fatal("lookup failed")
-		}
-	}
-}
-
-// BenchmarkSimTTIParallel sweeps the sharded TTI engine's worker-pool
-// size over the 64-eNodeB scenario. workers=1 is the serial engine
-// baseline; the speedup at higher counts is the Fig. 8-style scaling
-// claim of the sharded engine (expect ~linear up to the core count —
-// runs on a single-core machine show ~1x throughout).
-func BenchmarkSimTTIParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := newScaleSim(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-		})
-	}
-}
+func BenchmarkIMSILookup(b *testing.B) { benchOp(b, imsiLookupOp) }

@@ -65,7 +65,7 @@ func usage() {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "engine worker-pool override (0 = scenario/run.workers)")
+	workers := fs.Int("workers", 1, "TTI engine worker-pool size (1 = serial; N > 1 opts into the pool, same digests)")
 	asJSON := fs.Bool("json", false, "print the summary as JSON")
 	out := fs.String("out", "", "also write the JSON summaries to this file")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
@@ -154,7 +154,7 @@ func cmdValidate(args []string) error {
 
 func cmdDigest(args []string) error {
 	fs := flag.NewFlagSet("digest", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "engine worker-pool override (0 = scenario/run.workers)")
+	workers := fs.Int("workers", 1, "TTI engine worker-pool size (1 = serial; N > 1 opts into the pool, same digests)")
 	golden := fs.String("golden", "", "compare digests against this golden file")
 	update := fs.Bool("update", false, "rewrite the golden file with computed digests")
 	fs.Parse(args) //nolint:errcheck // ExitOnError

@@ -19,6 +19,7 @@ import (
 
 func main() {
 	opts := flexran.DefaultMasterOptions()
+	opts.CmdRetryTTI = 10 // sequence commands, so the push's ack is recorded
 	s := flexran.MustNewSim(flexran.SimConfig{Master: &opts},
 		flexran.ENBSpec{ID: 1, Agent: true, Seed: 1,
 			AgentOpts: flexran.AgentOptions{RequireSignedVSFs: true},
@@ -39,11 +40,13 @@ func main() {
 	fmt.Print(prog.Disassemble())
 
 	// 2. Push it over the protocol, signed (VSF updation).
-	pushViaApp(s.Master, prog)
+	seq := pushViaApp(s.Master, prog)
 	s.Run(5) // let the push and its ack travel
-	for _, ack := range s.Master.Acks() {
-		fmt.Printf("agent ack: ok=%v %s\n", ack.OK, ack.Detail)
+	ack, ok := s.Master.CommandOutcome(seq)
+	if !ok {
+		panic("the VSF push was not acknowledged")
 	}
+	fmt.Printf("agent ack: seq=%d ok=%v %s\n", ack.Seq, ack.OK, ack.Detail)
 	fmt.Println("agent VSF cache:", a.MAC().CachedVSFs())
 
 	// 3. Swap between local rr and the pushed pf-dsl every 100 TTIs while
@@ -64,15 +67,19 @@ func main() {
 }
 
 // pushViaApp sends the VSF-updation message through a one-shot app using
-// the northbound API, exactly as a management application would.
-func pushViaApp(m *flexran.Master, prog *flexran.VSFProgram) {
-	m.Register(&pusher{prog: prog}, 1)
+// the northbound API, exactly as a management application would, and
+// returns the command's sequence number.
+func pushViaApp(m *flexran.Master, prog *flexran.VSFProgram) uint64 {
+	p := &pusher{prog: prog}
+	m.Register(p, 1)
 	m.Tick()
+	return p.seq
 }
 
 type pusher struct {
 	prog *flexran.VSFProgram
 	done bool
+	seq  uint64
 }
 
 func (*pusher) Name() string { return "vsf-pusher" }
@@ -87,7 +94,9 @@ func (p *pusher) OnTick(ctx *controller.Context, _ lte.Subframe) {
 		VSFKind: protocol.VSFProgram, Program: wire.Marshal(p.prog),
 	}
 	agent.Sign(agent.DefaultTrustKey, up)
-	if _, err := ctx.Send(1, up); err != nil {
+	seq, err := ctx.Send(1, up)
+	if err != nil {
 		panic(err)
 	}
+	p.seq = seq
 }

@@ -236,31 +236,47 @@ type appFunc struct {
 func (a appFunc) Name() string                                  { return a.name }
 func (a appFunc) OnTick(c *controller.Context, sf lte.Subframe) { a.fn(c, sf) }
 
+// reliableOptions enables sequenced commands, so each one's ack lands in
+// the master's outcome registry.
+func reliableOptions() controller.Options {
+	opts := controller.DefaultOptions()
+	opts.CmdRetryTTI = 10
+	return opts
+}
+
+// runUntilAcked requires a command to have been sequenced, steps the rig
+// for three TTIs and requires the command's recorded outcome to be an OK
+// ack.
+func (r *rig) runUntilAcked(seq uint64, err error) {
+	r.t.Helper()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if seq == 0 {
+		r.t.Fatal("command was not sequenced")
+	}
+	r.run(3)
+	o, ok := r.master.CommandOutcome(seq)
+	switch {
+	case !ok:
+		r.t.Fatalf("no outcome for command %d", seq)
+	case !o.OK:
+		r.t.Fatalf("command %d: nack: %s", seq, o.Detail)
+	}
+}
+
 func TestVSFPushAndAckRoundTrip(t *testing.T) {
-	r := newRig(t, controller.DefaultOptions(), transport.Netem{}, transport.Netem{})
+	r := newRig(t, reliableOptions(), transport.Netem{}, transport.Netem{})
 	r.run(3)
 	ctx := r.ctx()
-	if _, err := ctx.PushProgramVSF(9, "mac", agent.OpDLUESched, "edge-first",
-		"queue > 0 ? cqi : -1", []string{"queue", "cqi"}); err != nil {
-		t.Fatal(err)
+	seq, err := ctx.PushProgramVSF(9, "mac", agent.OpDLUESched, "edge-first",
+		"queue > 0 ? cqi : -1", []string{"queue", "cqi"})
+	done := r.master.WaitCommand(seq)
+	r.runUntilAcked(seq, err)
+	if o := <-done; !o.OK || o.Seq != seq {
+		t.Errorf("WaitCommand(%d) = %+v", seq, o)
 	}
-	r.run(3)
-	acks := r.master.Acks()
-	okCount := 0
-	for _, a := range acks {
-		if a.OK {
-			okCount++
-		} else {
-			t.Errorf("nack: %s", a.Detail)
-		}
-	}
-	if okCount == 0 {
-		t.Fatal("no acks received")
-	}
-	if _, err := ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "edge-first"); err != nil {
-		t.Fatal(err)
-	}
-	r.run(3)
+	r.runUntilAcked(ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "edge-first"))
 	if got := r.agent.MAC().ActiveName(agent.OpDLUESched); got != "edge-first" {
 		t.Errorf("active = %q", got)
 	}
@@ -284,23 +300,12 @@ func TestPushNativeVSF(t *testing.T) {
 }
 
 func TestApplySharesReachesAgent(t *testing.T) {
-	r := newRig(t, controller.DefaultOptions(), transport.Netem{}, transport.Netem{})
+	r := newRig(t, reliableOptions(), transport.Netem{}, transport.Netem{})
 	r.run(3)
 	ctx := r.ctx()
-	if _, err := ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "slice-rr"); err != nil {
-		t.Fatal(err)
-	}
-	r.run(3)
+	r.runUntilAcked(ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "slice-rr"))
 	plan := controller.SharePlan{Module: "mac", VSF: agent.OpDLUESched, Shares: []float64{0.4, 0.6}}
-	if _, err := ctx.ApplyShares(9, plan); err != nil {
-		t.Fatal(err)
-	}
-	r.run(3)
-	for _, a := range r.master.Acks() {
-		if !a.OK {
-			t.Errorf("nack: %s", a.Detail)
-		}
-	}
+	r.runUntilAcked(ctx.ApplyShares(9, plan))
 	plan.Shares = []float64{0.9, 0.9}
 	if _, err := ctx.ApplyShares(9, plan); err == nil {
 		t.Error("invalid shares accepted locally")

@@ -236,7 +236,6 @@ type Master struct {
 	ingest  []*session // every attached session, in attach order
 	apps    []*appEntry
 	nextApp int
-	acks    []protocol.ControlAck
 	// pendingDown queues the agents whose session closed outside the
 	// updater (transport death, heartbeat-miss disconnect), for the next
 	// publish phase.
@@ -503,17 +502,6 @@ func (m *Master) Tick() {
 			m.applyBatch(sessions[i], batches[i], &sinks[i])
 		}
 	})
-	var acks []ackEvent
-	for i := range sinks {
-		acks = append(acks, sinks[i].acks...)
-	}
-	if len(acks) > 0 {
-		m.mu.Lock()
-		for i := range acks {
-			m.acks = append(m.acks, acks[i].ack)
-		}
-		m.mu.Unlock()
-	}
 	// Reap displaced sessions regardless of heartbeat configuration:
 	// their agent provably lives on a newer session, so the half-open
 	// transport would otherwise linger in the ingest list forever.
@@ -551,9 +539,7 @@ func (m *Master) Tick() {
 	if m.opts.HealthPeriodTTI > 0 && m.cycle%lte.Subframe(m.opts.HealthPeriodTTI) == 0 {
 		healthEvs = m.healthTick(sessions)
 	}
-	if m.cmdTrack.enabled() {
-		m.recordOutcomes(acks, cmdFails)
-	}
+	m.recordOutcomes(sinks, cmdFails)
 	var watchEvs []WatchEvent
 	if m.watch.active() {
 		watchEvs = m.emitWatch(priorDown, sinks, postDown, healthEvs, cmdFails, sliceWatch)
@@ -999,15 +985,6 @@ func (m *Master) pruneClosed(drained []*session) {
 		live = append(live, s)
 	}
 	m.ingest = live
-}
-
-// Acks drains the control acknowledgements received so far.
-func (m *Master) Acks() []protocol.ControlAck {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := m.acks
-	m.acks = nil
-	return out
 }
 
 // Cycle returns the number of completed task-manager cycles.

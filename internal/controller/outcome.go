@@ -2,7 +2,6 @@ package controller
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"flexran/internal/lte"
 )
@@ -11,10 +10,10 @@ import (
 // (Options.CmdRetryTTI), every sequenced command eventually produces
 // either an agent ControlAck or a delivery failure. The registry records
 // those terminal outcomes by sequence number so off-loop callers (the
-// northbound actuation endpoints) can correlate a push with its result —
-// in-process apps use cmd_failed watch events and Acks. Recording is gated
-// on an atomic flag (TrackCommands) so simulated runs and masters without
-// a northbound pay nothing.
+// northbound actuation endpoints, tests and examples) can correlate a push
+// with its result; in-process apps can also use cmd_failed watch events.
+// Without reliable delivery no command carries a sequence number and
+// nothing is recorded.
 
 // CmdOutcome is the terminal result of one sequenced command.
 type CmdOutcome struct {
@@ -34,15 +33,11 @@ const cmdOutcomeCap = 4096
 
 // cmdTracker records command outcomes and wakes waiters.
 type cmdTracker struct {
-	on       atomic.Bool
 	mu       sync.Mutex
 	outcomes map[uint64]CmdOutcome
 	fifo     []uint64
 	waiters  map[uint64][]chan CmdOutcome
 }
-
-// enabled is the hot-path gate.
-func (t *cmdTracker) enabled() bool { return t.on.Load() }
 
 // record stores one outcome and completes its waiters. Serial phase only.
 func (t *cmdTracker) record(o CmdOutcome) {
@@ -66,15 +61,10 @@ func (t *cmdTracker) record(o CmdOutcome) {
 	delete(t.waiters, o.Seq)
 }
 
-// TrackCommands toggles outcome recording. The northbound server enables
-// it; everything else leaves it off so the per-tick sweep costs one
-// atomic load.
-func (m *Master) TrackCommands(on bool) { m.cmdTrack.on.Store(on) }
-
 // CommandOutcome returns the recorded outcome of a sequenced command.
-// ok=false while the command is still in flight (or was never tracked —
-// recording starts when the northbound enables it, and seq 0 means the
-// command was not sequenced at all).
+// ok=false while the command is still in flight, once it has been evicted
+// by the cmdOutcomeCap newer outcomes, or for seq 0 (a command that was
+// not sequenced at all).
 func (m *Master) CommandOutcome(seq uint64) (CmdOutcome, bool) {
 	t := &m.cmdTrack
 	t.mu.Lock()
@@ -105,17 +95,20 @@ func (m *Master) WaitCommand(seq uint64) <-chan CmdOutcome {
 }
 
 // recordOutcomes feeds this cycle's terminal command results into the
-// registry: agent acks carrying a sequence number and delivery failures.
-// Serial phase of Tick, after the retry sweep finalized the failures.
-func (m *Master) recordOutcomes(acks []ackEvent, fails []cmdFailure) {
-	for i := range acks {
-		if acks[i].ack.Seq == 0 {
-			continue
+// registry: agent acks carrying a sequence number, in session order, and
+// delivery failures. Serial phase of Tick, after the retry sweep finalized
+// the failures.
+func (m *Master) recordOutcomes(sinks []tickSink, fails []cmdFailure) {
+	for i := range sinks {
+		for _, a := range sinks[i].acks {
+			if a.ack.Seq == 0 {
+				continue
+			}
+			m.cmdTrack.record(CmdOutcome{
+				Seq: a.ack.Seq, ENB: a.enb,
+				OK: a.ack.OK, Detail: a.ack.Detail, Cycle: m.cycle,
+			})
 		}
-		m.cmdTrack.record(CmdOutcome{
-			Seq: acks[i].ack.Seq, ENB: acks[i].enb,
-			OK: acks[i].ack.OK, Detail: acks[i].ack.Detail, Cycle: m.cycle,
-		})
 	}
 	for _, cf := range fails {
 		m.cmdTrack.record(CmdOutcome{

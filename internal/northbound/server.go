@@ -49,12 +49,9 @@ type Server struct {
 
 // New builds the API server. ls carries the real-time loop's deadline
 // accounting for /stats/loop; nil is allowed (the endpoint then reports
-// 404, as in virtual-time harnesses with no paced loop). Command-outcome
-// tracking is switched on so /cmd/{seq} can answer for every actuation
-// issued through the server.
+// 404, as in virtual-time harnesses with no paced loop).
 func New(m *controller.Master, ls *metrics.LoopStats) *Server {
 	s := &Server{m: m, ls: ls, mux: http.NewServeMux()}
-	m.TrackCommands(true)
 
 	s.mux.HandleFunc("GET /rib/agents", s.handleAgents)
 	s.mux.HandleFunc("GET /rib/enb/{id}", s.handleENB)

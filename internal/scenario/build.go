@@ -84,7 +84,6 @@ func (p *activityProbe) interfered(sf lte.Subframe) bool {
 type Runtime struct {
 	Scenario *Scenario
 	Sim      *sim.Sim
-	Workers  int
 
 	// The declared applications, nil when absent.
 	Monitor  *apps.Monitor
@@ -101,16 +100,13 @@ type Runtime struct {
 	retunes   []AppDecl // mobility retunes, armed at run start
 }
 
-// Build wires the scenario. workersOverride > 0 replaces run.workers.
-func (sc *Scenario) Build(workersOverride int) (*Runtime, error) {
-	workers := sc.Run.Workers
-	if workersOverride > 0 {
-		workers = workersOverride
-	}
-
+// Build wires the scenario on a TTI engine with the given worker-pool
+// size; any value up to 1 runs the engine serially. The pool size is an
+// execution choice, not part of the scenario: it never changes a digest.
+func (sc *Scenario) Build(workers int) (*Runtime, error) {
 	rmap, hasMap := sc.buildRadioMap()
 
-	rt := &Runtime{Scenario: sc, Workers: workers, groups: map[uint64]int{}}
+	rt := &Runtime{Scenario: sc, groups: map[uint64]int{}}
 	var probes []*activityProbe
 
 	specs := make([]sim.ENBSpec, len(sc.ENBs))
@@ -177,7 +173,6 @@ func (sc *Scenario) Build(workersOverride int) (*Runtime, error) {
 		mo.EchoPeriodTTI = sc.Master.EchoPeriodTTI
 		mo.EchoMissBudget = sc.Master.EchoMissBudget
 		mo.NoResync = sc.Master.NoResync
-		mo.Workers = sc.Master.Workers
 		mo.HealthPeriodTTI = sc.Master.HealthPeriodTTI
 		mo.HealthSuspectTTI = sc.Master.HealthSuspectTTI
 		mo.HealthDegradedTTI = sc.Master.HealthDegradedTTI

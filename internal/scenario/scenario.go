@@ -67,8 +67,6 @@ type RunSpec struct {
 	TTIs int
 	// AttachTTIs bounds the attach phase (0 skips it entirely).
 	AttachTTIs int
-	// Workers is the engine pool size; the CLI -workers flag overrides.
-	Workers int
 	// Seed is mixed into every derived per-UE seed.
 	Seed int64
 	// PingPongWindowTTI classifies return handovers as ping-pongs.
@@ -198,7 +196,6 @@ type MasterDecl struct {
 	EchoPeriodTTI  int
 	EchoMissBudget int
 	NoResync       bool
-	Workers        int
 
 	// Health monitor and reliable-delivery knobs (all 0 = disabled,
 	// matching controller.DefaultOptions so legacy digests hold).
@@ -403,7 +400,6 @@ func runTable(r *RunSpec) []field {
 			return nil
 		})},
 		{"attach_ttis", nonNegInt(&r.AttachTTIs)},
-		{"workers", nonNegInt(&r.Workers)},
 		{"seed", anyInt(&r.Seed)},
 		{"pingpong_window_tti", posInt(&r.PingPongWindowTTI)},
 		{"no_fast_forward", boolean(&r.NoFastForward)},
@@ -781,7 +777,6 @@ func masterTable(m *MasterDecl) []field {
 		{"echo_period_tti", nonNegInt(&m.EchoPeriodTTI)},
 		{"echo_miss_budget", nonNegInt(&m.EchoMissBudget)},
 		{"no_resync", boolean(&m.NoResync)},
-		{"workers", nonNegInt(&m.Workers)},
 		{"health_period_tti", nonNegInt(&m.HealthPeriodTTI)},
 		{"health_suspect_tti", nonNegInt(&m.HealthSuspectTTI)},
 		{"health_degraded_tti", nonNegInt(&m.HealthDegradedTTI)},

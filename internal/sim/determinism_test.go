@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"flexran/internal/apps"
@@ -333,16 +334,16 @@ func TestDeterminismMobile(t *testing.T) {
 	}
 }
 
-// TestWorkersDefault checks the pool-size plumbing.
+// TestWorkersDefault checks the pool-size plumbing: the engine is serial
+// unless a caller asks for a pool, whatever GOMAXPROCS says.
 func TestWorkersDefault(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	opts := controller.DefaultOptions()
-	s := sim.MustNew(sim.Config{Master: &opts, Workers: 3},
-		sim.ENBSpec{ID: 1, Agent: true})
-	if s.Workers() != 3 {
-		t.Errorf("Workers() = %d, want 3", s.Workers())
-	}
-	s = sim.MustNew(sim.Config{Master: &opts})
-	if s.Workers() < 1 {
-		t.Errorf("default Workers() = %d, want >= 1", s.Workers())
+	for _, tc := range []struct{ cfg, want int }{{0, 1}, {-3, 1}, {1, 1}, {3, 3}, {4, 4}} {
+		s := sim.MustNew(sim.Config{Master: &opts, Workers: tc.cfg},
+			sim.ENBSpec{ID: 1, Agent: true})
+		if s.Workers() != tc.want {
+			t.Errorf("Config{Workers: %d}: Workers() = %d, want %d", tc.cfg, s.Workers(), tc.want)
+		}
 	}
 }
