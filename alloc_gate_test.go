@@ -189,11 +189,27 @@ func agentReportTTIOp(tb testing.TB) func() {
 func TestAllocGateVanillaTTI(t *testing.T) {
 	skipUnderRace(t)
 	const budget = 6
+	s := newVanillaSim(t)
+	s.Run(500) // grow every queue, lane and scratch to its steady size
+	if got := testing.AllocsPerRun(200, s.Step); got > budget {
+		t.Errorf("vanilla 64 x 32 TTI: %.1f allocs/op, budget %d", got, budget)
+	}
+}
+
+// vanillaENBs and vanillaUEs size the vanilla-sim-shaped world of
+// newVanillaSim.
+const vanillaENBs, vanillaUEs = 64, 32
+
+// newVanillaSim builds the master-less 64 eNodeB x 32 UE world of the
+// vanilla-sim workload (Gauss-Markov fading around CQI 8-14, CBR downlink
+// 200-1200 kb/s) on the serial engine and runs it until every UE attached.
+func newVanillaSim(t *testing.T) *flexran.Sim {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
-	specs := make([]flexran.ENBSpec, 64)
+	specs := make([]flexran.ENBSpec, vanillaENBs)
 	for e := range specs {
 		specs[e] = flexran.ENBSpec{ID: flexran.ENBID(e + 1), Seed: rng.Int63()}
-		for u := 0; u < 32; u++ {
+		for u := 0; u < vanillaUEs; u++ {
 			specs[e].UEs = append(specs[e].UEs, flexran.UESpec{
 				IMSI:    uint64((e+1)*1000 + u + 1),
 				Channel: flexran.FadingChannel(8+6*float64(u)/31, 0.99, 1.5, rng.Int63()),
@@ -205,10 +221,7 @@ func TestAllocGateVanillaTTI(t *testing.T) {
 	if !s.WaitAttached(3000) {
 		t.Fatal("the world did not attach")
 	}
-	s.Run(500) // grow every queue, lane and scratch to its steady size
-	if got := testing.AllocsPerRun(200, s.Step); got > budget {
-		t.Errorf("vanilla 64 x 32 TTI: %.1f allocs/op, budget %d", got, budget)
-	}
+	return s
 }
 
 // TestAllocGateConnSend gates the framed transport send: one coalesced

@@ -53,3 +53,28 @@ func TestMemGateBytesPerUE(t *testing.T) {
 	}
 	runtime.KeepAlive(e)
 }
+
+// TestMemGateWorldBytesPerUE gates what a UE costs in a whole world rather
+// than in the eNodeB lanes alone: the vanilla-sim-shaped 64 x 32 world
+// (fading channel and CBR traffic per UE, serial engine) after a few hundred
+// TTIs, measured as the retained heap of the whole simulator per UE after a
+// full GC. Unlike TestMemGateBytesPerUE it sees the models' own state — the
+// channel's random source above all. Measured: ~6,320 B/UE.
+func TestMemGateWorldBytesPerUE(t *testing.T) {
+	skipUnderRace(t)
+	const budgetBytesPerUE = 7168
+	const ues = vanillaENBs * vanillaUEs
+
+	before := heapInUse()
+	s := newVanillaSim(t)
+	s.Run(300)
+	perUE := float64(heapInUse()-before) / ues
+	t.Logf("retained heap: %.0f B/UE over %d UEs", perUE, ues)
+	if perUE > budgetBytesPerUE {
+		t.Errorf("per-UE footprint %.0f B exceeds budget %d B", perUE, budgetBytesPerUE)
+	}
+	if perUE <= 0 {
+		t.Error("measurement collapsed to zero; the gate is not measuring anything")
+	}
+	runtime.KeepAlive(s)
+}
