@@ -68,6 +68,15 @@ func (r *rig) run(ttis int) {
 	}
 }
 
+// runUntil steps until done holds, at most ttis times, and reports whether
+// it held.
+func (r *rig) runUntil(ttis int, done func() bool) bool {
+	for i := 0; i < ttis && !done(); i++ {
+		r.step()
+	}
+	return done()
+}
+
 func (r *rig) addConnectedUE(ch radio.Model) lte.RNTI {
 	r.t.Helper()
 	rnti, err := r.enb.AddUE(enb.UEParams{IMSI: 1, Cell: 0, Channel: ch})

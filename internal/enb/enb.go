@@ -25,12 +25,13 @@ package enb
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
 	"flexran/internal/radio"
+	"flexran/internal/rng"
 	"flexran/internal/sched"
 )
 
@@ -258,7 +259,7 @@ func New(cfg Config) *ENB {
 		cfg:        cfg,
 		cells:      map[lte.CellID]*cell{},
 		slotByIMSI: map[uint64]int32{},
-		rnd:        rand.New(rand.NewSource(cfg.Seed + 1)),
+		rnd:        rng.New(cfg.Seed + 1),
 		nextRNTI:   lte.FirstUERNTI,
 	}
 	for _, cc := range cfg.Cells {

@@ -12,10 +12,10 @@ package experiments
 //     stays "never" for a stalled-but-heartbeating agent.
 //
 //   - delivery: a management app pushes a stream of VSF updates through a
-//     30%-lossy control channel. Without retransmission (budget 0) a lost
-//     command or ack surfaces as a delivery failure; with the default
-//     budget every command is retransmitted until acknowledged and
-//     nothing is lost.
+//     30%-lossy control channel. With a single retransmission (budget 1,
+//     the smallest; budget 0 means the default of 5) about a quarter of
+//     the commands surface as delivery failures; with a deep budget every
+//     command is retransmitted until acknowledged and nothing is lost.
 
 import (
 	"fmt"
@@ -40,8 +40,8 @@ type FigGrayResult struct {
 	// Delivery under bidirectional loss.
 	LossPct       float64
 	Sent          int
-	NoRetryFailed int
-	RetryFailed   int
+	NoRetryFailed int // failed at retransmission budget 1
+	RetryFailed   int // failed at budget 16
 }
 
 // ID implements Result.
@@ -61,8 +61,8 @@ func (r *FigGrayResult) String() string {
 	t.row("", "", "", "")
 	t.row(fmt.Sprintf("delivery @ %.0f%% loss", r.LossPct),
 		fmt.Sprintf("%d sent", r.Sent),
-		fmt.Sprintf("%d lost w/o retry", r.NoRetryFailed),
-		fmt.Sprintf("%d lost with retry", r.RetryFailed))
+		fmt.Sprintf("%d lost with 1 retry", r.NoRetryFailed),
+		fmt.Sprintf("%d lost with 16 retries", r.RetryFailed))
 	return t.String()
 }
 
@@ -80,12 +80,15 @@ func runFigGray(scale float64) Result {
 		res.DetectSuspect = append(res.DetectSuspect, sus)
 		res.DetectEchoOnly = append(res.DetectEchoOnly, detectStallEchoOnly(window))
 	}
-	// Budget 0 fails a command on its first lost leg; budget 8 survives
-	// even an unlucky streak at 30% loss each way ((1-0.7²)⁹ ≈ 0.2% per
-	// command).
+	// An attempt fails when the command or its ack is lost, 1-0.7² = 0.51
+	// at 30% loss each way. Budget 1 fails a command with 0.51² ≈ 26%, so
+	// some of the 40 fail on any loss pattern (all survive with ~6e-6);
+	// budget 16 fails one with 0.51¹⁷ ≈ 1e-5, so none do (any fails with
+	// ~0.05%). Budget 8 (0.2% per command) lost one of 40 on ~9% of loss
+	// patterns.
 	res.Sent = 40
-	res.NoRetryFailed = lossyDelivery(res.Sent, 0, window)
-	res.RetryFailed = lossyDelivery(res.Sent, 8, window)
+	res.NoRetryFailed = lossyDelivery(res.Sent, 1, window)
+	res.RetryFailed = lossyDelivery(res.Sent, 16, window)
 	return res
 }
 
@@ -179,7 +182,8 @@ func (p *grayPusher) OnWatch(_ *controller.Context, ev controller.WatchEvent) {
 }
 
 // lossyDelivery pushes total commands through a 30%-lossy channel with the
-// given retransmission budget and returns how many were reported failed.
+// given retransmission budget (≥ 1) and returns how many were reported
+// failed.
 func lossyDelivery(total, budget, window int) int {
 	opts := controller.DefaultOptions()
 	opts.StatsPeriodTTI = 20
@@ -203,10 +207,9 @@ func lossyDelivery(total, budget, window int) int {
 	if !s.WaitAttached(3000) {
 		panic("fig_gray: attach failed")
 	}
-	drain := window
-	if drain < 3000 { // the deepest backoff ladder spans ~2.2k TTIs
-		drain = 3000
-	}
+	// The deepest backoff ladder (40, 80, 160, then 320 TTIs per try)
+	// spans 320·(16-2)+280 ≈ 4.8k TTIs.
+	drain := max(window, 5000)
 	s.Run(total*25 + drain) // push phase plus drain
 	return p.failed
 }

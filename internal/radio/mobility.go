@@ -10,9 +10,10 @@ package radio
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"flexran/internal/lte"
+	"flexran/internal/rng"
 )
 
 // Mobility produces a UE position per subframe. Implementations may be
@@ -123,7 +124,7 @@ type RandomWaypoint struct {
 // PositionAt implements Mobility.
 func (r *RandomWaypoint) PositionAt(sf lte.Subframe) Point {
 	if !r.inited {
-		r.rnd = rand.New(rand.NewSource(r.Seed))
+		r.rnd = rng.New(r.Seed)
 		r.pos = r.pick()
 		r.dst = r.pick()
 		r.last = 0

@@ -11,10 +11,11 @@ package radio
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 
 	"flexran/internal/lte"
+	"flexran/internal/rng"
 )
 
 // Model yields the CQI a UE reports at a subframe.
@@ -86,34 +87,20 @@ func (s Schedule) CQI(sf lte.Subframe) lte.CQI {
 // GaussMarkov is a first-order autoregressive fading process around a mean
 // CQI: x(t+1) = mean + rho*(x(t)-mean) + sigma*sqrt(1-rho^2)*N(0,1),
 // sampled once per subframe from subframe 0 (x(0) = mean), quantized and
-// clamped to [1, 15]. It is deterministic for a given seed.
+// clamped to [1, 15]. It is deterministic for a given seed, and draws one
+// normal per subframe from its own 16-byte source (see internal/rng).
 //
-// The trajectory is drawn ahead, a block of subframes at a time, so that
-// the per-process random source (4.9 KB of state) is touched once per
-// block rather than once per subframe: with thousands of UEs a draw per
-// TTI misses cache on nearly every call. The block holds the same draws
-// in the same order as drawing one subframe per call, so the reported
-// CQIs are the same. The first block is 1 + Seed mod 64 subframes long,
-// which spreads the refills of many processes over different subframes.
-//
-// A GaussMarkov is not safe for concurrent use, and its parameters are
-// read when a block is drawn: set them before the first CQI call.
+// A GaussMarkov is not safe for concurrent use.
 type GaussMarkov struct {
 	Mean  float64
 	Rho   float64 // temporal correlation in [0, 1)
 	Sigma float64 // stationary standard deviation in CQI units
 	Seed  int64
 
-	rnd  *rand.Rand // nil until the first CQI call
-	x    float64    // the process at subframe at
-	at   lte.Subframe
-	last lte.Subframe // the latest subframe queried
-	// block holds the CQIs of subframes last..at, each at index sf % gmBlock.
-	block [gmBlock]lte.CQI
+	rnd *rand.Rand   // nil until the first CQI call
+	x   float64      // the process at subframe at
+	at  lte.Subframe // the latest subframe queried
 }
-
-// gmBlock is the number of subframes a GaussMarkov draws per refill.
-const gmBlock = 64
 
 // NewGaussMarkov builds the process. Typical values: rho 0.99 (slow
 // fading at 1 ms sampling), sigma 1.5.
@@ -126,37 +113,17 @@ func NewGaussMarkov(mean, rho, sigma float64, seed int64) *GaussMarkov {
 // statistics intact, and a subframe before the latest one queried reports
 // the latest one's CQI.
 func (g *GaussMarkov) CQI(sf lte.Subframe) lte.CQI {
-	if sf < g.last {
-		sf = g.last
-	} else if sf > g.at || g.rnd == nil {
-		g.refill(sf)
-	}
-	g.last = sf
-	return g.block[sf%gmBlock]
-}
-
-// refill advances the process to sf and draws the block that starts there.
-func (g *GaussMarkov) refill(sf lte.Subframe) {
-	end := sf + gmBlock - 1
 	if g.rnd == nil {
-		g.rnd = rand.New(rand.NewSource(g.Seed))
+		g.rnd = rng.New(g.Seed)
 		g.x = g.Mean // at subframe 0
-		end = sf + lte.Subframe(uint64(g.Seed)%gmBlock)
 	}
-	mean, rho, rnd := g.Mean, g.Rho, g.rnd
-	scale := g.Sigma * math.Sqrt(1-rho*rho)
-	x, at := g.x, g.at
-	for {
-		if at >= sf {
-			g.block[at%gmBlock] = quantize(x)
-			if at == end {
-				break
-			}
+	if sf > g.at {
+		scale := g.Sigma * math.Sqrt(1-g.Rho*g.Rho)
+		for ; g.at < sf; g.at++ {
+			g.x = g.Mean + g.Rho*(g.x-g.Mean) + scale*g.rnd.NormFloat64()
 		}
-		x = mean + rho*(x-mean) + scale*rnd.NormFloat64()
-		at++
 	}
-	g.x, g.at = x, at
+	return quantize(g.x)
 }
 
 // quantize rounds a process value to the CQI it reports.

@@ -81,15 +81,20 @@ func TestGaussMarkovDeterministic(t *testing.T) {
 
 func TestGaussMarkovSkippedSubframes(t *testing.T) {
 	// Querying sparsely must advance the process identically to querying
-	// densely.
+	// densely, and a subframe before the latest one queried reports the
+	// latest one's CQI without moving the process.
 	a := NewGaussMarkov(8, 0.9, 2, 3)
 	b := NewGaussMarkov(8, 0.9, 2, 3)
-	var lastDense lte.CQI
-	for sf := lte.Subframe(0); sf <= 100; sf++ {
-		lastDense = a.CQI(sf)
+	dense := make([]lte.CQI, 301)
+	for sf := range dense {
+		dense[sf] = a.CQI(lte.Subframe(sf))
 	}
-	if got := b.CQI(100); got != lastDense {
-		t.Errorf("sparse query = %d, dense = %d", got, lastDense)
+	for _, q := range []struct{ sf, want lte.Subframe }{
+		{100, 100}, {40, 100}, {100, 100}, {101, 101}, {0, 101}, {300, 300},
+	} {
+		if got := b.CQI(q.sf); got != dense[q.want] {
+			t.Errorf("CQI(%d) = %d, want subframe %d's %d", q.sf, got, q.want, dense[q.want])
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 
 	"flexran/internal/agent"
 	"flexran/internal/apps"
@@ -20,6 +19,7 @@ import (
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
 	"flexran/internal/radio"
+	"flexran/internal/rng"
 	"flexran/internal/sched"
 	"flexran/internal/sim"
 	"flexran/internal/transport"
@@ -268,7 +268,7 @@ func (g *UEGroup) positions(runSeed int64, n int) []radio.Point {
 			}
 		}
 	case "box":
-		rnd := rand.New(rand.NewSource(mix(runSeed, p.Seed, int64(n))))
+		rnd := rng.New(mix(runSeed, p.Seed, int64(n)))
 		for i := range out {
 			out[i] = radio.Point{
 				X: p.Min.X + rnd.Float64()*(p.Max.X-p.Min.X),

@@ -1,12 +1,13 @@
 package transport
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 
 	"flexran/internal/lte"
 	"flexran/internal/metrics"
 	"flexran/internal/protocol"
+	"flexran/internal/rng"
 )
 
 // simBufPool recycles the serialized-payload buffers that travel between
@@ -83,14 +84,14 @@ func (n Netem) rngFor(dir int) *rand.Rand {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return rng.New(int64(z))
 }
 
 // delay samples the one-way delay in TTIs.
 func (n Netem) delay(r *rand.Rand) lte.Subframe {
 	d := n.OneWayTTI
 	if n.JitterTTI > 0 {
-		d += r.Intn(n.JitterTTI + 1)
+		d += r.IntN(n.JitterTTI + 1)
 	}
 	if d < 0 {
 		d = 0

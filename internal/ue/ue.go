@@ -10,9 +10,10 @@ package ue
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"flexran/internal/lte"
+	"flexran/internal/rng"
 )
 
 // Generator produces traffic, one subframe at a time. Implementations are
@@ -176,7 +177,7 @@ func (p *Poisson) init() {
 	if p.rnd != nil {
 		return
 	}
-	p.rnd = rand.New(rand.NewSource(p.Seed))
+	p.rnd = rng.New(p.Seed)
 	if p.PacketBytes == 0 {
 		p.PacketBytes = 1200
 	}
