@@ -28,12 +28,9 @@ const (
 	defaultDegrade    = 0.5
 )
 
-// Config parameterizes a Broker.
+// Config parameterizes a Broker. It plans across every agent the RIB
+// knows and pushes to the MAC downlink slicer (SharePlan's zero address).
 type Config struct {
-	// Module and VSF address the agent-side slicing scheduler (empty
-	// selects the MAC downlink slicer, mac/dl_ue_sched).
-	Module string
-	VSF    string
 	// EpochTTI is the control period: measurement, admission and re-plan
 	// run every EpochTTI cycles (0 selects 100).
 	EpochTTI int
@@ -46,9 +43,6 @@ type Config struct {
 	// HysteresisEpochs is the default violation hysteresis for specs that
 	// do not set their own (0 selects 2).
 	HysteresisEpochs int
-	// Members lists the member eNodeBs the broker plans across. Empty
-	// means every agent the RIB knows.
-	Members []lte.ENBID
 }
 
 // entry is the broker's per-slice state.
@@ -99,12 +93,6 @@ type Broker struct {
 // unique; specs are kept sorted by name so every control decision
 // iterates them in one deterministic order.
 func New(cfg Config, specs ...slice.Spec) (*Broker, error) {
-	if cfg.Module == "" {
-		cfg.Module = "mac"
-	}
-	if cfg.VSF == "" {
-		cfg.VSF = "dl_ue_sched"
-	}
 	if cfg.EpochTTI <= 0 {
 		cfg.EpochTTI = defaultEpochTTI
 	}
@@ -275,12 +263,9 @@ func (b *Broker) OnTick(ctx *controller.Context, cycle lte.Subframe) {
 	b.Epochs++
 }
 
-// members resolves the member eNodeB list for this epoch, in ascending
-// id order.
+// members resolves the member eNodeB list for this epoch: every agent in
+// the RIB, in ascending id order.
 func (b *Broker) members(ctx *controller.Context) []lte.ENBID {
-	if len(b.cfg.Members) > 0 {
-		return b.cfg.Members
-	}
 	b.memberScratch = ctx.RIB().AppendAgents(b.memberScratch[:0])
 	return b.memberScratch
 }
@@ -444,9 +429,7 @@ func (e *entry) active() bool {
 // session or a rejected vector; errors.Is(err, controller.ErrNoSession)
 // distinguishes the former).
 func (b *Broker) push(ctx *controller.Context, enb lte.ENBID, shares []float64) {
-	_, err := ctx.ApplyShares(enb, controller.SharePlan{
-		Module: b.cfg.Module, VSF: b.cfg.VSF, Shares: shares,
-	})
+	_, err := ctx.ApplyShares(enb, controller.SharePlan{Shares: shares})
 	if err != nil {
 		b.Lost++
 		if errors.Is(err, controller.ErrNoSession) {

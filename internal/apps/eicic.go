@@ -29,19 +29,11 @@ type EICIC struct {
 	// Optimized enables the ABS re-grant; false reproduces plain eICIC
 	// (the coordinator never grants, macro stays muted in ABS).
 	Optimized bool
-	// MacroShares, when set, is a per-group share vector installed on the
-	// macro's slicing scheduler at coordinator start — the §6.1 + §6.3
-	// combination (an eICIC-coordinated macro whose non-ABS capacity is
-	// sliced between operators). It rides the same typed actuation path as
-	// the slice broker and RANSharing (Context.ApplyShares), health-gated
-	// and retried until accepted. Nil pushes nothing.
-	MacroShares []float64
 
 	// Granted counts ABS subframes handed to the macro.
 	Granted int
 
-	sharesPushed bool
-	lastTarget   lte.Subframe
+	lastTarget lte.Subframe
 	// clearCQI/hitCQI track the best and worst CQI each UE has reported:
 	// the interference-free and interference-hit channel qualities. Real
 	// eICIC separates these with RRC restricted measurement subsets; the
@@ -82,14 +74,6 @@ func (*EICIC) Name() string { return "eicic-coordinator" }
 
 // OnTick implements controller.TickerApp.
 func (e *EICIC) OnTick(ctx *controller.Context, _ lte.Subframe) {
-	if len(e.MacroShares) > 0 && !e.sharesPushed &&
-		ctx.RIB().HealthOf(e.MacroENB) < controller.Suspect {
-		if _, err := ctx.ApplyShares(e.MacroENB, controller.SharePlan{
-			Shares: e.MacroShares,
-		}); err == nil {
-			e.sharesPushed = true
-		}
-	}
 	if !e.Optimized {
 		return
 	}

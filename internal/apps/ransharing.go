@@ -22,10 +22,8 @@ type ShareChange struct {
 // (internal/apps/broker) owns everything beyond a fixed script: SLAs,
 // admission, re-planning.
 type RANSharing struct {
-	// ENB is the shared eNodeB; VSF the slicing operation ("dl_ue_sched").
-	ENB    lte.ENBID
-	Module string
-	VSF    string
+	// ENB is the shared eNodeB; pushes go to its MAC downlink slicer.
+	ENB lte.ENBID
 	// Plan is the scripted share schedule, ascending by At.
 	Plan []ShareChange
 
@@ -46,7 +44,7 @@ type RANSharing struct {
 
 // NewRANSharing builds the app for the MAC downlink slicer.
 func NewRANSharing(enb lte.ENBID, plan []ShareChange) *RANSharing {
-	return &RANSharing{ENB: enb, Module: "mac", VSF: "dl_ue_sched", Plan: plan}
+	return &RANSharing{ENB: enb, Plan: plan}
 }
 
 // Name implements controller.App.
@@ -77,9 +75,7 @@ func (r *RANSharing) OnTick(ctx *controller.Context, cycle lte.Subframe) {
 // outcome: a refused push (unbound session, invalid vector) is lost, not
 // deferred — there is nothing to replay it on.
 func (r *RANSharing) apply(ctx *controller.Context, shares []float64) {
-	if _, err := ctx.ApplyShares(r.ENB, controller.SharePlan{
-		Module: r.Module, VSF: r.VSF, Shares: shares,
-	}); err != nil {
+	if _, err := ctx.ApplyShares(r.ENB, controller.SharePlan{Shares: shares}); err != nil {
 		r.Lost++
 		return
 	}

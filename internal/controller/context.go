@@ -110,7 +110,7 @@ type SharePlan struct {
 
 // ApplyShares pushes a share plan to an agent's slicing VSF — the single
 // typed actuation path every share-writing caller (the slice broker, the
-// RANSharing static adapter, eICIC, the northbound /slice-shares escape
+// RANSharing static adapter, the northbound /slice-shares escape
 // hatch) goes through. The vector is validated before anything is sent;
 // with reliable delivery enabled the returned sequence number is the
 // caller's handle for awaiting the outcome. A push toward an unbound

@@ -17,13 +17,11 @@ import (
 type Options struct {
 	// ID names this master in HelloAcks.
 	ID string
-	// StatsPeriodTTI subscribes agents to periodic full reports at this
-	// period (0 disables the default subscription).
+	// StatsPeriodTTI subscribes agents to periodic full reports
+	// (protocol.StatsAll) at this period (0 disables the default
+	// subscription). Other report modes are a StatsRequest sent through
+	// Send.
 	StatsPeriodTTI int
-	// StatsMode selects periodic or triggered default reporting.
-	StatsMode protocol.StatsMode
-	// StatsFlags selects report contents for the default subscription.
-	StatsFlags protocol.StatsFlags
 	// SyncPeriodTTI subscribes agents to subframe triggers (0 disables).
 	SyncPeriodTTI int
 	// TrustKey signs pushed VSFs.
@@ -90,8 +88,6 @@ func DefaultOptions() Options {
 	return Options{
 		ID:                "flexran-master",
 		StatsPeriodTTI:    1,
-		StatsMode:         protocol.StatsPeriodic,
-		StatsFlags:        protocol.StatsAll,
 		SyncPeriodTTI:     1,
 		EchoPeriodTTI:     20,
 		EchoMissBudget:    3,
@@ -821,12 +817,8 @@ func (m *Master) welcome(enb lte.ENBID) {
 		Epoch:    epoch,
 	})
 	if m.opts.StatsPeriodTTI > 0 {
-		m.Send(enb, &protocol.StatsRequest{
-			ID:        1,
-			Mode:      m.opts.StatsMode,
-			PeriodTTI: uint32(m.opts.StatsPeriodTTI),
-			Flags:     m.opts.StatsFlags,
-		})
+		sub := m.defaultSub()
+		m.Send(enb, &sub)
 	}
 	if m.opts.SyncPeriodTTI > 0 {
 		m.Send(enb, &protocol.PolicyReconf{
@@ -847,18 +839,24 @@ func (m *Master) verifySubscriptions(enb lte.ENBID, subs []protocol.StatsRequest
 	if m.opts.StatsPeriodTTI <= 0 {
 		return
 	}
-	want := protocol.StatsRequest{
-		ID:        1,
-		Mode:      m.opts.StatsMode,
-		PeriodTTI: uint32(m.opts.StatsPeriodTTI),
-		Flags:     m.opts.StatsFlags,
-	}
+	want := m.defaultSub()
 	for _, s := range subs {
 		if s == want {
 			return
 		}
 	}
 	m.Send(enb, &want) //nolint:errcheck // a lost repair is retried by maintenance
+}
+
+// defaultSub is the default statistics subscription: periodic full
+// reports every StatsPeriodTTI cycles.
+func (m *Master) defaultSub() protocol.StatsRequest {
+	return protocol.StatsRequest{
+		ID:        1,
+		Mode:      protocol.StatsPeriodic,
+		PeriodTTI: uint32(m.opts.StatsPeriodTTI),
+		Flags:     protocol.StatsAll,
+	}
 }
 
 // heartbeat runs the liveness probe over every session: a bound session

@@ -174,7 +174,7 @@ func TestSameTickTakeoverAppliesInIngestOrder(t *testing.T) {
 // (the welcome's StatsRequest died in flight) triggers an immediate
 // re-issue; a snapshot carrying it does not.
 func TestResyncVerifiesSubscriptions(t *testing.T) {
-	opts := controller.DefaultOptions() // StatsPeriodTTI 1, StatsAll
+	opts := controller.DefaultOptions() // StatsPeriodTTI 1
 	var statsReqs int
 	m := controller.NewMaster(opts)
 	sess := m.HandleAgentSession(func(msg *protocol.Message) error {
@@ -193,7 +193,7 @@ func TestResyncVerifiesSubscriptions(t *testing.T) {
 	sess.Deliver(protocol.New(7, 1, &protocol.StateSnapshot{
 		Epoch: 1, SF: 1, Config: protocol.ENBConfig{ID: 7},
 		Subs: []protocol.StatsRequest{{
-			ID: 1, Mode: opts.StatsMode, PeriodTTI: uint32(opts.StatsPeriodTTI), Flags: opts.StatsFlags,
+			ID: 1, Mode: protocol.StatsPeriodic, PeriodTTI: uint32(opts.StatsPeriodTTI), Flags: protocol.StatsAll,
 		}},
 	}))
 	m.Tick()

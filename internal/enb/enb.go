@@ -53,8 +53,9 @@ const (
 	// measurement period feeding A3 handover evaluation).
 	DefaultMeasPeriodTTI = 10
 	// activityWindow is how many past subframes of per-cell transmission
-	// activity are retained (for interference coupling between eNBs).
-	activityWindow = 64
+	// activity are retained (for interference coupling between eNBs):
+	// Active is asked about the current subframe and the one before it.
+	activityWindow = 2
 )
 
 // UEState is the attach state machine.
@@ -162,7 +163,7 @@ type Hooks struct {
 	OnUEEvent  func(ev protocol.UEEventType, rnti lte.RNTI, cellID lte.CellID)
 	OnSubframe func(sf lte.Subframe)
 	// OnMeasurement receives a connected UE's L3 measurements every
-	// Config.MeasPeriodTTI subframes (only for UEs whose channel model
+	// DefaultMeasPeriodTTI subframes (only for UEs whose channel model
 	// implements radio.NeighborMeasurer). The agent's RRC module runs A3
 	// evaluation on this stream. neighbors is the eNodeB's measurement
 	// scratch, valid only during the call.
@@ -180,8 +181,6 @@ type Config struct {
 	AttachTimeoutTTI     int
 	// DLQueueCap overrides the RLC queue bound.
 	DLQueueCap int
-	// MeasPeriodTTI overrides the neighbour-measurement period.
-	MeasPeriodTTI int
 }
 
 // DefaultCell returns the paper's evaluation cell: FDD, 10 MHz, TM1, band 5.
@@ -248,9 +247,6 @@ func New(cfg Config) *ENB {
 	}
 	if cfg.DLQueueCap == 0 {
 		cfg.DLQueueCap = DefaultDLQueueCap
-	}
-	if cfg.MeasPeriodTTI == 0 {
-		cfg.MeasPeriodTTI = DefaultMeasPeriodTTI
 	}
 	if len(cfg.Cells) == 0 {
 		cfg.Cells = []protocol.CellConfig{DefaultCell(0)}
@@ -635,7 +631,7 @@ func (e *ENB) Step() {
 	if e.hooks.OnSubframe != nil {
 		e.hooks.OnSubframe(sf)
 	}
-	if e.hooks.OnMeasurement != nil && e.measurers > 0 && int(sf)%e.cfg.MeasPeriodTTI == 0 {
+	if e.hooks.OnMeasurement != nil && e.measurers > 0 && sf%DefaultMeasPeriodTTI == 0 {
 		for _, s := range e.order {
 			if h.state[s] != StateConnected {
 				continue

@@ -29,7 +29,7 @@ func (e *ENB) NextWake(from lte.Subframe) lte.Subframe {
 	}
 	wake := lte.NeverSF
 	if e.hooks.OnMeasurement != nil && e.measurers > 0 {
-		p := lte.Subframe(e.cfg.MeasPeriodTTI)
+		const p = DefaultMeasPeriodTTI
 		next := from + (p-from%p)%p
 		if next < wake {
 			wake = next

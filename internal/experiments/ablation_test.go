@@ -51,12 +51,22 @@ func TestAblationReportPeriodHalvesOverhead(t *testing.T) {
 func TestAblationTriggeredReportsCutIdleOverhead(t *testing.T) {
 	statsBytes := func(mode protocol.StatsMode) int64 {
 		o := controller.DefaultOptions()
-		o.StatsMode = mode
+		if mode != protocol.StatsPeriodic {
+			// The default subscription is periodic: drop it and subscribe
+			// explicitly, as an application would.
+			o.StatsPeriodTTI = 0
+		}
 		s := sim.MustNew(sim.Config{Master: &o}, sim.ENBSpec{
 			ID: 1, Agent: true, Seed: 1,
 			UEs: []sim.UESpec{{IMSI: 1, Channel: radio.Fixed(12)}}, // no traffic
 		})
 		s.WaitAttached(2000)
+		if mode != protocol.StatsPeriodic {
+			req := &protocol.StatsRequest{ID: 1, Mode: mode, PeriodTTI: 1, Flags: protocol.StatsAll}
+			if err := s.Master.Send(1, req); err != nil {
+				t.Fatal(err)
+			}
+		}
 		s.Nodes[0].AgentMeter().Reset()
 		s.RunSeconds(1)
 		return s.Nodes[0].AgentMeter().Bytes(protocol.CatStats)

@@ -22,7 +22,6 @@ import (
 	"flexran/internal/rng"
 	"flexran/internal/sched"
 	"flexran/internal/sim"
-	"flexran/internal/transport"
 	"flexran/internal/ue"
 	"flexran/internal/yamlite"
 )
@@ -122,8 +121,8 @@ func (sc *Scenario) Build(workers int) (*Runtime, error) {
 			Cells:    cells,
 			Seed:     d.Seed,
 			Agent:    d.Agent,
-			ToMaster: netemOf(d.ToMaster),
-			ToAgent:  netemOf(d.ToAgent),
+			ToMaster: d.ToMaster,
+			ToAgent:  d.ToAgent,
 		}
 		index[d.ID] = i
 	}
@@ -165,22 +164,7 @@ func (sc *Scenario) Build(workers int) (*Runtime, error) {
 		}
 	}
 
-	cfg := sim.Config{Workers: workers, NoFastForward: sc.Run.NoFastForward}
-	if sc.Master != nil {
-		mo := controller.DefaultOptions()
-		mo.StatsPeriodTTI = sc.Master.StatsPeriodTTI
-		mo.SyncPeriodTTI = sc.Master.SyncPeriodTTI
-		mo.EchoPeriodTTI = sc.Master.EchoPeriodTTI
-		mo.EchoMissBudget = sc.Master.EchoMissBudget
-		mo.NoResync = sc.Master.NoResync
-		mo.HealthPeriodTTI = sc.Master.HealthPeriodTTI
-		mo.HealthSuspectTTI = sc.Master.HealthSuspectTTI
-		mo.HealthDegradedTTI = sc.Master.HealthDegradedTTI
-		mo.HealthRecoverTTI = sc.Master.HealthRecoverTTI
-		mo.CmdRetryTTI = sc.Master.CmdRetryTTI
-		mo.CmdRetryBudget = sc.Master.CmdRetryBudget
-		cfg.Master = &mo
-	}
+	cfg := sim.Config{Master: sc.Master, Workers: workers, NoFastForward: sc.Run.NoFastForward}
 	s, err := sim.New(cfg, specs...)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: building sim: %w", err)
@@ -201,24 +185,6 @@ func (sc *Scenario) Build(workers int) (*Runtime, error) {
 		return nil, err
 	}
 	return rt, nil
-}
-
-// netemOf converts a declaration into the transport knob.
-func netemOf(d NetemDecl) transport.Netem {
-	return transport.Netem{
-		OneWayTTI:      d.DelayTTI,
-		JitterTTI:      d.JitterTTI,
-		LossProb:       d.Loss,
-		Seed:           d.Seed,
-		BurstLossProb:  d.BurstLoss,
-		BurstEnterProb: d.BurstEnter,
-		BurstExitProb:  d.BurstExit,
-		DupProb:        d.Dup,
-		ReorderProb:    d.Reorder,
-		ReorderTTI:     d.ReorderTTI,
-		CorruptProb:    d.Corrupt,
-		StallTTI:       d.StallTTI,
-	}
 }
 
 // buildRadioMap assembles the shared site directory (one site per cell of
@@ -507,12 +473,7 @@ func (rt *Runtime) registerApps() error {
 		}
 	}
 	if b := rt.Scenario.Broker; b != nil {
-		bk, err := broker.New(broker.Config{
-			EpochTTI:         b.EpochTTIs,
-			Elastic:          b.Elastic,
-			DegradeFactor:    b.DegradeFactor,
-			HysteresisEpochs: b.HysteresisEpochs,
-		}, b.Specs...)
+		bk, err := broker.New(b.Config, b.Specs...)
 		if err != nil {
 			return fmt.Errorf("scenario: %w", err)
 		}

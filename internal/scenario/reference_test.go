@@ -9,7 +9,11 @@ import (
 	"strings"
 	"testing"
 
+	"flexran/internal/apps"
+	"flexran/internal/controller"
+	"flexran/internal/sim"
 	"flexran/internal/slice"
+	"flexran/internal/transport"
 )
 
 // sections lists every field table of the parser under the document
@@ -25,19 +29,19 @@ var sections = []struct {
 	{[]string{"topology.grid"}, gridTable(new(lattice))},
 	{[]string{"topology.honeycomb"}, honeycombTable(new(lattice))},
 	{[]string{"topology.enbs[]"}, enbTable(new(ENBDecl))},
-	{[]string{"topology.enbs[].to_master", "topology.enbs[].to_agent", "faults[].to_master", "faults[].to_agent"}, netemTable(new(NetemDecl))},
+	{[]string{"topology.enbs[].to_master", "topology.enbs[].to_agent", "faults[].to_master", "faults[].to_agent"}, netemTable(new(transport.Netem))},
 	{[]string{"ues[]"}, ueGroupTable(new(UEGroup))},
 	{[]string{"ues[].placement"}, placementTable(new(PlacementDecl))},
 	{[]string{"ues[].mobility"}, mobilityTable(new(MobilityDecl))},
 	{[]string{"ues[].channel"}, channelTable(new(ChannelDecl))},
 	{[]string{"ues[].traffic[]", "ues[].uplink[]"}, trafficTable(new(TrafficDecl))},
-	{[]string{"master"}, masterTable(new(MasterDecl))},
+	{[]string{"master"}, masterTable(new(controller.Options))},
 	{[]string{"apps[]"}, appTable(new(AppDecl))},
-	{[]string{"apps[].plan[]"}, shareChangeTable(new(ShareChangeDecl))},
+	{[]string{"apps[].plan[]"}, shareChangeTable(new(apps.ShareChange))},
 	{[]string{"slicing[]"}, slicingTable(new(SliceDecl))},
 	{[]string{"slices"}, slicesTable(new(SlicesDecl))},
 	{[]string{"slices.specs[]"}, sliceSpecTable(new(slice.Spec))},
-	{[]string{"faults[]"}, faultTable(new(FaultDecl))},
+	{[]string{"faults[]"}, faultTable(new(sim.Fault))},
 }
 
 func knobPath(section, key string) string {

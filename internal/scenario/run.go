@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"flexran/internal/apps"
@@ -140,41 +141,17 @@ func (rt *Runtime) Execute() (*Result, error) {
 	// Arm the fault script and any ransharing plans relative to the end
 	// of the attach phase.
 	base := s.Now()
-	var faults []sim.Fault
-	for _, f := range sc.Faults {
-		var kind sim.FaultKind
-		switch f.Kind {
-		case "link_cut":
-			kind = sim.FaultLinkCut
-		case "link_restore":
-			kind = sim.FaultLinkRestore
-		case "agent_restart":
-			kind = sim.FaultAgentRestart
-		case "netem_set":
-			kind = sim.FaultNetemSet
-		case "agent_stall":
-			kind = sim.FaultAgentStall
-		case "agent_resume":
-			kind = sim.FaultAgentResume
+	if len(sc.Faults) > 0 {
+		faults := slices.Clone(sc.Faults)
+		for i := range faults {
+			faults[i].At += base
 		}
-		fault := sim.Fault{At: base + lte.Subframe(f.At), Kind: kind, ENB: f.ENB}
-		if f.ToMaster != nil {
-			ne := netemOf(*f.ToMaster)
-			fault.ToMaster = &ne
-		}
-		if f.ToAgent != nil {
-			ne := netemOf(*f.ToAgent)
-			fault.ToAgent = &ne
-		}
-		faults = append(faults, fault)
-	}
-	if len(faults) > 0 {
 		s.InjectFaults(faults...)
 	}
 	for i, a := range rt.sharing {
-		plan := make([]apps.ShareChange, len(a.Plan))
-		for j, ch := range a.Plan {
-			plan[j] = apps.ShareChange{At: base + lte.Subframe(ch.At), Shares: ch.Shares}
+		plan := slices.Clone(a.Plan)
+		for j := range plan {
+			plan[j].At += base
 		}
 		s.Master.Register(apps.NewRANSharing(a.ENB, plan), 1000+10*i)
 	}

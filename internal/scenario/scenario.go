@@ -17,7 +17,19 @@
 // and topology are required; unknown keys are errors. Every knob of every
 // section, with its constraint and default, is listed in the knob
 // reference of scenarios/README.md, which a test generates from the field
-// tables below. The smallest useful document:
+// tables below.
+//
+// Where the runtime already has a struct for a section, the section
+// decodes straight into it, seeded with the runtime's own defaults:
+// master into controller.Options, netem blocks into transport.Netem,
+// faults into sim.Fault, ransharing plans into apps.ShareChange and the
+// broker half of slices into broker.Config. Those structs' times are
+// absolute subframes at run time, but a document's are not: Faults[i].At
+// and each ransharing plan change's At are offsets from the end of the
+// attach phase, and Execute shifts copies of them by the subframe at
+// which attach ended.
+//
+// The smallest useful document:
 //
 //	name: quickstart
 //	run:
@@ -46,8 +58,13 @@ import (
 	"slices"
 	"strings"
 
+	"flexran/internal/apps"
+	"flexran/internal/apps/broker"
+	"flexran/internal/controller"
 	"flexran/internal/lte"
+	"flexran/internal/sim"
 	"flexran/internal/slice"
+	"flexran/internal/transport"
 	"flexran/internal/yamlite"
 )
 
@@ -78,27 +95,6 @@ type RunSpec struct {
 	NoFastForward bool
 }
 
-// NetemDecl impairs one direction of a control channel. The gray knobs
-// (burst loss, duplication, reordering, corruption, stall) map onto
-// transport.Netem's Gilbert–Elliott and framing-corruption machinery; all
-// default to zero, which draws nothing from the random stream and so
-// leaves legacy digests untouched.
-type NetemDecl struct {
-	DelayTTI  int
-	JitterTTI int
-	Loss      float64
-	Seed      int64
-
-	BurstLoss  float64
-	BurstEnter float64
-	BurstExit  float64
-	Dup        float64
-	Reorder    float64
-	ReorderTTI int
-	Corrupt    float64
-	StallTTI   int
-}
-
 // ENBDecl declares one eNodeB (or a template repeated Count times by the
 // topology grid generator).
 type ENBDecl struct {
@@ -111,8 +107,8 @@ type ENBDecl struct {
 	X, Y     float64
 	PowerDBm float64
 	HasSite  bool
-	ToMaster NetemDecl
-	ToAgent  NetemDecl
+	ToMaster transport.Netem
+	ToAgent  transport.Netem
 	// Policy is a raw policy-reconfiguration document applied to the
 	// agent before the attach phase (e.g. rrc handover knobs).
 	Policy *yamlite.Node
@@ -188,25 +184,6 @@ type UEGroup struct {
 	UL       []TrafficDecl
 }
 
-// MasterDecl is the "master:" section. A nil *MasterDecl on the Scenario
-// means "master: none" (standalone eNodeBs).
-type MasterDecl struct {
-	StatsPeriodTTI int
-	SyncPeriodTTI  int
-	EchoPeriodTTI  int
-	EchoMissBudget int
-	NoResync       bool
-
-	// Health monitor and reliable-delivery knobs (all 0 = disabled,
-	// matching controller.DefaultOptions so legacy digests hold).
-	HealthPeriodTTI   int
-	HealthSuspectTTI  int
-	HealthDegradedTTI int
-	HealthRecoverTTI  int
-	CmdRetryTTI       int
-	CmdRetryBudget    int
-}
-
 // AppDecl registers one northbound application.
 type AppDecl struct {
 	Kind string // "monitor", "mobility", "eicic", "ransharing"
@@ -224,22 +201,15 @@ type AppDecl struct {
 	RetuneAt         int64
 	RetunePolicy     string
 	RetuneLoadWeight float64
-	// ransharing
+	// ransharing: each change's At is an offset from the end of attach.
 	ENB  lte.ENBID
-	Plan []ShareChangeDecl
+	Plan []apps.ShareChange
 	// eicic
 	MacroENB  lte.ENBID
 	MacroCell lte.CellID
 	SmallENBs []lte.ENBID
 	ABS       int
 	Optimized bool
-}
-
-// ShareChangeDecl is one scheduled slice-share reallocation (TTIs are
-// offsets from the start of the measured run, like fault TTIs).
-type ShareChangeDecl struct {
-	At     int64
-	Shares []float64
 }
 
 // SlicesDecl is the "slices:" section: declarative slice specs handed to
@@ -249,18 +219,11 @@ type ShareChangeDecl struct {
 // and Execute registers a broker armed at the end of the attach phase.
 // The section is mutually exclusive with the static "slicing:" section.
 type SlicesDecl struct {
-	// EpochTTIs is the broker's control period (0 = broker default).
-	EpochTTIs int
-	// Elastic selects the closed loop; false freezes the static
-	// weight-proportional plan (the fig_slicing ablation arm).
-	Elastic bool
+	// Config is the broker's own configuration (elastic by default).
+	broker.Config
 	// WorkConserving and Scheduler configure the agent-side slicer.
 	WorkConserving bool
 	Scheduler      string // inner per-group scheduler: "rr" (default), "pf"
-	// HysteresisEpochs and DegradeFactor override broker defaults (0 keeps
-	// them).
-	HysteresisEpochs int
-	DegradeFactor    float64
 	// Specs is the declarative slice set.
 	Specs []slice.Spec
 }
@@ -274,18 +237,6 @@ type SliceDecl struct {
 	Scheduler      string // inner per-group scheduler: "rr" (default), "pf"
 }
 
-// FaultDecl schedules one failure-injection event, At TTIs after the
-// attach phase completes.
-type FaultDecl struct {
-	At   int64
-	Kind string // "link_cut", "link_restore", "agent_restart", "netem_set", "agent_stall", "agent_resume"
-	ENB  lte.ENBID
-	// ToMaster/ToAgent carry the replacement per-direction impairments of
-	// a netem_set fault; nil leaves that direction unchanged.
-	ToMaster *NetemDecl
-	ToAgent  *NetemDecl
-}
-
 // Scenario is a parsed, validated document. It is purely declarative:
 // Build constructs fresh runtime state (generators, channels, apps) on
 // every call, so one Scenario can be run many times — including at
@@ -296,11 +247,14 @@ type Scenario struct {
 	Run         RunSpec
 	ENBs        []ENBDecl
 	UEs         []UEGroup
-	Master      *MasterDecl
-	Apps        []AppDecl
-	Slices      []SliceDecl
-	Broker      *SlicesDecl
-	Faults      []FaultDecl
+	// Master is nil for "master: none" (standalone eNodeBs).
+	Master *controller.Options
+	Apps   []AppDecl
+	Slices []SliceDecl
+	Broker *SlicesDecl
+	// Faults is the fault script; each At is an offset from the end of
+	// attach.
+	Faults []sim.Fault
 }
 
 // Load reads and parses a scenario file.
@@ -362,7 +316,7 @@ func Parse(doc string) (*Scenario, error) {
 // generated from these tables.
 
 func scenarioTable(sc *Scenario) []field {
-	*sc = Scenario{Master: new(MasterDecl)}
+	*sc = Scenario{Master: new(controller.Options)}
 	master := masterTable(sc.Master)
 	return []field{
 		{"name", str(&sc.Name)},
@@ -556,24 +510,24 @@ func parseENB(n *yamlite.Node, where string) (d ENBDecl, err error) {
 	return d, err
 }
 
-func netemTable(d *NetemDecl) []field {
+func netemTable(d *transport.Netem) []field {
 	return []field{
-		{"delay_tti", nonNegInt(&d.DelayTTI)},
+		{"delay_tti", nonNegInt(&d.OneWayTTI)},
 		{"jitter_tti", nonNegInt(&d.JitterTTI)},
-		{"loss", prob(&d.Loss)},
+		{"loss", prob(&d.LossProb)},
 		{"seed", anyInt(&d.Seed)},
-		{"burst_loss", prob(&d.BurstLoss)},
-		{"burst_enter", prob(&d.BurstEnter)},
-		{"burst_exit", prob(&d.BurstExit)},
-		{"dup", prob(&d.Dup)},
-		{"reorder", prob(&d.Reorder)},
+		{"burst_loss", prob(&d.BurstLossProb)},
+		{"burst_enter", prob(&d.BurstEnterProb)},
+		{"burst_exit", prob(&d.BurstExitProb)},
+		{"dup", prob(&d.DupProb)},
+		{"reorder", prob(&d.ReorderProb)},
 		{"reorder_tti", nonNegInt(&d.ReorderTTI)},
-		{"corrupt", prob(&d.Corrupt)},
+		{"corrupt", prob(&d.CorruptProb)},
 		{"stall_tti", nonNegInt(&d.StallTTI)},
 	}
 }
 
-func parseNetem(n *yamlite.Node, where string) (d NetemDecl, err error) {
+func parseNetem(n *yamlite.Node, where string) (d transport.Netem, err error) {
 	err = decodeMap(n, where, netemTable(&d))
 	return d, err
 }
@@ -769,8 +723,8 @@ func parseTraffic(n *yamlite.Node, where string) (d TrafficDecl, err error) {
 	return d, nil
 }
 
-func masterTable(m *MasterDecl) []field {
-	*m = MasterDecl{StatsPeriodTTI: 1, SyncPeriodTTI: 1, EchoPeriodTTI: 20, EchoMissBudget: 3}
+func masterTable(m *controller.Options) []field {
+	*m = controller.DefaultOptions()
 	return []field{
 		{"stats_period_tti", nonNegInt(&m.StatsPeriodTTI)},
 		{"sync_period_tti", nonNegInt(&m.SyncPeriodTTI)},
@@ -839,14 +793,14 @@ func parseApp(n *yamlite.Node, where string) (a AppDecl, err error) {
 	return a, nil
 }
 
-func shareChangeTable(ch *ShareChangeDecl) []field {
+func shareChangeTable(ch *apps.ShareChange) []field {
 	return []field{
 		{"at", nonNegInt(&ch.At)},
 		{"shares", floats(&ch.Shares)},
 	}
 }
 
-func parseShareChange(n *yamlite.Node, where string) (ch ShareChangeDecl, err error) {
+func parseShareChange(n *yamlite.Node, where string) (ch apps.ShareChange, err error) {
 	if err = decodeMap(n, where, shareChangeTable(&ch)); err == nil && ch.Shares == nil {
 		err = fmt.Errorf("scenario: %s.shares is required", where)
 	}
@@ -887,9 +841,9 @@ func parseSlicing(n *yamlite.Node, where string) (d SliceDecl, err error) {
 }
 
 func slicesTable(d *SlicesDecl) []field {
-	*d = SlicesDecl{Elastic: true, Scheduler: "rr"}
+	*d = SlicesDecl{Config: broker.Config{Elastic: true}, Scheduler: "rr"}
 	return []field{
-		{"epoch_ttis", posInt(&d.EpochTTIs)},
+		{"epoch_ttis", posInt(&d.EpochTTI)},
 		{"elastic", boolean(&d.Elastic)},
 		{"work_conserving", boolean(&d.WorkConserving)},
 		{"scheduler", oneOf(&d.Scheduler, "scheduler", "rr", "pf")},
@@ -930,9 +884,18 @@ func parseSliceSpec(n *yamlite.Node, where string) (sp slice.Spec, err error) {
 	return sp, nil
 }
 
-func faultTable(d *FaultDecl) []field {
+func faultTable(d *sim.Fault) []field {
+	// The kinds are spelled as sim.FaultKind's String spells them: every
+	// kind from 0 up to the first it calls "unknown".
+	var names []string
+	for k := sim.FaultKind(0); k.String() != "unknown"; k++ {
+		names = append(names, k.String())
+	}
+	var name string
+	kind := then(oneOf(&name, "fault kind", names...), func() {
+		d.Kind = sim.FaultKind(slices.Index(names, name))
+	})
 	// An unknown kind is reported under the fault, not under its kind key.
-	kind := oneOf(&d.Kind, "fault kind", "link_cut", "link_restore", "agent_restart", "netem_set", "agent_stall", "agent_resume")
 	underKey := kind.decode
 	kind.decode = func(n *yamlite.Node, where string) error {
 		return underKey(n, strings.TrimSuffix(where, ".kind"))
@@ -946,11 +909,13 @@ func faultTable(d *FaultDecl) []field {
 	}
 }
 
-func parseFault(n *yamlite.Node, where string) (d FaultDecl, err error) {
+func parseFault(n *yamlite.Node, where string) (d sim.Fault, err error) {
 	if err = decodeMap(n, where, faultTable(&d)); err != nil {
 		return d, err
 	}
-	if d.Kind == "" {
+	// The zero FaultKind is link_cut, so a missing kind shows only in the
+	// document.
+	if n.Get("kind") == nil {
 		return d, fmt.Errorf("scenario: %s.kind is required", where)
 	}
 	if d.ENB == 0 {
@@ -1136,22 +1101,22 @@ func (sc *Scenario) validate() error {
 		if !t.Agent {
 			return fmt.Errorf("scenario: %s: eNodeB %d has no agent to fault", where, f.ENB)
 		}
-		if f.At >= int64(sc.Run.TTIs) {
+		if f.At >= lte.Subframe(sc.Run.TTIs) {
 			return fmt.Errorf("scenario: %s: at TTI %d beyond run length %d", where, f.At, sc.Run.TTIs)
 		}
 		switch f.Kind {
-		case "netem_set":
+		case sim.FaultNetemSet:
 			if f.ToMaster == nil && f.ToAgent == nil {
 				return fmt.Errorf("scenario: %s: netem_set needs a to_master or to_agent direction", where)
 			}
-		case "agent_stall":
+		case sim.FaultAgentStall:
 			stalled[f.ENB] = true
-		case "agent_resume":
+		case sim.FaultAgentResume:
 			if !stalled[f.ENB] {
 				return fmt.Errorf("scenario: %s: agent_resume for eNodeB %d without a preceding agent_stall", where, f.ENB)
 			}
 			stalled[f.ENB] = false
-		case "agent_restart":
+		case sim.FaultAgentRestart:
 			stalled[f.ENB] = false
 		}
 	}

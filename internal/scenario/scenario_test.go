@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"flexran/internal/controller"
+	"flexran/internal/lte"
+	"flexran/internal/sim"
 	"flexran/internal/ue"
 )
 
@@ -44,6 +47,50 @@ func TestParseMinimal(t *testing.T) {
 	}
 	if sc.Master == nil || sc.Master.StatsPeriodTTI != 1 {
 		t.Fatalf("master defaults not applied: %+v", sc.Master)
+	}
+}
+
+// TestMasterSectionDecodesOverDefaults: the master section is a
+// controller.Options seeded by DefaultOptions, so one key changes its own
+// field and nothing else.
+func TestMasterSectionDecodesOverDefaults(t *testing.T) {
+	sc, err := Parse(minimalDoc + "master:\n  echo_miss_budget: 7\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := controller.DefaultOptions()
+	want.EchoMissBudget = 7
+	if *sc.Master != want {
+		t.Fatalf("master = %+v\n    want %+v", *sc.Master, want)
+	}
+}
+
+// TestFaultKindsDecodeByName: every fault kind is spelled as
+// sim.FaultKind's String spells it, and its at stays an offset.
+func TestFaultKindsDecodeByName(t *testing.T) {
+	doc := minimalDoc + "faults:\n"
+	var want []sim.FaultKind
+	for _, k := range []sim.FaultKind{
+		sim.FaultLinkCut, sim.FaultLinkRestore, sim.FaultAgentRestart,
+		sim.FaultNetemSet, sim.FaultAgentStall, sim.FaultAgentResume,
+	} {
+		doc += fmt.Sprintf("  - at: %d\n    kind: %s\n    enb: 1\n", 10+len(want), k)
+		if k == sim.FaultNetemSet {
+			doc += "    to_agent:\n      loss: 0.5\n"
+		}
+		want = append(want, k)
+	}
+	sc, err := Parse(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range sc.Faults {
+		if f.Kind != want[i] || f.At != lte.Subframe(10+i) || f.ENB != 1 {
+			t.Errorf("faults[%d] = %+v, want kind %v at %d", i, f, want[i], 10+i)
+		}
+	}
+	if ne := sc.Faults[3].ToAgent; ne == nil || ne.LossProb != 0.5 || sc.Faults[3].ToMaster != nil {
+		t.Errorf("netem_set directions = %v, %v", sc.Faults[3].ToMaster, ne)
 	}
 }
 
@@ -296,6 +343,15 @@ faults:
       dup: 2
 `,
 			want: "scenario: faults[0].to_agent.dup must be a probability in [0, 1]",
+		},
+		{
+			name: "fault without kind",
+			doc: minimalDoc + `
+faults:
+  - at: 50
+    enb: 1
+`,
+			want: "scenario: faults[0].kind is required",
 		},
 		{
 			name: "agent_resume without a stall",

@@ -35,6 +35,42 @@ func TestScenarioBuildAndAttach(t *testing.T) {
 	}
 }
 
+// TestLiteralOptionsGetPeriodicFullReports: a master built from a bare
+// Options literal that sets only StatsPeriodTTI subscribes its agents to
+// periodic full reports, not to a one-off report of nothing.
+func TestLiteralOptionsGetPeriodicFullReports(t *testing.T) {
+	s := MustNew(Config{Master: &controller.Options{StatsPeriodTTI: 1}}, ENBSpec{
+		ID: 1, Agent: true, Seed: 1,
+		UEs: []UESpec{{IMSI: 100, Channel: radio.Fixed(12), DL: ue.NewCBR(500)}},
+	})
+	if !s.WaitAttached(500) {
+		t.Fatal("attach failed")
+	}
+	// Room for every report of the window, so none is lost to overflow.
+	w := s.Master.Watch(controller.WatchFilter{Kinds: controller.WatchStats}, 256)
+	defer w.Cancel()
+	meter := s.Nodes[0].AgentMeter()
+	meter.Reset()
+	s.Run(100)
+	if n := meter.Messages(protocol.CatStats); n < 90 {
+		t.Fatalf("agent sent %d reports in 100 TTIs, want >= 90", n)
+	}
+	applied := 0
+	for len(w.Events()) > 0 {
+		ev := <-w.Events()
+		if ev.UEs != 1 {
+			t.Fatalf("report at %v carries %d UE rows, want 1", ev.SF, ev.UEs)
+		}
+		applied++
+	}
+	if applied < 90 {
+		t.Fatalf("master applied %d reports in 100 TTIs, want >= 90", applied)
+	}
+	if st, ok := s.Master.RIB().UEStats(1, s.Nodes[0].RNTIs[0]); !ok || st.CQI != 12 {
+		t.Errorf("RIB row = %+v (ok %v), want CQI 12", st, ok)
+	}
+}
+
 func TestTrafficFlowsEndToEnd(t *testing.T) {
 	s := MustNew(Config{Master: opts()}, ENBSpec{
 		ID: 1, Agent: true, Seed: 1,
