@@ -218,8 +218,9 @@ func newSparseSim(noFF bool) *flexran.Sim {
 }
 
 // BenchmarkSimTTISparse measures one TTI over 4096 eNodeBs with 1% of
-// them active: the idle fast-forward engine skips the sleeping 99%, so
-// the cost is the sleep bookkeeping plus ~41 real eNodeB steps. Compare
+// them active: the engine's phases walk only the awake set and the wake
+// calendar returns each sleeper when it is due, so the cost is ~41 real
+// eNodeB steps plus a scan of the 512-byte awake bitset. Compare
 // BenchmarkSimTTISparseNoSkip — the same world with the engine disabled —
 // for the speedup the skip machinery buys at scale.
 func BenchmarkSimTTISparse(b *testing.B) { benchOp(b, sparseSimOp(false)) }

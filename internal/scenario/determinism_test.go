@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -299,8 +300,40 @@ ues:
 // TestFastForwardDigestInvariance is the skip engine's correctness gate:
 // for every worker-pool size, running with idle fast-forward enabled
 // (the default) and disabled must produce bit-identical digests — the
-// engine's contract is that skipping is unobservable.
+// engine's contract is that skipping is unobservable. Beside idleDoc,
+// every library scenario but scale-4096enb (the scale gate's) must
+// reproduce its golden digest, pinned with fast-forward on, with it off
+// on the serial engine and on a 4-worker pool.
 func TestFastForwardDigestInvariance(t *testing.T) {
+	files, err := filepath.Glob("../../scenarios/*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 14 {
+		t.Fatalf("found %d library scenarios, want 14", len(files))
+	}
+	for _, path := range files {
+		if filepath.Base(path) == "scale-4096enb.yaml" {
+			continue
+		}
+		sc, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := goldenDigest(t, sc.Name)
+		sc.Run.NoFastForward = true
+		for _, workers := range []int{1, 4} {
+			res, err := sc.RunWorkers(workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", sc.Name, workers, err)
+			}
+			if res.Summary.Digest != want {
+				t.Errorf("%s without fast-forward, workers=%d: digest %s, golden %s",
+					sc.Name, workers, res.Summary.Digest, want)
+			}
+		}
+	}
+
 	sc, err := Parse(idleDoc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)

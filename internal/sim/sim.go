@@ -17,6 +17,20 @@
 // inside a phase is owned by exactly one eNodeB (its node, agent, control
 // endpoints and per-session master ingest queue), so results are
 // bit-for-bit identical to the serial engine — see TestDeterminism.
+//
+// A TTI costs its awake eNodeBs, not its attached ones. The awake set, a
+// bitset over node indices, names the nodes that run the injection and
+// data phases; both phases walk it in ascending index order. A node whose
+// wake proof (Node.wake) lies beyond the next subframe leaves the set
+// after the data phase and is filed in the wake calendar, an indexed
+// min-heap keyed (wake, node index) that returns it at the start of the
+// Step it is due. The control phase still visits every node with a
+// control channel, because endpoint clocks advance every TTI. Early wakes
+// keep the one-owner rule: faults, handovers and cross-eNodeB spills run
+// serially and set a node's bit (dropping its calendar entry) directly,
+// while a message delivered inside the parallel control phase only flags
+// its own node, and the barrier after the phase moves flagged nodes into
+// the set.
 package sim
 
 import (
@@ -80,7 +94,8 @@ type Config struct {
 	// set explicitly, the master's RIB-updater slot inherits the same pool
 	// size.
 	Workers int
-	// NoFastForward disables idle-cell fast-forward: every eNodeB
+	// NoFastForward disables idle-cell fast-forward: every node stays in
+	// the awake set and the wake calendar stays empty, so every eNodeB
 	// executes every subframe even when provably idle. Results are
 	// bit-for-bit identical either way (the equivalence the digest
 	// regression tests enforce); the knob exists for those tests and for
@@ -118,7 +133,14 @@ type Node struct {
 	// delivered message is held on stallQ until the matching resume (or
 	// dropped by an agent restart).
 	stalled bool
-	stallQ  []*protocol.Message
+	// woken records a control message delivered to this node in the
+	// master->agent phase; the barrier after the phase moves the node into
+	// the awake set, which no worker may write.
+	woken bool
+	// idx is the node's position in Sim.Nodes: its bit in the awake set
+	// and its key in the wake calendar.
+	idx    int32
+	stallQ []*protocol.Message
 	// phaseErr records a control-channel decode failure inside a
 	// parallel phase, surfaced as a panic at the barrier.
 	phaseErr error
@@ -131,12 +153,12 @@ type Node struct {
 
 	// wake is the node's next subframe with provable own work (eNodeB
 	// backlog/measurements, agent control ticks, or traffic-generator
-	// activity), recomputed after every executed Step. While the current
-	// subframe is below wake the engine skips the node entirely; an
-	// arriving control message, a cross-eNodeB spill or a fault wakes it
-	// early. asleep is the per-TTI decision derived from wake.
-	wake   lte.Subframe
-	asleep bool
+	// activity), recomputed after every executed Step. A wake beyond the
+	// next subframe takes the node out of the awake set and files it in
+	// the wake calendar under wake (lte.NeverSF files nothing: only an
+	// early wake returns such a node); an arriving control message, a
+	// cross-eNodeB spill or a fault wakes it early.
+	wake lte.Subframe
 	// genSF is the subframe the node's traffic generators expect next:
 	// it trails the simulation clock while the node sleeps, and the gap
 	// is replayed through ue.Idler.Skip before the next injection.
@@ -280,6 +302,18 @@ type Sim struct {
 	sf      lte.Subframe
 	workers int
 	noFF    bool
+
+	// awake holds the nodes that run the injection and data phases of
+	// this TTI; cal files the sleepers with a finite wake. A node is in at
+	// most one of them.
+	awake nodeSet
+	cal   calendar
+	// run is the awake set as ascending indices, rebuilt before each of
+	// the two phases that walk it.
+	run []int32
+	// linked lists the nodes with a control channel to the master: the
+	// control phase's nodes.
+	linked []int32
 }
 
 // New builds a scenario: eNodeBs, agents, control channels, EPC bearers
@@ -301,7 +335,7 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 			Seed:             spec.Seed,
 			AttachTimeoutTTI: spec.AttachTimeoutTTI,
 		})
-		n := &Node{ENB: e, specs: spec.UEs}
+		n := &Node{ENB: e, specs: spec.UEs, idx: int32(len(s.Nodes))}
 		if spec.Agent {
 			n.Agent = agent.New(e, spec.AgentOpts)
 			// Handover commands are queued on the node and executed at
@@ -314,6 +348,7 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 				n.aEp, n.mEp = transport.NewSimPair(spec.ToMaster, spec.ToAgent)
 				n.session = s.Master.HandleAgentSession(n.mEp.Send)
 				n.Agent.Connect(n.aEp.Send)
+				s.linked = append(s.linked, n.idx)
 			}
 		}
 		s.EPC.Register(e)
@@ -334,6 +369,13 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 		s.Nodes = append(s.Nodes, n)
 		s.byENB[spec.ID] = n
 	}
+	// Every node starts awake: its attach procedures begin at subframe 0.
+	s.awake = newNodeSet(len(s.Nodes))
+	for _, n := range s.Nodes {
+		s.awake.add(n.idx)
+	}
+	s.cal = newCalendar(len(s.Nodes))
+	s.run = make([]int32, 0, len(s.Nodes))
 	return s, nil
 }
 
@@ -353,16 +395,31 @@ func (s *Sim) Now() lte.Subframe { return s.sf }
 // Workers reports the engine's worker-pool size.
 func (s *Sim) Workers() int { return s.workers }
 
-// forEachNode runs fn once per node. With more than one worker the nodes
-// are claimed off a shared counter by a pool of goroutines; the call
-// returns only when every node is done (the phase barrier).
-func (s *Sim) forEachNode(fn func(n *Node)) {
-	conc.ForEach(s.workers, len(s.Nodes), func(i int) { fn(s.Nodes[i]) })
+// forEach runs phase once for every node listed in idx: a plain loop in
+// ascending order on the serial engine; with more than one worker the
+// nodes are claimed off a shared counter by a pool of goroutines, and the
+// call returns only when every node is done (the phase barrier). Phases
+// are method expressions, so only the pool allocates.
+func (s *Sim) forEach(idx []int32, phase func(*Sim, *Node)) {
+	if s.workers < 2 {
+		for _, i := range idx {
+			phase(s, s.Nodes[i])
+		}
+		return
+	}
+	conc.ForEach(s.workers, len(idx), func(k int) { phase(s, s.Nodes[idx[k]]) })
 }
 
-// barrierErr surfaces the first phase error recorded by a worker.
-func (s *Sim) barrierErr(phase string) {
-	for _, n := range s.Nodes {
+// barrier closes a control phase serially: it moves every node a
+// delivered message woke into the awake set and surfaces the first error
+// a worker recorded.
+func (s *Sim) barrier(phase string) {
+	for _, i := range s.linked {
+		n := s.Nodes[i]
+		if n.woken {
+			n.woken = false
+			s.rouse(n)
+		}
 		if err := n.phaseErr; err != nil {
 			n.phaseErr = nil
 			panic(fmt.Sprintf("sim: corrupt control message (%s, eNB %d): %v",
@@ -371,24 +428,18 @@ func (s *Sim) barrierErr(phase string) {
 	}
 }
 
+// rouse puts a node in the awake set for the rest of the TTI, taking it
+// out of the wake calendar. Serial only.
+func (s *Sim) rouse(n *Node) {
+	s.awake.add(n.idx)
+	s.cal.remove(n.idx)
+}
+
 // injectTraffic is phase 1 for one node: per-UE downlink bytes through the
 // EPC and uplink bytes into the eNodeB.
-func (s *Sim) injectTraffic(n *Node, sf lte.Subframe) {
-	if n.genSF < sf {
-		// The node slept since genSF. Its wake proof guaranteed every
-		// generator inactive over the gap, so replay the gap through
-		// Skip: bit-exact (the Idler contract) and emission-free.
-		gap := int(sf - n.genSF)
-		for i := range n.specs {
-			if g, ok := n.specs[i].DL.(ue.Idler); ok {
-				g.Skip(gap)
-			}
-			if g, ok := n.specs[i].UL.(ue.Idler); ok {
-				g.Skip(gap)
-			}
-		}
-		n.genSF = sf
-	}
+func (s *Sim) injectTraffic(n *Node) {
+	sf := s.sf
+	n.skipGens(sf)
 	id := n.ENB.ID()
 	for i := range n.specs {
 		spec := &n.specs[i]
@@ -414,14 +465,36 @@ func (s *Sim) injectTraffic(n *Node, sf lte.Subframe) {
 	n.genSF = sf + 1
 }
 
+// skipGens moves the node's traffic generators from genSF up to sf. The
+// node slept over that gap, and its wake proof guaranteed every generator
+// inactive there, so the gap is replayed through Skip: bit-exact (the
+// Idler contract) and emission-free.
+func (n *Node) skipGens(sf lte.Subframe) {
+	if n.genSF >= sf {
+		return
+	}
+	gap := int(sf - n.genSF)
+	for i := range n.specs {
+		if g, ok := n.specs[i].DL.(ue.Idler); ok {
+			g.Skip(gap)
+		}
+		if g, ok := n.specs[i].UL.(ue.Idler); ok {
+			g.Skip(gap)
+		}
+	}
+	n.genSF = sf
+}
+
 // drainSpill replays deferred cross-eNodeB downlink injections, in node
-// and UE order. A sleeping target is woken: it now has backlog to serve
-// this very subframe.
+// and UE order; only the nodes that ran the injection phase can hold any.
+// A sleeping target is woken: it now has backlog to serve this very
+// subframe.
 func (s *Sim) drainSpill() {
-	for _, n := range s.Nodes {
+	for _, i := range s.run {
+		n := s.Nodes[i]
 		for _, d := range n.spill {
 			if tn := s.byENB[d.br.ENB]; tn != nil {
-				tn.asleep = false
+				s.rouse(tn)
 			}
 			d.br.Downlink(d.bytes) //nolint:errcheck // a detached bearer takes no traffic
 		}
@@ -439,7 +512,8 @@ func (s *Sim) applyHandovers() {
 		src *Node
 	}
 	var jobs []hoJob
-	for _, n := range s.Nodes {
+	for _, i := range s.linked {
+		n := s.Nodes[i]
 		for _, cmd := range n.pendingHO {
 			jobs = append(jobs, hoJob{cmd: cmd, src: n})
 		}
@@ -497,6 +571,12 @@ func (s *Sim) executeHandover(src *Node, cmd protocol.HandoverCommand) {
 	// release/admit events fire at the same subframe as without skipping.
 	s.wakeNode(src)
 	s.wakeNode(tgt)
+	// The UE's generators join the target's, whose clock may differ from
+	// the source's. Each node either injected this subframe or slept
+	// through it with its generators provably silent, so both clocks move
+	// past it first.
+	src.skipGens(s.sf + 1)
+	tgt.skipGens(s.sf + 1)
 	st, ok := src.ENB.ReleaseUE(cmd.RNTI)
 	if !ok {
 		return
@@ -574,14 +654,12 @@ func (s *Sim) applyFaults() {
 
 // wakeNode cancels a node's sleep and syncs its eNodeB clock to the
 // current subframe, so state mutations from outside the node (faults,
-// handovers, accessors) observe and produce exactly the state the
-// non-skipping engine would have.
+// handovers) observe and produce exactly the state the non-skipping
+// engine would have. The node runs the data phase of this TTI (or of the
+// next Step, between Steps) and re-proves its wake there.
 func (s *Sim) wakeNode(n *Node) {
-	n.wake = 0
-	n.asleep = false
-	if n.ENB.Now() < s.sf {
-		n.ENB.FastForward(s.sf)
-	}
+	s.rouse(n)
+	s.syncNode(n)
 }
 
 // CutLink blackholes the control channel of one eNodeB in both directions
@@ -709,36 +787,29 @@ func (s *Sim) reconnect(n *Node) {
 // documented order, each parallel across eNodeBs with a barrier before
 // the next.
 //
-// Idle fast-forward rides on top of the phases without changing them: a
-// node whose wake proof lies in the future is skipped by the injection
-// and data phases (its traffic generators provably emit nothing and its
-// eNodeB provably does no observable work), while its control endpoints
-// keep advancing normally. Anything that invalidates the proof mid-TTI —
-// an arriving control message, a cross-eNodeB spill, a fault, a handover
-// — wakes the node, and the data phase fast-forwards its lagging eNodeB
-// clock before stepping. The sleep decision is a pure function of
-// node-owned state, so results stay bit-for-bit identical for every
-// worker count and with the skipping disabled (Config.NoFastForward).
+// Idle fast-forward rides on top of the phases without changing them:
+// the injection and data phases run only over the awake set, so a node
+// whose wake proof lies in the future costs nothing (its traffic
+// generators provably emit nothing and its eNodeB provably does no
+// observable work), while its control endpoints keep advancing normally.
+// The wake calendar returns a sleeper at the start of the Step its wake
+// is due. Anything that invalidates the proof mid-TTI — an arriving
+// control message, a cross-eNodeB spill, a fault, a handover — wakes the
+// node, and the data phase fast-forwards its lagging eNodeB clock before
+// stepping. After the data phase one serial pass over that TTI's awake
+// nodes files each node whose new wake lies beyond the next subframe.
+// Every sleep decision is a pure function of node-owned state, so results
+// stay bit-for-bit identical for every worker count and with the skipping
+// disabled (Config.NoFastForward).
 func (s *Sim) Step() {
-	sf := s.sf
-
-	// 0. Failure injection (serial; see applyFaults).
+	// 0. Due sleepers rejoin the awake set; failure injection (serial;
+	// see applyFaults) wakes its targets.
+	s.cal.popDue(s.sf, s.awake)
 	s.applyFaults()
 
-	// Sleep decisions (serial, cheap).
-	if !s.noFF {
-		for _, n := range s.Nodes {
-			n.asleep = sf < n.wake
-		}
-	}
-
 	// 1. Traffic injection.
-	s.forEachNode(func(n *Node) {
-		if n.asleep {
-			return
-		}
-		s.injectTraffic(n, sf)
-	})
+	s.run = s.awake.appendTo(s.run[:0])
+	s.forEach(s.run, (*Sim).injectTraffic)
 	s.drainSpill()
 
 	// 2. Control plane: agent->master deliveries, master cycle,
@@ -747,77 +818,93 @@ func (s *Sim) Step() {
 	// match the non-skipping engine — and they are nearly free when
 	// nothing is in flight.
 	if s.Master != nil {
-		s.forEachNode(func(n *Node) {
-			if n.session == nil {
-				return
-			}
-			n.mBatch = n.mBatch[:0]
-			if err := n.mEp.AdvanceInto(sf, &n.mBatch); err != nil {
-				n.phaseErr = err
-				return
-			}
-			// Ownership moves to the master, which releases each message
-			// back to the protocol free lists once the RIB updater has
-			// applied it.
-			n.session.Deliver(n.mBatch...)
-		})
-		s.barrierErr("agent->master")
+		s.forEach(s.linked, (*Sim).deliverToMaster)
+		s.barrier("agent->master")
 		// The master cycle itself is one phase on one goroutine; its
 		// RIB-updater slot fans out internally (controller.Options.Workers).
 		s.Master.Tick()
-		s.forEachNode(func(n *Node) {
-			if n.aEp == nil {
-				return
-			}
-			n.aBatch = n.aBatch[:0]
-			if err := n.aEp.AdvanceInto(sf, &n.aBatch); err != nil {
-				n.phaseErr = err
-				return
-			}
-			if len(n.aBatch) == 0 {
-				return
-			}
-			// An arriving message wakes a sleeping node. The agent's
-			// handlers read the eNodeB clock, so sync it first.
-			n.asleep = false
-			if n.ENB.Now() < sf {
-				n.ENB.FastForward(sf)
-			}
-			for _, m := range n.aBatch {
-				// A wedged control loop (agent_stall) answers liveness
-				// probes — the I/O thread is alive — but everything else
-				// waits in the backlog until the resume fault.
-				if n.stalled && m.Payload.Kind() != protocol.KindEcho {
-					n.stallQ = append(n.stallQ, m)
-					continue
-				}
-				n.Agent.Deliver(m)
-				// The agent copies what it keeps (subscriptions, alloc
-				// vectors, queued handover commands), so the decoded
-				// message recycles immediately.
-				m.Release()
-			}
-		})
-		s.barrierErr("master->agent")
+		s.forEach(s.linked, (*Sim).deliverToAgent)
+		s.barrier("master->agent")
 		// Handover barrier: commanded UE migrations move whole UE
 		// contexts across eNodeB shards, serially and IMSI-ordered.
 		s.applyHandovers()
 	}
 
-	// 3. Data plane.
-	s.forEachNode(func(n *Node) {
-		if n.asleep {
-			return
-		}
-		if n.ENB.Now() < sf {
-			n.ENB.FastForward(sf)
-		}
-		n.ENB.Step()
-		if !s.noFF {
-			n.wake = s.computeWake(n, sf+1)
-		}
-	})
+	// 3. Data plane, over the awake set as the earlier phases left it.
+	s.run = s.awake.appendTo(s.run[:0])
+	s.forEach(s.run, (*Sim).stepNode)
+	if !s.noFF {
+		s.fileSleepers()
+	}
 	s.sf++
+}
+
+// deliverToMaster is the agent->master leg for one node.
+func (s *Sim) deliverToMaster(n *Node) {
+	n.mBatch = n.mBatch[:0]
+	if err := n.mEp.AdvanceInto(s.sf, &n.mBatch); err != nil {
+		n.phaseErr = err
+		return
+	}
+	// Ownership moves to the master, which releases each message back to
+	// the protocol free lists once the RIB updater has applied it.
+	n.session.Deliver(n.mBatch...)
+}
+
+// deliverToAgent is the master->agent leg for one node.
+func (s *Sim) deliverToAgent(n *Node) {
+	n.aBatch = n.aBatch[:0]
+	if err := n.aEp.AdvanceInto(s.sf, &n.aBatch); err != nil {
+		n.phaseErr = err
+		return
+	}
+	if len(n.aBatch) == 0 {
+		return
+	}
+	// An arriving message wakes a sleeping node (the barrier moves it into
+	// the awake set). The agent's handlers read the eNodeB clock, so sync
+	// it first.
+	n.woken = true
+	s.syncNode(n)
+	for _, m := range n.aBatch {
+		// A wedged control loop (agent_stall) answers liveness probes —
+		// the I/O thread is alive — but everything else waits in the
+		// backlog until the resume fault.
+		if n.stalled && m.Payload.Kind() != protocol.KindEcho {
+			n.stallQ = append(n.stallQ, m)
+			continue
+		}
+		n.Agent.Deliver(m)
+		// The agent copies what it keeps (subscriptions, alloc vectors,
+		// queued handover commands), so the decoded message recycles
+		// immediately.
+		m.Release()
+	}
+}
+
+// stepNode is the data phase for one awake node: its eNodeB subframe,
+// then (with fast-forward on) a fresh wake proof.
+func (s *Sim) stepNode(n *Node) {
+	s.syncNode(n)
+	n.ENB.Step()
+	if !s.noFF {
+		n.wake = s.computeWake(n, s.sf+1)
+	}
+}
+
+// fileSleepers is the serial pass after the data phase: every node of the
+// TTI whose wake lies beyond the next subframe leaves the awake set and,
+// unless it never wakes on its own, is filed in the calendar.
+func (s *Sim) fileSleepers() {
+	next := s.sf + 1
+	for _, i := range s.run {
+		if w := s.Nodes[i].wake; w > next {
+			s.awake.remove(i)
+			if w != lte.NeverSF {
+				s.cal.push(i, w)
+			}
+		}
+	}
 }
 
 // computeWake returns the node's next subframe with provable own work:
@@ -900,9 +987,9 @@ func (s *Sim) allAttached() bool {
 }
 
 // syncNode fast-forwards a node's lagging eNodeB clock to the present, so
-// read accessors observe exactly the state the non-skipping engine would
-// expose. FastForward composes with later wake-ups, so a mid-sleep sync
-// is safe.
+// a woken node steps, and read accessors observe, exactly the state the
+// non-skipping engine would. FastForward composes with later wake-ups, so
+// a mid-sleep sync is safe.
 func (s *Sim) syncNode(n *Node) {
 	if n.ENB.Now() < s.sf {
 		n.ENB.FastForward(s.sf)

@@ -80,3 +80,29 @@ func TestMemGateWorldBytesPerUE(t *testing.T) {
 	}
 	runtime.KeepAlive(s)
 }
+
+// TestMemGateSparseWorldBytesPerENB gates what an eNodeB costs in the
+// sparse 4,096-eNodeB world of newSparseSim (two silent UEs each, one CBR
+// UE at every 100th, fast-forward on) after 300 TTIs: the retained heap of
+// the whole simulator per eNodeB after a full GC. It holds the engine's
+// per-node bookkeeping — node record, awake set, wake calendar — to a
+// bounded size beside the eNodeB's own state. Measured: ~2,699 B/eNodeB
+// before the awake set and wake calendar, ~2,707 B with them; the budget
+// leaves ~14 % headroom over the former.
+func TestMemGateSparseWorldBytesPerENB(t *testing.T) {
+	skipUnderRace(t)
+	const budgetBytesPerENB = 3072
+
+	before := heapInUse()
+	s := newSparseSim(false)
+	s.Run(300)
+	perENB := float64(heapInUse()-before) / float64(len(s.Nodes))
+	t.Logf("retained heap: %.0f B/eNodeB over %d eNodeBs", perENB, len(s.Nodes))
+	if perENB > budgetBytesPerENB {
+		t.Errorf("per-eNodeB footprint %.0f B exceeds budget %d B", perENB, budgetBytesPerENB)
+	}
+	if perENB <= 0 {
+		t.Error("measurement collapsed to zero; the gate is not measuring anything")
+	}
+	runtime.KeepAlive(s)
+}
