@@ -305,7 +305,6 @@ func TestAllocGateBudgets(t *testing.T) {
 		{"DSLEval", 0, dslEvalOp},
 		{"ConnSendBatch", 0, connSendBatchOp},
 		{"ENBStep", 0, enbStepOp},
-		{"IMSILookup", 0, imsiLookupOp},
 		{"StatsReplyEncode", 8, statsReplyEncodeOp},
 		{"SimTTI", 5, simTTIOp},
 		{"SimTTISparse", 0, sparseSimOp(false)},
@@ -386,27 +385,6 @@ func enbStepOp(tb testing.TB) func() {
 			e.DLEnqueue(r, 3000)
 		}
 		e.Step()
-	}
-}
-
-// imsiLookupOp reads one subscriber's report by IMSI on a 10,000-UE
-// eNodeB: the IMSI→slot map plus a struct-of-arrays gather, the lookup
-// the EPC accounting sweep performs per subscriber.
-func imsiLookupOp(tb testing.TB) func() {
-	e := enb.New(enb.Config{ID: 1, Seed: 1})
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if _, err := e.AddUE(enb.UEParams{IMSI: uint64(i + 1), Cell: 0, Channel: radio.Fixed(10)}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	i := 0
-	return func() {
-		imsi := uint64(i%n + 1)
-		i++
-		if r, ok := e.UEReportByIMSI(imsi); !ok || r.IMSI != imsi {
-			tb.Fatal("lookup failed")
-		}
 	}
 }
 

@@ -228,9 +228,3 @@ func BenchmarkSimTTISparse(b *testing.B) { benchOp(b, sparseSimOp(false)) }
 // BenchmarkSimTTISparseNoSkip is the no-skip baseline of the sparse-scale
 // pair: every one of the 4096 eNodeBs steps every subframe.
 func BenchmarkSimTTISparseNoSkip(b *testing.B) { benchOp(b, sparseSimOp(true)) }
-
-// BenchmarkIMSILookup measures the per-subscriber O(1) report path on a
-// 10,000-UE eNodeB: the compact IMSI→slot map plus a struct-of-arrays
-// snapshot gather, the lookup the EPC accounting sweep performs per
-// subscriber at scale.
-func BenchmarkIMSILookup(b *testing.B) { benchOp(b, imsiLookupOp) }

@@ -182,8 +182,6 @@ type (
 	GeoChannel = radio.GeoChannel
 	// MobilityManager is the master-side handover decision application.
 	MobilityManager = apps.MobilityManager
-	// HandoverDecision is one command issued by the MobilityManager.
-	HandoverDecision = apps.HandoverDecision
 	// TargetPolicy picks handover targets for the MobilityManager.
 	TargetPolicy = apps.TargetPolicy
 	// StrongestNeighbor hands over to the best-measured neighbour.

@@ -186,9 +186,6 @@ func New(e *enb.ENB, opts Options) *Agent {
 // MAC exposes the MAC control module (local applications and tests).
 func (a *Agent) MAC() *MACModule { return a.mac }
 
-// Mgmt exposes the management module.
-func (a *Agent) Mgmt() *MgmtModule { return a.mgmt }
-
 // RRC exposes the RRC control module.
 func (a *Agent) RRC() *RRCModule { return a.rrc }
 
@@ -831,21 +828,6 @@ func fromProtocolAllocs(in []protocol.Alloc) []sched.Alloc {
 			RBStart: int(p.RBStart),
 			RBCount: int(p.RBCount),
 			MCS:     p.MCS,
-		}
-	}
-	return out
-}
-
-// ToProtocolAllocs converts scheduler output into protocol form (used by
-// the master's centralized scheduling applications).
-func ToProtocolAllocs(in []sched.Alloc) []protocol.Alloc {
-	out := make([]protocol.Alloc, len(in))
-	for i, s := range in {
-		out[i] = protocol.Alloc{
-			RNTI:    s.RNTI,
-			RBStart: uint16(s.RBStart),
-			RBCount: uint16(s.RBCount),
-			MCS:     s.MCS,
 		}
 	}
 	return out

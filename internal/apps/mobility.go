@@ -32,10 +32,8 @@ type MobilityManager struct {
 	// completed (lost command or failed admission), re-arming the UE.
 	CommandTimeoutTTI int
 
-	mu       sync.Mutex
-	inflight map[uint64]inflightHO
-	// decisions is the ordered log of commands issued.
-	decisions []HandoverDecision
+	mu        sync.Mutex
+	inflight  map[uint64]inflightHO
 	completed int
 	expired   int
 	canceled  int
@@ -49,17 +47,6 @@ type inflightHO struct {
 	// seq is the reliable-delivery sequence number of the command (0 when
 	// reliable delivery is disabled), correlating cmd_failed events.
 	seq uint64
-}
-
-// HandoverDecision is one command issued by the manager.
-type HandoverDecision struct {
-	RNTI    lte.RNTI
-	IMSI    uint64
-	From    lte.ENBID
-	To      lte.ENBID
-	AtCycle lte.Subframe
-	// MarginDB is the RSRP advantage of the target at decision time.
-	MarginDB float64
 }
 
 // NewMobilityManager builds the app with the strongest-neighbour policy.
@@ -176,12 +163,8 @@ func (m *MobilityManager) onMeasReport(ctx *controller.Context, serving lte.ENBI
 	// applies to measured margins and only when configured positive, so
 	// the default accepts every A3 report — including load-balancing
 	// picks toward a weaker-signal cell.
-	margin, measured := targetRSRP(rep, target)
-	margin -= float64(rep.ServingRSRPdBm)
-	if !measured {
-		margin = 0
-	}
-	if m.MinMarginDB > 0 && measured && margin < m.MinMarginDB {
+	rsrp, measured := targetRSRP(rep, target)
+	if m.MinMarginDB > 0 && measured && rsrp-float64(rep.ServingRSRPdBm) < m.MinMarginDB {
 		return
 	}
 	seq, err := ctx.CommandHandover(serving, rep.RNTI, rep.IMSI, target, cell)
@@ -192,10 +175,6 @@ func (m *MobilityManager) onMeasReport(ctx *controller.Context, serving lte.ENBI
 	m.inflight[key] = inflightHO{
 		serving: serving, target: target, issuedAt: ctx.Now, seq: seq,
 	}
-	m.decisions = append(m.decisions, HandoverDecision{
-		RNTI: rep.RNTI, IMSI: rep.IMSI, From: serving, To: target,
-		AtCycle: ctx.Now, MarginDB: margin,
-	})
 	m.mu.Unlock()
 }
 
@@ -225,15 +204,6 @@ func targetRSRP(rep *protocol.MeasReport, enb lte.ENBID) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Decisions drains the command log.
-func (m *MobilityManager) Decisions() []HandoverDecision {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := m.decisions
-	m.decisions = nil
-	return out
 }
 
 // Completed reports how many commanded handovers finished.

@@ -17,15 +17,16 @@
 // UE state is held in a struct-of-arrays layout: the fields every TTI
 // touches (CQI, queues, averaging, HARQ bookkeeping) live in dense parallel
 // lanes indexed by a compact slot id, while the rarely-touched remainder
-// (identity, attach supervision, DRX) sits in a parallel cold array. Slots
-// are recycled through a free list on detach/handover; a dense RNTI-indexed
-// table (RNTI→slot, on the per-TTI path) and a compact map (IMSI→slot)
-// provide O(1) lookups without per-UE heap objects.
+// (identity, attach supervision) sits in a parallel cold array. Slots are
+// recycled through a free list on detach/handover; a dense RNTI-indexed
+// table (RNTI→slot) provides O(1) lookups without per-UE heap objects.
 package enb
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"flexran/internal/lte"
@@ -92,14 +93,6 @@ type UEParams struct {
 	Group int
 }
 
-// drx is per-UE discontinuous-reception state: the UE is schedulable only
-// during the on-duration of its cycle.
-type drx struct {
-	enabled    bool
-	cycleTTI   int
-	onDuration int
-}
-
 // hotState holds the per-TTI-touched UE fields as parallel lanes indexed
 // by slot id. Everything the subframe loop reads or writes per UE lives
 // here, contiguous per eNodeB, so the TTI sweep walks dense arrays instead
@@ -128,14 +121,13 @@ type hotState struct {
 }
 
 // coldState is the rarely-touched remainder of a UE slot: identity and
-// channel binding, attach supervision, DRX, and cumulative counters that
-// only move when the UE is actually scheduled.
+// channel binding, attach supervision, and cumulative counters that only
+// move when the UE is actually scheduled.
 type coldState struct {
 	params      UEParams
 	deadline    lte.Subframe // attach deadline
 	attempts    int          // attach attempts
-	drx         drx
-	dlDelivered uint64 // cumulative goodput, bytes
+	dlDelivered uint64       // cumulative goodput, bytes
 	ulDelivered uint64
 	dlDropped   uint64 // queue-cap drops
 	harqRetx    uint32 // cumulative retransmissions
@@ -143,9 +135,8 @@ type coldState struct {
 
 // cell is one carrier of the eNodeB.
 type cell struct {
-	cfg   protocol.CellConfig
-	prbs  int
-	muted func(sf lte.Subframe) bool
+	cfg  protocol.CellConfig
+	prbs int
 	// activity[sf % activityWindow] is the number of PRBs transmitted in
 	// that subframe (0 = silent), with the subframe recorded to detect
 	// staleness.
@@ -194,11 +185,9 @@ func DefaultCell(id lte.CellID) protocol.CellConfig {
 // ENB is the simulated eNodeB data plane. It is not safe for concurrent
 // use: the owner (simulation loop or agent runtime) serializes access.
 type ENB struct {
-	cfg   Config
-	cells map[lte.CellID]*cell
-	// cellList is the cells in ascending id order. The cell set is fixed
-	// at construction, so the snapshot and scheduling paths iterate this
-	// cached list instead of re-sorting the map every TTI.
+	cfg Config
+	// cellList is the cells in ascending id order, fixed at construction.
+	// An eNodeB carries one to a few cells, so a lookup by id walks it.
 	cellList []*cell
 
 	hot  hotState
@@ -210,9 +199,8 @@ type ENB struct {
 	// slotOf maps RNTI→slot by direct index: entry rnti-FirstUERNTI holds
 	// slot+1, 0 for an RNTI no live UE holds. It grows to the highest RNTI
 	// handed out; read it through lookup, which bounds-checks both ends.
-	slotOf     []int32
-	slotByIMSI map[uint64]int32
-	free       []int32 // recycled slots (fully zeroed)
+	slotOf []int32
+	free   []int32 // recycled slots (fully zeroed)
 
 	// unsteady counts live UEs whose channel model does not declare a
 	// constant CQI; while nonzero the eNodeB can never be fast-forwarded
@@ -252,24 +240,20 @@ func New(cfg Config) *ENB {
 		cfg.Cells = []protocol.CellConfig{DefaultCell(0)}
 	}
 	e := &ENB{
-		cfg:        cfg,
-		cells:      map[lte.CellID]*cell{},
-		slotByIMSI: map[uint64]int32{},
-		rnd:        rng.New(cfg.Seed + 1),
-		nextRNTI:   lte.FirstUERNTI,
+		cfg:      cfg,
+		cellList: make([]*cell, 0, len(cfg.Cells)),
+		rnd:      rng.New(cfg.Seed + 1),
+		nextRNTI: lte.FirstUERNTI,
 	}
 	for _, cc := range cfg.Cells {
-		e.cells[cc.Cell] = &cell{cfg: cc, prbs: cc.Bandwidth.PRBs()}
+		c := e.findCell(cc.Cell) // a repeated id keeps its last configuration
+		if c == nil {
+			c = &cell{}
+			e.cellList = append(e.cellList, c)
+		}
+		*c = cell{cfg: cc, prbs: cc.Bandwidth.PRBs()}
 	}
-	ids := make([]int, 0, len(e.cells))
-	for id := range e.cells {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	e.cellList = make([]*cell, len(ids))
-	for i, id := range ids {
-		e.cellList[i] = e.cells[lte.CellID(id)]
-	}
+	slices.SortFunc(e.cellList, func(a, b *cell) int { return cmp.Compare(a.cfg.Cell, b.cfg.Cell) })
 	dl := sched.NewRoundRobin()
 	ul := sched.NewRoundRobin()
 	e.hooks = Hooks{
@@ -288,15 +272,20 @@ func (e *ENB) Now() lte.Subframe { return e.sf }
 // Config exports the eNodeB configuration for the agent's Hello message.
 func (e *ENB) Config() protocol.ENBConfig {
 	out := protocol.ENBConfig{ID: e.cfg.ID}
-	ids := make([]int, 0, len(e.cells))
-	for id := range e.cells {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		out.Cells = append(out.Cells, e.cells[lte.CellID(id)].cfg)
+	for _, c := range e.cellList {
+		out.Cells = append(out.Cells, c.cfg)
 	}
 	return out
+}
+
+// findCell returns the cell with the given id, or nil.
+func (e *ENB) findCell(id lte.CellID) *cell {
+	for _, c := range e.cellList {
+		if c.cfg.Cell == id {
+			return c
+		}
+	}
+	return nil
 }
 
 // SetHooks installs the control plane. Passing a partially filled Hooks
@@ -318,17 +307,6 @@ func (e *ENB) SetHooks(h Hooks) {
 	if h.OnMeasurement != nil {
 		e.hooks.OnMeasurement = h.OnMeasurement
 	}
-}
-
-// SetMuted installs a per-subframe muting predicate for a cell (the
-// almost-blank-subframe hook of the eICIC use case).
-func (e *ENB) SetMuted(cellID lte.CellID, muted func(sf lte.Subframe) bool) error {
-	c, ok := e.cells[cellID]
-	if !ok {
-		return fmt.Errorf("enb: unknown cell %d", cellID)
-	}
-	c.muted = muted
-	return nil
 }
 
 // allocSlot returns a fully zeroed slot id, reusing the free list before
@@ -428,7 +406,7 @@ func (e *ENB) bindRNTI() (lte.RNTI, int32, error) {
 
 // AddUE starts the attach procedure for a new UE and returns its RNTI.
 func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
-	if _, ok := e.cells[p.Cell]; !ok {
+	if e.findCell(p.Cell) == nil {
 		return 0, fmt.Errorf("enb: unknown cell %d", p.Cell)
 	}
 	if p.Channel == nil {
@@ -444,7 +422,6 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	c.params = p
 	c.deadline = e.sf + lte.Subframe(e.cfg.AttachTimeoutTTI)
 	c.attempts = 1
-	e.slotByIMSI[p.IMSI] = s
 	e.insertOrdered(s)
 	e.trackChannel(p.Channel, 1)
 	e.event(protocol.UEEventRandomAccess, rnti, p.Cell)
@@ -460,7 +437,6 @@ func (e *ENB) RemoveUE(rnti lte.RNTI) {
 	cellID := e.cold[s].params.Cell
 	e.trackChannel(e.cold[s].params.Channel, -1)
 	e.slotOf[rnti-lte.FirstUERNTI] = 0
-	delete(e.slotByIMSI, e.cold[s].params.IMSI)
 	for i, os := range e.order {
 		if os == s {
 			e.order = append(e.order[:i], e.order[i+1:]...)
@@ -524,7 +500,7 @@ func (e *ENB) ReleaseUE(rnti lte.RNTI) (HandoverState, bool) {
 // inherits the forwarded queues and counters, and raises an attach event
 // so the control plane learns the new binding.
 func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
-	if _, ok := e.cells[st.Params.Cell]; !ok {
+	if e.findCell(st.Params.Cell) == nil {
 		return 0, fmt.Errorf("enb: unknown cell %d", st.Params.Cell)
 	}
 	if st.Params.Channel == nil {
@@ -547,29 +523,10 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	c.ulDelivered = st.ULDelivered
 	c.dlDropped = st.DLDropped + uint64(st.DLQueue-dlQueue)
 	c.harqRetx = st.HARQRetx
-	e.slotByIMSI[st.Params.IMSI] = s
 	e.insertOrdered(s)
 	e.trackChannel(st.Params.Channel, 1)
 	e.event(protocol.UEEventAttach, rnti, st.Params.Cell)
 	return rnti, nil
-}
-
-// SetDRX configures discontinuous reception for a UE (Table 1 "DRX
-// commands"). cycleTTI 0 disables DRX.
-func (e *ENB) SetDRX(rnti lte.RNTI, cycleTTI, onDuration int) error {
-	s, ok := e.lookup(rnti)
-	if !ok {
-		return fmt.Errorf("enb: unknown UE %d", rnti)
-	}
-	if cycleTTI <= 0 {
-		e.cold[s].drx = drx{}
-		return nil
-	}
-	if onDuration <= 0 || onDuration > cycleTTI {
-		return fmt.Errorf("enb: invalid DRX on-duration %d for cycle %d", onDuration, cycleTTI)
-	}
-	e.cold[s].drx = drx{enabled: true, cycleTTI: cycleTTI, onDuration: onDuration}
-	return nil
 }
 
 // DLEnqueue adds downlink bytes for a UE (the EPC injection path).
@@ -651,7 +608,7 @@ func (e *ENB) Step() {
 		h.ttiDL[s] = 0
 		h.ttiUL[s] = 0
 	}
-	for _, c := range e.sortedCells() {
+	for _, c := range e.cellList {
 		e.runCell(c, sf)
 	}
 
@@ -669,8 +626,6 @@ func updateAvg(avgKbps, bitsThisTTI float64) float64 {
 	instKbps := bitsThisTTI // bits per ms == kbit/s
 	return (1-alpha)*avgKbps + alpha*instKbps
 }
-
-func (e *ENB) sortedCells() []*cell { return e.cellList }
 
 // insertOrdered adds a slot to the order slice keeping it sorted by RNTI.
 // RNTIs are assigned monotonically, so the common case is an append; the
@@ -693,9 +648,6 @@ func (e *ENB) runCell(c *cell, sf lte.Subframe) {
 	c.activity[slot] = 0
 	c.activitySF[slot] = sf
 	c.usedPRB = 0
-	if c.muted != nil && c.muted(sf) {
-		return
-	}
 
 	// Downlink.
 	dlIn := e.schedInput(c, sf, lte.Downlink)
@@ -722,9 +674,6 @@ func (e *ENB) schedInput(c *cell, sf lte.Subframe, dir lte.Direction) sched.Inpu
 		cold := &e.cold[s]
 		if cold.params.Cell != c.cfg.Cell || h.state[s] == StateDetached {
 			continue
-		}
-		if cold.drx.enabled && int(sf)%cold.drx.cycleTTI >= cold.drx.onDuration {
-			continue // DRX sleep
 		}
 		var queue int
 		var avg float64
@@ -828,11 +777,4 @@ func (e *ENB) transmit(s int32, sf lte.Subframe, dir lte.Direction, a sched.Allo
 		h.ttiUL[s] += int32(data)
 	}
 	h.lastSched[s] = sf
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

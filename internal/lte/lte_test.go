@@ -32,9 +32,6 @@ func TestSubframeSeconds(t *testing.T) {
 	if got := Subframe(1500).Seconds(); got != 1.5 {
 		t.Errorf("Seconds() = %v, want 1.5", got)
 	}
-	if got := Subframe(1500).Millis(); got != 1500 {
-		t.Errorf("Millis() = %v, want 1500", got)
-	}
 }
 
 func TestBandwidthPRBs(t *testing.T) {

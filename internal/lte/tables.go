@@ -1,8 +1,7 @@
 package lte
 
-// This file holds the link-adaptation tables: CQI to spectral efficiency
-// (3GPP TS 36.213 Table 7.2.3-1), CQI to MCS, and the transport block
-// sizing used by the MAC simulator.
+// This file holds the link-adaptation tables: CQI to MCS and the transport
+// block sizing used by the MAC simulator.
 //
 // Calibration note (see DESIGN.md, substitution S1): transport block sizes
 // are derived from per-CQI "bits per PRB per TTI" densities. The densities
@@ -11,21 +10,6 @@ package lte
 // FlexRAN paper: ~25 Mb/s DL UDP and ~8 Mb/s UL at CQI 15 over 10 MHz/TM1
 // (Fig. 6b), and the TCP goodputs of Table 2 (CQI 2/3/4/10 ->
 // 1.63/2.2/3.3/15 Mb/s) given the simulator's TCP efficiency factor.
-
-// spectralEfficiency is 36.213 Table 7.2.3-1: information bits per symbol
-// for each CQI index (CQI 0 = out of range).
-var spectralEfficiency = [MaxCQI + 1]float64{
-	0, 0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,
-	1.9141, 2.4063, 2.7305, 3.3223, 3.9023, 4.5234, 5.1152, 5.5547,
-}
-
-// SpectralEfficiency returns the 36.213 efficiency (bits/symbol) for a CQI.
-func SpectralEfficiency(c CQI) float64 {
-	if !c.Valid() {
-		c = MaxCQI
-	}
-	return spectralEfficiency[c]
-}
 
 // cqiToMCS maps a reported CQI to the MCS the scheduler selects for it.
 // QPSK for CQI 1-6, 16QAM for 7-9, 64QAM for 10-15, following the usual
@@ -62,18 +46,6 @@ var mcsToCQI = func() (t [1 << 8]CQI) {
 	}
 	return t
 }()
-
-// Modulation orders by MCS range (QPSK=2, 16QAM=4, 64QAM=6 bits/symbol).
-func ModulationOrder(m MCS) int {
-	switch {
-	case m <= 9:
-		return 2
-	case m <= 16:
-		return 4
-	default:
-		return 6
-	}
-}
 
 // dlBitsPerPRB is the calibrated downlink MAC throughput density:
 // transport-block bits carried by one PRB in one TTI at each CQI.

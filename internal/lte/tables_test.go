@@ -6,27 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSpectralEfficiencyMonotonic(t *testing.T) {
-	for c := CQI(1); c <= MaxCQI; c++ {
-		if SpectralEfficiency(c) <= SpectralEfficiency(c-1) {
-			t.Errorf("spectral efficiency not increasing at CQI %d", c)
-		}
-	}
-}
-
-func TestSpectralEfficiencyKnownPoints(t *testing.T) {
-	// Spot checks against 36.213 Table 7.2.3-1.
-	points := map[CQI]float64{1: 0.1523, 7: 1.4766, 10: 2.7305, 15: 5.5547}
-	for c, want := range points {
-		if got := SpectralEfficiency(c); math.Abs(got-want) > 1e-9 {
-			t.Errorf("SpectralEfficiency(%d) = %v, want %v", c, got, want)
-		}
-	}
-	if got := SpectralEfficiency(CQI(99)); got != SpectralEfficiency(MaxCQI) {
-		t.Errorf("invalid CQI should clamp to max, got %v", got)
-	}
-}
-
 func TestMCSForCQIMonotonic(t *testing.T) {
 	for c := CQI(1); c <= MaxCQI; c++ {
 		if MCSForCQI(c) <= MCSForCQI(c-1) {
@@ -66,18 +45,6 @@ func TestCQIForMCSMatchesScan(t *testing.T) {
 		if got, want := CQIForMCS(MCS(m)), cqiForMCSReference(MCS(m)); got != want {
 			t.Errorf("CQIForMCS(%d) = %d, the scan says %d", m, got, want)
 		}
-	}
-}
-
-func TestModulationOrder(t *testing.T) {
-	if ModulationOrder(0) != 2 || ModulationOrder(9) != 2 {
-		t.Error("MCS 0-9 should be QPSK")
-	}
-	if ModulationOrder(10) != 4 || ModulationOrder(16) != 4 {
-		t.Error("MCS 10-16 should be 16QAM")
-	}
-	if ModulationOrder(17) != 6 || ModulationOrder(28) != 6 {
-		t.Error("MCS 17+ should be 64QAM")
 	}
 }
 

@@ -11,41 +11,10 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 )
-
-// Counter is a monotonically increasing event/byte counter.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta int64) {
-	c.mu.Lock()
-	c.n += delta
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Reset zeroes the counter and returns the previous value.
-func (c *Counter) Reset() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v := c.n
-	c.n = 0
-	return v
-}
 
 // Meter counts bytes and messages per named category. It backs the
 // signaling-overhead accounting of the FlexRAN protocol: every serialized
@@ -149,18 +118,6 @@ func (s *Series) Add(t, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.V) }
 
-// Mean returns the arithmetic mean of the values (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.V {
-		sum += v
-	}
-	return sum / float64(len(s.V))
-}
-
 // Max returns the largest value (0 for an empty series).
 func (s *Series) Max() float64 {
 	var m float64
@@ -170,31 +127,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Min returns the smallest value (0 for an empty series).
-func (s *Series) Min() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	m := s.V[0]
-	for _, v := range s.V[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Between returns the sub-series with t0 < time <= t1.
-func (s *Series) Between(t0, t1 float64) *Series {
-	out := &Series{}
-	for i, t := range s.T {
-		if t > t0 && t <= t1 {
-			out.Add(t, s.V[i])
-		}
-	}
-	return out
 }
 
 // EWMA is an exponential weighted moving average.
@@ -220,9 +152,6 @@ func (e *EWMA) Observe(v float64) float64 {
 
 // Value returns the current average (0 before any observation).
 func (e *EWMA) Value() float64 { return e.val }
-
-// Initialized reports whether any sample has been observed.
-func (e *EWMA) Initialized() bool { return e.init }
 
 // CDF is an empirical cumulative distribution over collected samples.
 type CDF struct {
@@ -264,35 +193,4 @@ func (c *CDF) Quantile(q float64) float64 {
 		idx = 0
 	}
 	return c.samples[idx]
-}
-
-// At returns the fraction of samples <= v.
-func (c *CDF) At(v float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.sort()
-	i := sort.SearchFloat64s(c.samples, math.Nextafter(v, math.Inf(1)))
-	return float64(i) / float64(len(c.samples))
-}
-
-// Mean returns the sample mean (NaN for an empty CDF).
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, v := range c.samples {
-		s += v
-	}
-	return s / float64(len(c.samples))
-}
-
-// Table renders quantile rows for the given q values, for report printing.
-func (c *CDF) Table(qs ...float64) string {
-	var b strings.Builder
-	for _, q := range qs {
-		fmt.Fprintf(&b, "p%02.0f=%.3f ", q*100, c.Quantile(q))
-	}
-	return strings.TrimSpace(b.String())
 }

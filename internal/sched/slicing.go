@@ -145,10 +145,6 @@ func (s *Slicer) Schedule(in Input) []Alloc {
 	return out
 }
 
-// GroupShares is a convenience for building tiered share vectors: the
-// premium/secondary split of the Fig. 12b MVNO is GroupShares(0.7, 0.3).
-func GroupShares(fracs ...float64) []float64 { return fracs }
-
 // Parametrizable is implemented by schedulers whose behaviour can be tuned
 // through the policy-reconfiguration "parameters" section (paper Fig. 3).
 type Parametrizable interface {

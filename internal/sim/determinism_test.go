@@ -246,7 +246,6 @@ type mobileSnapshot struct {
 	Reports   map[uint64]enb.UEReport
 	Serving   map[uint64]lte.ENBID
 	Handovers []sim.HandoverRecord
-	Decisions []apps.HandoverDecision
 	Completed int
 	RIBCount  map[lte.ENBID]int
 	RIBUEs    map[lte.ENBID][]protocol.UEStats
@@ -260,7 +259,6 @@ func mobileSnap(s *sim.Sim, mm *apps.MobilityManager) mobileSnapshot {
 		Reports:   map[uint64]enb.UEReport{},
 		Serving:   map[uint64]lte.ENBID{},
 		Handovers: s.Handovers(),
-		Decisions: mm.Decisions(),
 		Completed: mm.Completed(),
 		RIBCount:  map[lte.ENBID]int{},
 		RIBUEs:    map[lte.ENBID][]protocol.UEStats{},

@@ -186,32 +186,6 @@ func (n *Node) MasterMeter() *metrics.Meter {
 	return n.mEp.Meter()
 }
 
-// SetNetem changes the control-channel impairment at runtime.
-func (n *Node) SetNetem(toMaster, toAgent transport.Netem) {
-	if n.aEp != nil {
-		n.aEp.SetNetem(toMaster)
-	}
-	if n.mEp != nil {
-		n.mEp.SetNetem(toAgent)
-	}
-}
-
-// NetemCounters reports the per-direction impairment counters of the
-// node's control channel: frames offered, dropped, duplicated, corrupted
-// and delivered for the agent-to-master and master-to-agent directions.
-func (n *Node) NetemCounters() (toMaster, toAgent transport.NetemCounters) {
-	if n.aEp != nil {
-		toMaster = n.aEp.Counters()
-	}
-	if n.mEp != nil {
-		toAgent = n.mEp.Counters()
-	}
-	return toMaster, toAgent
-}
-
-// Stalled reports whether the node's agent control loop is wedged.
-func (n *Node) Stalled() bool { return n.stalled }
-
 // HandoverRecord is one executed UE migration.
 type HandoverRecord struct {
 	IMSI     uint64

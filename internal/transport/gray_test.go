@@ -150,9 +150,6 @@ func TestNetemStallHoldsThenReleases(t *testing.T) {
 			t.Fatalf("stall window leaked a delivery at sf %d", sf)
 		}
 	}
-	if b.NextArrival() != 30 {
-		t.Fatalf("NextArrival = %d during stall, want 30", b.NextArrival())
-	}
 	got, _ := b.AdvanceTo(30)
 	if len(got) != 3 {
 		t.Fatalf("backlog released %d messages, want 3", len(got))

@@ -325,24 +325,6 @@ func (e *SimEndpoint) AdvanceInto(sf lte.Subframe, batch *[]*protocol.Message) e
 	return nil
 }
 
-// Now returns the endpoint's current subframe.
-func (e *SimEndpoint) Now() lte.Subframe { return e.now }
-
-// NextArrival returns the delivery subframe of the earliest in-flight
-// message addressed to this endpoint, or lte.NeverSF when nothing is in
-// flight. The idle fast-forward machinery uses it to prove no control
-// message lands during a skipped stretch.
-func (e *SimEndpoint) NextArrival() lte.Subframe {
-	if len(e.pending) == 0 {
-		return lte.NeverSF
-	}
-	at := e.pending[0].deliverAt
-	if at < e.stallUntil {
-		at = e.stallUntil // held by a stall window until it elapses
-	}
-	return at
-}
-
 // Pending reports how many messages are still in flight toward this
 // endpoint.
 func (e *SimEndpoint) Pending() int { return len(e.pending) }

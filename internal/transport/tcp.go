@@ -193,9 +193,6 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// RemoteAddr reports the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
 func (c *Conn) readLoop() {
 	defer close(c.recv)
 	var buf []byte

@@ -1,12 +1,12 @@
 package flexran_test
 
-// Memory-footprint gate for the struct-of-arrays UE state (PR 6). The
+// Memory-footprint gate for the struct-of-arrays UE state. The
 // order-of-magnitude scale target (4096 eNodeBs, 100k+ UEs) only works if
 // per-UE state stays compact: the hot per-TTI fields live in dense
-// parallel lanes, identity/accounting in one cold record, plus two compact
-// index maps (RNTI→slot, IMSI→slot) and the ordered slot list. This gate
-// attaches a large population and fails the build if the retained heap per
-// UE regresses past budget — the bytes/UE analogue of the alloc gates.
+// parallel lanes, identity/accounting in one cold record, plus a dense
+// RNTI→slot table and the ordered slot list. This gate attaches a large
+// population and fails the build if the retained heap per UE regresses
+// past budget — the bytes/UE analogue of the alloc gates.
 
 import (
 	"runtime"
@@ -27,14 +27,14 @@ func heapInUse() int64 {
 // TestMemGateBytesPerUE gates the per-UE retained footprint of one eNodeB
 // at scale: 20,000 attached UEs, measured as live-heap growth per UE after
 // a full GC. The budget carries headroom over the measured steady state
-// (lanes and maps grow by doubling, so the marginal cost depends on where
-// growth lands relative to the population). Measured: ~240 B/UE (with the
-// 20k population sitting just past a capacity doubling, i.e. near the
-// worst case for slack).
+// (lanes and the RNTI table grow by doubling, so the marginal cost depends
+// on where growth lands relative to the population). Measured: ~175 B/UE
+// (with the 20k population sitting just past a capacity doubling, i.e. near
+// the worst case for slack).
 func TestMemGateBytesPerUE(t *testing.T) {
 	skipUnderRace(t)
 	const ues = 20000
-	const budgetBytesPerUE = 512
+	const budgetBytesPerUE = 256
 
 	before := heapInUse()
 	e := enb.New(enb.Config{ID: 1, Seed: 1})
@@ -59,12 +59,12 @@ func TestMemGateBytesPerUE(t *testing.T) {
 // (fading channel and CBR traffic per UE, serial engine) after a few hundred
 // TTIs, measured as the retained heap of the whole simulator per UE after a
 // full GC. Unlike TestMemGateBytesPerUE it sees the models' own state — the
-// channel's random source above all. Measured: ~694 B/UE; the budget leaves
-// ~45 % headroom. (~6,320 B/UE when every model owned a 4.9 KB math/rand
+// channel's random source above all. Measured: ~581 B/UE; the budget leaves
+// ~32 % headroom. (~6,320 B/UE when every model owned a 4.9 KB math/rand
 // source.)
 func TestMemGateWorldBytesPerUE(t *testing.T) {
 	skipUnderRace(t)
-	const budgetBytesPerUE = 1024
+	const budgetBytesPerUE = 768
 	const ues = vanillaENBs * vanillaUEs
 
 	before := heapInUse()
@@ -86,12 +86,11 @@ func TestMemGateWorldBytesPerUE(t *testing.T) {
 // UE at every 100th, fast-forward on) after 300 TTIs: the retained heap of
 // the whole simulator per eNodeB after a full GC. It holds the engine's
 // per-node bookkeeping — node record, awake set, wake calendar — to a
-// bounded size beside the eNodeB's own state. Measured: ~2,699 B/eNodeB
-// before the awake set and wake calendar, ~2,707 B with them; the budget
-// leaves ~14 % headroom over the former.
+// bounded size beside the eNodeB's own state. Measured: ~2,187 B/eNodeB;
+// the budget leaves ~17 % headroom.
 func TestMemGateSparseWorldBytesPerENB(t *testing.T) {
 	skipUnderRace(t)
-	const budgetBytesPerENB = 3072
+	const budgetBytesPerENB = 2560
 
 	before := heapInUse()
 	s := newSparseSim(false)
