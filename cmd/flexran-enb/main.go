@@ -1,7 +1,8 @@
 // flexran-enb runs an agent-enabled simulated eNodeB in real time (one
 // subframe per millisecond) and connects its FlexRAN agent to a master
 // over TCP. Emulated UEs with configurable channel quality and downlink
-// load attach at startup.
+// load attach at startup. The eNodeB is the simulator's node, built from an
+// ENBSpec; its traffic is injected on the subframe loop.
 //
 // The subframe loop runs on the deadline-accounted real-time engine:
 // SIGUSR1 (or -profile, which prints every 2 s) dumps the deadline-miss
@@ -22,7 +23,6 @@ import (
 	"time"
 
 	"flexran"
-	"flexran/internal/rt"
 )
 
 func main() {
@@ -34,66 +34,21 @@ func main() {
 	profile := flag.Bool("profile", false, "print the deadline/latency profile on exit")
 	flag.Parse()
 
-	e := flexran.NewENB(flexran.ENBConfig{ID: flexran.ENBID(*id), Seed: int64(*id)})
-	a := flexran.NewAgent(e, flexran.AgentOptions{})
-	epc := flexran.NewEPC()
-	epc.Register(e)
-
-	type src struct {
-		imsi uint64
-		gen  flexran.TrafficGenerator
-	}
-	var sources []src
+	spec := flexran.ENBSpec{ID: flexran.ENBID(*id), Seed: int64(*id), Agent: true}
 	for i := 0; i < *ues; i++ {
-		imsi := uint64(*id)*1000 + uint64(i)
-		rnti, err := e.AddUE(flexran.UEParams{
-			IMSI:    imsi,
-			Cell:    0,
+		spec.UEs = append(spec.UEs, flexran.UESpec{
+			IMSI:    uint64(*id)*1000 + uint64(i),
 			Channel: flexran.FadingChannel(float64(*cqi), 0.99, 1.5, int64(i+1)),
+			DL:      flexran.NewCBR(*dlKbps),
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adding UE:", err)
-			os.Exit(1)
-		}
-		if _, err := epc.Attach(imsi, flexran.ENBID(*id), rnti); err != nil {
-			fmt.Fprintln(os.Stderr, "bearer:", err)
-			os.Exit(1)
-		}
-		sources = append(sources, src{imsi: imsi, gen: flexran.NewCBR(*dlKbps)})
+	}
+	n, err := flexran.NewNode(spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flexran-enb:", err)
+		os.Exit(1)
 	}
 
-	// Downlink traffic injection, paced in wall-clock time alongside the
-	// agent loop. The injector rides the same absolute-deadline pacer as
-	// the TTI loops, so its subframe clock cannot drift from the data
-	// plane's under load — a stall fast-forwards both by the same count.
 	stop := make(chan struct{})
-	go func() {
-		pacer := rt.NewPacer(time.Now(), time.Millisecond)
-		timer := time.NewTimer(time.Millisecond)
-		defer timer.Stop()
-		var sf flexran.Subframe
-		for {
-			now := time.Now()
-			if d := pacer.Deadline(); now.Before(d) {
-				timer.Reset(d.Sub(now))
-				select {
-				case <-stop:
-					return
-				case <-timer.C:
-				}
-			}
-			due, _ := pacer.Due(time.Now())
-			for i := 0; i < due; i++ {
-				for _, s := range sources {
-					if b := s.gen.BytesAt(sf); b > 0 {
-						epc.Downlink(s.imsi, b) //nolint:errcheck
-					}
-				}
-				sf++
-			}
-		}
-	}()
-
 	ls := &flexran.LoopStats{}
 	go func() {
 		// SIGTERM is the normal container/systemd stop signal; trapping
@@ -131,7 +86,7 @@ func main() {
 	}
 
 	fmt.Printf("flexran-enb %d: %d UEs, connecting to %s\n", *id, *ues, *masterAddr)
-	err := flexran.RunAgentLoopRT(a, *masterAddr, stop, flexran.RTConfig{Stats: ls})
+	err = flexran.RunAgentLoopRT(n, *masterAddr, stop, flexran.RTConfig{Stats: ls})
 	// Flush the final accounting whether the loop ended by signal or by a
 	// transport failure.
 	fmt.Println(ls.Profile())

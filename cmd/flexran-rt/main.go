@@ -1,10 +1,11 @@
 // flexran-rt is the wall-clock deadline harness: it runs a mid-size
 // topology (default 16 eNodeBs × 32 UEs) as a real deployment — master
 // served over loopback TCP, one paced agent loop per eNodeB — for a fixed
-// duration, then emits a JSON deadline report: per-leg latency quantiles
-// (p50/p99/p99.9) for the agent report encode+send, the master ingest→RIB
-// apply and the Echo-TS command round trip, plus deadline-miss counts for
-// every loop. CI gates on the miss rate via -max-miss-rate.
+// duration, then emits a JSON deadline report: the master's and the
+// agents' loop views (metrics.LoopView, the northbound /stats/loop shape),
+// with tick and miss counts and per-leg latency quantiles (p50/p99/p99.9).
+// Each eNodeB is a node built from an ENBSpec, its CBR downlink injected on
+// its agent loop. CI gates on the miss rate via -max-miss-rate.
 //
 // Usage:
 //
@@ -26,43 +27,7 @@ import (
 
 	"flexran"
 	"flexran/internal/metrics"
-	"flexran/internal/rt"
 )
-
-type legJSON struct {
-	Count  int64   `json:"count"`
-	P50us  float64 `json:"p50_us"`
-	P99us  float64 `json:"p99_us"`
-	P999us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
-	MeanUs float64 `json:"mean_us"`
-}
-
-func leg(h *metrics.Histogram) legJSON {
-	s := h.Summary()
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	return legJSON{
-		Count: s.Count,
-		P50us: us(s.P50), P99us: us(s.P99), P999us: us(s.P999),
-		MaxUs: us(s.Max), MeanUs: us(s.Mean),
-	}
-}
-
-type loopJSON struct {
-	Ticks    int64   `json:"ticks"`
-	Misses   int64   `json:"misses"`
-	MissRate float64 `json:"miss_rate"`
-	Step     legJSON `json:"step"`
-}
-
-func loop(ls *flexran.LoopStats) loopJSON {
-	return loopJSON{
-		Ticks:    ls.Ticks(),
-		Misses:   ls.Misses(),
-		MissRate: ls.MissRate(),
-		Step:     leg(&ls.Step),
-	}
-}
 
 type reportJSON struct {
 	ENBs        int     `json:"enbs"`
@@ -74,15 +39,8 @@ type reportJSON struct {
 	RIBUEs      int     `json:"rib_ues"`
 	MasterCycle uint64  `json:"master_cycle"`
 
-	Master struct {
-		loopJSON
-		Ingest legJSON `json:"ingest"`
-		RTT    legJSON `json:"rtt"`
-	} `json:"master"`
-	Agents struct {
-		loopJSON
-		Report legJSON `json:"report"`
-	} `json:"agents"`
+	Master metrics.LoopView `json:"master"`
+	Agents metrics.LoopView `json:"agents"`
 }
 
 func main() {
@@ -135,63 +93,23 @@ func main() {
 
 	for i := 0; i < *enbs; i++ {
 		id := flexran.ENBID(i + 1)
-		e := flexran.NewENB(flexran.ENBConfig{ID: id, Seed: int64(id)})
-		a := flexran.NewAgent(e, flexran.AgentOptions{})
-		epc := flexran.NewEPC()
-		epc.Register(e)
-		type src struct {
-			imsi uint64
-			gen  flexran.TrafficGenerator
-		}
-		sources := make([]src, 0, *ues)
+		spec := flexran.ENBSpec{ID: id, Seed: int64(id), Agent: true}
 		for u := 0; u < *ues; u++ {
-			imsi := uint64(id)*100000 + uint64(u)
-			rnti, err := e.AddUE(flexran.UEParams{
-				IMSI:    imsi,
-				Cell:    0,
+			spec.UEs = append(spec.UEs, flexran.UESpec{
+				IMSI:    uint64(id)*100000 + uint64(u),
 				Channel: flexran.FadingChannel(12, 0.99, 1.5, int64(u+1)),
+				DL:      flexran.NewCBR(*dlKbps),
 			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "flexran-rt: adding UE:", err)
-				os.Exit(1)
-			}
-			if _, err := epc.Attach(imsi, id, rnti); err != nil {
-				fmt.Fprintln(os.Stderr, "flexran-rt: bearer:", err)
-				os.Exit(1)
-			}
-			sources = append(sources, src{imsi: imsi, gen: flexran.NewCBR(*dlKbps)})
 		}
-		// Per-eNodeB traffic injector on its own absolute-deadline pacer.
-		go func() {
-			pacer := rt.NewPacer(time.Now(), *period)
-			timer := time.NewTimer(*period)
-			defer timer.Stop()
-			var sf flexran.Subframe
-			for {
-				now := time.Now()
-				if d := pacer.Deadline(); now.Before(d) {
-					timer.Reset(d.Sub(now))
-					select {
-					case <-stop:
-						return
-					case <-timer.C:
-					}
-				}
-				due, _ := pacer.Due(time.Now())
-				for s := 0; s < due; s++ {
-					for _, src := range sources {
-						if b := src.gen.BytesAt(sf); b > 0 {
-							epc.Downlink(src.imsi, b) //nolint:errcheck
-						}
-					}
-					sf++
-				}
-			}
-		}()
+		n, err := flexran.NewNode(spec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "flexran-rt:", err)
+			os.Exit(1)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := flexran.RunAgentLoopRT(a, addr, stop, flexran.RTConfig{Period: *period, Stats: agentLS}); err != nil {
+			if err := flexran.RunAgentLoopRT(n, addr, stop, flexran.RTConfig{Period: *period, Stats: agentLS}); err != nil {
 				fmt.Fprintln(os.Stderr, "flexran-rt: agent:", err)
 			}
 		}()
@@ -210,21 +128,13 @@ func main() {
 	halt()
 	wg.Wait()
 
-	var rep reportJSON
-	rep.ENBs = *enbs
-	rep.UEsPerENB = *ues
-	rep.Seconds = *seconds
-	rep.PeriodMs = float64(*period) / float64(time.Millisecond)
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	rep.RIBAgents = ribAgents
-	rep.RIBUEs = ribUEs
-	rep.MasterCycle = uint64(cycle)
-	rep.Master.loopJSON = loop(masterLS)
-	rep.Master.Ingest = leg(&masterLS.Ingest)
-	rep.Master.RTT = leg(&masterLS.RTT)
-	rep.Agents.loopJSON = loop(agentLS)
-	rep.Agents.Report = leg(&agentLS.Report)
-
+	rep := reportJSON{
+		ENBs: *enbs, UEsPerENB: *ues, Seconds: *seconds,
+		PeriodMs:   float64(*period) / float64(time.Millisecond),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		RIBAgents:  ribAgents, RIBUEs: ribUEs, MasterCycle: uint64(cycle),
+		Master: masterLS.View(), Agents: agentLS.View(),
+	}
 	blob, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flexran-rt:", err)

@@ -36,7 +36,8 @@
 // measured slower than the serial engine on every world tried, up to
 // 4,096 eNodeBs.
 //
-// For wall-clock deployments over TCP, see ServeMaster and RunAgentLoop.
+// For wall-clock deployments over TCP, see ServeMaster and RunAgentLoop,
+// which steps a Node built by NewNode from the same ENBSpec.
 // The experiments regenerating every table and figure of the paper live in
 // internal/experiments and are runnable via cmd/flexran-exp.
 package flexran
@@ -145,6 +146,9 @@ type (
 	ENBSpec = sim.ENBSpec
 	// UESpec declares one UE of a scenario.
 	UESpec = sim.UESpec
+	// Node is one eNodeB built from an ENBSpec: its data plane, agent and
+	// traffic.
+	Node = sim.Node
 	// HandoverRecord is one executed UE migration of a scenario.
 	HandoverRecord = sim.HandoverRecord
 	// Fault is one scheduled failure-injection event of a scenario.
@@ -292,6 +296,10 @@ func NewSim(cfg SimConfig, enbs ...ENBSpec) (*Sim, error) { return sim.New(cfg, 
 
 // MustNewSim is NewSim panicking on configuration errors.
 func MustNewSim(cfg SimConfig, enbs ...ENBSpec) *Sim { return sim.MustNew(cfg, enbs...) }
+
+// NewNode builds one standalone eNodeB from its spec, with an EPC of its
+// own, for RunAgentLoop to step in wall-clock time.
+func NewNode(spec ENBSpec) (*Node, error) { return sim.NewNode(spec) }
 
 // Channel models.
 

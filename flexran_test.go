@@ -63,12 +63,13 @@ func TestRealTimeDeployment(t *testing.T) {
 	go func() { errc <- flexran.ServeMaster(m, "127.0.0.1:21299", stop) }()
 	time.Sleep(50 * time.Millisecond)
 
-	e := flexran.NewENB(flexran.ENBConfig{ID: 4, Seed: 1})
-	a := flexran.NewAgent(e, flexran.AgentOptions{})
-	if _, err := e.AddUE(flexran.UEParams{IMSI: 1, Cell: 0, Channel: flexran.FixedChannel(12)}); err != nil {
+	n, err := flexran.NewNode(flexran.ENBSpec{ID: 4, Seed: 1, Agent: true, UEs: []flexran.UESpec{{
+		IMSI: 1, Channel: flexran.FixedChannel(12),
+	}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { errc <- flexran.RunAgentLoop(a, "127.0.0.1:21299", stop) }()
+	go func() { errc <- flexran.RunAgentLoop(n, "127.0.0.1:21299", stop) }()
 
 	// Wait for the RIB to see the agent and its UE.
 	deadline := time.After(5 * time.Second)

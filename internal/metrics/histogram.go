@@ -192,6 +192,48 @@ func (l *LoopStats) MissRate() float64 {
 	return float64(l.misses.Load()) / float64(t)
 }
 
+// LegView is one latency leg of a LoopView, microsecond-scaled.
+type LegView struct {
+	Count  int64   `json:"count"`
+	P50us  float64 `json:"p50_us"`
+	P99us  float64 `json:"p99_us"`
+	P999us float64 `json:"p999_us"`
+	MaxUs  float64 `json:"max_us"`
+	MeanUs float64 `json:"mean_us"`
+}
+
+// LoopView is the JSON form of a LoopStats: the deadline counters and
+// every leg. It is the northbound /stats/loop body and each loop object of
+// flexran-rt's report.
+type LoopView struct {
+	Ticks    int64   `json:"ticks"`
+	Misses   int64   `json:"misses"`
+	MissRate float64 `json:"miss_rate"`
+	Step     LegView `json:"step"`
+	Report   LegView `json:"report"`
+	Ingest   LegView `json:"ingest"`
+	Apps     LegView `json:"apps"`
+	RTT      LegView `json:"rtt"`
+}
+
+// View snapshots the stats as a LoopView.
+func (l *LoopStats) View() LoopView {
+	return LoopView{
+		Ticks: l.Ticks(), Misses: l.Misses(), MissRate: l.MissRate(),
+		Step: legView(&l.Step), Report: legView(&l.Report), Ingest: legView(&l.Ingest),
+		Apps: legView(&l.Apps), RTT: legView(&l.RTT),
+	}
+}
+
+func legView(h *Histogram) LegView {
+	s := h.Summary()
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	return LegView{
+		Count: s.Count, P50us: us(s.P50), P99us: us(s.P99),
+		P999us: us(s.P999), MaxUs: us(s.Max), MeanUs: us(s.Mean),
+	}
+}
+
 // Profile renders the FlexRAN-rtc-style loop-duration report: deadline
 // counters plus every leg with at least one sample (the SIGUSR1 dump).
 func (l *LoopStats) Profile() string {

@@ -152,36 +152,6 @@ type HealthView struct {
 	Agents []AgentView  `json:"agents"`
 }
 
-// SummaryView is one latency leg of /stats/loop, microsecond-scaled.
-type SummaryView struct {
-	Count  int64   `json:"count"`
-	P50us  float64 `json:"p50_us"`
-	P99us  float64 `json:"p99_us"`
-	P999us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
-	MeanUs float64 `json:"mean_us"`
-}
-
-// LoopView is the /stats/loop report: the PR 7 deadline accounting.
-type LoopView struct {
-	Ticks    int64       `json:"ticks"`
-	Misses   int64       `json:"misses"`
-	MissRate float64     `json:"miss_rate"`
-	Step     SummaryView `json:"step"`
-	Report   SummaryView `json:"report"`
-	Ingest   SummaryView `json:"ingest"`
-	Apps     SummaryView `json:"apps"`
-	RTT      SummaryView `json:"rtt"`
-}
-
-func summaryView(s metrics.HistogramSummary) SummaryView {
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	return SummaryView{
-		Count: s.Count, P50us: us(s.P50), P99us: us(s.P99),
-		P999us: us(s.P999), MaxUs: us(s.Max), MeanUs: us(s.Mean),
-	}
-}
-
 func (s *Server) agentView(enb lte.ENBID) AgentView {
 	rib := s.m.RIB()
 	sf, _ := rib.AgentSF(enb)
@@ -288,14 +258,7 @@ func (s *Server) handleLoop(w http.ResponseWriter, _ *http.Request) {
 		writeErr(w, http.StatusNotFound, "no loop stats attached (virtual-time master?)")
 		return
 	}
-	writeJSON(w, http.StatusOK, LoopView{
-		Ticks: s.ls.Ticks(), Misses: s.ls.Misses(), MissRate: s.ls.MissRate(),
-		Step:   summaryView(s.ls.Step.Summary()),
-		Report: summaryView(s.ls.Report.Summary()),
-		Ingest: summaryView(s.ls.Ingest.Summary()),
-		Apps:   summaryView(s.ls.Apps.Summary()),
-		RTT:    summaryView(s.ls.RTT.Summary()),
-	})
+	writeJSON(w, http.StatusOK, s.ls.View())
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, _ *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"flexran/internal/controller"
 	"flexran/internal/enb"
 	"flexran/internal/lte"
+	"flexran/internal/metrics"
 	"flexran/internal/northbound"
 	"flexran/internal/radio"
 	"flexran/internal/transport"
@@ -239,6 +241,58 @@ func TestQueryEndpoints(t *testing.T) {
 	h.getJSON("/rib/enb/abc", http.StatusBadRequest, nil)
 	h.getJSON("/rib/enb/9/ue/9999", http.StatusNotFound, nil)
 	h.getJSON("/cmd/123456", http.StatusNotFound, nil)
+}
+
+// TestLoopStatsEndpoint: with a LoopStats attached, /stats/loop serves its
+// counters and all five legs under the documented keys, and nothing else.
+func TestLoopStatsEndpoint(t *testing.T) {
+	ls := &metrics.LoopStats{}
+	ls.Account(10, 2)
+	ls.Step.Observe(300 * time.Microsecond)
+	api := httptest.NewServer(northbound.New(controller.NewMaster(controller.DefaultOptions()), ls))
+	defer api.Close()
+	resp, err := http.Get(api.URL + "/stats/loop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /stats/loop = %s", resp.Status)
+	}
+	var body map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]json.RawMessage) string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, ",")
+	}
+	if got, want := keys(body), "apps,ingest,miss_rate,misses,report,rtt,step,ticks"; got != want {
+		t.Fatalf("/stats/loop keys %s, want %s", got, want)
+	}
+	if string(body["ticks"]) != "10" || string(body["misses"]) != "2" {
+		t.Errorf("ticks=%s misses=%s, want 10, 2", body["ticks"], body["misses"])
+	}
+	for _, leg := range []string{"step", "report", "ingest", "apps", "rtt"} {
+		var lv map[string]json.RawMessage
+		if err := json.Unmarshal(body[leg], &lv); err != nil {
+			t.Fatalf("%s: %v", leg, err)
+		}
+		if got, want := keys(lv), "count,max_us,mean_us,p50_us,p999_us,p99_us"; got != want {
+			t.Errorf("%s keys %s, want %s", leg, got, want)
+		}
+		wantCount := "0"
+		if leg == "step" {
+			wantCount = "1"
+		}
+		if string(lv["count"]) != wantCount {
+			t.Errorf("%s count = %s, want %s", leg, lv["count"], wantCount)
+		}
+	}
 }
 
 func TestWatchStreamsEvents(t *testing.T) {

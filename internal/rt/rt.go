@@ -1,9 +1,10 @@
 // Package rt provides the deadline machinery of the wall-clock real-time
 // engine: a drift-free pacer that schedules TTI deadlines as absolute times
-// computed from the run start, and accounts every deadline it hands out —
+// computed from the run start, and reports every deadline it hands out —
 // a loop that falls behind (GC pause, scheduler delay, a long tick) sees
 // the backlog as due steps plus an explicit miss count, never as silently
-// coalesced ticks the way time.Ticker delivers them.
+// coalesced ticks the way time.Ticker delivers them. The pacer keeps no
+// totals: each loop folds what Due returns into its metrics.LoopStats.
 //
 // The pacer is deliberately clock-free: the caller passes wall times in,
 // so the accounting is exact under a fake clock in tests and the real-time
@@ -22,8 +23,6 @@ type Pacer struct {
 	start  time.Time
 	period time.Duration
 	next   int64 // index of the next unconsumed deadline
-	ticks  int64 // deadlines consumed (steps the loop owes/ran)
-	misses int64 // deadlines consumed a full period or more late
 }
 
 // NewPacer starts a pacer at start with the given TTI period (0 or
@@ -34,9 +33,6 @@ func NewPacer(start time.Time, period time.Duration) *Pacer {
 	}
 	return &Pacer{start: start, period: period}
 }
-
-// Period returns the TTI period.
-func (p *Pacer) Period() time.Duration { return p.period }
 
 // Deadline returns the absolute time of the next unconsumed deadline. The
 // loop sleeps until it (or handles other work), then calls Due.
@@ -72,21 +68,5 @@ func (p *Pacer) Due(now time.Time) (due, missed int) {
 		missed = int(lateLast - p.next + 1)
 	}
 	p.next = last + 1
-	p.ticks += int64(due)
-	p.misses += int64(missed)
 	return due, missed
-}
-
-// Ticks returns the total number of deadlines consumed so far.
-func (p *Pacer) Ticks() int64 { return p.ticks }
-
-// Misses returns the total number of missed deadlines so far.
-func (p *Pacer) Misses() int64 { return p.misses }
-
-// MissRate returns misses/ticks (0 before the first deadline).
-func (p *Pacer) MissRate() float64 {
-	if p.ticks == 0 {
-		return 0
-	}
-	return float64(p.misses) / float64(p.ticks)
 }

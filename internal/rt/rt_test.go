@@ -19,9 +19,6 @@ func TestPacerOnTimeTicks(t *testing.T) {
 			t.Fatalf("tick %d: due=%d missed=%d, want 1, 0", i, due, missed)
 		}
 	}
-	if p.Ticks() != 5 || p.Misses() != 0 {
-		t.Fatalf("ticks=%d misses=%d, want 5, 0", p.Ticks(), p.Misses())
-	}
 }
 
 func TestPacerDeadlinesAreAbsolute(t *testing.T) {
@@ -55,11 +52,9 @@ func TestPacerCoalescedTicksAreMisses(t *testing.T) {
 	if missed != 4 {
 		t.Fatalf("coalesced missed=%d, want 4", missed)
 	}
-	if p.Ticks() != 6 || p.Misses() != 4 {
-		t.Fatalf("ticks=%d misses=%d, want 6, 4", p.Ticks(), p.Misses())
-	}
-	if r := p.MissRate(); r < 0.66 || r > 0.67 {
-		t.Fatalf("miss rate %.3f, want 4/6", r)
+	// The backlog is consumed once: the next wake owes only deadline 6.
+	if due, missed = p.Due(at(6.1)); due != 1 || missed != 0 {
+		t.Fatalf("after catch-up: due=%d missed=%d, want 1, 0", due, missed)
 	}
 }
 
@@ -82,21 +77,25 @@ func TestPacerSlightlyLateIsNotMissed(t *testing.T) {
 
 func TestPacerEarlyWakeIsNoOp(t *testing.T) {
 	p := NewPacer(t0, time.Millisecond)
-	p.Due(at(0.1))
+	if due, missed := p.Due(at(0.1)); due != 1 || missed != 0 {
+		t.Fatalf("first wake: due=%d missed=%d, want 1, 0", due, missed)
+	}
 	if due, missed := p.Due(at(0.5)); due != 0 || missed != 0 {
 		t.Fatalf("early wake: due=%d missed=%d, want 0, 0", due, missed)
 	}
 	if due, missed := p.Due(t0.Add(-time.Second)); due != 0 || missed != 0 {
 		t.Fatalf("pre-start wake: due=%d missed=%d, want 0, 0", due, missed)
 	}
-	if p.Ticks() != 1 {
-		t.Fatalf("ticks=%d, want 1", p.Ticks())
+	// The no-op wakes consumed nothing: deadline 1 is still the next one.
+	if d := p.Deadline(); !d.Equal(at(1)) {
+		t.Fatalf("deadline after early wakes %v, want %v", d, at(1))
 	}
 }
 
 func TestPacerDefaultPeriod(t *testing.T) {
 	p := NewPacer(t0, 0)
-	if p.Period() != time.Millisecond {
-		t.Fatalf("default period %v", p.Period())
+	// With the 1 ms default, a wake at 2.5 ms owes deadlines 0, 1 and 2.
+	if due, missed := p.Due(at(2.5)); due != 3 || missed != 2 {
+		t.Fatalf("default period: due=%d missed=%d, want 3, 2", due, missed)
 	}
 }

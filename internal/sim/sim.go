@@ -1,7 +1,9 @@
 // Package sim is the scenario harness: it assembles EPC, eNodeBs, FlexRAN
 // agents, the master controller and per-UE traffic into one deterministic
 // virtual-time simulation stepped subframe by subframe. Every experiment
-// in internal/experiments and every runnable example builds on it.
+// in internal/experiments and every runnable example builds on it. Its
+// Node is the wall-clock deployment's eNodeB too: NewNode builds one from
+// an ENBSpec outside any engine, for the agent loop to inject and step.
 //
 // One Step() advances the world by one TTI in a fixed order: downlink
 // traffic injection (EPC), uplink traffic injection (UEs), delivery of
@@ -103,7 +105,9 @@ type Config struct {
 	NoFastForward bool
 }
 
-// Node is the runtime of one eNodeB within the simulation.
+// Node is the runtime of one eNodeB: its data plane, agent, UEs and
+// traffic, stepped by the simulation or, built by NewNode, by a wall-clock
+// agent loop.
 type Node struct {
 	ENB   *enb.ENB
 	Agent *agent.Agent // nil when the spec had Agent: false
@@ -290,6 +294,56 @@ type Sim struct {
 	linked []int32
 }
 
+// NewNode builds one eNodeB from its spec with an EPC of its own: the node
+// a wall-clock agent loop steps. It has no control channel (the loop dials
+// one; ToMaster and ToAgent are ignored) and no handover executor, so its
+// agent rejects handover commands.
+func NewNode(spec ENBSpec) (*Node, error) {
+	n := newNode(spec)
+	if err := n.addUEs(epc.New()); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// newNode builds a spec's eNodeB and, when the spec asks for one, its
+// agent. addUEs completes the node; a caller that links the agent does so
+// in between, so the Hello and the UEs' random-access events ride the link.
+func newNode(spec ENBSpec) *Node {
+	e := enb.New(enb.Config{
+		ID:               spec.ID,
+		Cells:            spec.Cells,
+		Seed:             spec.Seed,
+		AttachTimeoutTTI: spec.AttachTimeoutTTI,
+	})
+	n := &Node{ENB: e, specs: spec.UEs}
+	if spec.Agent {
+		n.Agent = agent.New(e, spec.AgentOpts)
+	}
+	return n
+}
+
+// addUEs registers the node's eNodeB with c and adds the spec's UEs, each
+// with its EPC bearer.
+func (n *Node) addUEs(c *epc.EPC) error {
+	c.Register(n.ENB)
+	for _, u := range n.specs {
+		rnti, err := n.ENB.AddUE(enb.UEParams{
+			IMSI: u.IMSI, Cell: u.Cell, Channel: u.Channel, Group: u.Group,
+		})
+		if err != nil {
+			return fmt.Errorf("sim: adding UE %d: %w", u.IMSI, err)
+		}
+		br, err := c.Attach(u.IMSI, n.ENB.ID(), rnti)
+		if err != nil {
+			return fmt.Errorf("sim: bearer for UE %d: %w", u.IMSI, err)
+		}
+		n.RNTIs = append(n.RNTIs, rnti)
+		n.bearers = append(n.bearers, br)
+	}
+	return nil
+}
+
 // New builds a scenario: eNodeBs, agents, control channels, EPC bearers
 // and UEs (whose attach procedures start at subframe 0).
 func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
@@ -303,15 +357,9 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 		s.Master = controller.NewMaster(mo)
 	}
 	for _, spec := range enbs {
-		e := enb.New(enb.Config{
-			ID:               spec.ID,
-			Cells:            spec.Cells,
-			Seed:             spec.Seed,
-			AttachTimeoutTTI: spec.AttachTimeoutTTI,
-		})
-		n := &Node{ENB: e, specs: spec.UEs, idx: int32(len(s.Nodes))}
-		if spec.Agent {
-			n.Agent = agent.New(e, spec.AgentOpts)
+		n := newNode(spec)
+		n.idx = int32(len(s.Nodes))
+		if n.Agent != nil {
 			// Handover commands are queued on the node and executed at
 			// the engine's post-control barrier (deterministic order).
 			n.Agent.SetHandoverExecutor(func(cmd *protocol.HandoverCommand) error {
@@ -325,20 +373,8 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 				s.linked = append(s.linked, n.idx)
 			}
 		}
-		s.EPC.Register(e)
-		for _, u := range spec.UEs {
-			rnti, err := e.AddUE(enb.UEParams{
-				IMSI: u.IMSI, Cell: u.Cell, Channel: u.Channel, Group: u.Group,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("sim: adding UE %d: %w", u.IMSI, err)
-			}
-			br, err := s.EPC.Attach(u.IMSI, spec.ID, rnti)
-			if err != nil {
-				return nil, fmt.Errorf("sim: bearer for UE %d: %w", u.IMSI, err)
-			}
-			n.RNTIs = append(n.RNTIs, rnti)
-			n.bearers = append(n.bearers, br)
+		if err := n.addUEs(s.EPC); err != nil {
+			return nil, err
 		}
 		s.Nodes = append(s.Nodes, n)
 		s.byENB[spec.ID] = n
@@ -409,10 +445,13 @@ func (s *Sim) rouse(n *Node) {
 	s.cal.remove(n.idx)
 }
 
-// injectTraffic is phase 1 for one node: per-UE downlink bytes through the
-// EPC and uplink bytes into the eNodeB.
-func (s *Sim) injectTraffic(n *Node) {
-	sf := s.sf
+// injectTraffic is phase 1 for one node.
+func (s *Sim) injectTraffic(n *Node) { n.Inject(s.sf) }
+
+// Inject feeds the node's traffic for subframe sf: per-UE downlink bytes
+// through the EPC and uplink bytes into the eNodeB. The caller steps the
+// eNodeB through sf next, on the same goroutine.
+func (n *Node) Inject(sf lte.Subframe) {
 	n.skipGens(sf)
 	id := n.ENB.ID()
 	for i := range n.specs {

@@ -35,6 +35,50 @@ func TestScenarioBuildAndAttach(t *testing.T) {
 	}
 }
 
+// TestNodeStepsLikeTheEngine: a standalone node, injected and stepped by
+// hand as the wall-clock agent loop does, serves every UE exactly as the
+// engine serves the same spec. Its agent has no handover executor, so a
+// handover command is refused.
+func TestNodeStepsLikeTheEngine(t *testing.T) {
+	spec := func() ENBSpec {
+		return ENBSpec{ID: 1, Agent: true, Seed: 3, UEs: []UESpec{
+			{IMSI: 100, Channel: radio.NewGaussMarkov(11, 0.99, 1.5, 1), DL: ue.NewCBR(2000)},
+			{IMSI: 101, Channel: radio.Fixed(7), DL: ue.NewCBR(500), UL: ue.NewCBR(100)},
+		}}
+	}
+	const ttis = 2000
+	s := MustNew(Config{}, spec())
+	s.Run(ttis)
+	n, err := NewNode(spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ttis; i++ {
+		n.Inject(n.ENB.Now())
+		n.ENB.Step()
+	}
+	for j, rnti := range n.RNTIs {
+		got, _ := n.ENB.UEReport(rnti)
+		want := s.Report(0, j)
+		if got.DLDelivered == 0 || got.DLDelivered != want.DLDelivered || got.ULDelivered != want.ULDelivered {
+			t.Errorf("UE %d: node delivered DL %d UL %d, engine DL %d UL %d", j,
+				got.DLDelivered, got.ULDelivered, want.DLDelivered, want.ULDelivered)
+		}
+	}
+
+	var detail string
+	n.Agent.Connect(func(m *protocol.Message) error {
+		if ack, ok := m.Payload.(*protocol.ControlAck); ok {
+			detail = ack.Detail
+		}
+		return nil
+	})
+	n.Agent.Deliver(protocol.New(1, n.ENB.Now(), &protocol.HandoverCommand{RNTI: n.RNTIs[0], TargetENB: 2}))
+	if detail != "agent: no handover executor attached" {
+		t.Errorf("handover command answered %q, want the no-executor refusal", detail)
+	}
+}
+
 // TestLiteralOptionsGetPeriodicFullReports: a master built from a bare
 // Options literal that sets only StatsPeriodTTI subscribes its agents to
 // periodic full reports, not to a one-off report of nothing.

@@ -18,7 +18,9 @@ import (
 // This file is the wall-clock deployment mode: the master and agents run
 // as separate processes connected over TCP (the paper's testbed setup,
 // used by cmd/flexran-master and cmd/flexran-enb). The virtual-time mode
-// in internal/sim shares all control-plane code with these loops.
+// in internal/sim shares all control-plane code with these loops, and the
+// eNodeB too: the agent loop steps a node built by NewNode from the same
+// ENBSpec a simulation takes, and injects its traffic with the same code.
 //
 // Both loops pace on rt.Pacer: TTI deadlines are absolute times computed
 // from the run start, so a late step never shifts later deadlines, and a
@@ -222,22 +224,28 @@ func ServeNorthbound(m *Master, ls *LoopStats, addr string, stop <-chan struct{}
 	return l.Addr(), nil
 }
 
-// RunAgentLoop connects an agent-enabled eNodeB to a master over TCP with
-// default pacing (1 ms TTIs, no stats sink); see RunAgentLoopRT.
-func RunAgentLoop(a *Agent, masterAddr string, stop <-chan struct{}) error {
-	return RunAgentLoopRT(a, masterAddr, stop, RTConfig{})
+// RunAgentLoop connects an agent-enabled node (see NewNode) to a master
+// over TCP with default pacing (1 ms TTIs, no stats sink); see
+// RunAgentLoopRT.
+func RunAgentLoop(n *Node, masterAddr string, stop <-chan struct{}) error {
+	return RunAgentLoopRT(n, masterAddr, stop, RTConfig{})
 }
 
-// RunAgentLoopRT connects an agent-enabled eNodeB to a master over TCP and
-// runs the data plane in real time: one subframe per TTI period, with
-// inbound control messages dispatched between subframes (the agent and
-// eNodeB are single-threaded by design; the loop provides the
-// serialization). Control messages are drained in batches and delivered
-// inline, but the TTI step always runs once the deadline has passed — a
-// sustained inbound burst can delay a subframe (the pacer counts it as a
-// miss) yet never starve or skip it. It blocks until stop is closed or the
-// connection fails.
-func RunAgentLoopRT(a *Agent, masterAddr string, stop <-chan struct{}, cfg RTConfig) error {
+// RunAgentLoopRT connects an agent-enabled node (see NewNode) to a master
+// over TCP and runs its data plane in real time: one subframe per TTI
+// period, each one the node's traffic injection and then its eNodeB step,
+// with inbound control messages dispatched between subframes. The node,
+// its agent and its traffic are single-threaded by design; this loop's
+// goroutine is the only one that touches them. Control messages are
+// drained in batches and delivered inline, but the TTI step always runs
+// once the deadline has passed — a sustained inbound burst can delay a
+// subframe (the pacer counts it as a miss) yet never starve or skip it. It
+// blocks until stop is closed or the connection fails.
+func RunAgentLoopRT(n *Node, masterAddr string, stop <-chan struct{}, cfg RTConfig) error {
+	a := n.Agent
+	if a == nil {
+		return fmt.Errorf("flexran: eNodeB %d has no agent", n.ENB.ID())
+	}
 	ls := cfg.Stats
 	if ls != nil {
 		a.SetLoopStats(ls)
@@ -321,10 +329,12 @@ func RunAgentLoopRT(a *Agent, masterAddr string, stop <-chan struct{}, cfg RTCon
 		for i := 0; i < due; i++ {
 			if ls != nil {
 				t0 := time.Now()
-				a.ENB().Step()
+				n.Inject(n.ENB.Now())
+				n.ENB.Step()
 				ls.Step.Observe(time.Since(t0))
 			} else {
-				a.ENB().Step()
+				n.Inject(n.ENB.Now())
+				n.ENB.Step()
 			}
 		}
 	}

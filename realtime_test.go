@@ -8,20 +8,25 @@ import (
 	"flexran"
 )
 
-// startAgentENB builds an agent-enabled eNodeB with nUEs attached UEs.
-func startAgentENB(t *testing.T, id flexran.ENBID, nUEs int) *flexran.Agent {
-	t.Helper()
-	e := flexran.NewENB(flexran.ENBConfig{ID: id, Seed: int64(id)})
-	a := flexran.NewAgent(e, flexran.AgentOptions{})
+// agentSpec declares an agent-enabled eNodeB with nUEs UEs at CQI 12.
+func agentSpec(id flexran.ENBID, nUEs int) flexran.ENBSpec {
+	spec := flexran.ENBSpec{ID: id, Seed: int64(id), Agent: true}
 	for i := 0; i < nUEs; i++ {
-		if _, err := e.AddUE(flexran.UEParams{
-			IMSI: uint64(id)*1000 + uint64(i), Cell: 0,
-			Channel: flexran.FixedChannel(12),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		spec.UEs = append(spec.UEs, flexran.UESpec{
+			IMSI: uint64(id)*1000 + uint64(i), Channel: flexran.FixedChannel(12),
+		})
 	}
-	return a
+	return spec
+}
+
+// newNode builds a spec's standalone node.
+func newNode(t *testing.T, spec flexran.ENBSpec) *flexran.Node {
+	t.Helper()
+	n, err := flexran.NewNode(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -40,7 +45,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // with LoopStats attached on both sides and checks that every instrumented
 // leg of the 1 ms budget actually collects samples: master ticks, the
 // ingest leg, the Echo-TS round trip, agent report emission, and the
-// agents' own deadline accounting.
+// agents' own deadline accounting. Every UE carries a CBR downlink, which
+// the agent loops inject: each UE must be served, and the master's RIB
+// must show its rate.
 func TestRealTimeStatsExchange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
@@ -63,16 +70,33 @@ func TestRealTimeStatsExchange(t *testing.T) {
 	go func() {
 		errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{Stats: masterLS})
 	}()
-	for _, id := range []flexran.ENBID{7, 8} {
-		a := startAgentENB(t, id, 2)
+	ids := []flexran.ENBID{7, 8}
+	nodes := make([]*flexran.Node, len(ids))
+	for i, id := range ids {
+		spec := agentSpec(id, 2)
+		for j := range spec.UEs {
+			spec.UEs[j].DL = flexran.NewCBR(500)
+		}
+		n := newNode(t, spec)
+		nodes[i] = n
 		go func() {
-			errc <- flexran.RunAgentLoopRT(a, addr, stop, flexran.RTConfig{Stats: agentLS})
+			errc <- flexran.RunAgentLoopRT(n, addr, stop, flexran.RTConfig{Stats: agentLS})
 		}()
 	}
 
 	waitFor(t, 5*time.Second, "RIB population", func() bool {
 		return m.RIB().Connected(7) && m.RIB().Connected(8) &&
 			m.RIB().UECount(7) == 2 && m.RIB().UECount(8) == 2
+	})
+	waitFor(t, 5*time.Second, "a DL rate for every UE in the RIB", func() bool {
+		for i, n := range nodes {
+			for _, rnti := range n.RNTIs {
+				if st, ok := m.RIB().UEStats(ids[i], rnti); !ok || st.DLRateKbps == 0 {
+					return false
+				}
+			}
+		}
+		return true
 	})
 	waitFor(t, 5*time.Second, "latency samples on every leg", func() bool {
 		return masterLS.Ticks() > 0 && masterLS.Step.Count() > 0 &&
@@ -96,6 +120,23 @@ func TestRealTimeStatsExchange(t *testing.T) {
 			t.Errorf("loop error: %v", err)
 		}
 	}
+	// The loops have returned, so the data planes are safe to read.
+	for _, n := range nodes {
+		for _, rnti := range n.RNTIs {
+			if r, _ := n.ENB.UEReport(rnti); r.DLDelivered == 0 {
+				t.Errorf("eNB %d UE %d: no downlink delivered", n.ENB.ID(), rnti)
+			}
+		}
+	}
+}
+
+// TestAgentLoopNeedsAnAgent: a node built without an agent is refused
+// before anything is dialled.
+func TestAgentLoopNeedsAnAgent(t *testing.T) {
+	n := newNode(t, flexran.ENBSpec{ID: 3})
+	if err := flexran.RunAgentLoop(n, "127.0.0.1:1", nil); err == nil {
+		t.Fatal("agent loop accepted a node without an agent")
+	}
 }
 
 // TestRealTimeAgentRestart stops an agent loop, restarts the agent, and
@@ -116,10 +157,11 @@ func TestRealTimeAgentRestart(t *testing.T) {
 	masterErr := make(chan error, 1)
 	go func() { masterErr <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
 
-	a := startAgentENB(t, 5, 3)
+	n := newNode(t, agentSpec(5, 3))
+	a := n.Agent
 	agentStop := make(chan struct{})
 	agentErr := make(chan error, 1)
-	go func() { agentErr <- flexran.RunAgentLoop(a, addr, agentStop) }()
+	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop) }()
 	waitFor(t, 5*time.Second, "first attach", func() bool {
 		return m.RIB().Connected(5) && m.RIB().UECount(5) == 3
 	})
@@ -138,7 +180,7 @@ func TestRealTimeAgentRestart(t *testing.T) {
 	// bring the RIB back without any manual cleanup.
 	a.Restart()
 	agentStop = make(chan struct{})
-	go func() { agentErr <- flexran.RunAgentLoop(a, addr, agentStop) }()
+	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop) }()
 	waitFor(t, 5*time.Second, "reattach after restart", func() bool {
 		return m.RIB().Connected(5) && m.RIB().UECount(5) == 3
 	})
@@ -175,8 +217,8 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 	errc := make(chan error, 4)
 	go func() { errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
 	for i := 0; i < 3; i++ {
-		a := startAgentENB(t, flexran.ENBID(20+i), 1)
-		go func() { errc <- flexran.RunAgentLoop(a, addr, stop) }()
+		n := newNode(t, agentSpec(flexran.ENBID(20+i), 1))
+		go func() { errc <- flexran.RunAgentLoop(n, addr, stop) }()
 	}
 	waitFor(t, 5*time.Second, "all agents attached", func() bool {
 		for i := 0; i < 3; i++ {
@@ -227,8 +269,8 @@ func TestRealTimeStopIsCleanExit(t *testing.T) {
 		stop := make(chan struct{})
 		errc := make(chan error, 2)
 		go func() { errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
-		a := startAgentENB(t, 4, 1)
-		go func() { errc <- flexran.RunAgentLoop(a, addr, stop) }()
+		n := newNode(t, agentSpec(4, 1))
+		go func() { errc <- flexran.RunAgentLoop(n, addr, stop) }()
 
 		select {
 		case <-hello.Events():
