@@ -296,13 +296,17 @@ func (s *Server) handleCmd(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Watch (SSE)
 
+// maxWatchBuffer caps ?buffer=: the subscriber queue is allocated up front,
+// and at about 120 bytes an event, 65,536 of them is 8 MB.
+const maxWatchBuffer = 1 << 16
+
 // handleWatch streams the controller's event layer as server-sent events:
 // one `data:` frame per WatchEvent, JSON-encoded. The subscription honours
 // ?enb= and ?kinds= filters (comma-separated kind names) and ?buffer= for
-// the subscriber queue. A slow client overflows its buffer; the stream
-// then emits a final `event: resync` frame and closes — the client
-// re-reads the RIB and re-subscribes (the explicit resync contract; the
-// controller never blocks on a slow reader).
+// the subscriber queue, at most maxWatchBuffer. A slow client overflows
+// its buffer; the stream then emits a final `event: resync` frame and
+// closes — the client re-reads the RIB and re-subscribes (the explicit
+// resync contract; the controller never blocks on a slow reader).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -327,8 +331,8 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	filter.Kinds = kinds
 	buffer := 0
 	if v := q.Get("buffer"); v != "" {
-		if buffer, err = strconv.Atoi(v); err != nil || buffer < 0 {
-			writeErr(w, http.StatusBadRequest, "bad buffer: "+v)
+		if buffer, err = strconv.Atoi(v); err != nil || buffer < 0 || buffer > maxWatchBuffer {
+			writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad buffer: %s (0 to %d)", v, maxWatchBuffer))
 			return
 		}
 	}

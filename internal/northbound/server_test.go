@@ -332,6 +332,41 @@ func TestWatchStreamsEvents(t *testing.T) {
 	}
 }
 
+// TestWatchBufferIsCapped: a ?buffer= above the cap is refused before
+// anything subscribes. The subscriber queue is allocated up front, so an
+// unchecked value is an allocation of the client's choosing.
+func TestWatchBufferIsCapped(t *testing.T) {
+	h := startHarness(t)
+	h.waitConnected()
+	h.getJSON("/watch?buffer=65537", http.StatusBadRequest, nil)
+
+	// A watcher left registered by the refused request would have the master
+	// number every event from then on. With none, the numbering starts when
+	// the stream below subscribes.
+	time.Sleep(50 * time.Millisecond)
+	resp, err := http.Get(h.api.URL + "/watch?buffer=65536")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev controller.WatchEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad SSE frame %q: %v", line, err)
+		}
+		if ev.Seq > 10 {
+			t.Errorf("first event has seq %d: a watcher was left registered by the refused request", ev.Seq)
+		}
+		return
+	}
+	t.Fatalf("stream ended without an event: %v", sc.Err())
+}
+
 func TestActuationRoundTrip(t *testing.T) {
 	h := startHarness(t)
 	h.waitConnected()

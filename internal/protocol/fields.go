@@ -9,10 +9,6 @@ package protocol
 //
 // The original FlexRAN protocol is a Protocol Buffers schema; these tables
 // are the stdlib-only stand-in for its .proto files and generated codecs.
-// The kinds every TTI puts on the wire (StatsReply, the schedules,
-// SubframeTrigger and what they nest) keep hand-tuned codecs instead, and
-// carry their tables test-side, as the reference the tuned code is checked
-// against (reference_test.go).
 
 import (
 	"fmt"
@@ -130,44 +126,56 @@ func readUint[V uintLike](d *wire.Decoder, dst *V) error {
 	return narrow(dst, v)
 }
 
+// uintF, optUintF, sintF and boolF build their closures directly rather
+// than through valueF: one call deep instead of two, on the fields every TTI
+// sends.
+
 func uintF[T any, V uintLike](num int, name string, at func(*T) *V) field[T] {
-	return valueF(num, name, "varint", at,
-		func(e *wire.Encoder, num int, v V) { e.Uint(num, uint64(v)) },
-		func(d *wire.Decoder) (v V, err error) { return v, readUint(d, &v) })
+	return field[T]{
+		fieldInfo{num, name, "varint", fmt.Sprintf("%T", *new(V))},
+		func(p *T, e *wire.Encoder) { e.Uint(num, uint64(*at(p))) },
+		func(p *T, d *wire.Decoder) error { return readUint(d, at(p)) },
+		func(p *T) { *at(p) = 0 },
+	}
 }
 
-// omitIf makes f a field that is not sent while empty holds: what a field
-// added after agents were deployed needs, so that a sender which never sets
-// it emits the frames older builds do.
-func omitIf[T any](f field[T], when string, empty func(*T) bool) field[T] {
-	f.shape += ", omitted when " + when
-	send := f.enc
+// optUintF is a varint not sent while 0: what a field added after agents
+// were deployed needs, so that a sender which never sets it emits the
+// frames older builds do.
+func optUintF[T any, V uintLike](num int, name string, at func(*T) *V) field[T] {
+	f := uintF(num, name, at)
+	f.shape += ", omitted when 0"
 	f.enc = func(p *T, e *wire.Encoder) {
-		if !empty(p) {
-			send(p, e)
+		if v := *at(p); v != 0 {
+			e.Uint(num, uint64(v))
 		}
 	}
 	return f
 }
 
-func optUintF[T any, V uintLike](num int, name string, at func(*T) *V) field[T] {
-	return omitIf(uintF(num, name, at), "0", func(p *T) bool { return *at(p) == 0 })
-}
-
 func sintF[T any, V wire.Sint](num int, name string, at func(*T) *V) field[T] {
-	return valueF(num, name, "zigzag varint", at,
-		func(e *wire.Encoder, num int, v V) { e.Int(num, int64(v)) },
-		func(d *wire.Decoder) (V, error) {
+	return field[T]{
+		fieldInfo{num, name, "zigzag varint", fmt.Sprintf("%T", *new(V))},
+		func(p *T, e *wire.Encoder) { e.Int(num, int64(*at(p))) },
+		func(p *T, d *wire.Decoder) error {
 			v, err := d.ReadInt()
 			if err == nil && int64(V(v)) != v {
 				err = wire.ErrRange
 			}
-			return V(v), err
-		})
+			*at(p) = V(v)
+			return err
+		},
+		func(p *T) { *at(p) = 0 },
+	}
 }
 
 func boolF[T any](num int, name string, at func(*T) *bool) field[T] {
-	return valueF(num, name, "varint 0/1", at, (*wire.Encoder).Bool, (*wire.Decoder).ReadBool)
+	return field[T]{
+		fieldInfo{num, name, "varint 0/1", "bool"},
+		func(p *T, e *wire.Encoder) { e.Bool(num, *at(p)) },
+		func(p *T, d *wire.Decoder) (err error) { *at(p), err = d.ReadBool(); return err },
+		func(p *T) { *at(p) = false },
+	}
 }
 
 func stringF[T any](num int, name string, at func(*T) *string) field[T] {
@@ -227,9 +235,14 @@ func repF[T, M any, PM message[M]](num int, name string, at func(*T) *[]M) field
 // not sent; reset keeps every column's capacity.
 func ueBlockF[T any](num int, name string, at func(*T) *UETable) field[T] {
 	f := msgF(num, name, at)
-	f.shape = "UE block"
+	f.shape = "UE block, omitted when empty"
+	f.enc = func(p *T, e *wire.Encoder) {
+		if t := at(p); t.Len() > 0 {
+			e.Message(num, t)
+		}
+	}
 	f.reset = func(p *T) { at(p).Resize(0) }
-	return omitIf(f, "empty", func(p *T) bool { return at(p).Len() == 0 })
+	return f
 }
 
 // retired reserves a number a deployed build once sent: it is never encoded,

@@ -269,24 +269,15 @@ type SubframeTrigger struct {
 	SF lte.Subframe
 }
 
-// Kind implements Payload.
-func (*SubframeTrigger) Kind() Kind { return KindSubframeTrigger }
+var subframeTriggerFields = newFields(
+	uintF(1, "sf", func(p *SubframeTrigger) *lte.Subframe { return &p.SF }),
+)
 
-// reset is the kind's pool reset (kinds table).
-func (p *SubframeTrigger) reset() { *p = SubframeTrigger{} }
-
-// MarshalWire implements wire.Marshaler. Sent every TTI under centralized
-// scheduling, so the codec is written out, not table-driven.
-func (p *SubframeTrigger) MarshalWire(e *wire.Encoder) { e.Uint(1, uint64(p.SF)) }
-
-// UnmarshalWire implements wire.Unmarshaler.
+// Kind, MarshalWire and UnmarshalWire implement Payload through subframeTriggerFields.
+func (*SubframeTrigger) Kind() Kind                    { return KindSubframeTrigger }
+func (p *SubframeTrigger) MarshalWire(e *wire.Encoder) { subframeTriggerFields.marshal(p, e) }
 func (p *SubframeTrigger) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		if f == 1 {
-			return readUint(d, &p.SF)
-		}
-		return d.Skip()
-	})
+	return subframeTriggerFields.unmarshal(p, d)
 }
 
 // ---------------------------------------------------------------------------
@@ -378,17 +369,3 @@ var controlAckFields = newFields(
 func (*ControlAck) Kind() Kind                            { return KindControlAck }
 func (p *ControlAck) MarshalWire(e *wire.Encoder)         { controlAckFields.marshal(p, e) }
 func (p *ControlAck) UnmarshalWire(d *wire.Decoder) error { return controlAckFields.unmarshal(p, d) }
-
-// eachField drives the decode loop of a hand-written decoder, calling fn
-// for every field; fn must consume it.
-func eachField(d *wire.Decoder, fn func(field int) error) error {
-	for {
-		ok, err := d.Next()
-		if err != nil || !ok {
-			return err
-		}
-		if err := fn(d.Field()); err != nil {
-			return err
-		}
-	}
-}

@@ -21,11 +21,9 @@
 // (name, Fig. 7 category, constructor, whether decoded payloads are
 // recycled) is its row of the kinds table below, and a message struct's wire
 // form is the field table declared beside it (fields.go), which is its
-// encoder, decoder and pool reset. Only what travels every TTI — the
-// envelope, StatsReply with its CellStats and UE block, the two schedules
-// with their Allocs, SubframeTrigger — has a hand-tuned codec, checked
-// against a test-side table. The README's "Southbound protocol reference"
-// is generated from these tables.
+// encoder, decoder and pool reset. Only the envelope Message and the
+// columnar UE block (uetable.go) are written out by hand. The README's
+// "Southbound protocol reference" is generated from these tables.
 package protocol
 
 import (
@@ -132,9 +130,9 @@ var kinds = [kindMax]kindInfo{
 	KindUEConfigRequest:  retained[UEConfigRequest]("ue_config_request", CatManagement, "rare: on demand"),
 	KindUEConfigReply:    retained[UEConfigReply]("ue_config_reply", CatManagement, "rare: on demand"),
 	KindStatsRequest:     pooled("stats_request", CatStats, statsRequestFields.reset),
-	KindStatsReply:       pooled("stats_reply", CatStats, (*StatsReply).reset),
-	KindSubframeTrigger:  pooled("subframe_trigger", CatSync, (*SubframeTrigger).reset),
-	KindDLSchedule:       pooled("dl_schedule", CatCommands, (*DLSchedule).reset),
+	KindStatsReply:       pooled("stats_reply", CatStats, statsReplyFields.reset),
+	KindSubframeTrigger:  pooled("subframe_trigger", CatSync, subframeTriggerFields.reset),
+	KindDLSchedule:       pooled("dl_schedule", CatCommands, dlScheduleFields.reset),
 	KindULSchedule:       pooled("ul_schedule", CatCommands, (*ULSchedule).reset),
 	KindUEEvent:          pooled("ue_event", CatManagement, ueEventFields.reset),
 	KindVSFUpdate:        retained[VSFUpdate]("vsf_update", CatDelegation, "the module cache keeps Program"),

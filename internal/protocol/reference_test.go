@@ -4,54 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"flexran/internal/lte"
 	"flexran/internal/wire"
-)
-
-// The six payload structs with hand-tuned codecs declare their field tables
-// here: the tables are the reference implementation the tuned code is
-// checked against (TestTunedCodecsMatchTables), and what the README's
-// protocol reference prints for them.
-var (
-	cellStatsRef = newFields(
-		uintF(1, "cell", func(p *CellStats) *lte.CellID { return &p.Cell }),
-		uintF(2, "used_prb", func(p *CellStats) *uint32 { return &p.UsedPRB }),
-		uintF(3, "total_prb", func(p *CellStats) *uint32 { return &p.TotalPRB }),
-		boolF(4, "abs", func(p *CellStats) *bool { return &p.ABS }),
-	)
-	statsReplyRef = newFields(
-		uintF(statsID, "id", func(p *StatsReply) *uint32 { return &p.ID }),
-		uintF(statsSF, "sf", func(p *StatsReply) *lte.Subframe { return &p.SF }),
-		retired[StatsReply](3, "ues, one message per UE"),
-		repF(statsCells, "cells", func(p *StatsReply) *[]CellStats { return &p.Cells }),
-		ueBlockF(statsUEs, "ues", func(p *StatsReply) *UETable { return &p.UEs }),
-	)
-	subframeTriggerRef = newFields(
-		uintF(1, "sf", func(p *SubframeTrigger) *lte.Subframe { return &p.SF }),
-	)
-	allocRef = newFields(
-		uintF(1, "rnti", func(p *Alloc) *lte.RNTI { return &p.RNTI }),
-		uintF(2, "rb_start", func(p *Alloc) *uint16 { return &p.RBStart }),
-		uintF(3, "rb_count", func(p *Alloc) *uint16 { return &p.RBCount }),
-		uintF(4, "mcs", func(p *Alloc) *lte.MCS { return &p.MCS }),
-	)
-	dlScheduleRef = newFields(
-		uintF(1, "cell", func(p *DLSchedule) *lte.CellID { return &p.Cell }),
-		uintF(2, "target_sf", func(p *DLSchedule) *lte.Subframe { return &p.TargetSF }),
-		repF(3, "allocs", func(p *DLSchedule) *[]Alloc { return &p.Allocs }),
-	)
-	ulScheduleRef = newFields(
-		uintF(1, "cell", func(p *ULSchedule) *lte.CellID { return &p.Cell }),
-		uintF(2, "target_sf", func(p *ULSchedule) *lte.Subframe { return &p.TargetSF }),
-		repF(3, "allocs", func(p *ULSchedule) *[]Alloc { return &p.Allocs }),
-	)
 )
 
 // codec is a message struct seen through its own methods.
@@ -61,29 +20,24 @@ type codec interface {
 }
 
 // structRef is one message struct of the package, type-erased: what its
-// field table says, and how to run the table and the struct's own methods.
+// field table says, and a zero value to decode into.
 type structRef struct {
-	name  string // Go type, "protocol.Hello"
-	info  []fieldInfo
-	tuned bool         // the struct's methods are hand-written, the table test-side
-	new   func() codec // a zero value
-	// marshal, unmarshal and reset run the table on a value new returned.
-	marshal   func(codec, *wire.Encoder)
-	unmarshal func(codec, *wire.Decoder) error
-	reset     func(codec)
+	name string // Go type, "protocol.Hello"
+	info []fieldInfo
+	new  func() codec
 }
 
-func refOf[T any, P message[T]](fs *fields[T], tuned bool) structRef {
-	r := structRef{
-		name: fmt.Sprintf("%T", *new(T)), tuned: tuned,
-		new:       func() codec { return P(new(T)) },
-		marshal:   func(c codec, e *wire.Encoder) { fs.marshal((*T)(c.(P)), e) },
-		unmarshal: func(c codec, d *wire.Decoder) error { return fs.unmarshal((*T)(c.(P)), d) },
-		reset:     func(c codec) { fs.reset((*T)(c.(P))) },
-	}
+func refOf[T any, P message[T]](fs *fields[T]) structRef {
+	r := structRef{name: fmt.Sprintf("%T", *new(T)), new: func() codec { return P(new(T)) }}
 	for _, f := range fs.list {
 		r.info = append(r.info, f.fieldInfo)
 	}
+	return r
+}
+
+// refAs is r for the struct T, which travels through r's table.
+func refAs[T any, P message[T]](r structRef) structRef {
+	r.name, r.new = fmt.Sprintf("%T", *new(T)), func() codec { return P(new(T)) }
 	return r
 }
 
@@ -91,20 +45,20 @@ func refOf[T any, P message[T]](fs *fields[T], tuned bool) structRef {
 // the UE block, which are not field tables. TestProtocolReference walks it
 // from the kinds table and fails on a struct that is reachable and missing.
 var structRefs = []structRef{
-	refOf(helloFields, false), refOf(helloAckFields, false),
-	refOf(echoFields, false), refOf(echoReplyFields, false),
-	refOf(enbConfigRequestFields, false), refOf(enbConfigReplyFields, false),
-	refOf(ueConfigRequestFields, false), refOf(ueConfigReplyFields, false),
-	refOf(statsRequestFields, false), refOf(statsReplyRef, true),
-	refOf(subframeTriggerRef, true), refOf(dlScheduleRef, true), refOf(ulScheduleRef, true),
-	refOf(ueEventFields, false), refOf(vsfUpdateFields, false),
-	refOf(policyReconfFields, false), refOf(controlAckFields, false),
-	refOf(measReportFields, false), refOf(handoverCommandFields, false),
-	refOf(handoverCompleteFields, false), refOf(resyncRequestFields, false),
-	refOf(stateSnapshotFields, false),
+	refOf(helloFields), refOf(helloAckFields),
+	refOf(echoFields), refOf(echoReplyFields),
+	refOf(enbConfigRequestFields), refOf(enbConfigReplyFields),
+	refOf(ueConfigRequestFields), refOf(ueConfigReplyFields),
+	refOf(statsRequestFields), refOf(statsReplyFields),
+	refOf(subframeTriggerFields), refOf(dlScheduleFields), refAs[ULSchedule](refOf(dlScheduleFields)),
+	refOf(ueEventFields), refOf(vsfUpdateFields),
+	refOf(policyReconfFields), refOf(controlAckFields),
+	refOf(measReportFields), refOf(handoverCommandFields),
+	refOf(handoverCompleteFields), refOf(resyncRequestFields),
+	refOf(stateSnapshotFields),
 	// nested only
-	refOf(enbConfigFields, false), refOf(cellConfigFields, false), refOf(ueConfigFields, false),
-	refOf(cellStatsRef, true), refOf(allocRef, true), refOf(neighborMeasFields, false),
+	refOf(enbConfigFields), refOf(cellConfigFields), refOf(ueConfigFields),
+	refOf(cellStatsFields), refOf(allocFields), refOf(neighborMeasFields),
 }
 
 const ueTableType = "protocol.UETable"
@@ -158,110 +112,10 @@ func TestFieldTableRejectsDuplicateNumbers(t *testing.T) {
 	)
 }
 
-// Random values for the tuned structs. Every scalar spans its type's whole
-// range, so multi-byte varints and the range checks' edges are drawn.
-
-func randomCellStats(r *rand.Rand) CellStats {
-	return CellStats{Cell: lte.CellID(r.Uint32()), UsedPRB: r.Uint32() >> uint(r.Intn(32)),
-		TotalPRB: r.Uint32(), ABS: r.Intn(2) == 0}
-}
-
-func randomAlloc(r *rand.Rand) Alloc {
-	return Alloc{RNTI: lte.RNTI(r.Uint32()), RBStart: uint16(r.Uint32() >> uint(r.Intn(16))),
-		RBCount: uint16(r.Uint32()), MCS: lte.MCS(r.Uint32())}
-}
-
-func randomDLSchedule(r *rand.Rand) DLSchedule {
-	s := DLSchedule{Cell: lte.CellID(r.Uint32()), TargetSF: lte.Subframe(r.Uint64() >> uint(r.Intn(64)))}
-	for n := r.Intn(5); n > 0; n-- {
-		s.Allocs = append(s.Allocs, randomAlloc(r))
-	}
-	return s
-}
-
-func randomStatsReply(r *rand.Rand) StatsReply {
-	s := StatsReply{ID: r.Uint32() >> uint(r.Intn(32)), SF: lte.Subframe(r.Uint64() >> uint(r.Intn(64)))}
-	for i, n := 0, r.Intn(4); i < n; i++ {
-		row := randomRow(r, i)
-		s.UEs.Append(&row)
-	}
-	for n := r.Intn(3); n > 0; n-- {
-		s.Cells = append(s.Cells, randomCellStats(r))
-	}
-	return s
-}
-
-// TestTunedCodecsMatchTables holds the hand-written codecs to their field
-// tables (the TestSchedulersMatchReference pattern): on the corpus payloads
-// and on 3,000 seeded random values per struct, the struct's MarshalWire
-// and the table's marshal produce the same bytes, the struct's UnmarshalWire
-// and the table's unmarshal read them back to the same value, and the two
-// resets leave the same (empty) message behind.
-func TestTunedCodecsMatchTables(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	values := map[string][]codec{}
-	add := func(c codec) {
-		name := strings.TrimPrefix(fmt.Sprintf("%T", c), "*")
-		values[name] = append(values[name], c)
-	}
-	for _, p := range corpusPayloads() {
-		add(p)
-		switch p := p.(type) {
-		case *StatsReply:
-			add(&p.Cells[0])
-		case *DLSchedule:
-			add(&p.Allocs[0])
-		}
-	}
-	for i := 0; i < 3000; i++ {
-		cs, al, dl, ul, sr := randomCellStats(r), randomAlloc(r), randomDLSchedule(r), ULSchedule(randomDLSchedule(r)), randomStatsReply(r)
-		add(&cs)
-		add(&al)
-		add(&dl)
-		add(&ul)
-		add(&sr)
-		add(&SubframeTrigger{SF: lte.Subframe(r.Uint64() >> uint(r.Intn(64)))})
-	}
-	for _, ref := range structRefs {
-		if !ref.tuned {
-			continue
-		}
-		if len(values[ref.name]) < 3000 {
-			t.Errorf("%s: %d values to check, want the corpus and 3,000 random ones", ref.name, len(values[ref.name]))
-		}
-		empty := wire.Marshal(ref.new())
-		for _, v := range values[ref.name] {
-			tuned := wire.Marshal(v)
-			var e wire.Encoder
-			ref.marshal(v, &e)
-			if !bytes.Equal(tuned, e.Bytes()) {
-				t.Fatalf("%s %+v: encodings differ:\ntuned %x\ntable %x", ref.name, v, tuned, e.Bytes())
-			}
-			byTuned, byTable := ref.new(), ref.new()
-			if err := wire.Unmarshal(tuned, byTuned); err != nil {
-				t.Fatalf("%s %+v: tuned decode: %v", ref.name, v, err)
-			}
-			if err := ref.unmarshal(byTable, wire.NewDecoder(tuned)); err != nil {
-				t.Fatalf("%s %+v: table decode: %v", ref.name, v, err)
-			}
-			if !reflect.DeepEqual(byTuned, v) || !reflect.DeepEqual(byTable, v) {
-				t.Fatalf("%s: decodes differ:\n want %+v\ntuned %+v\ntable %+v", ref.name, v, byTuned, byTable)
-			}
-			if p, ok := byTuned.(Payload); ok && kinds[p.Kind()].reset != nil {
-				kinds[p.Kind()].reset(p)
-				ref.reset(byTable)
-				if !reflect.DeepEqual(byTuned, byTable) || !bytes.Equal(wire.Marshal(byTuned), empty) {
-					t.Fatalf("%s: resets differ or leave state behind:\ntuned %+v\ntable %+v", ref.name, byTuned, byTable)
-				}
-			}
-		}
-	}
-}
-
 // TestScalarsNeverTruncate: whatever varint a peer puts in a scalar field,
 // the struct either decodes to exactly that value or refuses the message
-// with wire.ErrRange — for every field of every struct, tuned ones through
-// their own decoders. (A bool reads any non-zero varint as true.)
+// with wire.ErrRange — for every field of every struct. (A bool reads any
+// non-zero varint as true.)
 func TestScalarsNeverTruncate(t *testing.T) {
 	probes := []uint64{1, 0xff, 0x100, 0xffff, 0x10000, 0x10046, 1<<32 - 1, 1 << 32, 1<<32 + 2, 1<<63 + 5, 1<<64 - 1}
 	for _, ref := range structRefs {
@@ -398,15 +252,11 @@ func protocolReference(t *testing.T) string {
 	for k := KindHello; k < kindMax; k++ {
 		typ := strings.TrimPrefix(fmt.Sprintf("%T", kinds[k].new()), "*")
 		kindOf[typ] = k
-		ref, _ := refByName(typ)
-		how, keeps := "field table", "leaves it alone — "+kinds[k].why
-		if ref.tuned {
-			how = "hand-tuned, checked against its table"
-		}
+		keeps := "leaves it alone — " + kinds[k].why
 		if kinds[k].pool != nil {
 			keeps = "recycles it — " + kinds[k].why
 		}
-		fmt.Fprintf(&b, "| %d | `%s` | %s | %s | %s |\n", k, k, k.Category(), how, keeps)
+		fmt.Fprintf(&b, "| %d | `%s` | %s | field table | %s |\n", k, k, k.Category(), keeps)
 	}
 	for k := KindHello; k < kindMax; k++ {
 		reach(strings.TrimPrefix(fmt.Sprintf("%T", kinds[k].new()), "*"))

@@ -5,10 +5,6 @@ import (
 	"flexran/internal/wire"
 )
 
-// The scheduling commands travel every TTI under centralized scheduling
-// (32 Allocs a cell), so their codecs are written out, not table-driven;
-// reference_test.go checks them against their field tables.
-
 // Alloc is one UE's allocation within a scheduling decision: the resource
 // blocks and modulation/coding the data plane must apply.
 type Alloc struct {
@@ -20,39 +16,16 @@ type Alloc struct {
 	MCS     lte.MCS
 }
 
-// MarshalWire implements wire.Marshaler.
-func (a *Alloc) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(a.RNTI))
-	e.Uint(2, uint64(a.RBStart))
-	e.Uint(3, uint64(a.RBCount))
-	e.Uint(4, uint64(a.MCS))
-}
+var allocFields = newFields(
+	uintF(1, "rnti", func(p *Alloc) *lte.RNTI { return &p.RNTI }),
+	uintF(2, "rb_start", func(p *Alloc) *uint16 { return &p.RBStart }),
+	uintF(3, "rb_count", func(p *Alloc) *uint16 { return &p.RBCount }),
+	uintF(4, "mcs", func(p *Alloc) *lte.MCS { return &p.MCS }),
+)
 
-// UnmarshalWire implements wire.Unmarshaler. Every field is a varint, so the
-// value is read before the number is looked at; a field of another wire type
-// is one a newer peer added, and is skipped.
-func (a *Alloc) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		if d.WireType() != wire.TVarint {
-			return d.Skip()
-		}
-		v, err := d.ReadUint()
-		if err != nil {
-			return err
-		}
-		switch f {
-		case 1:
-			return narrow(&a.RNTI, v)
-		case 2:
-			return narrow(&a.RBStart, v)
-		case 3:
-			return narrow(&a.RBCount, v)
-		case 4:
-			return narrow(&a.MCS, v)
-		}
-		return nil
-	})
-}
+// MarshalWire and UnmarshalWire implement the wire interfaces through allocFields.
+func (p *Alloc) MarshalWire(e *wire.Encoder)         { allocFields.marshal(p, e) }
+func (p *Alloc) UnmarshalWire(d *wire.Decoder) error { return allocFields.unmarshal(p, d) }
 
 // DLSchedule is a downlink MAC scheduling command (Table 1 "Commands").
 // TargetSF is the subframe the decision must be applied in; a command
@@ -64,42 +37,16 @@ type DLSchedule struct {
 	Allocs   []Alloc
 }
 
-// Kind implements Payload.
-func (*DLSchedule) Kind() Kind { return KindDLSchedule }
+var dlScheduleFields = newFields(
+	uintF(1, "cell", func(p *DLSchedule) *lte.CellID { return &p.Cell }),
+	uintF(2, "target_sf", func(p *DLSchedule) *lte.Subframe { return &p.TargetSF }),
+	repF(3, "allocs", func(p *DLSchedule) *[]Alloc { return &p.Allocs }),
+)
 
-// reset is the kind's pool reset (kinds table).
-func (p *DLSchedule) reset() {
-	allocs := p.Allocs
-	*p = DLSchedule{}
-	p.Allocs = allocs[:0]
-}
-
-// MarshalWire implements wire.Marshaler.
-func (p *DLSchedule) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(p.Cell))
-	e.Uint(2, uint64(p.TargetSF))
-	for i := range p.Allocs {
-		e.Message(3, &p.Allocs[i])
-	}
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *DLSchedule) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case 1:
-			return readUint(d, &p.Cell)
-		case 2:
-			return readUint(d, &p.TargetSF)
-		case 3:
-			var a *Alloc
-			p.Allocs, a = grow(p.Allocs)
-			*a = Alloc{}
-			return d.ReadMessage(a)
-		}
-		return d.Skip()
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through dlScheduleFields.
+func (*DLSchedule) Kind() Kind                            { return KindDLSchedule }
+func (p *DLSchedule) MarshalWire(e *wire.Encoder)         { dlScheduleFields.marshal(p, e) }
+func (p *DLSchedule) UnmarshalWire(d *wire.Decoder) error { return dlScheduleFields.unmarshal(p, d) }
 
 // ULSchedule is an uplink grant command, structurally identical to
 // DLSchedule but applied to the uplink shared channel.
@@ -113,7 +60,9 @@ type ULSchedule struct {
 func (*ULSchedule) Kind() Kind { return KindULSchedule }
 
 // The uplink command's wire form is the downlink's under another kind, so
-// its codec and reset are DLSchedule's.
-func (p *ULSchedule) reset()                              { (*DLSchedule)(p).reset() }
-func (p *ULSchedule) MarshalWire(e *wire.Encoder)         { (*DLSchedule)(p).MarshalWire(e) }
-func (p *ULSchedule) UnmarshalWire(d *wire.Decoder) error { return (*DLSchedule)(p).UnmarshalWire(d) }
+// its codec and reset are dlScheduleFields.
+func (p *ULSchedule) reset()                      { dlScheduleFields.reset((*DLSchedule)(p)) }
+func (p *ULSchedule) MarshalWire(e *wire.Encoder) { dlScheduleFields.marshal((*DLSchedule)(p), e) }
+func (p *ULSchedule) UnmarshalWire(d *wire.Decoder) error {
+	return dlScheduleFields.unmarshal((*DLSchedule)(p), d)
+}

@@ -130,39 +130,16 @@ type CellStats struct {
 	ABS      bool // whether the reported subframe was almost-blank
 }
 
-// MarshalWire implements wire.Marshaler.
-func (s *CellStats) MarshalWire(e *wire.Encoder) {
-	e.Uint(1, uint64(s.Cell))
-	e.Uint(2, uint64(s.UsedPRB))
-	e.Uint(3, uint64(s.TotalPRB))
-	e.Bool(4, s.ABS)
-}
+var cellStatsFields = newFields(
+	uintF(1, "cell", func(p *CellStats) *lte.CellID { return &p.Cell }),
+	uintF(2, "used_prb", func(p *CellStats) *uint32 { return &p.UsedPRB }),
+	uintF(3, "total_prb", func(p *CellStats) *uint32 { return &p.TotalPRB }),
+	boolF(4, "abs", func(p *CellStats) *bool { return &p.ABS }),
+)
 
-// UnmarshalWire implements wire.Unmarshaler. Every field is a varint, so the
-// value is read before the number is looked at; a field of another wire type
-// is one a newer peer added, and is skipped.
-func (s *CellStats) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		if d.WireType() != wire.TVarint {
-			return d.Skip()
-		}
-		v, err := d.ReadUint()
-		if err != nil {
-			return err
-		}
-		switch f {
-		case 1:
-			return narrow(&s.Cell, v)
-		case 2:
-			return narrow(&s.UsedPRB, v)
-		case 3:
-			return narrow(&s.TotalPRB, v)
-		case 4:
-			s.ABS = v != 0
-		}
-		return nil
-	})
-}
+// MarshalWire and UnmarshalWire implement the wire interfaces through cellStatsFields.
+func (p *CellStats) MarshalWire(e *wire.Encoder)         { cellStatsFields.marshal(p, e) }
+func (p *CellStats) UnmarshalWire(d *wire.Decoder) error { return cellStatsFields.unmarshal(p, d) }
 
 // StatsReply carries one report for a subscription. Per-UE entries are
 // aggregated into a single message — the paper attributes the sublinear
@@ -175,17 +152,6 @@ type StatsReply struct {
 	Cells []CellStats
 }
 
-// Kind implements Payload.
-func (*StatsReply) Kind() Kind { return KindStatsReply }
-
-// reset is the kind's pool reset (kinds table). The table and the cells
-// are truncated, not dropped: their capacity is reused by the next decode.
-func (p *StatsReply) reset() {
-	p.ID, p.SF = 0, 0
-	p.UEs.Resize(0)
-	p.Cells = p.Cells[:0]
-}
-
 // StatsReply wire fields. Field 3 carried one nested message per UE before
 // the columnar block; it is retired and must not be reused.
 const (
@@ -195,34 +161,15 @@ const (
 	statsUEs   = 5
 )
 
-// MarshalWire implements wire.Marshaler.
-func (p *StatsReply) MarshalWire(e *wire.Encoder) {
-	e.Uint(statsID, uint64(p.ID))
-	e.Uint(statsSF, uint64(p.SF))
-	for i := range p.Cells {
-		e.Message(statsCells, &p.Cells[i])
-	}
-	if p.UEs.Len() > 0 {
-		e.Message(statsUEs, &p.UEs)
-	}
-}
+var statsReplyFields = newFields(
+	uintF(statsID, "id", func(p *StatsReply) *uint32 { return &p.ID }),
+	uintF(statsSF, "sf", func(p *StatsReply) *lte.Subframe { return &p.SF }),
+	retired[StatsReply](3, "ues, one message per UE"),
+	repF(statsCells, "cells", func(p *StatsReply) *[]CellStats { return &p.Cells }),
+	ueBlockF(statsUEs, "ues", func(p *StatsReply) *UETable { return &p.UEs }),
+)
 
-// UnmarshalWire implements wire.Unmarshaler.
-func (p *StatsReply) UnmarshalWire(d *wire.Decoder) error {
-	return eachField(d, func(f int) error {
-		switch f {
-		case statsID:
-			return readUint(d, &p.ID)
-		case statsSF:
-			return readUint(d, &p.SF)
-		case statsCells:
-			var c *CellStats
-			p.Cells, c = grow(p.Cells)
-			*c = CellStats{}
-			return d.ReadMessage(c)
-		case statsUEs:
-			return d.ReadMessage(&p.UEs)
-		}
-		return d.Skip()
-	})
-}
+// Kind, MarshalWire and UnmarshalWire implement Payload through statsReplyFields.
+func (*StatsReply) Kind() Kind                            { return KindStatsReply }
+func (p *StatsReply) MarshalWire(e *wire.Encoder)         { statsReplyFields.marshal(p, e) }
+func (p *StatsReply) UnmarshalWire(d *wire.Decoder) error { return statsReplyFields.unmarshal(p, d) }

@@ -434,7 +434,13 @@ func (p *Program) decodeCode(raw []byte) error {
 		if op >= uint64(opLastPlus) {
 			return fmt.Errorf("vsfdsl: invalid opcode %d", op)
 		}
-		p.code = append(p.code, instr{opcode(op), int32(wire.Unzigzag(arg))})
+		// An argument the instruction cannot hold is refused, not wrapped
+		// into another slot, constant or jump target.
+		a := wire.Unzigzag(arg)
+		if int64(int32(a)) != a {
+			return fmt.Errorf("vsfdsl: instruction %d argument %d: %w", len(p.code), a, wire.ErrRange)
+		}
+		p.code = append(p.code, instr{opcode(op), int32(a)})
 	}
 	return nil
 }

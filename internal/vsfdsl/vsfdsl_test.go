@@ -22,44 +22,48 @@ func eval(t *testing.T, src string, vars []string, env []float64) float64 {
 	return v
 }
 
+// The expression tables below are also FuzzProgramDecode's seeds.
+
+var arithmeticCases = map[string]float64{
+	"1 + 2 * 3":   7,
+	"(1 + 2) * 3": 9,
+	"10 - 4 - 3":  3, // left associative
+	"7 / 2":       3.5,
+	"7 % 3":       1,
+	"-3 + 1":      -2,
+	"--3":         3,
+	"2 * -4":      -8,
+	"1.5e2 + 0.5": 150.5,
+	"0.1 + 0.2":   0.30000000000000004,
+}
+
 func TestArithmetic(t *testing.T) {
-	cases := map[string]float64{
-		"1 + 2 * 3":   7,
-		"(1 + 2) * 3": 9,
-		"10 - 4 - 3":  3, // left associative
-		"7 / 2":       3.5,
-		"7 % 3":       1,
-		"-3 + 1":      -2,
-		"--3":         3,
-		"2 * -4":      -8,
-		"1.5e2 + 0.5": 150.5,
-		"0.1 + 0.2":   0.30000000000000004,
-	}
-	for src, want := range cases {
+	for src, want := range arithmeticCases {
 		if got := eval(t, src, nil, nil); got != want {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}
 	}
 }
 
+var logicCases = map[string]float64{
+	"1 < 2":              1,
+	"2 < 1":              0,
+	"2 <= 2":             1,
+	"3 >= 4":             0,
+	"1 == 1":             1,
+	"1 != 1":             0,
+	"1 && 0":             0,
+	"1 && 2":             1,
+	"0 || 0":             0,
+	"0 || 5":             1,
+	"!0":                 1,
+	"!3":                 0,
+	"1 < 2 && 3 > 2":     1,
+	"1 < 2 || 1 / 0 > 0": 1, // eager but well-defined (Inf)
+}
+
 func TestComparisonsAndLogic(t *testing.T) {
-	cases := map[string]float64{
-		"1 < 2":              1,
-		"2 < 1":              0,
-		"2 <= 2":             1,
-		"3 >= 4":             0,
-		"1 == 1":             1,
-		"1 != 1":             0,
-		"1 && 0":             0,
-		"1 && 2":             1,
-		"0 || 0":             0,
-		"0 || 5":             1,
-		"!0":                 1,
-		"!3":                 0,
-		"1 < 2 && 3 > 2":     1,
-		"1 < 2 || 1 / 0 > 0": 1, // eager but well-defined (Inf)
-	}
-	for src, want := range cases {
+	for src, want := range logicCases {
 		if got := eval(t, src, nil, nil); got != want {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}
@@ -87,6 +91,20 @@ func TestTernary(t *testing.T) {
 	}
 }
 
+var functionCases = map[string]float64{
+	"min(3, 5)":        3,
+	"max(3, 5)":        5,
+	"abs(-4)":          4,
+	"floor(2.9)":       2,
+	"ceil(2.1)":        3,
+	"sqrt(16)":         4,
+	"exp(0)":           1,
+	"pow(2, 10)":       1024,
+	"clamp(15, 0, 10)": 10,
+	"clamp(-1, 0, 10)": 0,
+	"clamp(5, 0, 10)":  5,
+}
+
 func TestVariablesAndFunctions(t *testing.T) {
 	vars := []string{"queue", "inst_rate", "avg_rate"}
 	// The canonical proportional-fair metric from the paper's scheduling
@@ -100,20 +118,7 @@ func TestVariablesAndFunctions(t *testing.T) {
 		t.Errorf("empty queue = %v, want -1", got)
 	}
 
-	fn := map[string]float64{
-		"min(3, 5)":        3,
-		"max(3, 5)":        5,
-		"abs(-4)":          4,
-		"floor(2.9)":       2,
-		"ceil(2.1)":        3,
-		"sqrt(16)":         4,
-		"exp(0)":           1,
-		"pow(2, 10)":       1024,
-		"clamp(15, 0, 10)": 10,
-		"clamp(-1, 0, 10)": 0,
-		"clamp(5, 0, 10)":  5,
-	}
-	for src, want := range fn {
+	for src, want := range functionCases {
 		if got := eval(t, src, nil, nil); got != want {
 			t.Errorf("%q = %v, want %v", src, got, want)
 		}

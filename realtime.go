@@ -200,6 +200,15 @@ func WithSliceBroker(reg northbound.SliceRegistry) NorthboundOption {
 	return func(s *northbound.Server) { s.AttachSlices(reg) }
 }
 
+// Northbound connection limits. A client that has not sent its request
+// headers within NorthboundHeaderTimeout, or keeps an idle connection
+// open for NorthboundIdleTimeout, is disconnected. There is no write
+// timeout: /watch is a long-lived event stream.
+const (
+	NorthboundHeaderTimeout = 5 * time.Second
+	NorthboundIdleTimeout   = 2 * time.Minute
+)
+
 // ServeNorthbound binds addr and serves the master's northbound HTTP API
 // (internal/northbound): RIB queries, the live /watch event stream,
 // actuation endpoints and — with WithSliceBroker — the /slices resource
@@ -215,7 +224,8 @@ func ServeNorthbound(m *Master, ls *LoopStats, addr string, stop <-chan struct{}
 	for _, opt := range opts {
 		opt(h)
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h,
+		ReadHeaderTimeout: NorthboundHeaderTimeout, IdleTimeout: NorthboundIdleTimeout}
 	go func() {
 		<-stop
 		srv.Close()

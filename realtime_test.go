@@ -1,6 +1,8 @@
 package flexran_test
 
 import (
+	"io"
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -284,5 +286,33 @@ func TestRealTimeStopIsCleanExit(t *testing.T) {
 				t.Fatalf("cycle %d: loop error: %v", cycle, err)
 			}
 		}
+	}
+}
+
+// TestNorthboundDropsStalledHeaders: a client that sends half a request
+// line and then nothing is disconnected once NorthboundHeaderTimeout has
+// passed, instead of holding a connection and a goroutine forever.
+func TestNorthboundDropsStalledHeaders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	t.Parallel()
+	stop := make(chan struct{})
+	defer close(stop)
+	addr, err := flexran.ServeNorthbound(flexran.NewMaster(flexran.DefaultMasterOptions()), nil, "127.0.0.1:0", stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /hea")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(flexran.NorthboundHeaderTimeout + 2*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("the server held the stalled connection open: %v", err)
 	}
 }
