@@ -329,18 +329,21 @@ func TestSignedVSFEnforcement(t *testing.T) {
 	}
 }
 
+// badPolicies are policy documents every agent must refuse (they also
+// seed FuzzPolicyDoc).
+var badPolicies = []string{
+	"nosuchmodule:\n  x: 1\n",
+	"mac:\n  nosuchop:\n    behavior: rr\n",
+	"mac:\n  dl_ue_sched:\n    behavior: nosuchvsf\n",
+	"agent:\n  nosuchknob: 1\n",
+	"agent:\n  sync_period: notanumber\n",
+	"rrc:\n  nosuchknob: 1\n",
+	":::",
+}
+
 func TestPolicyReconfErrors(t *testing.T) {
 	h := newHarness(t, Options{})
-	cases := []string{
-		"nosuchmodule:\n  x: 1\n",
-		"mac:\n  nosuchop:\n    behavior: rr\n",
-		"mac:\n  dl_ue_sched:\n    behavior: nosuchvsf\n",
-		"agent:\n  nosuchknob: 1\n",
-		"agent:\n  sync_period: notanumber\n",
-		"rrc:\n  nosuchknob: 1\n",
-		":::",
-	}
-	for _, doc := range cases {
+	for _, doc := range badPolicies {
 		if err := h.agent.Reconfigure(doc); err == nil {
 			t.Errorf("policy %q accepted", doc)
 		}

@@ -87,6 +87,30 @@ func TestMonitorCollectsSeries(t *testing.T) {
 	}
 }
 
+// TestMonitorSeriesAreBounded: a monitor sampling for longer than its
+// window keeps the newest MonitorWindow samples, and RateSeries hands out
+// a copy the next sample does not move.
+func TestMonitorSeriesAreBounded(t *testing.T) {
+	mon := apps.NewMonitor(1)
+	mon.OnWatch(nil, controller.WatchEvent{Kind: controller.WatchStats, ENB: 1, DLKbps: 7})
+	const samples = 3 * apps.MonitorWindow
+	for c := range lte.Subframe(samples) {
+		mon.OnTick(nil, c)
+	}
+	series := mon.RateSeries(1)
+	if series.Len() != apps.MonitorWindow || len(series.T) != apps.MonitorWindow {
+		t.Fatalf("%d samples after %d cycles, want the newest %d", series.Len(), samples, apps.MonitorWindow)
+	}
+	if first, last := series.T[0], series.T[len(series.T)-1]; first != lte.Subframe(samples-apps.MonitorWindow).Seconds() ||
+		last != lte.Subframe(samples-1).Seconds() {
+		t.Errorf("window spans %v..%v s", first, last)
+	}
+	mon.OnTick(nil, samples)
+	if got := series.T[len(series.T)-1]; got != lte.Subframe(samples-1).Seconds() {
+		t.Errorf("a later sample moved the returned copy to %v s", got)
+	}
+}
+
 func TestMECAssistRecommendations(t *testing.T) {
 	s := sim.MustNew(sim.Config{Master: masterOpts()}, sim.ENBSpec{
 		ID: 1, Agent: true, Seed: 1,

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"slices"
 	"sync"
 
 	"flexran/internal/controller"
@@ -19,18 +20,16 @@ type Monitor struct {
 	// EveryTTI is the sampling period in master cycles.
 	EveryTTI int
 
-	mu      sync.Mutex
-	last    map[lte.ENBID]monSample
-	rate    map[lte.ENBID]*metrics.Series // aggregate DL rate, kb/s
-	ueCount map[lte.ENBID]*metrics.Series
-	events  int
+	mu     sync.Mutex
+	last   map[lte.ENBID]float64         // latest aggregate DL rate, kb/s
+	rate   map[lte.ENBID]*metrics.Series // aggregate DL rate, kb/s
+	events int
 }
 
-// monSample is the latest aggregate reported by one agent.
-type monSample struct {
-	kbps float64
-	ues  int
-}
+// MonitorWindow bounds each agent's series to its newest samples, so a
+// monitor on a long-running master holds a fixed window (at the default
+// period of 100 cycles, the last 102 s) rather than growing forever.
+const MonitorWindow = 1024
 
 // NewMonitor builds a monitor sampling every period cycles.
 func NewMonitor(period int) *Monitor {
@@ -39,9 +38,8 @@ func NewMonitor(period int) *Monitor {
 	}
 	return &Monitor{
 		EveryTTI: period,
-		last:     map[lte.ENBID]monSample{},
+		last:     map[lte.ENBID]float64{},
 		rate:     map[lte.ENBID]*metrics.Series{},
-		ueCount:  map[lte.ENBID]*metrics.Series{},
 	}
 }
 
@@ -57,10 +55,10 @@ func (m *Monitor) OnWatch(_ *controller.Context, ev controller.WatchEvent) {
 	defer m.mu.Unlock()
 	switch ev.Kind {
 	case controller.WatchStats:
-		m.last[ev.ENB] = monSample{kbps: ev.DLKbps, ues: ev.UEs}
+		m.last[ev.ENB] = ev.DLKbps
 	case controller.WatchHello, controller.WatchUp:
 		if _, ok := m.last[ev.ENB]; !ok {
-			m.last[ev.ENB] = monSample{}
+			m.last[ev.ENB] = 0
 		}
 	case controller.WatchDown:
 		delete(m.last, ev.ENB)
@@ -78,21 +76,28 @@ func (m *Monitor) OnTick(_ *controller.Context, cycle lte.Subframe) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := cycle.Seconds()
-	for enbID, s := range m.last {
-		if m.rate[enbID] == nil {
-			m.rate[enbID] = &metrics.Series{}
-			m.ueCount[enbID] = &metrics.Series{}
+	for enbID, kbps := range m.last {
+		r := m.rate[enbID]
+		if r == nil {
+			r = &metrics.Series{}
+			m.rate[enbID] = r
 		}
-		m.rate[enbID].Add(t, s.kbps)
-		m.ueCount[enbID].Add(t, float64(s.ues))
+		r.Add(t, kbps)
+		r.Trim(MonitorWindow)
 	}
 }
 
-// RateSeries returns the sampled aggregate DL rate of an agent (kb/s).
+// RateSeries returns a copy of the sampled aggregate DL rate of an agent
+// (kb/s), at most MonitorWindow samples, oldest first; nil for an agent
+// never sampled.
 func (m *Monitor) RateSeries(enb lte.ENBID) *metrics.Series {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.rate[enb]
+	r := m.rate[enb]
+	if r == nil {
+		return nil
+	}
+	return &metrics.Series{T: slices.Clone(r.T), V: slices.Clone(r.V)}
 }
 
 // Events returns the number of UE events observed on the watch stream.

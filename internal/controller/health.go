@@ -113,7 +113,7 @@ func sequencedKind(p protocol.Payload) bool {
 // stamped with the next sequence number and the payload is retained for
 // retransmission until the agent's ControlAck retires it. The assigned
 // sequence number is returned directly to the caller — the correlation
-// handle for cmd_failed events, Acks and the command-outcome registry (0
+// handle for cmd_failed events and the command-outcome registry (0
 // when the payload was not sequenced). Callers reach it through
 // Context.Send and the Context command helpers, which run in the
 // application slot — sequence assignment is therefore serial and
@@ -177,43 +177,36 @@ func (s *session) observeRTT(rtt lte.Subframe) {
 	s.rttEwmaX8 += int64(rtt) - s.rttEwmaX8/8
 }
 
-// retrySweep runs the reliable-delivery retransmission pass: a pending
-// command whose backoff window expired is retransmitted with the same
-// sequence number (the agent dedups and re-acks), doubling the wait each
-// try; one that spent its retransmission budget is dropped and reported as
-// failed. Runs after the updater barrier, sessions in attach order and
-// commands in sequence order, so retransmit traffic is deterministic.
-func (m *Master) retrySweep(sessions []*session, fails []cmdFailure) []cmdFailure {
-	enbs := m.snapshotBindings(sessions)
+// retransmit is the session's reliable-delivery pass: a pending command
+// whose backoff window expired is retransmitted with the same sequence
+// number (the agent dedups and re-acks), doubling the wait each try; one
+// that spent its retransmission budget is dropped and appended to fails.
+// Commands go in sequence order, so retransmit traffic is deterministic.
+func (m *Master) retransmit(s *session, enb lte.ENBID, fails []cmdFailure) []cmdFailure {
 	budget := m.cmdRetryBudget()
 	base := lte.Subframe(m.opts.CmdRetryTTI)
-	for i, s := range sessions {
-		if enbs[i] == 0 || s.isClosed() {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	keep := s.pending[:0]
+	for _, p := range s.pending {
+		wait := base << min(p.tries-1, 3) // exp backoff, capped at 8×
+		if m.cycle-p.sentAt < wait {
+			keep = append(keep, p)
 			continue
 		}
-		s.qmu.Lock()
-		keep := s.pending[:0]
-		for _, p := range s.pending {
-			wait := base << min(p.tries-1, 3) // exp backoff, capped at 8×
-			if m.cycle-p.sentAt < wait {
-				keep = append(keep, p)
-				continue
-			}
-			if p.tries-1 >= budget {
-				fails = append(fails, cmdFailure{enb: enbs[i], seq: p.seq, payload: p.payload})
-				continue
-			}
-			p.tries++
-			p.sentAt = m.cycle
-			keep = append(keep, p)
-			msg := protocol.AcquireMessage(enbs[i], m.cycle, p.payload)
-			msg.CmdSeq = p.seq
-			s.send(msg) //nolint:errcheck // a failed retransmit waits for the next window
-			msg.Release()
+		if p.tries-1 >= budget {
+			fails = append(fails, cmdFailure{enb: enb, seq: p.seq, payload: p.payload})
+			continue
 		}
-		s.pending = keep
-		s.qmu.Unlock()
+		p.tries++
+		p.sentAt = m.cycle
+		keep = append(keep, p)
+		msg := protocol.AcquireMessage(enb, m.cycle, p.payload)
+		msg.CmdSeq = p.seq
+		s.send(msg) //nolint:errcheck // a failed retransmit waits for the next window
+		msg.Release()
 	}
+	s.pending = keep
 	return fails
 }
 
@@ -234,44 +227,33 @@ func (m *Master) failPending(s *session, enb lte.ENBID) {
 	m.mu.Unlock()
 }
 
-// healthTick evaluates every bound session against the health thresholds
-// and returns the transitions to publish this cycle. Downgrades apply
-// immediately; recovery (including partial recovery to a better but still
-// unhealthy state) requires the improved conditions to hold for
-// HealthRecoverTTI cycles — the hysteresis that keeps a flapping link from
-// flapping the policy layer. Runs after the updater barrier and the
-// heartbeat, so per-session fields are stable.
-func (m *Master) healthTick(sessions []*session) []WatchEvent {
-	var evs []WatchEvent
-	enbs := m.snapshotBindings(sessions)
-	for i, s := range sessions {
-		if enbs[i] == 0 || s.isClosed() {
-			continue
+// grade re-scores the session against the health thresholds and appends
+// a transition to evs. Downgrades apply immediately; recovery (including
+// partial recovery to a better but still unhealthy state) requires the
+// improved conditions to hold for HealthRecoverTTI cycles — the hysteresis
+// that keeps a flapping link from flapping the policy layer. It runs after
+// the heartbeat, which may have counted a miss this cycle.
+func (m *Master) grade(s *session, enb lte.ENBID, evs []WatchEvent) []WatchEvent {
+	target := m.scoreSession(s)
+	switch {
+	case target > s.health:
+		// Worse: act on it now.
+	case target < s.health:
+		// Better: hold the improvement for the recovery window first.
+		if s.healthOKSince == 0 {
+			s.healthOKSince = m.cycle
 		}
-		target := m.scoreSession(s)
-		switch {
-		case target > s.health:
-			// Worse: act on it now.
-			s.health = target
-			s.healthOKSince = 0
-			m.rib.setHealth(enbs[i], target)
-			evs = append(evs, WatchEvent{Kind: WatchHealth, ENB: enbs[i], Health: target})
-		case target < s.health:
-			// Better: hold the improvement for the recovery window first.
-			if s.healthOKSince == 0 {
-				s.healthOKSince = m.cycle
-			}
-			if m.cycle-s.healthOKSince >= lte.Subframe(m.opts.HealthRecoverTTI) {
-				s.health = target
-				s.healthOKSince = 0
-				m.rib.setHealth(enbs[i], target)
-				evs = append(evs, WatchEvent{Kind: WatchHealth, ENB: enbs[i], Health: target})
-			}
-		default:
-			s.healthOKSince = 0
+		if m.cycle-s.healthOKSince < lte.Subframe(m.opts.HealthRecoverTTI) {
+			return evs
 		}
+	default:
+		s.healthOKSince = 0
+		return evs
 	}
-	return evs
+	s.health = target
+	s.healthOKSince = 0
+	m.rib.setHealth(enb, target)
+	return append(evs, WatchEvent{Kind: WatchHealth, ENB: enb, Health: target})
 }
 
 // scoreSession computes a session's instantaneous health from the signals

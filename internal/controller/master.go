@@ -116,9 +116,9 @@ type TickerApp interface {
 type session struct {
 	send func(*protocol.Message) error
 
-	qmu    sync.Mutex // guards queue, taken and closed
+	qmu    sync.Mutex // guards queue, batch and closed
 	queue  []*protocol.Message
-	taken  []*protocol.Message // the batch the last drain handed out
+	batch  []*protocol.Message // the batch the last drain took
 	closed bool
 
 	// fenced marks a session displaced by a newer-epoch Hello for the same
@@ -130,9 +130,15 @@ type session struct {
 
 	// enb and epoch are guarded by Master.mu; the remaining fields are
 	// only touched from the task-manager cycle (at most one updater per
-	// session, heartbeats after the updater barrier).
+	// session, then the session step after the updater barrier).
 	enb   lte.ENBID
 	epoch uint64
+	// watch records the RIB deltas this cycle's updater produced for the
+	// session, populated only while the watch hub has consumers (see
+	// watch.go); gone marks a closed session the session step found
+	// drained, to be dropped from the ingest list.
+	watch []WatchEvent
+	gone  bool
 	// lastReport is the cycle of the last StatsReply (the health
 	// monitor's staleness signal); lastWelcome backs off subscription
 	// maintenance so a quiet agent is re-welcomed at most once per
@@ -146,7 +152,7 @@ type session struct {
 	echoMisses  int
 
 	// health is the monitor's current grade with its recovery-hold start
-	// (healthTick, serial phase); rttEwmaX8 estimates the command round
+	// (grade, session step); rttEwmaX8 estimates the command round
 	// trip in cycles (×8 fixed point, fed by acks and echo replies on the
 	// updater). pending holds unacknowledged sequenced commands and is the
 	// one field a transport-driver close may touch concurrently — it is
@@ -179,17 +185,15 @@ func (s *session) enqueue(msgs []*protocol.Message) {
 	}
 }
 
-// drain takes the queued batch. The session keeps two backing arrays and
-// swaps them, so a steady-state enqueue never buys a new one: the batch
-// returned here is dead after the Tick that took it, and the next drain
-// turns it into the ingest queue again (applyBatch has nilled its entries
-// by then).
-func (s *session) drain() []*protocol.Message {
+// drain takes the queued batch into s.batch for this cycle's updater. The
+// session keeps two backing arrays and swaps them, so a steady-state
+// enqueue never buys a new one: the batch is dead after the Tick that took
+// it, and the next drain turns it into the ingest queue again (applyBatch
+// has nilled its entries by then).
+func (s *session) drain() {
 	s.qmu.Lock()
-	out := s.queue
-	s.queue, s.taken = s.taken[:0], out
+	s.queue, s.batch = s.batch[:0], s.queue
 	s.qmu.Unlock()
-	return out
 }
 
 // isClosed reports whether the session has been closed.
@@ -197,24 +201,6 @@ func (s *session) isClosed() bool {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	return s.closed
-}
-
-// ackEvent is one control acknowledgement with the session binding it
-// arrived on (the ack payload itself does not carry the eNodeB id, which
-// the command-outcome registry needs).
-type ackEvent struct {
-	enb lte.ENBID
-	ack protocol.ControlAck
-}
-
-// tickSink collects the side effects of applying one session's batch, so
-// parallel updaters stay isolated; Tick merges sinks in session order,
-// which keeps event and ack dispatch deterministic. watch is the RIB
-// delta stream's per-session recording, populated only while the watch
-// hub has consumers (see watch.go).
-type tickSink struct {
-	acks  []ackEvent
-	watch []WatchEvent
 }
 
 // Master is the FlexRAN master controller.
@@ -269,23 +255,15 @@ type Master struct {
 	// (the default) disables every observation, clock read and RTT probe.
 	loopStats atomic.Pointer[metrics.LoopStats]
 
-	// Per-tick scratch for the updater-slot partition and the heartbeat's
-	// binding snapshot, reused across cycles so the steady-state Tick adds
-	// no allocations over the batch/sink bookkeeping.
-	enbScratch  []lte.ENBID
-	slotScratch [][]int
-	slotIdx     map[lte.ENBID]int
-
-	// Per-tick scratch for the session/app snapshots and the batch/sink
-	// arrays, reused across cycles: at controller scale (thousands of
-	// attached agents, most idle) rebuilding these four arrays every TTI
-	// dominated Tick's allocation profile. Entries are overwritten each
-	// cycle before use; sink sub-slices are truncated in place so their
-	// capacity survives.
+	// Per-tick scratch, reused across cycles so the steady-state Tick
+	// allocates nothing: at controller scale (thousands of attached agents,
+	// most idle) rebuilding these arrays every TTI dominated Tick's
+	// allocation profile. Entries are overwritten each cycle before use.
+	enbScratch   []lte.ENBID // binding snapshot
+	slotScratch  [][]int     // updater-slot partition
+	slotIdx      map[lte.ENBID]int
 	sessScratch  []*session
 	appScratch   []*appEntry
-	batchScratch [][]*protocol.Message
-	sinkScratch  []tickSink
 	watchScratch []WatchEvent
 }
 
@@ -441,13 +419,14 @@ func (m *Master) Send(enb lte.ENBID, p protocol.Payload) error {
 
 // Tick runs one task-manager cycle: the RIB Updater slot (drain the
 // per-session ingest queues into the RIB — at most one updater per
-// agent), then the application slot (per app in priority order: the
-// cycle's watch events, then OnTick). With Options.Workers > 1 the updater
-// slot fans the session batches out across a worker pool; per-session
-// ordering and the session-ordered merge of events/acks keep the
-// observable behaviour identical to the serial updater. In the deployment
-// mode each cycle is pinned to one TTI; in simulation the caller invokes
-// Tick once per simulated subframe.
+// agent), the session step (one pass over the sessions for liveness,
+// retransmission and health, see stepSession), then the application slot
+// (per app in priority order: the cycle's watch events, then OnTick). With
+// Options.Workers > 1 the updater slot fans the session batches out across
+// a worker pool; per-session ordering and the attach-ordered session step
+// keep the observable behaviour identical to the serial updater. In the
+// deployment mode each cycle is pinned to one TTI; in simulation the
+// caller invokes Tick once per simulated subframe.
 func (m *Master) Tick() {
 	m.mu.Lock()
 	sessions := append(m.sessScratch[:0], m.ingest...)
@@ -470,75 +449,47 @@ func (m *Master) Tick() {
 	if ls != nil {
 		t0 = time.Now()
 	}
-	batches := m.batchScratch
-	if cap(batches) < len(sessions) {
-		batches = make([][]*protocol.Message, len(sessions))
-	} else {
-		batches = batches[:len(sessions)]
+	for _, s := range sessions {
+		s.drain()
+		s.watch = s.watch[:0]
 	}
-	m.batchScratch = batches
-	for i, s := range sessions {
-		batches[i] = s.drain()
-	}
-	sinks := m.sinkScratch
-	if cap(sinks) >= len(sessions) {
-		sinks = sinks[:len(sessions)]
-	} else {
-		sinks = append(sinks[:cap(sinks)], make([]tickSink, len(sessions)-cap(sinks))...)
-	}
-	m.sinkScratch = sinks
-	for i := range sinks {
-		sk := &sinks[i]
-		sk.acks = sk.acks[:0]
-		sk.watch = sk.watch[:0]
-	}
-	slots := m.updaterSlots(sessions, batches)
+	slots := m.updaterSlots(sessions)
 	conc.ForEach(m.opts.Workers, len(slots), func(j int) {
 		for _, i := range slots[j] {
-			m.applyBatch(sessions[i], batches[i], &sinks[i])
+			m.applyBatch(sessions[i])
 		}
 	})
-	// Reap displaced sessions regardless of heartbeat configuration:
-	// their agent provably lives on a newer session, so the half-open
-	// transport would otherwise linger in the ingest list forever.
-	for _, s := range sessions {
-		if s.fenced.Load() && !s.isClosed() {
-			m.closeSession(s) // non-owner: no down event, no RIB change
-		}
+
+	// --- Session step ---
+	st := sessionStep{
+		probe: ls != nil && m.opts.RTTProbePeriodTTI > 0 &&
+			m.cycle%lte.Subframe(m.opts.RTTProbePeriodTTI) == 0,
+		maintain: m.opts.StatsPeriodTTI > 0 && m.cycle%maintenanceEvery == maintenanceEvery-1,
+		grade:    m.opts.HealthPeriodTTI > 0 && m.cycle%lte.Subframe(m.opts.HealthPeriodTTI) == 0,
 	}
-	if m.opts.EchoPeriodTTI > 0 {
-		m.heartbeat(sessions)
+	enbs := m.snapshotBindings(sessions)
+	for i, s := range sessions {
+		m.stepSession(&st, s, enbs[i])
 	}
-	if ls != nil && m.opts.RTTProbePeriodTTI > 0 &&
-		m.cycle%lte.Subframe(m.opts.RTTProbePeriodTTI) == 0 {
-		m.rttProbe(sessions)
-	}
-	if m.opts.StatsPeriodTTI > 0 && m.cycle%maintenanceEvery == maintenanceEvery-1 {
-		m.maintainSubscriptions(sessions)
-	}
-	m.pruneClosed(sessions)
 	// Heartbeat-driven disconnects queued just now publish this cycle, as
-	// do delivery failures from those closes. Queued northbound operations
-	// submitted by now run this cycle too.
+	// do delivery failures from those closes, ahead of the retransmission
+	// budgets spent this cycle. Queued northbound operations submitted by
+	// now run this cycle too.
 	m.mu.Lock()
+	if st.gone {
+		m.dropGone()
+	}
 	postDown := m.pendingDown
 	m.pendingDown = nil
-	cmdFails := m.pendingCmdFail
+	cmdFails := append(m.pendingCmdFail, st.fails...)
 	m.pendingCmdFail = nil
 	ops := m.pendingOps
 	m.pendingOps = nil
 	m.mu.Unlock()
-	if m.opts.CmdRetryTTI > 0 {
-		cmdFails = m.retrySweep(sessions, cmdFails)
-	}
-	var healthEvs []WatchEvent
-	if m.opts.HealthPeriodTTI > 0 && m.cycle%lte.Subframe(m.opts.HealthPeriodTTI) == 0 {
-		healthEvs = m.healthTick(sessions)
-	}
-	m.recordOutcomes(sinks, cmdFails)
+	m.recordFailures(cmdFails)
 	var watchEvs []WatchEvent
 	if m.watch.active() {
-		watchEvs = m.emitWatch(priorDown, sinks, postDown, healthEvs, cmdFails, sliceWatch)
+		watchEvs = m.emitWatch(priorDown, sessions, postDown, st.health, cmdFails, sliceWatch)
 	}
 
 	// --- Application slot ---
@@ -575,7 +526,7 @@ func (m *Master) Tick() {
 // after it). A session's target is its binding, or its batch's first
 // envelope before the binding exists (transports carry one agent per
 // session; the fence still guards hand-built sessions that mix envelopes).
-func (m *Master) updaterSlots(sessions []*session, batches [][]*protocol.Message) [][]int {
+func (m *Master) updaterSlots(sessions []*session) [][]int {
 	enbs := m.snapshotBindings(sessions)
 	if m.slotIdx == nil {
 		m.slotIdx = make(map[lte.ENBID]int, len(sessions))
@@ -583,17 +534,17 @@ func (m *Master) updaterSlots(sessions []*session, batches [][]*protocol.Message
 		clear(m.slotIdx)
 	}
 	slots := m.slotScratch[:0]
-	for i := range sessions {
-		if len(batches[i]) == 0 {
+	for i, s := range sessions {
+		if len(s.batch) == 0 {
 			// Nothing to apply: an idle session needs no updater slot. The
-			// fence/heartbeat/prune paths iterate the session list directly,
-			// so skipping here only trims the parallel fan-out (and, at
-			// scale, the slot bookkeeping for thousands of quiet agents).
+			// session step iterates the session list directly, so skipping
+			// here only trims the parallel fan-out (and, at scale, the slot
+			// bookkeeping for thousands of quiet agents).
 			continue
 		}
 		enb := enbs[i]
-		if enb == 0 && len(batches[i]) > 0 {
-			enb = batches[i][0].ENB
+		if enb == 0 {
+			enb = s.batch[0].ENB
 		}
 		if enb != 0 {
 			if j, ok := m.slotIdx[enb]; ok {
@@ -633,22 +584,22 @@ func (m *Master) snapshotBindings(sessions []*session) []lte.ENBID {
 // concurrent applyBatch calls for different sessions do not contend.
 // Applied messages are released back to the protocol free lists: transports
 // decode with protocol.DecodePooled and the updater is the end of the
-// message's life (everything the RIB or the event sinks keep is copied —
+// message's life (everything the RIB or the watch recording keeps is copied —
 // kinds retained by pointer, like MeasReport, are exempt from payload
 // pooling by construction). Release is a no-op for messages that were
 // built directly rather than decoded, so in-process drivers and tests that
 // Deliver hand-made messages are unaffected.
-func (m *Master) applyBatch(s *session, msgs []*protocol.Message, sink *tickSink) {
-	for i, msg := range msgs {
-		m.applyInbound(s, msg, sink)
+func (m *Master) applyBatch(s *session) {
+	for i, msg := range s.batch {
+		m.applyInbound(s, msg)
 		msg.Release()
-		msgs[i] = nil // the batch's array is recycled by the next drain
+		s.batch[i] = nil // the batch's array is recycled by the next drain
 	}
 }
 
 // applyInbound is the RIB Updater: the single component allowed to mutate
 // the RIB (paper Fig. 5).
-func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink) {
+func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 	if s.fenced.Load() {
 		return // displaced incarnation: drop everything unapplied
 	}
@@ -656,7 +607,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 	s.echoMisses = 0
 	switch p := msg.Payload.(type) {
 	case *protocol.Hello:
-		m.handleHello(s, msg.ENB, p, sink)
+		m.handleHello(s, msg.ENB, p)
 	case *protocol.StateSnapshot:
 		// Only the owning session's snapshot for the current epoch may
 		// rebuild the shard: an answer overtaken by a further reconnect
@@ -671,7 +622,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 		m.verifySubscriptions(msg.ENB, p.Subs)
 		s.lastReport = m.cycle
 		if m.watch.active() {
-			sink.watch = append(sink.watch, WatchEvent{Kind: WatchUp, ENB: msg.ENB, SF: p.SF})
+			s.watch = append(s.watch, WatchEvent{Kind: WatchUp, ENB: msg.ENB, SF: p.SF})
 		}
 		// As with Hello: a close racing the apply may have run its
 		// applyDisconnect before the resync marked the agent live again;
@@ -691,7 +642,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 			for _, r := range p.UEs.DLRateKbps {
 				kbps += float64(r)
 			}
-			sink.watch = append(sink.watch, WatchEvent{
+			s.watch = append(s.watch, WatchEvent{
 				Kind: WatchStats, ENB: msg.ENB, SF: p.SF,
 				UEs: p.UEs.Len(), DLKbps: kbps,
 			})
@@ -699,7 +650,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 	case *protocol.UEEvent:
 		m.rib.applyUEEvent(msg.ENB, p)
 		if m.watch.active() {
-			sink.watch = append(sink.watch, WatchEvent{
+			s.watch = append(s.watch, WatchEvent{
 				Kind: WatchUE, ENB: msg.ENB, SF: msg.SF,
 				Cell: p.Cell, RNTI: p.RNTI, UEType: p.Type,
 			})
@@ -721,7 +672,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 	case *protocol.MeasReport:
 		m.rib.applyMeasReport(msg.ENB, msg.SF, p)
 		if m.watch.active() {
-			sink.watch = append(sink.watch, WatchEvent{
+			s.watch = append(s.watch, WatchEvent{
 				Kind: WatchMeas, ENB: msg.ENB, SF: msg.SF, Cell: p.Cell, RNTI: p.RNTI,
 				Payload: p,
 			})
@@ -729,16 +680,20 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 	case *protocol.HandoverComplete:
 		m.rib.applyHandoverComplete(msg.ENB, p)
 		if m.watch.active() {
-			sink.watch = append(sink.watch, WatchEvent{
+			s.watch = append(s.watch, WatchEvent{
 				Kind: WatchHandover, ENB: msg.ENB, SF: msg.SF, Cell: p.Cell, RNTI: p.RNTI,
 				Payload: p,
 			})
 		}
 	case *protocol.ControlAck:
+		// The ack is the command's terminal outcome: retire the retry and
+		// record it here, where it is applied.
 		if p.Seq != 0 {
 			m.retirePending(s, p.Seq)
+			m.cmdTrack.record(CmdOutcome{
+				Seq: p.Seq, ENB: msg.ENB, OK: p.OK, Detail: p.Detail, Cycle: m.cycle,
+			})
 		}
-		sink.acks = append(sink.acks, ackEvent{enb: msg.ENB, ack: *p})
 	}
 }
 
@@ -752,7 +707,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message, sink *tickSink)
 // resolved by the fence plus applyHello's wholesale shard replacement: once
 // the newer Hello is applied, every late write of the old incarnation is
 // dropped, and whatever it wrote before is gone with the replaced shard.
-func (m *Master) handleHello(s *session, enb lte.ENBID, p *protocol.Hello, sink *tickSink) {
+func (m *Master) handleHello(s *session, enb lte.ENBID, p *protocol.Hello) {
 	m.mu.Lock()
 	if s.isClosed() || (s.enb != 0 && s.enb != enb) {
 		m.mu.Unlock()
@@ -784,14 +739,14 @@ func (m *Master) handleHello(s *session, enb lte.ENBID, p *protocol.Hello, sink 
 	}
 	m.mu.Unlock()
 	if takeover && m.watch.active() {
-		sink.watch = append(sink.watch, WatchEvent{Kind: WatchDown, ENB: enb})
+		s.watch = append(s.watch, WatchEvent{Kind: WatchDown, ENB: enb})
 	}
 	if !dup {
 		// A duplicate Hello (lost HelloAck, retransmission) must not wipe
 		// the shard the first one built; it only re-triggers the welcome.
 		m.rib.applyHello(enb, p.Config)
 		if m.watch.active() {
-			sink.watch = append(sink.watch, WatchEvent{Kind: WatchHello, ENB: enb})
+			s.watch = append(s.watch, WatchEvent{Kind: WatchHello, ENB: enb})
 		}
 	}
 	m.welcome(enb)
@@ -859,129 +814,136 @@ func (m *Master) defaultSub() protocol.StatsRequest {
 	}
 }
 
-// heartbeat runs the liveness probe over every session: a bound session
-// that delivered nothing for EchoPeriodTTI cycles is sent an Echo; each
-// further silent period is a miss, and exceeding EchoMissBudget closes the
-// session (RIB disconnect + down event). Any applied inbound message resets
-// the miss count — with per-TTI reporting the probes never even fire.
-// A session that has not completed a handshake yet is left alone — its
-// agent may still be retransmitting Hellos through a lossy link, and
-// closing the master-side session would blackhole it permanently (the
-// transport driver owns that lifetime). Runs after the updater barrier,
-// so per-session fields are stable; bindings are snapshotted in one lock
-// round-trip. Fenced sessions were already reaped by Tick.
-func (m *Master) heartbeat(sessions []*session) {
-	period := lte.Subframe(m.opts.EchoPeriodTTI)
-	enbs := m.snapshotBindings(sessions)
-	for i, s := range sessions {
-		if s.isClosed() {
-			continue
-		}
-		if enbs[i] == 0 {
-			continue // handshake still in flight; not ours to reap
-		}
-		if m.cycle-s.lastInbound < period {
-			continue
-		}
-		if s.lastEcho > s.lastInbound && m.cycle-s.lastEcho < period {
-			continue // probe outstanding; give it a full period
-		}
-		if s.echoMisses >= m.opts.EchoMissBudget {
-			m.closeSession(s) // queues the down event
-			continue
-		}
-		s.echoMisses++
-		s.lastEcho = m.cycle
-		var ts int64
-		if m.loopStats.Load() != nil {
-			ts = time.Now().UnixNano() // liveness probes double as RTT samples
-		}
-		msg := protocol.AcquireMessage(enbs[i], m.cycle, &protocol.Echo{
-			Seq:      uint64(s.echoMisses),
-			SenderSF: m.cycle,
-			TS:       ts,
-		})
-		s.send(msg) //nolint:errcheck // a failed probe shows up as continued silence
-		msg.Release()
-	}
+// sessionStep carries one cycle's session step: which periodic duties are
+// due this cycle, and what the pass over the sessions collected, in attach
+// order.
+type sessionStep struct {
+	probe, maintain, grade bool
+
+	fails  []cmdFailure // retransmission budgets spent
+	health []WatchEvent // grade transitions
+	gone   bool         // some session is closed and drained
 }
 
-// rttProbe sends one wall-clock-stamped Echo to every bound live session;
-// the agent mirrors the stamp in its EchoReply and applyInbound observes
-// the round trip. Runs after the updater barrier like heartbeat; only the
+// stepSession is the one pass over a session after the updater barrier,
+// so every per-session field is stable. In order, it reaps a displaced
+// session, runs the heartbeat, the RTT probe, subscription maintenance,
+// command retransmission and health grading on a bound live one, and marks
+// a closed one gone once nothing is left to apply: a batch delivered
+// between the drain and the close must still be applied (next tick) before
+// the session goes away. Every duty reads and writes only its own session
+// and its own eNodeB's RIB shard, so no session's step depends on
+// another's; Tick steps them in attach order, which fixes the order of
+// the traffic, the closes and the events they produce.
+func (m *Master) stepSession(st *sessionStep, s *session, enb lte.ENBID) {
+	if s.fenced.Load() && !s.isClosed() {
+		// Reaped regardless of heartbeat configuration: the agent provably
+		// lives on a newer session, so the half-open transport would
+		// otherwise linger in the ingest list forever.
+		m.closeSession(s) // non-owner: no down event, no RIB change
+	}
+	// A session whose handshake is still in flight is left alone — its agent
+	// may still be retransmitting Hellos through a lossy link, and closing
+	// the master-side session would blackhole it permanently (the transport
+	// driver owns that lifetime).
+	live := enb != 0 && !s.isClosed()
+	if live && m.opts.EchoPeriodTTI > 0 {
+		live = m.heartbeat(s, enb)
+	}
+	if live {
+		if st.probe {
+			m.rttProbe(s, enb)
+		}
+		if st.maintain {
+			m.maintainSubscription(s, enb)
+		}
+		if m.opts.CmdRetryTTI > 0 {
+			st.fails = m.retransmit(s, enb, st.fails)
+		}
+		if st.grade {
+			st.health = m.grade(s, enb, st.health)
+		}
+	}
+	s.qmu.Lock()
+	s.gone = s.closed && len(s.queue) == 0
+	s.qmu.Unlock()
+	st.gone = st.gone || s.gone
+}
+
+// heartbeat is the liveness probe: a session that delivered nothing for
+// EchoPeriodTTI cycles is sent an Echo; each further silent period is a
+// miss, and exceeding EchoMissBudget closes the session (RIB disconnect +
+// down event). Any applied inbound message resets the miss count — with
+// per-TTI reporting the probes never even fire. It reports whether the
+// session is still open.
+func (m *Master) heartbeat(s *session, enb lte.ENBID) bool {
+	period := lte.Subframe(m.opts.EchoPeriodTTI)
+	if m.cycle-s.lastInbound < period {
+		return true
+	}
+	if s.lastEcho > s.lastInbound && m.cycle-s.lastEcho < period {
+		return true // probe outstanding; give it a full period
+	}
+	if s.echoMisses >= m.opts.EchoMissBudget {
+		m.closeSession(s) // queues the down event
+		return false
+	}
+	s.echoMisses++
+	s.lastEcho = m.cycle
+	var ts int64
+	if m.loopStats.Load() != nil {
+		ts = time.Now().UnixNano() // liveness probes double as RTT samples
+	}
+	msg := protocol.AcquireMessage(enb, m.cycle, &protocol.Echo{
+		Seq:      uint64(s.echoMisses),
+		SenderSF: m.cycle,
+		TS:       ts,
+	})
+	s.send(msg) //nolint:errcheck // a failed probe shows up as continued silence
+	msg.Release()
+	return true
+}
+
+// rttProbe sends one wall-clock-stamped Echo; the agent mirrors the stamp
+// in its EchoReply and applyInbound observes the round trip. Only the
 // wall-clock deployment enables it (see SetLoopStats), so probe traffic
 // never perturbs simulated scenarios.
-func (m *Master) rttProbe(sessions []*session) {
-	enbs := m.snapshotBindings(sessions)
-	for i, s := range sessions {
-		if enbs[i] == 0 || s.isClosed() {
-			continue
-		}
-		msg := protocol.AcquireMessage(enbs[i], m.cycle, &protocol.Echo{
-			SenderSF: m.cycle,
-			TS:       time.Now().UnixNano(),
-		})
-		s.send(msg) //nolint:errcheck // a lost probe is just a missing sample
-		msg.Release()
-	}
+func (m *Master) rttProbe(s *session, enb lte.ENBID) {
+	msg := protocol.AcquireMessage(enb, m.cycle, &protocol.Echo{
+		SenderSF: m.cycle,
+		TS:       time.Now().UnixNano(),
+	})
+	s.send(msg) //nolint:errcheck // a lost probe is just a missing sample
+	msg.Release()
 }
 
-// maintainSubscriptions re-issues the default subscriptions toward agents
+// maintainSubscription re-issues the default subscriptions toward an agent
 // whose reporting went quiet (lost subscription or restarted agent).
-func (m *Master) maintainSubscriptions(sessions []*session) {
-	for _, s := range sessions {
-		m.mu.Lock()
-		enb := s.enb
-		m.mu.Unlock()
-		if enb == 0 || s.isClosed() || m.cycle-s.lastReport <= staleAfter {
-			continue
-		}
-		if m.cycle-s.lastWelcome <= staleAfter {
-			continue // already re-welcomed this window
-		}
-		if !m.rib.Connected(enb) {
-			continue
-		}
-		m.welcome(enb)
-		// Back off on a dedicated clock: overwriting lastReport here would
-		// reset the health monitor's staleness signal and let a wedged
-		// agent oscillate below Suspect once per maintenance window.
-		s.lastWelcome = m.cycle
+func (m *Master) maintainSubscription(s *session, enb lte.ENBID) {
+	if m.cycle-s.lastReport <= staleAfter || m.cycle-s.lastWelcome <= staleAfter {
+		return // reporting, or already re-welcomed this window
 	}
-}
-
-// pruneClosed drops closed sessions that were drained this tick and have
-// received nothing since: a batch delivered between the drain and the
-// close must still be applied (next tick) before the session goes away.
-func (m *Master) pruneClosed(drained []*session) {
-	anyClosed := false
-	for _, s := range drained {
-		if s.isClosed() {
-			anyClosed = true
-			break
-		}
-	}
-	if !anyClosed {
+	if !m.rib.Connected(enb) {
 		return
 	}
-	was := make(map[*session]bool, len(drained))
-	for _, s := range drained {
-		was[s] = true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.welcome(enb)
+	// Back off on a dedicated clock: overwriting lastReport here would
+	// reset the health monitor's staleness signal and let a wedged agent
+	// oscillate below Suspect once per maintenance window.
+	s.lastWelcome = m.cycle
+}
+
+// dropGone removes the sessions the session step marked gone from the
+// ingest list. Sessions attached since the tick's snapshot are kept: they
+// were never stepped. Master.mu held.
+func (m *Master) dropGone() {
 	live := m.ingest[:0]
 	for _, s := range m.ingest {
-		if was[s] {
-			s.qmu.Lock()
-			gone := s.closed && len(s.queue) == 0
-			s.qmu.Unlock()
-			if gone {
-				continue
-			}
+		if !s.gone {
+			live = append(live, s)
 		}
-		live = append(live, s)
 	}
+	clear(m.ingest[len(live):])
 	m.ingest = live
 }
 

@@ -39,7 +39,9 @@ type cmdTracker struct {
 	waiters  map[uint64][]chan CmdOutcome
 }
 
-// record stores one outcome and completes its waiters. Serial phase only.
+// record stores one outcome and completes its waiters. The updater records
+// acks as it applies them, from a pool worker when Options.Workers > 1; the
+// first outcome recorded for a sequence number stands.
 func (t *cmdTracker) record(o CmdOutcome) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -94,22 +96,10 @@ func (m *Master) WaitCommand(seq uint64) <-chan CmdOutcome {
 	return ch
 }
 
-// recordOutcomes feeds this cycle's terminal command results into the
-// registry: agent acks carrying a sequence number, in session order, and
-// delivery failures. Serial phase of Tick, after the retry sweep finalized
-// the failures.
-func (m *Master) recordOutcomes(sinks []tickSink, fails []cmdFailure) {
-	for i := range sinks {
-		for _, a := range sinks[i].acks {
-			if a.ack.Seq == 0 {
-				continue
-			}
-			m.cmdTrack.record(CmdOutcome{
-				Seq: a.ack.Seq, ENB: a.enb,
-				OK: a.ack.OK, Detail: a.ack.Detail, Cycle: m.cycle,
-			})
-		}
-	}
+// recordFailures records this cycle's delivery failures. Acks are recorded
+// by the updater that applies them, so within a cycle every ack precedes
+// every failure.
+func (m *Master) recordFailures(fails []cmdFailure) {
 	for _, cf := range fails {
 		m.cmdTrack.record(CmdOutcome{
 			Seq: cf.seq, ENB: cf.enb, OK: false,

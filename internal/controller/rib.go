@@ -53,7 +53,7 @@ type agentShard struct {
 	connected atomic.Bool
 	ueCount   atomic.Int64
 	// health is the monitor's grade (HealthState; zero = Healthy). Written
-	// only by healthTick in the master's serial phase; read lock-free by
+	// only by grade in the master's session step; read lock-free by
 	// policy code via HealthOf.
 	health atomic.Uint32
 
@@ -363,7 +363,7 @@ func (r *RIB) Connected(enb lte.ENBID) bool {
 }
 
 // setHealth records the health monitor's grade for an agent (writer side:
-// the master's healthTick only).
+// the master's grade only).
 func (r *RIB) setHealth(enb lte.ENBID, h HealthState) {
 	if sh := r.shard(enb); sh != nil {
 		sh.health.Store(uint32(h))

@@ -19,14 +19,13 @@ import (
 // watchers (Master.Watch) and in-process applications (WatchApp) — get
 // incremental deltas instead of polling snapshots.
 //
-// Recording rides the existing tick sinks: each parallel updater appends
-// its session's events to its own sink, and the serial phase of Tick
-// merges the sinks in session attach order, assigns sequence numbers and
-// publishes. The stream is therefore deterministic for any Workers
-// setting — same events, same order, same sequence numbers — and the
-// whole layer is atomically gated: with no watcher and no WatchApp
-// registered, the hot path pays one atomic load per message and appends
-// nothing.
+// Each updater appends its session's events to the session's own
+// recording, and the serial phase of Tick merges the recordings in session
+// attach order, assigns sequence numbers and publishes. The stream is
+// therefore deterministic for any Workers setting — same events, same
+// order, same sequence numbers — and the whole layer is atomically gated:
+// with no watcher and no WatchApp registered, the hot path pays one atomic
+// load per message and appends nothing.
 
 // WatchKind classifies one RIB delta; kinds are bits so a WatchFilter can
 // select any subset.
@@ -341,20 +340,20 @@ func (m *Master) Watch(filter WatchFilter, buffer int) *Watcher {
 
 // emitWatch is Tick's serial publish phase: it concatenates this cycle's
 // deltas in the deterministic stream order — sessions closed before the
-// updater ran, then each session sink's recorded events in attach order,
+// updater ran, then each session's recorded events in attach order,
 // then sessions closed after the updater (heartbeat closes), then health
 // transitions, then delivery failures, then slice transitions queued
 // during the previous application slot — assigns gap-free sequence
 // numbers, and fans the batch out to watchers. The merged slice is reused
 // scratch, returned for the in-process WatchApp dispatch.
-func (m *Master) emitWatch(prior []lte.ENBID, sinks []tickSink, post []lte.ENBID,
+func (m *Master) emitWatch(prior []lte.ENBID, sessions []*session, post []lte.ENBID,
 	health []WatchEvent, fails []cmdFailure, slices []WatchEvent) []WatchEvent {
 	evs := m.watchScratch[:0]
 	for _, enb := range prior {
 		evs = append(evs, WatchEvent{Kind: WatchDown, ENB: enb})
 	}
-	for i := range sinks {
-		evs = append(evs, sinks[i].watch...)
+	for _, s := range sessions {
+		evs = append(evs, s.watch...)
 	}
 	for _, enb := range post {
 		evs = append(evs, WatchEvent{Kind: WatchDown, ENB: enb})

@@ -118,6 +118,15 @@ func (s *Series) Add(t, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.V) }
 
+// Trim drops all but the newest n samples, in place, so a series trimmed
+// after every Add holds at most n samples and about 2n of capacity.
+func (s *Series) Trim(n int) {
+	if k := len(s.V) - n; k > 0 {
+		s.T = append(s.T[:0], s.T[k:]...)
+		s.V = append(s.V[:0], s.V[k:]...)
+	}
+}
+
 // Max returns the largest value (0 for an empty series).
 func (s *Series) Max() float64 {
 	var m float64

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"flexran/internal/controller"
@@ -45,6 +46,9 @@ type Server struct {
 	ls     *metrics.LoopStats
 	mux    *http.ServeMux
 	slices SliceRegistry
+
+	// streams counts the open /watch streams (see MaxWatchStreams).
+	streams atomic.Int32
 }
 
 // New builds the API server. ls carries the real-time loop's deadline
@@ -300,13 +304,21 @@ func (s *Server) handleCmd(w http.ResponseWriter, r *http.Request) {
 // and at about 120 bytes an event, 65,536 of them is 8 MB.
 const maxWatchBuffer = 1 << 16
 
+// MaxWatchStreams caps the /watch streams one server holds open at once;
+// the next one is answered 503. Each stream is a master subscriber that
+// the control loop fills on every cycle, with a queue of up to
+// maxWatchBuffer events, so the cap bounds both the loop's publish work
+// and the queues' memory (at most 256 MB).
+const MaxWatchStreams = 32
+
 // handleWatch streams the controller's event layer as server-sent events:
 // one `data:` frame per WatchEvent, JSON-encoded. The subscription honours
 // ?enb= and ?kinds= filters (comma-separated kind names) and ?buffer= for
-// the subscriber queue, at most maxWatchBuffer. A slow client overflows
-// its buffer; the stream then emits a final `event: resync` frame and
-// closes — the client re-reads the RIB and re-subscribes (the explicit
-// resync contract; the controller never blocks on a slow reader).
+// the subscriber queue, at most maxWatchBuffer; at most MaxWatchStreams
+// streams are open at once. A slow client overflows its buffer; the stream
+// then emits a final `event: resync` frame and closes — the client
+// re-reads the RIB and re-subscribes (the explicit resync contract; the
+// controller never blocks on a slow reader).
 func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -336,6 +348,14 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+
+	if s.streams.Add(1) > MaxWatchStreams {
+		s.streams.Add(-1)
+		writeErr(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("too many watch streams (at most %d)", MaxWatchStreams))
+		return
+	}
+	defer s.streams.Add(-1)
 
 	sub := s.m.Watch(filter, buffer)
 	defer sub.Cancel()

@@ -367,6 +367,58 @@ func TestWatchBufferIsCapped(t *testing.T) {
 	t.Fatalf("stream ended without an event: %v", sc.Err())
 }
 
+// TestWatchStreamsAreCapped: the server holds at most MaxWatchStreams
+// /watch streams open; the next is refused with 503 until one closes.
+func TestWatchStreamsAreCapped(t *testing.T) {
+	api := httptest.NewServer(northbound.New(controller.NewMaster(controller.DefaultOptions()), nil))
+	defer api.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	get := func() *http.Response {
+		t.Helper()
+		resp, err := client.Get(api.URL + "/watch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	var open []*http.Response
+	defer func() {
+		for _, resp := range open {
+			resp.Body.Close()
+		}
+	}()
+	for range northbound.MaxWatchStreams {
+		resp := get()
+		open = append(open, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stream %d: %s", len(open), resp.Status)
+		}
+	}
+	resp := get()
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stream %d: %s, want 503", northbound.MaxWatchStreams+1, resp.Status)
+	}
+
+	// A closed stream frees its place once its handler sees the client go.
+	open[0].Body.Close()
+	open = open[1:]
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp := get()
+		if resp.StatusCode == http.StatusOK {
+			open = append(open, resp)
+			return
+		}
+		resp.Body.Close()
+		if time.Now().After(deadline) {
+			t.Fatalf("no stream admitted after one closed: %s", resp.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestActuationRoundTrip(t *testing.T) {
 	h := startHarness(t)
 	h.waitConnected()
