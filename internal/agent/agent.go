@@ -470,14 +470,23 @@ func (a *Agent) NotifyHandoverComplete(rnti lte.RNTI, imsi uint64, cell lte.Cell
 // onMeasurement runs the A3 evaluation for one UE's measurement sweep: the
 // RRC module's hysteresis and time-to-trigger (Table 1's "threshold of
 // signal quality for handover initiation") gate when a MeasReport leaves
-// the agent. One report is emitted per A3 episode.
+// the agent. One report is emitted per A3 episode. The entering condition
+// reads RSRP only; the RSRQ and the neighbour ranking a report carries are
+// computed only when one fires.
 func (a *Agent) onMeasurement(rnti lte.RNTI, cell lte.CellID, serving radio.Meas, neighbors []radio.Meas) {
 	if a.Stalled() {
 		return
 	}
 	hys := a.rrc.Hysteresis()
 	ttt := a.rrc.TimeToTrigger()
-	entered := len(neighbors) > 0 && neighbors[0].RSRPdBm > serving.RSRPdBm+hys
+	entered := false
+	if len(neighbors) > 0 {
+		strongest := neighbors[0].RSRPdBm
+		for _, n := range neighbors[1:] {
+			strongest = max(strongest, n.RSRPdBm)
+		}
+		entered = strongest > serving.RSRPdBm+hys
+	}
 	a.mu.Lock()
 	if !entered {
 		delete(a.a3, rnti) // condition cleared: re-arm
@@ -506,6 +515,13 @@ func (a *Agent) onMeasurement(rnti lte.RNTI, cell lte.CellID, serving radio.Meas
 	if !fire {
 		return
 	}
+	// RSRQ = RSRP - RSSI; the serving RSRQ stays 0 when the serving eNodeB
+	// has no site (the zero serving Meas). The UE's channel has just
+	// measured, so it has an RSSI.
+	rssi, _ := a.enb.RSSIdBm(rnti)
+	if serving != (radio.Meas{}) {
+		serving.RSRQdB = serving.RSRPdBm - rssi
+	}
 	rep := &protocol.MeasReport{
 		RNTI: rnti, Cell: cell,
 		ServingRSRPdBm: int32(math.Round(serving.RSRPdBm)),
@@ -514,6 +530,7 @@ func (a *Agent) onMeasurement(rnti lte.RNTI, cell lte.CellID, serving radio.Meas
 	if r, ok := a.enb.UEReport(rnti); ok {
 		rep.IMSI = r.IMSI
 	}
+	radio.RankNeighbors(neighbors)
 	if len(neighbors) > maxReportNeighbors {
 		neighbors = neighbors[:maxReportNeighbors]
 	}
@@ -521,7 +538,7 @@ func (a *Agent) onMeasurement(rnti lte.RNTI, cell lte.CellID, serving radio.Meas
 		rep.Neighbors = append(rep.Neighbors, protocol.NeighborMeas{
 			ENB: n.ENB, Cell: n.Cell,
 			RSRPdBm: int32(math.Round(n.RSRPdBm)),
-			RSRQdB:  int32(math.Round(n.RSRQdB)),
+			RSRQdB:  int32(math.Round(n.RSRPdBm - rssi)),
 		})
 	}
 	a.emit(rep)

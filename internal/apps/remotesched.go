@@ -34,6 +34,7 @@ type RemoteScheduler struct {
 	// path allocates nothing at steady state.
 	agents []lte.ENBID
 	ues    []protocol.UEStats
+	in     []sched.UEInfo
 }
 
 // NewRemoteScheduler builds the app.
@@ -72,6 +73,7 @@ func (r *RemoteScheduler) OnTick(ctx *controller.Context, _ lte.Subframe) {
 			SF:       target,
 			Dir:      lte.Downlink,
 			TotalPRB: r.prbs(ctx, enbID),
+			UEs:      r.in[:0],
 		}
 		r.ues = rib.AppendUEsOf(enbID, r.ues[:0])
 		for i := range r.ues {
@@ -87,6 +89,7 @@ func (r *RemoteScheduler) OnTick(ctx *controller.Context, _ lte.Subframe) {
 				LastSched:   ue.LastSchedSF,
 			})
 		}
+		r.in = in.UEs
 		if len(in.UEs) == 0 {
 			continue
 		}

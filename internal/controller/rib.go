@@ -198,6 +198,7 @@ func (sh *agentShard) ue(c *CellRecord, rnti lte.RNTI, imsi uint64) *UERecord {
 }
 
 func (sh *agentShard) removeUE(c *CellRecord, rnti lte.RNTI) {
+	c.UEs[rnti].row = 0 // a removed record owns no row
 	delete(c.UEs, rnti)
 	sh.ueCount.Add(-1)
 	sh.rowsValid = false
@@ -495,20 +496,34 @@ func (r *RIB) AppendUEsOf(enb lte.ENBID, dst []protocol.UEStats) []protocol.UESt
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	start := len(dst)
-	for _, c := range sh.cells {
-		for _, u := range c.UEs {
-			n := len(dst)
-			if n < cap(dst) {
-				dst = dst[:n+1]
-			} else {
-				dst = append(dst, protocol.UEStats{})
-			}
-			sh.statsOf(u, &dst[n])
+	add := func(u *UERecord) {
+		n := len(dst)
+		if n < cap(dst) {
+			dst = dst[:n+1]
+		} else {
+			dst = append(dst, protocol.UEStats{})
+		}
+		sh.statsOf(u, &dst[n])
+	}
+	// The records that own a row, in table order (a live record's row is
+	// the last rowRec entry that resolved to it; a removed record owns
+	// none), then the records without one. An agent reports its UEs by
+	// RNTI, so at steady state this is already sorted.
+	for i, u := range sh.rowRec {
+		if u != nil && u.row == i+1 {
+			add(u)
 		}
 	}
-	// Map order is arbitrary, so this nearly always sorts; swapping whole
-	// rows (their slice headers travel with them) needs no closure over
-	// out and no reflection, which is what keeps the call allocation-free.
+	for _, c := range sh.cells {
+		for _, u := range c.UEs {
+			if u.row == 0 {
+				add(u)
+			}
+		}
+	}
+	// Swapping whole rows (their slice headers travel with them) needs no
+	// closure over out and no reflection, which is what keeps the call
+	// allocation-free.
 	byRNTI := func(a, b protocol.UEStats) int { return cmp.Compare(a.RNTI, b.RNTI) }
 	if out := dst[start:]; !slices.IsSortedFunc(out, byRNTI) {
 		slices.SortFunc(out, byRNTI)

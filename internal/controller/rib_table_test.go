@@ -100,13 +100,34 @@ func (r *refRIB) ues() []protocol.UEStats {
 	return out
 }
 
+// mapWalkUEsOf is AppendUEsOf as it was before it read the rows in table
+// order: every record of the shard's maps, then a sort by RNTI.
+func mapWalkUEsOf(r *RIB, enb lte.ENBID) []protocol.UEStats {
+	sh := r.shard(enb)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	var out []protocol.UEStats
+	for _, c := range sh.cells {
+		for _, u := range c.UEs {
+			var s protocol.UEStats
+			sh.statsOf(u, &s)
+			out = append(out, s)
+		}
+	}
+	slices.SortFunc(out, func(a, b protocol.UEStats) int { return int(a.RNTI) - int(b.RNTI) })
+	return out
+}
+
 // TestRIBMatchesReferenceUpdater drives the RIB and the reference updater
 // with the same seeded random interleaving of everything that touches an
-// agent's UE records — statistics reports whose rows appear, vanish,
-// reorder and carry only some components, attach/detach events, handover
-// completions, measurement reports and resyncs — and requires UEsOf,
-// UECount and UEConfigOf to agree after every step. It is what licenses
-// applyStats to remember which record each row resolved to.
+// agent's UE records — statistics reports whose rows appear (some twice, some
+// in a cell the agent never announced), vanish, reorder and carry only some
+// components, attach/detach events, handover completions, measurement
+// reports and resyncs — and requires UEsOf, UECount and UEConfigOf to agree
+// after every step. It is what licenses applyStats to remember which record
+// each row resolved to. AppendUEsOf, which reads the rows in table order
+// before the records left without one, must also equal the map walk it
+// replaced, behind an entry already in dst.
 func TestRIBMatchesReferenceUpdater(t *testing.T) {
 	const enb, universe = 1, 12 // RNTIs 100..111; RNTI r lives in cell r%2
 	cellOf := func(r lte.RNTI) lte.CellID { return lte.CellID(r % 2) }
@@ -201,6 +222,10 @@ func TestRIBMatchesReferenceUpdater(t *testing.T) {
 			want := ref.ues()
 			if got := rib.UEsOf(enb); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 				t.Fatalf("seed %d step %d: UEsOf\n got %+v\nwant %+v", seed, step, got, want)
+			}
+			walk := mapWalkUEsOf(rib, enb)
+			if got := rib.AppendUEsOf(enb, []protocol.UEStats{{RNTI: 1}}); got[0].RNTI != 1 || !reflect.DeepEqual(got[1:], walk) && len(got)+len(walk) > 1 {
+				t.Fatalf("seed %d step %d: AppendUEsOf\n got %+v\nwant %+v", seed, step, got[1:], walk)
 			}
 			if got := rib.UECount(enb); got != len(want) {
 				t.Fatalf("seed %d step %d: UECount = %d, want %d", seed, step, got, len(want))

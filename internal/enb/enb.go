@@ -156,8 +156,12 @@ type Hooks struct {
 	// OnMeasurement receives a connected UE's L3 measurements every
 	// DefaultMeasPeriodTTI subframes (only for UEs whose channel model
 	// implements radio.NeighborMeasurer). The agent's RRC module runs A3
-	// evaluation on this stream. neighbors is the eNodeB's measurement
-	// scratch, valid only during the call.
+	// evaluation on this stream. The measurements carry RSRP only: RSRQ is
+	// left 0 and the neighbours come in site order, so a hook that reports
+	// them asks ENB.RSSIdBm for the RSRQ and ranks the neighbours itself
+	// (radio.RankNeighbors). neighbors is the eNodeB's measurement scratch:
+	// the hook may reorder and rewrite it, but it is valid only during the
+	// call.
 	OnMeasurement func(rnti lte.RNTI, cellID lte.CellID, serving radio.Meas, neighbors []radio.Meas)
 }
 

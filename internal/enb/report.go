@@ -3,6 +3,7 @@ package enb
 import (
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
+	"flexran/internal/radio"
 )
 
 // This file is the read-side of the data plane: the statistics snapshots
@@ -37,6 +38,21 @@ func (e *ENB) UEReport(rnti lte.RNTI) (UEReport, bool) {
 		return UEReport{}, false
 	}
 	return e.report(s), true
+}
+
+// RSSIdBm returns the total received power at a UE's position at the
+// current subframe, the term a measurement's RSRQ subtracts from its RSRP
+// (ok=false for an unknown UE or one whose channel takes no measurements).
+func (e *ENB) RSSIdBm(rnti lte.RNTI) (float64, bool) {
+	s, ok := e.lookup(rnti)
+	if !ok {
+		return 0, false
+	}
+	nm, ok := e.cold[s].params.Channel.(radio.NeighborMeasurer)
+	if !ok {
+		return 0, false
+	}
+	return nm.RSSIdBm(e.sf), true
 }
 
 func (e *ENB) report(s int32) UEReport {

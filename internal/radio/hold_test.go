@@ -224,7 +224,8 @@ func TestGeoChannelHoldRate(t *testing.T) {
 				continue
 			}
 			var serving Meas
-			if serving, buf = ch.Measure(sf, buf); buf[0].RSRPdBm > serving.RSRPdBm+3 {
+			serving, buf = ch.Measure(sf, buf)
+			if RankNeighbors(buf); buf[0].RSRPdBm > serving.RSRPdBm+3 {
 				ch.Retarget(buf[0].ENB)
 				handovers++
 			}
@@ -276,9 +277,10 @@ func measureReference(g *GeoChannel, sf lte.Subframe) (Meas, []Meas) {
 	return serving, neighbors
 }
 
-// Measure through the survey must be bit-identical to the three-pass
-// reference (the goldens pin every RSRP/RSRQ a MeasReport rounds), also when
-// the buffer it is handed still holds another UE's list.
+// Measure's RSRP pass, ranked by RankNeighbors, must be bit-identical to the
+// three-pass reference, and RSRP - RSSIdBm to the reference's RSRQ (the
+// goldens pin every RSRP/RSRQ a MeasReport rounds), also when the buffer it
+// is handed still holds another UE's list.
 func TestGeoChannelMeasureMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var buf []Meas
@@ -296,6 +298,11 @@ func TestGeoChannelMeasureMatchesReference(t *testing.T) {
 			wantS, wantN := measureReference(ch, 0)
 			var gotS Meas
 			gotS, buf = ch.Measure(0, buf)
+			RankNeighbors(buf)
+			rssi := ch.RSSIdBm(0)
+			if gotS != (Meas{}) {
+				gotS.RSRQdB = gotS.RSRPdBm - rssi
+			}
 			if gotS != wantS {
 				t.Fatalf("map %d at %+v serving %d: serving = %+v, want %+v", mi, mob.p, ch.Serving(), gotS, wantS)
 			}
@@ -303,8 +310,13 @@ func TestGeoChannelMeasureMatchesReference(t *testing.T) {
 				t.Fatalf("map %d at %+v serving %d: %d neighbours, want %d", mi, mob.p, ch.Serving(), len(buf), len(wantN))
 			}
 			for k := range buf {
-				if buf[k] != wantN[k] {
-					t.Fatalf("map %d at %+v serving %d: neighbour %d = %+v, want %+v", mi, mob.p, ch.Serving(), k, buf[k], wantN[k])
+				got := buf[k]
+				if got.RSRQdB != 0 {
+					t.Fatalf("map %d: neighbour %d carries RSRQ %v from the sweep, want 0", mi, k, got.RSRQdB)
+				}
+				got.RSRQdB = got.RSRPdBm - rssi
+				if got != wantN[k] {
+					t.Fatalf("map %d at %+v serving %d: neighbour %d = %+v, want %+v", mi, mob.p, ch.Serving(), k, got, wantN[k])
 				}
 			}
 		}
@@ -317,15 +329,15 @@ func TestAllocGateGeoChannelMeasure(t *testing.T) {
 	g := NewGeoChannel(gridMap(), &Waypoint{Path: []Point{{X: 750, Y: 850}, {X: 1150, Y: 1000}}, SpeedMps: 30, PingPong: true}, 6)
 	sf := lte.Subframe(0)
 	var buf []Meas
-	var strongest float64
+	var measured float64
 	if got := testing.AllocsPerRun(1000, func() {
 		sf += 10
 		_, buf = g.Measure(sf, buf)
-		strongest += buf[0].RSRPdBm
+		measured += buf[0].RSRPdBm
 	}); got != 0 {
 		t.Errorf("GeoChannel.Measure: %.1f allocs/op, want 0", got)
 	}
-	if len(buf) != 15 || strongest == 0 {
+	if len(buf) != 15 || measured == 0 {
 		t.Errorf("the sweep measured %d neighbours: the gate measured nothing", len(buf))
 	}
 }

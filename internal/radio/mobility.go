@@ -246,25 +246,22 @@ func (m *Map) SINRdB(p Point, serving lte.ENBID) (float64, bool) {
 
 // survey is one exact evaluation of the map at a point: a single pass over
 // Sites that computes every site's distance and path loss once and yields
-// what SINRdB, RSRPdBm and rssiDBm would, bit for bit (same expressions, same
-// summation order), plus the distance to the nearest site.
+// what SINRdB would, bit for bit (same expressions, same summation order),
+// plus the distance to the nearest site.
 type survey struct {
 	best     int     // index of the serving eNodeB's strongest site, -1 if it has none
 	rsrpDBm  float64 // received power from that site
 	sigMw    float64 // the same in mW
 	intfMw   float64 // noise plus every other eNodeB's sites, in site order
-	totalMw  float64 // noise plus every site, in site order (the RSSI)
 	nearestM float64 // distance to the nearest site of the map
 }
 
 // sinrDB is the serving SINR of the survey (meaningful when best >= 0).
 func (sv *survey) sinrDB() float64 { return 10 * math.Log10(sv.sigMw/sv.intfMw) }
 
-// survey evaluates the map at p for a UE served by an eNodeB. A non-nil
-// neighbors receives one Meas per site of every other eNodeB, in site order,
-// with RSRPdBm set (RSRQ needs the finished total).
-func (m *Map) survey(p Point, serving lte.ENBID, neighbors *[]Meas) survey {
-	sv := survey{best: -1, intfMw: noiseMw, totalMw: noiseMw, nearestM: math.Inf(1)}
+// survey evaluates the map at p for a UE served by an eNodeB.
+func (m *Map) survey(p Point, serving lte.ENBID) survey {
+	sv := survey{best: -1, intfMw: noiseMw, nearestM: math.Inf(1)}
 	for i := range m.Sites {
 		s := &m.Sites[i]
 		d := Distance(p, s.Tx.Pos)
@@ -273,7 +270,6 @@ func (m *Map) survey(p Point, serving lte.ENBID, neighbors *[]Meas) survey {
 		}
 		rsrp := s.Tx.PowerDBm - PathLossDB(d)
 		mw := dbmToMw(rsrp)
-		sv.totalMw += mw
 		if s.ENB == serving {
 			if sv.best < 0 || rsrp > sv.rsrpDBm {
 				sv.best, sv.rsrpDBm, sv.sigMw = i, rsrp, mw
@@ -281,9 +277,6 @@ func (m *Map) survey(p Point, serving lte.ENBID, neighbors *[]Meas) survey {
 			continue
 		}
 		sv.intfMw += mw
-		if neighbors != nil {
-			*neighbors = append(*neighbors, Meas{ENB: s.ENB, Cell: s.Cell, RSRPdBm: rsrp})
-		}
 	}
 	return sv
 }
@@ -300,15 +293,39 @@ type Meas struct {
 }
 
 // NeighborMeasurer is the optional channel-model extension the eNodeB uses
-// to collect L3 measurements: the serving-cell operating point plus the
-// quality of every other site of the map.
+// to collect L3 measurements. The periodic sweep reads RSRP only: the
+// serving eNodeB's strongest site and every other site of the map. RSRQ
+// needs the total received power, a conversion to mW per site, and only a
+// measurement that is reported needs it, so the reader asks for it on
+// demand (RSSIdBm). Ranking the neighbours is the reader's too
+// (RankNeighbors).
 type NeighborMeasurer interface {
 	// Measure returns the serving measurement and the neighbour list
-	// (every other site, strongest first) at subframe sf. The list is
-	// built in buf's storage, overwriting it (and growing it when too
-	// small; nil is fine), so a caller that sweeps many UEs passes the
-	// previous result back in and allocates nothing.
+	// (every other site, in site order) at subframe sf, with RSRPdBm set
+	// and RSRQdB left 0. serving is the zero Meas when the serving eNodeB
+	// has no site. The list is built in buf's storage, overwriting it (and
+	// growing it when too small; nil is fine), so a caller that sweeps many
+	// UEs passes the previous result back in and allocates nothing.
 	Measure(sf lte.Subframe, buf []Meas) (serving Meas, neighbors []Meas)
+	// RSSIdBm is the total received power at the UE position at subframe
+	// sf, noise and every site included: a measurement's RSRQ is its RSRP
+	// minus this.
+	RSSIdBm(sf lte.Subframe) float64
+}
+
+// RankNeighbors orders a neighbour list strongest RSRP first, ties broken by
+// the lower eNodeB id, equal entries kept in list order.
+func RankNeighbors(ns []Meas) {
+	for i := 1; i < len(ns); i++ {
+		for j := i; j > 0; j-- {
+			a, b := &ns[j-1], &ns[j]
+			if b.RSRPdBm > a.RSRPdBm || (b.RSRPdBm == a.RSRPdBm && b.ENB < a.ENB) {
+				*a, *b = *b, *a
+			} else {
+				break
+			}
+		}
+	}
 }
 
 // Retargetable is the optional channel-model extension the handover path
@@ -446,7 +463,7 @@ func (g *GeoChannel) CQI(sf lte.Subframe) lte.CQI {
 	}
 	g.exact++
 	g.hold = cqiHold{}
-	sv := g.Map.survey(p, g.serving, nil)
+	sv := g.Map.survey(p, g.serving)
 	if sv.best < 0 {
 		return 0
 	}
@@ -458,32 +475,26 @@ func (g *GeoChannel) CQI(sf lte.Subframe) lte.CQI {
 	return cqi
 }
 
-// Measure implements NeighborMeasurer. The serving measurement is the
-// serving eNodeB's strongest site at the UE position (multi-cell eNodeBs
-// camp the UE on their best carrier); all of its sites are excluded from
-// the neighbour list.
+// Measure implements NeighborMeasurer with one RSRP pass over the map. The
+// serving measurement is the serving eNodeB's strongest site at the UE
+// position (multi-cell eNodeBs camp the UE on their best carrier); all of
+// its sites are excluded from the neighbour list.
 func (g *GeoChannel) Measure(sf lte.Subframe, buf []Meas) (Meas, []Meas) {
+	p := g.Position(sf)
 	neighbors := buf[:0]
-	sv := g.Map.survey(g.Position(sf), g.serving, &neighbors)
-	rssi := 10 * math.Log10(sv.totalMw)
 	var serving Meas
-	if sv.best >= 0 {
-		s := &g.Map.Sites[sv.best]
-		serving = Meas{ENB: s.ENB, Cell: s.Cell, RSRPdBm: sv.rsrpDBm, RSRQdB: sv.rsrpDBm - rssi}
-	}
-	for i := range neighbors {
-		neighbors[i].RSRQdB = neighbors[i].RSRPdBm - rssi
-	}
-	// Strongest neighbour first; ties broken by id for determinism.
-	for i := 1; i < len(neighbors); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &neighbors[j-1], &neighbors[j]
-			if b.RSRPdBm > a.RSRPdBm || (b.RSRPdBm == a.RSRPdBm && b.ENB < a.ENB) {
-				*a, *b = *b, *a
-			} else {
-				break
-			}
+	found := false
+	for i := range g.Map.Sites {
+		s := &g.Map.Sites[i]
+		rsrp := s.Tx.PowerDBm - PathLossDB(Distance(p, s.Tx.Pos))
+		if s.ENB != g.serving {
+			neighbors = append(neighbors, Meas{ENB: s.ENB, Cell: s.Cell, RSRPdBm: rsrp})
+		} else if !found || rsrp > serving.RSRPdBm {
+			serving, found = Meas{ENB: s.ENB, Cell: s.Cell, RSRPdBm: rsrp}, true
 		}
 	}
 	return serving, neighbors
 }
+
+// RSSIdBm implements NeighborMeasurer.
+func (g *GeoChannel) RSSIdBm(sf lte.Subframe) float64 { return g.Map.rssiDBm(g.Position(sf)) }

@@ -206,13 +206,19 @@ func TestGeoChannelMeasure(t *testing.T) {
 		t.Errorf("neighbour should be stronger: serving %v, neighbour %v",
 			serving.RSRPdBm, neighbors[0].RSRPdBm)
 	}
-	// RSRQ is negative (RSRP is a fraction of total received power).
-	if serving.RSRQdB >= 0 || neighbors[0].RSRQdB >= 0 {
-		t.Errorf("RSRQ must be negative: serving %v, neighbour %v",
-			serving.RSRQdB, neighbors[0].RSRQdB)
+	// RSRQ, computed on demand, is negative (RSRP is a fraction of total
+	// received power); the sweep itself leaves it 0.
+	if serving.RSRQdB != 0 || neighbors[0].RSRQdB != 0 {
+		t.Errorf("the sweep filled RSRQ: serving %v, neighbour %v", serving.RSRQdB, neighbors[0].RSRQdB)
+	}
+	rssi := ch.RSSIdBm(0)
+	if q, qn := serving.RSRPdBm-rssi, neighbors[0].RSRPdBm-rssi; q >= 0 || qn >= 0 {
+		t.Errorf("RSRQ must be negative: serving %v, neighbour %v", q, qn)
 	}
 }
 
+// The sweep lists neighbours in site order; RankNeighbors puts the strongest
+// first.
 func TestGeoChannelMeasureSorted(t *testing.T) {
 	m := NewMap(
 		Site{ENB: 1, Cell: 0, Tx: Transmitter{Pos: Point{X: 0}, PowerDBm: 43}},
@@ -225,6 +231,12 @@ func TestGeoChannelMeasureSorted(t *testing.T) {
 	if len(neighbors) != 3 {
 		t.Fatalf("got %d neighbours, want 3", len(neighbors))
 	}
+	for i, want := range []lte.ENBID{2, 3, 4} {
+		if neighbors[i].ENB != want {
+			t.Fatalf("sweep neighbours not in site order: %+v", neighbors)
+		}
+	}
+	RankNeighbors(neighbors)
 	for i := 1; i < len(neighbors); i++ {
 		if neighbors[i].RSRPdBm > neighbors[i-1].RSRPdBm {
 			t.Fatalf("neighbours not sorted strongest-first: %+v", neighbors)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
@@ -774,6 +775,75 @@ func TestAllocGateSchedulers(t *testing.T) {
 		}
 		if scheduled == 0 {
 			t.Errorf("%s never scheduled anything: the gate measured nothing", s.Name())
+		}
+	}
+}
+
+// sortPartition is the Slicer's partition as it was before the per-group
+// passes: the input stable-sorted by group, then one run per group with its
+// quota.
+func sortPartition(in Input, shares []float64) ([]UEInfo, []groupRun) {
+	part := slices.Clone(in.UEs)
+	slices.SortStableFunc(part, func(a, b UEInfo) int { return cmp.Compare(a.Group, b.Group) })
+	var runs []groupRun
+	assigned := 0
+	for lo := 0; lo < len(part); {
+		g := part[lo].Group
+		hi := lo + 1
+		for hi < len(part) && part[hi].Group == g {
+			hi++
+		}
+		var q int
+		if g >= 0 && g < len(shares) {
+			q = int(shares[g]*float64(in.TotalPRB) + 0.5)
+		}
+		if assigned+q > in.TotalPRB {
+			q = in.TotalPRB - assigned
+		}
+		runs = append(runs, groupRun{group: g, lo: lo, hi: hi, quota: q})
+		assigned += q
+		lo = hi
+	}
+	return part, runs
+}
+
+// The Slicer's one-pass-per-group partition is the stable sort by group it
+// replaced: the same UE order and the same runs and quotas, over random
+// groups, negative groups, groups beyond the share vector, a single group
+// and empty input, on one slicer whose working set carries across calls.
+func TestSlicerPartitionMatchesStableSort(t *testing.T) {
+	rnd := rand.New(rand.NewSource(36))
+	shares := []float64{0.5, 0.3, 0.2}
+	s := NewSlicer("s", shares, true, func() Scheduler { return NewRoundRobin() })
+	for it := 0; it < 3000; it++ {
+		in := randomInput(rnd, lte.Subframe(it))
+		for i := range in.UEs {
+			u := &in.UEs[i]
+			switch it % 5 {
+			case 0:
+				u.Group = 2 // a single group
+			case 1:
+				u.Group = -1 - rnd.Intn(4) // negative groups only
+			case 2:
+				u.Group = rnd.Intn(1<<20) - 1<<19 // sparse, far beyond the shares
+			case 3:
+				u.Group = len(shares) + rnd.Intn(3) // beyond the share vector only
+			}
+		}
+		if it%7 == 0 {
+			in.UEs = nil
+		}
+		before := slices.Clone(in.UEs)
+		s.Schedule(in)
+		if !slices.Equal(in.UEs, before) {
+			t.Fatalf("input %d: Schedule modified its input", it)
+		}
+		wantPart, wantRuns := sortPartition(in, shares)
+		if !slices.Equal(s.part, wantPart) {
+			t.Fatalf("input %d: partition\n got %+v\nwant %+v", it, s.part, wantPart)
+		}
+		if !slices.Equal(s.runs, wantRuns) {
+			t.Fatalf("input %d: runs %+v, want %+v", it, s.runs, wantRuns)
 		}
 	}
 }

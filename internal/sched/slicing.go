@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync"
 
 	"flexran/internal/lte"
@@ -89,17 +87,30 @@ func (s *Slicer) Schedule(in Input) []Alloc {
 	s.mu.Unlock()
 
 	// Partition UEs by group, ascending, each group keeping the input's
-	// UE order; groups beyond the share vector get 0.
-	part := append(s.part[:0], in.UEs...)
-	s.part = part
-	slices.SortStableFunc(part, func(a, b UEInfo) int { return cmp.Compare(a.Group, b.Group) })
+	// UE order: one pass per distinct group collects it and finds the next
+	// larger group (groups are operators or tiers, a handful, so this beats
+	// sorting the rows). Groups beyond the share vector get 0.
+	part := s.part[:0]
 	runs := s.runs[:0]
 	assigned := 0
-	for lo := 0; lo < len(part); {
-		g := part[lo].Group
-		hi := lo + 1
-		for hi < len(part) && part[hi].Group == g {
-			hi++
+	g, more := 0, len(in.UEs) > 0
+	if more {
+		g = in.UEs[0].Group
+		for _, u := range in.UEs[1:] {
+			g = min(g, u.Group)
+		}
+	}
+	for more {
+		lo := len(part)
+		next := 0
+		more = false
+		for i := range in.UEs {
+			switch ug := in.UEs[i].Group; {
+			case ug == g:
+				part = append(part, in.UEs[i])
+			case ug > g && (!more || ug < next):
+				next, more = ug, true
+			}
 		}
 		var q int
 		if g >= 0 && g < len(shares) {
@@ -108,10 +119,11 @@ func (s *Slicer) Schedule(in Input) []Alloc {
 		if assigned+q > in.TotalPRB {
 			q = in.TotalPRB - assigned
 		}
-		runs = append(runs, groupRun{group: g, lo: lo, hi: hi, quota: q})
+		runs = append(runs, groupRun{group: g, lo: lo, hi: len(part), quota: q})
 		assigned += q
-		lo = hi
+		g = next
 	}
+	s.part = part
 	s.runs = runs
 	spare := in.TotalPRB - assigned
 
