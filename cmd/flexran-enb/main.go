@@ -86,7 +86,7 @@ func main() {
 	}
 
 	fmt.Printf("flexran-enb %d: %d UEs, connecting to %s\n", *id, *ues, *masterAddr)
-	err = flexran.RunAgentLoopRT(n, *masterAddr, stop, flexran.RTConfig{Stats: ls})
+	err = flexran.RunAgentLoop(n, *masterAddr, stop, flexran.RTConfig{Stats: ls})
 	// Flush the final accounting whether the loop ended by signal or by a
 	// transport failure.
 	fmt.Println(ls.Profile())

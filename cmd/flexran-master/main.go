@@ -97,18 +97,22 @@ func main() {
 		}
 	}()
 
+	l, err := flexran.ListenControl(*addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "master:", err)
+		os.Exit(1)
+	}
 	if *api != "" {
-		apiAddr, err := flexran.ServeNorthbound(m, ls, *api, stop, flexran.WithSliceBroker(slices))
+		apiAddr, err := flexran.ServeNorthbound(m, ls, slices, *api, stop)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "master: northbound:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("flexran-master northbound API on %s\n", apiAddr)
 	}
-	fmt.Printf("flexran-master listening on %s\n", *addr)
-	err = flexran.ServeMasterRT(m, *addr, stop, flexran.RTConfig{Stats: ls})
-	// Flush the final accounting whether the loop ended by signal or by a
-	// transport failure.
+	fmt.Printf("flexran-master listening on %s\n", l.Addr())
+	err = flexran.ServeMaster(m, l, stop, flexran.RTConfig{Stats: ls})
+	// Flush the final accounting on the way out.
 	fmt.Println(flexran.MasterSummary(m))
 	fmt.Println(ls.Profile())
 	if err != nil {

@@ -86,7 +86,7 @@ func main() {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{Period: *period, Stats: masterLS}); err != nil {
+		if err := flexran.ServeMaster(m, l, stop, flexran.RTConfig{Period: *period, Stats: masterLS}); err != nil {
 			fmt.Fprintln(os.Stderr, "flexran-rt: master:", err)
 		}
 	}()
@@ -109,7 +109,7 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := flexran.RunAgentLoopRT(n, addr, stop, flexran.RTConfig{Period: *period, Stats: agentLS}); err != nil {
+			if err := flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{Period: *period, Stats: agentLS}); err != nil {
 				fmt.Fprintln(os.Stderr, "flexran-rt: agent:", err)
 			}
 		}()

@@ -36,8 +36,10 @@
 // measured slower than the serial engine on every world tried, up to
 // 4,096 eNodeBs.
 //
-// For wall-clock deployments over TCP, see ServeMaster and RunAgentLoop,
-// which steps a Node built by NewNode from the same ENBSpec.
+// For wall-clock deployments over TCP, see ServeMaster and RunAgentLoop:
+// one paced loop per side, the agent stepping a Node built by NewNode from
+// the same ENBSpec, the master draining every connection on its tick
+// goroutine before each cycle.
 // The experiments regenerating every table and figure of the paper live in
 // internal/experiments and are runnable via cmd/flexran-exp.
 package flexran
@@ -214,12 +216,6 @@ type (
 	ScenarioSummary = scenario.Summary
 )
 
-// ParseScenario parses and validates a scenario document.
-func ParseScenario(doc string) (*Scenario, error) { return scenario.Parse(doc) }
-
-// LoadScenario reads and parses a scenario file.
-func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
-
 // LoadNamedScenario finds "<name>.yaml" in the repository's scenarios/
 // library, searching upward from the working directory.
 func LoadNamedScenario(name string) (*Scenario, error) { return scenario.LoadNamed(name) }
@@ -267,8 +263,8 @@ type (
 )
 
 // NewSliceBroker builds the elastic slice broker over the given specs;
-// register it on a Master and (optionally) expose it northbound with
-// WithSliceBroker.
+// register it on a Master and (optionally) expose it northbound by passing
+// it to ServeNorthbound.
 func NewSliceBroker(cfg SliceBrokerConfig, specs ...SliceSpec) (*SliceBroker, error) {
 	return broker.New(cfg, specs...)
 }
@@ -305,11 +301,6 @@ func NewNode(spec ENBSpec) (*Node, error) { return sim.NewNode(spec) }
 
 // FixedChannel is a constant-quality channel.
 func FixedChannel(c CQI) ChannelModel { return radio.Fixed(c) }
-
-// SquareWaveChannel alternates between two CQIs.
-func SquareWaveChannel(a, b CQI, halfPeriod, total Subframe) ChannelModel {
-	return radio.NewSquareWave(a, b, halfPeriod, total)
-}
 
 // FadingChannel is a Gauss-Markov fading process around a mean CQI.
 func FadingChannel(mean, rho, sigma float64, seed int64) ChannelModel {

@@ -58,10 +58,14 @@ func TestRealTimeDeployment(t *testing.T) {
 		t.Skip("wall-clock test")
 	}
 	m := flexran.NewMaster(flexran.DefaultMasterOptions())
+	l, err := flexran.ListenControl("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
 	stop := make(chan struct{})
 	errc := make(chan error, 2)
-	go func() { errc <- flexran.ServeMaster(m, "127.0.0.1:21299", stop) }()
-	time.Sleep(50 * time.Millisecond)
+	go func() { errc <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{}) }()
 
 	n, err := flexran.NewNode(flexran.ENBSpec{ID: 4, Seed: 1, Agent: true, UEs: []flexran.UESpec{{
 		IMSI: 1, Channel: flexran.FixedChannel(12),
@@ -69,7 +73,7 @@ func TestRealTimeDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { errc <- flexran.RunAgentLoop(n, "127.0.0.1:21299", stop) }()
+	go func() { errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
 
 	// Wait for the RIB to see the agent and its UE.
 	deadline := time.After(5 * time.Second)

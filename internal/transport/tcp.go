@@ -150,12 +150,11 @@ func DrainRecv(recv <-chan *protocol.Message, batch *[]*protocol.Message) bool {
 
 // RecvBatch blocks for one inbound message, then greedily drains every
 // further message the connection has already buffered, appending all of
-// them to *batch (the caller resets the slice between calls). One batch
-// handed to the master's per-session ingest queue costs one lock
-// round-trip regardless of how many per-TTI reports it carries. It
-// reports false when the connection is closed and nothing was appended;
-// a batch cut short by the close is still delivered, and the next call
-// returns false.
+// them to *batch (the caller resets the slice between calls). It reports
+// false when the connection is closed and nothing was appended; a batch
+// cut short by the close is still delivered, and the next call returns
+// false. Its only caller is the benchmark's master-side reader; the
+// wall-clock master drains with DrainRecv on its tick goroutine.
 func (c *Conn) RecvBatch(batch *[]*protocol.Message) bool {
 	msg, ok := <-c.recv
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,7 +71,7 @@ func TestRealTimeStatsExchange(t *testing.T) {
 	stop := make(chan struct{})
 	errc := make(chan error, 3)
 	go func() {
-		errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{Stats: masterLS})
+		errc <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{Stats: masterLS})
 	}()
 	ids := []flexran.ENBID{7, 8}
 	nodes := make([]*flexran.Node, len(ids))
@@ -82,7 +83,7 @@ func TestRealTimeStatsExchange(t *testing.T) {
 		n := newNode(t, spec)
 		nodes[i] = n
 		go func() {
-			errc <- flexran.RunAgentLoopRT(n, addr, stop, flexran.RTConfig{Stats: agentLS})
+			errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{Stats: agentLS})
 		}()
 	}
 
@@ -136,7 +137,7 @@ func TestRealTimeStatsExchange(t *testing.T) {
 // before anything is dialled.
 func TestAgentLoopNeedsAnAgent(t *testing.T) {
 	n := newNode(t, flexran.ENBSpec{ID: 3})
-	if err := flexran.RunAgentLoop(n, "127.0.0.1:1", nil); err == nil {
+	if err := flexran.RunAgentLoop(n, "127.0.0.1:1", nil, flexran.RTConfig{}); err == nil {
 		t.Fatal("agent loop accepted a node without an agent")
 	}
 }
@@ -157,13 +158,13 @@ func TestRealTimeAgentRestart(t *testing.T) {
 
 	stop := make(chan struct{})
 	masterErr := make(chan error, 1)
-	go func() { masterErr <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
+	go func() { masterErr <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{}) }()
 
 	n := newNode(t, agentSpec(5, 3))
 	a := n.Agent
 	agentStop := make(chan struct{})
 	agentErr := make(chan error, 1)
-	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop) }()
+	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop, flexran.RTConfig{}) }()
 	waitFor(t, 5*time.Second, "first attach", func() bool {
 		return m.RIB().Connected(5) && m.RIB().UECount(5) == 3
 	})
@@ -182,7 +183,7 @@ func TestRealTimeAgentRestart(t *testing.T) {
 	// bring the RIB back without any manual cleanup.
 	a.Restart()
 	agentStop = make(chan struct{})
-	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop) }()
+	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop, flexran.RTConfig{}) }()
 	waitFor(t, 5*time.Second, "reattach after restart", func() bool {
 		return m.RIB().Connected(5) && m.RIB().UECount(5) == 3
 	})
@@ -203,6 +204,9 @@ func TestRealTimeAgentRestart(t *testing.T) {
 // TestRealTimeShutdownLeaksNothing is the regression test for the server
 // leaking one reader goroutine and socket per connected agent on shutdown:
 // after stop, the goroutine count must return to its pre-deployment level.
+// While the agents are attached it also pins that the master keeps no
+// goroutine of its own per connection: only the connections' transport
+// readers grow with the agent count.
 func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
@@ -217,10 +221,10 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 	addr := l.Addr().String()
 	stop := make(chan struct{})
 	errc := make(chan error, 4)
-	go func() { errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
+	go func() { errc <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{}) }()
 	for i := 0; i < 3; i++ {
 		n := newNode(t, agentSpec(flexran.ENBID(20+i), 1))
-		go func() { errc <- flexran.RunAgentLoop(n, addr, stop) }()
+		go func() { errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
 	}
 	waitFor(t, 5*time.Second, "all agents attached", func() bool {
 		for i := 0; i < 3; i++ {
@@ -230,6 +234,9 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 		}
 		return true
 	})
+	if n := serveMasterGoroutines(); n < 1 || n > 3 {
+		t.Errorf("%d goroutines in ServeMaster with 3 agents attached, want 1 to 3", n)
+	}
 
 	close(stop)
 	for i := 0; i < 4; i++ {
@@ -247,12 +254,31 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 	})
 }
 
+// serveMasterGoroutines counts the goroutines with a ServeMaster frame on
+// their stack.
+func serveMasterGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			count := 0
+			for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+				if strings.Contains(g, "flexran.ServeMaster") {
+					count++
+				}
+			}
+			return count
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // TestRealTimeStopIsCleanExit is the regression test for the shutdown race
 // in the wall-clock loops: stop makes the master close its connections,
 // and an agent loop that saw the closed transport before it saw stop
 // reported "control channel: EOF" for what was a clean shutdown (about one
 // start/stop cycle in eight). Every cycle rebinds the same address, so it
-// also pins that ServeMasterListener returns only after its listener is
+// also pins that ServeMaster returns only after its listener is
 // closed. Each cycle is event-driven: it stops the moment the master has
 // applied the agent's Hello.
 func TestRealTimeStopIsCleanExit(t *testing.T) {
@@ -270,9 +296,9 @@ func TestRealTimeStopIsCleanExit(t *testing.T) {
 		addr = l.Addr().String()
 		stop := make(chan struct{})
 		errc := make(chan error, 2)
-		go func() { errc <- flexran.ServeMasterListener(m, l, stop, flexran.RTConfig{}) }()
+		go func() { errc <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{}) }()
 		n := newNode(t, agentSpec(4, 1))
-		go func() { errc <- flexran.RunAgentLoop(n, addr, stop) }()
+		go func() { errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
 
 		select {
 		case <-hello.Events():
@@ -299,7 +325,7 @@ func TestNorthboundDropsStalledHeaders(t *testing.T) {
 	t.Parallel()
 	stop := make(chan struct{})
 	defer close(stop)
-	addr, err := flexran.ServeNorthbound(flexran.NewMaster(flexran.DefaultMasterOptions()), nil, "127.0.0.1:0", stop)
+	addr, err := flexran.ServeNorthbound(flexran.NewMaster(flexran.DefaultMasterOptions()), nil, nil, "127.0.0.1:0", stop)
 	if err != nil {
 		t.Fatal(err)
 	}
