@@ -111,12 +111,8 @@ func main() {
 		fmt.Printf("flexran-master northbound API on %s\n", apiAddr)
 	}
 	fmt.Printf("flexran-master listening on %s\n", l.Addr())
-	err = flexran.ServeMaster(m, l, stop, flexran.RTConfig{Stats: ls})
+	flexran.ServeMaster(m, l, stop, flexran.RTConfig{Stats: ls})
 	// Flush the final accounting on the way out.
 	fmt.Println(flexran.MasterSummary(m))
 	fmt.Println(ls.Profile())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "master:", err)
-		os.Exit(1)
-	}
 }

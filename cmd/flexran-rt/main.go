@@ -86,9 +86,7 @@ func main() {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := flexran.ServeMaster(m, l, stop, flexran.RTConfig{Period: *period, Stats: masterLS}); err != nil {
-			fmt.Fprintln(os.Stderr, "flexran-rt: master:", err)
-		}
+		flexran.ServeMaster(m, l, stop, flexran.RTConfig{Period: *period, Stats: masterLS})
 	}()
 
 	for i := 0; i < *enbs; i++ {

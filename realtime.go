@@ -70,10 +70,13 @@ type RTConfig struct {
 
 // pace runs a wall-clock TTI loop on the calling goroutine until stop is
 // closed or drain reports its inbound channel closed. Every due TTI, late
-// ones included, is drain(nil) followed by step, which cfg.Stats times:
-// the step count keeps tracking wall-clock TTIs, and a backlog is visible
-// as misses instead of silent drift. Between deadlines the loop sleeps,
-// waking early for a message on wake (nil: never) to hand it to drain.
+// ones included, is drain(nil) followed by step: the step count keeps
+// tracking wall-clock TTIs, and a backlog is visible as misses instead of
+// silent drift. cfg.Stats times each drain and step together (its Step
+// histogram is the loop's whole per-TTI work), and stop is checked before
+// every one, so a backlog never delays shutdown. Between deadlines the
+// loop sleeps, waking early for a message on wake (nil: never) to hand it
+// to drain; those early drains are not timed.
 func pace(cfg RTConfig, stop <-chan struct{}, wake <-chan *protocol.Message,
 	drain func(first *protocol.Message) bool, step func()) {
 	ls := cfg.Stats
@@ -97,28 +100,28 @@ func pace(cfg RTConfig, stop <-chan struct{}, wake <-chan *protocol.Message,
 				continue
 			case <-timer.C:
 			}
-		} else {
-			select {
-			case <-stop: // a loop that stays behind still stops
-				return
-			default:
-			}
 		}
 		due, missed := pacer.Due(time.Now())
 		if ls != nil {
 			ls.Account(due, missed)
 		}
 		for i := 0; i < due; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var t0 time.Time
+			if ls != nil {
+				t0 = time.Now()
+			}
 			if !drain(nil) {
 				return
 			}
-			if ls == nil {
-				step()
-				continue
-			}
-			t0 := time.Now()
 			step()
-			ls.Step.Observe(time.Since(t0))
+			if ls != nil {
+				ls.Step.Observe(time.Since(t0))
+			}
 		}
 	}
 }
@@ -128,12 +131,22 @@ func pace(cfg RTConfig, stop <-chan struct{}, wake <-chan *protocol.Message,
 // master, and the task-manager tick loop at one cycle per TTI. Before each
 // Tick the tick goroutine drains every live connection, in attach order,
 // into its AgentSession; a connection whose reader has exited has its
-// session and socket closed there and leaves the registry. Inbound traffic
-// is therefore bounded by each reader's channel and TCP backpressure. The
-// loop owns the listener and blocks until stop is closed; by the time it
-// returns, the listener and every accepted connection are closed (readers
-// never outlive the server, and the address can be bound again).
-func ServeMaster(m *Master, l *ControlListener, stop <-chan struct{}, cfg RTConfig) error {
+// session and socket closed there and leaves the registry.
+//
+// Inbound traffic is therefore bounded by each reader's 1,024-message
+// channel and TCP backpressure, and nothing reads an agent's socket while
+// a Tick runs. The trade-off is fault coupling: a Tick blocked in a write
+// to an agent that has stopped reading (writes have no deadline) stops
+// draining every other agent too, and once their channels and socket
+// buffers fill, their own sends, and with them their data planes, block
+// until that write completes or stop is closed.
+//
+// The loop owns the listener and blocks until stop is closed. Closing stop
+// closes the listener and every connection at once, from a goroutine of
+// its own, so that a Tick blocked in a write returns; by the time
+// ServeMaster returns, every session is closed (readers never outlive the
+// server, and the address can be bound again).
+func ServeMaster(m *Master, l *ControlListener, stop <-chan struct{}, cfg RTConfig) {
 	if cfg.Stats != nil {
 		m.SetLoopStats(cfg.Stats)
 	}
@@ -142,12 +155,25 @@ func ServeMaster(m *Master, l *ControlListener, stop <-chan struct{}, cfg RTConf
 		sess *controller.AgentSession
 	}
 	// The live-connection registry, in attach order: the accept goroutine
-	// appends, the tick goroutine prunes and, once the accept goroutine
-	// has exited on stop, closes what is left.
+	// appends, the tick goroutine prunes, and the teardown goroutine closes
+	// every socket on stop. Sessions are closed on the tick goroutine only.
 	var (
-		mu    sync.Mutex
-		links []link
+		mu      sync.Mutex
+		links   []link
+		stopped bool
 	)
+	torn := make(chan struct{})
+	go func() {
+		defer close(torn)
+		<-stop
+		l.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		stopped = true
+		for _, k := range links {
+			k.conn.Close()
+		}
+	}()
 	accepting := make(chan struct{})
 	go func() {
 		defer close(accepting)
@@ -157,16 +183,22 @@ func ServeMaster(m *Master, l *ControlListener, stop <-chan struct{}, cfg RTConf
 				return // listener closed
 			}
 			mu.Lock()
+			if stopped {
+				// Accept raced the teardown sweep: this socket is ours to
+				// close, and it never gets a session.
+				mu.Unlock()
+				conn.Close()
+				return
+			}
 			links = append(links, link{conn, m.HandleAgentSession(conn.Send)})
 			mu.Unlock()
 		}
 	}()
 	defer func() {
-		l.Close()
+		<-torn
 		<-accepting
 		for _, k := range links {
 			k.sess.Close()
-			k.conn.Close()
 		}
 	}()
 
@@ -193,7 +225,6 @@ func ServeMaster(m *Master, l *ControlListener, stop <-chan struct{}, cfg RTConf
 		return true
 	}
 	pace(cfg, stop, nil, drain, m.Tick)
-	return nil
 }
 
 // Northbound connection limits. A client that has not sent its request

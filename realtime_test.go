@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"flexran"
+	"flexran/internal/protocol"
+	"flexran/internal/transport"
 )
 
 // agentSpec declares an agent-enabled eNodeB with nUEs UEs at CQI 12.
@@ -71,7 +73,8 @@ func TestRealTimeStatsExchange(t *testing.T) {
 	stop := make(chan struct{})
 	errc := make(chan error, 3)
 	go func() {
-		errc <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{Stats: masterLS})
+		flexran.ServeMaster(m, l, stop, flexran.RTConfig{Stats: masterLS})
+		errc <- nil
 	}()
 	ids := []flexran.ENBID{7, 8}
 	nodes := make([]*flexran.Node, len(ids))
@@ -157,8 +160,8 @@ func TestRealTimeAgentRestart(t *testing.T) {
 	addr := l.Addr().String()
 
 	stop := make(chan struct{})
-	masterErr := make(chan error, 1)
-	go func() { masterErr <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{}) }()
+	masterDone := make(chan struct{})
+	go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); close(masterDone) }()
 
 	n := newNode(t, agentSpec(5, 3))
 	a := n.Agent
@@ -196,9 +199,7 @@ func TestRealTimeAgentRestart(t *testing.T) {
 	if err := <-agentErr; err != nil {
 		t.Errorf("agent loop: %v", err)
 	}
-	if err := <-masterErr; err != nil {
-		t.Errorf("master loop: %v", err)
-	}
+	<-masterDone
 }
 
 // TestRealTimeShutdownLeaksNothing is the regression test for the server
@@ -221,7 +222,7 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 	addr := l.Addr().String()
 	stop := make(chan struct{})
 	errc := make(chan error, 4)
-	go func() { errc <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{}) }()
+	go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); errc <- nil }()
 	for i := 0; i < 3; i++ {
 		n := newNode(t, agentSpec(flexran.ENBID(20+i), 1))
 		go func() { errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
@@ -257,17 +258,22 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 // serveMasterGoroutines counts the goroutines with a ServeMaster frame on
 // their stack.
 func serveMasterGoroutines() int {
+	count := 0
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, "flexran.ServeMaster") {
+			count++
+		}
+	}
+	return count
+}
+
+// goroutineStacks returns one stack trace per live goroutine.
+func goroutineStacks() []string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			count := 0
-			for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-				if strings.Contains(g, "flexran.ServeMaster") {
-					count++
-				}
-			}
-			return count
+			return strings.Split(string(buf[:n]), "\n\n")
 		}
 		buf = make([]byte, 2*len(buf))
 	}
@@ -296,7 +302,7 @@ func TestRealTimeStopIsCleanExit(t *testing.T) {
 		addr = l.Addr().String()
 		stop := make(chan struct{})
 		errc := make(chan error, 2)
-		go func() { errc <- flexran.ServeMaster(m, l, stop, flexran.RTConfig{}) }()
+		go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); errc <- nil }()
 		n := newNode(t, agentSpec(4, 1))
 		go func() { errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
 
@@ -313,6 +319,84 @@ func TestRealTimeStopIsCleanExit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// policyFlooder is a ticker app that pushes a large policy document to one
+// eNodeB every cycle, so that the master's tick goroutine blocks in a
+// socket write as soon as that peer stops reading.
+type policyFlooder struct {
+	enb flexran.ENBID
+	doc string
+}
+
+func (f *policyFlooder) Name() string { return "policy-flooder" }
+
+func (f *policyFlooder) OnTick(ctx *flexran.Context, _ flexran.Subframe) {
+	if ctx.RIB().Connected(f.enb) {
+		ctx.PushPolicy(f.enb, f.doc) //nolint:errcheck // the write error is the point
+	}
+}
+
+// TestRealTimeStopFreesBlockedMaster: a peer completes its Hello and never
+// reads again, and the master's Tick blocks writing to it. Closing stop
+// must still make ServeMaster return promptly (its teardown closes the
+// sockets under the blocked write), and an agent attached alongside must
+// see a clean shutdown.
+func TestRealTimeStopFreesBlockedMaster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	const stalled = flexran.ENBID(30)
+	m := flexran.NewMaster(flexran.DefaultMasterOptions())
+	m.Register(&policyFlooder{enb: stalled, doc: strings.Repeat("x", 256<<10)}, 0)
+	l, err := flexran.ListenControl("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	stop := make(chan struct{})
+	masterDone := make(chan struct{})
+	go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); close(masterDone) }()
+	agentErr := make(chan error, 1)
+	n := newNode(t, agentSpec(31, 1))
+	go func() { agentErr <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		close(stop)
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	hello := protocol.New(stalled, 0, &protocol.Hello{Version: protocol.ProtocolVersion, Epoch: 1})
+	if err := transport.WriteFrame(nc, protocol.Encode(hello)); err != nil {
+		close(stop)
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the tick goroutine blocked writing to the stalled peer", func() bool {
+		return tickBlockedInSend() && m.RIB().Connected(31)
+	})
+
+	close(stop)
+	select {
+	case <-masterDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeMaster still blocked in a write 5s after stop")
+	}
+	if err := <-agentErr; err != nil {
+		t.Errorf("agent loop: %v", err)
+	}
+}
+
+// tickBlockedInSend reports whether some ServeMaster goroutine is parked in
+// a socket write inside transport.Conn.Send.
+func tickBlockedInSend() bool {
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, "[IO wait") && strings.Contains(g, "flexran.ServeMaster") &&
+			strings.Contains(g, "transport.(*Conn).Send") {
+			return true
+		}
+	}
+	return false
 }
 
 // TestNorthboundDropsStalledHeaders: a client that sends half a request
