@@ -1,7 +1,7 @@
 // flexran-exp regenerates the tables and figures of the FlexRAN paper's
 // evaluation (§5) and use cases (§6). Each experiment prints a report
-// shaped like the corresponding artifact; DESIGN.md §3 maps the ids to
-// paper figures and EXPERIMENTS.md records paper-vs-measured values.
+// shaped like the corresponding artifact; `-list` prints the ids, which
+// name the paper's figures and tables.
 //
 // Usage:
 //

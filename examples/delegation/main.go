@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"flexran"
-	"flexran/internal/agent"
 	"flexran/internal/controller"
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
@@ -93,7 +92,7 @@ func (p *pusher) OnTick(ctx *controller.Context, _ lte.Subframe) {
 		Module: "mac", VSF: flexran.OpDLUESched, Name: "pf-dsl",
 		VSFKind: protocol.VSFProgram, Program: wire.Marshal(p.prog),
 	}
-	agent.Sign(agent.DefaultTrustKey, up)
+	up.Sign(protocol.DefaultTrustKey)
 	seq, err := ctx.Send(1, up)
 	if err != nil {
 		panic(err)

@@ -155,7 +155,8 @@ type (
 	HandoverRecord = sim.HandoverRecord
 	// Fault is one scheduled failure-injection event of a scenario.
 	Fault = sim.Fault
-	// FaultKind selects the injected failure (link cut/restore, restart).
+	// FaultKind selects the injected failure: link cut/restore, agent
+	// restart, netem change, agent stall/resume.
 	FaultKind = sim.FaultKind
 )
 
@@ -164,6 +165,9 @@ const (
 	FaultLinkCut      = sim.FaultLinkCut
 	FaultLinkRestore  = sim.FaultLinkRestore
 	FaultAgentRestart = sim.FaultAgentRestart
+	FaultNetemSet     = sim.FaultNetemSet
+	FaultAgentStall   = sim.FaultAgentStall
+	FaultAgentResume  = sim.FaultAgentResume
 )
 
 // Mobility types: geometry, motion models and the handover control loop.

@@ -74,7 +74,6 @@ type HandoverExecutor func(cmd *protocol.HandoverCommand) error
 // statsSub is one registered statistics subscription.
 type statsSub struct {
 	req      protocol.StatsRequest
-	lastSent lte.Subframe
 	started  lte.Subframe
 	lastHash uint64 // for triggered mode
 	sentOnce bool
@@ -155,7 +154,7 @@ type Agent struct {
 // the agent's MAC control module.
 func New(e *enb.ENB, opts Options) *Agent {
 	if opts.TrustKey == "" {
-		opts.TrustKey = DefaultTrustKey
+		opts.TrustKey = protocol.DefaultTrustKey
 	}
 	a := &Agent{
 		enb:  e,
@@ -434,14 +433,7 @@ func (a *Agent) dispatch(m *protocol.Message) {
 	case *protocol.PolicyReconf:
 		a.ack(a.Reconfigure(p.Doc))
 	case *protocol.HandoverCommand:
-		a.mu.Lock()
-		exec := a.hoExec
-		a.mu.Unlock()
-		if exec == nil {
-			a.ack(fmt.Errorf("agent: no handover executor attached"))
-			return
-		}
-		if err := exec(p); err != nil {
+		if err := a.execHandover(p); err != nil {
 			a.ack(err)
 		}
 		// Success is acknowledged by the target agent's HandoverComplete,
@@ -554,8 +546,8 @@ func (a *Agent) ack(err error) {
 
 func (a *Agent) installVSF(up *protocol.VSFUpdate) error {
 	if a.opts.RequireSignedVSFs {
-		if err := Verify(a.opts.TrustKey, up); err != nil {
-			return err
+		if err := up.Verify(a.opts.TrustKey); err != nil {
+			return fmt.Errorf("agent: %w", err)
 		}
 	}
 	mod, ok := a.modules[up.Module]

@@ -310,13 +310,13 @@ func TestSignedVSFEnforcement(t *testing.T) {
 		t.Fatal("unsigned VSF accepted")
 	}
 	// Signed with the wrong key: rejected.
-	Sign("wrong-key", up)
+	up.Sign("wrong-key")
 	h.agent.Deliver(protocol.New(5, 0, up))
 	if ack := h.lastOf(protocol.KindControlAck).Payload.(*protocol.ControlAck); ack.OK {
 		t.Fatal("wrongly signed VSF accepted")
 	}
 	// Properly signed: accepted.
-	Sign(DefaultTrustKey, up)
+	up.Sign(protocol.DefaultTrustKey)
 	h.agent.Deliver(protocol.New(5, 0, up))
 	if ack := h.lastOf(protocol.KindControlAck).Payload.(*protocol.ControlAck); !ack.OK {
 		t.Fatalf("signed VSF rejected: %s", ack.Detail)

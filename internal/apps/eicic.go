@@ -1,6 +1,9 @@
 package apps
 
 import (
+	"fmt"
+
+	"flexran/internal/agent"
 	"flexran/internal/controller"
 	"flexran/internal/lte"
 	"flexran/internal/sched"
@@ -12,7 +15,7 @@ import (
 // cells will not need an upcoming ABS (their backlog drains in earlier ABS
 // subframes), it grants that subframe to the macro cell by pushing a
 // scheduling decision to the macro agent's remote stub. Outside ABS, and
-// on the small cells, the local agent-side VSFs (sched.ABSSwitch /
+// on the small cells, the agent-side VSFs of InstallEICIC (sched.ABSSwitch /
 // sched.ABSGate) operate autonomously — exactly the split of control the
 // paper describes.
 type EICIC struct {
@@ -55,6 +58,53 @@ func NewEICIC(macro lte.ENBID, smalls []lte.ENBID, absCount int, optimized bool)
 		clearCQI:  map[lte.RNTI]lte.CQI{},
 		hitCQI:    map[lte.RNTI]lte.CQI{},
 	}
+}
+
+// InstallEICIC installs and activates the agent side of the §6.1 split of
+// control. The macro's downlink scheduler becomes an ABS switch: its local
+// round robin outside ABS and, during ABS, either strict muting (plain
+// eICIC) or, when optimized, the remote stub the coordinator's grants
+// feed. Each small cell schedules its victims only during ABS, batching
+// the trickle traffic into whole subframes (queue threshold or head-of-line
+// age) so unneeded ABS subframes go fully idle: the capacity the optimized
+// coordinator re-grants.
+func InstallEICIC(macro *agent.Agent, smalls []*agent.Agent, absCount int, optimized bool) error {
+	abs := sched.ABSPattern(absCount)
+	mac := macro.MAC()
+	var during sched.Scheduler
+	if optimized {
+		during = mac.RemoteStub(agent.OpDLUESched)
+	}
+	sw := sched.NewABSSwitch("eicic-macro", abs, sched.NewRoundRobin(), during)
+	if err := installDL(mac, "eicic-macro", sw); err != nil {
+		return err
+	}
+	for _, small := range smalls {
+		batch := sched.NewMetric("batch-rr", func(in sched.Input, u sched.UEInfo) float64 {
+			// Fixed threshold ≈ 2/3 of a clear-channel subframe so the
+			// batch size does not collapse when the victim UE reports an
+			// interference-degraded CQI.
+			if u.QueueBytes >= 2000 || in.SF-u.LastSched > 12 {
+				return float64(u.QueueBytes)
+			}
+			return -1
+		})
+		if err := installDL(small.MAC(), "eicic-small", sched.NewABSGate("eicic-small", abs, batch)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// installDL caches impl as the named downlink VSF and activates it.
+func installDL(mac *agent.MACModule, name string, impl sched.Scheduler) error {
+	if err := mac.InstallLocal(agent.OpDLUESched, name, impl); err != nil {
+		return fmt.Errorf("apps: eicic install %s: %w", name, err)
+	}
+	if err := mac.Activate(agent.OpDLUESched, name); err != nil {
+		return fmt.Errorf("apps: eicic activate %s: %w", name, err)
+	}
+	return nil
 }
 
 func (e *EICIC) observe(rnti lte.RNTI, cqi lte.CQI) {

@@ -170,7 +170,7 @@ func TestStalledCellExcludedFromHandover(t *testing.T) {
 
 	// Wedge the target cell's agent. Echo replies continue (the gray
 	// part), so detection must come from report staleness.
-	s.StallAgent(2)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultAgentStall, ENB: 2})
 	budget := opts.HealthSuspectTTI + opts.StatsPeriodTTI + opts.HealthPeriodTTI
 	detected := -1
 	for i := 0; i < budget+50; i++ {
@@ -202,7 +202,7 @@ func TestStalledCellExcludedFromHandover(t *testing.T) {
 
 	// Recovery: the agent resumes, holds healthy for the recovery window,
 	// and the still-pending border crossing finally executes.
-	s.ResumeAgent(2)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultAgentResume, ENB: 2})
 	recovered := -1
 	for i := 0; i < 1000; i++ {
 		s.Step()

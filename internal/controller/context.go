@@ -1,9 +1,7 @@
 package controller
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
@@ -65,7 +63,7 @@ func (c *Context) PushNativeVSF(enb lte.ENBID, module, vsf, name, ref string) (u
 		Module: module, VSF: vsf, Name: name,
 		VSFKind: protocol.VSFNative, Ref: ref,
 	}
-	signUpdate(c.master.opts.TrustKey, up)
+	up.Sign(c.master.opts.TrustKey)
 	return c.master.sendCmd(enb, up)
 }
 
@@ -81,7 +79,7 @@ func (c *Context) PushProgramVSF(enb lte.ENBID, module, vsf, name, expr string, 
 		Module: module, VSF: vsf, Name: name,
 		VSFKind: protocol.VSFProgram, Program: wire.Marshal(prog),
 	}
-	signUpdate(c.master.opts.TrustKey, up)
+	up.Sign(c.master.opts.TrustKey)
 	return c.master.sendCmd(enb, up)
 }
 
@@ -134,24 +132,4 @@ func (c *Context) ApplyShares(enb lte.ENBID, plan SharePlan) (uint64, error) {
 		Set(vsf, yamlite.Map().
 			Set("parameters", yamlite.Map().Set("rb_share", seq)))))
 	return c.PushPolicy(enb, doc)
-}
-
-// signUpdate mirrors agent.Sign (the two packages share the protocol, not
-// code; the digest definition is part of the wire contract).
-func signUpdate(key string, up *protocol.VSFUpdate) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h.Write([]byte{0})
-	h.Write([]byte(up.Module))
-	h.Write([]byte{0})
-	h.Write([]byte(up.VSF))
-	h.Write([]byte{0})
-	h.Write([]byte(up.Name))
-	h.Write([]byte{0, byte(up.VSFKind)})
-	h.Write([]byte(up.Ref))
-	h.Write([]byte{0})
-	h.Write(up.Program)
-	sig := make([]byte, 8)
-	binary.BigEndian.PutUint64(sig, h.Sum64())
-	up.Signature = sig
 }

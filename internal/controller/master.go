@@ -273,7 +273,7 @@ func NewMaster(opts Options) *Master {
 		opts.ID = "flexran-master"
 	}
 	if opts.TrustKey == "" {
-		opts.TrustKey = defaultTrustKey
+		opts.TrustKey = protocol.DefaultTrustKey
 	}
 	return &Master{
 		opts:     opts,
@@ -290,10 +290,6 @@ const (
 	maintenanceEvery = 256
 	staleAfter       = 512
 )
-
-// defaultTrustKey mirrors agent.DefaultTrustKey without importing the
-// agent package (the two sides share only the protocol).
-const defaultTrustKey = "flexran-dev-trust-key"
 
 // RIB exposes the information base (applications read it; only the
 // master's updater writes).

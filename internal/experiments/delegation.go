@@ -54,7 +54,7 @@ func runDelegation(scale float64) Result {
 		Module: "mac", VSF: agent.OpDLUESched, Name: "pf-pushed",
 		VSFKind: protocol.VSFProgram, Program: wire.Marshal(prog),
 	}
-	agent.Sign(agent.DefaultTrustKey, up)
+	up.Sign(protocol.DefaultTrustKey)
 	res.PushBytes = len(protocol.Encode(protocol.New(1, 0, up)))
 
 	for _, period := range res.SwapPeriodsTTI {

@@ -2,8 +2,8 @@
 // paper's evaluation (§5) and use cases (§6). Each experiment builds its
 // scenario on internal/sim, runs it on the virtual clock, and returns a
 // structured result with a String() rendering shaped like the paper's
-// plot/table. The per-experiment index lives in DESIGN.md §3; measured
-// values versus the paper's are recorded in EXPERIMENTS.md.
+// plot/table. The ids name the paper's figures and tables; TestRunAllRenders
+// pins the digest of every deterministic report in testdata/figures.txt.
 package experiments
 
 import (

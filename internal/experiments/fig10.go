@@ -6,7 +6,6 @@ import (
 	"flexran/internal/controller"
 	"flexran/internal/lte"
 	"flexran/internal/radio"
-	"flexran/internal/sched"
 	"flexran/internal/sim"
 	"flexran/internal/ue"
 )
@@ -89,39 +88,10 @@ func runEICICCase(mode eicicMode, seconds float64) (macro, small float64, grante
 	macroActive = func(sf lte.Subframe) bool { return sf > 0 && macroENB.Active(0, sf-1) }
 	smallActive = func(sf lte.Subframe) bool { return smallENB.Active(0, sf) }
 
-	abs := sched.ABSPattern(absCount)
-	smallMAC := s.Nodes[0].Agent.MAC()
-	macroMAC := s.Nodes[1].Agent.MAC()
-
-	switch mode {
-	case modeUncoordinated:
-		// Both cells schedule independently in every subframe (default rr).
-	case modeEICIC, modeOptimized:
-		// Macro: local scheduler outside ABS; during ABS either strictly
-		// muted (eICIC) or driven by the coordinator's grants (optimized).
-		var during sched.Scheduler
-		if mode == modeOptimized {
-			during = macroMAC.RemoteStub(agent.OpDLUESched)
-		}
-		macroSwitch := sched.NewABSSwitch("eicic-macro", abs, sched.NewRoundRobin(), during)
-		must(macroMAC.InstallLocal(agent.OpDLUESched, "eicic-macro", macroSwitch))
-		must(macroMAC.Activate(agent.OpDLUESched, "eicic-macro"))
-		// Small cell: schedule its victims only during ABS, batching the
-		// trickle traffic into whole subframes (queue threshold or
-		// head-of-line age) so unneeded ABS subframes go fully idle —
-		// the capacity the optimized coordinator re-grants.
-		batch := sched.NewMetric("batch-rr", func(in sched.Input, u sched.UEInfo) float64 {
-			// Fixed threshold ≈ 2/3 of a clear-channel subframe so the
-			// batch size does not collapse when the victim UE reports an
-			// interference-degraded CQI.
-			if u.QueueBytes >= 2000 || in.SF-u.LastSched > 12 {
-				return float64(u.QueueBytes)
-			}
-			return -1
-		})
-		smallGate := sched.NewABSGate("eicic-small", abs, batch)
-		must(smallMAC.InstallLocal(agent.OpDLUESched, "eicic-small", smallGate))
-		must(smallMAC.Activate(agent.OpDLUESched, "eicic-small"))
+	// Uncoordinated, both cells keep their default round robin in every
+	// subframe.
+	if mode != modeUncoordinated {
+		must(apps.InstallEICIC(s.Nodes[1].Agent, []*agent.Agent{s.Nodes[0].Agent}, absCount, mode == modeOptimized))
 	}
 
 	coord := apps.NewEICIC(1, []lte.ENBID{2}, absCount, mode == modeOptimized)

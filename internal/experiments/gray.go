@@ -121,7 +121,7 @@ func detectStall(suspectTTI, window int) (degraded, suspect int) {
 	opts.HealthSuspectTTI = suspectTTI
 	opts.HealthRecoverTTI = 100
 	s := grayStallWorld(opts)
-	s.StallAgent(1)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultAgentStall, ENB: 1})
 	degraded, suspect = -1, -1
 	for i := 0; i < window && suspect < 0; i++ {
 		s.Step()
@@ -144,7 +144,7 @@ func detectStallEchoOnly(window int) int {
 	opts.EchoPeriodTTI = 20
 	opts.EchoMissBudget = 3
 	s := grayStallWorld(opts)
-	s.StallAgent(1)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultAgentStall, ENB: 1})
 	for i := 0; i < window; i++ {
 		s.Step()
 		if !s.Master.RIB().Connected(1) {

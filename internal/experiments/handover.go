@@ -113,17 +113,8 @@ func runHandoverCase(hysteresisDB float64, ttis int) (handovers, pingPongs, stra
 	}
 	s.Run(ttis)
 
-	hos := s.Handovers()
-	handovers = len(hos)
-	last := map[uint64]sim.HandoverRecord{}
-	for _, h := range hos {
-		if prev, ok := last[h.IMSI]; ok &&
-			prev.To == h.From && prev.From == h.To &&
-			h.SF-prev.SF <= pingPongWindowTTI {
-			pingPongs++
-		}
-		last[h.IMSI] = h
-	}
+	handovers = len(s.Handovers())
+	pingPongs = s.PingPongs(pingPongWindowTTI)
 	// A UE is stranded when it finishes the run disconnected, or served by
 	// the clearly weaker cell at its final position.
 	for imsi, ch := range channels {

@@ -113,7 +113,7 @@ func convergenceAfterRestart(delayTTI int, noResync bool, window int) (records, 
 		panic("fig_resilience: shard not populated before the flap")
 	}
 
-	s.RestartAgent(1)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultAgentRestart, ENB: 1})
 	records, full = -1, -1
 	for i := 0; i < window && full < 0; i++ {
 		s.Step()

@@ -3,13 +3,13 @@ package lte
 // This file holds the link-adaptation tables: CQI to MCS and the transport
 // block sizing used by the MAC simulator.
 //
-// Calibration note (see DESIGN.md, substitution S1): transport block sizes
-// are derived from per-CQI "bits per PRB per TTI" densities. The densities
-// follow the 36.213 spectral-efficiency curve but are calibrated so that the
-// simulated stack reproduces the OAI/USRP-B210 numbers measured in the
-// FlexRAN paper: ~25 Mb/s DL UDP and ~8 Mb/s UL at CQI 15 over 10 MHz/TM1
-// (Fig. 6b), and the TCP goodputs of Table 2 (CQI 2/3/4/10 ->
-// 1.63/2.2/3.3/15 Mb/s) given the simulator's TCP efficiency factor.
+// Calibration note: transport block sizes are derived from per-CQI "bits
+// per PRB per TTI" densities. The densities follow the 36.213
+// spectral-efficiency curve but are calibrated so that the simulated stack
+// reproduces the OAI/USRP-B210 numbers measured in the FlexRAN paper:
+// ~25 Mb/s DL UDP and ~8 Mb/s UL at CQI 15 over 10 MHz/TM1 (Fig. 6b), and
+// the TCP goodputs of Table 2 (CQI 2/3/4/10 -> 1.63/2.2/3.3/15 Mb/s) given
+// the simulator's TCP efficiency factor.
 
 // cqiToMCS maps a reported CQI to the MCS the scheduler selects for it.
 // QPSK for CQI 1-6, 16QAM for 7-9, 64QAM for 10-15, following the usual

@@ -84,7 +84,7 @@ func TestTBSMonotonicInCQIAndPRB(t *testing.T) {
 }
 
 func TestPeakRateCalibration(t *testing.T) {
-	// The calibration targets from the paper (DESIGN.md S1):
+	// The calibration targets from the paper (the note in tables.go):
 	// ~27.5 Mb/s DL MAC peak at CQI 15 / 10 MHz (25 Mb/s at app level),
 	// ~16.6 Mb/s at CQI 10 (15 Mb/s TCP), ~8.8 Mb/s UL peak.
 	checks := []struct {

@@ -509,47 +509,24 @@ func (d *SlicesDecl) initialShares() []float64 {
 	return shares
 }
 
-// wireEICIC reproduces the §6.1 split of control declaratively: the macro
-// agent runs an ABS switch (local scheduler outside ABS, coordinator
-// grants during ABS when optimized), small cells batch their victims into
-// ABS subframes, and the coordinator app re-grants unneeded ABS capacity.
+// wireEICIC reproduces the §6.1 split of control declaratively: the
+// agent-side VSFs of apps.InstallEICIC plus the coordinator app that
+// re-grants unneeded ABS capacity.
 func (rt *Runtime) wireEICIC(a AppDecl, prio int) error {
-	abs := sched.ABSPattern(a.ABS)
 	macro := rt.nodeOf(a.MacroENB)
 	if macro == nil || macro.Agent == nil {
 		return fmt.Errorf("scenario: eicic macro eNodeB %d has no agent", a.MacroENB)
 	}
-	macroMAC := macro.Agent.MAC()
-	var during sched.Scheduler
-	if a.Optimized {
-		during = macroMAC.RemoteStub(agent.OpDLUESched)
-	}
-	macroSwitch := sched.NewABSSwitch("scn-eicic-macro", abs, sched.NewRoundRobin(), during)
-	if err := macroMAC.InstallLocal(agent.OpDLUESched, "scn-eicic-macro", macroSwitch); err != nil {
-		return fmt.Errorf("scenario: eicic macro install: %w", err)
-	}
-	if err := macroMAC.Activate(agent.OpDLUESched, "scn-eicic-macro"); err != nil {
-		return fmt.Errorf("scenario: eicic macro activate: %w", err)
-	}
-	for _, id := range a.SmallENBs {
+	smalls := make([]*agent.Agent, len(a.SmallENBs))
+	for i, id := range a.SmallENBs {
 		small := rt.nodeOf(id)
 		if small == nil || small.Agent == nil {
 			return fmt.Errorf("scenario: eicic small eNodeB %d has no agent", id)
 		}
-		batch := sched.NewMetric("scn-batch-rr", func(in sched.Input, u sched.UEInfo) float64 {
-			if u.QueueBytes >= 2000 || in.SF-u.LastSched > 12 {
-				return float64(u.QueueBytes)
-			}
-			return -1
-		})
-		gate := sched.NewABSGate("scn-eicic-small", abs, batch)
-		mac := small.Agent.MAC()
-		if err := mac.InstallLocal(agent.OpDLUESched, "scn-eicic-small", gate); err != nil {
-			return fmt.Errorf("scenario: eicic small install: %w", err)
-		}
-		if err := mac.Activate(agent.OpDLUESched, "scn-eicic-small"); err != nil {
-			return fmt.Errorf("scenario: eicic small activate: %w", err)
-		}
+		smalls[i] = small.Agent
+	}
+	if err := apps.InstallEICIC(macro.Agent, smalls, a.ABS, a.Optimized); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	coord := apps.NewEICIC(a.MacroENB, a.SmallENBs, a.ABS, a.Optimized)
 	rt.Sim.Master.Register(coord, prio)

@@ -319,19 +319,10 @@ func (rt *Runtime) summarize(attachTTI map[uint64]int, attachTTIs int, base0 map
 	}
 	sort.Slice(sum.Slices, func(i, j int) bool { return sum.Slices[i].Group < sum.Slices[j].Group })
 
-	// Mobility: handover and ping-pong counts from the execution log. A
-	// ping-pong is a UE returning to the eNodeB it just left within the
-	// configured window.
+	// Mobility: handover and ping-pong counts from the execution log.
 	hos := s.Handovers()
 	sum.Handovers = len(hos)
-	window := lte.Subframe(sc.Run.PingPongWindowTTI)
-	lastHO := map[uint64]sim.HandoverRecord{}
-	for _, h := range hos {
-		if prev, ok := lastHO[h.IMSI]; ok && h.To == prev.From && h.SF-prev.SF <= window {
-			sum.PingPongs++
-		}
-		lastHO[h.IMSI] = h
-	}
+	sum.PingPongs = s.PingPongs(lte.Subframe(sc.Run.PingPongWindowTTI))
 
 	// Resilience.
 	sum.FaultsInjected = len(sc.Faults)

@@ -68,7 +68,7 @@ func TestKillAndReconnectConvergesInTwoCycles(t *testing.T) {
 	// snapshot of the frozen world (the connect-time snapshot predates
 	// the attaches and has no UE statistics).
 	s.Run(200)
-	s.RestartAgent(1)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultAgentRestart, ENB: 1})
 	s.Run(10)
 	want := shardState(rib, 1)
 	if want.Count != 3 || !want.Connected {
@@ -78,7 +78,7 @@ func TestKillAndReconnectConvergesInTwoCycles(t *testing.T) {
 	// Kill and reconnect. The agent restarts with a bumped epoch at the
 	// start of the next Step; with an unimpaired link the Hello is applied
 	// (and acked) in that same Step's master cycle.
-	s.RestartAgent(1)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultAgentRestart, ENB: 1})
 	s.Step() // cycle C: Hello applied, HelloAck + ResyncRequest sent
 	helloAckCycle := s.Master.Cycle()
 	if !rib.Connected(1) {
@@ -155,7 +155,7 @@ func TestLinkCutHeartbeatDetectsAndResyncRecovers(t *testing.T) {
 	want := shardState(rib, 1)
 
 	cutAt := s.Now()
-	s.CutLink(1)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultLinkCut, ENB: 1})
 	budgetTTIs := opts.EchoPeriodTTI * (opts.EchoMissBudget + 2)
 	detected := -1
 	for i := 0; i < budgetTTIs+20; i++ {
@@ -172,7 +172,7 @@ func TestLinkCutHeartbeatDetectsAndResyncRecovers(t *testing.T) {
 		t.Errorf("heartbeat detection took %d TTIs, budget %d", detected, budgetTTIs)
 	}
 
-	s.RestoreLink(1)
+	s.InjectFaults(sim.Fault{At: s.Now(), Kind: sim.FaultLinkRestore, ENB: 1})
 	s.Run(10)
 	if got := shardState(rib, 1); !reflect.DeepEqual(got, want) {
 		t.Errorf("post-restore RIB diverged:\n got %+v\nwant %+v", got, want)

@@ -132,18 +132,16 @@ type Node struct {
 	// for every worker-pool size.
 	pendingHO []protocol.HandoverCommand
 
-	// stalled marks a wedged agent control loop (FaultAgentStall): the
-	// transport stays alive and echoes are answered, but every other
-	// delivered message is held on stallQ until the matching resume (or
-	// dropped by an agent restart).
-	stalled bool
 	// woken records a control message delivered to this node in the
 	// master->agent phase; the barrier after the phase moves the node into
 	// the awake set, which no worker may write.
 	woken bool
 	// idx is the node's position in Sim.Nodes: its bit in the awake set
 	// and its key in the wake calendar.
-	idx    int32
+	idx int32
+	// stallQ holds what arrives for a stalled agent (FaultAgentStall)
+	// other than echoes: applied in arrival order on resume, dropped by a
+	// restart.
 	stallQ []*protocol.Message
 	// phaseErr records a control-channel decode failure inside a
 	// parallel phase, surfaced as a panic at the barrier.
@@ -631,9 +629,11 @@ func (s *Sim) executeHandover(src *Node, cmd protocol.HandoverCommand) {
 	})
 }
 
-// InjectFaults schedules failure-injection events. The schedule may be
-// extended at any time; events whose At already passed fire on the next
-// Step. Requires a master (faults concern the control plane).
+// InjectFaults schedules failure-injection events: it is the one way to
+// fault a simulation. The schedule may be extended at any time; events whose
+// At already passed fire at the start of the next Step, so a fault at Now()
+// takes effect in the next Step. The link kinds need a control channel to a
+// master; the agent kinds need only an agent.
 func (s *Sim) InjectFaults(faults ...Fault) {
 	s.faults = append(s.faults, faults...)
 	sort.SliceStable(s.faults, func(i, j int) bool {
@@ -648,20 +648,79 @@ func (s *Sim) applyFaults() {
 	for len(s.faults) > 0 && s.faults[0].At <= s.sf {
 		f := s.faults[0]
 		s.faults = s.faults[1:]
-		switch f.Kind {
-		case FaultLinkCut:
-			s.CutLink(f.ENB)
-		case FaultLinkRestore:
-			s.RestoreLink(f.ENB)
-		case FaultAgentRestart:
-			s.RestartAgent(f.ENB)
-		case FaultNetemSet:
-			s.SetLinkNetem(f.ENB, f.ToMaster, f.ToAgent)
-		case FaultAgentStall:
-			s.StallAgent(f.ENB)
-		case FaultAgentResume:
-			s.ResumeAgent(f.ENB)
+		s.applyFault(f)
+	}
+}
+
+// applyFault fires one fault. It is a no-op on an unknown or agent-less
+// eNodeB, for a link kind on a node without a control channel, and for a
+// resume of an agent that is not stalled.
+func (s *Sim) applyFault(f Fault) {
+	n := s.byENB[f.ENB]
+	if n == nil || n.Agent == nil {
+		return
+	}
+	switch f.Kind {
+	case FaultLinkCut, FaultLinkRestore, FaultNetemSet:
+		if n.aEp == nil {
+			return
 		}
+	case FaultAgentRestart, FaultAgentStall: // need only the agent
+	case FaultAgentResume:
+		if !n.Agent.Stalled() {
+			return
+		}
+	default: // not a fault kind
+		return
+	}
+	s.wakeNode(n)
+	switch f.Kind {
+	case FaultLinkCut:
+		// Blackhole both directions and drop everything in flight.
+		n.aEp.SetDown(true)
+		n.mEp.SetDown(true)
+		n.aEp.DropInflight()
+		n.mEp.DropInflight()
+	case FaultLinkRestore:
+		// Redial: the old master-side session is closed (it may already be
+		// heartbeat-closed) and the agent reconnects with a bumped epoch,
+		// the simulated analogue of the agent supervisor's TCP redial.
+		n.aEp.SetDown(false)
+		n.mEp.SetDown(false)
+		s.reconnect(n)
+	case FaultAgentRestart:
+		// The supervisor replaced a possibly wedged process: the backlog
+		// held by the old incarnation dies with it, and Agent.Restart
+		// clears the stall. The link's up/down state is untouched, so a
+		// restart behind a cut link leaves the new Hello retransmitting
+		// until restore.
+		for _, m := range n.stallQ {
+			m.Release()
+		}
+		n.stallQ = n.stallQ[:0]
+		n.Agent.Restart()
+		if n.aEp == nil {
+			return
+		}
+		n.aEp.DropInflight()
+		n.mEp.DropInflight()
+		s.reconnect(n)
+	case FaultNetemSet:
+		if f.ToMaster != nil {
+			n.aEp.SetNetem(*f.ToMaster)
+		}
+		if f.ToAgent != nil {
+			n.mEp.SetNetem(*f.ToAgent)
+		}
+	case FaultAgentStall:
+		n.Agent.SetStalled(true)
+	case FaultAgentResume:
+		n.Agent.SetStalled(false)
+		for _, m := range n.stallQ {
+			n.Agent.Deliver(m)
+			m.Release()
+		}
+		n.stallQ = n.stallQ[:0]
 	}
 }
 
@@ -673,114 +732,6 @@ func (s *Sim) applyFaults() {
 func (s *Sim) wakeNode(n *Node) {
 	s.rouse(n)
 	s.syncNode(n)
-}
-
-// CutLink blackholes the control channel of one eNodeB in both directions
-// and drops everything in flight. No-op without an agent session.
-func (s *Sim) CutLink(enb lte.ENBID) {
-	n := s.byENB[enb]
-	if n == nil || n.aEp == nil {
-		return
-	}
-	s.wakeNode(n)
-	n.aEp.SetDown(true)
-	n.mEp.SetDown(true)
-	n.aEp.DropInflight()
-	n.mEp.DropInflight()
-}
-
-// RestoreLink re-enables a cut control channel and redials: the old
-// master-side session is closed (it may already be heartbeat-closed), a
-// fresh session is attached, and the agent reconnects with a bumped epoch
-// — the simulated analogue of the agent supervisor's TCP redial.
-func (s *Sim) RestoreLink(enb lte.ENBID) {
-	n := s.byENB[enb]
-	if n == nil || n.aEp == nil {
-		return
-	}
-	s.wakeNode(n)
-	n.aEp.SetDown(false)
-	n.mEp.SetDown(false)
-	s.reconnect(n)
-}
-
-// RestartAgent models an agent process crash and restart: volatile agent
-// state is dropped (Agent.Restart), in-flight control traffic is lost with
-// the dying process's connection, and the agent reconnects immediately
-// with a bumped epoch. The link's up/down state is untouched: restarting
-// behind a cut link leaves the new Hello retransmitting until restore.
-func (s *Sim) RestartAgent(enb lte.ENBID) {
-	n := s.byENB[enb]
-	if n == nil || n.Agent == nil {
-		return
-	}
-	s.wakeNode(n)
-	// A restart unwedges a stalled process: the supervisor replaced it.
-	// The backlog held by the wedged incarnation dies with it.
-	if n.stalled {
-		n.stalled = false
-		n.Agent.SetStalled(false)
-	}
-	for _, m := range n.stallQ {
-		m.Release()
-	}
-	n.stallQ = n.stallQ[:0]
-	n.Agent.Restart()
-	if n.aEp == nil {
-		return
-	}
-	n.aEp.DropInflight()
-	n.mEp.DropInflight()
-	s.reconnect(n)
-}
-
-// SetLinkNetem re-impairs the node's live control channel, per direction
-// (a nil direction is left untouched) — the simulated `tc qdisc change`
-// used by the netem_set fault kind.
-func (s *Sim) SetLinkNetem(enb lte.ENBID, toMaster, toAgent *transport.Netem) {
-	n := s.byENB[enb]
-	if n == nil || n.aEp == nil {
-		return
-	}
-	s.wakeNode(n)
-	if toMaster != nil {
-		n.aEp.SetNetem(*toMaster)
-	}
-	if toAgent != nil {
-		n.mEp.SetNetem(*toAgent)
-	}
-}
-
-// StallAgent wedges the node's agent control loop: the process stays alive
-// at the transport (echoes still answered, TCP not reset) but stops
-// stepping — no reports, no command processing. Inbound messages are held
-// and applied in order on ResumeAgent. The eNodeB data plane keeps
-// running. No-op without an agent.
-func (s *Sim) StallAgent(enb lte.ENBID) {
-	n := s.byENB[enb]
-	if n == nil || n.Agent == nil {
-		return
-	}
-	s.wakeNode(n)
-	n.stalled = true
-	n.Agent.SetStalled(true)
-}
-
-// ResumeAgent unwedges a stalled agent: the held backlog is delivered in
-// arrival order, then normal processing resumes. No-op when not stalled.
-func (s *Sim) ResumeAgent(enb lte.ENBID) {
-	n := s.byENB[enb]
-	if n == nil || n.Agent == nil || !n.stalled {
-		return
-	}
-	s.wakeNode(n)
-	n.stalled = false
-	n.Agent.SetStalled(false)
-	for _, m := range n.stallQ {
-		n.Agent.Deliver(m)
-		m.Release()
-	}
-	n.stallQ = n.stallQ[:0]
 }
 
 // reconnect attaches a fresh master-side session for the node and
@@ -879,11 +830,12 @@ func (s *Sim) deliverToAgent(n *Node) {
 	// it first.
 	n.woken = true
 	s.syncNode(n)
+	// A wedged control loop (agent_stall) answers liveness probes — the
+	// I/O thread is alive — but everything else waits in stallQ until the
+	// resume fault (or dies with an agent restart).
+	stalled := n.Agent.Stalled()
 	for _, m := range n.aBatch {
-		// A wedged control loop (agent_stall) answers liveness probes —
-		// the I/O thread is alive — but everything else waits in the
-		// backlog until the resume fault.
-		if n.stalled && m.Payload.Kind() != protocol.KindEcho {
+		if stalled && m.Payload.Kind() != protocol.KindEcho {
 			n.stallQ = append(n.stallQ, m)
 			continue
 		}
@@ -1038,6 +990,20 @@ func (s *Sim) ReportByIMSI(imsi uint64) (enb.UEReport, lte.ENBID, bool) {
 // Handovers returns the log of executed UE migrations, in execution order.
 func (s *Sim) Handovers() []HandoverRecord {
 	return append([]HandoverRecord(nil), s.hoLog...)
+}
+
+// PingPongs counts the handovers that return a UE to the eNodeB it left
+// at most window subframes earlier.
+func (s *Sim) PingPongs(window lte.Subframe) int {
+	n := 0
+	last := map[uint64]HandoverRecord{}
+	for _, h := range s.hoLog {
+		if prev, ok := last[h.IMSI]; ok && h.To == prev.From && h.SF-prev.SF <= window {
+			n++
+		}
+		last[h.IMSI] = h
+	}
+	return n
 }
 
 // DeliveredDL sums downlink goodput bytes across all UEs of a node.
