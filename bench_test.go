@@ -193,9 +193,12 @@ func BenchmarkAgentReportTTI(b *testing.B) { benchOp(b, agentReportTTIOp) }
 // fast-forward benchmarks: 4096 masterless eNodeBs with two silent UEs
 // each, plus one always-on CBR UE at every 100th eNodeB — so 1% of the
 // fleet has work in any subframe and the other 99% is provably idle.
-func newSparseSim(noFF bool) *flexran.Sim {
-	var enbs []flexran.ENBSpec
-	for e := 0; e < 4096; e++ {
+func newSparseSim(noFF bool) *flexran.Sim { return newSparseWorld(4096, noFF) }
+
+// newSparseWorld builds newSparseSim's world at n eNodeBs.
+func newSparseWorld(n int, noFF bool) *flexran.Sim {
+	enbs := make([]flexran.ENBSpec, 0, n)
+	for e := 0; e < n; e++ {
 		spec := flexran.ENBSpec{ID: flexran.ENBID(e + 1), Seed: int64(e + 1)}
 		for u := 0; u < 2; u++ {
 			spec.UEs = append(spec.UEs, flexran.UESpec{

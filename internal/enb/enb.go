@@ -14,12 +14,13 @@
 // through the Hooks structure. A vanilla eNodeB installs local default
 // schedulers; a FlexRAN eNodeB hands the hooks to an agent.
 //
-// UE state is held in a struct-of-arrays layout: the fields every TTI
-// touches (CQI, queues, averaging, HARQ bookkeeping) live in dense parallel
-// lanes indexed by a compact slot id, while the rarely-touched remainder
-// (identity, attach supervision) sits in a parallel cold array. Slots are
-// recycled through a free list on detach/handover; a dense RNTI-indexed
-// table (RNTI→slot) provides O(1) lookups without per-UE heap objects.
+// UE state is held as one hot record per slot plus a cold record: the
+// fields every TTI touches (CQI, queues, averaging, HARQ bookkeeping) sit
+// together in a dense array of small records indexed by a compact slot id,
+// while the rarely-touched remainder (identity, attach supervision) sits
+// in a parallel cold array. Slots are recycled through a free list on
+// detach/handover; a dense RNTI-indexed table (RNTI→slot), windowed to the
+// RNTIs live UEs hold, provides O(1) lookups without per-UE heap objects.
 package enb
 
 import (
@@ -93,31 +94,34 @@ type UEParams struct {
 	Group int
 }
 
-// hotState holds the per-TTI-touched UE fields as parallel lanes indexed
-// by slot id. Everything the subframe loop reads or writes per UE lives
-// here, contiguous per eNodeB, so the TTI sweep walks dense arrays instead
-// of chasing map buckets and per-UE heap objects.
+// hotState is the hot record of one UE slot: every field the subframe
+// loop reads or writes per UE, in one 72-byte record. ENB.hot holds one
+// per slot, contiguous per eNodeB, so the TTI sweep walks a dense array
+// instead of chasing map buckets and per-UE heap objects.
 //
-// Ownership contract: lanes are owned by the eNodeB's single-threaded
-// driver (simulation shard or agent runtime); slot ids are private and
-// never escape the package. A freed slot is fully zeroed by resetSlot
-// before it returns to the free list — allocSlot relies on that (and so
-// does recycled-slot correctness: stale CQI/queue lanes must never leak
-// into a new UE).
+// Ownership contract: the records are owned by the eNodeB's
+// single-threaded driver (simulation shard or agent runtime); slot ids are
+// private and never escape the package. A freed slot's records are zeroed
+// before it returns to the free list, so a recycled slot never leaks the
+// previous occupant's CQI, queues or averages into a new UE.
+//
+// A hook (OnUEEvent, OnSubframe, OnMeasurement) may add a UE, which can
+// move ENB.hot: a *hotState held across a hook call goes stale, so code
+// indexes ENB.hot again after every call.
 type hotState struct {
-	rnti       []lte.RNTI
-	state      []UEState
-	cqi        []lte.CQI
-	dlQueue    []int   // RLC transmission queue, bytes
-	ulQueue    []int   // buffer status, bytes
-	sigPending []int   // pending attach signaling, bytes
-	retxDL     []int32 // consecutive HARQ failures (chase combining state)
-	retxUL     []int32
-	ttiDL      []int32 // per-TTI delivery accounting (reset each Step)
-	ttiUL      []int32
-	avgDL      []float64 // PF average rate (EWMA), kbit/s
-	avgUL      []float64
-	lastSched  []lte.Subframe
+	rnti       lte.RNTI
+	state      UEState
+	cqi        lte.CQI
+	retxDL     int32 // consecutive HARQ failures (chase combining state)
+	retxUL     int32
+	ttiDL      int32 // per-TTI delivery accounting (reset each Step)
+	ttiUL      int32
+	dlQueue    int     // RLC transmission queue, bytes
+	ulQueue    int     // buffer status, bytes
+	sigPending int     // pending attach signaling, bytes
+	avgDL      float64 // PF average rate (EWMA), kbit/s
+	avgUL      float64
+	lastSched  lte.Subframe
 }
 
 // coldState is the rarely-touched remainder of a UE slot: identity and
@@ -126,11 +130,11 @@ type hotState struct {
 type coldState struct {
 	params      UEParams
 	deadline    lte.Subframe // attach deadline
-	attempts    int          // attach attempts
 	dlDelivered uint64       // cumulative goodput, bytes
 	ulDelivered uint64
 	dlDropped   uint64 // queue-cap drops
 	harqRetx    uint32 // cumulative retransmissions
+	attempts    int32  // attach attempts
 }
 
 // cell is one carrier of the eNodeB.
@@ -194,15 +198,18 @@ type ENB struct {
 	// An eNodeB carries one to a few cells, so a lookup by id walks it.
 	cellList []*cell
 
-	hot  hotState
+	hot  []hotState // by slot
 	cold []coldState
 	// order is the live slots in ascending RNTI order, kept sorted
 	// incrementally (insertion keeps the invariant; removal preserves it),
 	// so per-TTI sweeps never re-sort and never touch a map.
 	order []int32
-	// slotOf maps RNTI→slot by direct index: entry rnti-FirstUERNTI holds
-	// slot+1, 0 for an RNTI no live UE holds. It grows to the highest RNTI
-	// handed out; read it through lookup, which bounds-checks both ends.
+	// slotOf maps RNTI→slot by direct index over a window of the C-RNTI
+	// ring (FirstUERNTI follows 0xFFFF): entry i holds the slot+1 of the
+	// RNTI i places up the ring from slotBase, 0 for one no live UE holds.
+	// RemoveUE trims zeros off both ends, so the window spans the live
+	// UEs' RNTIs rather than every RNTI ever handed out; read it through
+	// lookup, which bounds-checks both ends.
 	slotOf []int32
 	free   []int32 // recycled slots (fully zeroed)
 
@@ -218,6 +225,7 @@ type ENB struct {
 	hooks    Hooks
 	rnd      *rand.Rand
 	nextRNTI lte.RNTI
+	slotBase lte.RNTI // the RNTI of slotOf[0]
 
 	// schedUEs is the reusable scratch behind schedInput's UE snapshots
 	// (safe: schedulers must not retain the slice past the call, and the
@@ -229,7 +237,10 @@ type ENB struct {
 }
 
 // New builds an eNodeB with local default schedulers (round robin), i.e.
-// the "vanilla OAI" configuration of the Fig. 6 comparison.
+// the "vanilla OAI" configuration of the Fig. 6 comparison. Each default
+// is built on its direction's first backlogged subframe, so a direction
+// that never carries traffic, or that a control plane takes over first,
+// never pays for one.
 func New(cfg Config) *ENB {
 	if cfg.AttachSignalingBytes == 0 {
 		cfg.AttachSignalingBytes = DefaultAttachSignalingBytes
@@ -240,16 +251,18 @@ func New(cfg Config) *ENB {
 	if cfg.DLQueueCap == 0 {
 		cfg.DLQueueCap = DefaultDLQueueCap
 	}
-	if len(cfg.Cells) == 0 {
-		cfg.Cells = []protocol.CellConfig{DefaultCell(0)}
+	cells := cfg.Cells
+	if len(cells) == 0 {
+		cells = []protocol.CellConfig{DefaultCell(0)}
 	}
+	cfg.Cells = nil // cellList is the cells' one home
 	e := &ENB{
 		cfg:      cfg,
-		cellList: make([]*cell, 0, len(cfg.Cells)),
+		cellList: make([]*cell, 0, len(cells)),
 		rnd:      rng.New(cfg.Seed + 1),
 		nextRNTI: lte.FirstUERNTI,
 	}
-	for _, cc := range cfg.Cells {
+	for _, cc := range cells {
 		c := e.findCell(cc.Cell) // a repeated id keeps its last configuration
 		if c == nil {
 			c = &cell{}
@@ -258,13 +271,17 @@ func New(cfg Config) *ENB {
 		*c = cell{cfg: cc, prbs: cc.Bandwidth.PRBs()}
 	}
 	slices.SortFunc(e.cellList, func(a, b *cell) int { return cmp.Compare(a.cfg.Cell, b.cfg.Cell) })
-	dl := sched.NewRoundRobin()
-	ul := sched.NewRoundRobin()
-	e.hooks = Hooks{
-		DLSchedule: func(_ lte.CellID, in sched.Input) []sched.Alloc { return dl.Schedule(in) },
-		ULSchedule: func(_ lte.CellID, in sched.Input) []sched.Alloc { return ul.Schedule(in) },
-	}
 	return e
+}
+
+// roundRobin returns a scheduling hook over a fresh local round-robin
+// scheduler: the default of a direction no control plane has taken over.
+// runCell builds it on the direction's first backlogged call, which is
+// the first call a scheduler sees at all, so its rotation is the one an
+// eagerly built default would have.
+func roundRobin() func(lte.CellID, sched.Input) []sched.Alloc {
+	rr := sched.NewRoundRobin()
+	return func(_ lte.CellID, in sched.Input) []sched.Alloc { return rr.Schedule(in) }
 }
 
 // ID returns the eNodeB identifier.
@@ -314,50 +331,23 @@ func (e *ENB) SetHooks(h Hooks) {
 }
 
 // allocSlot returns a fully zeroed slot id, reusing the free list before
-// growing every lane in lockstep.
+// growing the hot and cold arrays.
 func (e *ENB) allocSlot() int32 {
 	if n := len(e.free); n > 0 {
 		s := e.free[n-1]
 		e.free = e.free[:n-1]
 		return s
 	}
-	h := &e.hot
-	h.rnti = append(h.rnti, 0)
-	h.state = append(h.state, 0)
-	h.cqi = append(h.cqi, 0)
-	h.dlQueue = append(h.dlQueue, 0)
-	h.ulQueue = append(h.ulQueue, 0)
-	h.sigPending = append(h.sigPending, 0)
-	h.retxDL = append(h.retxDL, 0)
-	h.retxUL = append(h.retxUL, 0)
-	h.ttiDL = append(h.ttiDL, 0)
-	h.ttiUL = append(h.ttiUL, 0)
-	h.avgDL = append(h.avgDL, 0)
-	h.avgUL = append(h.avgUL, 0)
-	h.lastSched = append(h.lastSched, 0)
+	e.hot = append(e.hot, hotState{})
 	e.cold = append(e.cold, coldState{})
-	return int32(len(h.rnti) - 1)
+	return int32(len(e.hot) - 1)
 }
 
-// resetSlot zeroes every hot lane and the cold record of a slot. Called on
-// every free: slot reuse after detach/handover must never leak the previous
+// resetSlot zeroes the hot and cold records of a slot. Called on every
+// free: slot reuse after detach/handover must never leak the previous
 // occupant's CQI, queues, averages or HARQ state into the next UE.
 func (e *ENB) resetSlot(s int32) {
-	h := &e.hot
-	h.rnti[s] = 0
-	h.state[s] = 0
-	h.cqi[s] = 0
-	h.dlQueue[s] = 0
-	h.ulQueue[s] = 0
-	h.sigPending[s] = 0
-	h.retxDL[s] = 0
-	h.retxUL[s] = 0
-	h.ttiDL[s] = 0
-	h.ttiUL[s] = 0
-	h.avgDL[s] = 0
-	h.avgUL[s] = 0
-	h.lastSched[s] = 0
-	e.cold[s] = coldState{}
+	e.hot[s], e.cold[s] = hotState{}, coldState{}
 }
 
 // trackChannel maintains the unsteady/measurers counters as UEs come and
@@ -371,15 +361,54 @@ func (e *ENB) trackChannel(ch radio.Model, delta int) {
 	}
 }
 
+// rntiSpan is the number of C-RNTIs: FirstUERNTI through 0xFFFF.
+const rntiSpan = 1<<16 - int(lte.FirstUERNTI)
+
 // lookup resolves an RNTI to its slot. Any value is safe to ask about —
 // reserved RNTIs below FirstUERNTI, ones never handed out, ones a remote
 // scheduler invented — and reads as "unknown UE".
 func (e *ENB) lookup(rnti lte.RNTI) (int32, bool) {
-	i := int(rnti) - int(lte.FirstUERNTI)
-	if i < 0 || i >= len(e.slotOf) || e.slotOf[i] == 0 {
+	if rnti < lte.FirstUERNTI {
+		return 0, false
+	}
+	i := e.tableIndex(rnti)
+	if i >= len(e.slotOf) || e.slotOf[i] == 0 {
 		return 0, false
 	}
 	return e.slotOf[i] - 1, true
+}
+
+// tableIndex returns how many places up the C-RNTI ring a C-RNTI lies
+// from slotBase: its index in slotOf, when the window reaches that far.
+func (e *ENB) tableIndex(rnti lte.RNTI) int {
+	i := int(rnti) - int(e.slotBase)
+	if i < 0 {
+		i += rntiSpan
+	}
+	return i
+}
+
+// unbindRNTI clears a live RNTI's table entry and trims the window to the
+// live entries at its ends; an emptied window is rebased at the next RNTI
+// bound. Trimming the front reslices, so the dead prefix is given back the
+// next time the table grows.
+func (e *ENB) unbindRNTI(rnti lte.RNTI) {
+	t := e.slotOf
+	t[e.tableIndex(rnti)] = 0
+	hi := len(t)
+	for hi > 0 && t[hi-1] == 0 {
+		hi--
+	}
+	lo := 0
+	for lo < hi && t[lo] == 0 {
+		lo++
+	}
+	e.slotOf = t[lo:hi]
+	if base := int(e.slotBase) + lo; base > 0xFFFF {
+		e.slotBase = lte.RNTI(base - rntiSpan)
+	} else {
+		e.slotBase = lte.RNTI(base)
+	}
 }
 
 // bindRNTI allocates a slot for a new UE under the next free C-RNTI:
@@ -387,8 +416,7 @@ func (e *ENB) lookup(rnti lte.RNTI) (int32, bool) {
 // and skipping values live UEs still hold. It fails when every C-RNTI is
 // taken.
 func (e *ENB) bindRNTI() (lte.RNTI, int32, error) {
-	const span = 1<<16 - int(lte.FirstUERNTI)
-	for tries := 0; tries < span; tries++ {
+	for tries := 0; tries < rntiSpan; tries++ {
 		rnti := e.nextRNTI
 		if e.nextRNTI++; e.nextRNTI < lte.FirstUERNTI {
 			e.nextRNTI = lte.FirstUERNTI
@@ -396,13 +424,16 @@ func (e *ENB) bindRNTI() (lte.RNTI, int32, error) {
 		if _, live := e.lookup(rnti); live {
 			continue
 		}
-		i := int(rnti - lte.FirstUERNTI)
+		if len(e.slotOf) == 0 {
+			e.slotBase = rnti
+		}
+		i := e.tableIndex(rnti)
 		for len(e.slotOf) <= i {
 			e.slotOf = append(e.slotOf, 0)
 		}
 		s := e.allocSlot()
 		e.slotOf[i] = s + 1
-		e.hot.rnti[s] = rnti
+		e.hot[s].rnti = rnti
 		return rnti, s, nil
 	}
 	return 0, 0, fmt.Errorf("enb: eNodeB %d has no free C-RNTI", e.cfg.ID)
@@ -420,8 +451,8 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.hot.state[s] = StateAttaching
-	e.hot.sigPending[s] = e.cfg.AttachSignalingBytes
+	e.hot[s].state = StateAttaching
+	e.hot[s].sigPending = e.cfg.AttachSignalingBytes
 	c := &e.cold[s]
 	c.params = p
 	c.deadline = e.sf + lte.Subframe(e.cfg.AttachTimeoutTTI)
@@ -440,7 +471,7 @@ func (e *ENB) RemoveUE(rnti lte.RNTI) {
 	}
 	cellID := e.cold[s].params.Cell
 	e.trackChannel(e.cold[s].params.Channel, -1)
-	e.slotOf[rnti-lte.FirstUERNTI] = 0
+	e.unbindRNTI(rnti)
 	for i, os := range e.order {
 		if os == s {
 			e.order = append(e.order[:i], e.order[i+1:]...)
@@ -482,18 +513,18 @@ func (e *ENB) ReleaseUE(rnti lte.RNTI) (HandoverState, bool) {
 	if !ok {
 		return HandoverState{}, false
 	}
-	c := &e.cold[s]
+	h, c := &e.hot[s], &e.cold[s]
 	st := HandoverState{
 		Params:      c.params,
-		DLQueue:     e.hot.dlQueue[s],
-		ULQueue:     e.hot.ulQueue[s],
+		DLQueue:     h.dlQueue,
+		ULQueue:     h.ulQueue,
 		DLDelivered: c.dlDelivered,
 		ULDelivered: c.ulDelivered,
 		DLDropped:   c.dlDropped,
 		HARQRetx:    c.harqRetx,
-		AttachTries: c.attempts,
-		AvgDLKbps:   e.hot.avgDL[s],
-		AvgULKbps:   e.hot.avgUL[s],
+		AttachTries: int(c.attempts),
+		AvgDLKbps:   h.avgDL,
+		AvgULKbps:   h.avgUL,
 	}
 	e.RemoveUE(rnti)
 	return st, true
@@ -514,15 +545,16 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.hot.state[s] = StateConnected
 	dlQueue := min(st.DLQueue, e.cfg.DLQueueCap)
-	e.hot.dlQueue[s] = dlQueue
-	e.hot.ulQueue[s] = st.ULQueue
-	e.hot.avgDL[s] = st.AvgDLKbps
-	e.hot.avgUL[s] = st.AvgULKbps
+	h := &e.hot[s]
+	h.state = StateConnected
+	h.dlQueue = dlQueue
+	h.ulQueue = st.ULQueue
+	h.avgDL = st.AvgDLKbps
+	h.avgUL = st.AvgULKbps
 	c := &e.cold[s]
 	c.params = st.Params
-	c.attempts = st.AttachTries
+	c.attempts = int32(st.AttachTries)
 	c.dlDelivered = st.DLDelivered
 	c.ulDelivered = st.ULDelivered
 	c.dlDropped = st.DLDropped + uint64(st.DLQueue-dlQueue)
@@ -540,12 +572,12 @@ func (e *ENB) DLEnqueue(rnti lte.RNTI, bytes int) int {
 	if !ok || bytes <= 0 {
 		return 0
 	}
-	room := e.cfg.DLQueueCap - e.hot.dlQueue[s]
+	room := e.cfg.DLQueueCap - e.hot[s].dlQueue
 	if bytes > room {
 		e.cold[s].dlDropped += uint64(bytes - room)
 		bytes = room
 	}
-	e.hot.dlQueue[s] += bytes
+	e.hot[s].dlQueue += bytes
 	return bytes
 }
 
@@ -556,10 +588,10 @@ func (e *ENB) ULEnqueue(rnti lte.RNTI, bytes int) int {
 	if !ok || bytes <= 0 {
 		return 0
 	}
-	if e.hot.ulQueue[s] == 0 {
+	if e.hot[s].ulQueue == 0 {
 		e.event(protocol.UEEventSchedulingRequest, rnti, e.cold[s].params.Cell)
 	}
-	e.hot.ulQueue[s] += bytes
+	e.hot[s].ulQueue += bytes
 	return bytes
 }
 
@@ -572,18 +604,17 @@ func (e *ENB) event(ev protocol.UEEventType, rnti lte.RNTI, cellID lte.CellID) {
 // Step executes the current subframe and advances the clock by one TTI.
 func (e *ENB) Step() {
 	sf := e.sf
-	h := &e.hot
 
 	// 1. Channel refresh and attach supervision.
 	for _, s := range e.order {
-		c := &e.cold[s]
-		h.cqi[s] = c.params.Channel.CQI(sf)
-		if h.state[s] == StateAttaching && sf >= c.deadline {
+		h, c := &e.hot[s], &e.cold[s]
+		h.cqi = c.params.Channel.CQI(sf)
+		if h.state == StateAttaching && sf >= c.deadline {
 			// Attach timed out: restart the procedure (the UE retries).
-			h.sigPending[s] = e.cfg.AttachSignalingBytes
+			h.sigPending = e.cfg.AttachSignalingBytes
 			c.deadline = sf + lte.Subframe(e.cfg.AttachTimeoutTTI)
 			c.attempts++
-			e.event(protocol.UEEventRandomAccess, h.rnti[s], c.params.Cell)
+			e.event(protocol.UEEventRandomAccess, h.rnti, c.params.Cell)
 		}
 	}
 
@@ -594,7 +625,7 @@ func (e *ENB) Step() {
 	}
 	if e.hooks.OnMeasurement != nil && e.measurers > 0 && sf%DefaultMeasPeriodTTI == 0 {
 		for _, s := range e.order {
-			if h.state[s] != StateConnected {
+			if e.hot[s].state != StateConnected {
 				continue
 			}
 			nm, ok := e.cold[s].params.Channel.(radio.NeighborMeasurer)
@@ -603,14 +634,14 @@ func (e *ENB) Step() {
 			}
 			serving, neighbors := nm.Measure(sf, e.measBuf)
 			e.measBuf = neighbors
-			e.hooks.OnMeasurement(h.rnti[s], e.cold[s].params.Cell, serving, neighbors)
+			e.hooks.OnMeasurement(e.hot[s].rnti, e.cold[s].params.Cell, serving, neighbors)
 		}
 	}
 
 	// 3. Per-cell scheduling and transmission.
 	for _, s := range e.order {
-		h.ttiDL[s] = 0
-		h.ttiUL[s] = 0
+		h := &e.hot[s]
+		h.ttiDL, h.ttiUL = 0, 0
 	}
 	for _, c := range e.cellList {
 		e.runCell(c, sf)
@@ -618,8 +649,9 @@ func (e *ENB) Step() {
 
 	// 4. Rate averaging for PF (updated every TTI, ~100 ms horizon).
 	for _, s := range e.order {
-		h.avgDL[s] = updateAvg(h.avgDL[s], float64(h.ttiDL[s])*8)
-		h.avgUL[s] = updateAvg(h.avgUL[s], float64(h.ttiUL[s])*8)
+		h := &e.hot[s]
+		h.avgDL = updateAvg(h.avgDL, float64(h.ttiDL)*8)
+		h.avgUL = updateAvg(h.avgUL, float64(h.ttiUL)*8)
 	}
 
 	e.sf++
@@ -635,13 +667,13 @@ func updateAvg(avgKbps, bitsThisTTI float64) float64 {
 // RNTIs are assigned monotonically, so the common case is an append; the
 // binary search guards the invariant regardless.
 func (e *ENB) insertOrdered(s int32) {
-	rnti := e.hot.rnti[s]
+	rnti := e.hot[s].rnti
 	n := len(e.order)
-	if n == 0 || e.hot.rnti[e.order[n-1]] < rnti {
+	if n == 0 || e.hot[e.order[n-1]].rnti < rnti {
 		e.order = append(e.order, s)
 		return
 	}
-	i := sort.Search(n, func(i int) bool { return e.hot.rnti[e.order[i]] >= rnti })
+	i := sort.Search(n, func(i int) bool { return e.hot[e.order[i]].rnti >= rnti })
 	e.order = append(e.order, 0)
 	copy(e.order[i+1:], e.order[i:])
 	e.order[i] = s
@@ -653,9 +685,13 @@ func (e *ENB) runCell(c *cell, sf lte.Subframe) {
 	c.activitySF[slot] = sf
 	c.usedPRB = 0
 
-	// Downlink.
+	// Downlink. A direction without a scheduling hook gets its local
+	// default here, on its first backlogged subframe.
 	dlIn := e.schedInput(c, sf, lte.Downlink)
-	if len(dlIn.UEs) > 0 && e.hooks.DLSchedule != nil {
+	if len(dlIn.UEs) > 0 {
+		if e.hooks.DLSchedule == nil {
+			e.hooks.DLSchedule = roundRobin()
+		}
 		used := e.apply(c, sf, lte.Downlink, e.hooks.DLSchedule(c.cfg.Cell, dlIn), dlIn.TotalPRB)
 		c.activity[slot] += used
 		c.usedPRB += used
@@ -663,7 +699,10 @@ func (e *ENB) runCell(c *cell, sf lte.Subframe) {
 	// Uplink (granted on the same TTI for simplicity; the 4 ms grant
 	// pipeline does not change steady-state behaviour).
 	ulIn := e.schedInput(c, sf, lte.Uplink)
-	if len(ulIn.UEs) > 0 && e.hooks.ULSchedule != nil {
+	if len(ulIn.UEs) > 0 {
+		if e.hooks.ULSchedule == nil {
+			e.hooks.ULSchedule = roundRobin()
+		}
 		e.apply(c, sf, lte.Uplink, e.hooks.ULSchedule(c.cfg.Cell, ulIn), ulIn.TotalPRB)
 	}
 }
@@ -673,36 +712,35 @@ func (e *ENB) runCell(c *cell, sf lte.Subframe) {
 // schedInput call; schedulers must not retain in.UEs past Schedule.
 func (e *ENB) schedInput(c *cell, sf lte.Subframe, dir lte.Direction) sched.Input {
 	in := sched.Input{SF: sf, Dir: dir, TotalPRB: c.prbs, UEs: e.schedUEs[:0]}
-	h := &e.hot
 	for _, s := range e.order {
-		cold := &e.cold[s]
-		if cold.params.Cell != c.cfg.Cell || h.state[s] == StateDetached {
+		h, cold := &e.hot[s], &e.cold[s]
+		if cold.params.Cell != c.cfg.Cell || h.state == StateDetached {
 			continue
 		}
 		var queue int
 		var avg float64
 		if dir == lte.Downlink {
-			queue = h.dlQueue[s]
-			avg = h.avgDL[s]
-			if h.state[s] == StateAttaching {
-				queue = h.sigPending[s] // signaling drains first
+			queue = h.dlQueue
+			avg = h.avgDL
+			if h.state == StateAttaching {
+				queue = h.sigPending // signaling drains first
 			}
 		} else {
-			if h.state[s] != StateConnected {
+			if h.state != StateConnected {
 				continue // no UL data before attach completes
 			}
-			queue = h.ulQueue[s]
-			avg = h.avgUL[s]
+			queue = h.ulQueue
+			avg = h.avgUL
 		}
 		if queue == 0 {
 			continue
 		}
 		in.UEs = append(in.UEs, sched.UEInfo{
-			RNTI:        h.rnti[s],
-			CQI:         h.cqi[s],
+			RNTI:        h.rnti,
+			CQI:         h.cqi,
 			QueueBytes:  queue,
 			AvgRateKbps: avg,
-			LastSched:   h.lastSched[s],
+			LastSched:   h.lastSched,
 			Group:       cold.params.Group,
 		})
 	}
@@ -738,12 +776,12 @@ func (e *ENB) transmit(s int32, sf lte.Subframe, dir lte.Direction, a sched.Allo
 	if tbs == 0 {
 		return
 	}
-	h := &e.hot
-	retx := int(h.retxDL[s])
+	h := &e.hot[s]
+	retx := int(h.retxDL)
 	if dir == lte.Uplink {
-		retx = int(h.retxUL[s])
+		retx = int(h.retxUL)
 	}
-	p := lte.BLER(chosen, h.cqi[s], retx)
+	p := lte.BLER(chosen, h.cqi, retx)
 	if e.rnd.Float64() < p {
 		// Transport block lost; HARQ keeps the data queued.
 		e.cold[s].harqRetx++
@@ -751,34 +789,35 @@ func (e *ENB) transmit(s int32, sf lte.Subframe, dir lte.Direction, a sched.Allo
 			retx++
 		}
 		if dir == lte.Downlink {
-			h.retxDL[s] = int32(retx)
+			h.retxDL = int32(retx)
 		} else {
-			h.retxUL[s] = int32(retx)
+			h.retxUL = int32(retx)
 		}
 		return
 	}
 	if dir == lte.Downlink {
-		h.retxDL[s] = 0
-		if h.state[s] == StateAttaching {
+		h.retxDL = 0
+		if h.state == StateAttaching {
 			// Signaling is delivered ahead of user data.
-			sig := min(tbs, h.sigPending[s])
-			h.sigPending[s] -= sig
+			sig := min(tbs, h.sigPending)
+			h.sigPending -= sig
 			tbs -= sig
-			if h.sigPending[s] == 0 {
-				h.state[s] = StateConnected
-				e.event(protocol.UEEventAttach, h.rnti[s], e.cold[s].params.Cell)
+			if h.sigPending == 0 {
+				h.state = StateConnected
+				e.event(protocol.UEEventAttach, h.rnti, e.cold[s].params.Cell)
+				h = &e.hot[s] // the hook may have moved the records
 			}
 		}
-		data := min(tbs, h.dlQueue[s])
-		h.dlQueue[s] -= data
+		data := min(tbs, h.dlQueue)
+		h.dlQueue -= data
 		e.cold[s].dlDelivered += uint64(data)
-		h.ttiDL[s] += int32(data)
+		h.ttiDL += int32(data)
 	} else {
-		h.retxUL[s] = 0
-		data := min(tbs, h.ulQueue[s])
-		h.ulQueue[s] -= data
+		h.retxUL = 0
+		data := min(tbs, h.ulQueue)
+		h.ulQueue -= data
 		e.cold[s].ulDelivered += uint64(data)
-		h.ttiUL[s] += int32(data)
+		h.ttiUL += int32(data)
 	}
-	h.lastSched[s] = sf
+	h.lastSched = sf
 }

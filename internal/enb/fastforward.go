@@ -21,9 +21,8 @@ func (e *ENB) NextWake(from lte.Subframe) lte.Subframe {
 	if e.unsteady > 0 {
 		return from
 	}
-	h := &e.hot
 	for _, s := range e.order {
-		if h.state[s] == StateAttaching || h.dlQueue[s] != 0 || h.ulQueue[s] != 0 || h.sigPending[s] != 0 {
+		if h := &e.hot[s]; h.state == StateAttaching || h.dlQueue != 0 || h.ulQueue != 0 || h.sigPending != 0 {
 			return from
 		}
 	}
@@ -55,9 +54,9 @@ func (e *ENB) FastForward(to lte.Subframe) {
 		return
 	}
 	n := int(to - e.sf)
-	h := &e.hot
 	for _, s := range e.order {
-		dl, ul := h.avgDL[s], h.avgUL[s]
+		h := &e.hot[s]
+		dl, ul := h.avgDL, h.avgUL
 		if dl == 0 && ul == 0 {
 			continue
 		}
@@ -65,7 +64,7 @@ func (e *ENB) FastForward(to lte.Subframe) {
 			dl = updateAvg(dl, 0)
 			ul = updateAvg(ul, 0)
 		}
-		h.avgDL[s], h.avgUL[s] = dl, ul
+		h.avgDL, h.avgUL = dl, ul
 	}
 	for _, c := range e.cellList {
 		c.usedPRB = 0

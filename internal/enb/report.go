@@ -56,26 +56,25 @@ func (e *ENB) RSSIdBm(rnti lte.RNTI) (float64, bool) {
 }
 
 func (e *ENB) report(s int32) UEReport {
-	h := &e.hot
-	c := &e.cold[s]
+	h, c := &e.hot[s], &e.cold[s]
 	return UEReport{
-		RNTI:        h.rnti[s],
+		RNTI:        h.rnti,
 		IMSI:        c.params.IMSI,
 		Cell:        c.params.Cell,
-		State:       h.state[s],
-		CQI:         h.cqi[s],
-		DLQueue:     h.dlQueue[s],
-		ULQueue:     h.ulQueue[s],
-		SigQueue:    h.sigPending[s],
+		State:       h.state,
+		CQI:         h.cqi,
+		DLQueue:     h.dlQueue,
+		ULQueue:     h.ulQueue,
+		SigQueue:    h.sigPending,
 		DLDelivered: c.dlDelivered,
 		ULDelivered: c.ulDelivered,
 		DLDropped:   c.dlDropped,
-		AvgDLKbps:   h.avgDL[s],
-		AvgULKbps:   h.avgUL[s],
+		AvgDLKbps:   h.avgDL,
+		AvgULKbps:   h.avgUL,
 		HARQRetx:    c.harqRetx,
-		LastSched:   h.lastSched[s],
+		LastSched:   h.lastSched,
 		Group:       c.params.Group,
-		AttachTries: c.attempts,
+		AttachTries: int(c.attempts),
 	}
 }
 
@@ -92,7 +91,7 @@ func (e *ENB) UEReports() []UEReport {
 func (e *ENB) UEs() []lte.RNTI {
 	out := make([]lte.RNTI, len(e.order))
 	for i, s := range e.order {
-		out[i] = e.hot.rnti[s]
+		out[i] = e.hot[s].rnti
 	}
 	return out
 }
@@ -100,7 +99,7 @@ func (e *ENB) UEs() []lte.RNTI {
 // Connected reports whether a UE has completed attachment.
 func (e *ENB) Connected(rnti lte.RNTI) bool {
 	s, ok := e.lookup(rnti)
-	return ok && e.hot.state[s] == StateConnected
+	return ok && e.hot[s].state == StateConnected
 }
 
 // CellReport is a point-in-time snapshot of one cell.
@@ -145,7 +144,7 @@ func (e *ENB) Active(cellID lte.CellID, sf lte.Subframe) bool {
 const SubbandsAt10MHz = 13
 
 // FillUETable writes the statistics report of every UE into t, one row per
-// UE in RNTI order, straight from the hot and cold lanes and column by
+// UE in RNTI order, straight from the hot and cold records and column by
 // column: no per-UE snapshot is built on the way. flags selects the report
 // components as a subscription does; the columns of an unselected component
 // stay zero (and its subband/LC lists empty), identity, last-scheduled
@@ -158,13 +157,12 @@ const SubbandsAt10MHz = 13
 // RSRP/RSRQ derive from the CQI operating point.
 func (e *ENB) FillUETable(t *protocol.UETable, flags protocol.StatsFlags) {
 	t.Resize(len(e.order))
-	h := &e.hot
 	for i, s := range e.order {
-		c := &e.cold[s]
-		cqi := int32(h.cqi[s])
-		t.RNTI[i] = h.rnti[s]
+		h, c := &e.hot[s], &e.cold[s]
+		cqi := int32(h.cqi)
+		t.RNTI[i] = h.rnti
 		t.Cell[i] = c.params.Cell
-		t.LastSchedSF[i] = h.lastSched[s]
+		t.LastSchedSF[i] = h.lastSched
 		t.PowerHeadroomDB[i] = 40 - 2*cqi
 		t.RSRPdBm[i] = -140 + 6*cqi
 		t.RSRQdB[i] = -20 + cqi
@@ -174,28 +172,30 @@ func (e *ENB) FillUETable(t *protocol.UETable, flags protocol.StatsFlags) {
 	}
 	if flags&protocol.StatsQueues != 0 {
 		for i, s := range e.order {
-			dlq := uint64(h.dlQueue[s])
+			h := &e.hot[s]
+			dlq := uint64(h.dlQueue)
 			t.DLQueue[i] = dlq
-			t.ULQueue[i] = uint64(h.ulQueue[s])
+			t.ULQueue[i] = uint64(h.ulQueue)
 			// SRB1, SRB2 and the default DRB.
 			t.LCID = append(t.LCID, 1, 2, 3)
-			t.LCBytes = append(t.LCBytes, uint64(h.sigPending[s]), 0, dlq)
-			t.LCHoLMs = append(t.LCHoLMs, 0, 0, holDelay(h.dlQueue[s], h.avgDL[s]))
+			t.LCBytes = append(t.LCBytes, uint64(h.sigPending), 0, dlq)
+			t.LCHoLMs = append(t.LCHoLMs, 0, 0, holDelay(h.dlQueue, h.avgDL))
 			t.LCEnd[i] = uint32(len(t.LCID))
 		}
 	}
 	if flags&protocol.StatsCQI != 0 {
 		for i, s := range e.order {
-			cqi := h.cqi[s]
-			t.CQI[i] = cqi
-			t.Subbands = append(t.Subbands, subbandCQIs(h.rnti[s], cqi)...)
+			h := &e.hot[s]
+			t.CQI[i] = h.cqi
+			t.Subbands = append(t.Subbands, subbandCQIs(h.rnti, h.cqi)...)
 			t.SubbandEnd[i] = uint32(len(t.Subbands))
 		}
 	}
 	if flags&protocol.StatsRates != 0 {
 		for i, s := range e.order {
-			t.DLRateKbps[i] = uint32(h.avgDL[s])
-			t.ULRateKbps[i] = uint32(h.avgUL[s])
+			h := &e.hot[s]
+			t.DLRateKbps[i] = uint32(h.avgDL)
+			t.ULRateKbps[i] = uint32(h.avgUL)
 		}
 	}
 	if flags&protocol.StatsHARQ != 0 {

@@ -27,13 +27,13 @@ func rippleReference(rnti lte.RNTI, cqi lte.CQI) []uint8 {
 // the oracle of TestFillUETableMatchesReference.
 func fillReference(e *ENB, t *protocol.UETable, flags protocol.StatsFlags) {
 	t.Resize(len(e.order))
-	h := &e.hot
+	h := e.hot
 	for i, s := range e.order {
 		c := &e.cold[s]
-		cqi := int32(h.cqi[s])
-		t.RNTI[i] = h.rnti[s]
+		cqi := int32(h[s].cqi)
+		t.RNTI[i] = h[s].rnti
 		t.Cell[i] = c.params.Cell
-		t.LastSchedSF[i] = h.lastSched[s]
+		t.LastSchedSF[i] = h[s].lastSched
 		t.PowerHeadroomDB[i] = 40 - 2*cqi
 		t.RSRPdBm[i] = -140 + 6*cqi
 		t.RSRQdB[i] = -20 + cqi
@@ -43,27 +43,27 @@ func fillReference(e *ENB, t *protocol.UETable, flags protocol.StatsFlags) {
 	}
 	if flags&protocol.StatsQueues != 0 {
 		for i, s := range e.order {
-			dlq := uint64(h.dlQueue[s])
+			dlq := uint64(h[s].dlQueue)
 			t.DLQueue[i] = dlq
-			t.ULQueue[i] = uint64(h.ulQueue[s])
+			t.ULQueue[i] = uint64(h[s].ulQueue)
 			t.LCID = append(t.LCID, 1, 2, 3)
-			t.LCBytes = append(t.LCBytes, uint64(h.sigPending[s]), 0, dlq)
-			t.LCHoLMs = append(t.LCHoLMs, 0, 0, holDelay(h.dlQueue[s], h.avgDL[s]))
+			t.LCBytes = append(t.LCBytes, uint64(h[s].sigPending), 0, dlq)
+			t.LCHoLMs = append(t.LCHoLMs, 0, 0, holDelay(h[s].dlQueue, h[s].avgDL))
 			t.LCEnd[i] = uint32(len(t.LCID))
 		}
 	}
 	if flags&protocol.StatsCQI != 0 {
 		for i, s := range e.order {
-			cqi := h.cqi[s]
+			cqi := h[s].cqi
 			t.CQI[i] = cqi
-			t.Subbands = append(t.Subbands, rippleReference(h.rnti[s], cqi)...)
+			t.Subbands = append(t.Subbands, rippleReference(h[s].rnti, cqi)...)
 			t.SubbandEnd[i] = uint32(len(t.Subbands))
 		}
 	}
 	if flags&protocol.StatsRates != 0 {
 		for i, s := range e.order {
-			t.DLRateKbps[i] = uint32(h.avgDL[s])
-			t.ULRateKbps[i] = uint32(h.avgUL[s])
+			t.DLRateKbps[i] = uint32(h[s].avgDL)
+			t.ULRateKbps[i] = uint32(h[s].avgUL)
 		}
 	}
 	if flags&protocol.StatsHARQ != 0 {

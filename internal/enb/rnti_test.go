@@ -1,6 +1,7 @@
 package enb
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -251,5 +252,121 @@ func TestRNTIExhaustionWrapsAndSkipsLive(t *testing.T) {
 	}
 	if !slices.Equal(e.UEs(), before) {
 		t.Fatalf("a failed attach left state behind: UEs %#x", e.UEs())
+	}
+}
+
+// TestENBMatchesMapReferenceFIFOChurn replays the map model under FIFO
+// churn: every step a UE attaches, or a released one is admitted, and
+// beyond 16 live UEs the oldest leaves by detach or handover release. That
+// runs the C-RNTI counter over the top of the range twice, so the RNTI
+// table's window slides with the live UEs and across the wrap. The eNodeB
+// must answer like the model throughout — probes at the window's edges and
+// just past it included — and the table must stay sized by the live UEs.
+func TestENBMatchesMapReferenceFIFOChurn(t *testing.T) {
+	const live, queueCap = 16, 5000
+	rnd := rand.New(rand.NewSource(1))
+	e := New(Config{ID: 1, Seed: 1, DLQueueCap: queueCap})
+	ref := &refENB{ues: map[lte.RNTI]*refUE{}, next: lte.FirstUERNTI, cap: queueCap}
+	var events []refEvent
+	e.SetHooks(Hooks{OnUEEvent: func(ev protocol.UEEventType, rnti lte.RNTI, _ lte.CellID) {
+		events = append(events, refEvent{ev, rnti})
+	}})
+	var fifo []lte.RNTI
+	var released []HandoverState
+	nextIMSI := uint64(1)
+	for step, wraps := 0, 0; wraps < 2; step++ {
+		var want *refUE
+		if len(released) > 0 && rnd.Intn(2) == 0 {
+			st := released[0]
+			released = released[1:]
+			want = ref.add(st.Params, StateConnected)
+			want.rep.DLQueue, want.rep.DLDropped = st.DLQueue, st.DLDropped
+			want.rep.AttachTries = st.AttachTries
+			ref.events = append(ref.events, refEvent{protocol.UEEventAttach, want.rep.RNTI})
+			if got, err := e.AdmitUE(st); err != nil || got != want.rep.RNTI {
+				t.Fatalf("step %d: AdmitUE = %d, %v; want %d", step, got, err, want.rep.RNTI)
+			}
+		} else {
+			p := UEParams{IMSI: nextIMSI, Channel: radio.Fixed(9), Group: rnd.Intn(3)}
+			nextIMSI++
+			want = ref.add(p, StateAttaching)
+			want.rep.SigQueue, want.rep.AttachTries = DefaultAttachSignalingBytes, 1
+			ref.events = append(ref.events, refEvent{protocol.UEEventRandomAccess, want.rep.RNTI})
+			if got, err := e.AddUE(p); err != nil || got != want.rep.RNTI {
+				t.Fatalf("step %d: AddUE = %d, %v; want %d", step, got, err, want.rep.RNTI)
+			}
+		}
+		if ref.next < lte.FirstUERNTI { // the model's counter wrapped through 0
+			ref.next = lte.FirstUERNTI
+			wraps++
+		}
+		fifo = append(fifo, want.rep.RNTI)
+		r, n := fifo[rnd.Intn(len(fifo))], rnd.Intn(3000)
+		if got, want := e.DLEnqueue(r, n), ref.dlEnqueue(r, n); got != want {
+			t.Fatalf("step %d: DLEnqueue(%d, %d) = %d, want %d", step, r, n, got, want)
+		}
+
+		probes := []lte.RNTI{0, lte.FirstUERNTI - 1, ref.next, ref.next + 1, e.slotBase - 1, e.slotBase}
+		if len(fifo) > live {
+			old := fifo[0]
+			fifo = fifo[1:]
+			if rnd.Intn(2) == 0 {
+				e.RemoveUE(old)
+			} else {
+				st, ok := e.ReleaseUE(old)
+				if !ok {
+					t.Fatalf("step %d: ReleaseUE(%d) found no UE", step, old)
+				}
+				released = append(released, st)
+			}
+			ref.remove(old)
+			probes = append(probes, old, old-1)
+		}
+
+		if !slices.Equal(events, ref.events) {
+			t.Fatalf("step %d: events\n got %v\nwant %v", step, events, ref.events)
+		}
+		events, ref.events = events[:0], ref.events[:0]
+		if got := e.UEs(); !slices.Equal(got, slices.Sorted(maps.Keys(ref.ues))) {
+			t.Fatalf("step %d: UEs = %v, want the model's %d", step, got, len(ref.ues))
+		}
+		for _, r := range append(probes, fifo...) {
+			got, ok := e.UEReport(r)
+			u, live := ref.ues[r]
+			if ok != live || (live && got != u.rep) {
+				t.Fatalf("step %d: UEReport(%d) = %+v, %v; want %+v, %v", step, r, got, ok, u, live)
+			}
+		}
+		if len(e.slotOf) > 2*live || cap(e.slotOf) > 64 {
+			t.Fatalf("step %d: RNTI table holds %d entries (cap %d) for %d live UEs",
+				step, len(e.slotOf), cap(e.slotOf), len(ref.ues))
+		}
+	}
+}
+
+// TestMemGateRNTIChurn bounds the RNTI table by the live UEs: every attach
+// takes a fresh C-RNTI, so 200,000 attach/detach cycles with at most 16
+// UEs live hand out every C-RNTI three times over, and the table must not
+// grow with them.
+func TestMemGateRNTIChurn(t *testing.T) {
+	const cycles, live, budgetCap = 200000, 16, 64
+	e := newENB(t)
+	var fifo []lte.RNTI
+	maxCap := 0
+	for i := 0; i < cycles; i++ {
+		rnti, err := e.AddUE(UEParams{IMSI: uint64(i + 1), Channel: radio.Fixed(9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fifo = append(fifo, rnti); len(fifo) > live {
+			e.RemoveUE(fifo[0])
+			fifo = fifo[1:]
+		}
+		maxCap = max(maxCap, cap(e.slotOf))
+	}
+	t.Logf("RNTI table: %d entries, cap %d (at most %d over the run) for %d live UEs",
+		len(e.slotOf), cap(e.slotOf), maxCap, len(e.order))
+	if maxCap > budgetCap {
+		t.Errorf("RNTI table reached cap %d, budget %d", maxCap, budgetCap)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flexran/internal/lte"
+	"flexran/internal/protocol"
 	"flexran/internal/radio"
 )
 
@@ -17,7 +18,7 @@ func slotFor(t *testing.T, e *ENB, rnti lte.RNTI) int32 {
 	return s
 }
 
-// dirtySlot attaches a UE, drives traffic through it until every hot lane
+// dirtySlot attaches a UE, drives traffic through it until every hot field
 // holds nonzero state, and returns its slot id.
 func dirtySlot(t *testing.T, e *ENB) (lte.RNTI, int32) {
 	t.Helper()
@@ -37,17 +38,17 @@ func dirtySlot(t *testing.T, e *ENB) (lte.RNTI, int32) {
 	return rnti, s
 }
 
-// TestSlotReuseNoLeak is the regression test for the struct-of-arrays free
-// list: attach→detach→attach must hand the recycled slot to the new UE
-// with every lane zeroed — no stale CQI, queue bytes, PF averages, HARQ
+// TestSlotReuseNoLeak is the regression test for the slot free list:
+// attach→detach→attach must hand the recycled slot to the new UE with its
+// hot and cold records zeroed — no stale CQI, queue bytes, PF averages, HARQ
 // state or cumulative counters from the previous occupant.
 func TestSlotReuseNoLeak(t *testing.T) {
 	e := newENB(t)
 	old, s := dirtySlot(t, e)
-	if q := e.hot.dlQueue[s]; q == 0 {
+	if q := e.hot[s].dlQueue; q == 0 {
 		t.Fatal("expected pending DL bytes before detach")
 	}
-	lanes := len(e.hot.rnti)
+	slots := len(e.hot)
 
 	e.RemoveUE(old)
 	if len(e.free) != 1 || e.free[0] != s {
@@ -61,8 +62,8 @@ func TestSlotReuseNoLeak(t *testing.T) {
 	if got := slotFor(t, e, rnti); got != s {
 		t.Fatalf("new UE got slot %d, want recycled slot %d", got, s)
 	}
-	if len(e.hot.rnti) != lanes || len(e.cold) != lanes {
-		t.Fatalf("lanes grew from %d to %d despite a free slot", lanes, len(e.hot.rnti))
+	if len(e.hot) != slots || len(e.cold) != slots {
+		t.Fatalf("slots grew from %d to %d despite a free slot", slots, len(e.hot))
 	}
 
 	r, ok := e.UEReport(rnti)
@@ -77,8 +78,8 @@ func TestSlotReuseNoLeak(t *testing.T) {
 		r.DLDelivered != 0 || r.ULDelivered != 0 || r.DLDropped != 0 || r.HARQRetx != 0 {
 		t.Fatalf("recycled slot leaked previous occupant's state: %+v", r)
 	}
-	if e.hot.retxDL[s] != 0 || e.hot.retxUL[s] != 0 || e.hot.ttiDL[s] != 0 || e.hot.ttiUL[s] != 0 {
-		t.Fatal("recycled slot leaked HARQ/per-TTI lanes")
+	if e.hot[s].retxDL != 0 || e.hot[s].retxUL != 0 || e.hot[s].ttiDL != 0 || e.hot[s].ttiUL != 0 {
+		t.Fatal("recycled slot leaked HARQ/per-TTI state")
 	}
 
 	// The recycled slot must behave like a brand-new UE end to end.
@@ -119,5 +120,43 @@ func TestHandoverSlotReuse(t *testing.T) {
 	if r.DLQueue != 0 || r.ULQueue != 0 || r.AvgDLKbps != 0 || r.AvgULKbps != 0 ||
 		r.DLDelivered != 0 || r.HARQRetx != 0 {
 		t.Fatalf("admission inherited the released UE's state: %+v", r)
+	}
+}
+
+// TestHookAddingUEMidStep covers the one way the hot records move under a
+// running Step: an event hook that attaches a UE grows ENB.hot. The
+// transmission that completed an attach and raised the event must still
+// land in the attaching UE's record — queue, per-TTI count, and so the PF
+// average — exactly as when the hook adds nothing.
+func TestHookAddingUEMidStep(t *testing.T) {
+	run := func(addOnAttach bool) UEReport {
+		e := newENB(t)
+		rnti, err := e.AddUE(UEParams{IMSI: 1, Channel: radio.Fixed(15)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.DLEnqueue(rnti, 100000)
+		e.SetHooks(Hooks{OnUEEvent: func(ev protocol.UEEventType, r lte.RNTI, _ lte.CellID) {
+			if addOnAttach && ev == protocol.UEEventAttach && r == rnti {
+				if _, err := e.AddUE(UEParams{IMSI: 2, Channel: radio.Fixed(15)}); err != nil {
+					t.Error(err)
+				}
+			}
+		}})
+		for i := 0; i < 100 && !e.Connected(rnti); i++ {
+			e.Step()
+		}
+		r, ok := e.UEReport(rnti)
+		if !ok || r.State != StateConnected {
+			t.Fatalf("UE did not attach: %+v", r)
+		}
+		return r
+	}
+	with, without := run(true), run(false)
+	if with != without {
+		t.Fatalf("a UE added by the attach hook changed the attaching UE's record:\n got %+v\nwant %+v", with, without)
+	}
+	if without.DLQueue == 100000 {
+		t.Fatalf("the attach subframe carried no data, so the test shows nothing: %+v", without)
 	}
 }

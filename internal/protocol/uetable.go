@@ -12,8 +12,8 @@ import (
 // one typed slice per UEStats field, row i of every column describing the
 // same UE. It is the in-memory form of StatsReply.UEs and StateSnapshot.UEs
 // and maps one to one onto their wire form (see MarshalWire), so a report
-// travels from the eNodeB's struct-of-arrays lanes to the master's RIB
-// without being transposed into rows and back on the way. UEStats remains
+// travels from the eNodeB's per-UE records to the master's RIB filled
+// column by column, without being transposed into rows and back on the way. UEStats remains
 // the row type: Row reads one, Append adds one.
 //
 // Every per-row column has length Len(). The variable-length parts of a row

@@ -69,7 +69,7 @@ func calendarScript(t *testing.T, s *Sim, check func()) {
 			}
 		case 1800:
 			src := s.Nodes[7]
-			src.pendingHO = append(src.pendingHO, protocol.HandoverCommand{
+			src.link.pendingHO = append(src.link.pendingHO, protocol.HandoverCommand{
 				RNTI: src.RNTIs[0], IMSI: 801, TargetENB: 7, TargetCell: 0,
 			})
 		}

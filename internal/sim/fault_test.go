@@ -50,17 +50,26 @@ func stallWith(t *testing.T, s *Sim, docs ...string) *Node {
 	n := s.byENB[1]
 	fire(s, Fault{Kind: FaultAgentStall, ENB: 1})
 	for _, doc := range docs {
-		if err := n.mEp.Send(protocol.New(1, s.Now(), &protocol.PolicyReconf{Doc: doc})); err != nil {
+		if err := n.link.mEp.Send(protocol.New(1, s.Now(), &protocol.PolicyReconf{Doc: doc})); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 100 && len(n.stallQ) < len(docs); i++ {
+	for i := 0; i < 100 && held(n) < len(docs); i++ {
 		s.Step()
 	}
-	if !n.Agent.Stalled() || len(n.stallQ) != len(docs) {
-		t.Fatalf("stalled %v with %d held, want %d held", n.Agent.Stalled(), len(n.stallQ), len(docs))
+	if !n.Agent.Stalled() || held(n) != len(docs) {
+		t.Fatalf("stalled %v with %d held, want %d held", n.Agent.Stalled(), held(n), len(docs))
 	}
 	return n
+}
+
+// held is how many messages a node's stalled agent holds: none without a
+// control channel.
+func held(n *Node) int {
+	if n.link == nil {
+		return 0
+	}
+	return len(n.link.stallQ)
 }
 
 // engineState is what a fault changes outside the agent: which nodes are
@@ -92,8 +101,8 @@ func TestFaultEdgeCases(t *testing.T) {
 		n := stallWith(t, s, docA)
 		fire(s, Fault{Kind: FaultAgentRestart, ENB: 1})
 		s.Run(20)
-		if n.Agent.Stalled() || len(n.stallQ) != 0 {
-			t.Fatalf("after restart: stalled %v, %d held", n.Agent.Stalled(), len(n.stallQ))
+		if n.Agent.Stalled() || held(n) != 0 {
+			t.Fatalf("after restart: stalled %v, %d held", n.Agent.Stalled(), held(n))
 		}
 		if h := n.Agent.RRC().Hysteresis(); h != 3 {
 			t.Errorf("hysteresis %g: the dropped policy was applied", h)
@@ -106,8 +115,8 @@ func TestFaultEdgeCases(t *testing.T) {
 			t.Fatalf("hysteresis %g while stalled", h)
 		}
 		fire(s, Fault{Kind: FaultAgentResume, ENB: 1})
-		if n.Agent.Stalled() || len(n.stallQ) != 0 {
-			t.Fatalf("after resume: stalled %v, %d held", n.Agent.Stalled(), len(n.stallQ))
+		if n.Agent.Stalled() || held(n) != 0 {
+			t.Fatalf("after resume: stalled %v, %d held", n.Agent.Stalled(), held(n))
 		}
 		if h, ttt := n.Agent.RRC().Hysteresis(), n.Agent.RRC().TimeToTrigger(); h != 6 || ttt != 80 {
 			t.Errorf("hysteresis %g, time to trigger %d; want 6 and 80", h, ttt)
@@ -149,8 +158,8 @@ func TestFaultEdgeCases(t *testing.T) {
 			if after := snapshot(s); !reflect.DeepEqual(after, before) {
 				t.Errorf("engine state moved:\n got %+v\nwant %+v", after, before)
 			}
-			if n := s.byENB[1]; n.Agent.Stalled() || len(n.stallQ) != 0 {
-				t.Errorf("agent 1 stalled %v with %d held", n.Agent.Stalled(), len(n.stallQ))
+			if n := s.byENB[1]; n.Agent.Stalled() || held(n) != 0 {
+				t.Errorf("agent 1 stalled %v with %d held", n.Agent.Stalled(), held(n))
 			}
 		})
 	}

@@ -111,10 +111,9 @@ type Config struct {
 type Node struct {
 	ENB   *enb.ENB
 	Agent *agent.Agent // nil when the spec had Agent: false
-
-	aEp     *transport.SimEndpoint // agent side of the control channel
-	mEp     *transport.SimEndpoint // master side
-	session *controller.AgentSession
+	// link is the node's control channel to the master, nil for a node
+	// without one: a node pays for link state only when it has a link.
+	link *link
 
 	RNTIs []lte.RNTI // by UESpec order
 	specs []UESpec
@@ -126,11 +125,6 @@ type Node struct {
 	// eNodeB (possible after a handover); they are replayed serially
 	// after the injection phase so no two workers touch one eNodeB.
 	spill []spillDL
-	// pendingHO collects handover commands delivered to this node's agent
-	// during the control phase; the engine applies them serially at the
-	// following barrier, ordered by IMSI, so migrations are deterministic
-	// for every worker-pool size.
-	pendingHO []protocol.HandoverCommand
 
 	// woken records a control message delivered to this node in the
 	// master->agent phase; the barrier after the phase moves the node into
@@ -139,19 +133,6 @@ type Node struct {
 	// idx is the node's position in Sim.Nodes: its bit in the awake set
 	// and its key in the wake calendar.
 	idx int32
-	// stallQ holds what arrives for a stalled agent (FaultAgentStall)
-	// other than echoes: applied in arrival order on resume, dropped by a
-	// restart.
-	stallQ []*protocol.Message
-	// phaseErr records a control-channel decode failure inside a
-	// parallel phase, surfaced as a panic at the barrier.
-	phaseErr error
-
-	// mBatch/aBatch are reusable per-node delivery batches for the two
-	// control-phase directions (only message pointers outlive a phase;
-	// the slices themselves are scratch).
-	mBatch []*protocol.Message
-	aBatch []*protocol.Message
 
 	// wake is the node's next subframe with provable own work (eNodeB
 	// backlog/measurements, agent control ticks, or traffic-generator
@@ -172,20 +153,47 @@ type spillDL struct {
 	bytes int
 }
 
+// link is the state of one node's control channel to the master: the two
+// simulated endpoints, the master-side session, and what the control phase
+// and the fault paths keep for the node between barriers.
+type link struct {
+	aEp     *transport.SimEndpoint // agent side of the control channel
+	mEp     *transport.SimEndpoint // master side
+	session *controller.AgentSession
+
+	// mBatch/aBatch are reusable per-node delivery batches for the two
+	// control-phase directions (only message pointers outlive a phase;
+	// the slices themselves are scratch).
+	mBatch []*protocol.Message
+	aBatch []*protocol.Message
+	// stallQ holds what arrives for a stalled agent (FaultAgentStall)
+	// other than echoes: applied in arrival order on resume, dropped by a
+	// restart.
+	stallQ []*protocol.Message
+	// phaseErr records a control-channel decode failure inside a
+	// parallel phase, surfaced as a panic at the barrier.
+	phaseErr error
+	// pendingHO collects handover commands delivered to the node's agent
+	// during the control phase; the engine applies them serially at the
+	// following barrier, ordered by IMSI, so migrations are deterministic
+	// for every worker-pool size.
+	pendingHO []protocol.HandoverCommand
+}
+
 // AgentMeter returns the agent-to-master signaling meter (Fig. 7a).
 func (n *Node) AgentMeter() *metrics.Meter {
-	if n.aEp == nil {
+	if n.link == nil {
 		return metrics.NewMeter()
 	}
-	return n.aEp.Meter()
+	return n.link.aEp.Meter()
 }
 
 // MasterMeter returns the master-to-agent signaling meter (Fig. 7b).
 func (n *Node) MasterMeter() *metrics.Meter {
-	if n.mEp == nil {
+	if n.link == nil {
 		return metrics.NewMeter()
 	}
-	return n.mEp.Meter()
+	return n.link.mEp.Meter()
 }
 
 // HandoverRecord is one executed UE migration.
@@ -295,7 +303,7 @@ type Sim struct {
 // NewNode builds one eNodeB from its spec with an EPC of its own: the node
 // a wall-clock agent loop steps. It has no control channel (the loop dials
 // one; ToMaster and ToAgent are ignored) and no handover executor, so its
-// agent rejects handover commands.
+// agent rejects handover commands, as in a Sim without a master.
 func NewNode(spec ENBSpec) (*Node, error) {
 	n := newNode(spec)
 	if err := n.addUEs(epc.New()); err != nil {
@@ -357,19 +365,20 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 	for _, spec := range enbs {
 		n := newNode(spec)
 		n.idx = int32(len(s.Nodes))
-		if n.Agent != nil {
-			// Handover commands are queued on the node and executed at
-			// the engine's post-control barrier (deterministic order).
+		if n.Agent != nil && s.Master != nil {
+			l := &link{}
+			n.link = l
+			// Handover commands, which only the master sends, are queued
+			// on the link and executed at the engine's post-control
+			// barrier (deterministic order).
 			n.Agent.SetHandoverExecutor(func(cmd *protocol.HandoverCommand) error {
-				n.pendingHO = append(n.pendingHO, *cmd)
+				l.pendingHO = append(l.pendingHO, *cmd)
 				return nil
 			})
-			if s.Master != nil {
-				n.aEp, n.mEp = transport.NewSimPair(spec.ToMaster, spec.ToAgent)
-				n.session = s.Master.HandleAgentSession(n.mEp.Send)
-				n.Agent.Connect(n.aEp.Send)
-				s.linked = append(s.linked, n.idx)
-			}
+			l.aEp, l.mEp = transport.NewSimPair(spec.ToMaster, spec.ToAgent)
+			l.session = s.Master.HandleAgentSession(l.mEp.Send)
+			n.Agent.Connect(l.aEp.Send)
+			s.linked = append(s.linked, n.idx)
 		}
 		if err := n.addUEs(s.EPC); err != nil {
 			return nil, err
@@ -428,8 +437,8 @@ func (s *Sim) barrier(phase string) {
 			n.woken = false
 			s.rouse(n)
 		}
-		if err := n.phaseErr; err != nil {
-			n.phaseErr = nil
+		if err := n.link.phaseErr; err != nil {
+			n.link.phaseErr = nil
 			panic(fmt.Sprintf("sim: corrupt control message (%s, eNB %d): %v",
 				phase, n.ENB.ID(), err))
 		}
@@ -525,10 +534,10 @@ func (s *Sim) applyHandovers() {
 	var jobs []hoJob
 	for _, i := range s.linked {
 		n := s.Nodes[i]
-		for _, cmd := range n.pendingHO {
+		for _, cmd := range n.link.pendingHO {
 			jobs = append(jobs, hoJob{cmd: cmd, src: n})
 		}
-		n.pendingHO = n.pendingHO[:0]
+		n.link.pendingHO = n.link.pendingHO[:0]
 	}
 	if len(jobs) == 0 {
 		return
@@ -660,9 +669,10 @@ func (s *Sim) applyFault(f Fault) {
 	if n == nil || n.Agent == nil {
 		return
 	}
+	l := n.link
 	switch f.Kind {
 	case FaultLinkCut, FaultLinkRestore, FaultNetemSet:
-		if n.aEp == nil {
+		if l == nil {
 			return
 		}
 	case FaultAgentRestart, FaultAgentStall: // need only the agent
@@ -677,50 +687,55 @@ func (s *Sim) applyFault(f Fault) {
 	switch f.Kind {
 	case FaultLinkCut:
 		// Blackhole both directions and drop everything in flight.
-		n.aEp.SetDown(true)
-		n.mEp.SetDown(true)
-		n.aEp.DropInflight()
-		n.mEp.DropInflight()
+		l.aEp.SetDown(true)
+		l.mEp.SetDown(true)
+		l.aEp.DropInflight()
+		l.mEp.DropInflight()
 	case FaultLinkRestore:
 		// Redial: the old master-side session is closed (it may already be
 		// heartbeat-closed) and the agent reconnects with a bumped epoch,
 		// the simulated analogue of the agent supervisor's TCP redial.
-		n.aEp.SetDown(false)
-		n.mEp.SetDown(false)
-		s.reconnect(n)
+		l.aEp.SetDown(false)
+		l.mEp.SetDown(false)
+		s.reconnect(l, n.Agent)
 	case FaultAgentRestart:
 		// The supervisor replaced a possibly wedged process: the backlog
 		// held by the old incarnation dies with it, and Agent.Restart
 		// clears the stall. The link's up/down state is untouched, so a
 		// restart behind a cut link leaves the new Hello retransmitting
-		// until restore.
-		for _, m := range n.stallQ {
-			m.Release()
+		// until restore. Only a linked agent can hold a backlog.
+		if l != nil {
+			for _, m := range l.stallQ {
+				m.Release()
+			}
+			l.stallQ = l.stallQ[:0]
 		}
-		n.stallQ = n.stallQ[:0]
 		n.Agent.Restart()
-		if n.aEp == nil {
+		if l == nil {
 			return
 		}
-		n.aEp.DropInflight()
-		n.mEp.DropInflight()
-		s.reconnect(n)
+		l.aEp.DropInflight()
+		l.mEp.DropInflight()
+		s.reconnect(l, n.Agent)
 	case FaultNetemSet:
 		if f.ToMaster != nil {
-			n.aEp.SetNetem(*f.ToMaster)
+			l.aEp.SetNetem(*f.ToMaster)
 		}
 		if f.ToAgent != nil {
-			n.mEp.SetNetem(*f.ToAgent)
+			l.mEp.SetNetem(*f.ToAgent)
 		}
 	case FaultAgentStall:
 		n.Agent.SetStalled(true)
 	case FaultAgentResume:
 		n.Agent.SetStalled(false)
-		for _, m := range n.stallQ {
+		if l == nil {
+			return
+		}
+		for _, m := range l.stallQ {
 			n.Agent.Deliver(m)
 			m.Release()
 		}
-		n.stallQ = n.stallQ[:0]
+		l.stallQ = l.stallQ[:0]
 	}
 }
 
@@ -734,17 +749,12 @@ func (s *Sim) wakeNode(n *Node) {
 	s.syncNode(n)
 }
 
-// reconnect attaches a fresh master-side session for the node and
-// re-Connects its agent (epoch bump, new Hello, master-pulled resync).
-func (s *Sim) reconnect(n *Node) {
-	if s.Master == nil || n.Agent == nil {
-		return
-	}
-	if n.session != nil {
-		n.session.Close()
-	}
-	n.session = s.Master.HandleAgentSession(n.mEp.Send)
-	n.Agent.Connect(n.aEp.Send)
+// reconnect closes a link's master-side session, attaches a fresh one and
+// re-Connects the agent (epoch bump, new Hello, master-pulled resync).
+func (s *Sim) reconnect(l *link, a *agent.Agent) {
+	l.session.Close()
+	l.session = s.Master.HandleAgentSession(l.mEp.Send)
+	a.Connect(l.aEp.Send)
 }
 
 // Step advances the world by one TTI: the phases below run in the fixed
@@ -805,24 +815,26 @@ func (s *Sim) Step() {
 
 // deliverToMaster is the agent->master leg for one node.
 func (s *Sim) deliverToMaster(n *Node) {
-	n.mBatch = n.mBatch[:0]
-	if err := n.mEp.AdvanceInto(s.sf, &n.mBatch); err != nil {
-		n.phaseErr = err
+	l := n.link
+	l.mBatch = l.mBatch[:0]
+	if err := l.mEp.AdvanceInto(s.sf, &l.mBatch); err != nil {
+		l.phaseErr = err
 		return
 	}
 	// Ownership moves to the master, which releases each message back to
 	// the protocol free lists once the RIB updater has applied it.
-	n.session.Deliver(n.mBatch...)
+	l.session.Deliver(l.mBatch...)
 }
 
 // deliverToAgent is the master->agent leg for one node.
 func (s *Sim) deliverToAgent(n *Node) {
-	n.aBatch = n.aBatch[:0]
-	if err := n.aEp.AdvanceInto(s.sf, &n.aBatch); err != nil {
-		n.phaseErr = err
+	l := n.link
+	l.aBatch = l.aBatch[:0]
+	if err := l.aEp.AdvanceInto(s.sf, &l.aBatch); err != nil {
+		l.phaseErr = err
 		return
 	}
-	if len(n.aBatch) == 0 {
+	if len(l.aBatch) == 0 {
 		return
 	}
 	// An arriving message wakes a sleeping node (the barrier moves it into
@@ -834,9 +846,9 @@ func (s *Sim) deliverToAgent(n *Node) {
 	// I/O thread is alive — but everything else waits in stallQ until the
 	// resume fault (or dies with an agent restart).
 	stalled := n.Agent.Stalled()
-	for _, m := range n.aBatch {
+	for _, m := range l.aBatch {
 		if stalled && m.Payload.Kind() != protocol.KindEcho {
-			n.stallQ = append(n.stallQ, m)
+			l.stallQ = append(l.stallQ, m)
 			continue
 		}
 		n.Agent.Deliver(m)
