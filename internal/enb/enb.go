@@ -97,7 +97,12 @@ type UEParams struct {
 // hotState is the hot record of one UE slot: every field the subframe
 // loop reads or writes per UE, in one 72-byte record. ENB.hot holds one
 // per slot, contiguous per eNodeB, so the TTI sweep walks a dense array
-// instead of chasing map buckets and per-UE heap objects.
+// instead of chasing map buckets and per-UE heap objects. cell is a copy
+// of the cold record's serving cell, set when the UE enters the slot, so
+// the per-cell scheduling filter never leaves this array. steady and
+// cqiHeld let the channel refresh skip a UE whose channel promises a
+// constant CQI (radio.ConstantCQI, the promise fast-forward rests on) once
+// cqi holds it. The three fit in what would otherwise be padding.
 //
 // Ownership contract: the records are owned by the eNodeB's
 // single-threaded driver (simulation shard or agent runtime); slot ids are
@@ -116,6 +121,9 @@ type hotState struct {
 	retxUL     int32
 	ttiDL      int32 // per-TTI delivery accounting (reset each Step)
 	ttiUL      int32
+	cell       lte.CellID
+	steady     bool    // the channel's CQI is constant (set when the UE enters the slot)
+	cqiHeld    bool    // cqi holds a steady channel's CQI: the refresh skips the UE
 	dlQueue    int     // RLC transmission queue, bytes
 	ulQueue    int     // buffer status, bytes
 	sigPending int     // pending attach signaling, bytes
@@ -193,10 +201,16 @@ func DefaultCell(id lte.CellID) protocol.CellConfig {
 // ENB is the simulated eNodeB data plane. It is not safe for concurrent
 // use: the owner (simulation loop or agent runtime) serializes access.
 type ENB struct {
-	cfg Config
+	// id and the attach and queue limits are the Config values read after
+	// New, defaults filled in; the seed and the cell list are consumed there.
+	id             lte.ENBID
+	attachSigBytes int
+	attachTimeout  lte.Subframe
+	dlQueueCap     int
 	// cellList is the cells in ascending id order, fixed at construction.
-	// An eNodeB carries one to a few cells, so a lookup by id walks it.
-	cellList []*cell
+	// An eNodeB carries one to a few cells, so a lookup by id walks it;
+	// *cell pointers into it stay valid because it never grows after New.
+	cellList []cell
 
 	hot  []hotState // by slot
 	cold []coldState
@@ -220,6 +234,14 @@ type ENB struct {
 	// contribution of NextWake.
 	unsteady  int
 	measurers int
+	// attaching, dlBacklog and ulBacklog count the live UEs in the attach
+	// procedure, with downlink bytes queued and with uplink bytes queued.
+	// They change only through recount, around every mutation of a UE's
+	// state or queues, so a direction they prove empty is skipped without
+	// a scan and NextWake answers without one.
+	attaching int32
+	dlBacklog int32
+	ulBacklog int32
 
 	sf       lte.Subframe
 	hooks    Hooks
@@ -242,35 +264,28 @@ type ENB struct {
 // that never carries traffic, or that a control plane takes over first,
 // never pays for one.
 func New(cfg Config) *ENB {
-	if cfg.AttachSignalingBytes == 0 {
-		cfg.AttachSignalingBytes = DefaultAttachSignalingBytes
-	}
-	if cfg.AttachTimeoutTTI == 0 {
-		cfg.AttachTimeoutTTI = DefaultAttachTimeoutTTI
-	}
-	if cfg.DLQueueCap == 0 {
-		cfg.DLQueueCap = DefaultDLQueueCap
-	}
 	cells := cfg.Cells
 	if len(cells) == 0 {
 		cells = []protocol.CellConfig{DefaultCell(0)}
 	}
-	cfg.Cells = nil // cellList is the cells' one home
 	e := &ENB{
-		cfg:      cfg,
-		cellList: make([]*cell, 0, len(cells)),
-		rnd:      rng.New(cfg.Seed + 1),
-		nextRNTI: lte.FirstUERNTI,
+		id:             cfg.ID,
+		attachSigBytes: cmp.Or(cfg.AttachSignalingBytes, DefaultAttachSignalingBytes),
+		attachTimeout:  lte.Subframe(cmp.Or(cfg.AttachTimeoutTTI, DefaultAttachTimeoutTTI)),
+		dlQueueCap:     cmp.Or(cfg.DLQueueCap, DefaultDLQueueCap),
+		cellList:       make([]cell, 0, len(cells)),
+		rnd:            rng.New(cfg.Seed + 1),
+		nextRNTI:       lte.FirstUERNTI,
 	}
 	for _, cc := range cells {
 		c := e.findCell(cc.Cell) // a repeated id keeps its last configuration
 		if c == nil {
-			c = &cell{}
-			e.cellList = append(e.cellList, c)
+			e.cellList = append(e.cellList, cell{})
+			c = &e.cellList[len(e.cellList)-1]
 		}
 		*c = cell{cfg: cc, prbs: cc.Bandwidth.PRBs()}
 	}
-	slices.SortFunc(e.cellList, func(a, b *cell) int { return cmp.Compare(a.cfg.Cell, b.cfg.Cell) })
+	slices.SortFunc(e.cellList, func(a, b cell) int { return cmp.Compare(a.cfg.Cell, b.cfg.Cell) })
 	return e
 }
 
@@ -285,14 +300,14 @@ func roundRobin() func(lte.CellID, sched.Input) []sched.Alloc {
 }
 
 // ID returns the eNodeB identifier.
-func (e *ENB) ID() lte.ENBID { return e.cfg.ID }
+func (e *ENB) ID() lte.ENBID { return e.id }
 
 // Now returns the current subframe (the next one Step will execute).
 func (e *ENB) Now() lte.Subframe { return e.sf }
 
 // Config exports the eNodeB configuration for the agent's Hello message.
 func (e *ENB) Config() protocol.ENBConfig {
-	out := protocol.ENBConfig{ID: e.cfg.ID}
+	out := protocol.ENBConfig{ID: e.id}
 	for _, c := range e.cellList {
 		out.Cells = append(out.Cells, c.cfg)
 	}
@@ -301,8 +316,8 @@ func (e *ENB) Config() protocol.ENBConfig {
 
 // findCell returns the cell with the given id, or nil.
 func (e *ENB) findCell(id lte.CellID) *cell {
-	for _, c := range e.cellList {
-		if c.cfg.Cell == id {
+	for i := range e.cellList {
+		if c := &e.cellList[i]; c.cfg.Cell == id {
 			return c
 		}
 	}
@@ -351,13 +366,33 @@ func (e *ENB) resetSlot(s int32) {
 }
 
 // trackChannel maintains the unsteady/measurers counters as UEs come and
-// go (delta is +1 on add, -1 on remove).
-func (e *ENB) trackChannel(ch radio.Model, delta int) {
-	if c, ok := ch.(radio.ConstantCQI); !ok || !c.ConstantCQI() {
+// go (delta is +1 on add, -1 on remove) and reports whether the channel
+// promises a constant CQI.
+func (e *ENB) trackChannel(ch radio.Model, delta int) (steady bool) {
+	c, ok := ch.(radio.ConstantCQI)
+	steady = ok && c.ConstantCQI()
+	if !steady {
 		e.unsteady += delta
 	}
 	if _, ok := ch.(radio.NeighborMeasurer); ok {
 		e.measurers += delta
+	}
+	return steady
+}
+
+// recount adds a live slot's contribution, read from its hot record, to
+// the attaching, dlBacklog and ulBacklog counts (delta +1), or takes it
+// out (delta -1). Every mutation of a UE's state or queues sits between a
+// -1 and a +1 call, so the counts always equal a scan of the live slots.
+func (e *ENB) recount(h *hotState, delta int32) {
+	if h.state == StateAttaching {
+		e.attaching += delta
+	}
+	if h.dlQueue != 0 {
+		e.dlBacklog += delta
+	}
+	if h.ulQueue != 0 {
+		e.ulBacklog += delta
 	}
 }
 
@@ -436,7 +471,7 @@ func (e *ENB) bindRNTI() (lte.RNTI, int32, error) {
 		e.hot[s].rnti = rnti
 		return rnti, s, nil
 	}
-	return 0, 0, fmt.Errorf("enb: eNodeB %d has no free C-RNTI", e.cfg.ID)
+	return 0, 0, fmt.Errorf("enb: eNodeB %d has no free C-RNTI", e.id)
 }
 
 // AddUE starts the attach procedure for a new UE and returns its RNTI.
@@ -451,14 +486,17 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	if err != nil {
 		return 0, err
 	}
-	e.hot[s].state = StateAttaching
-	e.hot[s].sigPending = e.cfg.AttachSignalingBytes
+	h := &e.hot[s]
+	h.state = StateAttaching
+	h.sigPending = e.attachSigBytes
+	h.cell = p.Cell
 	c := &e.cold[s]
 	c.params = p
-	c.deadline = e.sf + lte.Subframe(e.cfg.AttachTimeoutTTI)
+	c.deadline = e.sf + e.attachTimeout
 	c.attempts = 1
+	h.steady = e.trackChannel(p.Channel, 1)
+	e.recount(h, 1)
 	e.insertOrdered(s)
-	e.trackChannel(p.Channel, 1)
 	e.event(protocol.UEEventRandomAccess, rnti, p.Cell)
 	return rnti, nil
 }
@@ -471,6 +509,7 @@ func (e *ENB) RemoveUE(rnti lte.RNTI) {
 	}
 	cellID := e.cold[s].params.Cell
 	e.trackChannel(e.cold[s].params.Channel, -1)
+	e.recount(&e.hot[s], -1)
 	e.unbindRNTI(rnti)
 	for i, os := range e.order {
 		if os == s {
@@ -545,9 +584,10 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	if err != nil {
 		return 0, err
 	}
-	dlQueue := min(st.DLQueue, e.cfg.DLQueueCap)
+	dlQueue := min(st.DLQueue, e.dlQueueCap)
 	h := &e.hot[s]
 	h.state = StateConnected
+	h.cell = st.Params.Cell
 	h.dlQueue = dlQueue
 	h.ulQueue = st.ULQueue
 	h.avgDL = st.AvgDLKbps
@@ -559,8 +599,9 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	c.ulDelivered = st.ULDelivered
 	c.dlDropped = st.DLDropped + uint64(st.DLQueue-dlQueue)
 	c.harqRetx = st.HARQRetx
+	h.steady = e.trackChannel(st.Params.Channel, 1)
+	e.recount(h, 1)
 	e.insertOrdered(s)
-	e.trackChannel(st.Params.Channel, 1)
 	e.event(protocol.UEEventAttach, rnti, st.Params.Cell)
 	return rnti, nil
 }
@@ -572,12 +613,15 @@ func (e *ENB) DLEnqueue(rnti lte.RNTI, bytes int) int {
 	if !ok || bytes <= 0 {
 		return 0
 	}
-	room := e.cfg.DLQueueCap - e.hot[s].dlQueue
+	h := &e.hot[s]
+	room := e.dlQueueCap - h.dlQueue
 	if bytes > room {
 		e.cold[s].dlDropped += uint64(bytes - room)
 		bytes = room
 	}
-	e.hot[s].dlQueue += bytes
+	e.recount(h, -1)
+	h.dlQueue += bytes
+	e.recount(h, 1)
 	return bytes
 }
 
@@ -589,9 +633,12 @@ func (e *ENB) ULEnqueue(rnti lte.RNTI, bytes int) int {
 		return 0
 	}
 	if e.hot[s].ulQueue == 0 {
-		e.event(protocol.UEEventSchedulingRequest, rnti, e.cold[s].params.Cell)
+		e.event(protocol.UEEventSchedulingRequest, rnti, e.hot[s].cell)
 	}
-	e.hot[s].ulQueue += bytes
+	h := &e.hot[s] // after the hook, which may have moved the records
+	e.recount(h, -1)
+	h.ulQueue += bytes
+	e.recount(h, 1)
 	return bytes
 }
 
@@ -605,16 +652,24 @@ func (e *ENB) event(ev protocol.UEEventType, rnti lte.RNTI, cellID lte.CellID) {
 func (e *ENB) Step() {
 	sf := e.sf
 
-	// 1. Channel refresh and attach supervision.
+	// 1. Channel refresh, the per-TTI delivery reset and attach
+	// supervision. A steady channel is read once: its CQI cannot change.
 	for _, s := range e.order {
-		h, c := &e.hot[s], &e.cold[s]
-		h.cqi = c.params.Channel.CQI(sf)
-		if h.state == StateAttaching && sf >= c.deadline {
+		h := &e.hot[s]
+		h.ttiDL, h.ttiUL = 0, 0
+		if !h.cqiHeld {
+			h.cqi = e.cold[s].params.Channel.CQI(sf)
+			h.cqiHeld = h.steady
+		}
+		if h.state == StateAttaching && sf >= e.cold[s].deadline {
 			// Attach timed out: restart the procedure (the UE retries).
-			h.sigPending = e.cfg.AttachSignalingBytes
-			c.deadline = sf + lte.Subframe(e.cfg.AttachTimeoutTTI)
+			c := &e.cold[s]
+			e.recount(h, -1)
+			h.sigPending = e.attachSigBytes
+			e.recount(h, 1)
+			c.deadline = sf + e.attachTimeout
 			c.attempts++
-			e.event(protocol.UEEventRandomAccess, h.rnti, c.params.Cell)
+			e.event(protocol.UEEventRandomAccess, h.rnti, h.cell)
 		}
 	}
 
@@ -639,12 +694,8 @@ func (e *ENB) Step() {
 	}
 
 	// 3. Per-cell scheduling and transmission.
-	for _, s := range e.order {
-		h := &e.hot[s]
-		h.ttiDL, h.ttiUL = 0, 0
-	}
-	for _, c := range e.cellList {
-		e.runCell(c, sf)
+	for i := range e.cellList {
+		e.runCell(&e.cellList[i], sf)
 	}
 
 	// 4. Rate averaging for PF (updated every TTI, ~100 ms horizon).
@@ -685,36 +736,46 @@ func (e *ENB) runCell(c *cell, sf lte.Subframe) {
 	c.activitySF[slot] = sf
 	c.usedPRB = 0
 
-	// Downlink. A direction without a scheduling hook gets its local
-	// default here, on its first backlogged subframe.
-	dlIn := e.schedInput(c, sf, lte.Downlink)
-	if len(dlIn.UEs) > 0 {
-		if e.hooks.DLSchedule == nil {
-			e.hooks.DLSchedule = roundRobin()
-		}
-		used := e.apply(c, sf, lte.Downlink, e.hooks.DLSchedule(c.cfg.Cell, dlIn), dlIn.TotalPRB)
+	// A direction the backlog counts prove empty is not snapshotted at
+	// all: its scan would find no UE to schedule.
+	if e.attaching > 0 || e.dlBacklog > 0 {
+		used := e.schedule(c, sf, lte.Downlink, &e.hooks.DLSchedule)
 		c.activity[slot] += used
 		c.usedPRB += used
 	}
-	// Uplink (granted on the same TTI for simplicity; the 4 ms grant
-	// pipeline does not change steady-state behaviour).
-	ulIn := e.schedInput(c, sf, lte.Uplink)
-	if len(ulIn.UEs) > 0 {
-		if e.hooks.ULSchedule == nil {
-			e.hooks.ULSchedule = roundRobin()
-		}
-		e.apply(c, sf, lte.Uplink, e.hooks.ULSchedule(c.cfg.Cell, ulIn), ulIn.TotalPRB)
+	// Uplink is granted on the same TTI for simplicity; the 4 ms grant
+	// pipeline does not change steady-state behaviour.
+	if e.ulBacklog > 0 {
+		e.schedule(c, sf, lte.Uplink, &e.hooks.ULSchedule)
 	}
 }
 
+// schedule runs one direction of a cell's subframe: the snapshot, the
+// direction's scheduling hook and the allocations it returns. A direction
+// without a hook gets its local default here, on its first backlogged
+// subframe. It returns the PRBs transmitted.
+func (e *ENB) schedule(c *cell, sf lte.Subframe, dir lte.Direction, hook *func(lte.CellID, sched.Input) []sched.Alloc) int {
+	ues := e.schedInput(c, dir)
+	if len(ues) == 0 {
+		return 0
+	}
+	if *hook == nil {
+		*hook = roundRobin()
+	}
+	allocs := (*hook)(c.cfg.Cell, sched.Input{SF: sf, Dir: dir, TotalPRB: c.prbs, UEs: ues})
+	return e.apply(c, sf, dir, allocs, c.prbs)
+}
+
 // schedInput snapshots the schedulable UEs of a cell into the eNodeB's
-// reusable scratch slice. The returned Input is valid until the next
-// schedInput call; schedulers must not retain in.UEs past Schedule.
-func (e *ENB) schedInput(c *cell, sf lte.Subframe, dir lte.Direction) sched.Input {
-	in := sched.Input{SF: sf, Dir: dir, TotalPRB: c.prbs, UEs: e.schedUEs[:0]}
+// reusable scratch slice. The snapshot is valid until the next schedInput
+// call; schedulers must not retain in.UEs past Schedule. The filter reads
+// the hot records only; the cold record is read for the Group of a UE
+// that is emitted.
+func (e *ENB) schedInput(c *cell, dir lte.Direction) []sched.UEInfo {
+	ues := e.schedUEs[:0]
 	for _, s := range e.order {
-		h, cold := &e.hot[s], &e.cold[s]
-		if cold.params.Cell != c.cfg.Cell || h.state == StateDetached {
+		h := &e.hot[s]
+		if h.cell != c.cfg.Cell || h.state == StateDetached {
 			continue
 		}
 		var queue int
@@ -735,17 +796,17 @@ func (e *ENB) schedInput(c *cell, sf lte.Subframe, dir lte.Direction) sched.Inpu
 		if queue == 0 {
 			continue
 		}
-		in.UEs = append(in.UEs, sched.UEInfo{
+		ues = append(ues, sched.UEInfo{
 			RNTI:        h.rnti,
 			CQI:         h.cqi,
 			QueueBytes:  queue,
 			AvgRateKbps: avg,
 			LastSched:   h.lastSched,
-			Group:       cold.params.Group,
+			Group:       e.cold[s].params.Group,
 		})
 	}
-	e.schedUEs = in.UEs[:0] // keep grown capacity for the next snapshot
-	return in
+	e.schedUEs = ues[:0] // keep grown capacity for the next snapshot
+	return ues
 }
 
 // apply executes scheduling allocations against the data plane, returning
@@ -795,6 +856,7 @@ func (e *ENB) transmit(s int32, sf lte.Subframe, dir lte.Direction, a sched.Allo
 		}
 		return
 	}
+	e.recount(h, -1)
 	if dir == lte.Downlink {
 		h.retxDL = 0
 		if h.state == StateAttaching {
@@ -804,8 +866,12 @@ func (e *ENB) transmit(s int32, sf lte.Subframe, dir lte.Direction, a sched.Allo
 			tbs -= sig
 			if h.sigPending == 0 {
 				h.state = StateConnected
-				e.event(protocol.UEEventAttach, h.rnti, e.cold[s].params.Cell)
+				// The hook may enqueue for this UE, so it sees the counts
+				// whole.
+				e.recount(h, 1)
+				e.event(protocol.UEEventAttach, h.rnti, h.cell)
 				h = &e.hot[s] // the hook may have moved the records
+				e.recount(h, -1)
 			}
 		}
 		data := min(tbs, h.dlQueue)
@@ -819,5 +885,6 @@ func (e *ENB) transmit(s int32, sf lte.Subframe, dir lte.Direction, a sched.Allo
 		e.cold[s].ulDelivered += uint64(data)
 		h.ttiUL += int32(data)
 	}
+	e.recount(h, 1)
 	h.lastSched = sf
 }

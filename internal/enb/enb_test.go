@@ -32,6 +32,17 @@ func addConnected(t *testing.T, e *ENB, ch radio.Model) lte.RNTI {
 
 func rnti0(e *ENB) int { return len(e.UEs()) }
 
+// setChannel swaps a live UE's channel model in place, a channel that
+// changes after attach. A steady channel's CQI is read once, so the slot
+// forgets the held value and the next Step reads the new model.
+func setChannel(t *testing.T, e *ENB, rnti lte.RNTI, ch radio.Model) {
+	t.Helper()
+	s := slotFor(t, e, rnti)
+	e.trackChannel(e.cold[s].params.Channel, -1)
+	e.cold[s].params.Channel = ch
+	e.hot[s].steady, e.hot[s].cqiHeld = e.trackChannel(ch, 1), false
+}
+
 func TestAttachCompletes(t *testing.T) {
 	e := newENB(t)
 	events := []protocol.UEEventType{}
@@ -126,7 +137,7 @@ func TestThroughputScalesWithCQI(t *testing.T) {
 		e := newENB(t)
 		rnti := addConnected(t, e, radio.Fixed(15))
 		// Switch to the probed CQI after attach.
-		e.cold[slotFor(t, e, rnti)].params.Channel = radio.Fixed(c)
+		setChannel(t, e, rnti, radio.Fixed(c))
 		for i := 0; i < 2000; i++ {
 			e.DLEnqueue(rnti, 1<<20)
 			e.Step()
@@ -195,7 +206,7 @@ func TestHARQStaleCQICausesRetransmissions(t *testing.T) {
 	// margin recovery.
 	e := newENB(t)
 	rnti := addConnected(t, e, radio.Fixed(15))
-	e.cold[slotFor(t, e, rnti)].params.Channel = radio.Fixed(3) // channel collapses
+	setChannel(t, e, rnti, radio.Fixed(3)) // channel collapses
 	e.SetHooks(Hooks{DLSchedule: func(_ lte.CellID, in sched.Input) []sched.Alloc {
 		var out []sched.Alloc
 		for _, u := range in.UEs {

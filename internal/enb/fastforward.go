@@ -11,20 +11,17 @@ import "flexran/internal/lte"
 
 // NextWake returns the earliest subframe >= from at which this eNodeB has
 // observable per-TTI work of its own. It returns from itself when the
-// eNodeB cannot be skipped at all (pending queues, attach supervision, or
-// a time-varying channel whose per-TTI CQI refresh is observable), and
-// lte.NeverSF when nothing is pending. Control-plane work (the agent's
-// OnSubframe activity) is accounted separately by the caller; the
-// measurement sweep is included here because its period belongs to the
-// eNodeB configuration.
+// eNodeB cannot be skipped at all (queued bytes, attach supervision, or a
+// time-varying channel whose per-TTI CQI refresh is observable), and
+// lte.NeverSF when nothing is pending. It reads the eNodeB's counters
+// only, never the UEs, so it costs the same at any UE count. Pending
+// attach signaling needs no check of its own: only an attaching UE holds
+// any. Control-plane work (the agent's OnSubframe activity) is accounted
+// separately by the caller; the measurement sweep is included here
+// because its period belongs to the eNodeB configuration.
 func (e *ENB) NextWake(from lte.Subframe) lte.Subframe {
-	if e.unsteady > 0 {
+	if e.unsteady > 0 || e.attaching > 0 || e.dlBacklog > 0 || e.ulBacklog > 0 {
 		return from
-	}
-	for _, s := range e.order {
-		if h := &e.hot[s]; h.state == StateAttaching || h.dlQueue != 0 || h.ulQueue != 0 || h.sigPending != 0 {
-			return from
-		}
 	}
 	wake := lte.NeverSF
 	if e.hooks.OnMeasurement != nil && e.measurers > 0 {
@@ -66,8 +63,8 @@ func (e *ENB) FastForward(to lte.Subframe) {
 		}
 		h.avgDL, h.avgUL = dl, ul
 	}
-	for _, c := range e.cellList {
-		c.usedPRB = 0
+	for i := range e.cellList {
+		e.cellList[i].usedPRB = 0
 	}
 	e.sf = to
 }

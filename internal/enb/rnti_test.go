@@ -64,7 +64,9 @@ func (r *refENB) dlEnqueue(rnti lte.RNTI, bytes int) int {
 // over random UE churn — attach, detach, handover out and back in, enqueues,
 // scheduler allocations — aimed at live, departed, never-assigned and
 // reserved RNTIs alike, the eNodeB answers exactly like the map-resolving
-// model, and no stale table entry ever reaches a recycled slot.
+// model, and no stale table entry ever reaches a recycled slot. After every
+// operation the backlog counts must also equal a recount, and schedInput
+// and NextWake must answer like the scans they replaced (checkScans).
 func TestENBMatchesMapReference(t *testing.T) {
 	const queueCap = 5000
 	for seed := int64(1); seed <= 20; seed++ {
@@ -168,7 +170,7 @@ func TestENBMatchesMapReference(t *testing.T) {
 						want++
 					}
 				}
-				if got := e.apply(e.cellList[0], 0, lte.Uplink, allocs, 50); got != want {
+				if got := e.apply(&e.cellList[0], 0, lte.Uplink, allocs, 50); got != want {
 					t.Fatalf("seed %d step %d: apply(%+v) used %d PRBs, want %d", seed, step, allocs, got, want)
 				}
 			}
@@ -194,6 +196,9 @@ func TestENBMatchesMapReference(t *testing.T) {
 				if ok != live || (live && got != u.rep) {
 					t.Fatalf("seed %d step %d: UEReport(%d) = %+v, %v; want %+v, %v", seed, step, r, got, ok, u, live)
 				}
+			}
+			if err := checkScans(e); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
 	}

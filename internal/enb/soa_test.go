@@ -2,6 +2,7 @@ package enb
 
 import (
 	"testing"
+	"unsafe"
 
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
@@ -70,7 +71,7 @@ func TestSlotReuseNoLeak(t *testing.T) {
 	if !ok {
 		t.Fatal("recycled UE not reported")
 	}
-	if r.State != StateAttaching || r.SigQueue != e.cfg.AttachSignalingBytes || r.AttachTries != 1 {
+	if r.State != StateAttaching || r.SigQueue != e.attachSigBytes || r.AttachTries != 1 {
 		t.Fatalf("fresh attach state corrupted: %+v", r)
 	}
 	if r.CQI != 0 || r.DLQueue != 0 || r.ULQueue != 0 ||
@@ -158,5 +159,21 @@ func TestHookAddingUEMidStep(t *testing.T) {
 	}
 	if without.DLQueue == 100000 {
 		t.Fatalf("the attach subframe carried no data, so the test shows nothing: %+v", without)
+	}
+}
+
+// TestMemGateRecordSizes pins the records the sparse memory gate rests on,
+// on 64-bit hosts: the hot record stays 72 bytes (the serving-cell copy
+// sits in what was padding), and the ENB struct fits the 320-byte size
+// class with its backlog counts.
+func TestMemGateRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(hotState{}); got != 72 {
+		t.Errorf("hotState is %d B, want 72", got)
+	}
+	if got := unsafe.Sizeof(ENB{}); got > 320 {
+		t.Errorf("ENB is %d B, over the 320-B size class", got)
 	}
 }

@@ -86,7 +86,7 @@ func TestMemGateWorldBytesPerUE(t *testing.T) {
 
 // sparseBudgetBytesPerENB is the per-eNodeB budget of the sparse-world
 // gates, at every size.
-const sparseBudgetBytesPerENB = 2048
+const sparseBudgetBytesPerENB = 1792
 
 // sparseBytesPerENB builds newSparseSim's world at n eNodeBs, runs it 300
 // TTIs and returns the retained heap of the whole simulator per eNodeB
@@ -107,10 +107,12 @@ func sparseBytesPerENB(n int) (float64, time.Duration) {
 // UE at every 100th, fast-forward on) after 300 TTIs: the retained heap of
 // the whole simulator per eNodeB after a full GC. It holds the engine's
 // per-node bookkeeping — node record, awake set, wake calendar — to a
-// bounded size beside the eNodeB's own state. Measured: ~1,603 B/eNodeB;
-// the budget leaves ~28 % headroom. (~2,187 B/eNodeB when each UE's hot
-// state was 13 parallel slices, every node carried its control-channel
-// state and every eNodeB built both default schedulers up front.)
+// bounded size beside the eNodeB's own state. Measured: ~1,563 B/eNodeB;
+// the budget leaves ~15 % headroom. (~1,603 B/eNodeB while the ENB struct
+// kept the seed and a nil cell list and the cells sat behind pointers;
+// ~2,187 B/eNodeB when each UE's hot state was 13 parallel slices, every
+// node carried its control-channel state and every eNodeB built both
+// default schedulers up front.)
 func TestMemGateSparseWorldBytesPerENB(t *testing.T) {
 	skipUnderRace(t)
 	perENB, _ := sparseBytesPerENB(4096)
@@ -127,7 +129,7 @@ func TestMemGateSparseWorldBytesPerENB(t *testing.T) {
 // at 16 times the fleet: the sparse world at 65,536 eNodeBs must read
 // within 3 % of the 4,096-eNodeB world per eNodeB, under the same budget,
 // so no per-node cost hides in a structure that grows faster than the
-// fleet. Measured: ~1,609 B/eNodeB at 65,536 against ~1,603 at 4,096. The
+// fleet. Measured: ~1,569 B/eNodeB at 65,536 against ~1,563 at 4,096. The
 // build time is logged, not gated.
 func TestMemGateSparseWorldLinearAt65536(t *testing.T) {
 	skipUnderRace(t)
