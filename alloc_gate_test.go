@@ -281,7 +281,7 @@ func newVanillaSim(t *testing.T) *flexran.Sim {
 			})
 		}
 	}
-	s := flexran.MustNewSim(flexran.SimConfig{Workers: 1}, specs...)
+	s := flexran.MustNewSim(flexran.SimConfig{}, specs...)
 	if !s.WaitAttached(3000) {
 		t.Fatal("the world did not attach")
 	}
@@ -322,7 +322,6 @@ func TestAllocGateRemoteSchedulerTick(t *testing.T) {
 	skipUnderRace(t)
 	const budget = 8
 	opts := controller.DefaultOptions()
-	opts.Workers = 1
 	m := controller.NewMaster(opts)
 	m.Register(apps.NewRemoteScheduler(2, sched.NewProportionalFair()), 0)
 	var msgs []*protocol.Message
@@ -478,7 +477,7 @@ func simTTIOp(tb testing.TB) func() {
 			DL: flexran.NewCBR(500),
 		})
 	}
-	s := flexran.MustNewSim(flexran.SimConfig{Master: &opts, Workers: 1},
+	s := flexran.MustNewSim(flexran.SimConfig{Master: &opts},
 		flexran.ENBSpec{ID: 1, Agent: true, Seed: 1, UEs: specs})
 	if !s.WaitAttached(2000) {
 		tb.Fatal("the world did not attach")
@@ -513,7 +512,7 @@ func handoverScenarioOp(tb testing.TB) func() {
 		})
 	}
 	opts := flexran.DefaultMasterOptions()
-	s := flexran.MustNewSim(flexran.SimConfig{Master: &opts, Workers: 1},
+	s := flexran.MustNewSim(flexran.SimConfig{Master: &opts},
 		spec1, flexran.ENBSpec{ID: 2, Agent: true, Seed: 2})
 	s.Master.Register(flexran.NewMobilityManager(), 5)
 	if !s.WaitAttached(2000) {

@@ -215,7 +215,7 @@ func newSparseWorld(n int, noFF bool) *flexran.Sim {
 		}
 		enbs = append(enbs, spec)
 	}
-	s := flexran.MustNewSim(flexran.SimConfig{Workers: 1, NoFastForward: noFF}, enbs...)
+	s := flexran.MustNewSim(flexran.SimConfig{NoFastForward: noFF}, enbs...)
 	s.WaitAttached(2000)
 	return s
 }

@@ -4,13 +4,13 @@
 //
 // Subcommands:
 //
-//	flexran-scn run [-workers N] [-json] [-out summary.json] file.yaml...
+//	flexran-scn run [-json] [-out summary.json] file.yaml...
 //	    Build and execute each scenario, print its summary and digest.
 //
 //	flexran-scn validate file.yaml...
 //	    Parse + validate only; exit non-zero on the first error.
 //
-//	flexran-scn digest [-workers N] [-golden FILE] [-update] file.yaml...
+//	flexran-scn digest [-golden FILE] [-update] file.yaml...
 //	    Execute and print "name digest" lines. With -golden, compare
 //	    against the committed golden file and fail on any mismatch
 //	    (the CI determinism/regression gate); with -update, rewrite it.
@@ -57,15 +57,14 @@ func main() {
 
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
-  flexran-scn run      [-workers N] [-json] [-out FILE] scenario.yaml...
+  flexran-scn run      [-json] [-out FILE] scenario.yaml...
   flexran-scn validate scenario.yaml...
-  flexran-scn digest   [-workers N] [-golden FILE] [-update] scenario.yaml...
+  flexran-scn digest   [-golden FILE] [-update] scenario.yaml...
 `)
 }
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	workers := fs.Int("workers", 1, "TTI engine worker-pool size (1 = serial; N > 1 opts into the pool, same digests)")
 	asJSON := fs.Bool("json", false, "print the summary as JSON")
 	out := fs.String("out", "", "also write the JSON summaries to this file")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
@@ -78,7 +77,7 @@ func cmdRun(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		res, err := sc.RunWorkers(*workers)
+		res, err := sc.Execute()
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
@@ -106,7 +105,7 @@ func cmdRun(args []string) error {
 }
 
 func printSummary(s scenario.Summary) {
-	fmt.Printf("scenario %s: %d eNBs, %d UEs, %d workers\n", s.Name, s.ENBs, s.UEs, s.Workers)
+	fmt.Printf("scenario %s: %d eNBs, %d UEs\n", s.Name, s.ENBs, s.UEs)
 	fmt.Printf("  attach: %d/%d in %d TTIs (mean %.1f, max %d)\n",
 		s.Attached, s.UEs, s.AttachTTIs, s.AttachMeanTTI, s.AttachMaxTTI)
 	fmt.Printf("  run:    %d TTIs, %.2f Mb/s aggregate DL (%d B delivered, %d B dropped, %d HARQ retx)\n",
@@ -154,7 +153,6 @@ func cmdValidate(args []string) error {
 
 func cmdDigest(args []string) error {
 	fs := flag.NewFlagSet("digest", flag.ExitOnError)
-	workers := fs.Int("workers", 1, "TTI engine worker-pool size (1 = serial; N > 1 opts into the pool, same digests)")
 	golden := fs.String("golden", "", "compare digests against this golden file")
 	update := fs.Bool("update", false, "rewrite the golden file with computed digests")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
@@ -181,7 +179,7 @@ func cmdDigest(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		res, err := sc.RunWorkers(*workers)
+		res, err := sc.Execute()
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}

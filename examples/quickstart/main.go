@@ -16,7 +16,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := sc.RunWorkers(0)
+	res, err := sc.Execute()
 	if err != nil {
 		panic(err)
 	}

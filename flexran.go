@@ -30,11 +30,8 @@
 //	s.WaitAttached(1000)
 //	s.RunSeconds(2)
 //
-// The TTI engine is serial by default. SimConfig.Workers > 1 opts into a
-// worker pool that partitions every phase of a TTI across eNodeBs with
-// results bit-for-bit identical to the serial engine; on 2 vCPUs it
-// measured slower than the serial engine on every world tried, up to
-// 4,096 eNodeBs.
+// The TTI engine is serial: one goroutine steps every eNodeB of a Sim,
+// and the eNodeBs share one scheduler working set.
 //
 // For wall-clock deployments over TCP, see ServeMaster and RunAgentLoop:
 // one paced loop per side, the agent stepping a Node built by NewNode from
@@ -141,8 +138,7 @@ type (
 type (
 	// Sim is a running virtual-time scenario.
 	Sim = sim.Sim
-	// SimConfig configures a scenario, including the opt-in worker pool
-	// of the TTI engine (SimConfig.Workers; serial unless > 1).
+	// SimConfig configures a scenario.
 	SimConfig = sim.Config
 	// ENBSpec declares one eNodeB of a scenario.
 	ENBSpec = sim.ENBSpec

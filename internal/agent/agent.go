@@ -66,7 +66,8 @@ type a3State struct {
 // HandoverExecutor performs the data-plane side of a handover command:
 // moving the UE context from this agent's eNodeB to the target. The
 // environment hosting the agent installs it (the simulator defers the move
-// to a deterministic barrier); without one, handover commands are rejected.
+// to a deterministic point of the TTI); without one, handover commands are
+// rejected.
 // The command is only valid for the duration of the call (the message may
 // be pooled); executors that defer work must copy it, as the simulator does.
 type HandoverExecutor func(cmd *protocol.HandoverCommand) error
@@ -442,7 +443,8 @@ func (a *Agent) dispatch(m *protocol.Message) {
 }
 
 // SetHandoverExecutor installs the data-plane handover path. The simulator
-// installs an executor that defers the context move to the TTI barrier;
+// installs an executor that defers the context move to after the TTI's
+// control phase;
 // rejecting commands is the behaviour without one.
 func (a *Agent) SetHandoverExecutor(exec HandoverExecutor) {
 	a.mu.Lock()

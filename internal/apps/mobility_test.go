@@ -15,7 +15,7 @@ import (
 // apart, one UE walking from deep inside cell 1 to deep inside cell 2,
 // with its CQI and neighbour measurements derived from the shared radio
 // map. Returns the sim and the mobility manager (registered).
-func twoCellWalk(workers int, speedMps float64) (*sim.Sim, *apps.MobilityManager) {
+func twoCellWalk(speedMps float64) (*sim.Sim, *apps.MobilityManager) {
 	rmap := radio.NewMap(
 		radio.Site{ENB: 1, Cell: 0, Tx: radio.Transmitter{Pos: radio.Point{X: 0}, PowerDBm: 43}},
 		radio.Site{ENB: 2, Cell: 0, Tx: radio.Transmitter{Pos: radio.Point{X: 1000}, PowerDBm: 43}},
@@ -25,7 +25,7 @@ func twoCellWalk(workers int, speedMps float64) (*sim.Sim, *apps.MobilityManager
 		SpeedMps: speedMps,
 	}
 	opts := controller.DefaultOptions()
-	s := sim.MustNew(sim.Config{Master: &opts, Workers: workers},
+	s := sim.MustNew(sim.Config{Master: &opts},
 		sim.ENBSpec{ID: 1, Agent: true, Seed: 1, UEs: []sim.UESpec{{
 			IMSI:    100,
 			Channel: radio.NewGeoChannel(rmap, walker, 1),
@@ -44,7 +44,7 @@ func twoCellWalk(workers int, speedMps float64) (*sim.Sim, *apps.MobilityManager
 // throughout.
 func TestMobilityManagerExecutesHandover(t *testing.T) {
 	// 80 m/s compresses the 800 m walk into 10 simulated seconds.
-	s, mm := twoCellWalk(1, 80)
+	s, mm := twoCellWalk(80)
 	if !s.WaitAttached(500) {
 		t.Fatal("attach failed")
 	}

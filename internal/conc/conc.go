@@ -1,5 +1,8 @@
-// Package conc holds the small concurrency primitive shared by the
-// sharded TTI engine and the master's parallel RIB-updater slot.
+// Package conc holds the fork-join primitive of the worker pools the TTI
+// engine and the master's RIB updater no longer have.
+//
+// Deprecated: no package outside bench/ imports it (static_test.go
+// enforces that); kept for bench/ until ROADMAP item B.
 package conc
 
 import (

@@ -117,7 +117,7 @@ func sequencedKind(p protocol.Payload) bool {
 // when the payload was not sequenced). Callers reach it through
 // Context.Send and the Context command helpers, which run in the
 // application slot — sequence assignment is therefore serial and
-// deterministic for any Workers setting. The caller must not mutate the
+// deterministic. The caller must not mutate the
 // payload after a sequenced send.
 func (m *Master) sendCmd(enb lte.ENBID, p protocol.Payload) (uint64, error) {
 	if m.opts.CmdRetryTTI <= 0 || !sequencedKind(p) {
@@ -150,8 +150,8 @@ func (m *Master) sendCmd(enb lte.ENBID, p protocol.Payload) (uint64, error) {
 
 // retirePending removes an acked command from the session's pending list
 // and feeds the ack round trip into the session's RTT estimate. Runs on
-// the updater (one per session), so the only concurrent access is a
-// transport-driver close — hence qmu.
+// the updater, so the only concurrent access is a transport-driver close —
+// hence qmu.
 func (m *Master) retirePending(s *session, seq uint64) {
 	s.qmu.Lock()
 	for i, p := range s.pending {

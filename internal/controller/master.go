@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flexran/internal/conc"
 	"flexran/internal/lte"
 	"flexran/internal/metrics"
 	"flexran/internal/protocol"
@@ -26,12 +25,10 @@ type Options struct {
 	SyncPeriodTTI int
 	// TrustKey signs pushed VSFs.
 	TrustKey string
-	// Workers bounds the parallelism of the RIB-updater slot: ingest
-	// batches from up to Workers agent sessions are absorbed concurrently
-	// (messages of one session stay ordered, and sessions for different
-	// eNodeBs touch different RIB shards). 0 or 1 keeps the updater
-	// serial. Results are identical for any value — see the sharded-RIB
-	// notes in rib.go.
+	// Workers is the size of the RIB-updater worker pool the master no
+	// longer has.
+	//
+	// Deprecated: ignored; kept for bench/ until ROADMAP item B.
 	Workers int
 	// EchoPeriodTTI is the liveness-probe period: a bound session that has
 	// delivered nothing for EchoPeriodTTI cycles is sent an Echo, and each
@@ -123,14 +120,12 @@ type session struct {
 
 	// fenced marks a session displaced by a newer-epoch Hello for the same
 	// eNodeB: every message it still delivers is dropped unapplied, so a
-	// stale incarnation can never write over its successor's state. The
-	// flag is atomic because the displacing Hello may be applied by a
-	// parallel updater while this session's own batch is in flight.
-	fenced atomic.Bool
+	// stale incarnation can never write over its successor's state.
+	fenced bool
 
 	// enb and epoch are guarded by Master.mu; the remaining fields are
-	// only touched from the task-manager cycle (at most one updater per
-	// session, then the session step after the updater barrier).
+	// only touched from the task-manager cycle (the updater, then the
+	// session step).
 	enb   lte.ENBID
 	epoch uint64
 	// watch records the RIB deltas this cycle's updater produced for the
@@ -251,7 +246,7 @@ type Master struct {
 	// loopStats is the deadline/latency sink: Tick feeds the RIB-updater
 	// ("core components") and application legs — the Fig. 8 split — and
 	// the EchoReply TS path feeds the command-round-trip leg. Atomic
-	// because applyInbound reads it from parallel updater workers; nil
+	// because SetLoopStats may run on another goroutine than Tick; nil
 	// (the default) disables every observation, clock read and RTT probe.
 	loopStats atomic.Pointer[metrics.LoopStats]
 
@@ -260,8 +255,6 @@ type Master struct {
 	// most idle) rebuilding these arrays every TTI dominated Tick's
 	// allocation profile. Entries are overwritten each cycle before use.
 	enbScratch   []lte.ENBID // binding snapshot
-	slotScratch  [][]int     // updater-slot partition
-	slotIdx      map[lte.ENBID]int
 	sessScratch  []*session
 	appScratch   []*appEntry
 	watchScratch []WatchEvent
@@ -309,8 +302,8 @@ type AgentSession struct {
 }
 
 // Deliver queues a batch of agent-to-master messages for the next Tick.
-// One lock round-trip covers the whole batch, and batches from different
-// sessions are absorbed concurrently. Ownership of the messages passes to
+// One lock round-trip covers the whole batch, and sessions queue
+// independently of each other. Ownership of the messages passes to
 // the master: pooled messages (transport decodes) are released back to the
 // protocol free lists once applied, so callers must not touch them after
 // Deliver. The batch slice itself is not retained.
@@ -417,10 +410,8 @@ func (m *Master) Send(enb lte.ENBID, p protocol.Payload) error {
 // per-session ingest queues into the RIB — at most one updater per
 // agent), the session step (one pass over the sessions for liveness,
 // retransmission and health, see stepSession), then the application slot
-// (per app in priority order: the cycle's watch events, then OnTick). With
-// Options.Workers > 1 the updater slot fans the session batches out across
-// a worker pool; per-session ordering and the attach-ordered session step
-// keep the observable behaviour identical to the serial updater. In the
+// (per app in priority order: the cycle's watch events, then OnTick). The
+// updater applies the sessions' batches in attach order. In the
 // deployment mode each cycle is pinned to one TTI; in simulation the
 // caller invokes Tick once per simulated subframe.
 func (m *Master) Tick() {
@@ -449,12 +440,9 @@ func (m *Master) Tick() {
 		s.drain()
 		s.watch = s.watch[:0]
 	}
-	slots := m.updaterSlots(sessions)
-	conc.ForEach(m.opts.Workers, len(slots), func(j int) {
-		for _, i := range slots[j] {
-			m.applyBatch(sessions[i])
-		}
-	})
+	for _, s := range sessions {
+		m.applyBatch(s)
+	}
 
 	// --- Session step ---
 	st := sessionStep{
@@ -510,56 +498,6 @@ func (m *Master) Tick() {
 	m.mu.Unlock()
 }
 
-// updaterSlots partitions the drained batches into parallel units: one
-// slot per target agent, holding its sessions' batch indices in ingest
-// order. At steady state every session addresses its own eNodeB and this
-// is one slot per session; around a reconnect, the displaced session and
-// its successor briefly coexist, and putting them in one slot keeps the
-// single-writer-per-shard discipline strict — the epoch fence is applied
-// and observed within one goroutine, in attach order, exactly like the
-// serial updater, so a residual write of the old incarnation can never
-// race the new Hello's shard replacement (or land nondeterministically
-// after it). A session's target is its binding, or its batch's first
-// envelope before the binding exists (transports carry one agent per
-// session; the fence still guards hand-built sessions that mix envelopes).
-func (m *Master) updaterSlots(sessions []*session) [][]int {
-	enbs := m.snapshotBindings(sessions)
-	if m.slotIdx == nil {
-		m.slotIdx = make(map[lte.ENBID]int, len(sessions))
-	} else {
-		clear(m.slotIdx)
-	}
-	slots := m.slotScratch[:0]
-	for i, s := range sessions {
-		if len(s.batch) == 0 {
-			// Nothing to apply: an idle session needs no updater slot. The
-			// session step iterates the session list directly, so skipping
-			// here only trims the parallel fan-out (and, at scale, the slot
-			// bookkeeping for thousands of quiet agents).
-			continue
-		}
-		enb := enbs[i]
-		if enb == 0 {
-			enb = s.batch[0].ENB
-		}
-		if enb != 0 {
-			if j, ok := m.slotIdx[enb]; ok {
-				slots[j] = append(slots[j], i)
-				continue
-			}
-			m.slotIdx[enb] = len(slots)
-		}
-		if len(slots) < cap(slots) {
-			slots = slots[:len(slots)+1]
-			slots[len(slots)-1] = append(slots[len(slots)-1][:0], i)
-		} else {
-			slots = append(slots, []int{i})
-		}
-	}
-	m.slotScratch = slots
-	return slots
-}
-
 // snapshotBindings reads every session's eNodeB binding in one lock
 // round-trip, into reused scratch.
 func (m *Master) snapshotBindings(sessions []*session) []lte.ENBID {
@@ -575,9 +513,7 @@ func (m *Master) snapshotBindings(sessions []*session) []lte.ENBID {
 	return enbs
 }
 
-// applyBatch runs the RIB Updater for one session's drained batch. Every
-// message of a session addresses the same agent (its RIB shard), so
-// concurrent applyBatch calls for different sessions do not contend.
+// applyBatch runs the RIB Updater for one session's drained batch.
 // Applied messages are released back to the protocol free lists: transports
 // decode with protocol.DecodePooled and the updater is the end of the
 // message's life (everything the RIB or the watch recording keeps is copied —
@@ -596,7 +532,7 @@ func (m *Master) applyBatch(s *session) {
 // applyInbound is the RIB Updater: the single component allowed to mutate
 // the RIB (paper Fig. 5).
 func (m *Master) applyInbound(s *session, msg *protocol.Message) {
-	if s.fenced.Load() {
+	if s.fenced {
 		return // displaced incarnation: drop everything unapplied
 	}
 	s.lastInbound = m.cycle
@@ -712,7 +648,7 @@ func (m *Master) handleHello(s *session, enb lte.ENBID, p *protocol.Hello) {
 	if p.Epoch < m.epochs[enb] {
 		// Stale incarnation: the whole session is a ghost. Fence it so
 		// none of its remaining traffic applies.
-		s.fenced.Store(true)
+		s.fenced = true
 		m.mu.Unlock()
 		return
 	}
@@ -724,7 +660,7 @@ func (m *Master) handleHello(s *session, enb lte.ENBID, p *protocol.Hello) {
 			// A newer incarnation displaces the current session: fence
 			// it and report the old agent down before the new one
 			// resyncs (apps drop their per-agent in-flight state).
-			prev.fenced.Store(true)
+			prev.fenced = true
 			takeover = true
 		}
 		s.enb = enb
@@ -821,18 +757,19 @@ type sessionStep struct {
 	gone   bool         // some session is closed and drained
 }
 
-// stepSession is the one pass over a session after the updater barrier,
-// so every per-session field is stable. In order, it reaps a displaced
-// session, runs the heartbeat, the RTT probe, subscription maintenance,
-// command retransmission and health grading on a bound live one, and marks
-// a closed one gone once nothing is left to apply: a batch delivered
-// between the drain and the close must still be applied (next tick) before
-// the session goes away. Every duty reads and writes only its own session
-// and its own eNodeB's RIB shard, so no session's step depends on
-// another's; Tick steps them in attach order, which fixes the order of
-// the traffic, the closes and the events they produce.
+// stepSession is the one pass over a session after the updater has
+// applied every batch, so every per-session field is stable. In order, it
+// reaps a displaced session, runs the heartbeat, the RTT probe,
+// subscription maintenance, command retransmission and health grading on
+// a bound live one, and marks a closed one gone once nothing is left to
+// apply: a batch delivered between the drain and the close must still be
+// applied (next tick) before the session goes away. Every duty reads and
+// writes only its own session and its own eNodeB's RIB shard, so no
+// session's step depends on another's; Tick steps them in attach order,
+// which fixes the order of the traffic, the closes and the events they
+// produce.
 func (m *Master) stepSession(st *sessionStep, s *session, enb lte.ENBID) {
-	if s.fenced.Load() && !s.isClosed() {
+	if s.fenced && !s.isClosed() {
 		// Reaped regardless of heartbeat configuration: the agent provably
 		// lives on a newer session, so the half-open transport would
 		// otherwise linger in the ingest list forever.

@@ -40,8 +40,8 @@ type cmdTracker struct {
 }
 
 // record stores one outcome and completes its waiters. The updater records
-// acks as it applies them, from a pool worker when Options.Workers > 1; the
-// first outcome recorded for a sequence number stands.
+// acks as it applies them, in session attach order; the first outcome
+// recorded for a sequence number stands.
 func (t *cmdTracker) record(o CmdOutcome) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

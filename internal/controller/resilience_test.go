@@ -138,13 +138,11 @@ func TestTakeoverFencesOldSessionWrites(t *testing.T) {
 
 // TestSameTickTakeoverAppliesInIngestOrder covers the reconnect race
 // window inside one tick: the displaced session's residual batch and the
-// successor's Hello are drained together, and with a parallel updater pool
-// they must still apply in ingest order on one worker (the updater-slot
-// grouping) — the residual write lands first and is wiped by the new
-// Hello's shard replacement, never after it as a ghost record.
+// successor's Hello are drained together, and they must apply in ingest
+// order — the residual write lands first and is wiped by the new Hello's
+// shard replacement, never after it as a ghost record.
 func TestSameTickTakeoverAppliesInIngestOrder(t *testing.T) {
 	opts := controller.DefaultOptions()
-	opts.Workers = 8
 	for round := 0; round < 50; round++ {
 		m := controller.NewMaster(opts)
 		old := m.HandleAgentSession(func(*protocol.Message) error { return nil })

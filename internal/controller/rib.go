@@ -78,10 +78,9 @@ type ribTopology struct {
 }
 
 // RIB is the RAN Information Base, sharded by ENBID. Mutation is reserved
-// to the RIB Updater (the master's Tick) with at most one updater per
-// agent at a time; applications read concurrently. Per-shard locks keep
-// the paper's single-writer/multi-reader discipline while letting reports
-// from different eNodeBs be absorbed in parallel.
+// to the RIB Updater (the master's Tick); applications read concurrently.
+// Per-shard locks keep the paper's single-writer/multi-reader discipline
+// without one lock for the whole base.
 type RIB struct {
 	topoMu sync.Mutex // serializes topology (shard set) changes
 	topo   atomic.Pointer[ribTopology]
@@ -301,10 +300,10 @@ func (r *RIB) applyMeasReport(enb lte.ENBID, sf lte.Subframe, rep *protocol.Meas
 // applyHandoverComplete materializes the target half of a UE migration
 // between shards. The source half is NOT touched here: removing the old
 // record is the source session's own job (its agent emits a detach event
-// when the UE is released), which preserves the sharded updater's
+// when the UE is released), which preserves the updater's
 // single-writer-per-shard discipline — a HandoverComplete arrives on the
 // *target* agent's session, and letting it write the source shard would
-// race the source session's in-order stream.
+// interleave with the source session's in-order stream.
 func (r *RIB) applyHandoverComplete(to lte.ENBID, hc *protocol.HandoverComplete) {
 	sh := r.shard(to)
 	if sh == nil {

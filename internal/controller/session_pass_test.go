@@ -58,11 +58,10 @@ func (a *issuer) OnTick(ctx *controller.Context, _ lte.Subframe) {
 // master makes observable into one hash: every message it sends, per
 // session and in order, with its cycle; the watch stream; and the final
 // command outcomes, health grades and liveness.
-func churnDigest(t *testing.T, seed uint64, workers int) string {
+func churnDigest(t *testing.T, seed uint64) string {
 	t.Helper()
 	const enbs = 6
 	opts := controller.DefaultOptions()
-	opts.Workers = workers
 	opts.EchoPeriodTTI = 4
 	opts.EchoMissBudget = 2
 	opts.CmdRetryTTI = 2
@@ -82,8 +81,8 @@ func churnDigest(t *testing.T, seed uint64, workers int) string {
 	var agents []*churnAgent
 	epochs := map[lte.ENBID]uint64{}
 	attach := func(enb lte.ENBID, epoch uint64) *churnAgent {
-		// Welcomes go out from the updater, which may run on a pool worker:
-		// each incarnation hashes its own traffic.
+		// Welcomes go out from the updater: each incarnation hashes its
+		// own traffic.
 		a := &churnAgent{enb: enb, epoch: epoch, sent: fnv.New64a()}
 		a.sess = m.HandleAgentSession(func(msg *protocol.Message) error {
 			fmt.Fprintf(a.sent, "c%d %d seq %d\n", m.Cycle(), msg.Payload.Kind(), msg.CmdSeq)
@@ -202,11 +201,11 @@ func churnDigest(t *testing.T, seed uint64, workers int) string {
 }
 
 // TestSessionChurnDigest pins what the master sends, publishes and records
-// under seeded session churn, for the serial updater and a pool of four.
-// The digests were recorded while heartbeat, RTT probe, subscription
-// maintenance, retransmission, health grading and pruning were still one
-// sweep each over every session, before they became one step per session;
-// a deliberate change to any of them re-pins these values.
+// under seeded session churn. The digests were recorded while heartbeat,
+// RTT probe, subscription maintenance, retransmission, health grading and
+// pruning were still one sweep each over every session, before they
+// became one step per session; a deliberate change to any of them re-pins
+// these values.
 func TestSessionChurnDigest(t *testing.T) {
 	want := map[uint64]string{
 		1: "e438c3288f20a5fd",
@@ -214,12 +213,8 @@ func TestSessionChurnDigest(t *testing.T) {
 		3: "cdd363f2fc06fc41",
 	}
 	for seed, digest := range want {
-		serial := churnDigest(t, seed, 1)
-		if pooled := churnDigest(t, seed, 4); pooled != serial {
-			t.Errorf("seed %d: digest %s with 4 updater workers, %s serial", seed, pooled, serial)
-		}
-		if serial != digest {
-			t.Errorf("seed %d: digest %s, want %s", seed, serial, digest)
+		if got := churnDigest(t, seed); got != digest {
+			t.Errorf("seed %d: digest %s, want %s", seed, got, digest)
 		}
 	}
 }

@@ -19,11 +19,11 @@ import (
 // watchers (Master.Watch) and in-process applications (WatchApp) — get
 // incremental deltas instead of polling snapshots.
 //
-// Each updater appends its session's events to the session's own
-// recording, and the serial phase of Tick merges the recordings in session
-// attach order, assigns sequence numbers and publishes. The stream is
-// therefore deterministic for any Workers setting — same events, same
-// order, same sequence numbers — and the whole layer is atomically gated:
+// The updater appends each session's events to the session's own
+// recording, and Tick then merges the recordings in session attach order,
+// assigns sequence numbers and publishes. The stream is therefore
+// deterministic — same events, same order, same sequence numbers — and
+// the whole layer is atomically gated:
 // with no watcher and no WatchApp registered, the hot path pays one atomic
 // load per message and appends nothing.
 

@@ -26,6 +26,7 @@ package enb
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
@@ -105,7 +106,7 @@ type UEParams struct {
 // cqi holds it. The three fit in what would otherwise be padding.
 //
 // Ownership contract: the records are owned by the eNodeB's
-// single-threaded driver (simulation shard or agent runtime); slot ids are
+// single-threaded driver (simulation engine or agent runtime); slot ids are
 // private and never escape the package. A freed slot's records are zeroed
 // before it returns to the free list, so a recycled slot never leaks the
 // previous occupant's CQI, queues or averages into a new UE.
@@ -171,10 +172,29 @@ type Hooks struct {
 	// evaluation on this stream. The measurements carry RSRP only: RSRQ is
 	// left 0 and the neighbours come in site order, so a hook that reports
 	// them asks ENB.RSSIdBm for the RSRQ and ranks the neighbours itself
-	// (radio.RankNeighbors). neighbors is the eNodeB's measurement scratch:
-	// the hook may reorder and rewrite it, but it is valid only during the
-	// call.
+	// (radio.RankNeighbors). neighbors is the Workset's measurement
+	// scratch: the hook may reorder and rewrite it, but it is valid only
+	// during the call.
 	OnMeasurement func(rnti lte.RNTI, cellID lte.CellID, serving radio.Meas, neighbors []radio.Meas)
+}
+
+// noHooks is the one Hooks value every eNodeB without a control plane
+// points at; SetHooks gives an eNodeB a Hooks of its own.
+var noHooks Hooks
+
+// Workset is the scheduler working set of the eNodeBs that share it: the
+// UE snapshot behind sched.Input.UEs, the neighbour list behind
+// OnMeasurement and the default round robin's index and result slices.
+// Only one eNodeB of a Workset may step at a time, and what a call hands
+// out aliases the set: in.UEs and OnMeasurement's neighbours are valid
+// until the next scheduling or measurement call of any eNodeB sharing it.
+// A simulation engine holds one for all of its eNodeBs, so an idle eNodeB
+// pays for no working set; an eNodeB built without one owns its own. The
+// zero value is ready to use.
+type Workset struct {
+	ues  []sched.UEInfo
+	meas []radio.Meas
+	rr   sched.Workset
 }
 
 // Config configures an eNodeB.
@@ -188,6 +208,9 @@ type Config struct {
 	AttachTimeoutTTI     int
 	// DLQueueCap overrides the RLC queue bound.
 	DLQueueCap int
+	// Workset is the scheduler working set to share with other eNodeBs
+	// stepped on the same goroutine; nil gives the eNodeB its own.
+	Workset *Workset
 }
 
 // DefaultCell returns the paper's evaluation cell: FDD, 10 MHz, TM1, band 5.
@@ -202,11 +225,12 @@ func DefaultCell(id lte.CellID) protocol.CellConfig {
 // use: the owner (simulation loop or agent runtime) serializes access.
 type ENB struct {
 	// id and the attach and queue limits are the Config values read after
-	// New, defaults filled in; the seed and the cell list are consumed there.
+	// New, defaults filled in and capped at math.MaxInt32 (attachTimeout in
+	// TTIs); the seed and the cell list are consumed there.
 	id             lte.ENBID
-	attachSigBytes int
-	attachTimeout  lte.Subframe
-	dlQueueCap     int
+	attachSigBytes int32
+	attachTimeout  int32
+	dlQueueCap     int32
 	// cellList is the cells in ascending id order, fixed at construction.
 	// An eNodeB carries one to a few cells, so a lookup by id walks it;
 	// *cell pointers into it stay valid because it never grows after New.
@@ -232,8 +256,8 @@ type ENB struct {
 	// (the per-TTI CQI refresh is observable). measurers counts live UEs
 	// whose channel supports L3 measurements, gating the measurement-wake
 	// contribution of NextWake.
-	unsteady  int
-	measurers int
+	unsteady  int32
+	measurers int32
 	// attaching, dlBacklog and ulBacklog count the live UEs in the attach
 	// procedure, with downlink bytes queued and with uplink bytes queued.
 	// They change only through recount, around every mutation of a UE's
@@ -243,38 +267,44 @@ type ENB struct {
 	dlBacklog int32
 	ulBacklog int32
 
-	sf       lte.Subframe
-	hooks    Hooks
-	rnd      *rand.Rand
 	nextRNTI lte.RNTI
 	slotBase lte.RNTI // the RNTI of slotOf[0]
-
-	// schedUEs is the reusable scratch behind schedInput's UE snapshots
-	// (safe: schedulers must not retain the slice past the call, and the
-	// DL and UL passes of one cell run sequentially).
-	schedUEs []sched.UEInfo
-	// measBuf is the reusable neighbour list behind the measurement sweep
-	// (safe: OnMeasurement must not retain the slice past the call).
-	measBuf []radio.Meas
+	sf       lte.Subframe
+	hooks    *Hooks // &noHooks until SetHooks
+	ws       *Workset
+	// harq is the source of the HARQ error draws, held inline.
+	harq rand.PCG
+	// rot is the default round robin's rotation per direction (indexed by
+	// lte.Direction), the one piece of its state an eNodeB keeps; its
+	// working set is ws's. It starts at 0 on the direction's first
+	// backlogged subframe and is never read once a control plane schedules
+	// that direction.
+	rot [2]int
 }
 
 // New builds an eNodeB with local default schedulers (round robin), i.e.
-// the "vanilla OAI" configuration of the Fig. 6 comparison. Each default
-// is built on its direction's first backlogged subframe, so a direction
-// that never carries traffic, or that a control plane takes over first,
-// never pays for one.
+// the "vanilla OAI" configuration of the Fig. 6 comparison. A default
+// keeps only its rotation on the eNodeB and schedules on the Workset, so a
+// direction that never carries traffic, or that a control plane takes
+// over first, costs nothing more.
 func New(cfg Config) *ENB {
 	cells := cfg.Cells
 	if len(cells) == 0 {
 		cells = []protocol.CellConfig{DefaultCell(0)}
 	}
+	ws := cfg.Workset
+	if ws == nil {
+		ws = new(Workset)
+	}
 	e := &ENB{
 		id:             cfg.ID,
-		attachSigBytes: cmp.Or(cfg.AttachSignalingBytes, DefaultAttachSignalingBytes),
-		attachTimeout:  lte.Subframe(cmp.Or(cfg.AttachTimeoutTTI, DefaultAttachTimeoutTTI)),
-		dlQueueCap:     cmp.Or(cfg.DLQueueCap, DefaultDLQueueCap),
+		attachSigBytes: limit(cfg.AttachSignalingBytes, DefaultAttachSignalingBytes),
+		attachTimeout:  limit(cfg.AttachTimeoutTTI, DefaultAttachTimeoutTTI),
+		dlQueueCap:     limit(cfg.DLQueueCap, DefaultDLQueueCap),
 		cellList:       make([]cell, 0, len(cells)),
-		rnd:            rng.New(cfg.Seed + 1),
+		hooks:          &noHooks,
+		ws:             ws,
+		harq:           rng.NewPCG(cfg.Seed + 1),
 		nextRNTI:       lte.FirstUERNTI,
 	}
 	for _, cc := range cells {
@@ -289,15 +319,8 @@ func New(cfg Config) *ENB {
 	return e
 }
 
-// roundRobin returns a scheduling hook over a fresh local round-robin
-// scheduler: the default of a direction no control plane has taken over.
-// runCell builds it on the direction's first backlogged call, which is
-// the first call a scheduler sees at all, so its rotation is the one an
-// eagerly built default would have.
-func roundRobin() func(lte.CellID, sched.Input) []sched.Alloc {
-	rr := sched.NewRoundRobin()
-	return func(_ lte.CellID, in sched.Input) []sched.Alloc { return rr.Schedule(in) }
-}
+// limit is a Config value with its default filled in, held as an int32.
+func limit(v, def int) int32 { return int32(min(cmp.Or(v, def), math.MaxInt32)) }
 
 // ID returns the eNodeB identifier.
 func (e *ENB) ID() lte.ENBID { return e.id }
@@ -328,21 +351,23 @@ func (e *ENB) findCell(id lte.CellID) *cell {
 // keeps the previous function for nil fields, so an agent can take over
 // scheduling while leaving event routing unchanged (or vice versa).
 func (e *ENB) SetHooks(h Hooks) {
+	cur := *e.hooks
 	if h.DLSchedule != nil {
-		e.hooks.DLSchedule = h.DLSchedule
+		cur.DLSchedule = h.DLSchedule
 	}
 	if h.ULSchedule != nil {
-		e.hooks.ULSchedule = h.ULSchedule
+		cur.ULSchedule = h.ULSchedule
 	}
 	if h.OnUEEvent != nil {
-		e.hooks.OnUEEvent = h.OnUEEvent
+		cur.OnUEEvent = h.OnUEEvent
 	}
 	if h.OnSubframe != nil {
-		e.hooks.OnSubframe = h.OnSubframe
+		cur.OnSubframe = h.OnSubframe
 	}
 	if h.OnMeasurement != nil {
-		e.hooks.OnMeasurement = h.OnMeasurement
+		cur.OnMeasurement = h.OnMeasurement
 	}
+	e.hooks = &cur
 }
 
 // allocSlot returns a fully zeroed slot id, reusing the free list before
@@ -368,7 +393,7 @@ func (e *ENB) resetSlot(s int32) {
 // trackChannel maintains the unsteady/measurers counters as UEs come and
 // go (delta is +1 on add, -1 on remove) and reports whether the channel
 // promises a constant CQI.
-func (e *ENB) trackChannel(ch radio.Model, delta int) (steady bool) {
+func (e *ENB) trackChannel(ch radio.Model, delta int32) (steady bool) {
 	c, ok := ch.(radio.ConstantCQI)
 	steady = ok && c.ConstantCQI()
 	if !steady {
@@ -488,11 +513,11 @@ func (e *ENB) AddUE(p UEParams) (lte.RNTI, error) {
 	}
 	h := &e.hot[s]
 	h.state = StateAttaching
-	h.sigPending = e.attachSigBytes
+	h.sigPending = int(e.attachSigBytes)
 	h.cell = p.Cell
 	c := &e.cold[s]
 	c.params = p
-	c.deadline = e.sf + e.attachTimeout
+	c.deadline = e.sf + lte.Subframe(e.attachTimeout)
 	c.attempts = 1
 	h.steady = e.trackChannel(p.Channel, 1)
 	e.recount(h, 1)
@@ -584,7 +609,7 @@ func (e *ENB) AdmitUE(st HandoverState) (lte.RNTI, error) {
 	if err != nil {
 		return 0, err
 	}
-	dlQueue := min(st.DLQueue, e.dlQueueCap)
+	dlQueue := min(st.DLQueue, int(e.dlQueueCap))
 	h := &e.hot[s]
 	h.state = StateConnected
 	h.cell = st.Params.Cell
@@ -614,7 +639,7 @@ func (e *ENB) DLEnqueue(rnti lte.RNTI, bytes int) int {
 		return 0
 	}
 	h := &e.hot[s]
-	room := e.dlQueueCap - h.dlQueue
+	room := int(e.dlQueueCap) - h.dlQueue
 	if bytes > room {
 		e.cold[s].dlDropped += uint64(bytes - room)
 		bytes = room
@@ -665,9 +690,9 @@ func (e *ENB) Step() {
 			// Attach timed out: restart the procedure (the UE retries).
 			c := &e.cold[s]
 			e.recount(h, -1)
-			h.sigPending = e.attachSigBytes
+			h.sigPending = int(e.attachSigBytes)
 			e.recount(h, 1)
-			c.deadline = sf + e.attachTimeout
+			c.deadline = sf + lte.Subframe(e.attachTimeout)
 			c.attempts++
 			e.event(protocol.UEEventRandomAccess, h.rnti, h.cell)
 		}
@@ -687,8 +712,8 @@ func (e *ENB) Step() {
 			if !ok {
 				continue
 			}
-			serving, neighbors := nm.Measure(sf, e.measBuf)
-			e.measBuf = neighbors
+			serving, neighbors := nm.Measure(sf, e.ws.meas)
+			e.ws.meas = neighbors
 			e.hooks.OnMeasurement(e.hot[s].rnti, e.cold[s].params.Cell, serving, neighbors)
 		}
 	}
@@ -739,40 +764,43 @@ func (e *ENB) runCell(c *cell, sf lte.Subframe) {
 	// A direction the backlog counts prove empty is not snapshotted at
 	// all: its scan would find no UE to schedule.
 	if e.attaching > 0 || e.dlBacklog > 0 {
-		used := e.schedule(c, sf, lte.Downlink, &e.hooks.DLSchedule)
+		used := e.schedule(c, sf, lte.Downlink, e.hooks.DLSchedule)
 		c.activity[slot] += used
 		c.usedPRB += used
 	}
 	// Uplink is granted on the same TTI for simplicity; the 4 ms grant
 	// pipeline does not change steady-state behaviour.
 	if e.ulBacklog > 0 {
-		e.schedule(c, sf, lte.Uplink, &e.hooks.ULSchedule)
+		e.schedule(c, sf, lte.Uplink, e.hooks.ULSchedule)
 	}
 }
 
 // schedule runs one direction of a cell's subframe: the snapshot, the
 // direction's scheduling hook and the allocations it returns. A direction
-// without a hook gets its local default here, on its first backlogged
-// subframe. It returns the PRBs transmitted.
-func (e *ENB) schedule(c *cell, sf lte.Subframe, dir lte.Direction, hook *func(lte.CellID, sched.Input) []sched.Alloc) int {
+// without a hook runs the local default, a round robin on the Workset
+// with the eNodeB's own rotation. It returns the PRBs transmitted.
+func (e *ENB) schedule(c *cell, sf lte.Subframe, dir lte.Direction, hook func(lte.CellID, sched.Input) []sched.Alloc) int {
 	ues := e.schedInput(c, dir)
 	if len(ues) == 0 {
 		return 0
 	}
-	if *hook == nil {
-		*hook = roundRobin()
+	in := sched.Input{SF: sf, Dir: dir, TotalPRB: c.prbs, UEs: ues}
+	var allocs []sched.Alloc
+	if hook != nil {
+		allocs = hook(c.cfg.Cell, in)
+	} else {
+		allocs = sched.ScheduleRoundRobin(in, &e.rot[dir], &e.ws.rr)
 	}
-	allocs := (*hook)(c.cfg.Cell, sched.Input{SF: sf, Dir: dir, TotalPRB: c.prbs, UEs: ues})
 	return e.apply(c, sf, dir, allocs, c.prbs)
 }
 
-// schedInput snapshots the schedulable UEs of a cell into the eNodeB's
-// reusable scratch slice. The snapshot is valid until the next schedInput
-// call; schedulers must not retain in.UEs past Schedule. The filter reads
-// the hot records only; the cold record is read for the Group of a UE
-// that is emitted.
+// schedInput snapshots the schedulable UEs of a cell into the Workset's
+// snapshot slice. The snapshot is valid until the next scheduling call of
+// any eNodeB sharing the Workset; schedulers must not retain in.UEs past
+// Schedule. The filter reads the hot records only; the cold record is read
+// for the Group of a UE that is emitted.
 func (e *ENB) schedInput(c *cell, dir lte.Direction) []sched.UEInfo {
-	ues := e.schedUEs[:0]
+	ues := e.ws.ues[:0]
 	for _, s := range e.order {
 		h := &e.hot[s]
 		if h.cell != c.cfg.Cell || h.state == StateDetached {
@@ -805,7 +833,7 @@ func (e *ENB) schedInput(c *cell, dir lte.Direction) []sched.UEInfo {
 			Group:       e.cold[s].params.Group,
 		})
 	}
-	e.schedUEs = ues[:0] // keep grown capacity for the next snapshot
+	e.ws.ues = ues[:0] // keep grown capacity for the next snapshot
 	return ues
 }
 
@@ -843,7 +871,8 @@ func (e *ENB) transmit(s int32, sf lte.Subframe, dir lte.Direction, a sched.Allo
 		retx = int(h.retxUL)
 	}
 	p := lte.BLER(chosen, h.cqi, retx)
-	if e.rnd.Float64() < p {
+	// math/rand/v2's Rand.Float64, drawn from the inline source.
+	if float64(e.harq.Uint64()<<11>>11)/(1<<53) < p {
 		// Transport block lost; HARQ keeps the data queued.
 		e.cold[s].harqRetx++
 		if retx < lte.MaxHARQRetx {

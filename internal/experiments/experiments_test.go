@@ -239,8 +239,8 @@ func TestFig10Shape(t *testing.T) {
 }
 
 // Fig. 10 couples the two cells inside a subframe (the macro UEs see the
-// small cell's same-subframe activity), so it must not depend on how the
-// engine's workers interleave: two runs give the same figure to the bit.
+// small cell's same-subframe activity), so it depends on the engine
+// stepping the small cell first: two runs give the same figure to the bit.
 func TestFig10Deterministic(t *testing.T) {
 	a, err := Run("fig10", 0.1)
 	if err != nil {

@@ -74,13 +74,11 @@ func runEICICCase(mode eicicMode, seconds float64) (macro, small float64, grante
 		DL:      ue.NewCBR(2500),
 	}}
 
-	// One engine worker: the macro UEs' channel reads the small cell's
-	// transmission state of the same subframe, which the model only has
-	// if the small cell is stepped first. A parallel engine steps the two
-	// cells at the same time, and the figure would then depend on
-	// goroutine scheduling (and race on the cell's activity).
+	// The macro UEs' channel reads the small cell's transmission state of
+	// the same subframe, which the model only has if the small cell is
+	// stepped first: the engine steps its eNodeBs in spec order.
 	o := controller.DefaultOptions()
-	s := sim.MustNew(sim.Config{Workers: 1, Master: &o},
+	s := sim.MustNew(sim.Config{Master: &o},
 		sim.ENBSpec{ID: 2, Agent: true, Seed: 2, UEs: smallUEs}, // stepped first
 		sim.ENBSpec{ID: 1, Agent: true, Seed: 1, UEs: macroUEs},
 	)

@@ -233,7 +233,7 @@ func (m *Map) SINRdB(p Point, serving lte.ENBID) (float64, bool) {
 	}
 	// Same sum, in the same site order, as SINRdB over the list of every
 	// other eNodeB's transmitters — without building the list (this runs
-	// per UE per TTI, and the Map is shared across workers).
+	// per UE per TTI, and the Map is shared by every UE).
 	sig := dbmToMw(sv.Tx.PowerDBm - PathLossDB(Distance(p, sv.Tx.Pos)))
 	intf := dbmToMw(NoiseDBm)
 	for i := range m.Sites {

@@ -13,10 +13,19 @@ import "math/rand/v2"
 // first two SplitMix64 outputs from seed, so adjacent seeds start far apart
 // in the generator's state space.
 func New(seed int64) *rand.Rand {
+	p := NewPCG(seed)
+	return rand.New(&p)
+}
+
+// NewPCG returns the source New(seed) draws from, by value, for a model
+// that holds its 16 bytes inline rather than behind two pointers.
+func NewPCG(seed int64) rand.PCG {
 	s := uint64(seed)
 	a := splitMix64(&s)
 	b := splitMix64(&s)
-	return rand.New(rand.NewPCG(a, b))
+	var p rand.PCG
+	p.Seed(a, b)
+	return p
 }
 
 // splitMix64 advances *s and returns its next SplitMix64 output.

@@ -65,9 +65,8 @@ func (l *lifecycleLog) OnWatch(_ *controller.Context, ev controller.WatchEvent) 
 
 // activityProbe feeds an InterferenceSwitched channel from another
 // eNodeB's per-subframe transmission activity. It always looks one TTI
-// back: the previous data-plane phase completed behind a barrier, so the
-// read is deterministic for every worker-pool size (a same-subframe read
-// would depend on eNodeB step order).
+// back: the previous data-plane phase has completed, so the read does not
+// depend on eNodeB step order (a same-subframe read would).
 type activityProbe struct {
 	enb        *enb.ENB // bound after sim construction
 	cell       lte.CellID
@@ -99,10 +98,8 @@ type Runtime struct {
 	retunes   []AppDecl // mobility retunes, armed at run start
 }
 
-// Build wires the scenario on a TTI engine with the given worker-pool
-// size; any value up to 1 runs the engine serially. The pool size is an
-// execution choice, not part of the scenario: it never changes a digest.
-func (sc *Scenario) Build(workers int) (*Runtime, error) {
+// build wires the scenario on the TTI engine.
+func (sc *Scenario) build() (*Runtime, error) {
 	rmap, hasMap := sc.buildRadioMap()
 
 	rt := &Runtime{Scenario: sc, groups: map[uint64]int{}}
@@ -164,7 +161,7 @@ func (sc *Scenario) Build(workers int) (*Runtime, error) {
 		}
 	}
 
-	cfg := sim.Config{Master: sc.Master, Workers: workers, NoFastForward: sc.Run.NoFastForward}
+	cfg := sim.Config{Master: sc.Master, NoFastForward: sc.Run.NoFastForward}
 	s, err := sim.New(cfg, specs...)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: building sim: %w", err)

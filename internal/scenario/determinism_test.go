@@ -8,7 +8,7 @@ import (
 
 // sweepDoc composes most engine features — geo mobility with handovers,
 // a traffic mix, slicing, apps and a fault script — into one compact
-// world whose digest must be invariant across worker-pool sizes.
+// world whose digest must be the same on every run.
 const sweepDoc = `
 name: sweep
 run:
@@ -71,41 +71,21 @@ faults:
     enb: 1
 `
 
-// TestDigestWorkerInvariance is the scenario engine's determinism gate:
-// the same document must produce identical summaries (and digests) for
-// every worker-pool size. This is the property that lets scenarios/
-// goldens be computed once and compared at any -workers value in CI.
+// TestDigestWorkerInvariance checks that sweepDoc, the document the
+// repeat-run gate (TestRebuildReproduces) runs twice, still covers what
+// the gate is for: mobility, resilience and slicing. It is named for the
+// worker-pool sweep it ran while the engine had a pool.
 func TestDigestWorkerInvariance(t *testing.T) {
 	sc, err := Parse(sweepDoc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	var ref *Result
-	for _, workers := range []int{1, 2, 4, 8} {
-		res, err := sc.RunWorkers(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Summary.Workers != workers {
-			t.Fatalf("summary workers = %d, want %d", res.Summary.Workers, workers)
-		}
-		if ref == nil {
-			ref = res
-			if res.Summary.Digest == "" {
-				t.Fatal("empty digest")
-			}
-			continue
-		}
-		if res.Summary.Digest != ref.Summary.Digest {
-			t.Errorf("workers=%d digest %s != serial %s",
-				workers, res.Summary.Digest, ref.Summary.Digest)
-		}
-		// The whole summary minus the worker count must match too.
-		a, b := res.Summary, ref.Summary
-		a.Workers, b.Workers = 0, 0
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d summary diverges from serial:\n%+v\nvs\n%+v", workers, a, b)
-		}
+	ref, err := sc.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Summary.Digest == "" {
+		t.Fatal("empty digest")
 	}
 	if ref.Summary.Handovers == 0 {
 		t.Error("sweep scenario produced no handovers; it no longer covers mobility")
@@ -190,27 +170,24 @@ ues:
 
 // TestBrokerDigestWorkerInvariance extends the determinism gate to the
 // slice broker: its epoch loop runs on the master tick, so its
-// admissions, plans and SLA accounting must be bit-identical for every
-// worker-pool size — that is what lets elastic-slicing ship a golden.
+// admissions, plans and SLA accounting must be bit-identical on every run
+// — that is what lets elastic-slicing ship a golden. It is named for the
+// worker-pool sweep it ran while the engine had a pool.
 func TestBrokerDigestWorkerInvariance(t *testing.T) {
 	sc, err := Parse(brokerDoc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	var ref *Result
-	for _, workers := range []int{1, 2, 4, 8} {
-		res, err := sc.RunWorkers(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Summary.Digest != ref.Summary.Digest {
-			t.Errorf("workers=%d digest %s != serial %s",
-				workers, res.Summary.Digest, ref.Summary.Digest)
-		}
+	ref, err := sc.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := sc.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Summary.Digest != ref.Summary.Digest {
+		t.Errorf("second run digest %s != first %s", again.Summary.Digest, ref.Summary.Digest)
 	}
 	sum := ref.Summary
 	if sum.BrokerEpochs == 0 || sum.BrokerApplied == 0 {
@@ -298,12 +275,11 @@ ues:
 `
 
 // TestFastForwardDigestInvariance is the skip engine's correctness gate:
-// for every worker-pool size, running with idle fast-forward enabled
-// (the default) and disabled must produce bit-identical digests — the
-// engine's contract is that skipping is unobservable. Beside idleDoc,
-// every library scenario but scale-4096enb (the scale gate's) must
-// reproduce its golden digest, pinned with fast-forward on, with it off
-// on the serial engine and on a 4-worker pool.
+// running with idle fast-forward enabled (the default) and disabled must
+// produce bit-identical digests — the engine's contract is that skipping
+// is unobservable. Beside idleDoc, every library scenario but
+// scale-4096enb (the scale gate's) must reproduce its golden digest,
+// pinned with fast-forward on, with it off.
 func TestFastForwardDigestInvariance(t *testing.T) {
 	files, err := filepath.Glob("../../scenarios/*.yaml")
 	if err != nil {
@@ -322,15 +298,13 @@ func TestFastForwardDigestInvariance(t *testing.T) {
 		}
 		want := goldenDigest(t, sc.Name)
 		sc.Run.NoFastForward = true
-		for _, workers := range []int{1, 4} {
-			res, err := sc.RunWorkers(workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", sc.Name, workers, err)
-			}
-			if res.Summary.Digest != want {
-				t.Errorf("%s without fast-forward, workers=%d: digest %s, golden %s",
-					sc.Name, workers, res.Summary.Digest, want)
-			}
+		res, err := sc.Execute()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if res.Summary.Digest != want {
+			t.Errorf("%s without fast-forward: digest %s, golden %s",
+				sc.Name, res.Summary.Digest, want)
 		}
 	}
 
@@ -341,22 +315,20 @@ func TestFastForwardDigestInvariance(t *testing.T) {
 	var ref *Result
 	for _, noFF := range []bool{false, true} {
 		sc.Run.NoFastForward = noFF
-		for _, workers := range []int{1, 2, 4, 8} {
-			res, err := sc.RunWorkers(workers)
-			if err != nil {
-				t.Fatalf("noFF=%v workers=%d: %v", noFF, workers, err)
+		res, err := sc.Execute()
+		if err != nil {
+			t.Fatalf("noFF=%v: %v", noFF, err)
+		}
+		if ref == nil {
+			ref = res
+			if res.Summary.Digest == "" {
+				t.Fatal("empty digest")
 			}
-			if ref == nil {
-				ref = res
-				if res.Summary.Digest == "" {
-					t.Fatal("empty digest")
-				}
-				continue
-			}
-			if res.Summary.Digest != ref.Summary.Digest {
-				t.Errorf("noFF=%v workers=%d digest %s != reference %s",
-					noFF, workers, res.Summary.Digest, ref.Summary.Digest)
-			}
+			continue
+		}
+		if res.Summary.Digest != ref.Summary.Digest {
+			t.Errorf("noFF=%v digest %s != reference %s",
+				noFF, res.Summary.Digest, ref.Summary.Digest)
 		}
 	}
 	if ref.Summary.Attached == 0 {
@@ -367,23 +339,27 @@ func TestFastForwardDigestInvariance(t *testing.T) {
 	}
 }
 
-// TestRebuildReproduces guards the "Scenario is purely declarative"
-// contract: building and running the same Scenario value twice must give
-// the same digest (generators/channels are freshly constructed each time).
+// TestRebuildReproduces is the scenario engine's repeat-run gate and
+// guards the "Scenario is purely declarative" contract: building and
+// running the same Scenario value twice must give the same summary and
+// digest (generators/channels are freshly constructed each time).
 func TestRebuildReproduces(t *testing.T) {
 	sc, err := Parse(sweepDoc)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	a, err := sc.RunWorkers(2)
+	a, err := sc.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sc.RunWorkers(2)
+	b, err := sc.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Summary.Digest != b.Summary.Digest {
 		t.Fatalf("rebuild changed the digest: %s vs %s", a.Summary.Digest, b.Summary.Digest)
+	}
+	if !reflect.DeepEqual(a.Summary, b.Summary) {
+		t.Errorf("rebuild changed the summary:\n%+v\nvs\n%+v", a.Summary, b.Summary)
 	}
 }

@@ -4,11 +4,10 @@ package scenario
 // Summary plus a stable digest. The digest is a 64-bit FNV-1a over a
 // canonical dump of everything deterministic about the run — per-UE final
 // data-plane state, attach latencies, the handover log, lifecycle events
-// and slice totals — and deliberately excludes the worker count, so one
-// scenario must digest identically for every engine pool size. That
-// invariant (guaranteed by the sharded TTI engine and enforced in CI by
-// the scenario matrix) is what makes committed golden digests a
-// regression gate over the whole sim/sched/mobility/resilience stack.
+// and slice totals — so one scenario digests identically on every run.
+// That invariant (enforced in CI by the scenario matrix) is what makes
+// committed golden digests a regression gate over the whole
+// sim/sched/mobility/resilience stack.
 
 import (
 	"fmt"
@@ -46,10 +45,9 @@ type SliceThroughput struct {
 
 // Summary is the deterministic outcome of one scenario run.
 type Summary struct {
-	Name    string `json:"name"`
-	Workers int    `json:"workers"`
-	ENBs    int    `json:"enbs"`
-	UEs     int    `json:"ues"`
+	Name string `json:"name"`
+	ENBs int    `json:"enbs"`
+	UEs  int    `json:"ues"`
 
 	// Attach phase.
 	AttachTTIs    int     `json:"attach_ttis"`
@@ -103,10 +101,10 @@ type Result struct {
 	Summary Summary
 }
 
-// RunWorkers parses nothing and builds nothing twice: it is the one-call
-// convenience — Build at the given pool size, execute, summarize.
-func (sc *Scenario) RunWorkers(workers int) (*Result, error) {
-	rt, err := sc.Build(workers)
+// Execute is the one-call convenience: build the scenario's runtime, run
+// it, summarize.
+func (sc *Scenario) Execute() (*Result, error) {
+	rt, err := sc.build()
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +183,7 @@ func (rt *Runtime) Execute() (*Result, error) {
 // the registry's Retune path — the same mechanism a live operator uses —
 // so scenario goldens cover runtime reconfiguration. The swap is queued on
 // the tick that reaches the deadline and applied at the start of the next
-// application slot, which keeps it deterministic for every worker count.
+// application slot, which keeps it deterministic.
 type retuneDriver struct {
 	master *controller.Master
 	at     lte.Subframe
@@ -233,7 +231,6 @@ func (rt *Runtime) summarize(attachTTI map[uint64]int, attachTTIs int, base0 map
 
 	sum := Summary{
 		Name:       sc.Name,
-		Workers:    s.Workers(),
 		ENBs:       len(sc.ENBs),
 		UEs:        len(rt.imsis),
 		AttachTTIs: attachTTIs,
@@ -359,8 +356,7 @@ func (rt *Runtime) summarize(attachTTI map[uint64]int, attachTTIs int, base0 map
 }
 
 // digest folds the canonical end state into a hex FNV-1a 64 fingerprint.
-// Everything written here is bit-for-bit reproducible for any worker
-// count; the worker count itself (and derived wall-clock noise) is
+// Everything written here is bit-for-bit reproducible; wall-clock noise is
 // excluded by construction.
 func (rt *Runtime) digest(sum *Summary, finals []ueFinal, attachTTI map[uint64]int, hos []sim.HandoverRecord) string {
 	h := fnv.New64a()

@@ -26,7 +26,7 @@ func TestScale4096ENB(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	res, err := sc.RunWorkers(4)
+	res, err := sc.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@
 // The paper's pitch is programmability: one platform, many RAN control
 // scenarios. Before this package every workload was a hand-coded Go main;
 // with it a scenario is data. The digest is the regression currency: the
-// TTI engine guarantees bit-for-bit identical worlds for every worker-pool
-// size, so each scenario file ships with a golden digest and any
+// TTI engine gives bit-for-bit identical worlds from run to run, so each
+// scenario file ships with a golden digest and any
 // behavioural drift in sim/sched/mobility/resilience code shows up as a
 // digest mismatch in CI — no new Go test required.
 //
@@ -238,9 +238,9 @@ type SliceDecl struct {
 }
 
 // Scenario is a parsed, validated document. It is purely declarative:
-// Build constructs fresh runtime state (generators, channels, apps) on
-// every call, so one Scenario can be run many times — including at
-// different worker counts — with identical results.
+// Execute constructs fresh runtime state (generators, channels, apps) on
+// every call, so one Scenario can be run many times with identical
+// results.
 type Scenario struct {
 	Name        string
 	Description string
@@ -1120,8 +1120,8 @@ func (sc *Scenario) validate() error {
 			stalled[f.ENB] = false
 		}
 	}
-	// eNodeBs must be declared in a stable id order for deterministic
-	// engine sharding regardless of map iteration anywhere upstream.
+	// eNodeBs must be declared in a stable id order for a deterministic
+	// engine step order regardless of map iteration anywhere upstream.
 	slices.SortStableFunc(sc.ENBs, func(a, b ENBDecl) int { return cmp.Compare(a.ID, b.ID) })
 	return nil
 }

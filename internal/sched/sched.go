@@ -6,9 +6,13 @@
 //
 // Schedulers are pure with respect to the data plane: they map an Input
 // snapshot (backlogged UEs with channel state) to a list of allocations.
-// Every scheduler owns the working set of its own Schedule calls (index,
-// key and result slices, reused across TTIs), and some keep fairness state
-// (rotation pointers), which is explicitly documented per type.
+// Every scheduler value owns the working set of its own Schedule calls
+// (index, key and result slices in a Workset, reused across TTIs), and
+// some keep fairness state (rotation pointers), which is explicitly
+// documented per type. The eNodeB's default round robin holds neither: it
+// keeps only its rotation and runs ScheduleRoundRobin on a Workset it
+// shares with every eNodeB of its engine, so the working set is one per
+// engine rather than one per eNodeB.
 package sched
 
 import (
@@ -77,10 +81,12 @@ func bytesPerPRB(dir lte.Direction, c lte.CQI) int {
 	return lte.TBSBytes(dir, c, 1)
 }
 
-// workset is the per-scheduler working set: the backlogged index, one
-// priority key per Input.UEs entry and the result, all reused from call to
-// call so a steady-state Schedule allocates nothing.
-type workset struct {
+// Workset is a scheduler working set: the backlogged index, one priority
+// key per Input.UEs entry and the result, all reused from call to call so
+// a steady-state Schedule allocates nothing. The zero value is ready to
+// use. A result lives in its Workset, so it is valid until the next call
+// that runs on the same Workset.
+type Workset struct {
 	idx  []int
 	keys []float64
 	out  []Alloc
@@ -124,7 +130,7 @@ func FillByOrder(in Input, order []int, out []Alloc) []Alloc {
 // queue, CQI>0) in ascending RNTI order, for determinism. Both producers
 // of an Input (the eNodeB's snapshot and the RIB's) already deliver RNTI
 // order, so the sort runs only for a caller that did not.
-func (w *workset) backlogged(in Input) []int {
+func (w *Workset) backlogged(in Input) []int {
 	idx := w.idx[:0]
 	ascending := true
 	var prev lte.RNTI
@@ -147,7 +153,7 @@ func (w *workset) backlogged(in Input) []int {
 
 // fillByKey orders idx by descending w.keys (indexed like in.UEs), ties
 // keeping their RNTI order, and greedily fills in that order.
-func (w *workset) fillByKey(in Input, idx []int) []Alloc {
+func (w *Workset) fillByKey(in Input, idx []int) []Alloc {
 	keys := w.keys
 	// Not cmp.Compare: it orders NaN first, and a NaN key must stay what
 	// it always was under ">" — incomparable, so left where it stands.
@@ -165,7 +171,7 @@ func (w *workset) fillByKey(in Input, idx []int) []Alloc {
 }
 
 // sizeKeys returns w.keys with room for one key per in.UEs entry.
-func (w *workset) sizeKeys(in Input) []float64 {
+func (w *Workset) sizeKeys(in Input) []float64 {
 	w.keys = slices.Grow(w.keys[:0], len(in.UEs))[:len(in.UEs)]
 	return w.keys
 }
@@ -176,7 +182,7 @@ func (w *workset) sizeKeys(in Input) []float64 {
 // of the Fig. 12b MNO.
 type RoundRobin struct {
 	rot int // rotation offset for remainder distribution
-	ws  workset
+	ws  Workset
 }
 
 // NewRoundRobin returns a fair equal-share scheduler.
@@ -186,18 +192,26 @@ func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
 func (*RoundRobin) Name() string { return "rr" }
 
 // Schedule implements Scheduler.
-func (s *RoundRobin) Schedule(in Input) []Alloc {
-	idx := s.ws.backlogged(in)
+func (s *RoundRobin) Schedule(in Input) []Alloc { return ScheduleRoundRobin(in, &s.rot, &s.ws) }
+
+// ScheduleRoundRobin is the round-robin algorithm with its state held by
+// the caller: *rot is the rotation offset, advanced once per call that
+// finds a backlogged UE, and w is the working set the result lives in.
+// RoundRobin.Schedule is this call on the scheduler's own rotation and
+// Workset; a caller that keeps only a rotation can run many round robins
+// on one Workset.
+func ScheduleRoundRobin(in Input, rot *int, w *Workset) []Alloc {
+	idx := w.backlogged(in)
 	if len(idx) == 0 {
 		return nil
 	}
 	share := in.TotalPRB / len(idx)
 	extra := in.TotalPRB % len(idx)
-	out := s.ws.out[:0]
+	out := w.out[:0]
 	rbStart := 0
 	spare := 0 // PRBs returned by UEs that need less than their share
 	// Rotate so the +1 remainder moves across UEs over time.
-	at := s.rot % len(idx)
+	at := *rot % len(idx)
 	for pos := range idx {
 		ue := &in.UEs[idx[at]]
 		if at++; at == len(idx) {
@@ -231,15 +245,15 @@ func (s *RoundRobin) Schedule(in Input) []Alloc {
 		})
 		rbStart += n
 	}
-	s.rot++
-	s.ws.out = out
+	*rot++
+	w.out = out
 	return out
 }
 
 // ProportionalFair ranks UEs by instantaneous-rate over average-rate, the
 // classic PF metric, then greedily fills. The average rate is supplied by
 // the MAC in UEInfo.AvgRateKbps.
-type ProportionalFair struct{ ws workset }
+type ProportionalFair struct{ ws Workset }
 
 // NewProportionalFair returns a PF scheduler.
 func NewProportionalFair() *ProportionalFair { return &ProportionalFair{} }
@@ -268,7 +282,7 @@ func pfMetric(in Input, ue *UEInfo) float64 {
 
 // MaxCQI always serves the best channel first (maximum-throughput,
 // fairness-free; the baseline that motivates PF).
-type MaxCQI struct{ ws workset }
+type MaxCQI struct{ ws Workset }
 
 // NewMaxCQI returns a max-CQI scheduler.
 func NewMaxCQI() *MaxCQI { return &MaxCQI{} }
@@ -297,7 +311,7 @@ type MetricFunc func(in Input, ue UEInfo) float64
 type Metric struct {
 	name string
 	fn   MetricFunc
-	ws   workset
+	ws   Workset
 }
 
 // NewMetric builds a metric scheduler.

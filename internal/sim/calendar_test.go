@@ -43,7 +43,7 @@ func calendarWorld(noFF bool) *Sim {
 		specs = append(specs, spec)
 	}
 	quiet := controller.Options{NoResync: true}
-	return MustNew(Config{Master: &quiet, Workers: 1, NoFastForward: noFF}, specs...)
+	return MustNew(Config{Master: &quiet, NoFastForward: noFF}, specs...)
 }
 
 // calendarScript drives calendarWorld for 3,000 TTIs with early wakes

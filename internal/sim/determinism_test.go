@@ -3,7 +3,6 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"flexran/internal/apps"
@@ -21,7 +20,7 @@ import (
 // channel models (including seeded fading), mixed traffic (CBR, full
 // buffer, uplink), and impaired control channels with jitter and loss, so
 // any engine-ordering divergence has plenty of state to surface in.
-func detScenario(workers int) *sim.Sim {
+func detScenario() *sim.Sim {
 	opts := controller.DefaultOptions()
 	var enbs []sim.ENBSpec
 	for e := 0; e < 8; e++ {
@@ -55,7 +54,7 @@ func detScenario(workers int) *sim.Sim {
 		}
 		enbs = append(enbs, spec)
 	}
-	return sim.MustNew(sim.Config{Master: &opts, Workers: workers}, enbs...)
+	return sim.MustNew(sim.Config{Master: &opts}, enbs...)
 }
 
 // worldSnapshot flattens everything observable about a finished run.
@@ -111,13 +110,13 @@ func snapshot(s *sim.Sim) worldSnapshot {
 	return w
 }
 
-// TestDeterminism is the sharded-engine regression gate: the same
-// scenario stepped with a serial engine and with parallel engines of
-// several pool sizes must leave bit-for-bit identical per-UE metrics,
-// RIB contents, bearer accounting and signaling byte counts.
+// TestDeterminism is the engine's regression gate: the same scenario
+// built and stepped twice must leave bit-for-bit identical per-UE
+// metrics, RIB contents, bearer accounting and signaling byte counts. CI
+// repeats it under -race.
 func TestDeterminism(t *testing.T) {
 	const ttis = 1200
-	ref := detScenario(1)
+	ref := detScenario()
 	ref.Run(ttis)
 	want := snapshot(ref)
 
@@ -132,41 +131,39 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("reference run delivered no downlink traffic")
 	}
 
-	for _, workers := range []int{2, 4, 8} {
-		s := detScenario(workers)
-		s.Run(ttis)
-		got := snapshot(s)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Workers=%d diverged from serial engine", workers)
-			if !reflect.DeepEqual(got.Reports, want.Reports) {
-				for k, wr := range want.Reports {
-					if !reflect.DeepEqual(got.Reports[k], wr) {
-						t.Errorf("  UE %s: got %+v want %+v", k, got.Reports[k], wr)
-						break
-					}
+	s := detScenario()
+	s.Run(ttis)
+	got := snapshot(s)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("a second run diverged from the first")
+		if !reflect.DeepEqual(got.Reports, want.Reports) {
+			for k, wr := range want.Reports {
+				if !reflect.DeepEqual(got.Reports[k], wr) {
+					t.Errorf("  UE %s: got %+v want %+v", k, got.Reports[k], wr)
+					break
 				}
 			}
-			if !reflect.DeepEqual(got.RIBUEs, want.RIBUEs) {
-				t.Errorf("  RIB UE stats diverged")
-			}
-			if got.RIBSize != want.RIBSize {
-				t.Errorf("  RIB size: got %d want %d", got.RIBSize, want.RIBSize)
-			}
-			if !reflect.DeepEqual(got.Bearers, want.Bearers) {
-				t.Errorf("  bearer accounting diverged")
-			}
-			if !reflect.DeepEqual(got.Meters, want.Meters) {
-				t.Errorf("  signaling meters diverged")
-			}
+		}
+		if !reflect.DeepEqual(got.RIBUEs, want.RIBUEs) {
+			t.Errorf("  RIB UE stats diverged")
+		}
+		if got.RIBSize != want.RIBSize {
+			t.Errorf("  RIB size: got %d want %d", got.RIBSize, want.RIBSize)
+		}
+		if !reflect.DeepEqual(got.Bearers, want.Bearers) {
+			t.Errorf("  bearer accounting diverged")
+		}
+		if !reflect.DeepEqual(got.Meters, want.Meters) {
+			t.Errorf("  signaling meters diverged")
 		}
 	}
 }
 
-// TestDeterminismMidRunInspection steps serial and parallel engines in
+// TestDeterminismMidRunInspection steps two copies of one world in
 // lockstep and compares live state every 100 TTIs, catching divergences
 // that a final-state comparison could mask.
 func TestDeterminismMidRunInspection(t *testing.T) {
-	a, b := detScenario(1), detScenario(4)
+	a, b := detScenario(), detScenario()
 	for step := 0; step < 600; step++ {
 		a.Step()
 		b.Step()
@@ -177,13 +174,13 @@ func TestDeterminismMidRunInspection(t *testing.T) {
 			for j := range a.Nodes[i].RNTIs {
 				ra, rb := a.Report(i, j), b.Report(i, j)
 				if ra != rb {
-					t.Fatalf("TTI %d eNB %d UE %d: serial %+v parallel %+v",
+					t.Fatalf("TTI %d eNB %d UE %d: first %+v second %+v",
 						step, i, j, ra, rb)
 				}
 			}
 		}
 		if as, bs := a.Master.RIB().Size(), b.Master.RIB().Size(); as != bs {
-			t.Fatalf("TTI %d: RIB size serial %d parallel %d", step, as, bs)
+			t.Fatalf("TTI %d: RIB size first %d second %d", step, as, bs)
 		}
 	}
 }
@@ -192,7 +189,7 @@ func TestDeterminismMidRunInspection(t *testing.T) {
 // walking UE population crossing the borders in both directions (plus
 // static bystanders), geometry-derived CQI, jittery control channels and
 // a registered mobility manager. Returns the sim with the manager wired.
-func mobileScenario(workers int) (*sim.Sim, *apps.MobilityManager) {
+func mobileScenario() (*sim.Sim, *apps.MobilityManager) {
 	rmap := radio.NewMap(
 		radio.Site{ENB: 1, Cell: 0, Tx: radio.Transmitter{Pos: radio.Point{X: 0}, PowerDBm: 43}},
 		radio.Site{ENB: 2, Cell: 0, Tx: radio.Transmitter{Pos: radio.Point{X: 800}, PowerDBm: 43}},
@@ -232,7 +229,7 @@ func mobileScenario(workers int) (*sim.Sim, *apps.MobilityManager) {
 		enbs = append(enbs, spec)
 	}
 	opts := controller.DefaultOptions()
-	s := sim.MustNew(sim.Config{Master: &opts, Workers: workers}, enbs...)
+	s := sim.MustNew(sim.Config{Master: &opts}, enbs...)
 	mm := apps.NewMobilityManager()
 	s.Master.Register(mm, 5)
 	return s, mm
@@ -283,12 +280,11 @@ func mobileSnap(s *sim.Sim, mm *apps.MobilityManager) mobileSnapshot {
 }
 
 // TestDeterminismMobile is the handover-heavy determinism gate: a world
-// full of migrating UEs must evolve bit-for-bit identically — including
-// handover counts, ordering and per-UE delivered bytes — for every
-// worker-pool size.
+// full of migrating UEs must evolve bit-for-bit identically on every run —
+// including handover counts, ordering and per-UE delivered bytes.
 func TestDeterminismMobile(t *testing.T) {
 	const ttis = 12000 // 12 s: several border crossings per walker
-	ref, refMM := mobileScenario(1)
+	ref, refMM := mobileScenario()
 	ref.Run(ttis)
 	want := mobileSnap(ref, refMM)
 
@@ -301,47 +297,31 @@ func TestDeterminismMobile(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{2, 4} {
-		s, mm := mobileScenario(workers)
-		s.Run(ttis)
-		got := mobileSnap(s, mm)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Workers=%d diverged from serial engine", workers)
-			if !reflect.DeepEqual(got.Handovers, want.Handovers) {
-				t.Errorf("  handover log: got %d records %+v\n  want %d %+v",
-					len(got.Handovers), got.Handovers, len(want.Handovers), want.Handovers)
-			}
-			if !reflect.DeepEqual(got.Reports, want.Reports) {
-				for imsi, wr := range want.Reports {
-					if !reflect.DeepEqual(got.Reports[imsi], wr) {
-						t.Errorf("  UE %d: got %+v\n  want %+v", imsi, got.Reports[imsi], wr)
-						break
-					}
+	s, mm := mobileScenario()
+	s.Run(ttis)
+	got := mobileSnap(s, mm)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("a second run diverged from the first")
+		if !reflect.DeepEqual(got.Handovers, want.Handovers) {
+			t.Errorf("  handover log: got %d records %+v\n  want %d %+v",
+				len(got.Handovers), got.Handovers, len(want.Handovers), want.Handovers)
+		}
+		if !reflect.DeepEqual(got.Reports, want.Reports) {
+			for imsi, wr := range want.Reports {
+				if !reflect.DeepEqual(got.Reports[imsi], wr) {
+					t.Errorf("  UE %d: got %+v\n  want %+v", imsi, got.Reports[imsi], wr)
+					break
 				}
 			}
-			if !reflect.DeepEqual(got.RIBUEs, want.RIBUEs) {
-				t.Errorf("  RIB UE stats diverged")
-			}
-			if !reflect.DeepEqual(got.Bearers, want.Bearers) {
-				t.Errorf("  bearer accounting diverged")
-			}
-			if !reflect.DeepEqual(got.Meters, want.Meters) {
-				t.Errorf("  signaling meters diverged")
-			}
 		}
-	}
-}
-
-// TestWorkersDefault checks the pool-size plumbing: the engine is serial
-// unless a caller asks for a pool, whatever GOMAXPROCS says.
-func TestWorkersDefault(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	opts := controller.DefaultOptions()
-	for _, tc := range []struct{ cfg, want int }{{0, 1}, {-3, 1}, {1, 1}, {3, 3}, {4, 4}} {
-		s := sim.MustNew(sim.Config{Master: &opts, Workers: tc.cfg},
-			sim.ENBSpec{ID: 1, Agent: true})
-		if s.Workers() != tc.want {
-			t.Errorf("Config{Workers: %d}: Workers() = %d, want %d", tc.cfg, s.Workers(), tc.want)
+		if !reflect.DeepEqual(got.RIBUEs, want.RIBUEs) {
+			t.Errorf("  RIB UE stats diverged")
+		}
+		if !reflect.DeepEqual(got.Bearers, want.Bearers) {
+			t.Errorf("  bearer accounting diverged")
+		}
+		if !reflect.DeepEqual(got.Meters, want.Meters) {
+			t.Errorf("  signaling meters diverged")
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // eNodeB 1's agent has no control channel.
 func faultWorld(t *testing.T, linked bool) *Sim {
 	t.Helper()
-	cfg := Config{Workers: 1}
+	cfg := Config{}
 	if linked {
 		cfg.Master = opts()
 	}

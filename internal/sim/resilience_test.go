@@ -19,7 +19,7 @@ import (
 // compared bit for bit.
 func resilienceScenario(t *testing.T, opts controller.Options) *sim.Sim {
 	t.Helper()
-	s := sim.MustNew(sim.Config{Master: &opts, Workers: 1},
+	s := sim.MustNew(sim.Config{Master: &opts},
 		sim.ENBSpec{ID: 1, Agent: true, Seed: 1, UEs: []sim.UESpec{
 			{IMSI: 101, Channel: radio.Fixed(12)},
 			{IMSI: 102, Channel: radio.Fixed(7)},
@@ -182,9 +182,9 @@ func TestLinkCutHeartbeatDetectsAndResyncRecovers(t *testing.T) {
 // chaosScenario is the determinism scenario plus a scripted fault timeline:
 // link cuts, restores, restarts and reconnect storms across half the
 // eNodeBs — and gray impairments (bursty loss, duplication, reordering,
-// corruption, stalls) on the other half — identical for every worker count.
-func chaosScenario(workers int) *sim.Sim {
-	s := detScenario(workers)
+// corruption, stalls) on the other half — identical on every run.
+func chaosScenario() *sim.Sim {
+	s := detScenario()
 	s.InjectFaults(
 		sim.Fault{At: 200, Kind: sim.FaultLinkCut, ENB: 1},
 		sim.Fault{At: 400, Kind: sim.FaultLinkRestore, ENB: 1},
@@ -218,10 +218,10 @@ func chaosScenario(workers int) *sim.Sim {
 
 // TestChaosDeterminism: the failure-injection machinery must preserve the
 // engine's bit-for-bit determinism guarantee — the same chaotic timeline
-// stepped serially and with parallel pools leaves identical worlds.
+// stepped twice leaves identical worlds.
 func TestChaosDeterminism(t *testing.T) {
 	const ttis = 1200
-	ref := chaosScenario(1)
+	ref := chaosScenario()
 	ref.Run(ttis)
 	want := snapshot(ref)
 
@@ -235,21 +235,19 @@ func TestChaosDeterminism(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{2, 4, 8} {
-		s := chaosScenario(workers)
-		s.Run(ttis)
-		got := snapshot(s)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Workers=%d diverged from serial engine under chaos", workers)
-			if !reflect.DeepEqual(got.RIBUEs, want.RIBUEs) {
-				t.Errorf("  RIB UE stats diverged")
-			}
-			if !reflect.DeepEqual(got.Meters, want.Meters) {
-				t.Errorf("  signaling meters diverged")
-			}
-			if !reflect.DeepEqual(got.Reports, want.Reports) {
-				t.Errorf("  UE reports diverged")
-			}
+	s := chaosScenario()
+	s.Run(ttis)
+	got := snapshot(s)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("a second run diverged from the first under chaos")
+		if !reflect.DeepEqual(got.RIBUEs, want.RIBUEs) {
+			t.Errorf("  RIB UE stats diverged")
+		}
+		if !reflect.DeepEqual(got.Meters, want.Meters) {
+			t.Errorf("  signaling meters diverged")
+		}
+		if !reflect.DeepEqual(got.Reports, want.Reports) {
+			t.Errorf("  UE reports diverged")
 		}
 	}
 }

@@ -12,13 +12,10 @@
 // subframe per eNodeB. The ordering mirrors the real system's pipeline and
 // keeps results reproducible.
 //
-// The engine is serial by default and can be sharded: with Config.Workers
-// > 1 eNodeBs are partitioned across a worker pool and each phase of the
-// TTI runs in parallel across the shards with a barrier before the next
-// phase. All mutable state touched
-// inside a phase is owned by exactly one eNodeB (its node, agent, control
-// endpoints and per-session master ingest queue), so results are
-// bit-for-bit identical to the serial engine — see TestDeterminism.
+// The engine is serial: one goroutine steps every eNodeB of a Sim, one
+// at a time, so its eNodeBs share one scheduler working set (enb.Workset)
+// and an idle eNodeB holds none. The same world stepped twice gives the
+// same result to the bit — see TestDeterminism.
 //
 // A TTI costs its awake eNodeBs, not its attached ones. The awake set, a
 // bitset over node indices, names the nodes that run the injection and
@@ -27,12 +24,9 @@
 // after the data phase and is filed in the wake calendar, an indexed
 // min-heap keyed (wake, node index) that returns it at the start of the
 // Step it is due. The control phase still visits every node with a
-// control channel, because endpoint clocks advance every TTI. Early wakes
-// keep the one-owner rule: faults, handovers and cross-eNodeB spills run
-// serially and set a node's bit (dropping its calendar entry) directly,
-// while a message delivered inside the parallel control phase only flags
-// its own node, and the barrier after the phase moves flagged nodes into
-// the set.
+// control channel, because endpoint clocks advance every TTI. Faults,
+// handovers, cross-eNodeB spills and delivered control messages wake a
+// node early: they set its bit and drop its calendar entry.
 package sim
 
 import (
@@ -40,7 +34,6 @@ import (
 	"sort"
 
 	"flexran/internal/agent"
-	"flexran/internal/conc"
 	"flexran/internal/controller"
 	"flexran/internal/enb"
 	"flexran/internal/epc"
@@ -86,15 +79,9 @@ type Config struct {
 	// Master enables a master controller with these options; nil runs
 	// the eNodeBs standalone (the "vanilla" mode of Fig. 6).
 	Master *controller.Options
-	// Workers opts into the TTI engine's worker pool: with N > 1 each
-	// phase of a Step is partitioned across N goroutines by eNodeB, with
-	// barrier synchronization between phases. Any value below 2 runs the
-	// engine serially, which is the default because the pool measured
-	// slower than the serial engine on every world up to 4,096 eNodeBs at
-	// 2 vCPUs. Results are identical for every value (the determinism
-	// guarantee the regression tests enforce). Unless Master.Workers is
-	// set explicitly, the master's RIB-updater slot inherits the same pool
-	// size.
+	// Workers is the size of the worker pool the engine no longer has.
+	//
+	// Deprecated: ignored; kept for bench/ until ROADMAP item B.
 	Workers int
 	// NoFastForward disables idle-cell fast-forward: every node stays in
 	// the awake set and the wake calendar stays empty, so every eNodeB
@@ -122,14 +109,10 @@ type Node struct {
 	bearers []*epc.Bearer
 
 	// spill holds downlink injections whose bearer points at a foreign
-	// eNodeB (possible after a handover); they are replayed serially
-	// after the injection phase so no two workers touch one eNodeB.
+	// eNodeB (possible after a handover); the engine replays them after
+	// the injection phase, waking the target if it sleeps.
 	spill []spillDL
 
-	// woken records a control message delivered to this node in the
-	// master->agent phase; the barrier after the phase moves the node into
-	// the awake set, which no worker may write.
-	woken bool
 	// idx is the node's position in Sim.Nodes: its bit in the awake set
 	// and its key in the wake calendar.
 	idx int32
@@ -155,7 +138,7 @@ type spillDL struct {
 
 // link is the state of one node's control channel to the master: the two
 // simulated endpoints, the master-side session, and what the control phase
-// and the fault paths keep for the node between barriers.
+// and the fault paths keep for the node between phases.
 type link struct {
 	aEp     *transport.SimEndpoint // agent side of the control channel
 	mEp     *transport.SimEndpoint // master side
@@ -170,13 +153,10 @@ type link struct {
 	// other than echoes: applied in arrival order on resume, dropped by a
 	// restart.
 	stallQ []*protocol.Message
-	// phaseErr records a control-channel decode failure inside a
-	// parallel phase, surfaced as a panic at the barrier.
-	phaseErr error
 	// pendingHO collects handover commands delivered to the node's agent
-	// during the control phase; the engine applies them serially at the
-	// following barrier, ordered by IMSI, so migrations are deterministic
-	// for every worker-pool size.
+	// during the control phase; the engine applies them after the phase,
+	// ordered by IMSI, so no migration lands in the middle of another
+	// node's deliveries.
 	pendingHO []protocol.HandoverCommand
 }
 
@@ -280,12 +260,13 @@ type Sim struct {
 	EPC    *epc.EPC
 	Nodes  []*Node
 
-	byENB   map[lte.ENBID]*Node
-	hoLog   []HandoverRecord
-	faults  []Fault // sorted by At, stable
-	sf      lte.Subframe
-	workers int
-	noFF    bool
+	byENB  map[lte.ENBID]*Node
+	hoLog  []HandoverRecord
+	faults []Fault // sorted by At, stable
+	sf     lte.Subframe
+	noFF   bool
+	// ws is the scheduler working set every eNodeB of the Sim shares.
+	ws enb.Workset
 
 	// awake holds the nodes that run the injection and data phases of
 	// this TTI; cal files the sleepers with a finite wake. A node is in at
@@ -305,22 +286,24 @@ type Sim struct {
 // one; ToMaster and ToAgent are ignored) and no handover executor, so its
 // agent rejects handover commands, as in a Sim without a master.
 func NewNode(spec ENBSpec) (*Node, error) {
-	n := newNode(spec)
+	n := newNode(spec, nil)
 	if err := n.addUEs(epc.New()); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// newNode builds a spec's eNodeB and, when the spec asks for one, its
-// agent. addUEs completes the node; a caller that links the agent does so
-// in between, so the Hello and the UEs' random-access events ride the link.
-func newNode(spec ENBSpec) *Node {
+// newNode builds a spec's eNodeB on scheduler working set ws (nil for one
+// of its own) and, when the spec asks for one, its agent. addUEs completes
+// the node; a caller that links the agent does so in between, so the
+// Hello and the UEs' random-access events ride the link.
+func newNode(spec ENBSpec, ws *enb.Workset) *Node {
 	e := enb.New(enb.Config{
 		ID:               spec.ID,
 		Cells:            spec.Cells,
 		Seed:             spec.Seed,
 		AttachTimeoutTTI: spec.AttachTimeoutTTI,
+		Workset:          ws,
 	})
 	n := &Node{ENB: e, specs: spec.UEs}
 	if spec.Agent {
@@ -353,24 +336,19 @@ func (n *Node) addUEs(c *epc.EPC) error {
 // New builds a scenario: eNodeBs, agents, control channels, EPC bearers
 // and UEs (whose attach procedures start at subframe 0).
 func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
-	workers := max(cfg.Workers, 1)
-	s := &Sim{EPC: epc.New(), workers: workers, byENB: map[lte.ENBID]*Node{}, noFF: cfg.NoFastForward}
+	s := &Sim{EPC: epc.New(), byENB: map[lte.ENBID]*Node{}, noFF: cfg.NoFastForward}
 	if cfg.Master != nil {
-		mo := *cfg.Master
-		if mo.Workers == 0 {
-			mo.Workers = workers
-		}
-		s.Master = controller.NewMaster(mo)
+		s.Master = controller.NewMaster(*cfg.Master)
 	}
 	for _, spec := range enbs {
-		n := newNode(spec)
+		n := newNode(spec, &s.ws)
 		n.idx = int32(len(s.Nodes))
 		if n.Agent != nil && s.Master != nil {
 			l := &link{}
 			n.link = l
 			// Handover commands, which only the master sends, are queued
-			// on the link and executed at the engine's post-control
-			// barrier (deterministic order).
+			// on the link and executed after the control phase
+			// (deterministic order).
 			n.Agent.SetHandoverExecutor(func(cmd *protocol.HandoverCommand) error {
 				l.pendingHO = append(l.pendingHO, *cmd)
 				return nil
@@ -409,51 +387,12 @@ func MustNew(cfg Config, enbs ...ENBSpec) *Sim {
 // Now returns the current subframe.
 func (s *Sim) Now() lte.Subframe { return s.sf }
 
-// Workers reports the engine's worker-pool size.
-func (s *Sim) Workers() int { return s.workers }
-
-// forEach runs phase once for every node listed in idx: a plain loop in
-// ascending order on the serial engine; with more than one worker the
-// nodes are claimed off a shared counter by a pool of goroutines, and the
-// call returns only when every node is done (the phase barrier). Phases
-// are method expressions, so only the pool allocates.
-func (s *Sim) forEach(idx []int32, phase func(*Sim, *Node)) {
-	if s.workers < 2 {
-		for _, i := range idx {
-			phase(s, s.Nodes[i])
-		}
-		return
-	}
-	conc.ForEach(s.workers, len(idx), func(k int) { phase(s, s.Nodes[idx[k]]) })
-}
-
-// barrier closes a control phase serially: it moves every node a
-// delivered message woke into the awake set and surfaces the first error
-// a worker recorded.
-func (s *Sim) barrier(phase string) {
-	for _, i := range s.linked {
-		n := s.Nodes[i]
-		if n.woken {
-			n.woken = false
-			s.rouse(n)
-		}
-		if err := n.link.phaseErr; err != nil {
-			n.link.phaseErr = nil
-			panic(fmt.Sprintf("sim: corrupt control message (%s, eNB %d): %v",
-				phase, n.ENB.ID(), err))
-		}
-	}
-}
-
 // rouse puts a node in the awake set for the rest of the TTI, taking it
-// out of the wake calendar. Serial only.
+// out of the wake calendar.
 func (s *Sim) rouse(n *Node) {
 	s.awake.add(n.idx)
 	s.cal.remove(n.idx)
 }
-
-// injectTraffic is phase 1 for one node.
-func (s *Sim) injectTraffic(n *Node) { n.Inject(s.sf) }
 
 // Inject feeds the node's traffic for subframe sf: per-UE downlink bytes
 // through the EPC and uplink bytes into the eNodeB. The caller steps the
@@ -467,8 +406,8 @@ func (n *Node) Inject(sf lte.Subframe) {
 			if b := spec.DL.BytesAt(sf); b > 0 {
 				// The bearer normally terminates at this node's own
 				// eNodeB; after a handover it may point at a foreign
-				// one, whose queues another worker owns — defer those
-				// to the serial mop-up after the barrier.
+				// one, which the engine may have to wake first — defer
+				// those to its mop-up after the injection phase.
 				if br := n.bearers[i]; br.ENB != id {
 					n.spill = append(n.spill, spillDL{br: br, bytes: b})
 				} else {
@@ -523,9 +462,8 @@ func (s *Sim) drainSpill() {
 }
 
 // applyHandovers executes the UE migrations commanded during the control
-// phase. It runs serially at the barrier between the control and data
-// planes, with commands ordered by IMSI, so the outcome is identical for
-// every worker-pool size.
+// phase. It runs between the control and data planes, with commands
+// ordered by IMSI.
 func (s *Sim) applyHandovers() {
 	type hoJob struct {
 		cmd protocol.HandoverCommand
@@ -650,9 +588,8 @@ func (s *Sim) InjectFaults(faults ...Fault) {
 	})
 }
 
-// applyFaults fires every fault due at the current subframe, serially and
-// in schedule order (the chaos phase stays deterministic for any worker
-// count: it runs before the parallel phases of the Step).
+// applyFaults fires every fault due at the current subframe, in schedule
+// order, before the phases of the Step.
 func (s *Sim) applyFaults() {
 	for len(s.faults) > 0 && s.faults[0].At <= s.sf {
 		f := s.faults[0]
@@ -758,8 +695,7 @@ func (s *Sim) reconnect(l *link, a *agent.Agent) {
 }
 
 // Step advances the world by one TTI: the phases below run in the fixed
-// documented order, each parallel across eNodeBs with a barrier before
-// the next.
+// documented order, each over the eNodeBs in ascending index order.
 //
 // Idle fast-forward rides on top of the phases without changing them:
 // the injection and data phases run only over the awake set, so a node
@@ -773,17 +709,19 @@ func (s *Sim) reconnect(l *link, a *agent.Agent) {
 // stepping. After the data phase one serial pass over that TTI's awake
 // nodes files each node whose new wake lies beyond the next subframe.
 // Every sleep decision is a pure function of node-owned state, so results
-// stay bit-for-bit identical for every worker count and with the skipping
-// disabled (Config.NoFastForward).
+// stay bit-for-bit identical with the skipping disabled
+// (Config.NoFastForward).
 func (s *Sim) Step() {
-	// 0. Due sleepers rejoin the awake set; failure injection (serial;
-	// see applyFaults) wakes its targets.
+	// 0. Due sleepers rejoin the awake set; failure injection (see
+	// applyFaults) wakes its targets.
 	s.cal.popDue(s.sf, s.awake)
 	s.applyFaults()
 
 	// 1. Traffic injection.
 	s.run = s.awake.appendTo(s.run[:0])
-	s.forEach(s.run, (*Sim).injectTraffic)
+	for _, i := range s.run {
+		s.Nodes[i].Inject(s.sf)
+	}
 	s.drainSpill()
 
 	// 2. Control plane: agent->master deliveries, master cycle,
@@ -792,21 +730,23 @@ func (s *Sim) Step() {
 	// match the non-skipping engine — and they are nearly free when
 	// nothing is in flight.
 	if s.Master != nil {
-		s.forEach(s.linked, (*Sim).deliverToMaster)
-		s.barrier("agent->master")
-		// The master cycle itself is one phase on one goroutine; its
-		// RIB-updater slot fans out internally (controller.Options.Workers).
+		for _, i := range s.linked {
+			s.deliverToMaster(s.Nodes[i])
+		}
 		s.Master.Tick()
-		s.forEach(s.linked, (*Sim).deliverToAgent)
-		s.barrier("master->agent")
-		// Handover barrier: commanded UE migrations move whole UE
-		// contexts across eNodeB shards, serially and IMSI-ordered.
+		for _, i := range s.linked {
+			s.deliverToAgent(s.Nodes[i])
+		}
+		// Commanded UE migrations move whole UE contexts across eNodeBs,
+		// IMSI-ordered.
 		s.applyHandovers()
 	}
 
 	// 3. Data plane, over the awake set as the earlier phases left it.
 	s.run = s.awake.appendTo(s.run[:0])
-	s.forEach(s.run, (*Sim).stepNode)
+	for _, i := range s.run {
+		s.stepNode(s.Nodes[i])
+	}
 	if !s.noFF {
 		s.fileSleepers()
 	}
@@ -818,8 +758,7 @@ func (s *Sim) deliverToMaster(n *Node) {
 	l := n.link
 	l.mBatch = l.mBatch[:0]
 	if err := l.mEp.AdvanceInto(s.sf, &l.mBatch); err != nil {
-		l.phaseErr = err
-		return
+		corrupt("agent->master", n, err)
 	}
 	// Ownership moves to the master, which releases each message back to
 	// the protocol free lists once the RIB updater has applied it.
@@ -831,17 +770,14 @@ func (s *Sim) deliverToAgent(n *Node) {
 	l := n.link
 	l.aBatch = l.aBatch[:0]
 	if err := l.aEp.AdvanceInto(s.sf, &l.aBatch); err != nil {
-		l.phaseErr = err
-		return
+		corrupt("master->agent", n, err)
 	}
 	if len(l.aBatch) == 0 {
 		return
 	}
-	// An arriving message wakes a sleeping node (the barrier moves it into
-	// the awake set). The agent's handlers read the eNodeB clock, so sync
-	// it first.
-	n.woken = true
-	s.syncNode(n)
+	// An arriving message wakes a sleeping node. The agent's handlers read
+	// the eNodeB clock, so sync it first.
+	s.wakeNode(n)
 	// A wedged control loop (agent_stall) answers liveness probes — the
 	// I/O thread is alive — but everything else waits in stallQ until the
 	// resume fault (or dies with an agent restart).
@@ -859,6 +795,12 @@ func (s *Sim) deliverToAgent(n *Node) {
 	}
 }
 
+// corrupt panics on a control-channel decode failure of one leg of a
+// node's link.
+func corrupt(leg string, n *Node, err error) {
+	panic(fmt.Sprintf("sim: corrupt control message (%s, eNB %d): %v", leg, n.ENB.ID(), err))
+}
+
 // stepNode is the data phase for one awake node: its eNodeB subframe,
 // then (with fast-forward on) a fresh wake proof.
 func (s *Sim) stepNode(n *Node) {
@@ -869,7 +811,7 @@ func (s *Sim) stepNode(n *Node) {
 	}
 }
 
-// fileSleepers is the serial pass after the data phase: every node of the
+// fileSleepers is the pass after the data phase: every node of the
 // TTI whose wake lies beyond the next subframe leaves the awake set and,
 // unless it never wakes on its own, is filed in the calendar.
 func (s *Sim) fileSleepers() {

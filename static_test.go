@@ -18,6 +18,40 @@ import (
 // times what a whole idle eNodeB costs, so a single import in a per-UE or
 // per-eNodeB model would undo the memory gates several times over.
 func TestNoMathRandV1OutsideBench(t *testing.T) {
+	files := walkImports(t, false, func(at token.Position, path string) {
+		if path == "math/rand" {
+			t.Errorf("%s imports math/rand; draw from internal/rng instead", at)
+		}
+	})
+	if files < 50 {
+		t.Fatalf("walked only %d program files; the guard is not looking at the module", files)
+	}
+	t.Logf("%d program files import no math/rand", files)
+}
+
+// TestNoConcOutsideBench is a static guard on the module's files, tests
+// included: none outside bench/ may import internal/conc. The TTI engine
+// and the master's RIB updater are serial — their worker pools measured
+// slower than serial on every world tried — and internal/conc, their
+// fork-join primitive, stays only because bench/ still compiles against
+// it.
+func TestNoConcOutsideBench(t *testing.T) {
+	files := walkImports(t, true, func(at token.Position, path string) {
+		if path == "flexran/internal/conc" {
+			t.Errorf("%s imports internal/conc; the engine is serial", at)
+		}
+	})
+	if files < 100 {
+		t.Fatalf("walked only %d files; the guard is not looking at the module", files)
+	}
+}
+
+// walkImports calls fn with every import of every Go file of the module
+// outside bench/ (its own module, whose workloads are frozen) and hidden
+// directories, test files only when tests is set, and returns how many
+// files it parsed.
+func walkImports(t *testing.T, tests bool, fn func(at token.Position, path string)) int {
+	t.Helper()
 	fset := token.NewFileSet()
 	files := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -30,7 +64,7 @@ func TestNoMathRandV1OutsideBench(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || (!tests && strings.HasSuffix(path, "_test.go")) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
@@ -39,19 +73,15 @@ func TestNoMathRandV1OutsideBench(t *testing.T) {
 		}
 		files++
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "math/rand" {
-				t.Errorf("%s imports math/rand; draw from internal/rng instead", fset.Position(imp.Pos()))
-			}
+			p, _ := strconv.Unquote(imp.Path.Value)
+			fn(fset.Position(imp.Pos()), p)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if files < 50 {
-		t.Fatalf("walked only %d program files; the guard is not looking at the module", files)
-	}
-	t.Logf("%d program files import no math/rand", files)
+	return files
 }
 
 // TestNoWallClockInSimClockedPackages is a static guard on the packages
