@@ -128,12 +128,9 @@ type session struct {
 	// session step).
 	enb   lte.ENBID
 	epoch uint64
-	// watch records the RIB deltas this cycle's updater produced for the
-	// session, populated only while the watch hub has consumers (see
-	// watch.go); gone marks a closed session the session step found
-	// drained, to be dropped from the ingest list.
-	watch []WatchEvent
-	gone  bool
+	// gone marks a closed session the session step found drained, to be
+	// dropped from the ingest list.
+	gone bool
 	// lastReport is the cycle of the last StatsReply (the health
 	// monitor's staleness signal); lastWelcome backs off subscription
 	// maintenance so a quiet agent is re-welcomed at most once per
@@ -233,11 +230,15 @@ type Master struct {
 	// cycle (see EmitSliceEvent).
 	pendingSliceWatch []WatchEvent
 
-	// watch fans the RIB delta stream out to subscribers; watchSeq is the
-	// stream's serial sequence counter (tick goroutine only); cmdTrack is
-	// the command-outcome registry behind the northbound actuation
-	// endpoints. See watch.go and outcome.go.
+	// watch fans the RIB delta stream out to subscribers; watchEvs is the
+	// cycle's event list, which Tick opens, the updater appends to while
+	// the hub has consumers and emitWatch completes and publishes (tick
+	// goroutine only, reused across cycles); watchSeq is the stream's
+	// serial sequence counter; cmdTrack is the command-outcome registry
+	// behind the northbound actuation endpoints. See watch.go and
+	// outcome.go.
 	watch    watchHub
+	watchEvs []WatchEvent
 	watchSeq uint64
 	cmdTrack cmdTracker
 
@@ -254,10 +255,9 @@ type Master struct {
 	// allocates nothing: at controller scale (thousands of attached agents,
 	// most idle) rebuilding these arrays every TTI dominated Tick's
 	// allocation profile. Entries are overwritten each cycle before use.
-	enbScratch   []lte.ENBID // binding snapshot
-	sessScratch  []*session
-	appScratch   []*appEntry
-	watchScratch []WatchEvent
+	enbScratch  []lte.ENBID // binding snapshot
+	sessScratch []*session
+	appScratch  []*appEntry
 }
 
 // NewMaster builds a master controller.
@@ -421,8 +421,13 @@ func (m *Master) Tick() {
 	apps := append(m.appScratch[:0], m.apps...)
 	m.appScratch = apps
 	// Sessions closed since the last cycle (transport closes) publish
-	// before anything this cycle's updater produces.
-	priorDown := m.pendingDown
+	// before anything this cycle's updater produces: their down events
+	// open the cycle's event list.
+	evs := m.watchEvs[:0]
+	for _, enb := range m.pendingDown {
+		evs = append(evs, WatchEvent{Kind: WatchDown, ENB: enb})
+	}
+	m.watchEvs = evs
 	m.pendingDown = nil
 	// Slice events emitted during the previous application slot publish
 	// this cycle.
@@ -438,7 +443,6 @@ func (m *Master) Tick() {
 	}
 	for _, s := range sessions {
 		s.drain()
-		s.watch = s.watch[:0]
 	}
 	for _, s := range sessions {
 		m.applyBatch(s)
@@ -473,7 +477,7 @@ func (m *Master) Tick() {
 	m.recordFailures(cmdFails)
 	var watchEvs []WatchEvent
 	if m.watch.active() {
-		watchEvs = m.emitWatch(priorDown, sessions, postDown, st.health, cmdFails, sliceWatch)
+		watchEvs = m.emitWatch(postDown, st.health, cmdFails, sliceWatch)
 	}
 
 	// --- Application slot ---
@@ -554,7 +558,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 		m.verifySubscriptions(msg.ENB, p.Subs)
 		s.lastReport = m.cycle
 		if m.watch.active() {
-			s.watch = append(s.watch, WatchEvent{Kind: WatchUp, ENB: msg.ENB, SF: p.SF})
+			m.watchEvs = append(m.watchEvs, WatchEvent{Kind: WatchUp, ENB: msg.ENB, SF: p.SF})
 		}
 		// As with Hello: a close racing the apply may have run its
 		// applyDisconnect before the resync marked the agent live again;
@@ -574,7 +578,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 			for _, r := range p.UEs.DLRateKbps {
 				kbps += float64(r)
 			}
-			s.watch = append(s.watch, WatchEvent{
+			m.watchEvs = append(m.watchEvs, WatchEvent{
 				Kind: WatchStats, ENB: msg.ENB, SF: p.SF,
 				UEs: p.UEs.Len(), DLKbps: kbps,
 			})
@@ -582,7 +586,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 	case *protocol.UEEvent:
 		m.rib.applyUEEvent(msg.ENB, p)
 		if m.watch.active() {
-			s.watch = append(s.watch, WatchEvent{
+			m.watchEvs = append(m.watchEvs, WatchEvent{
 				Kind: WatchUE, ENB: msg.ENB, SF: msg.SF,
 				Cell: p.Cell, RNTI: p.RNTI, UEType: p.Type,
 			})
@@ -604,7 +608,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 	case *protocol.MeasReport:
 		m.rib.applyMeasReport(msg.ENB, msg.SF, p)
 		if m.watch.active() {
-			s.watch = append(s.watch, WatchEvent{
+			m.watchEvs = append(m.watchEvs, WatchEvent{
 				Kind: WatchMeas, ENB: msg.ENB, SF: msg.SF, Cell: p.Cell, RNTI: p.RNTI,
 				Payload: p,
 			})
@@ -612,7 +616,7 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 	case *protocol.HandoverComplete:
 		m.rib.applyHandoverComplete(msg.ENB, p)
 		if m.watch.active() {
-			s.watch = append(s.watch, WatchEvent{
+			m.watchEvs = append(m.watchEvs, WatchEvent{
 				Kind: WatchHandover, ENB: msg.ENB, SF: msg.SF, Cell: p.Cell, RNTI: p.RNTI,
 				Payload: p,
 			})
@@ -671,14 +675,14 @@ func (m *Master) handleHello(s *session, enb lte.ENBID, p *protocol.Hello) {
 	}
 	m.mu.Unlock()
 	if takeover && m.watch.active() {
-		s.watch = append(s.watch, WatchEvent{Kind: WatchDown, ENB: enb})
+		m.watchEvs = append(m.watchEvs, WatchEvent{Kind: WatchDown, ENB: enb})
 	}
 	if !dup {
 		// A duplicate Hello (lost HelloAck, retransmission) must not wipe
 		// the shard the first one built; it only re-triggers the welcome.
 		m.rib.applyHello(enb, p.Config)
 		if m.watch.active() {
-			s.watch = append(s.watch, WatchEvent{Kind: WatchHello, ENB: enb})
+			m.watchEvs = append(m.watchEvs, WatchEvent{Kind: WatchHello, ENB: enb})
 		}
 	}
 	m.welcome(enb)

@@ -19,13 +19,14 @@ import (
 // watchers (Master.Watch) and in-process applications (WatchApp) — get
 // incremental deltas instead of polling snapshots.
 //
-// The updater appends each session's events to the session's own
-// recording, and Tick then merges the recordings in session attach order,
-// assigns sequence numbers and publishes. The stream is therefore
-// deterministic — same events, same order, same sequence numbers — and
-// the whole layer is atomically gated:
-// with no watcher and no WatchApp registered, the hot path pays one atomic
-// load per message and appends nothing.
+// Each cycle builds one event list on the tick goroutine: Tick opens it
+// with the down events of sessions that closed since the last cycle, the
+// updater appends its events as it applies the sessions' batches in
+// attach order, and the publish phase appends the rest, assigns sequence
+// numbers and publishes. The stream is therefore deterministic — same
+// events, same order, same sequence numbers — and the whole layer is
+// atomically gated: with no watcher and no WatchApp registered, the hot
+// path pays one atomic load per message and appends nothing.
 
 // WatchKind classifies one RIB delta; kinds are bits so a WatchFilter can
 // select any subset.
@@ -338,23 +339,17 @@ func (m *Master) Watch(filter WatchFilter, buffer int) *Watcher {
 	return w
 }
 
-// emitWatch is Tick's serial publish phase: it concatenates this cycle's
-// deltas in the deterministic stream order — sessions closed before the
-// updater ran, then each session's recorded events in attach order,
-// then sessions closed after the updater (heartbeat closes), then health
-// transitions, then delivery failures, then slice transitions queued
-// during the previous application slot — assigns gap-free sequence
-// numbers, and fans the batch out to watchers. The merged slice is reused
-// scratch, returned for the in-process WatchApp dispatch.
-func (m *Master) emitWatch(prior []lte.ENBID, sessions []*session, post []lte.ENBID,
-	health []WatchEvent, fails []cmdFailure, slices []WatchEvent) []WatchEvent {
-	evs := m.watchScratch[:0]
-	for _, enb := range prior {
-		evs = append(evs, WatchEvent{Kind: WatchDown, ENB: enb})
-	}
-	for _, s := range sessions {
-		evs = append(evs, s.watch...)
-	}
+// emitWatch is Tick's serial publish phase. The cycle's event list already
+// holds the sessions closed before the updater ran, then the updater's
+// events in session attach order; emitWatch appends, in the deterministic
+// stream order, the sessions closed after the updater (heartbeat closes),
+// then health transitions, then delivery failures, then slice transitions
+// queued during the previous application slot, assigns gap-free sequence
+// numbers, and fans the list out to watchers. The list is reused scratch,
+// returned for the in-process WatchApp dispatch.
+func (m *Master) emitWatch(post []lte.ENBID, health []WatchEvent, fails []cmdFailure,
+	slices []WatchEvent) []WatchEvent {
+	evs := m.watchEvs
 	for _, enb := range post {
 		evs = append(evs, WatchEvent{Kind: WatchDown, ENB: enb})
 	}
@@ -370,7 +365,7 @@ func (m *Master) emitWatch(prior []lte.ENBID, sessions []*session, post []lte.EN
 		evs[i].Seq = m.watchSeq
 		evs[i].Cycle = m.cycle
 	}
-	m.watchScratch = evs
+	m.watchEvs = evs
 	m.watch.publish(evs)
 	return evs
 }

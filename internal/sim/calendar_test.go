@@ -50,9 +50,10 @@ func calendarWorld(noFF bool) *Sim {
 // aimed at filed sleepers: a link cut (500) and restore (900) on node 4
 // and an agent restart (1100) on node 5, all fault-scripted; an EPC path
 // switch (1300) that leaves node 3's UE bearer terminating at node 6, so
-// node 3's one-TTI CBR burst at 1500 is a cross-eNodeB spill into node 6;
-// and a handover of node 8's UE to node 7 (1800). Between steps it reads
-// ReportByIMSI, which syncs sleeping clocks. check runs after every Step.
+// node 3's one-TTI CBR burst at 1500 is a cross-eNodeB injection into
+// node 6; and a handover of node 8's UE to node 7 (1800). Between steps it
+// reads ReportByIMSI, which syncs sleeping clocks. check runs after every
+// Step.
 func calendarScript(t *testing.T, s *Sim, check func()) {
 	t.Helper()
 	s.InjectFaults(
@@ -69,9 +70,9 @@ func calendarScript(t *testing.T, s *Sim, check func()) {
 			}
 		case 1800:
 			src := s.Nodes[7]
-			src.link.pendingHO = append(src.link.pendingHO, protocol.HandoverCommand{
+			s.hoQ = append(s.hoQ, hoJob{src: src, cmd: protocol.HandoverCommand{
 				RNTI: src.RNTIs[0], IMSI: 801, TargetENB: 7, TargetCell: 0,
-			})
+			}})
 		}
 		s.Step()
 		check()
@@ -118,10 +119,10 @@ func checkWakeCalendar(t *testing.T, s *Sim) {
 }
 
 // TestWakeCalendarStepsDueNodes is the wake calendar's oracle: in a world
-// of sleepers hit by faults, a cross-eNodeB spill and a handover, every
-// Step runs exactly the nodes that are due or woken early, the calendar
-// stays an exact, duplicate-free index of the sleepers, and the run ends
-// in the same world as with fast-forward off.
+// of sleepers hit by faults, a cross-eNodeB injection and a handover,
+// every Step runs exactly the nodes that are due or woken early, the
+// calendar stays an exact, duplicate-free index of the sleepers, and the
+// run ends in the same world as with fast-forward off.
 func TestWakeCalendarStepsDueNodes(t *testing.T) {
 	s := calendarWorld(false)
 	// Each early wake must hit a node the calendar holds, or a stale entry
@@ -145,7 +146,7 @@ func TestWakeCalendarStepsDueNodes(t *testing.T) {
 		}
 	}
 	if r, at, _ := s.ReportByIMSI(301); at != 6 || r.DLDelivered == 0 {
-		t.Errorf("spill: IMSI 301 reads eNB %d, %d B delivered; want eNB 6 and traffic", at, r.DLDelivered)
+		t.Errorf("cross-eNodeB injection: IMSI 301 reads eNB %d, %d B delivered; want eNB 6 and traffic", at, r.DLDelivered)
 	}
 	if ho := s.Handovers(); len(ho) != 1 || ho[0].IMSI != 801 || ho[0].To != 7 {
 		t.Errorf("handovers %+v; want IMSI 801 to eNB 7", ho)

@@ -25,8 +25,8 @@
 // min-heap keyed (wake, node index) that returns it at the start of the
 // Step it is due. The control phase still visits every node with a
 // control channel, because endpoint clocks advance every TTI. Faults,
-// handovers, cross-eNodeB spills and delivered control messages wake a
-// node early: they set its bit and drop its calendar entry.
+// handovers, cross-eNodeB injections and delivered control messages wake
+// a node early: they set its bit and drop its calendar entry.
 package sim
 
 import (
@@ -68,7 +68,9 @@ type ENBSpec struct {
 	// ToMaster/ToAgent impair the control channel of this eNodeB.
 	ToMaster transport.Netem
 	ToAgent  transport.Netem
-	// UEs are added at simulation start.
+	// UEs are added at simulation start. The engine owns the slice from
+	// then on: handovers reorder it and remove UEs from it, and a node
+	// never appends into the caller's array past its length.
 	UEs []UESpec
 	// AttachTimeoutTTI overrides the eNodeB attach deadline.
 	AttachTimeoutTTI int
@@ -101,17 +103,15 @@ type Node struct {
 	// link is the node's control channel to the master, nil for a node
 	// without one: a node pays for link state only when it has a link.
 	link *link
+	// sim is the engine stepping the node, nil for a NewNode: Inject wakes
+	// the target of a foreign bearer through it.
+	sim *Sim
 
 	RNTIs []lte.RNTI // by UESpec order
 	specs []UESpec
 	// bearers holds each UE's EPC bearer, by UESpec order, so per-TTI
 	// downlink injection reaches the serving eNodeB without a lookup.
 	bearers []*epc.Bearer
-
-	// spill holds downlink injections whose bearer points at a foreign
-	// eNodeB (possible after a handover); the engine replays them after
-	// the injection phase, waking the target if it sleeps.
-	spill []spillDL
 
 	// idx is the node's position in Sim.Nodes: its bit in the awake set
 	// and its key in the wake calendar.
@@ -123,7 +123,7 @@ type Node struct {
 	// next subframe takes the node out of the awake set and files it in
 	// the wake calendar under wake (lte.NeverSF files nothing: only an
 	// early wake returns such a node); an arriving control message, a
-	// cross-eNodeB spill or a fault wakes it early.
+	// cross-eNodeB injection, a handover or a fault wakes it early.
 	wake lte.Subframe
 	// genSF is the subframe the node's traffic generators expect next:
 	// it trails the simulation clock while the node sleeps, and the gap
@@ -131,33 +131,24 @@ type Node struct {
 	genSF lte.Subframe
 }
 
-type spillDL struct {
-	br    *epc.Bearer
-	bytes int
-}
-
 // link is the state of one node's control channel to the master: the two
-// simulated endpoints, the master-side session, and what the control phase
-// and the fault paths keep for the node between phases.
+// simulated endpoints, the master-side session, and what a stalled agent
+// holds between phases.
 type link struct {
 	aEp     *transport.SimEndpoint // agent side of the control channel
 	mEp     *transport.SimEndpoint // master side
 	session *controller.AgentSession
-
-	// mBatch/aBatch are reusable per-node delivery batches for the two
-	// control-phase directions (only message pointers outlive a phase;
-	// the slices themselves are scratch).
-	mBatch []*protocol.Message
-	aBatch []*protocol.Message
 	// stallQ holds what arrives for a stalled agent (FaultAgentStall)
 	// other than echoes: applied in arrival order on resume, dropped by a
 	// restart.
 	stallQ []*protocol.Message
-	// pendingHO collects handover commands delivered to the node's agent
-	// during the control phase; the engine applies them after the phase,
-	// ordered by IMSI, so no migration lands in the middle of another
-	// node's deliveries.
-	pendingHO []protocol.HandoverCommand
+}
+
+// hoJob is one commanded handover: the command and the node whose agent
+// received it.
+type hoJob struct {
+	cmd protocol.HandoverCommand
+	src *Node
 }
 
 // AgentMeter returns the agent-to-master signaling meter (Fig. 7a).
@@ -279,6 +270,15 @@ type Sim struct {
 	// linked lists the nodes with a control channel to the master: the
 	// control phase's nodes.
 	linked []int32
+	// batch is the control phase's delivery scratch, shared by both legs
+	// of every link: one leg runs at a time, and neither the session nor
+	// the agent keeps the slice.
+	batch []*protocol.Message
+	// hoQ collects the handover commands agents receive, in arrival order;
+	// applyHandovers executes them after the control phase, ordered by
+	// IMSI, so no migration lands in the middle of another node's
+	// deliveries.
+	hoQ []hoJob
 }
 
 // NewNode builds one eNodeB from its spec with an EPC of its own: the node
@@ -296,7 +296,9 @@ func NewNode(spec ENBSpec) (*Node, error) {
 // newNode builds a spec's eNodeB on scheduler working set ws (nil for one
 // of its own) and, when the spec asks for one, its agent. addUEs completes
 // the node; a caller that links the agent does so in between, so the
-// Hello and the UEs' random-access events ride the link.
+// Hello and the UEs' random-access events ride the link. The UE list is
+// capped at its length: a handover's append onto it then reallocates
+// rather than write into a caller array that another node may slice.
 func newNode(spec ENBSpec, ws *enb.Workset) *Node {
 	e := enb.New(enb.Config{
 		ID:               spec.ID,
@@ -305,7 +307,8 @@ func newNode(spec ENBSpec, ws *enb.Workset) *Node {
 		AttachTimeoutTTI: spec.AttachTimeoutTTI,
 		Workset:          ws,
 	})
-	n := &Node{ENB: e, specs: spec.UEs}
+	ues := len(spec.UEs)
+	n := &Node{ENB: e, specs: spec.UEs[:ues:ues]}
 	if spec.Agent {
 		n.Agent = agent.New(e, spec.AgentOpts)
 	}
@@ -343,14 +346,14 @@ func New(cfg Config, enbs ...ENBSpec) (*Sim, error) {
 	for _, spec := range enbs {
 		n := newNode(spec, &s.ws)
 		n.idx = int32(len(s.Nodes))
+		n.sim = s
 		if n.Agent != nil && s.Master != nil {
 			l := &link{}
 			n.link = l
 			// Handover commands, which only the master sends, are queued
-			// on the link and executed after the control phase
-			// (deterministic order).
+			// and executed after the control phase (deterministic order).
 			n.Agent.SetHandoverExecutor(func(cmd *protocol.HandoverCommand) error {
-				l.pendingHO = append(l.pendingHO, *cmd)
+				s.hoQ = append(s.hoQ, hoJob{cmd: *cmd, src: n})
 				return nil
 			})
 			l.aEp, l.mEp = transport.NewSimPair(spec.ToMaster, spec.ToAgent)
@@ -406,13 +409,15 @@ func (n *Node) Inject(sf lte.Subframe) {
 			if b := spec.DL.BytesAt(sf); b > 0 {
 				// The bearer normally terminates at this node's own
 				// eNodeB; after a handover it may point at a foreign
-				// one, which the engine may have to wake first — defer
-				// those to its mop-up after the injection phase.
-				if br := n.bearers[i]; br.ENB != id {
-					n.spill = append(n.spill, spillDL{br: br, bytes: b})
-				} else {
-					br.Downlink(b) //nolint:errcheck // a detached bearer takes no traffic
+				// one, which now has backlog to serve this very
+				// subframe: wake it if it sleeps.
+				br := n.bearers[i]
+				if br.ENB != id && n.sim != nil {
+					if tn := n.sim.byENB[br.ENB]; tn != nil {
+						n.sim.rouse(tn)
+					}
 				}
+				br.Downlink(b) //nolint:errcheck // a detached bearer takes no traffic
 			}
 		}
 		if spec.UL != nil {
@@ -444,39 +449,11 @@ func (n *Node) skipGens(sf lte.Subframe) {
 	n.genSF = sf
 }
 
-// drainSpill replays deferred cross-eNodeB downlink injections, in node
-// and UE order; only the nodes that ran the injection phase can hold any.
-// A sleeping target is woken: it now has backlog to serve this very
-// subframe.
-func (s *Sim) drainSpill() {
-	for _, i := range s.run {
-		n := s.Nodes[i]
-		for _, d := range n.spill {
-			if tn := s.byENB[d.br.ENB]; tn != nil {
-				s.rouse(tn)
-			}
-			d.br.Downlink(d.bytes) //nolint:errcheck // a detached bearer takes no traffic
-		}
-		n.spill = n.spill[:0]
-	}
-}
-
-// applyHandovers executes the UE migrations commanded during the control
-// phase. It runs between the control and data planes, with commands
+// applyHandovers executes the queued UE migrations, then empties the
+// queue. It runs between the control and data planes, with commands
 // ordered by IMSI.
 func (s *Sim) applyHandovers() {
-	type hoJob struct {
-		cmd protocol.HandoverCommand
-		src *Node
-	}
-	var jobs []hoJob
-	for _, i := range s.linked {
-		n := s.Nodes[i]
-		for _, cmd := range n.link.pendingHO {
-			jobs = append(jobs, hoJob{cmd: cmd, src: n})
-		}
-		n.link.pendingHO = n.link.pendingHO[:0]
-	}
+	jobs := s.hoQ
 	if len(jobs) == 0 {
 		return
 	}
@@ -493,6 +470,7 @@ func (s *Sim) applyHandovers() {
 	for _, j := range jobs {
 		s.executeHandover(j.src, j.cmd)
 	}
+	s.hoQ = jobs[:0]
 }
 
 // executeHandover moves one UE's full context from its serving eNodeB to
@@ -704,7 +682,7 @@ func (s *Sim) reconnect(l *link, a *agent.Agent) {
 // observable work), while its control endpoints keep advancing normally.
 // The wake calendar returns a sleeper at the start of the Step its wake
 // is due. Anything that invalidates the proof mid-TTI — an arriving
-// control message, a cross-eNodeB spill, a fault, a handover — wakes the
+// control message, a cross-eNodeB injection, a fault, a handover — wakes the
 // node, and the data phase fast-forwards its lagging eNodeB clock before
 // stepping. After the data phase one serial pass over that TTI's awake
 // nodes files each node whose new wake lies beyond the next subframe.
@@ -722,7 +700,6 @@ func (s *Sim) Step() {
 	for _, i := range s.run {
 		s.Nodes[i].Inject(s.sf)
 	}
-	s.drainSpill()
 
 	// 2. Control plane: agent->master deliveries, master cycle,
 	// master->agent deliveries. These legs run for sleeping nodes too —
@@ -756,23 +733,23 @@ func (s *Sim) Step() {
 // deliverToMaster is the agent->master leg for one node.
 func (s *Sim) deliverToMaster(n *Node) {
 	l := n.link
-	l.mBatch = l.mBatch[:0]
-	if err := l.mEp.AdvanceInto(s.sf, &l.mBatch); err != nil {
+	s.batch = s.batch[:0]
+	if err := l.mEp.AdvanceInto(s.sf, &s.batch); err != nil {
 		corrupt("agent->master", n, err)
 	}
 	// Ownership moves to the master, which releases each message back to
 	// the protocol free lists once the RIB updater has applied it.
-	l.session.Deliver(l.mBatch...)
+	l.session.Deliver(s.batch...)
 }
 
 // deliverToAgent is the master->agent leg for one node.
 func (s *Sim) deliverToAgent(n *Node) {
 	l := n.link
-	l.aBatch = l.aBatch[:0]
-	if err := l.aEp.AdvanceInto(s.sf, &l.aBatch); err != nil {
+	s.batch = s.batch[:0]
+	if err := l.aEp.AdvanceInto(s.sf, &s.batch); err != nil {
 		corrupt("master->agent", n, err)
 	}
-	if len(l.aBatch) == 0 {
+	if len(s.batch) == 0 {
 		return
 	}
 	// An arriving message wakes a sleeping node. The agent's handlers read
@@ -782,7 +759,7 @@ func (s *Sim) deliverToAgent(n *Node) {
 	// I/O thread is alive — but everything else waits in stallQ until the
 	// resume fault (or dies with an agent restart).
 	stalled := n.Agent.Stalled()
-	for _, m := range l.aBatch {
+	for _, m := range s.batch {
 		if stalled && m.Payload.Kind() != protocol.KindEcho {
 			l.stallQ = append(l.stallQ, m)
 			continue

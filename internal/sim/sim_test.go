@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"flexran/internal/controller"
@@ -263,5 +264,59 @@ func TestSubframeAdvances(t *testing.T) {
 	s.Run(42)
 	if s.Now() != lte.Subframe(42) {
 		t.Errorf("Now = %v", s.Now())
+	}
+}
+
+// TestHandoverKeepsOtherNodesSpecs: two eNodeBs whose UE lists slice one
+// caller array keep their own UEs through a handover between them. The
+// target appends the arriving UE's spec, and that append must not land in
+// the array slot of the source's remaining UE: that UE would then be
+// driven by the arriving UE's traffic generator, which would be drawn
+// twice per TTI.
+func TestHandoverKeepsOtherNodesSpecs(t *testing.T) {
+	all := []UESpec{
+		{IMSI: 101, Channel: radio.Fixed(12)},
+		{IMSI: 102, Channel: radio.Fixed(12)},
+		{IMSI: 201, Channel: radio.Fixed(12), DL: ue.NewCBR(400)}, // 50 B per TTI
+		{IMSI: 202, Channel: radio.Fixed(12), DL: ue.NewCBR(800)}, // 100 B per TTI
+	}
+	quiet := controller.Options{NoResync: true}
+	s := MustNew(Config{Master: &quiet},
+		ENBSpec{ID: 1, Seed: 1, Agent: true, UEs: all[0:2]},
+		ENBSpec{ID: 2, Seed: 2, Agent: true, UEs: all[2:4]},
+	)
+	if !s.WaitAttached(500) {
+		t.Fatal("UEs did not attach")
+	}
+	src := s.Nodes[1]
+	s.hoQ = append(s.hoQ, hoJob{src: src, cmd: protocol.HandoverCommand{
+		RNTI: src.RNTIs[0], IMSI: 201, TargetENB: 1,
+	}})
+	s.Step()
+	if ho := s.Handovers(); len(ho) != 1 || ho[0].IMSI != 201 || ho[0].To != 1 {
+		t.Fatalf("handovers %+v; want IMSI 201 to eNB 1", ho)
+	}
+	for i, want := range [][]uint64{{101, 102, 201}, {202}} {
+		var got []uint64
+		for _, u := range s.Nodes[i].specs {
+			got = append(got, u.IMSI)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("eNB %d drives the specs of IMSIs %v, want %v", i+1, got, want)
+		}
+	}
+
+	offered := func(imsi uint64) uint64 {
+		b, _ := s.EPC.Bearer(imsi)
+		return b.DLOffered
+	}
+	const ttis = 1000
+	before201, before202 := offered(201), offered(202)
+	s.Run(ttis)
+	if got := offered(201) - before201; got != 50*ttis {
+		t.Errorf("IMSI 201 offered %d B over %d TTIs, want %d", got, ttis, 50*ttis)
+	}
+	if got := offered(202) - before202; got != 100*ttis {
+		t.Errorf("IMSI 202 offered %d B over %d TTIs, want %d", got, ttis, 100*ttis)
 	}
 }

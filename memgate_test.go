@@ -108,14 +108,15 @@ func sparseBytesPerENB(n int) (float64, time.Duration) {
 // UE at every 100th, fast-forward on) after 300 TTIs: the retained heap of
 // the whole simulator per eNodeB after a full GC. It holds the engine's
 // per-node bookkeeping — node record, awake set, wake calendar — to a
-// bounded size beside the eNodeB's own state. Measured: ~1,193 B/eNodeB;
-// the budget leaves ~18 % headroom. (~1,563 B/eNodeB while every eNodeB
-// kept its own scheduler working set, its hooks inline and its HARQ source
-// behind two pointers; ~1,603 B/eNodeB while the ENB struct kept the seed
-// and a nil cell list and the cells sat behind pointers; ~2,187 B/eNodeB
-// when each UE's hot state was 13 parallel slices, every node carried its
-// control-channel state and every eNodeB built both default schedulers up
-// front.)
+// bounded size beside the eNodeB's own state. Measured: ~1,177 B/eNodeB;
+// the budget leaves ~20 % headroom. (~1,193 B/eNodeB while every node
+// kept its own buffer for cross-eNodeB injections; ~1,563 B/eNodeB while
+// every eNodeB kept its own scheduler working set, its hooks inline and
+// its HARQ source behind two pointers; ~1,603 B/eNodeB while the ENB
+// struct kept the seed and a nil cell list and the cells sat behind
+// pointers; ~2,187 B/eNodeB when each UE's hot state was 13 parallel
+// slices, every node carried its control-channel state and every eNodeB
+// built both default schedulers up front.)
 func TestMemGateSparseWorldBytesPerENB(t *testing.T) {
 	skipUnderRace(t)
 	perENB, _ := sparseBytesPerENB(4096)
@@ -132,7 +133,7 @@ func TestMemGateSparseWorldBytesPerENB(t *testing.T) {
 // at 16 times the fleet: the sparse world at 65,536 eNodeBs must read
 // within 3 % of the 4,096-eNodeB world per eNodeB, under the same budget,
 // so no per-node cost hides in a structure that grows faster than the
-// fleet. Measured: ~1,199 B/eNodeB at 65,536 against ~1,193 at 4,096. The
+// fleet. Measured: ~1,183 B/eNodeB at 65,536 against ~1,177 at 4,096. The
 // build time is logged, not gated.
 func TestMemGateSparseWorldLinearAt65536(t *testing.T) {
 	skipUnderRace(t)
