@@ -570,14 +570,22 @@ func (a *Agent) Reconfigure(doc string) error {
 	if root.Kind != yamlite.KindMap {
 		return fmt.Errorf("agent: policy document must be a map of modules")
 	}
+	// Check every section before applying any: a refused document leaves
+	// the agent as it was.
+	var apply []func()
 	for _, modName := range root.Keys() {
 		mod, ok := a.modules[modName]
 		if !ok {
 			return fmt.Errorf("agent: unknown control module %q", modName)
 		}
-		if err := mod.Reconfigure(root.Get(modName)); err != nil {
+		f, err := mod.Reconfigure(root.Get(modName))
+		if err != nil {
 			return err
 		}
+		apply = append(apply, f)
+	}
+	for _, f := range apply {
+		f()
 	}
 	return nil
 }

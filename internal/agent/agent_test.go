@@ -365,7 +365,7 @@ mac:
 	if got := h.agent.MAC().ActiveName(OpDLUESched); got != "slice-rr" {
 		t.Fatalf("active = %q", got)
 	}
-	// Parameters on a non-parametrizable VSF must fail.
+	// Parameters on a VSF that is not a slicer must fail.
 	err := h.agent.Reconfigure("mac:\n  dl_ue_sched:\n    behavior: rr\n    parameters:\n      rb_share: [0.5, 0.5]\n")
 	if err == nil {
 		t.Error("parameters accepted by rr")

@@ -247,64 +247,68 @@ func (m *MACModule) CachedVSFs() []string {
 	return out
 }
 
-// Reconfigure implements Module: it applies one "mac:" policy section
-// (Fig. 3): per-operation behavior swaps and parameter updates.
-func (m *MACModule) Reconfigure(doc *yamlite.Node) error {
+// Reconfigure implements Module for one "mac:" policy section (Fig. 3):
+// per-operation behavior swaps and parameter updates. The only parameter
+// is rb_share, the share vector of a slicing VSF; it addresses the VSF the
+// section activates, or else the active one.
+func (m *MACModule) Reconfigure(doc *yamlite.Node) (func(), error) {
 	if doc == nil || doc.Kind != yamlite.KindMap {
-		return fmt.Errorf("agent: mac policy section must be a map")
+		return nil, fmt.Errorf("agent: mac policy section must be a map")
 	}
+	var apply []func()
 	for _, op := range doc.Keys() {
 		section := doc.Get(op)
-		if op != OpDLUESched && op != OpULUESched {
-			return fmt.Errorf("agent: mac has no VSF operation %q", op)
+		dir, ok := opDir(op)
+		if !ok {
+			return nil, fmt.Errorf("agent: mac has no VSF operation %q", op)
 		}
+		vsf := m.active[dir].Load()
 		if b := section.Get("behavior"); b != nil {
-			if err := m.Activate(op, b.Str()); err != nil {
-				return err
+			m.mu.Lock()
+			vsf, ok = m.cache[op+"/"+b.Str()]
+			m.mu.Unlock()
+			if !ok {
+				return nil, fmt.Errorf("agent: no cached VSF %q for %s", b.Str(), op)
 			}
+			apply = append(apply, func() { m.active[dir].Store(vsf) })
 		}
 		if params := section.Get("parameters"); params != nil {
-			if err := m.applyParams(op, params); err != nil {
-				return err
+			set, err := shareParams(vsf, params)
+			if err != nil {
+				return nil, err
 			}
+			apply = append(apply, set)
 		}
 	}
-	return nil
+	return func() {
+		for _, f := range apply {
+			f()
+		}
+	}, nil
 }
 
-func (m *MACModule) applyParams(op string, params *yamlite.Node) error {
-	dir, _ := opDir(op) // Reconfigure vetted op
-	p, ok := m.active[dir].Load().impl.(sched.Parametrizable)
+// shareParams checks a parameters section against the VSF it addresses
+// and returns the write into its slicer.
+func shareParams(vsf *cachedVSF, params *yamlite.Node) (func(), error) {
+	sl, ok := vsf.impl.(*sched.Slicer)
 	if !ok {
-		return fmt.Errorf("agent: active VSF %q accepts no parameters", m.ActiveName(op))
+		return nil, fmt.Errorf("agent: VSF %q accepts no parameters", vsf.name)
 	}
+	apply := func() {}
 	for _, key := range params.Keys() {
-		val, err := nodeValue(params.Get(key))
+		if key != "rb_share" {
+			return nil, fmt.Errorf("agent: slicer has no parameter %q", key)
+		}
+		shares, err := params.Get(key).Floats()
 		if err != nil {
-			return fmt.Errorf("agent: parameter %q: %w", key, err)
+			return nil, fmt.Errorf("agent: rb_share: %w", err)
 		}
-		if err := p.SetParam(key, val); err != nil {
-			return err
+		if err := sched.ValidateShares(shares); err != nil {
+			return nil, err
 		}
+		apply = func() { sl.SetShares(shares) }
 	}
-	return nil
-}
-
-// nodeValue converts a yamlite node into the Parametrizable value types.
-func nodeValue(n *yamlite.Node) (interface{}, error) {
-	switch n.Kind {
-	case yamlite.KindSeq:
-		return n.Floats()
-	case yamlite.KindScalar:
-		if f, err := n.Float(); err == nil {
-			return f, nil
-		}
-		if b, err := n.Bool(); err == nil {
-			return b, nil
-		}
-		return n.Str(), nil
-	}
-	return nil, fmt.Errorf("unsupported parameter node kind %v", n.Kind)
+	return apply, nil
 }
 
 // newDSLScheduler wraps a verified vsfdsl program as a metric scheduler.

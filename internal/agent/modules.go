@@ -18,8 +18,10 @@ type Module interface {
 	Name() string
 	// InstallVSF caches a pushed VSF implementation (VSF updation).
 	InstallVSF(up *protocol.VSFUpdate) error
-	// Reconfigure applies the module's section of a policy document.
-	Reconfigure(doc *yamlite.Node) error
+	// Reconfigure checks the module's section of a policy document and
+	// returns the change it makes. Nothing changes until that function
+	// runs, so a document is applied whole or not at all.
+	Reconfigure(doc *yamlite.Node) (func(), error)
 }
 
 // MgmtModule is the agent-management control module: it owns the knobs of
@@ -30,14 +32,18 @@ type Module interface {
 //	  sync_period: 1      # SubframeTrigger every TTI (0 disables)
 //	  forward_events: yes
 type MgmtModule struct {
-	mu            sync.Mutex
+	mu sync.Mutex
+	k  mgmtKnobs
+}
+
+type mgmtKnobs struct {
 	syncPeriod    int
 	forwardEvents bool
 }
 
 // NewMgmtModule returns the module with sync off and event forwarding on.
 func NewMgmtModule() *MgmtModule {
-	return &MgmtModule{forwardEvents: true}
+	return &MgmtModule{k: mgmtKnobs{forwardEvents: true}}
 }
 
 // Name implements Module.
@@ -49,46 +55,51 @@ func (*MgmtModule) InstallVSF(up *protocol.VSFUpdate) error {
 }
 
 // Reconfigure implements Module.
-func (m *MgmtModule) Reconfigure(doc *yamlite.Node) error {
+func (m *MgmtModule) Reconfigure(doc *yamlite.Node) (func(), error) {
 	if doc == nil || doc.Kind != yamlite.KindMap {
-		return fmt.Errorf("agent: agent policy section must be a map")
+		return nil, fmt.Errorf("agent: agent policy section must be a map")
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	k := m.k
+	m.mu.Unlock()
 	for _, key := range doc.Keys() {
 		val := doc.Get(key)
 		switch key {
 		case "sync_period":
 			p, err := val.Int()
 			if err != nil || p < 0 {
-				return fmt.Errorf("agent: bad sync_period %q", val.Str())
+				return nil, fmt.Errorf("agent: bad sync_period %q", val.Str())
 			}
-			m.syncPeriod = int(p)
+			k.syncPeriod = int(p)
 		case "forward_events":
 			b, err := val.Bool()
 			if err != nil {
-				return fmt.Errorf("agent: bad forward_events %q", val.Str())
+				return nil, fmt.Errorf("agent: bad forward_events %q", val.Str())
 			}
-			m.forwardEvents = b
+			k.forwardEvents = b
 		default:
-			return fmt.Errorf("agent: management module has no knob %q", key)
+			return nil, fmt.Errorf("agent: management module has no knob %q", key)
 		}
 	}
-	return nil
+	return func() {
+		m.mu.Lock()
+		m.k = k
+		m.mu.Unlock()
+	}, nil
 }
 
 // SyncPeriod returns the SubframeTrigger period (0 = disabled).
 func (m *MgmtModule) SyncPeriod() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.syncPeriod
+	return m.k.syncPeriod
 }
 
 // ForwardEvents reports whether UE events are relayed to the master.
 func (m *MgmtModule) ForwardEvents() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.forwardEvents
+	return m.k.forwardEvents
 }
 
 // RRCModule is the radio-resource-control module. The prototype's focus —
@@ -98,9 +109,13 @@ func (m *MgmtModule) ForwardEvents() bool {
 // example of Table 1) that mobility-manager applications read.
 type RRCModule struct {
 	mu sync.Mutex
-	// HysteresisDB is the A3-event hysteresis before a handover fires.
+	k  rrcKnobs
+}
+
+type rrcKnobs struct {
+	// hysteresisDB is the A3-event hysteresis before a handover fires.
 	hysteresisDB float64
-	// TimeToTriggerTTI is how long the A3 condition must hold.
+	// timeToTriggerTTI is how long the A3 condition must hold.
 	timeToTriggerTTI int
 	// reportIntervalTTI is how long after a MeasReport the agent repeats
 	// it while the A3 condition keeps holding (the 3GPP reportInterval):
@@ -110,7 +125,7 @@ type RRCModule struct {
 
 // NewRRCModule returns 3GPP-ish defaults (3 dB, 40 ms, 240 ms).
 func NewRRCModule() *RRCModule {
-	return &RRCModule{hysteresisDB: 3, timeToTriggerTTI: 40, reportIntervalTTI: 240}
+	return &RRCModule{k: rrcKnobs{hysteresisDB: 3, timeToTriggerTTI: 40, reportIntervalTTI: 240}}
 }
 
 // Name implements Module.
@@ -123,12 +138,13 @@ func (*RRCModule) InstallVSF(up *protocol.VSFUpdate) error {
 }
 
 // Reconfigure implements Module.
-func (r *RRCModule) Reconfigure(doc *yamlite.Node) error {
+func (r *RRCModule) Reconfigure(doc *yamlite.Node) (func(), error) {
 	if doc == nil || doc.Kind != yamlite.KindMap {
-		return fmt.Errorf("agent: rrc policy section must be a map")
+		return nil, fmt.Errorf("agent: rrc policy section must be a map")
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	k := r.k
+	r.mu.Unlock()
 	for _, key := range doc.Keys() {
 		val := doc.Get(key)
 		switch key {
@@ -137,40 +153,44 @@ func (r *RRCModule) Reconfigure(doc *yamlite.Node) error {
 			// cell would silently never report a handover candidate.
 			f, err := val.Float()
 			if err != nil || !(f >= 0) || math.IsInf(f, 1) {
-				return fmt.Errorf("agent: bad hysteresis %q", val.Str())
+				return nil, fmt.Errorf("agent: bad hysteresis %q", val.Str())
 			}
-			r.hysteresisDB = f
+			k.hysteresisDB = f
 		case "time_to_trigger_tti":
 			n, err := val.Int()
 			if err != nil || n < 0 {
-				return fmt.Errorf("agent: bad time_to_trigger %q", val.Str())
+				return nil, fmt.Errorf("agent: bad time_to_trigger %q", val.Str())
 			}
-			r.timeToTriggerTTI = int(n)
+			k.timeToTriggerTTI = int(n)
 		case "report_interval_tti":
 			n, err := val.Int()
 			if err != nil || n < 0 {
-				return fmt.Errorf("agent: bad report_interval %q", val.Str())
+				return nil, fmt.Errorf("agent: bad report_interval %q", val.Str())
 			}
-			r.reportIntervalTTI = int(n)
+			k.reportIntervalTTI = int(n)
 		default:
-			return fmt.Errorf("agent: rrc module has no knob %q", key)
+			return nil, fmt.Errorf("agent: rrc module has no knob %q", key)
 		}
 	}
-	return nil
+	return func() {
+		r.mu.Lock()
+		r.k = k
+		r.mu.Unlock()
+	}, nil
 }
 
 // Hysteresis returns the configured handover hysteresis in dB.
 func (r *RRCModule) Hysteresis() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.hysteresisDB
+	return r.k.hysteresisDB
 }
 
 // TimeToTrigger returns the configured time-to-trigger in TTIs.
 func (r *RRCModule) TimeToTrigger() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.timeToTriggerTTI
+	return r.k.timeToTriggerTTI
 }
 
 // ReportInterval returns the A3 re-report interval in TTIs (0 disables
@@ -178,5 +198,5 @@ func (r *RRCModule) TimeToTrigger() int {
 func (r *RRCModule) ReportInterval() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.reportIntervalTTI
+	return r.k.reportIntervalTTI
 }

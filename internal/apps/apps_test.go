@@ -156,44 +156,6 @@ func TestMECAssistTracksChannelChanges(t *testing.T) {
 	}
 }
 
-func TestRANSharingAppliesPlan(t *testing.T) {
-	s := sim.MustNew(sim.Config{Master: masterOpts()}, sim.ENBSpec{
-		ID: 1, Agent: true, Seed: 1,
-		UEs: []sim.UESpec{
-			{IMSI: 100, Channel: radio.Fixed(10), Group: 0, DL: ue.NewFullBuffer()},
-			{IMSI: 101, Channel: radio.Fixed(10), Group: 1, DL: ue.NewFullBuffer()},
-		},
-	})
-	// Activate the slicer with initial shares.
-	a := s.Nodes[0].Agent
-	if err := a.Reconfigure("mac:\n  dl_ue_sched:\n    behavior: slice-rr\n    parameters:\n      rb_share: [0.7, 0.3]\n"); err != nil {
-		t.Fatal(err)
-	}
-	share := apps.NewRANSharing(1, []apps.ShareChange{
-		{At: 1000, Shares: []float64{0.2, 0.8}},
-	})
-	s.Master.Register(share, 10)
-	s.WaitAttached(500)
-
-	before0, before1 := s.Report(0, 0).DLDelivered, s.Report(0, 1).DLDelivered
-	s.RunSeconds(1) // still 70/30 until cycle 1000... includes switch point
-	mid0, mid1 := s.Report(0, 0).DLDelivered, s.Report(0, 1).DLDelivered
-	s.RunSeconds(2)
-	end0, end1 := s.Report(0, 0).DLDelivered, s.Report(0, 1).DLDelivered
-
-	earlyRatio := float64(mid0-before0) / float64(mid1-before1+1)
-	lateRatio := float64(end0-mid0) / float64(end1-mid1+1)
-	if earlyRatio < 1.5 {
-		t.Errorf("early ratio = %.2f, want ~7/3", earlyRatio)
-	}
-	if lateRatio > 0.5 {
-		t.Errorf("late ratio = %.2f, want ~2/8", lateRatio)
-	}
-	if share.Applied != 1 {
-		t.Errorf("applied = %d", share.Applied)
-	}
-}
-
 func TestEICICCoordinatorGrantsIdleABS(t *testing.T) {
 	// Macro with backlog, small cell idle: the optimized coordinator must
 	// grant ABS subframes to the macro.

@@ -1,17 +1,17 @@
-// Package broker implements the elastic slice broker: the closed-loop
-// RAN-sharing controller the paper's §6.3 experiment gestures at. It
-// consumes declarative slice.Specs, watches the live measurement stream
-// (the WatchApp delta feed) to compute per-slice SLA attainment, re-plans
-// the per-group share vector across every member cell each epoch —
-// water-filling capacity between slices by deficit — and runs admission
-// control on arriving slices, publishing its decisions as slice events on
-// the watch stream. Pushes respect agent health (never toward a Suspect
-// agent; the newest plan replays on recovery) and ride reliable command
-// delivery when the master has it enabled.
+// Package broker is the one home for share actuation, the paper's §6.3
+// RAN-sharing use case. The elastic slice broker is the closed loop: it
+// consumes declarative slice.Specs, reads the RIB's per-UE state each
+// epoch to compute per-slice SLA attainment, re-plans the per-group share
+// vector across every member cell — water-filling capacity between slices
+// by deficit — and runs admission control on arriving slices, publishing
+// its decisions as slice events on the watch stream. Script is the open
+// loop: a fixed share schedule played back against one eNodeB (Fig. 12a).
+// Both push through one actuator, which never pushes toward a Suspect
+// agent, replays the newest withheld vector on recovery and rides
+// reliable command delivery when the master has it enabled.
 package broker
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -60,9 +60,9 @@ type entry struct {
 }
 
 // Broker is the elastic slice broker application. All state is owned by
-// the master's application slot: every mutation path — OnTick, OnWatch,
-// and the northbound Upsert/Remove (which run via Master.Do) — executes
-// on the tick goroutine, so the broker needs no locking.
+// the master's application slot: every mutation path — OnTick and the
+// northbound Upsert/Remove (which run via Master.Do) — executes on the
+// tick goroutine, so the broker needs no locking.
 type Broker struct {
 	cfg Config
 
@@ -70,20 +70,11 @@ type Broker struct {
 	armed   bool
 	base    lte.Subframe
 
-	// Applied counts share pushes accepted by the command path; Deferred
-	// counts pushes held back from unhealthy agents (replayed on
-	// recovery); Lost counts pushes the command path refused — no bound
-	// session (controller.ErrNoSession) or a rejected vector. Epochs
-	// counts completed control epochs.
-	Applied  int
-	Deferred int
-	Lost     int
-	Epochs   int
-
-	// lastSent dedupes per-member pushes; deferredPlan is the newest plan
-	// owed to an unhealthy member.
-	lastSent     map[lte.ENBID][]float64
-	deferredPlan map[lte.ENBID][]float64
+	// actuator pushes each epoch's plan to every member and counts the
+	// outcomes (Applied, Deferred, Lost).
+	actuator
+	// Epochs counts completed control epochs.
+	Epochs int
 
 	ueScratch     []protocol.UEStats
 	memberScratch []lte.ENBID
@@ -102,11 +93,7 @@ func New(cfg Config, specs ...slice.Spec) (*Broker, error) {
 	if cfg.HysteresisEpochs <= 0 {
 		cfg.HysteresisEpochs = defaultHysteresis
 	}
-	b := &Broker{
-		cfg:          cfg,
-		lastSent:     map[lte.ENBID][]float64{},
-		deferredPlan: map[lte.ENBID][]float64{},
-	}
+	b := &Broker{cfg: cfg}
 	for _, sp := range specs {
 		if err := b.add(sp); err != nil {
 			return nil, err
@@ -230,37 +217,25 @@ func (b *Broker) Remove(ctx *controller.Context, name string) bool {
 	return false
 }
 
-// OnWatch implements controller.WatchApp: the broker subscribes to the
-// delta stream for health transitions, replaying the newest withheld plan
-// the moment a member recovers — one cycle of latency instead of waiting
-// out the rest of the epoch.
-func (b *Broker) OnWatch(ctx *controller.Context, ev controller.WatchEvent) {
-	if ev.Kind != controller.WatchHealth || ev.Health >= controller.Suspect {
-		return
-	}
-	shares, ok := b.deferredPlan[ev.ENB]
-	if !ok {
-		return
-	}
-	delete(b.deferredPlan, ev.ENB)
-	b.push(ctx, ev.ENB, shares)
-}
-
-// OnTick implements controller.TickerApp: the epoch control loop.
+// OnTick implements controller.TickerApp: the epoch control loop, then
+// the replay of any plan withheld from a member that has recovered.
 func (b *Broker) OnTick(ctx *controller.Context, cycle lte.Subframe) {
 	if !b.armed {
 		b.Arm(cycle)
 	}
-	if cycle < b.base || (cycle-b.base)%lte.Subframe(b.cfg.EpochTTI) != 0 {
-		return
+	if cycle >= b.base && (cycle-b.base)%lte.Subframe(b.cfg.EpochTTI) == 0 {
+		b.measure(ctx)
+		b.admissions(ctx, int64(cycle-b.base))
+		plan := b.computePlan()
+		b.recordShares(plan)
+		if len(plan) > 0 {
+			for _, enb := range b.members(ctx) {
+				b.push(ctx, enb, plan)
+			}
+		}
+		b.Epochs++
 	}
-	offset := int64(cycle - b.base)
-	b.measure(ctx)
-	b.admissions(ctx, offset)
-	plan := b.computePlan()
-	b.recordShares(plan)
-	b.pushPlan(ctx, plan)
-	b.Epochs++
+	b.replay(ctx)
 }
 
 // members resolves the member eNodeB list for this epoch: every agent in
@@ -422,23 +397,4 @@ func (b *Broker) project(e *entry) float64 {
 // active reports whether the slice participates in the share plan.
 func (e *entry) active() bool {
 	return e.arrived && (e.st.Decision == slice.Admitted || e.st.Decision == slice.Degraded)
-}
-
-// push sends one share vector to one member, classifying the outcome:
-// accepted (Applied), or refused by the command path (Lost — an unbound
-// session or a rejected vector; errors.Is(err, controller.ErrNoSession)
-// distinguishes the former).
-func (b *Broker) push(ctx *controller.Context, enb lte.ENBID, shares []float64) {
-	_, err := ctx.ApplyShares(enb, controller.SharePlan{Shares: shares})
-	if err != nil {
-		b.Lost++
-		if errors.Is(err, controller.ErrNoSession) {
-			// The member has no bound session: the plan is gone, not
-			// deferred. Drop the dedup record so the next epoch retries.
-			delete(b.lastSent, enb)
-		}
-		return
-	}
-	b.Applied++
-	b.lastSent[enb] = append(b.lastSent[enb][:0], shares...)
 }

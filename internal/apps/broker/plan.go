@@ -3,7 +3,6 @@ package broker
 import (
 	"math"
 
-	"flexran/internal/controller"
 	"flexran/internal/slice"
 )
 
@@ -41,29 +40,8 @@ func (b *Broker) planWeight(e *entry) float64 {
 // deficit-driven reallocation that lets an under-provisioned slice absorb
 // an over-provisioned one's idle share.
 func (b *Broker) computePlan() []float64 {
-	maxGroup := -1
-	totW := 0.0
-	for _, e := range b.entries {
-		if e.spec.Group > maxGroup {
-			maxGroup = e.spec.Group
-		}
-		if e.active() {
-			totW += b.planWeight(e)
-		}
-	}
-	if maxGroup < 0 {
-		return nil
-	}
-	plan := make([]float64, maxGroup+1)
-	if totW <= 0 {
-		return plan
-	}
-	if !b.cfg.Elastic {
-		for _, e := range b.entries {
-			if e.active() {
-				plan[e.spec.Group] = b.planWeight(e) / totW
-			}
-		}
+	plan, totW := b.split((*entry).active)
+	if !b.cfg.Elastic || totW <= 0 {
 		return plan
 	}
 	type claim struct {
@@ -124,6 +102,41 @@ func (b *Broker) computePlan() []float64 {
 	return plan
 }
 
+// split is the static plan over the slices that in selects: each selected
+// group gets its weight's fraction of the selected total (returned as
+// totW), every other group zero. The vector spans every installed spec's
+// group; it is nil with no spec installed.
+func (b *Broker) split(in func(*entry) bool) (plan []float64, totW float64) {
+	maxGroup := -1
+	for _, e := range b.entries {
+		maxGroup = max(maxGroup, e.spec.Group)
+		if in(e) {
+			totW += b.planWeight(e)
+		}
+	}
+	if maxGroup < 0 {
+		return nil, 0
+	}
+	plan = make([]float64, maxGroup+1)
+	if totW <= 0 {
+		return plan, totW
+	}
+	for _, e := range b.entries {
+		if in(e) {
+			plan[e.spec.Group] = b.planWeight(e) / totW
+		}
+	}
+	return plan, totW
+}
+
+// FoundingShares is the static split between the founding specs (present
+// before arming with arrive_at 0): the vector in force on every member
+// before the first epoch. Later arrivals start starved until admitted.
+func (b *Broker) FoundingShares() []float64 {
+	plan, _ := b.split(func(e *entry) bool { return e.foundingMember })
+	return plan
+}
+
 // demand is the share a slice asks for this epoch: before any measurement
 // it is the fair (weight-proportional) share; afterwards the current
 // share scaled by the measured SLA deficit or surplus, damped and floored
@@ -160,44 +173,4 @@ func (b *Broker) recordShares(plan []float64) {
 			e.st.Share = 0
 		}
 	}
-}
-
-// pushPlan delivers the epoch's plan to every member: healthy members get
-// the vector through the typed ApplyShares path (deduplicated — an
-// unchanged plan is not re-sent), unhealthy members get it deferred, with
-// only the newest vector owed (OnWatch replays it on recovery; a wedged
-// agent would ack nothing and a recovering one must not apply a stale
-// interleaving).
-func (b *Broker) pushPlan(ctx *controller.Context, plan []float64) {
-	if len(plan) == 0 {
-		return
-	}
-	for _, enb := range b.members(ctx) {
-		if ctx.RIB().HealthOf(enb) >= controller.Suspect {
-			b.deferredPlan[enb] = append(b.deferredPlan[enb][:0], plan...)
-			b.Deferred++
-			continue
-		}
-		// A healthy member owes nothing: clear any vector deferred in an
-		// earlier epoch so a later health transition cannot replay it.
-		delete(b.deferredPlan, enb)
-		if last, ok := b.lastSent[enb]; ok && equalShares(last, plan) {
-			continue
-		}
-		b.push(ctx, enb, plan)
-	}
-}
-
-// equalShares compares two vectors exactly: the planner is deterministic,
-// so an unchanged plan is bit-identical.
-func equalShares(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -106,11 +106,12 @@ type SharePlan struct {
 	Shares []float64
 }
 
-// ApplyShares pushes a share plan to an agent's slicing VSF — the single
-// typed actuation path every share-writing caller (the slice broker, the
-// RANSharing static adapter, the northbound /slice-shares escape
-// hatch) goes through. The vector is validated before anything is sent;
-// with reliable delivery enabled the returned sequence number is the
+// ApplyShares pushes a share plan to an agent's slicing VSF, as an
+// rb_share policy parameter the agent writes into its active slicer. Its
+// callers are the share actuator of internal/apps/broker (behind both the
+// slice broker and the scripted RAN-sharing plan) and the northbound
+// /slice-shares escape hatch. The vector is validated before anything is
+// sent; with reliable delivery enabled the returned sequence number is the
 // caller's handle for awaiting the outcome. A push toward an unbound
 // agent fails with an error wrapping ErrNoSession — lost, not deferred.
 func (c *Context) ApplyShares(enb lte.ENBID, plan SharePlan) (uint64, error) {

@@ -132,6 +132,7 @@ func (m *Master) sendCmd(enb lte.ENBID, p protocol.Payload) (uint64, error) {
 	m.nextCmdSeq++
 	seq := m.nextCmdSeq
 	m.mu.Unlock()
+	m.cmdTrack.issue(seq)
 
 	s.qmu.Lock()
 	s.pending = append(s.pending, &pendingCmd{

@@ -378,10 +378,9 @@ func (m *Master) DisconnectAgent(enb lte.ENBID) {
 
 // ErrNoSession is the sentinel inside every command failure against an
 // unbound agent: the push was lost, not deferred — there is no session to
-// retry it on, and reliable delivery never saw it. Callers that must
-// distinguish lost from deferred actuation (the slice broker, RANSharing)
-// test with errors.Is; everything else keeps treating it as an opaque
-// failure.
+// retry it on, and reliable delivery never saw it. Callers that must tell
+// an unbound agent from other refusals test with errors.Is; the share
+// actuator of internal/apps/broker counts every refusal as lost.
 var ErrNoSession = errors.New("no session for agent")
 
 // errNoSession is the command failure for an unbound agent.

@@ -31,12 +31,25 @@ type CmdOutcome struct {
 // cmdOutcomeCap bounds the registry; the oldest outcomes are evicted.
 const cmdOutcomeCap = 4096
 
-// cmdTracker records command outcomes and wakes waiters.
+// cmdTracker records command outcomes and wakes waiters. inflight holds
+// the sequence numbers issued and not yet recorded: only those can be
+// waited on.
 type cmdTracker struct {
 	mu       sync.Mutex
 	outcomes map[uint64]CmdOutcome
 	fifo     []uint64
+	inflight map[uint64]struct{}
 	waiters  map[uint64][]chan CmdOutcome
+}
+
+// issue marks a freshly sequenced command in flight.
+func (t *cmdTracker) issue(seq uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.inflight == nil {
+		t.inflight = map[uint64]struct{}{}
+	}
+	t.inflight[seq] = struct{}{}
 }
 
 // record stores one outcome and completes its waiters. The updater records
@@ -48,6 +61,7 @@ func (t *cmdTracker) record(o CmdOutcome) {
 	if t.outcomes == nil {
 		t.outcomes = map[uint64]CmdOutcome{}
 	}
+	delete(t.inflight, o.Seq)
 	if _, dup := t.outcomes[o.Seq]; !dup {
 		t.outcomes[o.Seq] = o
 		t.fifo = append(t.fifo, o.Seq)
@@ -76,15 +90,20 @@ func (m *Master) CommandOutcome(seq uint64) (CmdOutcome, bool) {
 }
 
 // WaitCommand returns a channel that receives the command's terminal
-// outcome and closes — immediately if already recorded. The channel is
-// buffered: abandoning the wait leaks nothing and blocks nobody.
+// outcome and closes — immediately if already recorded. For a command not
+// in flight (never issued, or its outcome already evicted) it closes at
+// once with nothing sent. The channel is buffered: abandoning the wait
+// blocks nobody, and the waiter is dropped when the outcome arrives.
 func (m *Master) WaitCommand(seq uint64) <-chan CmdOutcome {
 	ch := make(chan CmdOutcome, 1)
 	t := &m.cmdTrack
 	t.mu.Lock()
-	if o, ok := t.outcomes[seq]; ok {
+	o, done := t.outcomes[seq]
+	if _, waiting := t.inflight[seq]; done || !waiting {
 		t.mu.Unlock()
-		ch <- o
+		if done {
+			ch <- o
+		}
 		close(ch)
 		return ch
 	}

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"flexran/internal/apps"
+	"flexran/internal/apps/broker"
 	"flexran/internal/controller"
 	"flexran/internal/lte"
 	"flexran/internal/metrics"
@@ -61,11 +61,11 @@ func runFig12a(scale float64) Result {
 	must(s.Nodes[0].Agent.Reconfigure(
 		"mac:\n  dl_ue_sched:\n    behavior: slice-rr\n    parameters:\n      rb_share: [0.7, 0.3]\n"))
 	// Policy plan: the later phases are pushed by the master app.
-	plan := []apps.ShareChange{
+	plan := []broker.ShareChange{
 		{At: lte.Subframe(phaseSec[0] * lte.TTIsPerSecond), Shares: shares[1]},
 		{At: lte.Subframe((phaseSec[0] + phaseSec[1]) * lte.TTIsPerSecond), Shares: shares[2]},
 	}
-	s.Master.Register(apps.NewRANSharing(1, plan), 10)
+	s.Master.Register(broker.NewScript(1, plan), 10)
 	s.WaitAttached(3000)
 
 	res := &Fig12aResult{Shares: shares}

@@ -21,31 +21,19 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flexran/internal/apps/broker"
 	"flexran/internal/controller"
 	"flexran/internal/lte"
 	"flexran/internal/metrics"
 	"flexran/internal/slice"
 )
 
-// SliceRegistry is the broker surface the /slices resources expose: the
-// declarative slice set and its live status. The elastic slice broker
-// (internal/apps/broker) implements it. The mutating methods take the
-// application-slot Context because registry state is owned by the tick
-// goroutine — the server reaches it only through Master.Do.
-type SliceRegistry interface {
-	Specs() []slice.Spec
-	Statuses() []slice.Status
-	Status(name string) (slice.Status, bool)
-	Upsert(ctx *controller.Context, sp slice.Spec) error
-	Remove(ctx *controller.Context, name string) bool
-}
-
 // Server is the northbound HTTP API over one master controller.
 type Server struct {
 	m      *controller.Master
 	ls     *metrics.LoopStats
 	mux    *http.ServeMux
-	slices SliceRegistry
+	slices *broker.Broker
 
 	// streams counts the open /watch streams (see MaxWatchStreams).
 	streams atomic.Int32
@@ -76,10 +64,11 @@ func New(m *controller.Master, ls *metrics.LoopStats) *Server {
 	return s
 }
 
-// AttachSlices binds a slice registry to the /slices resources. Without
+// AttachSlices binds the slice broker to the /slices resources. Without
 // one the endpoints answer 503 (the deployment runs no slice broker).
-// Call before serving requests.
-func (s *Server) AttachSlices(reg SliceRegistry) { s.slices = reg }
+// Call before serving requests. The broker's state is owned by the tick
+// goroutine: its mutating methods are reached only through Master.Do.
+func (s *Server) AttachSlices(b *broker.Broker) { s.slices = b }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -284,9 +273,11 @@ func (s *Server) handleCmd(w http.ResponseWriter, r *http.Request) {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		select {
-		case o := <-s.m.WaitCommand(seq):
-			writeJSON(w, http.StatusOK, o)
-			return
+		case o, ok := <-s.m.WaitCommand(seq):
+			if ok {
+				writeJSON(w, http.StatusOK, o)
+				return
+			}
 		case <-t.C:
 		case <-r.Context().Done():
 		}
@@ -402,7 +393,7 @@ type SliceView struct {
 	Status slice.Status `json:"status"`
 }
 
-// doSlices runs fn on the tick goroutine (registry state is owned by the
+// doSlices runs fn on the tick goroutine (broker state is owned by the
 // application slot) and waits for it.
 func (s *Server) doSlices(r *http.Request, fn func(ctx *controller.Context) error) error {
 	var err error

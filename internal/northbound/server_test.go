@@ -241,6 +241,12 @@ func TestQueryEndpoints(t *testing.T) {
 	h.getJSON("/rib/enb/abc", http.StatusBadRequest, nil)
 	h.getJSON("/rib/enb/9/ue/9999", http.StatusNotFound, nil)
 	h.getJSON("/cmd/123456", http.StatusNotFound, nil)
+	// A wait on a command never issued answers at once, not at the deadline.
+	start := time.Now()
+	h.getJSON("/cmd/123456?wait=1m", http.StatusNotFound, nil)
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("wait on an unissued command took %v", d)
+	}
 }
 
 // TestLoopStatsEndpoint: with a LoopStats attached, /stats/loop serves its

@@ -353,48 +353,25 @@ func buildGenerator(mix []TrafficDecl, runSeed int64, imsi uint64, idx, n int) u
 // documents on the freshly built agents (before any subframe runs).
 func (rt *Runtime) applyAgentConfig() error {
 	sc := rt.Scenario
-	for _, d := range sc.Slices {
-		for ni, n := range rt.Sim.Nodes {
-			if n.Agent == nil {
-				continue
-			}
-			if !d.All && sc.enbIDAt(ni) != d.ENB {
-				continue
-			}
-			inner := func() sched.Scheduler { return sched.NewRoundRobin() }
-			if d.Scheduler == "pf" {
-				inner = func() sched.Scheduler { return sched.NewProportionalFair() }
-			}
-			sl := sched.NewSlicer("scn-slice", d.Shares, d.WorkConserving, inner)
-			mac := n.Agent.MAC()
-			if err := mac.InstallLocal(agent.OpDLUESched, "scn-slice", sl); err != nil {
-				return fmt.Errorf("scenario: installing slicer on eNodeB %d: %w", sc.enbIDAt(ni), err)
-			}
-			if err := mac.Activate(agent.OpDLUESched, "scn-slice"); err != nil {
-				return fmt.Errorf("scenario: activating slicer on eNodeB %d: %w", sc.enbIDAt(ni), err)
-			}
-		}
-	}
+	decls := sc.Slices
 	if b := sc.Broker; b != nil {
-		// The broker's slicer goes on every agent, initial shares split
-		// weight-proportionally between the founding specs (later arrivals
-		// start starved until admitted).
-		shares := b.initialShares()
-		inner := func() sched.Scheduler { return sched.NewRoundRobin() }
-		if b.Scheduler == "pf" {
-			inner = func() sched.Scheduler { return sched.NewProportionalFair() }
+		bk, err := broker.New(b.Config, b.Specs...)
+		if err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
+		rt.Broker = bk
+		// The broker's slicer goes on every agent, holding the broker's
+		// split between the founding specs until its first epoch.
+		decls = []SliceDecl{{All: true, Shares: bk.FoundingShares(),
+			WorkConserving: b.WorkConserving, Scheduler: b.Scheduler}}
+	}
+	for _, d := range decls {
 		for ni, n := range rt.Sim.Nodes {
-			if n.Agent == nil {
+			if n.Agent == nil || !d.All && sc.enbIDAt(ni) != d.ENB {
 				continue
 			}
-			sl := sched.NewSlicer("scn-slice", shares, b.WorkConserving, inner)
-			mac := n.Agent.MAC()
-			if err := mac.InstallLocal(agent.OpDLUESched, "scn-slice", sl); err != nil {
-				return fmt.Errorf("scenario: installing broker slicer on eNodeB %d: %w", sc.enbIDAt(ni), err)
-			}
-			if err := mac.Activate(agent.OpDLUESched, "scn-slice"); err != nil {
-				return fmt.Errorf("scenario: activating broker slicer on eNodeB %d: %w", sc.enbIDAt(ni), err)
+			if err := installSlicer(n.Agent.MAC(), d); err != nil {
+				return fmt.Errorf("scenario: slicer on eNodeB %d: %w", sc.enbIDAt(ni), err)
 			}
 		}
 	}
@@ -412,6 +389,19 @@ func (rt *Runtime) applyAgentConfig() error {
 		}
 	}
 	return nil
+}
+
+// installSlicer activates d's slicing scheduler on a MAC's downlink.
+func installSlicer(mac *agent.MACModule, d SliceDecl) error {
+	inner := func() sched.Scheduler { return sched.NewRoundRobin() }
+	if d.Scheduler == "pf" {
+		inner = func() sched.Scheduler { return sched.NewProportionalFair() }
+	}
+	sl := sched.NewSlicer("scn-slice", d.Shares, d.WorkConserving, inner)
+	if err := mac.InstallLocal(agent.OpDLUESched, "scn-slice", sl); err != nil {
+		return err
+	}
+	return mac.Activate(agent.OpDLUESched, "scn-slice")
 }
 
 // enbIDAt maps a node index back to the declared id (ENBs are sorted by
@@ -469,41 +459,7 @@ func (rt *Runtime) registerApps() error {
 			rt.sharing = append(rt.sharing, a)
 		}
 	}
-	if b := rt.Scenario.Broker; b != nil {
-		bk, err := broker.New(b.Config, b.Specs...)
-		if err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-		rt.Broker = bk
-	}
 	return nil
-}
-
-// initialShares is the agent-side share vector in force before the
-// broker's first epoch: weight-proportional between the founding
-// (arrive_at 0) specs, zero for groups that arrive later.
-func (d *SlicesDecl) initialShares() []float64 {
-	maxGroup, totW := 0, 0.0
-	for i := range d.Specs {
-		sp := &d.Specs[i]
-		if sp.Group > maxGroup {
-			maxGroup = sp.Group
-		}
-		if sp.ArriveAt == 0 {
-			totW += sp.EffectiveWeight()
-		}
-	}
-	shares := make([]float64, maxGroup+1)
-	if totW <= 0 {
-		return shares
-	}
-	for i := range d.Specs {
-		sp := &d.Specs[i]
-		if sp.ArriveAt == 0 {
-			shares[sp.Group] = sp.EffectiveWeight() / totW
-		}
-	}
-	return shares
 }
 
 // wireEICIC reproduces the §6.1 split of control declaratively: the

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"flexran/internal/apps"
+	"flexran/internal/apps/broker"
 	"flexran/internal/controller"
 	"flexran/internal/sim"
 	"flexran/internal/slice"
@@ -37,7 +37,7 @@ var sections = []struct {
 	{[]string{"ues[].traffic[]", "ues[].uplink[]"}, trafficTable(new(TrafficDecl))},
 	{[]string{"master"}, masterTable(new(controller.Options))},
 	{[]string{"apps[]"}, appTable(new(AppDecl))},
-	{[]string{"apps[].plan[]"}, shareChangeTable(new(apps.ShareChange))},
+	{[]string{"apps[].plan[]"}, shareChangeTable(new(broker.ShareChange))},
 	{[]string{"slicing[]"}, slicingTable(new(SliceDecl))},
 	{[]string{"slices"}, slicesTable(new(SlicesDecl))},
 	{[]string{"slices.specs[]"}, sliceSpecTable(new(slice.Spec))},

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"flexran/internal/apps"
+	"flexran/internal/apps/broker"
 	"flexran/internal/controller"
 	"flexran/internal/enb"
 	"flexran/internal/lte"
@@ -151,7 +152,7 @@ func (rt *Runtime) Execute() (*Result, error) {
 		for j := range plan {
 			plan[j].At += base
 		}
-		s.Master.Register(apps.NewRANSharing(a.ENB, plan), 1000+10*i)
+		s.Master.Register(broker.NewScript(a.ENB, plan), 1000+10*i)
 	}
 	if rt.Broker != nil {
 		// Armed at the end of attach like share plans and retunes: every

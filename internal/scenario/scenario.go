@@ -22,7 +22,7 @@
 // Where the runtime already has a struct for a section, the section
 // decodes straight into it, seeded with the runtime's own defaults:
 // master into controller.Options, netem blocks into transport.Netem,
-// faults into sim.Fault, ransharing plans into apps.ShareChange and the
+// faults into sim.Fault, ransharing plans into broker.ShareChange and the
 // broker half of slices into broker.Config. Those structs' times are
 // absolute subframes at run time, but a document's are not: Faults[i].At
 // and each ransharing plan change's At are offsets from the end of the
@@ -58,7 +58,6 @@ import (
 	"slices"
 	"strings"
 
-	"flexran/internal/apps"
 	"flexran/internal/apps/broker"
 	"flexran/internal/controller"
 	"flexran/internal/lte"
@@ -203,7 +202,7 @@ type AppDecl struct {
 	RetuneLoadWeight float64
 	// ransharing: each change's At is an offset from the end of attach.
 	ENB  lte.ENBID
-	Plan []apps.ShareChange
+	Plan []broker.ShareChange
 	// eicic
 	MacroENB  lte.ENBID
 	MacroCell lte.CellID
@@ -213,10 +212,11 @@ type AppDecl struct {
 }
 
 // SlicesDecl is the "slices:" section: declarative slice specs handed to
-// the elastic slice broker (internal/apps/broker). The builder installs
-// the agent-side slicing scheduler on every agent eNodeB — initial shares
-// split weight-proportionally between the founding (arrive_at 0) specs —
-// and Execute registers a broker armed at the end of the attach phase.
+// the elastic slice broker (internal/apps/broker). The builder builds the
+// broker and installs the agent-side slicing scheduler on every agent
+// eNodeB, holding the broker's split between the founding (arrive_at 0)
+// specs; Execute registers the broker armed at the end of the attach
+// phase.
 // The section is mutually exclusive with the static "slicing:" section.
 type SlicesDecl struct {
 	// Config is the broker's own configuration (elastic by default).
@@ -793,14 +793,14 @@ func parseApp(n *yamlite.Node, where string) (a AppDecl, err error) {
 	return a, nil
 }
 
-func shareChangeTable(ch *apps.ShareChange) []field {
+func shareChangeTable(ch *broker.ShareChange) []field {
 	return []field{
 		{"at", nonNegInt(&ch.At)},
 		{"shares", floats(&ch.Shares)},
 	}
 }
 
-func parseShareChange(n *yamlite.Node, where string) (ch apps.ShareChange, err error) {
+func parseShareChange(n *yamlite.Node, where string) (ch broker.ShareChange, err error) {
 	if err = decodeMap(n, where, shareChangeTable(&ch)); err == nil && ch.Shares == nil {
 		err = fmt.Errorf("scenario: %s.shares is required", where)
 	}

@@ -157,33 +157,6 @@ func (s *Slicer) Schedule(in Input) []Alloc {
 	return out
 }
 
-// Parametrizable is implemented by schedulers whose behaviour can be tuned
-// through the policy-reconfiguration "parameters" section (paper Fig. 3).
-type Parametrizable interface {
-	// SetParam applies one named parameter. Supported value types are
-	// float64, []float64, string and bool, mirroring the yamlite scalar
-	// and sequence kinds.
-	SetParam(name string, value interface{}) error
-}
-
-// SetParam implements Parametrizable for the slicer: the "rb_share"
-// parameter replaces the per-group share vector.
-func (s *Slicer) SetParam(name string, value interface{}) error {
-	switch name {
-	case "rb_share", "shares":
-		shares, ok := value.([]float64)
-		if !ok {
-			return fmt.Errorf("sched: %s expects a float sequence, got %T", name, value)
-		}
-		if err := ValidateShares(shares); err != nil {
-			return err
-		}
-		s.SetShares(shares)
-		return nil
-	}
-	return fmt.Errorf("sched: slicer has no parameter %q", name)
-}
-
 // ValidateShares checks a share vector received in a policy document.
 func ValidateShares(shares []float64) error {
 	sum := 0.0

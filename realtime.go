@@ -238,11 +238,11 @@ const (
 
 // ServeNorthbound binds addr and serves the master's northbound HTTP API
 // (internal/northbound): RIB queries, the live /watch event stream,
-// actuation endpoints and the /slices resource model over slices (e.g. a
-// *SliceBroker; nil makes /slices answer 503). ls feeds /stats/loop and
+// actuation endpoints and the /slices resource model over the slice
+// broker (nil makes /slices answer 503). ls feeds /stats/loop and
 // may be nil. The server runs until stop is closed; the bound address is
 // returned (use "127.0.0.1:0" for an ephemeral port in tests).
-func ServeNorthbound(m *Master, ls *LoopStats, slices northbound.SliceRegistry, addr string, stop <-chan struct{}) (net.Addr, error) {
+func ServeNorthbound(m *Master, ls *LoopStats, slices *SliceBroker, addr string, stop <-chan struct{}) (net.Addr, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
