@@ -304,9 +304,9 @@ type AgentSession struct {
 // Deliver queues a batch of agent-to-master messages for the next Tick.
 // One lock round-trip covers the whole batch, and sessions queue
 // independently of each other. Ownership of the messages passes to
-// the master: pooled messages (transport decodes) are released back to the
-// protocol free lists once applied, so callers must not touch them after
-// Deliver. The batch slice itself is not retained.
+// the master: pooled messages (TCP decodes, simulated-link clones) are
+// released back to the protocol free lists once applied, so callers must
+// not touch them after Deliver. The batch slice itself is not retained.
 func (as *AgentSession) Deliver(msgs ...*protocol.Message) {
 	as.s.enqueue(msgs)
 }
@@ -518,12 +518,12 @@ func (m *Master) snapshotBindings(sessions []*session) []lte.ENBID {
 
 // applyBatch runs the RIB Updater for one session's drained batch.
 // Applied messages are released back to the protocol free lists: transports
-// decode with protocol.DecodePooled and the updater is the end of the
-// message's life (everything the RIB or the watch recording keeps is copied —
-// kinds retained by pointer, like MeasReport, are exempt from payload
-// pooling by construction). Release is a no-op for messages that were
-// built directly rather than decoded, so in-process drivers and tests that
-// Deliver hand-made messages are unaffected.
+// deliver protocol.DecodePooled or protocol.ClonePooled messages and the
+// updater is the end of the message's life (everything the RIB or the watch
+// recording keeps is copied — kinds retained by pointer, like MeasReport,
+// are exempt from payload pooling by construction). Release is a no-op for
+// messages that were built directly rather than pooled, so in-process
+// drivers and tests that Deliver hand-made messages are unaffected.
 func (m *Master) applyBatch(s *session) {
 	for i, msg := range s.batch {
 		m.applyInbound(s, msg)

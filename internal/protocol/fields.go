@@ -3,7 +3,8 @@ package protocol
 // The field-table engine. A message struct declares its wire form once, as
 // a table of typed fields (newFields), and this file derives from the table
 // everything the struct needs: the encoder walks it in order, the decoder is
-// the one field loop below, and the pool reset clears what the table names.
+// the one field loop below, the pool reset clears what the table names, and
+// the deep copy (ClonePooled) copies exactly what the wire would carry.
 // The README's protocol reference is printed from the same tables, so a
 // field cannot be on the wire without being in the reference.
 //
@@ -30,6 +31,9 @@ type field[T any] struct {
 	enc   func(*T, *wire.Encoder)
 	dec   func(*T, *wire.Decoder) error // consumes the pending field
 	reset func(*T)
+	// copy gives dst what decoding src's encoding into dst would: a deep
+	// copy of the field that shares no memory with src.
+	copy func(dst, src *T)
 }
 
 // fields is the wire form of T: its fields in encoding order, and their
@@ -89,6 +93,20 @@ func (fs *fields[T]) reset(p *T) {
 	}
 }
 
+// copy makes dst, fresh or reset, what decoding src's encoding into it
+// would make it, reusing dst's slice capacity and sharing no memory with
+// src.
+func (fs *fields[T]) copy(dst, src *T) {
+	for i := range fs.list {
+		fs.list[i].copy(dst, src)
+	}
+}
+
+// assign is the copy of a field that holds no memory of its own.
+func assign[T, V any](at func(*T) *V) func(dst, src *T) {
+	return func(dst, src *T) { *at(dst) = *at(src) }
+}
+
 // Field constructors, one per wire shape. Each takes the field's number, its
 // name in the protocol reference and an accessor for the struct field.
 
@@ -100,6 +118,7 @@ func valueF[T, V any](num int, name, shape string, at func(*T) *V,
 		func(p *T, e *wire.Encoder) { put(e, num, *at(p)) },
 		func(p *T, d *wire.Decoder) (err error) { *at(p), err = get(d); return err },
 		func(p *T) { *at(p) = *new(V) },
+		assign(at),
 	}
 }
 
@@ -136,6 +155,7 @@ func uintF[T any, V uintLike](num int, name string, at func(*T) *V) field[T] {
 		func(p *T, e *wire.Encoder) { e.Uint(num, uint64(*at(p))) },
 		func(p *T, d *wire.Decoder) error { return readUint(d, at(p)) },
 		func(p *T) { *at(p) = 0 },
+		assign(at),
 	}
 }
 
@@ -166,6 +186,7 @@ func sintF[T any, V wire.Sint](num int, name string, at func(*T) *V) field[T] {
 			return err
 		},
 		func(p *T) { *at(p) = 0 },
+		assign(at),
 	}
 }
 
@@ -175,6 +196,7 @@ func boolF[T any](num int, name string, at func(*T) *bool) field[T] {
 		func(p *T, e *wire.Encoder) { e.Bool(num, *at(p)) },
 		func(p *T, d *wire.Decoder) (err error) { *at(p), err = d.ReadBool(); return err },
 		func(p *T) { *at(p) = false },
+		assign(at),
 	}
 }
 
@@ -185,11 +207,13 @@ func stringF[T any](num int, name string, at func(*T) *string) field[T] {
 // bytesF copies what it decodes: a payload owns its bytes, the frame buffer
 // is the transport's to reuse.
 func bytesF[T any](num int, name string, at func(*T) *[]byte) field[T] {
-	return valueF(num, name, "bytes", at, (*wire.Encoder).BytesField,
+	f := valueF(num, name, "bytes", at, (*wire.Encoder).BytesField,
 		func(d *wire.Decoder) ([]byte, error) {
 			b, err := d.ReadBytes()
 			return append([]byte(nil), b...), err
 		})
+	f.copy = func(dst, src *T) { *at(dst) = append([]byte(nil), *at(src)...) }
+	return f
 }
 
 // message is a pointer to a struct M that has a wire form of its own.
@@ -199,20 +223,23 @@ type message[M any] interface {
 	wire.Unmarshaler
 }
 
-// msgF is one nested message. Decoding merges into the struct in place, so
-// a field sent twice accumulates its repeated fields, as protobuf has it.
-func msgF[T, M any, PM message[M]](num int, name string, at func(*T) *M) field[T] {
+// msgF is one nested message, declared by the table fs. Decoding merges
+// into the struct in place, so a field sent twice accumulates its repeated
+// fields, as protobuf has it.
+func msgF[T, M any, PM message[M]](num int, name string, fs *fields[M], at func(*T) *M) field[T] {
 	return field[T]{
 		fieldInfo{num, name, "message", fmt.Sprintf("%T", *new(M))},
 		func(p *T, e *wire.Encoder) { e.Message(num, PM(at(p))) },
 		func(p *T, d *wire.Decoder) error { return d.ReadMessage(PM(at(p))) },
 		func(p *T) { *at(p) = *new(M) },
+		func(dst, src *T) { fs.copy(at(dst), at(src)) },
 	}
 }
 
-// repF is a repeated nested message, one field per element. Elements decode
-// into the slice's spare capacity (grow), not through a temporary.
-func repF[T, M any, PM message[M]](num int, name string, at func(*T) *[]M) field[T] {
+// repF is a repeated nested message, one field per element, each declared
+// by the table fs. Elements decode into the slice's spare capacity (grow),
+// not through a temporary.
+func repF[T, M any, PM message[M]](num int, name string, fs *fields[M], at func(*T) *[]M) field[T] {
 	return field[T]{
 		fieldInfo{num, name, "message, repeated", fmt.Sprintf("%T", []M(nil))},
 		func(p *T, e *wire.Encoder) {
@@ -228,21 +255,35 @@ func repF[T, M any, PM message[M]](num int, name string, at func(*T) *[]M) field
 			return d.ReadMessage(PM(m))
 		},
 		func(p *T) { *at(p) = (*at(p))[:0] },
+		func(dst, src *T) {
+			s, d := *at(src), resize(*at(dst), len(*at(src)))
+			for i := range s {
+				fs.copy(&d[i], &s[i])
+			}
+			*at(dst) = d
+		},
 	}
 }
 
-// ueBlockF is the columnar UE block (uetable.go). A table without rows is
-// not sent; reset keeps every column's capacity.
+// ueBlockF is the columnar UE block (uetable.go), hand-written rather than
+// declared by a table. A table without rows is not sent, so it is not
+// copied either; reset keeps every column's capacity.
 func ueBlockF[T any](num int, name string, at func(*T) *UETable) field[T] {
-	f := msgF(num, name, at)
-	f.shape = "UE block, omitted when empty"
-	f.enc = func(p *T, e *wire.Encoder) {
-		if t := at(p); t.Len() > 0 {
-			e.Message(num, t)
-		}
+	return field[T]{
+		fieldInfo{num, name, "UE block, omitted when empty", fmt.Sprintf("%T", UETable{})},
+		func(p *T, e *wire.Encoder) {
+			if t := at(p); t.Len() > 0 {
+				e.Message(num, t)
+			}
+		},
+		func(p *T, d *wire.Decoder) error { return d.ReadMessage(at(p)) },
+		func(p *T) { at(p).Resize(0) },
+		func(dst, src *T) {
+			if t := at(src); t.Len() > 0 {
+				at(dst).CopyFrom(t)
+			}
+		},
 	}
-	f.reset = func(p *T) { at(p).Resize(0) }
-	return f
 }
 
 // retired reserves a number a deployed build once sent: it is never encoded,
@@ -253,5 +294,6 @@ func retired[T any](num int, was string) field[T] {
 		func(*T, *wire.Encoder) {},
 		func(_ *T, d *wire.Decoder) error { return d.Skip() },
 		func(*T) {},
+		func(_, _ *T) {},
 	}
 }

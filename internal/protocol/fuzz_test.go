@@ -26,7 +26,8 @@ func TestSeedPayloadsCoverEveryKind(t *testing.T) {
 // FuzzPayloadRoundTrip feeds arbitrary bytes through Decode. Inputs that
 // decode must re-encode to a fixpoint: Encode(Decode(b)) decodes again and
 // encodes to identical bytes (canonical form), with payloads structurally
-// equal. Nothing may panic.
+// equal. The decoded message must also clone (checkClone). Nothing may
+// panic.
 func FuzzPayloadRoundTrip(f *testing.F) {
 	for _, p := range corpusPayloads() {
 		f.Add(Encode(New(7, 12345, p)))
@@ -74,5 +75,105 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("encoding not a fixpoint:\n first %x\nsecond %x", enc1, enc2)
 		}
+		checkClone(t, m)
 	})
+}
+
+// TestClonePooledCorpus runs checkClone over the corpus payload of every
+// kind, twice, so the second clone of a pooled kind reuses a released one.
+func TestClonePooledCorpus(t *testing.T) {
+	for range 2 {
+		for _, p := range corpusPayloads() {
+			m, err := Decode(Encode(&Message{ENB: 7, SF: 12345, CmdSeq: 99, Payload: p}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkClone(t, m)
+		}
+	}
+}
+
+// checkClone is the clone property for a decoded message m: ClonePooled(m)
+// carries m's envelope and an equal payload, encodes to m's bytes, and
+// still does once every slice of m's payload has been overwritten, so it
+// shares no memory with m. m is overwritten on return. Payloads compare
+// with empty slices as nil: whether a column is nil or empty is the free
+// list's history, not the message (DecodePooled differs from Decode the
+// same way).
+func checkClone(t *testing.T, m *Message) {
+	t.Helper()
+	want := Encode(m)
+	c := ClonePooled(m)
+	defer c.Release()
+	if c.ENB != m.ENB || c.SF != m.SF || c.CmdSeq != m.CmdSeq {
+		t.Fatalf("clone envelope %v/%v/%v, want %v/%v/%v", c.ENB, c.SF, c.CmdSeq, m.ENB, m.SF, m.CmdSeq)
+	}
+	emptyAsNil(reflect.ValueOf(c.Payload))
+	emptyAsNil(reflect.ValueOf(m.Payload))
+	if !reflect.DeepEqual(c.Payload, m.Payload) {
+		t.Fatalf("clone payload differs:\n clone %#v\noriginal %#v", c.Payload, m.Payload)
+	}
+	if got := Encode(c); !bytes.Equal(got, want) {
+		t.Fatalf("clone encodes differently:\n got %x\nwant %x", got, want)
+	}
+	scribble(reflect.ValueOf(m.Payload), false)
+	if got := Encode(c); !bytes.Equal(got, want) {
+		t.Fatalf("clone shares memory with the original %v:\n got %x\nwant %x", m.Payload.Kind(), got, want)
+	}
+}
+
+// emptyAsNil sets every empty slice reachable from v to nil.
+func emptyAsNil(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			emptyAsNil(v.Elem())
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			emptyAsNil(v.Field(i))
+		}
+	case reflect.Slice:
+		if v.Len() == 0 {
+			v.SetZero()
+		}
+		for i := range v.Len() {
+			emptyAsNil(v.Index(i))
+		}
+	}
+}
+
+// scribble changes every value stored in a slice reachable from v (inSlice:
+// v is such a value, or a field of one).
+func scribble(v reflect.Value, inSlice bool) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			scribble(v.Elem(), inSlice)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			scribble(v.Field(i), inSlice)
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			scribble(v.Index(i), true)
+		}
+	case reflect.Bool:
+		if inSlice {
+			v.SetBool(!v.Bool())
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if inSlice {
+			v.SetInt(v.Int() + 1)
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		if inSlice {
+			v.SetUint(v.Uint() + 1)
+		}
+	case reflect.String:
+		if inSlice {
+			v.SetString(v.String() + "!")
+		}
+	}
 }

@@ -53,7 +53,7 @@ var measReportFields = newFields(
 	uintF(3, "cell", func(p *MeasReport) *lte.CellID { return &p.Cell }),
 	sintF(4, "serving_rsrp_dbm", func(p *MeasReport) *int32 { return &p.ServingRSRPdBm }),
 	sintF(5, "serving_rsrq_db", func(p *MeasReport) *int32 { return &p.ServingRSRQdB }),
-	repF(6, "neighbors", func(p *MeasReport) *[]NeighborMeas { return &p.Neighbors }),
+	repF(6, "neighbors", neighborMeasFields, func(p *MeasReport) *[]NeighborMeas { return &p.Neighbors }),
 )
 
 // Kind, MarshalWire and UnmarshalWire implement Payload through measReportFields.

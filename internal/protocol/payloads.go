@@ -15,7 +15,7 @@ const ProtocolVersion = 1
 
 // Every struct below declares its wire form once, in the field table that
 // follows it (fields.go): the table is its encoder, its decoder, its pool
-// reset and its entry in the README's protocol reference.
+// reset, its deep copy and its entry in the README's protocol reference.
 
 // ---------------------------------------------------------------------------
 // Agent management (session establishment, liveness, configuration)
@@ -36,7 +36,7 @@ type Hello struct {
 
 var helloFields = newFields(
 	uintF(1, "version", func(p *Hello) *uint32 { return &p.Version }),
-	msgF(2, "config", func(p *Hello) *ENBConfig { return &p.Config }),
+	msgF(2, "config", enbConfigFields, func(p *Hello) *ENBConfig { return &p.Config }),
 	uintF(3, "epoch", func(p *Hello) *uint64 { return &p.Epoch }),
 )
 
@@ -140,7 +140,7 @@ type ENBConfig struct {
 
 var enbConfigFields = newFields(
 	uintF(1, "id", func(p *ENBConfig) *lte.ENBID { return &p.ID }),
-	repF(2, "cells", func(p *ENBConfig) *[]CellConfig { return &p.Cells }),
+	repF(2, "cells", cellConfigFields, func(p *ENBConfig) *[]CellConfig { return &p.Cells }),
 )
 
 // MarshalWire and UnmarshalWire implement the wire interfaces through enbConfigFields.
@@ -165,7 +165,7 @@ type ENBConfigReply struct {
 }
 
 var enbConfigReplyFields = newFields(
-	msgF(1, "config", func(p *ENBConfigReply) *ENBConfig { return &p.Config }),
+	msgF(1, "config", enbConfigFields, func(p *ENBConfigReply) *ENBConfig { return &p.Config }),
 )
 
 // Kind, MarshalWire and UnmarshalWire implement Payload through enbConfigReplyFields.
@@ -210,7 +210,7 @@ type UEConfigReply struct {
 }
 
 var ueConfigReplyFields = newFields(
-	repF(1, "ues", func(p *UEConfigReply) *[]UEConfig { return &p.UEs }),
+	repF(1, "ues", ueConfigFields, func(p *UEConfigReply) *[]UEConfig { return &p.UEs }),
 )
 
 // Kind, MarshalWire and UnmarshalWire implement Payload through ueConfigReplyFields.

@@ -1,16 +1,19 @@
 package protocol
 
-// Message and payload pooling: the southbound fast path decodes one message
-// per frame and the master/agent ingest loops discard it within the same
-// tick, so both the Message envelope and the payload body are recycled
-// through free lists instead of allocated per frame.
+// Message and payload pooling: the southbound fast path delivers one message
+// per frame — decoded from a TCP frame, or cloned by a simulated endpoint —
+// and the master/agent ingest loops discard it within the same tick, so
+// both the Message envelope and the payload body are recycled through free
+// lists instead of allocated per frame.
 //
 // Ownership contract:
 //
-//   - DecodePooled returns a message owned by the caller; calling Release
-//     hands the envelope (and, for pooled kinds, the payload) back to the
-//     free lists. After Release the message and its payload must not be
-//     touched.
+//   - DecodePooled and ClonePooled return a message owned by the caller;
+//     calling Release hands the envelope (and, for pooled kinds, the
+//     payload) back to the free lists. After Release the message and its
+//     payload must not be touched. The two return the same message for the
+//     same bytes: ClonePooled(m) is DecodePooled(AppendMessage(nil, m))
+//     without the bytes, and shares no memory with m.
 //   - Anything that must outlive Release has to be copied out first. The
 //     RIB copies each report into its agent's own table, one bulk copy per
 //     column (UETable.CopyFrom), for exactly this reason: it never keeps or
@@ -48,8 +51,9 @@ func acquirePayload(k Kind, wantPool bool) (Payload, bool, error) {
 // AcquireMessage builds a message around a payload using a pooled envelope.
 // The caller keeps ownership of the payload: Release returns only the
 // envelope to the pool (the payload is recycled solely for messages
-// produced by DecodePooled). Intended for transient sends where the
-// transport serializes synchronously and does not retain the message.
+// produced by DecodePooled or ClonePooled). Intended for transient sends
+// where the transport serializes synchronously and does not retain the
+// message.
 func AcquireMessage(enb lte.ENBID, sf lte.Subframe, p Payload) *Message {
 	m := msgPool.Get().(*Message)
 	m.ENB, m.SF, m.Payload = enb, sf, p
@@ -75,11 +79,38 @@ func DecodePooled(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// Release recycles a message obtained from AcquireMessage or DecodePooled.
-// For DecodePooled messages of pooled kinds the payload is reset and
-// returned to its kind's free list too. Messages built by New (or composite
-// literals) are untouched — Release is a no-op for them — so retaining
-// such messages stays safe.
+// ClonePooled returns a deep copy of m drawn from the free lists, exactly
+// what DecodePooled(AppendMessage(nil, m)) returns: the envelope's wire
+// fields, and a payload from its kind's free list (or fresh, for a kind
+// without one) holding a copy of what m's payload would put on the wire.
+// The copy shares no memory with m, so the caller may reuse m and anything
+// its payload aliases at once. Call Release when done.
+func ClonePooled(m *Message) *Message {
+	k := m.Payload.Kind()
+	p, pooled, _ := acquirePayload(k, true) // m's payload is of a known kind
+	kinds[k].copy(p, m.Payload)
+	c := msgPool.Get().(*Message)
+	*c = Message{ENB: m.ENB, SF: m.SF, Payload: p, CmdSeq: m.CmdSeq,
+		poolMsg: true, poolPayload: pooled, wantPool: true}
+	return c
+}
+
+// MessageSize returns len(AppendMessage(nil, m)): the encoder runs into a
+// pooled buffer that is released again, so the size needs no second set of
+// column rules and costs no allocation at steady state.
+func MessageSize(m *Message) int {
+	e := wire.AcquireEncoder()
+	m.MarshalWire(e)
+	n := e.Len()
+	e.Release()
+	return n
+}
+
+// Release recycles a message obtained from AcquireMessage, DecodePooled or
+// ClonePooled. For DecodePooled and ClonePooled messages of pooled kinds
+// the payload is reset and returned to its kind's free list too. Messages
+// built by New (or composite literals) are untouched — Release is a no-op
+// for them — so retaining such messages stays safe.
 func (m *Message) Release() {
 	if m == nil || !m.poolMsg {
 		return

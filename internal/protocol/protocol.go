@@ -21,8 +21,8 @@
 // (name, Fig. 7 category, constructor, whether decoded payloads are
 // recycled) is its row of the kinds table below, and a message struct's wire
 // form is the field table declared beside it (fields.go), which is its
-// encoder, decoder and pool reset. Only the envelope Message and the
-// columnar UE block (uetable.go) are written out by hand. The README's
+// encoder, decoder, pool reset and deep copy. Only the envelope Message and
+// the columnar UE block (uetable.go) are written out by hand. The README's
 // "Southbound protocol reference" is generated from these tables.
 package protocol
 
@@ -81,7 +81,10 @@ type kindInfo struct {
 	name     string
 	category string // the Fig. 7 accounting bucket
 	new      func() Payload
-	// pool and reset are set for the kinds DecodePooled recycles: Release
+	// copy deep-copies src into dst, a payload of this kind fresh from new
+	// or from pool (ClonePooled).
+	copy func(dst, src Payload)
+	// pool and reset are set for the kinds the free lists recycle: Release
 	// resets the payload and returns it to pool. They are nil for a kind
 	// whose decoded payloads somebody downstream keeps.
 	pool  *sync.Pool
@@ -98,22 +101,29 @@ type payloadOf[T any] interface {
 	Payload
 }
 
+// form is what the kinds table takes from a payload's field table.
+type form[T any] interface {
+	reset(*T)
+	copy(dst, src *T)
+}
+
 // retained declares a kind whose decoded payloads are never recycled:
 // somebody keeps them, or they are too rare for a free list to matter.
-func retained[T any, P payloadOf[T]](name, category, why string) kindInfo {
+func retained[T any, P payloadOf[T]](name, category string, f form[T], why string) kindInfo {
 	return kindInfo{name: name, category: category, why: why,
-		new: func() Payload { return P(new(T)) }}
+		new:  func() Payload { return P(new(T)) },
+		copy: func(dst, src Payload) { f.copy((*T)(dst.(P)), (*T)(src.(P))) }}
 }
 
 // pooled declares a kind whose decoded payloads the ingest loops are done
-// with inside the tick, so DecodePooled draws them from a free list. reset
-// must clear every field while keeping slice capacity — a field table's
-// reset does — so a reused payload leaks nothing into a message that omits
-// a field.
-func pooled[T any, P payloadOf[T]](name, category string, reset func(*T)) kindInfo {
-	k := retained[T, P](name, category, "consumed within the tick")
+// with inside the tick, so DecodePooled and ClonePooled draw them from a
+// free list. The table's reset clears every field while keeping slice
+// capacity, so a reused payload leaks nothing into a message that omits a
+// field.
+func pooled[T any, P payloadOf[T]](name, category string, f form[T]) kindInfo {
+	k := retained[T, P](name, category, f, "consumed within the tick")
 	k.pool = &sync.Pool{New: func() any { return P(new(T)) }}
-	k.reset = func(p Payload) { reset((*T)(p.(P))) }
+	k.reset = func(p Payload) { f.reset((*T)(p.(P))) }
 	return k
 }
 
@@ -121,28 +131,28 @@ func pooled[T any, P payloadOf[T]](name, category string, reset func(*T)) kindIn
 // Category, the decoder's constructor and the free lists all read it.
 var kinds = [kindMax]kindInfo{
 	KindInvalid:          {name: "invalid", category: CatManagement},
-	KindHello:            retained[Hello]("hello", CatManagement, "the RIB keeps Config.Cells"),
-	KindHelloAck:         retained[HelloAck]("hello_ack", CatManagement, "rare: once per session"),
-	KindEcho:             pooled("echo", CatManagement, echoFields.reset),
-	KindEchoReply:        pooled("echo_reply", CatManagement, echoReplyFields.reset),
-	KindENBConfigRequest: retained[ENBConfigRequest]("enb_config_request", CatManagement, "rare: on demand"),
-	KindENBConfigReply:   retained[ENBConfigReply]("enb_config_reply", CatManagement, "the RIB keeps Config.Cells"),
-	KindUEConfigRequest:  retained[UEConfigRequest]("ue_config_request", CatManagement, "rare: on demand"),
-	KindUEConfigReply:    retained[UEConfigReply]("ue_config_reply", CatManagement, "rare: on demand"),
-	KindStatsRequest:     pooled("stats_request", CatStats, statsRequestFields.reset),
-	KindStatsReply:       pooled("stats_reply", CatStats, statsReplyFields.reset),
-	KindSubframeTrigger:  pooled("subframe_trigger", CatSync, subframeTriggerFields.reset),
-	KindDLSchedule:       pooled("dl_schedule", CatCommands, dlScheduleFields.reset),
-	KindULSchedule:       pooled("ul_schedule", CatCommands, (*ULSchedule).reset),
-	KindUEEvent:          pooled("ue_event", CatManagement, ueEventFields.reset),
-	KindVSFUpdate:        retained[VSFUpdate]("vsf_update", CatDelegation, "the module cache keeps Program"),
-	KindPolicyReconf:     retained[PolicyReconf]("policy_reconf", CatDelegation, "rare: on demand"),
-	KindControlAck:       pooled("control_ack", CatManagement, controlAckFields.reset),
-	KindMeasReport:       retained[MeasReport]("meas_report", CatStats, "the RIB stores it, watchers receive it"),
-	KindHandoverCommand:  pooled("handover_command", CatCommands, handoverCommandFields.reset),
-	KindHandoverComplete: retained[HandoverComplete]("handover_complete", CatManagement, "watchers receive it"),
-	KindResyncRequest:    pooled("resync_request", CatManagement, resyncRequestFields.reset),
-	KindStateSnapshot:    retained[StateSnapshot]("state_snapshot", CatManagement, "the RIB may keep Config.Cells"),
+	KindHello:            retained("hello", CatManagement, helloFields, "the RIB keeps Config.Cells"),
+	KindHelloAck:         retained("hello_ack", CatManagement, helloAckFields, "rare: once per session"),
+	KindEcho:             pooled("echo", CatManagement, echoFields),
+	KindEchoReply:        pooled("echo_reply", CatManagement, echoReplyFields),
+	KindENBConfigRequest: retained("enb_config_request", CatManagement, enbConfigRequestFields, "rare: on demand"),
+	KindENBConfigReply:   retained("enb_config_reply", CatManagement, enbConfigReplyFields, "the RIB keeps Config.Cells"),
+	KindUEConfigRequest:  retained("ue_config_request", CatManagement, ueConfigRequestFields, "rare: on demand"),
+	KindUEConfigReply:    retained("ue_config_reply", CatManagement, ueConfigReplyFields, "rare: on demand"),
+	KindStatsRequest:     pooled("stats_request", CatStats, statsRequestFields),
+	KindStatsReply:       pooled("stats_reply", CatStats, statsReplyFields),
+	KindSubframeTrigger:  pooled("subframe_trigger", CatSync, subframeTriggerFields),
+	KindDLSchedule:       pooled("dl_schedule", CatCommands, dlScheduleFields),
+	KindULSchedule:       pooled[ULSchedule]("ul_schedule", CatCommands, ulScheduleForm{}),
+	KindUEEvent:          pooled("ue_event", CatManagement, ueEventFields),
+	KindVSFUpdate:        retained("vsf_update", CatDelegation, vsfUpdateFields, "the module cache keeps Program"),
+	KindPolicyReconf:     retained("policy_reconf", CatDelegation, policyReconfFields, "rare: on demand"),
+	KindControlAck:       pooled("control_ack", CatManagement, controlAckFields),
+	KindMeasReport:       retained("meas_report", CatStats, measReportFields, "the RIB stores it, watchers receive it"),
+	KindHandoverCommand:  pooled("handover_command", CatCommands, handoverCommandFields),
+	KindHandoverComplete: retained("handover_complete", CatManagement, handoverCompleteFields, "watchers receive it"),
+	KindResyncRequest:    pooled("resync_request", CatManagement, resyncRequestFields),
+	KindStateSnapshot:    retained("state_snapshot", CatManagement, stateSnapshotFields, "the RIB may keep Config.Cells"),
 }
 
 func (k Kind) String() string {

@@ -63,11 +63,11 @@ type StateSnapshot struct {
 var stateSnapshotFields = newFields(
 	uintF(1, "epoch", func(p *StateSnapshot) *uint64 { return &p.Epoch }),
 	uintF(2, "sf", func(p *StateSnapshot) *lte.Subframe { return &p.SF }),
-	msgF(3, "config", func(p *StateSnapshot) *ENBConfig { return &p.Config }),
+	msgF(3, "config", enbConfigFields, func(p *StateSnapshot) *ENBConfig { return &p.Config }),
 	retired[StateSnapshot](4, "ues, one message per UE"),
-	repF(5, "configs", func(p *StateSnapshot) *[]UEConfig { return &p.Configs }),
-	repF(6, "cells", func(p *StateSnapshot) *[]CellStats { return &p.Cells }),
-	repF(7, "subs", func(p *StateSnapshot) *[]StatsRequest { return &p.Subs }),
+	repF(5, "configs", ueConfigFields, func(p *StateSnapshot) *[]UEConfig { return &p.Configs }),
+	repF(6, "cells", cellStatsFields, func(p *StateSnapshot) *[]CellStats { return &p.Cells }),
+	repF(7, "subs", statsRequestFields, func(p *StateSnapshot) *[]StatsRequest { return &p.Subs }),
 	ueBlockF(8, "ues", func(p *StateSnapshot) *UETable { return &p.UEs }),
 )
 

@@ -40,7 +40,7 @@ type DLSchedule struct {
 var dlScheduleFields = newFields(
 	uintF(1, "cell", func(p *DLSchedule) *lte.CellID { return &p.Cell }),
 	uintF(2, "target_sf", func(p *DLSchedule) *lte.Subframe { return &p.TargetSF }),
-	repF(3, "allocs", func(p *DLSchedule) *[]Alloc { return &p.Allocs }),
+	repF(3, "allocs", allocFields, func(p *DLSchedule) *[]Alloc { return &p.Allocs }),
 )
 
 // Kind, MarshalWire and UnmarshalWire implement Payload through dlScheduleFields.
@@ -60,9 +60,16 @@ type ULSchedule struct {
 func (*ULSchedule) Kind() Kind { return KindULSchedule }
 
 // The uplink command's wire form is the downlink's under another kind, so
-// its codec and reset are dlScheduleFields.
-func (p *ULSchedule) reset()                      { dlScheduleFields.reset((*DLSchedule)(p)) }
+// its codec, reset and copy are dlScheduleFields.
 func (p *ULSchedule) MarshalWire(e *wire.Encoder) { dlScheduleFields.marshal((*DLSchedule)(p), e) }
 func (p *ULSchedule) UnmarshalWire(d *wire.Decoder) error {
 	return dlScheduleFields.unmarshal((*DLSchedule)(p), d)
+}
+
+// ulScheduleForm is the uplink kind's form: dlScheduleFields.
+type ulScheduleForm struct{}
+
+func (ulScheduleForm) reset(p *ULSchedule) { dlScheduleFields.reset((*DLSchedule)(p)) }
+func (ulScheduleForm) copy(dst, src *ULSchedule) {
+	dlScheduleFields.copy((*DLSchedule)(dst), (*DLSchedule)(src))
 }

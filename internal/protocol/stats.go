@@ -165,7 +165,7 @@ var statsReplyFields = newFields(
 	uintF(statsID, "id", func(p *StatsReply) *uint32 { return &p.ID }),
 	uintF(statsSF, "sf", func(p *StatsReply) *lte.Subframe { return &p.SF }),
 	retired[StatsReply](3, "ues, one message per UE"),
-	repF(statsCells, "cells", func(p *StatsReply) *[]CellStats { return &p.Cells }),
+	repF(statsCells, "cells", cellStatsFields, func(p *StatsReply) *[]CellStats { return &p.Cells }),
 	ueBlockF(statsUEs, "ues", func(p *StatsReply) *UETable { return &p.UEs }),
 )
 

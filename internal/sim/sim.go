@@ -734,9 +734,7 @@ func (s *Sim) Step() {
 func (s *Sim) deliverToMaster(n *Node) {
 	l := n.link
 	s.batch = s.batch[:0]
-	if err := l.mEp.AdvanceInto(s.sf, &s.batch); err != nil {
-		corrupt("agent->master", n, err)
-	}
+	l.mEp.AdvanceInto(s.sf, &s.batch)
 	// Ownership moves to the master, which releases each message back to
 	// the protocol free lists once the RIB updater has applied it.
 	l.session.Deliver(s.batch...)
@@ -746,9 +744,7 @@ func (s *Sim) deliverToMaster(n *Node) {
 func (s *Sim) deliverToAgent(n *Node) {
 	l := n.link
 	s.batch = s.batch[:0]
-	if err := l.aEp.AdvanceInto(s.sf, &s.batch); err != nil {
-		corrupt("master->agent", n, err)
-	}
+	l.aEp.AdvanceInto(s.sf, &s.batch)
 	if len(s.batch) == 0 {
 		return
 	}
@@ -766,16 +762,10 @@ func (s *Sim) deliverToAgent(n *Node) {
 		}
 		n.Agent.Deliver(m)
 		// The agent copies what it keeps (subscriptions, alloc vectors,
-		// queued handover commands), so the decoded message recycles
+		// queued handover commands), so the delivered message recycles
 		// immediately.
 		m.Release()
 	}
-}
-
-// corrupt panics on a control-channel decode failure of one leg of a
-// node's link.
-func corrupt(leg string, n *Node, err error) {
-	panic(fmt.Sprintf("sim: corrupt control message (%s, eNB %d): %v", leg, n.ENB.ID(), err))
 }
 
 // stepNode is the data phase for one awake node: its eNodeB subframe,

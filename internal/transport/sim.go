@@ -2,21 +2,12 @@ package transport
 
 import (
 	"math/rand/v2"
-	"sync"
 
 	"flexran/internal/lte"
 	"flexran/internal/metrics"
 	"flexran/internal/protocol"
 	"flexran/internal/rng"
 )
-
-// simBufPool recycles the serialized-payload buffers that travel between
-// simulated endpoints: Send draws one, AdvanceTo returns it after decoding
-// (decoded messages own their bytes, so the buffer is free immediately).
-var simBufPool = sync.Pool{New: func() interface{} { return new(simBuf) }}
-
-// simBuf boxes the byte slice so pool round-trips don't allocate a header.
-type simBuf struct{ b []byte }
 
 // Netem models the control-channel impairment between master and agent,
 // replacing the Linux netem qdisc used in the paper's Fig. 9 experiment.
@@ -54,8 +45,8 @@ type Netem struct {
 	ReorderProb float64
 	ReorderTTI  int
 	// CorruptProb marks a message as corrupted in flight: the receiver
-	// counts and drops it at delivery instead of decoding garbage
-	// (mirroring the checksummed TCP framing path).
+	// counts and drops it at delivery, as the checksummed TCP framing path
+	// drops a frame whose CRC fails.
 	CorruptProb float64
 	// StallTTI freezes delivery toward the receiving end for StallTTI
 	// subframes starting when this Netem is applied (NewSimPair or
@@ -106,7 +97,7 @@ func (n Netem) delay(r *rand.Rand) lte.Subframe {
 type NetemCounters struct {
 	// Sent counts frames offered to the link, duplicates included.
 	Sent uint64
-	// Delivered counts frames decoded and handed to the consumer.
+	// Delivered counts frames handed to the consumer.
 	Delivered uint64
 	// Dropped counts frames lost to LossProb/BurstLossProb.
 	Dropped uint64
@@ -116,12 +107,13 @@ type NetemCounters struct {
 	Corrupted uint64
 }
 
-// inflight is one serialized message in transit.
+// inflight is one message in transit: the receiver's own copy of what was
+// sent, or nil for a frame damaged in flight, which is counted and dropped
+// at delivery.
 type inflight struct {
 	deliverAt lte.Subframe
 	seq       uint64 // tie-break: FIFO among equal delivery times
-	payload   *simBuf
-	corrupt   bool // damaged in flight: count and drop at delivery
+	msg       *protocol.Message
 }
 
 // inflightHeap is a typed min-heap ordered by (deliverAt, seq). It is
@@ -157,7 +149,7 @@ func (h *inflightHeap) pop() inflight {
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = inflight{} // release the buffer pointer
+	q[n] = inflight{} // release the message pointer
 	*h = q[:n]
 	q = q[:n]
 	for i := 0; ; {
@@ -181,9 +173,11 @@ func (h *inflightHeap) pop() inflight {
 // SimEndpoint is one side of a simulated control channel. It is driven by
 // the single-threaded simulation loop: Send enqueues toward the peer with
 // the configured delay, and AdvanceTo(sf) returns the messages that have
-// arrived by subframe sf. Messages are genuinely serialized on Send and
-// decoded on delivery, so byte metering and wire-compatibility match the
-// TCP path exactly.
+// arrived by subframe sf. What travels is a pooled deep copy of the sent
+// message (protocol.ClonePooled), the message the TCP path would decode
+// from the same frame; the meter counts the frame the TCP path would write
+// (protocol.MessageSize plus FrameOverhead), so byte accounting matches it
+// exactly with no bytes in between.
 type SimEndpoint struct {
 	peer  *SimEndpoint
 	netem Netem
@@ -226,9 +220,10 @@ func (e *SimEndpoint) armStall() {
 	}
 }
 
-// Send serializes m (into a pooled buffer) and schedules its delivery at
-// the peer. The message itself is not retained: callers may reuse it — and
-// any scratch its payload aliases — as soon as Send returns.
+// Send meters m's frame and schedules a pooled deep copy of m for delivery
+// at the peer; a lost frame is not copied, a duplicate gets a copy of its
+// own and a corrupted one none. m itself is not retained: callers may reuse
+// it — and any scratch its payload aliases — as soon as Send returns.
 //
 // Random draws are strictly knob-gated and happen in a fixed order (burst
 // transition, loss, corrupt, reorder, jitter, dup, dup jitter). A Netem
@@ -238,9 +233,7 @@ func (e *SimEndpoint) Send(m *protocol.Message) error {
 	if e.down {
 		return nil // link cut: nothing is transmitted (and nothing metered)
 	}
-	buf := simBufPool.Get().(*simBuf)
-	buf.b = protocol.AppendMessage(buf.b[:0], m)
-	e.meter.Record(m.Payload.Kind().Category(), len(buf.b)+FrameOverhead)
+	e.meter.Record(m.Payload.Kind().Category(), protocol.MessageSize(m)+FrameOverhead)
 	e.ctr.Sent++
 	lossProb := e.netem.LossProb
 	if e.netem.burstEnabled() {
@@ -254,7 +247,6 @@ func (e *SimEndpoint) Send(m *protocol.Message) error {
 		}
 	}
 	if lossProb > 0 && e.rnd.Float64() < lossProb {
-		simBufPool.Put(buf)
 		e.ctr.Dropped++
 		return nil // dropped in flight
 	}
@@ -264,22 +256,19 @@ func (e *SimEndpoint) Send(m *protocol.Message) error {
 		reorder = lte.Subframe(e.netem.ReorderTTI)
 	}
 	e.seq++
-	e.peer.pending.push(inflight{
-		deliverAt: e.now + e.netem.delay(e.rnd) + reorder,
-		seq:       e.seq,
-		payload:   buf,
-		corrupt:   corrupt,
-	})
+	it := inflight{deliverAt: e.now + e.netem.delay(e.rnd) + reorder, seq: e.seq}
+	if !corrupt {
+		it.msg = protocol.ClonePooled(m)
+	}
+	e.peer.pending.push(it)
 	if e.netem.DupProb > 0 && e.rnd.Float64() < e.netem.DupProb {
-		dup := simBufPool.Get().(*simBuf)
-		dup.b = append(dup.b[:0], buf.b...)
 		e.ctr.Sent++
 		e.ctr.Duplicated++
 		e.seq++
 		e.peer.pending.push(inflight{
 			deliverAt: e.now + e.netem.delay(e.rnd),
 			seq:       e.seq,
-			payload:   dup,
+			msg:       protocol.ClonePooled(m),
 		})
 	}
 	return nil
@@ -287,42 +276,35 @@ func (e *SimEndpoint) Send(m *protocol.Message) error {
 
 // AdvanceTo moves this endpoint's clock to sf and returns every message
 // that has arrived (in delivery order). The clock must not move backwards.
-// Messages are pooled (protocol.DecodePooled): the consumer should Release
-// them once applied.
-func (e *SimEndpoint) AdvanceTo(sf lte.Subframe) ([]*protocol.Message, error) {
+// Each message is the consumer's own pooled copy (protocol.ClonePooled):
+// the consumer should Release it once applied.
+func (e *SimEndpoint) AdvanceTo(sf lte.Subframe) []*protocol.Message {
 	var out []*protocol.Message
-	err := e.AdvanceInto(sf, &out)
-	return out, err
+	e.AdvanceInto(sf, &out)
+	return out
 }
 
 // AdvanceInto is AdvanceTo with a caller-owned batch slice: arrived
 // messages are appended to *batch, so a driver looping per TTI can reuse
 // one slice and make the idle case (no arrivals) allocation-free.
-func (e *SimEndpoint) AdvanceInto(sf lte.Subframe, batch *[]*protocol.Message) error {
+func (e *SimEndpoint) AdvanceInto(sf lte.Subframe, batch *[]*protocol.Message) {
 	if sf > e.now {
 		e.now = sf
 	}
 	if e.now < e.stallUntil {
-		return nil // stall window: the backlog is held, nothing delivers
+		return // stall window: the backlog is held, nothing delivers
 	}
 	for len(e.pending) > 0 && e.pending[0].deliverAt <= e.now {
 		it := e.pending.pop()
-		if it.corrupt {
+		if it.msg == nil {
 			// Damaged in flight: the checksum fails, so the frame is
-			// counted and dropped instead of decoded as garbage.
-			simBufPool.Put(it.payload)
+			// counted and dropped.
 			e.peer.ctr.Corrupted++
 			continue
 		}
-		m, err := protocol.DecodePooled(it.payload.b)
-		simBufPool.Put(it.payload) // decoded messages own their bytes
-		if err != nil {
-			return err
-		}
 		e.peer.ctr.Delivered++
-		*batch = append(*batch, m)
+		*batch = append(*batch, it.msg)
 	}
-	return nil
 }
 
 // Pending reports how many messages are still in flight toward this
@@ -361,7 +343,7 @@ func (e *SimEndpoint) Down() bool { return e.down }
 // endpoint (a link cut taking the wire's contents with it).
 func (e *SimEndpoint) DropInflight() {
 	for i := range e.pending {
-		simBufPool.Put(e.pending[i].payload)
+		e.pending[i].msg.Release()
 		e.pending[i] = inflight{}
 	}
 	e.pending = e.pending[:0]

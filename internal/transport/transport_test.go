@@ -2,10 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,10 +78,7 @@ func TestSimPairImmediateDelivery(t *testing.T) {
 	if err := a.Send(echo(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.AdvanceTo(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := b.AdvanceTo(0)
 	if len(got) != 1 {
 		t.Fatalf("got %d messages, want 1", len(got))
 	}
@@ -95,12 +96,12 @@ func TestSimPairDelay(t *testing.T) {
 	}
 	// Not delivered before subframe 15.
 	for sf := lte.Subframe(11); sf < 15; sf++ {
-		got, _ := b.AdvanceTo(sf)
+		got := b.AdvanceTo(sf)
 		if len(got) != 0 {
 			t.Fatalf("delivered at %d, want 15", sf)
 		}
 	}
-	got, _ := b.AdvanceTo(15)
+	got := b.AdvanceTo(15)
 	if len(got) != 1 {
 		t.Fatalf("got %d at sf 15", len(got))
 	}
@@ -108,11 +109,11 @@ func TestSimPairDelay(t *testing.T) {
 	if err := b.Send(echo(2, 15)); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = a.AdvanceTo(17)
+	got = a.AdvanceTo(17)
 	if len(got) != 0 {
 		t.Fatal("early delivery on reverse path")
 	}
-	got, _ = a.AdvanceTo(18)
+	got = a.AdvanceTo(18)
 	if len(got) != 1 {
 		t.Fatal("missing delivery on reverse path")
 	}
@@ -125,7 +126,7 @@ func TestSimPairFIFOWithinSameDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _ := b.AdvanceTo(0)
+	got := b.AdvanceTo(0)
 	if len(got) != 10 {
 		t.Fatalf("got %d", len(got))
 	}
@@ -145,7 +146,7 @@ func TestSimPairJitterDeterministic(t *testing.T) {
 			a.Send(echo(i, 0))
 		}
 		for sf := lte.Subframe(0); sf < 300; sf++ {
-			got, _ := b.AdvanceTo(sf)
+			got := b.AdvanceTo(sf)
 			for range got {
 				deliveries = append(deliveries, sf)
 			}
@@ -168,7 +169,7 @@ func TestSimPairLoss(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		a.Send(echo(i, 0))
 	}
-	got, _ := b.AdvanceTo(100)
+	got := b.AdvanceTo(100)
 	if len(got) != 0 {
 		t.Errorf("loss=1.0 delivered %d messages", len(got))
 	}
@@ -241,10 +242,10 @@ func TestNetemDirectionsDecorrelated(t *testing.T) {
 				a.Send(echo(uint64(sf), sf))
 				b.Send(echo(uint64(sf), sf))
 			}
-			for range mustAdvance(t, b, sf) {
+			for range b.AdvanceTo(sf) {
 				fwd = append(fwd, sf)
 			}
-			for range mustAdvance(t, a, sf) {
+			for range a.AdvanceTo(sf) {
 				rev = append(rev, sf)
 			}
 		}
@@ -273,15 +274,6 @@ func TestNetemDirectionsDecorrelated(t *testing.T) {
 	}
 }
 
-func mustAdvance(t *testing.T, e *SimEndpoint, sf lte.Subframe) []*protocol.Message {
-	t.Helper()
-	got, err := e.AdvanceTo(sf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
 func TestSimEndpointLinkDownAndDropInflight(t *testing.T) {
 	a, b := NewSimPair(Netem{OneWayTTI: 5}, Netem{})
 	a.Send(echo(1, 0)) // in flight when the cut happens
@@ -291,7 +283,7 @@ func TestSimEndpointLinkDownAndDropInflight(t *testing.T) {
 		t.Fatal("in-flight message survived the cut")
 	}
 	a.Send(echo(2, 0))
-	if got, _ := b.AdvanceTo(100); len(got) != 0 {
+	if got := b.AdvanceTo(100); len(got) != 0 {
 		t.Fatalf("cut link delivered %d messages", len(got))
 	}
 	if !a.Down() {
@@ -299,7 +291,7 @@ func TestSimEndpointLinkDownAndDropInflight(t *testing.T) {
 	}
 	a.SetDown(false)
 	a.Send(echo(3, 100))
-	got, _ := b.AdvanceTo(105)
+	got := b.AdvanceTo(105)
 	if len(got) != 1 || got[0].Payload.(*protocol.Echo).Seq != 3 {
 		t.Fatalf("restored link delivery = %+v", got)
 	}
@@ -308,16 +300,16 @@ func TestSimEndpointLinkDownAndDropInflight(t *testing.T) {
 func TestSetNetem(t *testing.T) {
 	a, b := NewSimPair(Netem{}, Netem{})
 	a.Send(echo(1, 0))
-	if got, _ := b.AdvanceTo(0); len(got) != 1 {
+	if got := b.AdvanceTo(0); len(got) != 1 {
 		t.Fatal("baseline delivery failed")
 	}
 	a.SetNetem(Netem{OneWayTTI: 10})
 	a.AdvanceTo(5)
 	a.Send(echo(2, 5))
-	if got, _ := b.AdvanceTo(14); len(got) != 0 {
+	if got := b.AdvanceTo(14); len(got) != 0 {
 		t.Fatal("new delay not applied")
 	}
-	if got, _ := b.AdvanceTo(15); len(got) != 1 {
+	if got := b.AdvanceTo(15); len(got) != 1 {
 		t.Fatal("delayed message missing")
 	}
 }
@@ -502,4 +494,138 @@ func TestTCPConnRecvBatch(t *testing.T) {
 	for server.RecvBatch(&batch) {
 		batch = batch[:0]
 	}
+}
+
+// TestSimEndpointHandsOverCopy pins what a simulated link delivers: the
+// receiver's own pooled copy of each message, never the sender's memory,
+// metered as the frame the TCP path would write.
+func TestSimEndpointHandsOverCopy(t *testing.T) {
+	report := func() (*protocol.Message, *protocol.StatsReply) {
+		rep := &protocol.StatsReply{ID: 3, SF: 40, Cells: []protocol.CellStats{{UsedPRB: 20, TotalPRB: 50}}}
+		for i := 0; i < 4; i++ {
+			rep.UEs.Append(&protocol.UEStats{
+				RNTI: lte.RNTI(0x46 + i), CQI: lte.CQI(5 + i), DLQueue: uint64(1000 * i),
+				SubbandCQI: []uint8{7, uint8(i)}, LCs: []protocol.LCReport{{LCID: 3, Bytes: uint64(i)}},
+			})
+		}
+		return protocol.New(1, 40, rep), rep
+	}
+	// deliverOne advances b until one message arrived and returns it.
+	deliverOne := func(t *testing.T, b *SimEndpoint) *protocol.Message {
+		t.Helper()
+		got := b.AdvanceTo(100)
+		if len(got) != 1 {
+			t.Fatalf("delivered %d messages, want 1", len(got))
+		}
+		return got[0]
+	}
+
+	t.Run("sender overwrites after Send", func(t *testing.T) {
+		a, b := NewSimPair(Netem{}, Netem{})
+		m, rep := report()
+		want := protocol.Encode(m)
+		a.Send(m)
+		rep.SF++
+		rep.Cells[0].UsedPRB = 0
+		for i := range rep.UEs.CQI {
+			rep.UEs.CQI[i], rep.UEs.DLQueue[i] = 1, 0
+		}
+		rep.UEs.Subbands[0], rep.UEs.LCBytes[0] = 0, 99
+		rep.UEs.Resize(1)
+		got := deliverOne(t, b)
+		if enc := protocol.Encode(got); !bytes.Equal(enc, want) {
+			t.Fatalf("delivered message follows the sender's edits:\n got %x\nwant %x", enc, want)
+		}
+		got.Release()
+	})
+
+	t.Run("each duplicate is its own copy", func(t *testing.T) {
+		a, b := NewSimPair(Netem{DupProb: 1}, Netem{})
+		m, _ := report()
+		want := protocol.Encode(m)
+		a.Send(m)
+		got := b.AdvanceTo(100)
+		if len(got) != 2 || got[0] == got[1] || got[0].Payload == got[1].Payload {
+			t.Fatalf("dup=1 delivered %d messages, want 2 distinct copies", len(got))
+		}
+		got[0].Release()
+		// Whatever the free list hands out next may be the released copy.
+		m2, rep2 := report()
+		rep2.UEs.Resize(1)
+		a.SetNetem(Netem{})
+		a.Send(m2)
+		other := deliverOne(t, b)
+		if enc := protocol.Encode(got[1]); !bytes.Equal(enc, want) {
+			t.Fatalf("releasing one duplicate changed the other:\n got %x\nwant %x", enc, want)
+		}
+		got[1].Release()
+		other.Release()
+	})
+
+	t.Run("a corrupt frame carries nothing", func(t *testing.T) {
+		a, b := NewSimPair(Netem{CorruptProb: 1}, Netem{})
+		m, _ := report()
+		a.Send(m)
+		if got := b.AdvanceTo(100); len(got) != 0 {
+			t.Fatalf("corrupt frame delivered %d messages", len(got))
+		}
+		if c := a.Counters(); c.Sent != 1 || c.Corrupted != 1 || c.Delivered != 0 {
+			t.Fatalf("counters = %+v, want 1 sent / 1 corrupted / 0 delivered", c)
+		}
+	})
+
+	t.Run("DropInflight releases what is pending", func(t *testing.T) {
+		a, b := NewSimPair(Netem{OneWayTTI: 5}, Netem{})
+		m, _ := report()
+		a.Send(m)
+		a.Send(echo(1, 0))
+		held := []*protocol.Message{b.pending[0].msg, b.pending[1].msg}
+		b.DropInflight()
+		if b.Pending() != 0 {
+			t.Fatalf("%d messages still in flight", b.Pending())
+		}
+		for i, h := range held {
+			if h.Payload != nil {
+				t.Errorf("dropped message %d was not released: %+v", i, h)
+			}
+		}
+		if got := b.AdvanceTo(100); len(got) != 0 {
+			t.Fatalf("dropped messages delivered: %d", len(got))
+		}
+	})
+
+	t.Run("metered bytes are the TCP frame", func(t *testing.T) {
+		files, err := filepath.Glob(filepath.Join("..", "protocol", "testdata", "wire", "*.hex"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[protocol.Kind]bool{}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := hex.DecodeString(strings.ReplaceAll(string(b), "\n", ""))
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			m, err := protocol.Decode(raw)
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			k := m.Payload.Kind()
+			seen[k] = true
+			a, _ := NewSimPair(Netem{}, Netem{})
+			a.Send(m)
+			want := int64(len(protocol.AppendMessage(nil, m)) + FrameOverhead)
+			if got := a.Meter().Bytes(k.Category()); got != want {
+				t.Errorf("%v: metered %d bytes, want %d", k, got, want)
+			}
+		}
+		for k := protocol.KindHello; k <= protocol.KindStateSnapshot; k++ {
+			if !seen[k] {
+				t.Errorf("kind %v not metered: no frame in the wire corpus", k)
+			}
+		}
+	})
 }

@@ -72,7 +72,7 @@ func TestMemGateWorldBytesPerUE(t *testing.T) {
 	const ues = vanillaENBs * vanillaUEs
 
 	before := heapInUse()
-	s := newVanillaSim(t)
+	s := newVanillaSim(t, nil)
 	s.Run(300)
 	perUE := float64(heapInUse()-before) / ues
 	t.Logf("retained heap: %.0f B/UE over %d UEs", perUE, ues)
