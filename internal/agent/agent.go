@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flexran/internal/enb"
@@ -78,10 +79,6 @@ type statsSub struct {
 	started  lte.Subframe
 	lastHash uint64 // for triggered mode
 	sentOnce bool
-	// rep is the subscription's reusable report: refilled in place every
-	// period, serialized synchronously by the transport on emit, never
-	// retained by the receive side (the master copies out what it keeps).
-	rep protocol.StatsReply
 }
 
 // Agent is one FlexRAN agent fronting one eNodeB.
@@ -134,7 +131,7 @@ type Agent struct {
 
 	// droppedSends counts messages lost because no transport is attached
 	// or the transport failed; surfaced for diagnostics.
-	droppedSends int
+	droppedSends atomic.Int64
 
 	// loopStats, when attached (wall-clock deployments), receives the
 	// report leg of the real-time engine's latency accounting: encode+send
@@ -206,6 +203,12 @@ func (a *Agent) SetLoopStats(ls *metrics.LoopStats) {
 // sends the Hello handshake. The Hello is retransmitted from the TTI loop
 // until the master's HelloAck for this epoch arrives (see onSubframe), so
 // a lossy control channel cannot leave the agent unwelcomed forever.
+//
+// send must not retain m: the agent builds its per-TTI reports and
+// subframe triggers in messages from the protocol free lists and releases
+// each one when send returns. Both transports finish with m inside the call
+// (SimEndpoint.Send clones it, Conn.Send encodes it); a send function that
+// keeps messages keeps protocol.ClonePooled(m).
 func (a *Agent) Connect(send func(*protocol.Message) error) {
 	a.mu.Lock()
 	a.send = send
@@ -300,27 +303,30 @@ func (a *Agent) helloRetry() int {
 
 // emit sends a payload to the master, stamping the envelope.
 func (a *Agent) emit(p protocol.Payload) {
+	a.transmit(protocol.New(a.enb.ID(), a.enb.Now(), p))
+}
+
+// emitPooled sends a message from protocol.AcquirePooled and releases it
+// when send returns, sent or not.
+func (a *Agent) emitPooled(m *protocol.Message) {
+	a.transmit(m)
+	m.Release()
+}
+
+// transmit hands m to the transport, counting it dropped when there is none
+// or the send fails. It takes a.mu once, to read the transport.
+func (a *Agent) transmit(m *protocol.Message) {
 	a.mu.Lock()
 	send := a.send
 	a.mu.Unlock()
-	if send == nil {
-		a.mu.Lock()
-		a.droppedSends++
-		a.mu.Unlock()
-		return
-	}
-	if err := send(protocol.New(a.enb.ID(), a.enb.Now(), p)); err != nil {
-		a.mu.Lock()
-		a.droppedSends++
-		a.mu.Unlock()
+	if send == nil || send(m) != nil {
+		a.droppedSends.Add(1)
 	}
 }
 
 // DroppedSends reports messages lost for lack of a working transport.
 func (a *Agent) DroppedSends() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.droppedSends
+	return int(a.droppedSends.Load())
 }
 
 // Deliver processes one message from the master (the message handler and
@@ -594,7 +600,7 @@ func (a *Agent) handleStatsRequest(req *protocol.StatsRequest) {
 	now := a.enb.Now()
 	switch req.Mode {
 	case protocol.StatsOneOff:
-		a.emit(a.buildReport(req, &protocol.StatsReply{}, now))
+		a.emitPooled(a.report(req, now))
 	case protocol.StatsPeriodic:
 		a.mu.Lock()
 		if req.PeriodTTI == 0 {
@@ -683,29 +689,30 @@ func (a *Agent) NextWork(from lte.Subframe) lte.Subframe {
 }
 
 func (a *Agent) onSubframe(sf lte.Subframe) {
-	if a.Stalled() {
+	retry := a.helloRetry()
+	// One look at the agent's state per TTI: the stall, the Hello
+	// retransmission and a snapshot of the presorted subscription list.
+	// Deliver runs on the same goroutine as this hook (the agent's
+	// serialization contract), so the copy exists only to keep iteration
+	// stable if a StatsRequest handled later this subframe rebuilds the list.
+	a.mu.Lock()
+	if a.stalled {
+		a.mu.Unlock()
 		return
 	}
-	if retry := a.helloRetry(); retry > 0 {
-		a.mu.Lock()
-		resend := a.send != nil && !a.helloAcked && int(sf-a.lastHello) >= retry
-		a.mu.Unlock()
-		if resend {
-			a.sendHello()
-		}
-	}
-	if p := a.mgmt.SyncPeriod(); p > 0 && int(sf)%p == 0 {
-		a.emit(&protocol.SubframeTrigger{SF: sf})
-	}
-	// Snapshot the presorted subscription list. Deliver runs on the same
-	// goroutine as this hook (the agent's serialization contract), so the
-	// copy exists only to keep iteration stable if a StatsRequest handled
-	// later this subframe rebuilds the list.
-	a.mu.Lock()
+	resend := retry > 0 && a.send != nil && !a.helloAcked && int(sf-a.lastHello) >= retry
 	subs := append(a.subScratch[:0], a.subList...)
 	a.subScratch = subs
 	ls := a.loopStats
 	a.mu.Unlock()
+	if resend {
+		a.sendHello()
+	}
+	if p := a.mgmt.SyncPeriod(); p > 0 && int(sf)%p == 0 {
+		m := protocol.AcquirePooled(a.enb.ID(), sf, protocol.KindSubframeTrigger)
+		m.Payload.(*protocol.SubframeTrigger).SF = sf
+		a.emitPooled(m)
+	}
 	var t0 time.Time
 	for _, s := range subs {
 		switch s.req.Mode {
@@ -714,7 +721,7 @@ func (a *Agent) onSubframe(sf lte.Subframe) {
 				if ls != nil {
 					t0 = time.Now()
 				}
-				a.emit(a.buildReport(&s.req, &s.rep, sf))
+				a.emitPooled(a.report(&s.req, sf))
 				if ls != nil {
 					ls.Report.Observe(time.Since(t0))
 				}
@@ -723,33 +730,32 @@ func (a *Agent) onSubframe(sf lte.Subframe) {
 			if ls != nil {
 				t0 = time.Now()
 			}
-			rep := a.buildReport(&s.req, &s.rep, sf)
-			h := a.reportHash(rep)
+			m := a.report(&s.req, sf)
+			h := a.reportHash(m.Payload.(*protocol.StatsReply))
 			if !s.sentOnce || h != s.lastHash {
 				s.sentOnce = true
 				s.lastHash = h
-				a.emit(rep)
+				a.transmit(m)
 				if ls != nil {
 					ls.Report.Observe(time.Since(t0))
 				}
 			}
+			m.Release()
 		}
 	}
 }
 
-// buildReport assembles a StatsReply for a subscription's content flags,
-// refilling rep in place: the eNodeB writes its UE lanes straight into the
-// per-subscription reply's table, whose capacity is reused every period, so
-// steady-state report construction allocates nothing. The returned reply
-// (== rep) is valid until the subscription's next report is built;
-// transports serialize it synchronously on emit.
-func (a *Agent) buildReport(req *protocol.StatsRequest, rep *protocol.StatsReply, sf lte.Subframe) *protocol.StatsReply {
+// report assembles a subscription's StatsReply for its content flags in a
+// message from the protocol free lists: the eNodeB writes its UE lanes
+// straight into the pooled reply's table, whose capacity survives the
+// reply's trips through the free list, so steady-state report construction
+// allocates nothing. The caller releases the message.
+func (a *Agent) report(req *protocol.StatsRequest, sf lte.Subframe) *protocol.Message {
+	m := protocol.AcquirePooled(a.enb.ID(), sf, protocol.KindStatsReply)
+	rep := m.Payload.(*protocol.StatsReply)
 	rep.ID, rep.SF = req.ID, sf
-	rep.Cells = rep.Cells[:0]
 	if req.Flags&(protocol.StatsQueues|protocol.StatsCQI|protocol.StatsRates|protocol.StatsHARQ) != 0 {
 		a.enb.FillUETable(&rep.UEs, req.Flags)
-	} else {
-		rep.UEs.Resize(0)
 	}
 	if req.Flags&protocol.StatsCell != 0 {
 		a.cellScratch = a.enb.AppendCellReports(a.cellScratch[:0])
@@ -757,7 +763,7 @@ func (a *Agent) buildReport(req *protocol.StatsRequest, rep *protocol.StatsReply
 			rep.Cells = append(rep.Cells, c.ToProtocolCellStats())
 		}
 	}
-	return rep
+	return m
 }
 
 // FNV-1a constants (the stdlib hash/fnv interface forces an allocation per

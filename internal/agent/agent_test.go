@@ -12,7 +12,8 @@ import (
 	"flexran/internal/wire"
 )
 
-// harness wires an agent to a capture transport.
+// harness wires an agent to a capture transport. The capture keeps a
+// protocol.ClonePooled copy of every message: send must not retain m.
 type harness struct {
 	t     *testing.T
 	enb   *enb.ENB
@@ -25,11 +26,14 @@ func newHarness(t *testing.T, opts Options) *harness {
 	e := enb.New(enb.Config{ID: 5, Seed: 1})
 	h := &harness{t: t, enb: e}
 	h.agent = New(e, opts)
-	h.agent.Connect(func(m *protocol.Message) error {
-		h.sent = append(h.sent, m)
-		return nil
-	})
+	h.agent.Connect(h.capture)
 	return h
+}
+
+// capture is the harness transport.
+func (h *harness) capture(m *protocol.Message) error {
+	h.sent = append(h.sent, protocol.ClonePooled(m))
+	return nil
 }
 
 // lastOf returns the latest sent message of a kind.

@@ -53,16 +53,29 @@ var NativeVSFStore = map[string]func() sched.Scheduler{
 // MACModule is the MAC/RLC control module of the agent: it owns the VSF
 // cache, the active VSF per CMI operation, and the remote-decision stubs
 // fed by DLSchedule/ULSchedule commands.
+//
+// Every native store entry is in the cache of both operations from the
+// start (CachedVSFs lists them), but an entry is built the first time it is
+// looked up: most agents only ever run rr.
 type MACModule struct {
-	mu    sync.Mutex
-	cache map[string]*cachedVSF // "<op>/<name>" -> implementation
-	stubs map[string]*sched.RemoteStub
+	mu sync.Mutex
+	// cache holds the entries built or installed so far, "<op>/<name>" ->
+	// implementation; entry resolves the native store's others on first use.
+	cache map[string]*cachedVSF
+	// stubs is the remote-decision stub per operation, indexed by direction
+	// and built the first time the operation's remote entry or stub is
+	// asked for, so a decision pushed before activation lands in it.
+	stubs [2]*sched.RemoteStub
 	// active is the active cache entry per operation, indexed by the
 	// direction the operation schedules: the data plane reads it every TTI
 	// per cell, so it is one atomic load, not a lock and a string-keyed
 	// lookup, and a swap stores a pointer the cache already holds.
 	active [2]atomic.Pointer[cachedVSF]
 }
+
+// remoteVSF is the native store entry that schedules from the operation's
+// remote-decision stub.
+const remoteVSF = "remote"
 
 // cachedVSF is one cached implementation under its cache name. Entries
 // are immutable: a re-install under the same name replaces the entry.
@@ -83,24 +96,50 @@ func opDir(op string) (lte.Direction, bool) {
 }
 
 // NewMACModule builds the module with local round robin active on both
-// operations and the native store preloaded into the cache.
+// operations; the rest of the native store is built on first use.
 func NewMACModule() *MACModule {
-	m := &MACModule{
-		cache: map[string]*cachedVSF{},
-		stubs: map[string]*sched.RemoteStub{},
-	}
+	m := &MACModule{cache: map[string]*cachedVSF{}}
 	for _, op := range []string{OpDLUESched, OpULUESched} {
-		for name, mk := range NativeVSFStore {
-			impl := mk()
-			m.cache[op+"/"+name] = &cachedVSF{name: name, impl: impl}
-			if stub, ok := impl.(*sched.RemoteStub); ok {
-				m.stubs[op] = stub
-			}
-		}
 		dir, _ := opDir(op)
-		m.active[dir].Store(m.cache[op+"/rr"])
+		rr, _ := m.entry(op, "rr")
+		m.active[dir].Store(rr)
 	}
 	return m
+}
+
+// entry returns the cache entry of a VSF name under an operation, building
+// a native store entry the first time it is asked for (m.mu held, or m not
+// yet shared).
+func (m *MACModule) entry(op, name string) (*cachedVSF, bool) {
+	if vsf, ok := m.cache[op+"/"+name]; ok { // a lookup key does not allocate
+		return vsf, true
+	}
+	mk, ok := NativeVSFStore[name]
+	if !ok {
+		return nil, false
+	}
+	var impl sched.Scheduler
+	if name == remoteVSF {
+		impl = m.stub(op)
+	} else {
+		impl = mk()
+	}
+	vsf := &cachedVSF{name: name, impl: impl}
+	m.cache[op+"/"+name] = vsf
+	return vsf, true
+}
+
+// stub returns the operation's remote-decision stub, building it on first
+// use, or nil for an unknown operation (m.mu held).
+func (m *MACModule) stub(op string) *sched.RemoteStub {
+	dir, ok := opDir(op)
+	if !ok {
+		return nil
+	}
+	if m.stubs[dir] == nil {
+		m.stubs[dir] = sched.NewRemoteStub()
+	}
+	return m.stubs[dir]
 }
 
 // Name implements Module.
@@ -117,7 +156,7 @@ func (m *MACModule) Schedule(in sched.Input) []sched.Alloc {
 // remote mode picks up immediately).
 func (m *MACModule) PushDecision(op string, target, now lte.Subframe, allocs []sched.Alloc) bool {
 	m.mu.Lock()
-	stub := m.stubs[op]
+	stub := m.stub(op)
 	m.mu.Unlock()
 	if stub == nil {
 		return false
@@ -128,7 +167,7 @@ func (m *MACModule) PushDecision(op string, target, now lte.Subframe, allocs []s
 // StubStats reports applied/missed remote decisions for an operation.
 func (m *MACModule) StubStats(op string) (applied, missed int) {
 	m.mu.Lock()
-	stub := m.stubs[op]
+	stub := m.stub(op)
 	m.mu.Unlock()
 	if stub == nil {
 		return 0, 0
@@ -206,7 +245,7 @@ func (m *MACModule) InstallLocal(op, name string, impl sched.Scheduler) error {
 func (m *MACModule) RemoteStub(op string) *sched.RemoteStub {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.stubs[op]
+	return m.stub(op)
 }
 
 // Activate swaps the active VSF of an operation to a cached entry. This is
@@ -217,7 +256,7 @@ func (m *MACModule) Activate(op, name string) error {
 		return fmt.Errorf("agent: mac has no VSF operation %q", op)
 	}
 	m.mu.Lock()
-	vsf, ok := m.cache[op+"/"+name]
+	vsf, ok := m.entry(op, name)
 	m.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("agent: no cached VSF %q for %s", name, op)
@@ -235,13 +274,21 @@ func (m *MACModule) ActiveName(op string) string {
 	return m.active[dir].Load().name
 }
 
-// CachedVSFs lists the cache keys, sorted (for inspection/monitoring).
+// CachedVSFs lists the cache keys, sorted (for inspection/monitoring): the
+// native store under both operations, built yet or not, and every install.
 func (m *MACModule) CachedVSFs() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.cache))
+	out := make([]string, 0, len(m.cache)+2*len(NativeVSFStore))
 	for k := range m.cache {
 		out = append(out, k)
+	}
+	for _, op := range []string{OpDLUESched, OpULUESched} {
+		for name := range NativeVSFStore {
+			if _, ok := m.cache[op+"/"+name]; !ok {
+				out = append(out, op+"/"+name)
+			}
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -265,7 +312,7 @@ func (m *MACModule) Reconfigure(doc *yamlite.Node) (func(), error) {
 		vsf := m.active[dir].Load()
 		if b := section.Get("behavior"); b != nil {
 			m.mu.Lock()
-			vsf, ok = m.cache[op+"/"+b.Str()]
+			vsf, ok = m.entry(op, b.Str())
 			m.mu.Unlock()
 			if !ok {
 				return nil, fmt.Errorf("agent: no cached VSF %q for %s", b.Str(), op)

@@ -42,10 +42,7 @@ func TestConnectBumpsEpochAndRetransmitsHello(t *testing.T) {
 
 func TestStaleEpochAckDoesNotSilenceHandshake(t *testing.T) {
 	h := newHarness(t, Options{HelloRetryTTI: 10})
-	h.agent.Connect(func(m *protocol.Message) error { // reconnect: epoch 2
-		h.sent = append(h.sent, m)
-		return nil
-	})
+	h.agent.Connect(h.capture) // reconnect: epoch 2
 	// A leftover ack for epoch 1 arrives late: must not stop the epoch-2
 	// handshake. An epoch-0 ack (pre-epoch master) must.
 	h.agent.Deliver(protocol.New(5, 0, &protocol.HelloAck{Epoch: 1}))
@@ -106,10 +103,7 @@ func TestRestartDropsVolatileStateKeepsEpoch(t *testing.T) {
 	if len(h.sent) != sent {
 		t.Error("restarted agent still emitting on the old transport")
 	}
-	h.agent.Connect(func(m *protocol.Message) error {
-		h.sent = append(h.sent, m)
-		return nil
-	})
+	h.agent.Connect(h.capture)
 	if h.agent.Epoch() != 2 {
 		t.Errorf("epoch after reconnect = %d, want 2", h.agent.Epoch())
 	}

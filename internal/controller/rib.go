@@ -18,18 +18,20 @@ import (
 
 // UERecord is a UE leaf of the RIB. While the agent's latest statistics
 // report has a row for the UE, the UE's statistics are that row of the
-// shard's table; Stats holds them otherwise — a resync's, or the last row
-// the UE had before a report left it out. RIB.UEStats and RIB.UEsOf read
-// whichever applies.
+// shard's table and the record holds none of its own. Only a record without
+// a row keeps statistics, behind a pointer: a resync's, or the last row the
+// UE had before a report left it out; a record that never had either reads
+// zero statistics. RIB.UEStats and RIB.UEsOf read whichever applies.
 type UERecord struct {
 	Config protocol.UEConfig
-	Stats  protocol.UEStats
 	// Meas is the latest A3 measurement report (nil before the first);
 	// MeasSF stamps when it arrived.
 	Meas   *protocol.MeasReport
 	MeasSF lte.Subframe
 
-	row int // 1 + the UE's row in the shard's table; 0 = none, Stats applies
+	stats *protocol.UEStats // the statistics of a record without a row; nil = zero
+	row   int32             // 1 + the UE's row in the shard's table; 0 = none, stats applies
+	kept  bool              // applyStats: the incoming report has a row for the UE
 }
 
 // CellRecord is a cell node of the RIB.
@@ -163,7 +165,10 @@ func (r *RIB) applyResync(enb lte.ENBID, snap *protocol.StateSnapshot) {
 			continue
 		}
 		u := sh.ue(c, rnti, imsis[rnti]) // an RNTI listed twice keeps its last row
-		snap.UEs.Row(i, &u.Stats)
+		if u.stats == nil {
+			u.stats = new(protocol.UEStats)
+		}
+		snap.UEs.Row(i, u.stats)
 	}
 	for _, cs := range snap.Cells {
 		if c := sh.cells[cs.Cell]; c != nil {
@@ -236,32 +241,41 @@ func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
 		}
 	}
 	// The report is copied into the shard's own table, never kept: the reply
-	// may be a pooled decode, released and reused after this tick, a
-	// New-built message delivered again, or an agent's in-place report
-	// scratch. Once the table's columns have grown, the copy allocates
-	// nothing.
+	// may be a pooled decode or clone, released and reused after this tick,
+	// or a New-built message delivered again. Once the table's columns have
+	// grown, the copy allocates nothing.
 	ues := &rep.UEs
 	if sh.rowsValid && slices.Equal(sh.tbl.RNTI, ues.RNTI) && slices.Equal(sh.tbl.Cell, ues.Cell) {
 		sh.tbl.CopyFrom(ues)
 		return
 	}
-	// The row set changed. Every record that had a row first takes its own
-	// copy of it (detach), so a record this report leaves out keeps its last
-	// statistics; then the rows are resolved again.
+	// The row set changed. The report's rows are resolved first, so that
+	// only a record the report leaves out takes its own copy of its last row
+	// (detach) and keeps its last statistics; then the rows are assigned.
+	n := ues.Len()
+	for i := 0; i < n; i++ {
+		if c := sh.cells[ues.Cell[i]]; c != nil {
+			sh.ue(c, ues.RNTI[i], 0).kept = true
+		}
+	}
 	for _, u := range sh.rowRec {
 		if u != nil && u.row > 0 {
-			sh.tbl.Row(u.row-1, &u.Stats)
+			if !u.kept {
+				u.stats = new(protocol.UEStats)
+				sh.tbl.Row(int(u.row)-1, u.stats)
+			}
 			u.row = 0
 		}
 	}
 	sh.tbl.CopyFrom(ues)
 	sh.rowRec = sh.rowRec[:0]
-	for i, n := 0, ues.Len(); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var u *UERecord
 		if c := sh.cells[ues.Cell[i]]; c != nil {
-			u = sh.ue(c, ues.RNTI[i], 0)
-			u.row = i + 1                // an RNTI listed twice reads its last row
-			u.Stats = protocol.UEStats{} // the row holds them now
+			u = c.UEs[ues.RNTI[i]]
+			u.row = int32(i + 1) // an RNTI listed twice reads its last row
+			u.stats = nil        // the row holds them now
+			u.kept = false
 		}
 		sh.rowRec = append(sh.rowRec, u)
 	}
@@ -270,13 +284,16 @@ func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
 
 // statsOf copies u's latest statistics into dst, reusing dst's
 // SubbandCQI/LCs capacity (sh.mu held): u's row of the shard's table while
-// it has one, else its own Stats.
+// it has one, else its own statistics, else zero ones.
 func (sh *agentShard) statsOf(u *UERecord, dst *protocol.UEStats) {
-	if u.row > 0 {
-		sh.tbl.Row(u.row-1, dst)
-		return
+	switch {
+	case u.row > 0:
+		sh.tbl.Row(int(u.row)-1, dst)
+	case u.stats != nil:
+		dst.CopyFrom(u.stats)
+	default:
+		dst.CopyFrom(&protocol.UEStats{})
 	}
-	dst.CopyFrom(&u.Stats)
 }
 
 // applyMeasReport attaches an A3 measurement report to the UE's record
@@ -509,7 +526,7 @@ func (r *RIB) AppendUEsOf(enb lte.ENBID, dst []protocol.UEStats) []protocol.UESt
 	// none), then the records without one. An agent reports its UEs by
 	// RNTI, so at steady state this is already sorted.
 	for i, u := range sh.rowRec {
-		if u != nil && u.row == i+1 {
+		if u != nil && int(u.row) == i+1 {
 			add(u)
 		}
 	}

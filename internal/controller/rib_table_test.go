@@ -53,17 +53,24 @@ func TestAllocGateDecodeApplyStats(t *testing.T) {
 // agent's UE records, every row resolved through the maps on every message
 // and copied field by field, with none of the RIB's shortcuts.
 type refRIB struct {
-	cells map[lte.CellID]map[lte.RNTI]*UERecord
+	cells map[lte.CellID]map[lte.RNTI]*refUE
 }
 
-func (r *refRIB) get(cell lte.CellID, rnti lte.RNTI, imsi uint64) *UERecord {
+// refUE is the reference updater's UE record: the identity and the latest
+// statistics, held inline whatever the RIB's own record keeps.
+type refUE struct {
+	Config protocol.UEConfig
+	Stats  protocol.UEStats
+}
+
+func (r *refRIB) get(cell lte.CellID, rnti lte.RNTI, imsi uint64) *refUE {
 	c := r.cells[cell]
 	if c == nil {
 		return nil
 	}
 	u := c[rnti]
 	if u == nil {
-		u = &UERecord{Config: protocol.UEConfig{RNTI: rnti, Cell: cell, IMSI: imsi}}
+		u = &refUE{Config: protocol.UEConfig{RNTI: rnti, Cell: cell, IMSI: imsi}}
 		c[rnti] = u
 	}
 	if u.Config.IMSI == 0 {
@@ -135,7 +142,7 @@ func TestRIBMatchesReferenceUpdater(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		rib := NewRIB()
 		rib.applyHello(enb, protocol.ENBConfig{ID: enb, Cells: []protocol.CellConfig{{Cell: 0}, {Cell: 1}}})
-		ref := &refRIB{cells: map[lte.CellID]map[lte.RNTI]*UERecord{0: {}, 1: {}}}
+		ref := &refRIB{cells: map[lte.CellID]map[lte.RNTI]*refUE{0: {}, 1: {}}}
 		pick := func() lte.RNTI { return lte.RNTI(100 + rnd.Intn(universe)) }
 		// reported is the agent's current UE list, in report order.
 		var reported []lte.RNTI

@@ -25,6 +25,13 @@ package protocol
 //     replies alias their Cells slice, VSFUpdate's program bytes reach the
 //     module cache) has none: Release recycles only its envelope and the
 //     payload stays alive for its retainers.
+//   - AcquirePooled returns an empty message owned the same way. The agent
+//     builds its two per-TTI messages, the StatsReply and the
+//     SubframeTrigger, in one, hands it to its transport's send function
+//     and releases it as soon as send returns, sent or not. A send
+//     function therefore must not retain m: both transports finish with it
+//     inside the call (SimEndpoint.Send clones it, Conn.Send encodes it),
+//     and a capture that keeps messages stores ClonePooled(m).
 //   - Release on a message built by New (or by hand) is a no-op, so code
 //     paths and tests that keep messages around are unaffected.
 
@@ -51,15 +58,26 @@ func acquirePayload(k Kind, wantPool bool) (Payload, bool, error) {
 // AcquireMessage builds a message around a payload using a pooled envelope.
 // The caller keeps ownership of the payload: Release returns only the
 // envelope to the pool (the payload is recycled solely for messages
-// produced by DecodePooled or ClonePooled). Intended for transient sends
-// where the transport serializes synchronously and does not retain the
-// message.
+// produced by AcquirePooled, DecodePooled or ClonePooled). Intended for
+// transient sends where the transport serializes synchronously and does not
+// retain the message.
 func AcquireMessage(enb lte.ENBID, sf lte.Subframe, p Payload) *Message {
 	m := msgPool.Get().(*Message)
 	m.ENB, m.SF, m.Payload = enb, sf, p
 	m.poolMsg = true
 	m.poolPayload = false
 	m.wantPool = false
+	return m
+}
+
+// AcquirePooled returns an empty message of kind k drawn from the free lists,
+// owned like a ClonePooled message: the envelope from the message pool, the
+// payload from the kind's free list (or fresh, for a kind without one). The
+// caller fills the payload in place, sends it, and calls Release.
+func AcquirePooled(enb lte.ENBID, sf lte.Subframe, k Kind) *Message {
+	p, pooled, _ := acquirePayload(k, true) // k is a known kind
+	m := msgPool.Get().(*Message)
+	*m = Message{ENB: enb, SF: sf, Payload: p, poolMsg: true, poolPayload: pooled, wantPool: true}
 	return m
 }
 
@@ -87,11 +105,9 @@ func DecodePooled(b []byte) (*Message, error) {
 // its payload aliases at once. Call Release when done.
 func ClonePooled(m *Message) *Message {
 	k := m.Payload.Kind()
-	p, pooled, _ := acquirePayload(k, true) // m's payload is of a known kind
-	kinds[k].copy(p, m.Payload)
-	c := msgPool.Get().(*Message)
-	*c = Message{ENB: m.ENB, SF: m.SF, Payload: p, CmdSeq: m.CmdSeq,
-		poolMsg: true, poolPayload: pooled, wantPool: true}
+	c := AcquirePooled(m.ENB, m.SF, k)
+	kinds[k].copy(c.Payload, m.Payload)
+	c.CmdSeq = m.CmdSeq
 	return c
 }
 
@@ -106,11 +122,11 @@ func MessageSize(m *Message) int {
 	return n
 }
 
-// Release recycles a message obtained from AcquireMessage, DecodePooled or
-// ClonePooled. For DecodePooled and ClonePooled messages of pooled kinds
-// the payload is reset and returned to its kind's free list too. Messages
-// built by New (or composite literals) are untouched — Release is a no-op
-// for them — so retaining such messages stays safe.
+// Release recycles a message obtained from AcquireMessage, AcquirePooled,
+// DecodePooled or ClonePooled. For the last three, a payload of a pooled
+// kind is reset and returned to its kind's free list too. Messages built by
+// New (or composite literals) are untouched — Release is a no-op for them —
+// so retaining such messages stays safe.
 func (m *Message) Release() {
 	if m == nil || !m.poolMsg {
 		return

@@ -129,6 +129,27 @@ func zeroOrEmpty(v reflect.Value) bool {
 	return v.IsZero()
 }
 
+// TestAcquirePooledIsEmpty pins what a sender filling a message in place
+// starts from: for every kind, AcquirePooled returns the envelope it was
+// asked for around an empty payload of that kind, even when the kind's free
+// list holds one a full message of the kind was cloned into and released.
+func TestAcquirePooledIsEmpty(t *testing.T) {
+	for _, p := range corpusPayloads() {
+		k := p.Kind()
+		for i := 0; i < 4; i++ {
+			ClonePooled(New(1, 1, p)).Release()
+		}
+		m := AcquirePooled(7, 9, k)
+		if m.ENB != 7 || m.SF != 9 || m.CmdSeq != 0 || m.Payload.Kind() != k {
+			t.Errorf("%v: AcquirePooled envelope = %+v", k, m)
+		}
+		if !zeroOrEmpty(reflect.ValueOf(m.Payload).Elem()) {
+			t.Errorf("%v: AcquirePooled payload holds stale state: %+v", k, m.Payload)
+		}
+		m.Release()
+	}
+}
+
 // TestAcquireMessageOwnership pins AcquireMessage's contract: the envelope
 // is pooled but the payload stays owned by the caller — Release must never
 // hand it to the free lists, where a later DecodePooled would scribble

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"flexran"
 	"flexran/internal/enb"
 	"flexran/internal/radio"
 )
@@ -73,6 +74,35 @@ func TestMemGateWorldBytesPerUE(t *testing.T) {
 
 	before := heapInUse()
 	s := newVanillaSim(t, nil)
+	s.Run(300)
+	perUE := float64(heapInUse()-before) / ues
+	t.Logf("retained heap: %.0f B/UE over %d UEs", perUE, ues)
+	if perUE > budgetBytesPerUE {
+		t.Errorf("per-UE footprint %.0f B exceeds budget %d B", perUE, budgetBytesPerUE)
+	}
+	if perUE <= 0 {
+		t.Error("measurement collapsed to zero; the gate is not measuring anything")
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestMemGateDenseWorldBytesPerUE gates the same world with its control
+// plane: the dense-sim-shaped 64 x 32 world, an agent on every eNodeB
+// reporting full stats every TTI to a default master, after a few hundred
+// TTIs, as the retained heap of the whole simulator per UE after a full GC.
+// Dense minus TestMemGateWorldBytesPerUE is what the agents, the links and
+// the RIB keep per UE. Measured: ~1,124 B/UE; the budget leaves ~33 %
+// headroom. (~1,382 B/UE while every subscription kept its own report
+// table, every RIB record an inline, mostly zero, protocol.UEStats and
+// every agent all five native VSFs for both operations.)
+func TestMemGateDenseWorldBytesPerUE(t *testing.T) {
+	skipUnderRace(t)
+	const budgetBytesPerUE = 1500
+	const ues = vanillaENBs * vanillaUEs
+
+	before := heapInUse()
+	opts := flexran.DefaultMasterOptions()
+	s := newVanillaSim(t, &opts)
 	s.Run(300)
 	perUE := float64(heapInUse()-before) / ues
 	t.Logf("retained heap: %.0f B/UE over %d UEs", perUE, ues)
