@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -48,45 +49,31 @@ func main() {
 		os.Exit(1)
 	}
 
-	stop := make(chan struct{})
+	// SIGTERM is the normal container/systemd stop signal: trapped too, so
+	// it cannot hard-kill the subframe loop mid-write.
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
 	ls := &flexran.LoopStats{}
+	usr1 := make(chan os.Signal, 1)
+	signal.Notify(usr1, syscall.SIGUSR1)
 	go func() {
-		// SIGTERM is the normal container/systemd stop signal; trapping
-		// only SIGINT would hard-kill the subframe loop mid-write.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		close(stop)
-	}()
-	go func() {
-		usr1 := make(chan os.Signal, 1)
-		signal.Notify(usr1, syscall.SIGUSR1)
+		var tick <-chan time.Time // nil without -profile: never fires
+		if *profile {
+			tick = time.Tick(2 * time.Second)
+		}
 		for {
 			select {
-			case <-stop:
+			case <-ctx.Done():
 				return
 			case <-usr1:
-				fmt.Println(ls.Profile())
+			case <-tick:
 			}
+			fmt.Println(ls.Profile())
 		}
 	}()
-	if *profile {
-		go func() {
-			t := time.NewTicker(2 * time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					fmt.Println(ls.Profile())
-				}
-			}
-		}()
-	}
 
 	fmt.Printf("flexran-enb %d: %d UEs, connecting to %s\n", *id, *ues, *masterAddr)
-	err = flexran.RunAgentLoop(n, *masterAddr, stop, flexran.RTConfig{Stats: ls})
+	err = flexran.RunAgentLoop(n, *masterAddr, ctx.Done(), ls)
 	// Flush the final accounting whether the loop ended by signal or by a
 	// transport failure.
 	fmt.Println(ls.Profile())

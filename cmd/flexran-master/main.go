@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -56,39 +57,22 @@ func main() {
 	m.Register(slices, 10)
 	ls := &flexran.LoopStats{}
 
-	stop := make(chan struct{})
+	// SIGTERM is the normal container/systemd stop signal: trapped too, so
+	// it cannot hard-kill the loop mid-write and skip the final dump.
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	// The FlexRAN-rtc-style profiling hook: USR1 dumps the loop accounting.
+	usr1 := make(chan os.Signal, 1)
+	signal.Notify(usr1, syscall.SIGUSR1)
 	go func() {
-		// SIGTERM is the normal container/systemd stop signal; trapping
-		// only SIGINT would hard-kill the loop mid-write and skip the
-		// final metrics dump.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		close(stop)
-	}()
-	go func() {
-		// The FlexRAN-rtc-style profiling hook: USR1 dumps the loop
-		// accounting on demand.
-		usr1 := make(chan os.Signal, 1)
-		signal.Notify(usr1, syscall.SIGUSR1)
+		tick := time.Tick(*report)
 		for {
 			select {
-			case <-stop:
+			case <-ctx.Done():
 				return
 			case <-usr1:
 				fmt.Println(ls.Profile())
-			}
-		}
-	}()
-
-	go func() {
-		t := time.NewTicker(*report)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
+			case <-tick:
 				fmt.Println(flexran.MasterSummary(m))
 				if *profile {
 					fmt.Println(ls.Profile())
@@ -103,7 +87,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *api != "" {
-		apiAddr, err := flexran.ServeNorthbound(m, ls, slices, *api, stop)
+		apiAddr, err := flexran.ServeNorthbound(m, ls, slices, *api, ctx.Done())
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "master: northbound:", err)
 			os.Exit(1)
@@ -111,7 +95,7 @@ func main() {
 		fmt.Printf("flexran-master northbound API on %s\n", apiAddr)
 	}
 	fmt.Printf("flexran-master listening on %s\n", l.Addr())
-	flexran.ServeMaster(m, l, stop, flexran.RTConfig{Stats: ls})
+	flexran.ServeMaster(m, l, ctx.Done(), ls)
 	// Flush the final accounting on the way out.
 	fmt.Println(flexran.MasterSummary(m))
 	fmt.Println(ls.Profile())

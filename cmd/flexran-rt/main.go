@@ -1,27 +1,27 @@
 // flexran-rt is the wall-clock deadline harness: it runs a mid-size
-// topology (default 16 eNodeBs × 32 UEs) as a real deployment — master
-// served over loopback TCP, one paced agent loop per eNodeB — for a fixed
-// duration, then emits a JSON deadline report: the master's and the
-// agents' loop views (metrics.LoopView, the northbound /stats/loop shape),
-// with tick and miss counts and per-leg latency quantiles (p50/p99/p99.9).
-// Each eNodeB is a node built from an ENBSpec, its CBR downlink injected on
-// its agent loop. CI gates on the miss rate via -max-miss-rate.
+// topology (default 16 eNodeBs × 32 UEs) as a real deployment at the fixed
+// 1 ms TTI — flexran.StartLoopback: master served over loopback TCP, one
+// paced agent loop per eNodeB — for a fixed duration, then emits a JSON
+// deadline report: the master's and the agents' loop views
+// (metrics.LoopView, the northbound /stats/loop shape), with tick and miss
+// counts and per-leg latency quantiles (p50/p99/p99.9). Each eNodeB is a
+// node built from an ENBSpec, its CBR downlink injected on its agent loop.
+// CI gates on the miss rate via -max-miss-rate.
 //
 // Usage:
 //
-//	flexran-rt [-enbs 16] [-ues 32] [-seconds 5] [-period 1ms]
-//	           [-stats-period 1] [-dl-kbps 500] [-out report.json]
-//	           [-max-miss-rate 1.0]
+//	flexran-rt [-enbs 16] [-ues 32] [-seconds 5] [-stats-period 1]
+//	           [-dl-kbps 500] [-out report.json] [-max-miss-rate 1.0]
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -47,7 +47,6 @@ func main() {
 	enbs := flag.Int("enbs", 16, "number of agent-enabled eNodeBs")
 	ues := flag.Int("ues", 32, "UEs per eNodeB")
 	seconds := flag.Float64("seconds", 5, "measured run duration")
-	period := flag.Duration("period", time.Millisecond, "TTI period")
 	statsPeriod := flag.Int("stats-period", 1, "statistics reporting period in TTIs")
 	rttPeriod := flag.Int("rtt-period", 16, "command round-trip probe period in TTIs")
 	dlKbps := flag.Float64("dl-kbps", 500, "downlink CBR load per UE (kb/s)")
@@ -64,57 +63,27 @@ func main() {
 	// so the histograms aggregate the fleet and the counters sum the TTIs
 	// every loop owed.
 	agentLS := &flexran.LoopStats{}
-
-	l, err := flexran.ListenControl("127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexran-rt:", err)
-		os.Exit(1)
-	}
-	addr := l.Addr().String()
-
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		halt()
-	}()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		flexran.ServeMaster(m, l, stop, flexran.RTConfig{Period: *period, Stats: masterLS})
-	}()
-
-	for i := 0; i < *enbs; i++ {
+	specs := make([]flexran.ENBSpec, *enbs)
+	for i := range specs {
 		id := flexran.ENBID(i + 1)
-		spec := flexran.ENBSpec{ID: id, Seed: int64(id), Agent: true}
+		specs[i] = flexran.ENBSpec{ID: id, Seed: int64(id), Agent: true}
 		for u := 0; u < *ues; u++ {
-			spec.UEs = append(spec.UEs, flexran.UESpec{
+			specs[i].UEs = append(specs[i].UEs, flexran.UESpec{
 				IMSI:    uint64(id)*100000 + uint64(u),
 				Channel: flexran.FadingChannel(12, 0.99, 1.5, int64(u+1)),
 				DL:      flexran.NewCBR(*dlKbps),
 			})
 		}
-		n, err := flexran.NewNode(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flexran-rt:", err)
-			os.Exit(1)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{Period: *period, Stats: agentLS}); err != nil {
-				fmt.Fprintln(os.Stderr, "flexran-rt: agent:", err)
-			}
-		}()
 	}
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	l, err := flexran.ListenControl("127.0.0.1:0")
+	check(err)
+	lb, err := flexran.StartLoopback(m, l, masterLS, agentLS, specs...)
+	check(err)
 
 	select {
-	case <-stop:
+	case <-ctx.Done():
 	case <-time.After(time.Duration(*seconds * float64(time.Second))):
 	}
 	ribAgents := len(m.RIB().Agents())
@@ -123,39 +92,31 @@ func main() {
 		ribUEs += m.RIB().UECount(id)
 	}
 	cycle := m.Cycle()
-	halt()
-	wg.Wait()
+	if err := lb.Stop(); err != nil {
+		fmt.Fprintln(os.Stderr, "flexran-rt: agent:", err)
+	}
 
 	rep := reportJSON{
-		ENBs: *enbs, UEsPerENB: *ues, Seconds: *seconds,
-		PeriodMs:   float64(*period) / float64(time.Millisecond),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		RIBAgents:  ribAgents, RIBUEs: ribUEs, MasterCycle: uint64(cycle),
+		ENBs: *enbs, UEsPerENB: *ues, Seconds: *seconds, PeriodMs: 1, GOMAXPROCS: runtime.GOMAXPROCS(0),
+		RIBAgents: ribAgents, RIBUEs: ribUEs, MasterCycle: uint64(cycle),
 		Master: masterLS.View(), Agents: agentLS.View(),
 	}
 	blob, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flexran-rt:", err)
-		os.Exit(1)
-	}
+	check(err)
 	if *out != "" {
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "flexran-rt:", err)
-			os.Exit(1)
-		}
+		check(os.WriteFile(*out, append(blob, '\n'), 0o644))
 	} else {
 		fmt.Println(string(blob))
 	}
 
-	fmt.Printf("flexran-rt: %d eNB × %d UE, %.1f s @ %v TTI: rib agents=%d ues=%d\n",
-		*enbs, *ues, *seconds, *period, ribAgents, ribUEs)
+	fmt.Printf("flexran-rt: %d eNB × %d UE, %.1f s @ 1ms TTI: rib agents=%d ues=%d\n",
+		*enbs, *ues, *seconds, ribAgents, ribUEs)
 	fmt.Printf("master: %s\n", masterLS.Profile())
 	fmt.Printf("agents: %s\n", agentLS.Profile())
 
-	fail := false
-	if ribAgents != *enbs {
+	fail := ribAgents != *enbs
+	if fail {
 		fmt.Fprintf(os.Stderr, "flexran-rt: FAIL: only %d/%d agents in the RIB — the run measured a broken deployment\n", ribAgents, *enbs)
-		fail = true
 	}
 	for _, g := range []struct {
 		name string
@@ -167,6 +128,14 @@ func main() {
 		}
 	}
 	if fail {
+		os.Exit(1)
+	}
+}
+
+// check exits on a setup or output error.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "flexran-rt:", err)
 		os.Exit(1)
 	}
 }

@@ -1,9 +1,7 @@
 package flexran_test
 
 import (
-	"strings"
 	"testing"
-	"time"
 
 	"flexran"
 )
@@ -48,51 +46,5 @@ func TestSustainableBitrateAndTCP(t *testing.T) {
 	r, ok := flexran.SustainableBitrate([]float64{2.9, 4.9, 7.3, 9.6, 14.6, 19.6}, tcp)
 	if !ok || r != 7.3 {
 		t.Errorf("sustainable = %v, %v", r, ok)
-	}
-}
-
-// TestRealTimeDeployment runs a miniature wall-clock deployment: a master
-// served over TCP and one agent-enabled eNodeB connected to it.
-func TestRealTimeDeployment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock test")
-	}
-	m := flexran.NewMaster(flexran.DefaultMasterOptions())
-	l, err := flexran.ListenControl("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	stop := make(chan struct{})
-	errc := make(chan error, 2)
-	go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); errc <- nil }()
-
-	n, err := flexran.NewNode(flexran.ENBSpec{ID: 4, Seed: 1, Agent: true, UEs: []flexran.UESpec{{
-		IMSI: 1, Channel: flexran.FixedChannel(12),
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
-
-	// Wait for the RIB to see the agent and its UE.
-	deadline := time.After(5 * time.Second)
-	for {
-		if m.RIB().Connected(4) && m.RIB().UECount(4) > 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			close(stop)
-			t.Fatalf("RIB never populated: %s", flexran.MasterSummary(m))
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	if !strings.Contains(flexran.MasterSummary(m), "agents=1") {
-		t.Errorf("summary = %s", flexran.MasterSummary(m))
-	}
-	close(stop)
-	if err := <-errc; err != nil {
-		t.Errorf("loop error: %v", err)
 	}
 }

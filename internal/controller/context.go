@@ -15,6 +15,9 @@ import (
 // event: read access to the RIB and the command/delegation paths toward
 // agents. The current implementation — like the paper's (§4.3.3) — exposes
 // the raw RIB records rather than higher-level abstractions.
+//
+// A Context is valid only during the callback or Master.Do operation it was
+// passed to: the master reuses one for every cycle, so an app must not keep it.
 type Context struct {
 	master *Master
 	// Now is the master's cycle counter when the callback fired.
@@ -125,10 +128,11 @@ func (c *Context) ApplyShares(enb lte.ENBID, plan SharePlan) (uint64, error) {
 	if vsf == "" {
 		vsf = "dl_ue_sched"
 	}
-	seq := yamlite.Seq()
-	for _, s := range plan.Shares {
-		seq = yamlite.Seq(append(seq.Items(), yamlite.Scalar(s))...)
+	items := make([]*yamlite.Node, len(plan.Shares))
+	for i, s := range plan.Shares {
+		items[i] = yamlite.Scalar(s)
 	}
+	seq := yamlite.Seq(items...)
 	doc := yamlite.Marshal(yamlite.Map().Set(module, yamlite.Map().
 		Set(vsf, yamlite.Map().
 			Set("parameters", yamlite.Map().Set("rb_share", seq)))))

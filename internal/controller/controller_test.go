@@ -192,8 +192,9 @@ func TestCentralizedSchedulingEndToEnd(t *testing.T) {
 	rnti := r.addConnectedUE(radio.Fixed(15))
 
 	// Swap the agent to remote mode via the policy path.
-	ctx := r.ctx()
-	if _, err := ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "remote"); err != nil {
+	if _, err := r.cmd(func(ctx *controller.Context) (uint64, error) {
+		return ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "remote")
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r.run(5) // let the policy arrive
@@ -220,15 +221,12 @@ func TestCentralizedSchedulingEndToEnd(t *testing.T) {
 	}
 }
 
-// ctx builds a northbound context outside a tick (test convenience).
-func (r *rig) ctx() *controller.Context {
-	var captured *controller.Context
-	probe := appFunc{name: "probe", fn: func(c *controller.Context, _ lte.Subframe) {
-		captured = c
-	}}
-	r.master.Register(probe, -1000)
+// cmd runs fn as a Master.Do operation on one master cycle, where its
+// Context is valid, and returns what fn returned.
+func (r *rig) cmd(fn func(*controller.Context) (uint64, error)) (seq uint64, err error) {
+	r.master.Do(func(ctx *controller.Context) { seq, err = fn(ctx) })
 	r.master.Tick()
-	return captured
+	return seq, err
 }
 
 type appFunc struct {
@@ -271,15 +269,18 @@ func (r *rig) runUntilAcked(seq uint64, err error) {
 func TestVSFPushAndAckRoundTrip(t *testing.T) {
 	r := newRig(t, reliableOptions(), transport.Netem{}, transport.Netem{})
 	r.run(3)
-	ctx := r.ctx()
-	seq, err := ctx.PushProgramVSF(9, "mac", agent.OpDLUESched, "edge-first",
-		"queue > 0 ? cqi : -1", []string{"queue", "cqi"})
+	seq, err := r.cmd(func(ctx *controller.Context) (uint64, error) {
+		return ctx.PushProgramVSF(9, "mac", agent.OpDLUESched, "edge-first",
+			"queue > 0 ? cqi : -1", []string{"queue", "cqi"})
+	})
 	done := r.master.WaitCommand(seq)
 	r.runUntilAcked(seq, err)
 	if o := <-done; !o.OK || o.Seq != seq {
 		t.Errorf("WaitCommand(%d) = %+v", seq, o)
 	}
-	r.runUntilAcked(ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "edge-first"))
+	r.runUntilAcked(r.cmd(func(ctx *controller.Context) (uint64, error) {
+		return ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "edge-first")
+	}))
 	if got := r.agent.MAC().ActiveName(agent.OpDLUESched); got != "edge-first" {
 		t.Errorf("active = %q", got)
 	}
@@ -288,12 +289,15 @@ func TestVSFPushAndAckRoundTrip(t *testing.T) {
 func TestPushNativeVSF(t *testing.T) {
 	r := newRig(t, controller.DefaultOptions(), transport.Netem{}, transport.Netem{})
 	r.run(3)
-	ctx := r.ctx()
-	if _, err := ctx.PushNativeVSF(9, "mac", agent.OpDLUESched, "pf-live", "pf"); err != nil {
+	if _, err := r.cmd(func(ctx *controller.Context) (uint64, error) {
+		return ctx.PushNativeVSF(9, "mac", agent.OpDLUESched, "pf-live", "pf")
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r.run(3)
-	if _, err := ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "pf-live"); err != nil {
+	if _, err := r.cmd(func(ctx *controller.Context) (uint64, error) {
+		return ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "pf-live")
+	}); err != nil {
 		t.Fatal(err)
 	}
 	r.run(3)
@@ -305,12 +309,14 @@ func TestPushNativeVSF(t *testing.T) {
 func TestApplySharesReachesAgent(t *testing.T) {
 	r := newRig(t, reliableOptions(), transport.Netem{}, transport.Netem{})
 	r.run(3)
-	ctx := r.ctx()
-	r.runUntilAcked(ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "slice-rr"))
+	r.runUntilAcked(r.cmd(func(ctx *controller.Context) (uint64, error) {
+		return ctx.ActivateVSF(9, "mac", agent.OpDLUESched, "slice-rr")
+	}))
 	plan := controller.SharePlan{Module: "mac", VSF: agent.OpDLUESched, Shares: []float64{0.4, 0.6}}
-	r.runUntilAcked(ctx.ApplyShares(9, plan))
+	applyShares := func(ctx *controller.Context) (uint64, error) { return ctx.ApplyShares(9, plan) }
+	r.runUntilAcked(r.cmd(applyShares))
 	plan.Shares = []float64{0.9, 0.9}
-	if _, err := ctx.ApplyShares(9, plan); err == nil {
+	if _, err := r.cmd(applyShares); err == nil {
 		t.Error("invalid shares accepted locally")
 	}
 }

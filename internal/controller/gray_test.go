@@ -43,13 +43,13 @@ func TestReliableDeliveryExactlyOnceUnderLoss(t *testing.T) {
 	if !r.master.RIB().Connected(9) {
 		t.Fatal("agent never connected through the lossy link")
 	}
-	ctx := r.ctx()
-
 	const commands = 30
 	var lastSeq uint64
 	for i := 0; i < commands; i++ {
 		name := fmt.Sprintf("push-%d", i)
-		seq, err := ctx.PushNativeVSF(9, "mac", agent.OpDLUESched, name, "pf")
+		seq, err := r.cmd(func(ctx *controller.Context) (uint64, error) {
+			return ctx.PushNativeVSF(9, "mac", agent.OpDLUESched, name, "pf")
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,9 @@ func TestCommandFailureSurfacedToApp(t *testing.T) {
 			defer w.Cancel()
 			r.run(3)
 
-			seq, err := r.ctx().PushPolicy(9, "mac:\n  dl_ue_sched:\n    behavior: rr\n")
+			seq, err := r.cmd(func(ctx *controller.Context) (uint64, error) {
+				return ctx.PushPolicy(9, "mac:\n  dl_ue_sched:\n    behavior: rr\n")
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,8 +132,9 @@ func TestCommandFailureSurfacedToApp(t *testing.T) {
 func TestReliableDeliveryOffByDefault(t *testing.T) {
 	r := newRig(t, controller.DefaultOptions(), transport.Netem{}, transport.Netem{})
 	r.run(3)
-	ctx := r.ctx()
-	seq, err := ctx.PushNativeVSF(9, "mac", agent.OpDLUESched, "plain", "pf")
+	seq, err := r.cmd(func(ctx *controller.Context) (uint64, error) {
+		return ctx.PushNativeVSF(9, "mac", agent.OpDLUESched, "plain", "pf")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

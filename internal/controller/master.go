@@ -258,6 +258,7 @@ type Master struct {
 	enbScratch  []lte.ENBID // binding snapshot
 	sessScratch []*session
 	appScratch  []*appEntry
+	ctx         Context // the application slot's, rewritten every cycle
 }
 
 // NewMaster builds a master controller.
@@ -485,12 +486,12 @@ func (m *Master) Tick() {
 		t1 = time.Now()
 		ls.Ingest.Observe(t1.Sub(t0))
 	}
-	ctx := &Context{master: m, Now: m.cycle}
+	m.ctx = Context{master: m, Now: m.cycle}
 	if len(ops) > 0 {
-		m.runOps(ctx, ops)
+		m.runOps(&m.ctx, ops)
 	}
 	for _, e := range apps {
-		m.dispatchTo(ctx, e, watchEvs)
+		m.dispatchTo(&m.ctx, e, watchEvs)
 	}
 	if ls != nil {
 		ls.Apps.Observe(time.Since(t1))

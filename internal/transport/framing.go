@@ -62,15 +62,21 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads one length-prefixed frame, reusing buf when it is large
 // enough, and verifies the payload checksum. It returns the payload slice
-// (which may alias buf). On ErrFrameCorrupt the frame's bytes have been
-// fully consumed and the returned slice holds the damaged payload, so the
-// caller can keep its buffer and read the next frame.
+// (which may alias buf), having read the header into buf too, grown to
+// the header size if smaller (a local array escapes through io.ReadFull).
+// On ErrFrameCorrupt the frame's bytes have been fully consumed and the
+// returned slice holds the damaged payload, so the caller can keep its
+// buffer and read the next frame.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize)
+	}
+	hdr := buf[:frameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
+	sum := binary.BigEndian.Uint32(hdr[4:])
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
@@ -81,7 +87,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	if crc32.Checksum(buf, crcTable) != binary.BigEndian.Uint32(hdr[4:]) {
+	if crc32.Checksum(buf, crcTable) != sum {
 		return buf, ErrFrameCorrupt
 	}
 	return buf, nil

@@ -45,6 +45,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocGateReadFrame gates the receive path's framing: reading a frame
+// into a reused buffer allocates nothing, header included. (Measured:
+// 0 allocs/op; 1 while the header was a local array, which escaped
+// through io.ReadFull.)
+func TestAllocGateReadFrame(t *testing.T) {
+	const budget = 0
+	var wire bytes.Buffer
+	if err := WriteFrame(&wire, bytes.Repeat([]byte{0x5a}, 512)); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(wire.Bytes())
+	var buf []byte
+	op := func() {
+		r.Reset(wire.Bytes())
+		payload, err := ReadFrame(r, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = payload[:0]
+	}
+	op() // size the buffer
+	if got := testing.AllocsPerRun(1000, op); got > budget {
+		t.Errorf("ReadFrame into a reused buffer: %.1f allocs/op, budget %d", got, budget)
+	}
+}
+
 func TestFrameSizeLimit(t *testing.T) {
 	if err := WriteFrame(io.Discard, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized write = %v", err)

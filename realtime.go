@@ -1,6 +1,7 @@
 package flexran
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -23,17 +24,18 @@ import (
 // ENBSpec a simulation takes, and injects its traffic with the same code.
 //
 // Each side has one entry point, ServeMaster and RunAgentLoop, and both
-// run one paced loop (pace) on rt.Pacer: TTI deadlines are absolute times
-// computed from the run start, so a late step never shifts later
-// deadlines, and a stall surfaces as due steps plus an explicit miss count
-// instead of the silently coalesced ticks a time.Ticker delivers. Ahead of
-// every step the loop drains inbound control on its own goroutine — the
-// agent its one connection, the master every live connection in attach
-// order — so the only goroutine a connection has is its transport reader.
-// With an attached LoopStats the 1 ms budget is observable end to end —
-// deadline misses, the agent report encode+send leg, the master
-// ingest→RIB-apply and application legs and the Echo-TS command round trip
-// all land in log-bucketed histograms.
+// run one paced loop (pace) on rt.Pacer at the paper's fixed 1 ms TTI:
+// deadlines are absolute times computed from the run start, so a late step
+// never shifts later deadlines, and a stall surfaces as due steps plus an
+// explicit miss count instead of the silently coalesced ticks a
+// time.Ticker delivers. Ahead of every step the loop drains inbound control
+// on its own goroutine — the agent its one connection, the master every
+// live connection in attach order — so the only goroutine a connection has
+// is its transport reader. With an attached LoopStats the 1 ms budget is
+// observable end to end — deadline misses, the agent report encode+send
+// leg, the master ingest→RIB-apply and application legs and the Echo-TS
+// command round trip all land in log-bucketed histograms. StartLoopback
+// runs a master and its agents in one process.
 
 // DefaultMasterAddr is the default FlexRAN control port.
 const DefaultMasterAddr = ":2210"
@@ -57,30 +59,18 @@ func ListenControl(addr string) (*ControlListener, error) {
 	return transport.Listen(addr)
 }
 
-// RTConfig tunes the wall-clock loops. The zero value paces at the
-// paper's 1 ms TTI with no stats sink.
-type RTConfig struct {
-	// Period is the TTI length; 0 defaults to the paper's 1 ms.
-	Period time.Duration
-	// Stats, when non-nil, receives deadline accounting and latency
-	// histograms from the loop (and is attached to the master/agent so
-	// the ingest, apps, report and RTT legs are measured too).
-	Stats *LoopStats
-}
-
 // pace runs a wall-clock TTI loop on the calling goroutine until stop is
 // closed or drain reports its inbound channel closed. Every due TTI, late
 // ones included, is drain(nil) followed by step: the step count keeps
 // tracking wall-clock TTIs, and a backlog is visible as misses instead of
-// silent drift. cfg.Stats times each drain and step together (its Step
+// silent drift. ls (nil: none) times each drain and step together (its Step
 // histogram is the loop's whole per-TTI work), and stop is checked before
 // every one, so a backlog never delays shutdown. Between deadlines the
 // loop sleeps, waking early for a message on wake (nil: never) to hand it
 // to drain; those early drains are not timed.
-func pace(cfg RTConfig, stop <-chan struct{}, wake <-chan *protocol.Message,
+func pace(ls *LoopStats, stop <-chan struct{}, wake <-chan *protocol.Message,
 	drain func(first *protocol.Message) bool, step func()) {
-	ls := cfg.Stats
-	pacer := rt.NewPacer(time.Now(), cfg.Period)
+	pacer := rt.NewPacer(time.Now(), time.Millisecond)
 	timer := time.NewTimer(0) // re-armed (stale fire discarded) before every wait
 	defer timer.Stop()
 	for {
@@ -145,10 +135,11 @@ func pace(cfg RTConfig, stop <-chan struct{}, wake <-chan *protocol.Message,
 // closes the listener and every connection at once, from a goroutine of
 // its own, so that a Tick blocked in a write returns; by the time
 // ServeMaster returns, every session is closed (readers never outlive the
-// server, and the address can be bound again).
-func ServeMaster(m *Master, l *ControlListener, stop <-chan struct{}, cfg RTConfig) {
-	if cfg.Stats != nil {
-		m.SetLoopStats(cfg.Stats)
+// server, and the address can be bound again). ls (nil: none) receives the
+// loop's deadline accounting and the ingest, apps and RTT legs.
+func ServeMaster(m *Master, l *ControlListener, stop <-chan struct{}, ls *LoopStats) {
+	if ls != nil {
+		m.SetLoopStats(ls)
 	}
 	type link struct {
 		conn *transport.Conn
@@ -224,7 +215,7 @@ func ServeMaster(m *Master, l *ControlListener, stop <-chan struct{}, cfg RTConf
 		links = live
 		return true
 	}
-	pace(cfg, stop, nil, drain, m.Tick)
+	pace(ls, stop, nil, drain, m.Tick)
 }
 
 // Northbound connection limits. A client that has not sent its request
@@ -260,21 +251,22 @@ func ServeNorthbound(m *Master, ls *LoopStats, slices *SliceBroker, addr string,
 }
 
 // RunAgentLoop connects an agent-enabled node (see NewNode) to a master
-// over TCP and runs its data plane in real time: one subframe per TTI
-// period, each one the node's traffic injection and then its eNodeB step,
+// over TCP and runs its data plane in real time: one subframe per 1 ms
+// TTI, each one the node's traffic injection and then its eNodeB step,
 // with inbound control messages applied before every subframe and, between
 // deadlines, as they arrive. The node, its agent and its traffic are
 // single-threaded by design; this loop's goroutine is the only one that
 // touches them. A sustained inbound burst can delay a subframe (the pacer
 // counts it as a miss) yet never starve or skip it. It blocks until stop
-// is closed or the connection fails.
-func RunAgentLoop(n *Node, masterAddr string, stop <-chan struct{}, cfg RTConfig) error {
+// is closed or the connection fails. ls (nil: none) receives the loop's
+// deadline accounting and the report leg.
+func RunAgentLoop(n *Node, masterAddr string, stop <-chan struct{}, ls *LoopStats) error {
 	a := n.Agent
 	if a == nil {
 		return fmt.Errorf("flexran: eNodeB %d has no agent", n.ENB.ID())
 	}
-	if cfg.Stats != nil {
-		a.SetLoopStats(cfg.Stats)
+	if ls != nil {
+		a.SetLoopStats(ls)
 	}
 	conn, err := transport.Dial(masterAddr)
 	if err != nil {
@@ -296,7 +288,7 @@ func RunAgentLoop(n *Node, masterAddr string, stop <-chan struct{}, cfg RTConfig
 		}
 		return open
 	}
-	pace(cfg, stop, conn.Recv(), drain, func() {
+	pace(ls, stop, conn.Recv(), drain, func() {
 		n.Inject(n.ENB.Now())
 		n.ENB.Step()
 	})
@@ -312,6 +304,62 @@ func RunAgentLoop(n *Node, masterAddr string, stop <-chan struct{}, cfg RTConfig
 		return fmt.Errorf("flexran: control channel: %w", err)
 	}
 	return nil
+}
+
+// Loopback is a whole wall-clock deployment in one process: a master on a
+// loopback listener and one agent loop per eNodeB dialled to it, each on a
+// goroutine of its own. Master may be read while it runs; each of Nodes
+// (in spec order) belongs to its agent loop until Stop returns.
+type Loopback struct {
+	Master   *Master
+	Nodes    []*Node
+	Addr     string // the master's control address
+	stop     chan struct{}
+	stopOnce sync.Once
+	loops    sync.WaitGroup
+	errs     []error // one per node, set by its loop as it exits
+}
+
+// StartLoopback serves m on the already-bound listener l (ServeMaster) and
+// runs one agent loop (RunAgentLoop) per spec, each built by NewNode and
+// required to declare an agent. It takes l over: on any error l is closed
+// and nothing has been started or dialled. masterStats and agentStats are
+// the loops' stats sinks (nil: none); the agent loops share agentStats.
+func StartLoopback(m *Master, l *ControlListener, masterStats, agentStats *LoopStats, specs ...ENBSpec) (*Loopback, error) {
+	lb := &Loopback{Master: m, Nodes: make([]*Node, len(specs)), Addr: l.Addr().String(),
+		stop: make(chan struct{}), errs: make([]error, len(specs))}
+	for i, spec := range specs {
+		n, err := NewNode(spec)
+		if err == nil && n.Agent == nil {
+			err = fmt.Errorf("flexran: eNodeB %d has no agent", spec.ID)
+		}
+		if err != nil {
+			l.Close()
+			return nil, err
+		}
+		lb.Nodes[i] = n
+	}
+	lb.loops.Add(1 + len(specs))
+	go func() {
+		defer lb.loops.Done()
+		ServeMaster(m, l, lb.stop, masterStats)
+	}()
+	for i, n := range lb.Nodes {
+		go func() {
+			defer lb.loops.Done()
+			lb.errs[i] = RunAgentLoop(n, lb.Addr, lb.stop, agentStats)
+		}()
+	}
+	return lb, nil
+}
+
+// Stop closes the stop channel once, however often it is called, and
+// waits for every loop to return: the address is then free and the nodes
+// may be read. It returns the agent loops' errors, joined.
+func (lb *Loopback) Stop() error {
+	lb.stopOnce.Do(func() { close(lb.stop) })
+	lb.loops.Wait()
+	return errors.Join(lb.errs...)
 }
 
 // MasterSummary renders a one-line status of the master's RIB, for

@@ -34,6 +34,21 @@ func newNode(t *testing.T, spec flexran.ENBSpec) *flexran.Node {
 	return n
 }
 
+// startLoopback deploys m and one agent loop per spec on an ephemeral
+// loopback port.
+func startLoopback(t *testing.T, m *flexran.Master, masterLS, agentLS *flexran.LoopStats, specs ...flexran.ENBSpec) *flexran.Loopback {
+	t.Helper()
+	l, err := flexran.ListenControl("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := flexran.StartLoopback(m, l, masterLS, agentLS, specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lb
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -52,7 +67,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // ingest leg, the Echo-TS round trip, agent report emission, and the
 // agents' own deadline accounting. Every UE carries a CBR downlink, which
 // the agent loops inject: each UE must be served, and the master's RIB
-// must show its rate.
+// must show its rate, and MasterSummary must name both agents.
 func TestRealTimeStatsExchange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test")
@@ -63,37 +78,24 @@ func TestRealTimeStatsExchange(t *testing.T) {
 	m := flexran.NewMaster(opts)
 	masterLS := &flexran.LoopStats{}
 	agentLS := &flexran.LoopStats{}
-
-	l, err := flexran.ListenControl("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-
-	stop := make(chan struct{})
-	errc := make(chan error, 3)
-	go func() {
-		flexran.ServeMaster(m, l, stop, flexran.RTConfig{Stats: masterLS})
-		errc <- nil
-	}()
 	ids := []flexran.ENBID{7, 8}
-	nodes := make([]*flexran.Node, len(ids))
+	specs := make([]flexran.ENBSpec, len(ids))
 	for i, id := range ids {
-		spec := agentSpec(id, 2)
-		for j := range spec.UEs {
-			spec.UEs[j].DL = flexran.NewCBR(500)
+		specs[i] = agentSpec(id, 2)
+		for j := range specs[i].UEs {
+			specs[i].UEs[j].DL = flexran.NewCBR(500)
 		}
-		n := newNode(t, spec)
-		nodes[i] = n
-		go func() {
-			errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{Stats: agentLS})
-		}()
 	}
+	lb := startLoopback(t, m, masterLS, agentLS, specs...)
+	nodes := lb.Nodes
 
 	waitFor(t, 5*time.Second, "RIB population", func() bool {
 		return m.RIB().Connected(7) && m.RIB().Connected(8) &&
 			m.RIB().UECount(7) == 2 && m.RIB().UECount(8) == 2
 	})
+	if !strings.Contains(flexran.MasterSummary(m), "agents=2") {
+		t.Errorf("summary = %s", flexran.MasterSummary(m))
+	}
 	waitFor(t, 5*time.Second, "a DL rate for every UE in the RIB", func() bool {
 		for i, n := range nodes {
 			for _, rnti := range n.RNTIs {
@@ -120,11 +122,8 @@ func TestRealTimeStatsExchange(t *testing.T) {
 		t.Errorf("misses=%d > ticks=%d", masterLS.Misses(), masterLS.Ticks())
 	}
 
-	close(stop)
-	for i := 0; i < 3; i++ {
-		if err := <-errc; err != nil {
-			t.Errorf("loop error: %v", err)
-		}
+	if err := lb.Stop(); err != nil {
+		t.Errorf("loop error: %v", err)
 	}
 	// The loops have returned, so the data planes are safe to read.
 	for _, n := range nodes {
@@ -140,9 +139,42 @@ func TestRealTimeStatsExchange(t *testing.T) {
 // before anything is dialled.
 func TestAgentLoopNeedsAnAgent(t *testing.T) {
 	n := newNode(t, flexran.ENBSpec{ID: 3})
-	if err := flexran.RunAgentLoop(n, "127.0.0.1:1", nil, flexran.RTConfig{}); err == nil {
+	if err := flexran.RunAgentLoop(n, "127.0.0.1:1", nil, nil); err == nil {
 		t.Fatal("agent loop accepted a node without an agent")
 	}
+}
+
+// TestStartLoopbackNeedsAnAgent: a spec without an agent fails the whole
+// deployment before anything is started or dialled — not even the valid
+// spec ahead of it attaches — and leaves no goroutine behind and its
+// listener's address free to bind again.
+func TestStartLoopbackNeedsAnAgent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test")
+	}
+	before := runtime.NumGoroutine()
+	m := flexran.NewMaster(flexran.DefaultMasterOptions())
+	l, err := flexran.ListenControl("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	if _, err := flexran.StartLoopback(m, l, nil, nil, agentSpec(1, 1), flexran.ENBSpec{ID: 2}); err == nil {
+		t.Fatal("StartLoopback accepted a spec without an agent")
+	}
+	if m.Cycle() != 0 || m.RIB().Connected(1) {
+		t.Errorf("the master ran (cycle %d) or an agent attached", m.Cycle())
+	}
+	again, err := flexran.ListenControl(addr)
+	if err != nil {
+		t.Fatalf("address not released: %v", err)
+	}
+	again.Close()
+	runtime.KeepAlive(l) // a finalizer closing l must not release it instead
+	waitFor(t, 5*time.Second, "goroutines to drain", func() bool {
+		runtime.GC()
+		return runtime.NumGoroutine() <= before+3
+	})
 }
 
 // TestRealTimeAgentRestart stops an agent loop, restarts the agent, and
@@ -161,13 +193,13 @@ func TestRealTimeAgentRestart(t *testing.T) {
 
 	stop := make(chan struct{})
 	masterDone := make(chan struct{})
-	go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); close(masterDone) }()
+	go func() { flexran.ServeMaster(m, l, stop, nil); close(masterDone) }()
 
 	n := newNode(t, agentSpec(5, 3))
 	a := n.Agent
 	agentStop := make(chan struct{})
 	agentErr := make(chan error, 1)
-	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop, flexran.RTConfig{}) }()
+	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop, nil) }()
 	waitFor(t, 5*time.Second, "first attach", func() bool {
 		return m.RIB().Connected(5) && m.RIB().UECount(5) == 3
 	})
@@ -186,7 +218,7 @@ func TestRealTimeAgentRestart(t *testing.T) {
 	// bring the RIB back without any manual cleanup.
 	a.Restart()
 	agentStop = make(chan struct{})
-	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop, flexran.RTConfig{}) }()
+	go func() { agentErr <- flexran.RunAgentLoop(n, addr, agentStop, nil) }()
 	waitFor(t, 5*time.Second, "reattach after restart", func() bool {
 		return m.RIB().Connected(5) && m.RIB().UECount(5) == 3
 	})
@@ -215,18 +247,7 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	m := flexran.NewMaster(flexran.DefaultMasterOptions())
-	l, err := flexran.ListenControl("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	stop := make(chan struct{})
-	errc := make(chan error, 4)
-	go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); errc <- nil }()
-	for i := 0; i < 3; i++ {
-		n := newNode(t, agentSpec(flexran.ENBID(20+i), 1))
-		go func() { errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
-	}
+	lb := startLoopback(t, m, nil, nil, agentSpec(20, 1), agentSpec(21, 1), agentSpec(22, 1))
 	waitFor(t, 5*time.Second, "all agents attached", func() bool {
 		for i := 0; i < 3; i++ {
 			if !m.RIB().Connected(flexran.ENBID(20 + i)) {
@@ -239,11 +260,8 @@ func TestRealTimeShutdownLeaksNothing(t *testing.T) {
 		t.Errorf("%d goroutines in ServeMaster with 3 agents attached, want 1 to 3", n)
 	}
 
-	close(stop)
-	for i := 0; i < 4; i++ {
-		if err := <-errc; err != nil {
-			t.Errorf("loop error: %v", err)
-		}
+	if err := lb.Stop(); err != nil {
+		t.Errorf("loop error: %v", err)
 	}
 
 	// Readers exit asynchronously once their connections are closed; give
@@ -300,23 +318,19 @@ func TestRealTimeStopIsCleanExit(t *testing.T) {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
 		addr = l.Addr().String()
-		stop := make(chan struct{})
-		errc := make(chan error, 2)
-		go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); errc <- nil }()
-		n := newNode(t, agentSpec(4, 1))
-		go func() { errc <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
+		lb, err := flexran.StartLoopback(m, l, nil, nil, agentSpec(4, 1))
+		if err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
 
 		select {
 		case <-hello.Events():
 		case <-time.After(5 * time.Second):
-			close(stop)
+			lb.Stop()
 			t.Fatalf("cycle %d: agent never attached", cycle)
 		}
-		close(stop)
-		for i := 0; i < 2; i++ {
-			if err := <-errc; err != nil {
-				t.Fatalf("cycle %d: loop error: %v", cycle, err)
-			}
+		if err := lb.Stop(); err != nil {
+			t.Fatalf("cycle %d: loop error: %v", cycle, err)
 		}
 	}
 }
@@ -349,41 +363,32 @@ func TestRealTimeStopFreesBlockedMaster(t *testing.T) {
 	const stalled = flexran.ENBID(30)
 	m := flexran.NewMaster(flexran.DefaultMasterOptions())
 	m.Register(&policyFlooder{enb: stalled, doc: strings.Repeat("x", 256<<10)}, 0)
-	l, err := flexran.ListenControl("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	stop := make(chan struct{})
-	masterDone := make(chan struct{})
-	go func() { flexran.ServeMaster(m, l, stop, flexran.RTConfig{}); close(masterDone) }()
-	agentErr := make(chan error, 1)
-	n := newNode(t, agentSpec(31, 1))
-	go func() { agentErr <- flexran.RunAgentLoop(n, addr, stop, flexran.RTConfig{}) }()
+	lb := startLoopback(t, m, nil, nil, agentSpec(31, 1))
 
-	nc, err := net.Dial("tcp", addr)
+	nc, err := net.Dial("tcp", lb.Addr)
 	if err != nil {
-		close(stop)
+		lb.Stop()
 		t.Fatal(err)
 	}
 	defer nc.Close()
 	hello := protocol.New(stalled, 0, &protocol.Hello{Version: protocol.ProtocolVersion, Epoch: 1})
 	if err := transport.WriteFrame(nc, protocol.Encode(hello)); err != nil {
-		close(stop)
+		lb.Stop()
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "the tick goroutine blocked writing to the stalled peer", func() bool {
 		return tickBlockedInSend() && m.RIB().Connected(31)
 	})
 
-	close(stop)
+	stopped := make(chan error, 1)
+	go func() { stopped <- lb.Stop() }()
 	select {
-	case <-masterDone:
+	case err := <-stopped:
+		if err != nil {
+			t.Errorf("agent loop: %v", err)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeMaster still blocked in a write 5s after stop")
-	}
-	if err := <-agentErr; err != nil {
-		t.Errorf("agent loop: %v", err)
 	}
 }
 
