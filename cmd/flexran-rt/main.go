@@ -46,7 +46,7 @@ type reportJSON struct {
 func main() {
 	enbs := flag.Int("enbs", 16, "number of agent-enabled eNodeBs")
 	ues := flag.Int("ues", 32, "UEs per eNodeB")
-	seconds := flag.Float64("seconds", 5, "measured run duration")
+	seconds := flag.Float64("seconds", 5, "run duration (the report gives the time the run lasted)")
 	statsPeriod := flag.Int("stats-period", 1, "statistics reporting period in TTIs")
 	rttPeriod := flag.Int("rtt-period", 16, "command round-trip probe period in TTIs")
 	dlKbps := flag.Float64("dl-kbps", 500, "downlink CBR load per UE (kb/s)")
@@ -79,6 +79,7 @@ func main() {
 	defer cancel()
 	l, err := flexran.ListenControl("127.0.0.1:0")
 	check(err)
+	start := time.Now()
 	lb, err := flexran.StartLoopback(m, l, masterLS, agentLS, specs...)
 	check(err)
 
@@ -92,12 +93,15 @@ func main() {
 		ribUEs += m.RIB().UECount(id)
 	}
 	cycle := m.Cycle()
+	// The time the run lasted, not the -seconds asked for: a signal can
+	// end it early, and the report's per-second rates divide by this.
+	elapsed := time.Since(start).Seconds()
 	if err := lb.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "flexran-rt: agent:", err)
 	}
 
 	rep := reportJSON{
-		ENBs: *enbs, UEsPerENB: *ues, Seconds: *seconds, PeriodMs: 1, GOMAXPROCS: runtime.GOMAXPROCS(0),
+		ENBs: *enbs, UEsPerENB: *ues, Seconds: elapsed, PeriodMs: 1, GOMAXPROCS: runtime.GOMAXPROCS(0),
 		RIBAgents: ribAgents, RIBUEs: ribUEs, MasterCycle: uint64(cycle),
 		Master: masterLS.View(), Agents: agentLS.View(),
 	}
@@ -110,7 +114,7 @@ func main() {
 	}
 
 	fmt.Printf("flexran-rt: %d eNB × %d UE, %.1f s @ 1ms TTI: rib agents=%d ues=%d\n",
-		*enbs, *ues, *seconds, ribAgents, ribUEs)
+		*enbs, *ues, elapsed, ribAgents, ribUEs)
 	fmt.Printf("master: %s\n", masterLS.Profile())
 	fmt.Printf("agents: %s\n", agentLS.Profile())
 

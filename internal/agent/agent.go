@@ -36,15 +36,12 @@ type Options struct {
 	RequireSignedVSFs bool
 	// TrustKey overrides the deployment trust key.
 	TrustKey string
-	// HelloRetryTTI is the Hello retransmission period: until the master's
-	// HelloAck (for the current epoch) arrives, the agent re-sends its
-	// Hello every HelloRetryTTI subframes, so a handshake lost on an
-	// impaired control channel can never strand the agent unwelcomed.
-	// 0 uses DefaultHelloRetryTTI; negative disables retransmission.
-	HelloRetryTTI int
 }
 
-// DefaultHelloRetryTTI is the default Hello retransmission period (ms).
+// DefaultHelloRetryTTI is the Hello retransmission period: until the
+// master's HelloAck (for the current epoch) arrives, the agent re-sends its
+// Hello every DefaultHelloRetryTTI subframes, so a handshake lost on an
+// impaired control channel can never strand the agent unwelcomed.
 const DefaultHelloRetryTTI = 20
 
 // maxReportNeighbors caps the neighbour list carried in one MeasReport
@@ -287,18 +284,6 @@ func (a *Agent) sendHello() {
 		Epoch:   epoch,
 		Config:  a.enb.Config(),
 	})
-}
-
-// helloRetry returns the effective retransmission period (0 = disabled).
-func (a *Agent) helloRetry() int {
-	switch {
-	case a.opts.HelloRetryTTI > 0:
-		return a.opts.HelloRetryTTI
-	case a.opts.HelloRetryTTI == 0:
-		return DefaultHelloRetryTTI
-	default:
-		return 0
-	}
 }
 
 // emit sends a payload to the master, stamping the envelope.
@@ -565,34 +550,49 @@ func (a *Agent) installVSF(up *protocol.VSFUpdate) error {
 	return mod.InstallVSF(up)
 }
 
+// policyDoc is where a policy document decodes: a scratch copy of every
+// module's knobs and the document's table of module sections, bound to it
+// once. The docs are pooled, not kept per agent: reconfiguration is rare,
+// and a set of tables per agent would cost every agent about 1.7 KB.
+type policyDoc struct {
+	mgmt  mgmtKnobs
+	rrc   rrcKnobs
+	mac   [2]opPlan
+	table []yamlite.Field
+}
+
+var policyDocs = sync.Pool{New: func() any {
+	d := new(policyDoc)
+	d.table = []yamlite.Field{
+		{Key: "agent", Value: yamlite.Section(mgmtTable(&d.mgmt))},
+		{Key: "rrc", Value: yamlite.Section(rrcTable(&d.rrc))},
+		{Key: "mac", Value: yamlite.Section(macTable(&d.mac))},
+	}
+	return d
+}}
+
 // Reconfigure applies a policy document (yamlite text) across modules.
 // It is exported so local applications can reconfigure a co-located agent
-// directly, exactly as the master does remotely.
+// directly, exactly as the master does remotely. The whole document
+// decodes into a scratch copy and is checked before any of it is
+// committed: a refused document leaves the agent as it was.
 func (a *Agent) Reconfigure(doc string) error {
 	root, err := yamlite.Parse(doc)
 	if err != nil {
 		return fmt.Errorf("agent: policy parse: %w", err)
 	}
-	if root.Kind != yamlite.KindMap {
-		return fmt.Errorf("agent: policy document must be a map of modules")
+	d := policyDocs.Get().(*policyDoc)
+	defer policyDocs.Put(d)
+	d.mgmt, d.rrc, d.mac = a.mgmt.k.get(), a.rrc.k.get(), [2]opPlan{}
+	if err := yamlite.DecodeMap(root, "", d.table); err != nil {
+		return fmt.Errorf("agent: %w", err)
 	}
-	// Check every section before applying any: a refused document leaves
-	// the agent as it was.
-	var apply []func()
-	for _, modName := range root.Keys() {
-		mod, ok := a.modules[modName]
-		if !ok {
-			return fmt.Errorf("agent: unknown control module %q", modName)
-		}
-		f, err := mod.Reconfigure(root.Get(modName))
-		if err != nil {
-			return err
-		}
-		apply = append(apply, f)
+	if err := a.mac.resolve(&d.mac); err != nil {
+		return err
 	}
-	for _, f := range apply {
-		f()
-	}
+	a.mgmt.k.set(d.mgmt)
+	a.rrc.k.set(d.rrc)
+	a.mac.commit(&d.mac)
 	return nil
 }
 
@@ -658,8 +658,8 @@ func (a *Agent) NextWork(from lte.Subframe) lte.Subframe {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if retry := a.helloRetry(); retry > 0 && a.send != nil && !a.helloAcked {
-		w := a.lastHello + lte.Subframe(retry)
+	if a.send != nil && !a.helloAcked {
+		w := a.lastHello + DefaultHelloRetryTTI
 		if w < from {
 			w = from
 		}
@@ -689,7 +689,6 @@ func (a *Agent) NextWork(from lte.Subframe) lte.Subframe {
 }
 
 func (a *Agent) onSubframe(sf lte.Subframe) {
-	retry := a.helloRetry()
 	// One look at the agent's state per TTI: the stall, the Hello
 	// retransmission and a snapshot of the presorted subscription list.
 	// Deliver runs on the same goroutine as this hook (the agent's
@@ -700,7 +699,7 @@ func (a *Agent) onSubframe(sf lte.Subframe) {
 		a.mu.Unlock()
 		return
 	}
-	resend := retry > 0 && a.send != nil && !a.helloAcked && int(sf-a.lastHello) >= retry
+	resend := a.send != nil && !a.helloAcked && int(sf-a.lastHello) >= DefaultHelloRetryTTI
 	subs := append(a.subScratch[:0], a.subList...)
 	a.subScratch = subs
 	ls := a.loopStats

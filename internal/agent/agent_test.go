@@ -1,7 +1,9 @@
 package agent
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"flexran/internal/enb"
@@ -343,6 +345,10 @@ var badPolicies = []string{
 	"agent:\n  sync_period: notanumber\n",
 	"rrc:\n  nosuchknob: 1\n",
 	":::",
+	// A misspelt key and a non-map operation section: both were once
+	// acked while changing nothing.
+	"mac:\n  dl_ue_sched:\n    behaviour: pf\n",
+	"mac:\n  dl_ue_sched: 5\n",
 }
 
 func TestPolicyReconfErrors(t *testing.T) {
@@ -399,6 +405,69 @@ func TestRRCPolicy(t *testing.T) {
 	}
 	if got := h.agent.RRC().Hysteresis(); got != 5.5 {
 		t.Errorf("hysteresis = %v after rejected documents, want 5.5", got)
+	}
+}
+
+// TestReconfigureConcurrentAgents runs agents' Reconfigure on goroutines
+// of their own, as a wall-clock deployment does: they share the pooled
+// decoding scratch, and each must end with exactly its own documents.
+func TestReconfigureConcurrentAgents(t *testing.T) {
+	agents := make([]*Agent, 4)
+	for i := range agents {
+		agents[i] = New(enb.New(enb.Config{ID: lte.ENBID(i + 1), Seed: 1}), Options{})
+	}
+	var wg sync.WaitGroup
+	for i, a := range agents {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 50 {
+				doc := fmt.Sprintf("rrc:\n  time_to_trigger_tti: %d\nmac:\n  ul_ue_sched:\n    behavior: slice-rr\n    parameters:\n      rb_share: [0.%d]\n", 100*i+n, i+1)
+				if err := a.Reconfigure(doc); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, a := range agents {
+		got := policyOf(a)
+		if got.ttt != 100*i+49 || got.ul != "slice-rr" || got.ulShares != fmt.Sprintf("[0.%d]", i+1) {
+			t.Errorf("agent %d ended with %+v", i+1, got)
+		}
+	}
+}
+
+// TestAllocGatePolicyShares bounds what a policy document costs the agent:
+// the share push is the document controller.Context.ApplyShares renders
+// for a three-share plan, which the slice broker sends every epoch. The
+// budgets are the readings of the per-module hand-written decoders the
+// field tables replaced (39 and 21); the pooled tables read 35 and 20.
+func TestAllocGatePolicyShares(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are meaningless under -race (sync.Pool caching is randomized)")
+	}
+	h := newHarness(t, Options{})
+	if err := h.agent.Reconfigure("mac:\n  dl_ue_sched:\n    behavior: slice-rr\n"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, doc string
+		budget    float64
+	}{
+		{"shares", "mac:\n  dl_ue_sched:\n    parameters:\n      rb_share: [0.25, 0.25, 0.5]\n", 39},
+		{"rrc", "rrc:\n  handover_hysteresis_db: 3\n  time_to_trigger_tti: 40\n  report_interval_tti: 240\n", 21},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if err := h.agent.Reconfigure(c.doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.budget {
+			t.Errorf("%s document: %.1f allocs/op, budget %.0f", c.name, got, c.budget)
+		}
+		t.Logf("%s document: %.1f allocs/op", c.name, got)
 	}
 }
 

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,23 +85,20 @@ type cachedVSF struct {
 	impl sched.Scheduler
 }
 
+// ops names the CMI operation scheduling each direction.
+var ops = [2]string{lte.Downlink: OpDLUESched, lte.Uplink: OpULUESched}
+
 // opDir maps a CMI operation name to the direction it schedules.
 func opDir(op string) (lte.Direction, bool) {
-	switch op {
-	case OpDLUESched:
-		return lte.Downlink, true
-	case OpULUESched:
-		return lte.Uplink, true
-	}
-	return 0, false
+	i := slices.Index(ops[:], op)
+	return lte.Direction(i), i >= 0
 }
 
 // NewMACModule builds the module with local round robin active on both
 // operations; the rest of the native store is built on first use.
 func NewMACModule() *MACModule {
 	m := &MACModule{cache: map[string]*cachedVSF{}}
-	for _, op := range []string{OpDLUESched, OpULUESched} {
-		dir, _ := opDir(op)
+	for dir, op := range ops {
 		rr, _ := m.entry(op, "rr")
 		m.active[dir].Store(rr)
 	}
@@ -283,7 +281,7 @@ func (m *MACModule) CachedVSFs() []string {
 	for k := range m.cache {
 		out = append(out, k)
 	}
-	for _, op := range []string{OpDLUESched, OpULUESched} {
+	for _, op := range ops {
 		for name := range NativeVSFStore {
 			if _, ok := m.cache[op+"/"+name]; !ok {
 				out = append(out, op+"/"+name)
@@ -294,68 +292,80 @@ func (m *MACModule) CachedVSFs() []string {
 	return out
 }
 
-// Reconfigure implements Module for one "mac:" policy section (Fig. 3):
-// per-operation behavior swaps and parameter updates. The only parameter
-// is rb_share, the share vector of a slicing VSF; it addresses the VSF the
-// section activates, or else the active one.
-func (m *MACModule) Reconfigure(doc *yamlite.Node) (func(), error) {
-	if doc == nil || doc.Kind != yamlite.KindMap {
-		return nil, fmt.Errorf("agent: mac policy section must be a map")
-	}
-	var apply []func()
-	for _, op := range doc.Keys() {
-		section := doc.Get(op)
-		dir, ok := opDir(op)
-		if !ok {
-			return nil, fmt.Errorf("agent: mac has no VSF operation %q", op)
-		}
-		vsf := m.active[dir].Load()
-		if b := section.Get("behavior"); b != nil {
-			m.mu.Lock()
-			vsf, ok = m.entry(op, b.Str())
-			m.mu.Unlock()
-			if !ok {
-				return nil, fmt.Errorf("agent: no cached VSF %q for %s", b.Str(), op)
-			}
-			apply = append(apply, func() { m.active[dir].Store(vsf) })
-		}
-		if params := section.Get("parameters"); params != nil {
-			set, err := shareParams(vsf, params)
-			if err != nil {
-				return nil, err
-			}
-			apply = append(apply, set)
-		}
-	}
-	return func() {
-		for _, f := range apply {
-			f()
-		}
-	}, nil
+// A "mac:" policy section (Fig. 3) swaps an operation's behavior, updates
+// its parameters, or both. The only parameter is rb_share, the share
+// vector of a slicing VSF; it addresses the VSF the section activates, or
+// else the active one, whatever the key order. The section decodes into a
+// plan per direction; resolve checks the plan against the cache and commit
+// applies it.
+
+// opPlan is one operation's section of a "mac:" policy as decoded, before
+// it is checked against the cache.
+type opPlan struct {
+	behavior string
+	swap     bool // behavior was given
+	params   bool // parameters was given
+	shares   []float64
+	// vsf is the VSF the section addresses, once resolved.
+	vsf *cachedVSF
 }
 
-// shareParams checks a parameters section against the VSF it addresses
-// and returns the write into its slicer.
-func shareParams(vsf *cachedVSF, params *yamlite.Node) (func(), error) {
-	sl, ok := vsf.impl.(*sched.Slicer)
-	if !ok {
-		return nil, fmt.Errorf("agent: VSF %q accepts no parameters", vsf.name)
+// macTable is the "mac:" policy section's field table.
+func macTable(plan *[2]opPlan) []yamlite.Field {
+	fields := make([]yamlite.Field, len(ops))
+	for dir, op := range ops {
+		p := &plan[dir]
+		fields[dir] = yamlite.Field{Key: op, Value: yamlite.Section([]yamlite.Field{
+			{Key: "behavior", Value: yamlite.Then(yamlite.Str(&p.behavior), func() { p.swap = true })},
+			{Key: "parameters", Value: yamlite.Then(yamlite.Section([]yamlite.Field{
+				{Key: "rb_share", Value: yamlite.Floats(&p.shares)},
+			}), func() { p.params = true })},
+		})}
 	}
-	apply := func() {}
-	for _, key := range params.Keys() {
-		if key != "rb_share" {
-			return nil, fmt.Errorf("agent: slicer has no parameter %q", key)
+	return fields
+}
+
+// resolve checks a decoded plan: a behavior must name a cached VSF, and
+// parameters need a slicer that accepts the shares.
+func (m *MACModule) resolve(plan *[2]opPlan) error {
+	for dir := range plan {
+		p, op := &plan[dir], ops[dir]
+		p.vsf = m.active[dir].Load()
+		if p.swap {
+			var ok bool
+			m.mu.Lock()
+			p.vsf, ok = m.entry(op, p.behavior)
+			m.mu.Unlock()
+			if !ok {
+				return fmt.Errorf("agent: no cached VSF %q for %s", p.behavior, op)
+			}
 		}
-		shares, err := params.Get(key).Floats()
-		if err != nil {
-			return nil, fmt.Errorf("agent: rb_share: %w", err)
+		if !p.params {
+			continue
 		}
-		if err := sched.ValidateShares(shares); err != nil {
-			return nil, err
+		if _, ok := p.vsf.impl.(*sched.Slicer); !ok {
+			return fmt.Errorf("agent: VSF %q accepts no parameters", p.vsf.name)
 		}
-		apply = func() { sl.SetShares(shares) }
+		if p.shares != nil {
+			if err := sched.ValidateShares(p.shares); err != nil {
+				return fmt.Errorf("agent: mac.%s.parameters.rb_share: %w", op, err)
+			}
+		}
 	}
-	return apply, nil
+	return nil
+}
+
+// commit applies a resolved plan.
+func (m *MACModule) commit(plan *[2]opPlan) {
+	for dir := range plan {
+		p := &plan[dir]
+		if p.swap {
+			m.active[dir].Store(p.vsf)
+		}
+		if p.shares != nil {
+			p.vsf.impl.(*sched.Slicer).SetShares(p.shares)
+		}
+	}
 }
 
 // newDSLScheduler wraps a verified vsfdsl program as a metric scheduler.

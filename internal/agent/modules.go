@@ -2,7 +2,6 @@ package agent
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"flexran/internal/protocol"
@@ -12,16 +11,32 @@ import (
 // Module is the Control Module Interface (CMI): the abstraction through
 // which the agent exposes each control subsystem (MAC/RLC, RRC, agent
 // management) to the delegation machinery without knowing implementation
-// details (paper §4.3.1).
+// details (paper §4.3.1). A module's section of a policy document is a
+// yamlite field table (mgmtTable, rrcTable, macTable) that
+// Agent.Reconfigure decodes into a scratch copy of the module's knobs.
 type Module interface {
 	// Name is the module key used in policy documents ("mac", "rrc", ...).
 	Name() string
 	// InstallVSF caches a pushed VSF implementation (VSF updation).
 	InstallVSF(up *protocol.VSFUpdate) error
-	// Reconfigure checks the module's section of a policy document and
-	// returns the change it makes. Nothing changes until that function
-	// runs, so a document is applied whole or not at all.
-	Reconfigure(doc *yamlite.Node) (func(), error)
+}
+
+// knobs is a module's knob set under its lock.
+type knobs[T any] struct {
+	mu sync.Mutex
+	v  T
+}
+
+func (k *knobs[T]) get() T {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.v
+}
+
+func (k *knobs[T]) set(v T) {
+	k.mu.Lock()
+	k.v = v
+	k.mu.Unlock()
 }
 
 // MgmtModule is the agent-management control module: it owns the knobs of
@@ -32,8 +47,7 @@ type Module interface {
 //	  sync_period: 1      # SubframeTrigger every TTI (0 disables)
 //	  forward_events: yes
 type MgmtModule struct {
-	mu sync.Mutex
-	k  mgmtKnobs
+	k knobs[mgmtKnobs]
 }
 
 type mgmtKnobs struct {
@@ -43,7 +57,17 @@ type mgmtKnobs struct {
 
 // NewMgmtModule returns the module with sync off and event forwarding on.
 func NewMgmtModule() *MgmtModule {
-	return &MgmtModule{k: mgmtKnobs{forwardEvents: true}}
+	m := &MgmtModule{}
+	m.k.v = mgmtKnobs{forwardEvents: true}
+	return m
+}
+
+// mgmtTable is the "agent:" policy section's field table.
+func mgmtTable(k *mgmtKnobs) []yamlite.Field {
+	return []yamlite.Field{
+		{Key: "sync_period", Value: yamlite.NonNegInt(&k.syncPeriod)},
+		{Key: "forward_events", Value: yamlite.Boolean(&k.forwardEvents)},
+	}
 }
 
 // Name implements Module.
@@ -54,53 +78,11 @@ func (*MgmtModule) InstallVSF(up *protocol.VSFUpdate) error {
 	return fmt.Errorf("agent: management module has no VSF %q", up.VSF)
 }
 
-// Reconfigure implements Module.
-func (m *MgmtModule) Reconfigure(doc *yamlite.Node) (func(), error) {
-	if doc == nil || doc.Kind != yamlite.KindMap {
-		return nil, fmt.Errorf("agent: agent policy section must be a map")
-	}
-	m.mu.Lock()
-	k := m.k
-	m.mu.Unlock()
-	for _, key := range doc.Keys() {
-		val := doc.Get(key)
-		switch key {
-		case "sync_period":
-			p, err := val.Int()
-			if err != nil || p < 0 {
-				return nil, fmt.Errorf("agent: bad sync_period %q", val.Str())
-			}
-			k.syncPeriod = int(p)
-		case "forward_events":
-			b, err := val.Bool()
-			if err != nil {
-				return nil, fmt.Errorf("agent: bad forward_events %q", val.Str())
-			}
-			k.forwardEvents = b
-		default:
-			return nil, fmt.Errorf("agent: management module has no knob %q", key)
-		}
-	}
-	return func() {
-		m.mu.Lock()
-		m.k = k
-		m.mu.Unlock()
-	}, nil
-}
-
 // SyncPeriod returns the SubframeTrigger period (0 = disabled).
-func (m *MgmtModule) SyncPeriod() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.k.syncPeriod
-}
+func (m *MgmtModule) SyncPeriod() int { return m.k.get().syncPeriod }
 
 // ForwardEvents reports whether UE events are relayed to the master.
-func (m *MgmtModule) ForwardEvents() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.k.forwardEvents
-}
+func (m *MgmtModule) ForwardEvents() bool { return m.k.get().forwardEvents }
 
 // RRCModule is the radio-resource-control module. The prototype's focus —
 // like the paper's — is the MAC module; the RRC module carries the
@@ -108,8 +90,7 @@ func (m *MgmtModule) ForwardEvents() bool {
 // the "modify threshold of signal quality for handover initiation"
 // example of Table 1) that mobility-manager applications read.
 type RRCModule struct {
-	mu sync.Mutex
-	k  rrcKnobs
+	k knobs[rrcKnobs]
 }
 
 type rrcKnobs struct {
@@ -125,7 +106,21 @@ type rrcKnobs struct {
 
 // NewRRCModule returns 3GPP-ish defaults (3 dB, 40 ms, 240 ms).
 func NewRRCModule() *RRCModule {
-	return &RRCModule{k: rrcKnobs{hysteresisDB: 3, timeToTriggerTTI: 40, reportIntervalTTI: 240}}
+	r := &RRCModule{}
+	r.k.v = rrcKnobs{hysteresisDB: 3, timeToTriggerTTI: 40, reportIntervalTTI: 240}
+	return r
+}
+
+// rrcTable is the "rrc:" policy section's field table.
+func rrcTable(k *rrcKnobs) []yamlite.Field {
+	return []yamlite.Field{
+		// A NaN hysteresis would make every A3 comparison false: the cell
+		// would silently never report a handover candidate. NonNegNum
+		// refuses it, and infinities, with every negative.
+		{Key: "handover_hysteresis_db", Value: yamlite.NonNegNum(&k.hysteresisDB)},
+		{Key: "time_to_trigger_tti", Value: yamlite.NonNegInt(&k.timeToTriggerTTI)},
+		{Key: "report_interval_tti", Value: yamlite.NonNegInt(&k.reportIntervalTTI)},
+	}
 }
 
 // Name implements Module.
@@ -137,66 +132,12 @@ func (*RRCModule) InstallVSF(up *protocol.VSFUpdate) error {
 	return fmt.Errorf("agent: rrc module does not accept VSF %q in this prototype", up.VSF)
 }
 
-// Reconfigure implements Module.
-func (r *RRCModule) Reconfigure(doc *yamlite.Node) (func(), error) {
-	if doc == nil || doc.Kind != yamlite.KindMap {
-		return nil, fmt.Errorf("agent: rrc policy section must be a map")
-	}
-	r.mu.Lock()
-	k := r.k
-	r.mu.Unlock()
-	for _, key := range doc.Keys() {
-		val := doc.Get(key)
-		switch key {
-		case "handover_hysteresis_db":
-			// A NaN hysteresis would make every A3 comparison false: the
-			// cell would silently never report a handover candidate.
-			f, err := val.Float()
-			if err != nil || !(f >= 0) || math.IsInf(f, 1) {
-				return nil, fmt.Errorf("agent: bad hysteresis %q", val.Str())
-			}
-			k.hysteresisDB = f
-		case "time_to_trigger_tti":
-			n, err := val.Int()
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("agent: bad time_to_trigger %q", val.Str())
-			}
-			k.timeToTriggerTTI = int(n)
-		case "report_interval_tti":
-			n, err := val.Int()
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("agent: bad report_interval %q", val.Str())
-			}
-			k.reportIntervalTTI = int(n)
-		default:
-			return nil, fmt.Errorf("agent: rrc module has no knob %q", key)
-		}
-	}
-	return func() {
-		r.mu.Lock()
-		r.k = k
-		r.mu.Unlock()
-	}, nil
-}
-
 // Hysteresis returns the configured handover hysteresis in dB.
-func (r *RRCModule) Hysteresis() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.k.hysteresisDB
-}
+func (r *RRCModule) Hysteresis() float64 { return r.k.get().hysteresisDB }
 
 // TimeToTrigger returns the configured time-to-trigger in TTIs.
-func (r *RRCModule) TimeToTrigger() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.k.timeToTriggerTTI
-}
+func (r *RRCModule) TimeToTrigger() int { return r.k.get().timeToTriggerTTI }
 
 // ReportInterval returns the A3 re-report interval in TTIs (0 disables
 // repeats: one report per episode).
-func (r *RRCModule) ReportInterval() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.k.reportIntervalTTI
-}
+func (r *RRCModule) ReportInterval() int { return r.k.get().reportIntervalTTI }

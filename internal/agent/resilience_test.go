@@ -9,7 +9,7 @@ import (
 )
 
 func TestConnectBumpsEpochAndRetransmitsHello(t *testing.T) {
-	h := newHarness(t, Options{HelloRetryTTI: 10})
+	h := newHarness(t, Options{})
 	if got := h.agent.Epoch(); got != 1 {
 		t.Fatalf("epoch after first Connect = %d, want 1", got)
 	}
@@ -18,11 +18,12 @@ func TestConnectBumpsEpochAndRetransmitsHello(t *testing.T) {
 		t.Errorf("Hello.Epoch = %d, want 1", hello.Epoch)
 	}
 	// No ack: the agent must keep retransmitting from the TTI loop.
-	for i := 0; i < 35; i++ {
+	unacked := 3*DefaultHelloRetryTTI + DefaultHelloRetryTTI/2
+	for i := 0; i < unacked; i++ {
 		h.enb.Step()
 	}
 	if n := h.countOf(protocol.KindHello); n < 3 {
-		t.Errorf("Hellos after 35 unacked TTIs = %d, want >= 3 (retry every 10)", n)
+		t.Errorf("Hellos after %d unacked TTIs = %d, want >= 3 (retry every %d)", unacked, n, DefaultHelloRetryTTI)
 	}
 	// Ack for the current epoch stops the retransmission.
 	h.agent.Deliver(protocol.New(5, 0, &protocol.HelloAck{
@@ -32,7 +33,7 @@ func TestConnectBumpsEpochAndRetransmitsHello(t *testing.T) {
 		t.Fatal("HelloAck for current epoch not accepted")
 	}
 	before := h.countOf(protocol.KindHello)
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 4*DefaultHelloRetryTTI; i++ {
 		h.enb.Step()
 	}
 	if n := h.countOf(protocol.KindHello); n != before {
@@ -41,7 +42,7 @@ func TestConnectBumpsEpochAndRetransmitsHello(t *testing.T) {
 }
 
 func TestStaleEpochAckDoesNotSilenceHandshake(t *testing.T) {
-	h := newHarness(t, Options{HelloRetryTTI: 10})
+	h := newHarness(t, Options{})
 	h.agent.Connect(h.capture) // reconnect: epoch 2
 	// A leftover ack for epoch 1 arrives late: must not stop the epoch-2
 	// handshake. An epoch-0 ack (pre-epoch master) must.

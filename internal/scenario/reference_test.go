@@ -14,6 +14,7 @@ import (
 	"flexran/internal/sim"
 	"flexran/internal/slice"
 	"flexran/internal/transport"
+	"flexran/internal/yamlite"
 )
 
 // sections lists every field table of the parser under the document
@@ -21,7 +22,7 @@ import (
 // scenarios/README.md are both enumerations of this list.
 var sections = []struct {
 	paths []string
-	table []field
+	table []yamlite.Field
 }{
 	{[]string{""}, scenarioTable(new(Scenario))},
 	{[]string{"run"}, runTable(new(RunSpec))},
@@ -67,10 +68,10 @@ func TestCorpusCoversEveryKnob(t *testing.T) {
 			knobs++
 			covered := false
 			for _, p := range s.paths {
-				covered = covered || mutated[knobPath(p, f.key)]
+				covered = covered || mutated[knobPath(p, f.Key)]
 			}
 			if !covered {
-				t.Errorf("no corpus document sets %s", knobPath(s.paths[0], f.key))
+				t.Errorf("no corpus document sets %s", knobPath(s.paths[0], f.Key))
 			}
 		}
 	}
@@ -96,9 +97,9 @@ func knobReference() string {
 			fmt.Fprintf(&b, "\n`%s` (and the same knobs under `%s`):\n\n", s.paths[0], strings.Join(s.paths[1:], "`, `"))
 		}
 		for _, f := range s.table {
-			fmt.Fprintf(&b, "- `%s` — %s", knobPath(s.paths[0], f.key), f.what)
-			if f.dst != nil {
-				if def := reflect.ValueOf(f.dst).Elem(); !def.IsZero() {
+			fmt.Fprintf(&b, "- `%s` — %s", knobPath(s.paths[0], f.Key), f.What)
+			if f.Dst != nil {
+				if def := reflect.ValueOf(f.Dst).Elem(); !def.IsZero() {
 					fmt.Fprintf(&b, "; default `%v`", def.Interface())
 				}
 			}

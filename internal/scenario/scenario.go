@@ -300,8 +300,8 @@ func Parse(doc string) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	sc := new(Scenario)
-	if err := decodeMap(root, "", scenarioTable(sc)); err != nil {
-		return nil, err
+	if err := yamlite.DecodeMap(root, "", scenarioTable(sc)); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	if err := sc.validate(); err != nil {
 		return nil, err
@@ -315,57 +315,57 @@ func Parse(doc string) (*Scenario, error) {
 // that span several keys. scenarios/README.md carries a knob reference
 // generated from these tables.
 
-func scenarioTable(sc *Scenario) []field {
+func scenarioTable(sc *Scenario) []yamlite.Field {
 	*sc = Scenario{Master: new(controller.Options)}
 	master := masterTable(sc.Master)
-	return []field{
-		{"name", str(&sc.Name)},
-		{"description", str(&sc.Description)},
-		{"run", section(runTable(&sc.Run))},
-		{"topology", section(topologyTable(&sc.ENBs))},
-		{"ues", list(&sc.UEs, parseUEGroup)},
-		{"master", value{`a map or "none"`, nil, func(n *yamlite.Node, where string) error {
+	return []yamlite.Field{
+		{Key: "name", Value: yamlite.Str(&sc.Name)},
+		{Key: "description", Value: yamlite.Str(&sc.Description)},
+		{Key: "run", Value: yamlite.Section(runTable(&sc.Run))},
+		{Key: "topology", Value: yamlite.Section(topologyTable(&sc.ENBs))},
+		{Key: "ues", Value: yamlite.List(&sc.UEs, parseUEGroup)},
+		{Key: "master", Value: yamlite.Value{What: `a map or "none"`, Decode: func(n *yamlite.Node, where string) error {
 			switch {
 			case n.Kind == yamlite.KindScalar && n.Str() == "none":
 				sc.Master = nil
 				return nil
 			case n.Kind != yamlite.KindMap:
-				return mustBe(noun(where), `a map or "none"`)
+				return yamlite.MustBe(yamlite.Noun(where), `a map or "none"`)
 			}
-			return decodeMap(n, where, master)
+			return yamlite.DecodeMap(n, where, master)
 		}}},
-		{"apps", list(&sc.Apps, parseApp)},
-		{"slicing", list(&sc.Slices, parseSlicing)},
-		{"slices", sub(parseSlices, intoPtr(&sc.Broker))},
-		{"faults", list(&sc.Faults, parseFault)},
+		{Key: "apps", Value: yamlite.List(&sc.Apps, parseApp)},
+		{Key: "slicing", Value: yamlite.List(&sc.Slices, parseSlicing)},
+		{Key: "slices", Value: yamlite.Sub(parseSlices, yamlite.IntoPtr(&sc.Broker))},
+		{Key: "faults", Value: yamlite.List(&sc.Faults, parseFault)},
 	}
 }
 
-func runTable(r *RunSpec) []field {
+func runTable(r *RunSpec) []yamlite.Field {
 	*r = RunSpec{AttachTTIs: DefaultAttachTTIs, PingPongWindowTTI: DefaultPingPongWindowTTI}
 	var seconds float64
-	return []field{
-		{"ttis", posInt(&r.TTIs)},
-		{"seconds", after(posNum(&seconds), func(_ *yamlite.Node, where string) error {
+	return []yamlite.Field{
+		{Key: "ttis", Value: yamlite.PosInt(&r.TTIs)},
+		{Key: "seconds", Value: yamlite.After(yamlite.PosNum(&seconds), func(_ *yamlite.Node, where string) error {
 			if seconds > maxRunSeconds {
-				return fmt.Errorf("scenario: %s: %g exceeds the limit of %d seconds", where, seconds, maxRunSeconds)
+				return fmt.Errorf("%s: %g exceeds the limit of %d seconds", where, seconds, maxRunSeconds)
 			}
 			r.TTIs = int(seconds * lte.TTIsPerSecond)
 			return nil
 		})},
-		{"attach_ttis", nonNegInt(&r.AttachTTIs)},
-		{"seed", anyInt(&r.Seed)},
-		{"pingpong_window_tti", posInt(&r.PingPongWindowTTI)},
-		{"no_fast_forward", boolean(&r.NoFastForward)},
+		{Key: "attach_ttis", Value: yamlite.NonNegInt(&r.AttachTTIs)},
+		{Key: "seed", Value: yamlite.AnyInt(&r.Seed)},
+		{Key: "pingpong_window_tti", Value: yamlite.PosInt(&r.PingPongWindowTTI)},
+		{Key: "no_fast_forward", Value: yamlite.Boolean(&r.NoFastForward)},
 	}
 }
 
-func topologyTable(enbs *[]ENBDecl) []field {
+func topologyTable(enbs *[]ENBDecl) []yamlite.Field {
 	generated := func(more []ENBDecl) { *enbs = append(*enbs, more...) }
-	return []field{
-		{"grid", sub(parseGrid, generated)},
-		{"honeycomb", sub(parseHoneycomb, generated)},
-		{"enbs", list(enbs, parseENB)},
+	return []yamlite.Field{
+		{Key: "grid", Value: yamlite.Sub(parseGrid, generated)},
+		{Key: "honeycomb", Value: yamlite.Sub(parseHoneycomb, generated)},
+		{Key: "enbs", Value: yamlite.List(enbs, parseENB)},
 	}
 }
 
@@ -387,14 +387,14 @@ func (l *lattice) site(i int, x, y float64) ENBDecl {
 	}
 }
 
-func gridTable(l *lattice) []field {
+func gridTable(l *lattice) []yamlite.Field {
 	*l = lattice{sectors: 1, spacing: 500, powerDB: 43, seedBase: 1}
-	return []field{
-		{"enbs", upTo(posInt(&l.enbs), maxENBs, "eNodeBs")},
-		{"cols", posInt(&l.cols)},
-		{"spacing_m", posNum(&l.spacing)},
-		{"power_dbm", number(&l.powerDB)},
-		{"seed_base", anyInt(&l.seedBase)},
+	return []yamlite.Field{
+		{Key: "enbs", Value: yamlite.UpTo(yamlite.PosInt(&l.enbs), maxENBs, "eNodeBs")},
+		{Key: "cols", Value: yamlite.PosInt(&l.cols)},
+		{Key: "spacing_m", Value: yamlite.PosNum(&l.spacing)},
+		{Key: "power_dbm", Value: yamlite.Number(&l.powerDB)},
+		{Key: "seed_base", Value: yamlite.AnyInt(&l.seedBase)},
 	}
 }
 
@@ -402,11 +402,11 @@ func gridTable(l *lattice) []field {
 // single-cell agent eNodeBs with ids 1..N, each carrying one site.
 func parseGrid(n *yamlite.Node, where string) ([]ENBDecl, error) {
 	var l lattice
-	if err := decodeMap(n, where, gridTable(&l)); err != nil {
+	if err := yamlite.DecodeMap(n, where, gridTable(&l)); err != nil {
 		return nil, err
 	}
 	if l.enbs == 0 {
-		return nil, fmt.Errorf("scenario: %s.enbs is required", where)
+		return nil, fmt.Errorf("%s.enbs is required", where)
 	}
 	if l.cols == 0 {
 		l.cols = int(math.Ceil(math.Sqrt(float64(l.enbs))))
@@ -418,15 +418,15 @@ func parseGrid(n *yamlite.Node, where string) ([]ENBDecl, error) {
 	return out, nil
 }
 
-func honeycombTable(l *lattice) []field {
+func honeycombTable(l *lattice) []yamlite.Field {
 	*l = lattice{sectors: 1, spacing: 500, powerDB: 43, seedBase: 1}
-	return []field{
-		{"enbs", upTo(posInt(&l.enbs), maxENBs, "eNodeBs")},
-		{"rings", then(upTo(nonNegInt(&l.rings), maxRings, "rings"), func() { l.byRings = true })},
-		{"pitch_m", posNum(&l.spacing)},
-		{"sectors", upTo(posInt(&l.sectors), maxCellsPerENB, "cells per eNodeB")},
-		{"power_dbm", number(&l.powerDB)},
-		{"seed_base", anyInt(&l.seedBase)},
+	return []yamlite.Field{
+		{Key: "enbs", Value: yamlite.UpTo(yamlite.PosInt(&l.enbs), maxENBs, "eNodeBs")},
+		{Key: "rings", Value: yamlite.Then(yamlite.UpTo(yamlite.NonNegInt(&l.rings), maxRings, "rings"), func() { l.byRings = true })},
+		{Key: "pitch_m", Value: yamlite.PosNum(&l.spacing)},
+		{Key: "sectors", Value: yamlite.UpTo(yamlite.PosInt(&l.sectors), maxCellsPerENB, "cells per eNodeB")},
+		{Key: "power_dbm", Value: yamlite.Number(&l.powerDB)},
+		{Key: "seed_base", Value: yamlite.AnyInt(&l.seedBase)},
 	}
 }
 
@@ -437,11 +437,11 @@ func honeycombTable(l *lattice) []field {
 // `rings` (complete rings R, yielding 1+3R(R+1) sites) selects the size.
 func parseHoneycomb(n *yamlite.Node, where string) ([]ENBDecl, error) {
 	var l lattice
-	if err := decodeMap(n, where, honeycombTable(&l)); err != nil {
+	if err := yamlite.DecodeMap(n, where, honeycombTable(&l)); err != nil {
 		return nil, err
 	}
 	if (l.enbs == 0) != l.byRings {
-		return nil, fmt.Errorf("scenario: %s needs exactly one of enbs or rings", where)
+		return nil, fmt.Errorf("%s needs exactly one of enbs or rings", where)
 	}
 	if l.byRings {
 		l.enbs = 1 + 3*l.rings*(l.rings+1)
@@ -481,21 +481,21 @@ func hexSpiral(n int) []hexAxial {
 	return out[:n]
 }
 
-func enbTable(d *ENBDecl) []field {
+func enbTable(d *ENBDecl) []yamlite.Field {
 	*d = ENBDecl{Agent: true, Cells: 1}
-	return []field{
-		{"id", posInt(&d.ID)},
-		{"agent", boolean(&d.Agent)},
-		{"seed", anyInt(&d.Seed)},
-		{"cells", upTo(posInt(&d.Cells), maxCellsPerENB, "cells per eNodeB")},
-		{"x", number(&d.X)},
-		{"y", number(&d.Y)},
-		{"power_dbm", then(number(&d.PowerDBm), func() { d.HasSite = true })},
-		{"to_master", sub(parseNetem, into(&d.ToMaster))},
-		{"to_agent", sub(parseNetem, into(&d.ToAgent))},
-		{"policy", value{"a map (raw agent policy document)", nil, func(n *yamlite.Node, where string) error {
+	return []yamlite.Field{
+		{Key: "id", Value: yamlite.PosInt(&d.ID)},
+		{Key: "agent", Value: yamlite.Boolean(&d.Agent)},
+		{Key: "seed", Value: yamlite.AnyInt(&d.Seed)},
+		{Key: "cells", Value: yamlite.UpTo(yamlite.PosInt(&d.Cells), maxCellsPerENB, "cells per eNodeB")},
+		{Key: "x", Value: yamlite.Number(&d.X)},
+		{Key: "y", Value: yamlite.Number(&d.Y)},
+		{Key: "power_dbm", Value: yamlite.Then(yamlite.Number(&d.PowerDBm), func() { d.HasSite = true })},
+		{Key: "to_master", Value: yamlite.Sub(parseNetem, yamlite.Into(&d.ToMaster))},
+		{Key: "to_agent", Value: yamlite.Sub(parseNetem, yamlite.Into(&d.ToAgent))},
+		{Key: "policy", Value: yamlite.Value{What: "a map (raw agent policy document)", Decode: func(n *yamlite.Node, where string) error {
 			if n.Kind != yamlite.KindMap {
-				return mustBe(where, "a map")
+				return yamlite.MustBe(where, "a map")
 			}
 			d.Policy = n
 			return nil
@@ -504,169 +504,169 @@ func enbTable(d *ENBDecl) []field {
 }
 
 func parseENB(n *yamlite.Node, where string) (d ENBDecl, err error) {
-	if err = decodeMap(n, where, enbTable(&d)); err == nil && d.ID == 0 {
-		err = fmt.Errorf("scenario: %s.id is required", where)
+	if err = yamlite.DecodeMap(n, where, enbTable(&d)); err == nil && d.ID == 0 {
+		err = fmt.Errorf("%s.id is required", where)
 	}
 	return d, err
 }
 
-func netemTable(d *transport.Netem) []field {
-	return []field{
-		{"delay_tti", nonNegInt(&d.OneWayTTI)},
-		{"jitter_tti", nonNegInt(&d.JitterTTI)},
-		{"loss", prob(&d.LossProb)},
-		{"seed", anyInt(&d.Seed)},
-		{"burst_loss", prob(&d.BurstLossProb)},
-		{"burst_enter", prob(&d.BurstEnterProb)},
-		{"burst_exit", prob(&d.BurstExitProb)},
-		{"dup", prob(&d.DupProb)},
-		{"reorder", prob(&d.ReorderProb)},
-		{"reorder_tti", nonNegInt(&d.ReorderTTI)},
-		{"corrupt", prob(&d.CorruptProb)},
-		{"stall_tti", nonNegInt(&d.StallTTI)},
+func netemTable(d *transport.Netem) []yamlite.Field {
+	return []yamlite.Field{
+		{Key: "delay_tti", Value: yamlite.NonNegInt(&d.OneWayTTI)},
+		{Key: "jitter_tti", Value: yamlite.NonNegInt(&d.JitterTTI)},
+		{Key: "loss", Value: yamlite.Prob(&d.LossProb)},
+		{Key: "seed", Value: yamlite.AnyInt(&d.Seed)},
+		{Key: "burst_loss", Value: yamlite.Prob(&d.BurstLossProb)},
+		{Key: "burst_enter", Value: yamlite.Prob(&d.BurstEnterProb)},
+		{Key: "burst_exit", Value: yamlite.Prob(&d.BurstExitProb)},
+		{Key: "dup", Value: yamlite.Prob(&d.DupProb)},
+		{Key: "reorder", Value: yamlite.Prob(&d.ReorderProb)},
+		{Key: "reorder_tti", Value: yamlite.NonNegInt(&d.ReorderTTI)},
+		{Key: "corrupt", Value: yamlite.Prob(&d.CorruptProb)},
+		{Key: "stall_tti", Value: yamlite.NonNegInt(&d.StallTTI)},
 	}
 }
 
 func parseNetem(n *yamlite.Node, where string) (d transport.Netem, err error) {
-	err = decodeMap(n, where, netemTable(&d))
+	err = yamlite.DecodeMap(n, where, netemTable(&d))
 	return d, err
 }
 
-func ueGroupTable(g *UEGroup) []field {
+func ueGroupTable(g *UEGroup) []yamlite.Field {
 	*g = UEGroup{Count: 1}
-	return []field{
-		{"count", posInt(&g.Count)},
-		{"enb", enbOrAll(&g.ENB, &g.AllENBs)},
-		{"cell", nonNegInt(&g.Cell)},
-		{"imsi_base", posInt(&g.IMSIBase)},
-		{"group", nonNegInt(&g.Group)},
-		{"placement", sub(parsePlacement, intoPtr(&g.Place))},
-		{"mobility", sub(parseMobility, intoPtr(&g.Mobility))},
-		{"channel", sub(parseChannel, into(&g.Channel))},
-		{"traffic", trafficMix(&g.DL)},
-		{"uplink", trafficMix(&g.UL)},
+	return []yamlite.Field{
+		{Key: "count", Value: yamlite.PosInt(&g.Count)},
+		{Key: "enb", Value: enbOrAll(&g.ENB, &g.AllENBs)},
+		{Key: "cell", Value: yamlite.NonNegInt(&g.Cell)},
+		{Key: "imsi_base", Value: yamlite.PosInt(&g.IMSIBase)},
+		{Key: "group", Value: yamlite.NonNegInt(&g.Group)},
+		{Key: "placement", Value: yamlite.Sub(parsePlacement, yamlite.IntoPtr(&g.Place))},
+		{Key: "mobility", Value: yamlite.Sub(parseMobility, yamlite.IntoPtr(&g.Mobility))},
+		{Key: "channel", Value: yamlite.Sub(parseChannel, yamlite.Into(&g.Channel))},
+		{Key: "traffic", Value: trafficMix(&g.DL)},
+		{Key: "uplink", Value: trafficMix(&g.UL)},
 	}
 }
 
 func parseUEGroup(n *yamlite.Node, where string) (g UEGroup, err error) {
-	if err = decodeMap(n, where, ueGroupTable(&g)); err != nil {
+	if err = yamlite.DecodeMap(n, where, ueGroupTable(&g)); err != nil {
 		return g, err
 	}
 	if g.IMSIBase == 0 {
-		return g, fmt.Errorf("scenario: %s.imsi_base is required", where)
+		return g, fmt.Errorf("%s.imsi_base is required", where)
 	}
 	if g.ENB == 0 && !g.AllENBs {
-		return g, fmt.Errorf("scenario: %s.enb is required", where)
+		return g, fmt.Errorf("%s.enb is required", where)
 	}
 	return g, nil
 }
 
-func placementTable(p *PlacementDecl) []field {
+func placementTable(p *PlacementDecl) []yamlite.Field {
 	// Whichever corner or endpoint is written last names the shape.
-	corner := func(kind string, dst *PointDecl) value {
-		return then(point(dst), func() { p.Kind = kind })
+	corner := func(kind string, dst *PointDecl) yamlite.Value {
+		return yamlite.Then(point(dst), func() { p.Kind = kind })
 	}
-	return []field{
-		{"at", corner("at", &p.At)},
-		{"from", corner("line", &p.From)},
-		{"to", corner("line", &p.To)},
-		{"min", corner("box", &p.Min)},
-		{"max", corner("box", &p.Max)},
-		{"seed", anyInt(&p.Seed)},
+	return []yamlite.Field{
+		{Key: "at", Value: corner("at", &p.At)},
+		{Key: "from", Value: corner("line", &p.From)},
+		{Key: "to", Value: corner("line", &p.To)},
+		{Key: "min", Value: corner("box", &p.Min)},
+		{Key: "max", Value: corner("box", &p.Max)},
+		{Key: "seed", Value: yamlite.AnyInt(&p.Seed)},
 	}
 }
 
 func parsePlacement(n *yamlite.Node, where string) (p PlacementDecl, err error) {
-	if err = decodeMap(n, where, placementTable(&p)); err == nil && p.Kind == "" {
-		err = fmt.Errorf("scenario: %s needs at/from+to/min+max", where)
+	if err = yamlite.DecodeMap(n, where, placementTable(&p)); err == nil && p.Kind == "" {
+		err = fmt.Errorf("%s needs at/from+to/min+max", where)
 	}
 	return p, err
 }
 
-func mobilityTable(m *MobilityDecl) []field {
-	return []field{
-		{"model", str(&m.Model)},
-		{"path", points(&m.Path)},
-		{"speed_mps", nonNegNum(&m.SpeedMps)},
-		{"speed_step_mps", number(&m.SpeedStepMps)},
-		{"ping_pong", boolean(&m.PingPong)},
-		{"min", point(&m.Min)},
-		{"max", point(&m.Max)},
-		{"seed", anyInt(&m.Seed)},
+func mobilityTable(m *MobilityDecl) []yamlite.Field {
+	return []yamlite.Field{
+		{Key: "model", Value: yamlite.Str(&m.Model)},
+		{Key: "path", Value: points(&m.Path)},
+		{Key: "speed_mps", Value: yamlite.NonNegNum(&m.SpeedMps)},
+		{Key: "speed_step_mps", Value: yamlite.Number(&m.SpeedStepMps)},
+		{Key: "ping_pong", Value: yamlite.Boolean(&m.PingPong)},
+		{Key: "min", Value: point(&m.Min)},
+		{Key: "max", Value: point(&m.Max)},
+		{Key: "seed", Value: yamlite.AnyInt(&m.Seed)},
 	}
 }
 
 func parseMobility(n *yamlite.Node, where string) (m MobilityDecl, err error) {
-	if err = decodeMap(n, where, mobilityTable(&m)); err != nil {
+	if err = yamlite.DecodeMap(n, where, mobilityTable(&m)); err != nil {
 		return m, err
 	}
 	switch m.Model {
 	case "static", "waypoint", "random_waypoint":
 	case "":
-		return m, fmt.Errorf("scenario: %s.model is required", where)
+		return m, fmt.Errorf("%s.model is required", where)
 	default:
-		return m, fmt.Errorf("scenario: %s.model: unknown mobility model %q", where, m.Model)
+		return m, fmt.Errorf("%s.model: unknown mobility model %q", where, m.Model)
 	}
 	if m.Model == "waypoint" && len(m.Path) < 2 {
-		return m, fmt.Errorf("scenario: %s.path needs at least 2 waypoints", where)
+		return m, fmt.Errorf("%s.path needs at least 2 waypoints", where)
 	}
 	return m, nil
 }
 
-func channelTable(c *ChannelDecl) []field {
+func channelTable(c *ChannelDecl) []yamlite.Field {
 	*c = ChannelDecl{Model: "auto", Rho: 0.99, Sigma: 1.5}
-	return []field{
-		{"model", str(&c.Model)},
-		{"cqi", cqi(&c.CQI)},
-		{"mean", number(&c.Mean)},
-		{"rho", floatIn(&c.Rho, "in [0, 1)", func(f float64) bool { return f >= 0 && f < 1 })},
-		{"sigma", nonNegNum(&c.Sigma)},
-		{"seed", anyInt(&c.Seed)},
-		{"a", cqi(&c.A)},
-		{"b", cqi(&c.B)},
-		{"half_period_tti", posInt(&c.HalfPeriodTTI)},
-		{"clear", cqi(&c.Clear)},
-		{"hit", cqi(&c.Hit)},
-		{"interferer_enb", posInt(&c.InterfererENB)},
-		{"interferer_cell", nonNegInt(&c.InterfererCell)},
+	return []yamlite.Field{
+		{Key: "model", Value: yamlite.Str(&c.Model)},
+		{Key: "cqi", Value: cqi(&c.CQI)},
+		{Key: "mean", Value: yamlite.Number(&c.Mean)},
+		{Key: "rho", Value: yamlite.FloatIn(&c.Rho, "in [0, 1)", func(f float64) bool { return f >= 0 && f < 1 })},
+		{Key: "sigma", Value: yamlite.NonNegNum(&c.Sigma)},
+		{Key: "seed", Value: yamlite.AnyInt(&c.Seed)},
+		{Key: "a", Value: cqi(&c.A)},
+		{Key: "b", Value: cqi(&c.B)},
+		{Key: "half_period_tti", Value: yamlite.PosInt(&c.HalfPeriodTTI)},
+		{Key: "clear", Value: cqi(&c.Clear)},
+		{Key: "hit", Value: cqi(&c.Hit)},
+		{Key: "interferer_enb", Value: yamlite.PosInt(&c.InterfererENB)},
+		{Key: "interferer_cell", Value: yamlite.NonNegInt(&c.InterfererCell)},
 	}
 }
 
 func parseChannel(n *yamlite.Node, where string) (c ChannelDecl, err error) {
-	if err = decodeMap(n, where, channelTable(&c)); err != nil {
+	if err = yamlite.DecodeMap(n, where, channelTable(&c)); err != nil {
 		return c, err
 	}
 	switch c.Model {
 	case "auto", "geo":
 	case "fixed":
 		if c.CQI == 0 {
-			return c, fmt.Errorf("scenario: %s.cqi is required for the fixed model", where)
+			return c, fmt.Errorf("%s.cqi is required for the fixed model", where)
 		}
 	case "fading":
 		if c.Mean == 0 {
-			return c, fmt.Errorf("scenario: %s.mean is required for the fading model", where)
+			return c, fmt.Errorf("%s.mean is required for the fading model", where)
 		}
 	case "squarewave":
 		if c.A == 0 || c.B == 0 || c.HalfPeriodTTI == 0 {
-			return c, fmt.Errorf("scenario: %s needs a, b and half_period_tti for the squarewave model", where)
+			return c, fmt.Errorf("%s needs a, b and half_period_tti for the squarewave model", where)
 		}
 	case "interference_switched":
 		if c.Clear == 0 || c.Hit == 0 || c.InterfererENB == 0 {
-			return c, fmt.Errorf("scenario: %s needs clear, hit and interferer_enb for the interference_switched model", where)
+			return c, fmt.Errorf("%s needs clear, hit and interferer_enb for the interference_switched model", where)
 		}
 	default:
-		return c, fmt.Errorf("scenario: %s.model: unknown channel model %q", where, c.Model)
+		return c, fmt.Errorf("%s.model: unknown channel model %q", where, c.Model)
 	}
 	return c, nil
 }
 
 // trafficMix decodes a group's traffic mix: a non-empty sequence of
 // components whose shares sum to 1 (a lone component may omit its share).
-func trafficMix(dst *[]TrafficDecl) value {
-	return after(list(dst, parseTraffic), func(_ *yamlite.Node, where string) error {
+func trafficMix(dst *[]TrafficDecl) yamlite.Value {
+	return yamlite.After(yamlite.List(dst, parseTraffic), func(_ *yamlite.Node, where string) error {
 		mix := *dst
 		if len(mix) == 0 {
-			return fmt.Errorf("scenario: %s must not be empty", where)
+			return fmt.Errorf("%s must not be empty", where)
 		}
 		if len(mix) == 1 && mix[0].Share == 0 {
 			mix[0].Share = 1
@@ -676,215 +676,215 @@ func trafficMix(dst *[]TrafficDecl) value {
 			sum += d.Share
 		}
 		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("scenario: %s: shares sum to %.3f, want 1.0", where, sum)
+			return fmt.Errorf("%s: shares sum to %.3f, want 1.0", where, sum)
 		}
 		return nil
 	})
 }
 
-func trafficTable(d *TrafficDecl) []field {
-	return []field{
-		{"kind", str(&d.Kind)},
-		{"share", fraction(&d.Share)},
-		{"rate_kbps", posNum(&d.RateKbps)},
-		{"mean_kbps", posNum(&d.MeanKbps)},
-		{"packet_bytes", posInt(&d.PacketBytes)},
-		{"on_tti", posInt(&d.OnTTI)},
-		{"off_tti", posInt(&d.OffTTI)},
-		{"start_tti", nonNegInt(&d.StartTTI)},
-		{"stop_tti", nonNegInt(&d.StopTTI)},
-		{"seed", anyInt(&d.Seed)},
+func trafficTable(d *TrafficDecl) []yamlite.Field {
+	return []yamlite.Field{
+		{Key: "kind", Value: yamlite.Str(&d.Kind)},
+		{Key: "share", Value: yamlite.Fraction(&d.Share)},
+		{Key: "rate_kbps", Value: yamlite.PosNum(&d.RateKbps)},
+		{Key: "mean_kbps", Value: yamlite.PosNum(&d.MeanKbps)},
+		{Key: "packet_bytes", Value: yamlite.PosInt(&d.PacketBytes)},
+		{Key: "on_tti", Value: yamlite.PosInt(&d.OnTTI)},
+		{Key: "off_tti", Value: yamlite.PosInt(&d.OffTTI)},
+		{Key: "start_tti", Value: yamlite.NonNegInt(&d.StartTTI)},
+		{Key: "stop_tti", Value: yamlite.NonNegInt(&d.StopTTI)},
+		{Key: "seed", Value: yamlite.AnyInt(&d.Seed)},
 	}
 }
 
 func parseTraffic(n *yamlite.Node, where string) (d TrafficDecl, err error) {
-	if err = decodeMap(n, where, trafficTable(&d)); err != nil {
+	if err = yamlite.DecodeMap(n, where, trafficTable(&d)); err != nil {
 		return d, err
 	}
 	switch d.Kind {
 	case "cbr":
 		if d.RateKbps == 0 {
-			return d, fmt.Errorf("scenario: %s.rate_kbps is required for cbr", where)
+			return d, fmt.Errorf("%s.rate_kbps is required for cbr", where)
 		}
 	case "poisson":
 		if d.MeanKbps == 0 {
-			return d, fmt.Errorf("scenario: %s.mean_kbps is required for poisson", where)
+			return d, fmt.Errorf("%s.mean_kbps is required for poisson", where)
 		}
 	case "onoff":
 		if d.RateKbps == 0 || d.OnTTI == 0 || d.OffTTI == 0 {
-			return d, fmt.Errorf("scenario: %s needs rate_kbps, on_tti and off_tti for onoff", where)
+			return d, fmt.Errorf("%s needs rate_kbps, on_tti and off_tti for onoff", where)
 		}
 	case "full_buffer":
 	case "":
-		return d, fmt.Errorf("scenario: %s.kind is required", where)
+		return d, fmt.Errorf("%s.kind is required", where)
 	default:
-		return d, fmt.Errorf("scenario: %s: unknown traffic kind %q", where, d.Kind)
+		return d, fmt.Errorf("%s: unknown traffic kind %q", where, d.Kind)
 	}
 	return d, nil
 }
 
-func masterTable(m *controller.Options) []field {
+func masterTable(m *controller.Options) []yamlite.Field {
 	*m = controller.DefaultOptions()
-	return []field{
-		{"stats_period_tti", nonNegInt(&m.StatsPeriodTTI)},
-		{"sync_period_tti", nonNegInt(&m.SyncPeriodTTI)},
-		{"echo_period_tti", nonNegInt(&m.EchoPeriodTTI)},
-		{"echo_miss_budget", nonNegInt(&m.EchoMissBudget)},
-		{"no_resync", boolean(&m.NoResync)},
-		{"health_period_tti", nonNegInt(&m.HealthPeriodTTI)},
-		{"health_suspect_tti", nonNegInt(&m.HealthSuspectTTI)},
-		{"health_degraded_tti", nonNegInt(&m.HealthDegradedTTI)},
-		{"health_recover_tti", nonNegInt(&m.HealthRecoverTTI)},
-		{"cmd_retry_tti", nonNegInt(&m.CmdRetryTTI)},
-		{"cmd_retry_budget", nonNegInt(&m.CmdRetryBudget)},
+	return []yamlite.Field{
+		{Key: "stats_period_tti", Value: yamlite.NonNegInt(&m.StatsPeriodTTI)},
+		{Key: "sync_period_tti", Value: yamlite.NonNegInt(&m.SyncPeriodTTI)},
+		{Key: "echo_period_tti", Value: yamlite.NonNegInt(&m.EchoPeriodTTI)},
+		{Key: "echo_miss_budget", Value: yamlite.NonNegInt(&m.EchoMissBudget)},
+		{Key: "no_resync", Value: yamlite.Boolean(&m.NoResync)},
+		{Key: "health_period_tti", Value: yamlite.NonNegInt(&m.HealthPeriodTTI)},
+		{Key: "health_suspect_tti", Value: yamlite.NonNegInt(&m.HealthSuspectTTI)},
+		{Key: "health_degraded_tti", Value: yamlite.NonNegInt(&m.HealthDegradedTTI)},
+		{Key: "health_recover_tti", Value: yamlite.NonNegInt(&m.HealthRecoverTTI)},
+		{Key: "cmd_retry_tti", Value: yamlite.NonNegInt(&m.CmdRetryTTI)},
+		{Key: "cmd_retry_budget", Value: yamlite.NonNegInt(&m.CmdRetryBudget)},
 	}
 }
 
-func appTable(a *AppDecl) []field {
+func appTable(a *AppDecl) []yamlite.Field {
 	*a = AppDecl{PeriodTTI: 100, Policy: "strongest", CommandTimeoutTTI: 200, ABS: 4}
-	return []field{
-		{"kind", str(&a.Kind)},
-		{"period_tti", posInt(&a.PeriodTTI)},
-		{"policy", oneOf(&a.Policy, "target policy", "strongest", "load_balanced")},
-		{"load_weight", nonNegNum(&a.LoadWeight)},
-		{"min_margin_db", nonNegNum(&a.MinMarginDB)},
-		{"command_timeout_tti", posInt(&a.CommandTimeoutTTI)},
-		{"retune_at", posInt(&a.RetuneAt)},
-		{"retune_policy", oneOf(&a.RetunePolicy, "target policy", "strongest", "load_balanced")},
-		{"retune_load_weight", nonNegNum(&a.RetuneLoadWeight)},
-		{"enb", posInt(&a.ENB)},
-		{"plan", list(&a.Plan, parseShareChange)},
-		{"macro_enb", posInt(&a.MacroENB)},
-		{"macro_cell", nonNegInt(&a.MacroCell)},
-		{"small_enbs", enbIDs(&a.SmallENBs)},
-		{"abs", intIn(&a.ABS, 1, 9, "in [1, 9]")},
-		{"optimized", boolean(&a.Optimized)},
+	return []yamlite.Field{
+		{Key: "kind", Value: yamlite.Str(&a.Kind)},
+		{Key: "period_tti", Value: yamlite.PosInt(&a.PeriodTTI)},
+		{Key: "policy", Value: yamlite.OneOf(&a.Policy, "target policy", "strongest", "load_balanced")},
+		{Key: "load_weight", Value: yamlite.NonNegNum(&a.LoadWeight)},
+		{Key: "min_margin_db", Value: yamlite.NonNegNum(&a.MinMarginDB)},
+		{Key: "command_timeout_tti", Value: yamlite.PosInt(&a.CommandTimeoutTTI)},
+		{Key: "retune_at", Value: yamlite.PosInt(&a.RetuneAt)},
+		{Key: "retune_policy", Value: yamlite.OneOf(&a.RetunePolicy, "target policy", "strongest", "load_balanced")},
+		{Key: "retune_load_weight", Value: yamlite.NonNegNum(&a.RetuneLoadWeight)},
+		{Key: "enb", Value: yamlite.PosInt(&a.ENB)},
+		{Key: "plan", Value: yamlite.List(&a.Plan, parseShareChange)},
+		{Key: "macro_enb", Value: yamlite.PosInt(&a.MacroENB)},
+		{Key: "macro_cell", Value: yamlite.NonNegInt(&a.MacroCell)},
+		{Key: "small_enbs", Value: enbIDs(&a.SmallENBs)},
+		{Key: "abs", Value: yamlite.IntIn(&a.ABS, 1, 9, "in [1, 9]")},
+		{Key: "optimized", Value: yamlite.Boolean(&a.Optimized)},
 	}
 }
 
 func parseApp(n *yamlite.Node, where string) (a AppDecl, err error) {
-	if err = decodeMap(n, where, appTable(&a)); err != nil {
+	if err = yamlite.DecodeMap(n, where, appTable(&a)); err != nil {
 		return a, err
 	}
 	if a.Kind != "mobility" && (a.RetuneAt > 0 || a.RetunePolicy != "") {
-		return a, fmt.Errorf("scenario: %s: retune knobs apply to mobility apps only", where)
+		return a, fmt.Errorf("%s: retune knobs apply to mobility apps only", where)
 	}
 	if a.RetunePolicy != "" && a.RetuneAt == 0 {
-		return a, fmt.Errorf("scenario: %s.retune_at is required with retune_policy", where)
+		return a, fmt.Errorf("%s.retune_at is required with retune_policy", where)
 	}
 	if a.RetuneAt > 0 && a.RetunePolicy == "" {
-		return a, fmt.Errorf("scenario: %s.retune_policy is required with retune_at", where)
+		return a, fmt.Errorf("%s.retune_policy is required with retune_at", where)
 	}
 	switch a.Kind {
 	case "monitor", "mobility":
 	case "ransharing":
 		if a.ENB == 0 {
-			return a, fmt.Errorf("scenario: %s.enb is required for ransharing", where)
+			return a, fmt.Errorf("%s.enb is required for ransharing", where)
 		}
 	case "eicic":
 		if a.MacroENB == 0 || len(a.SmallENBs) == 0 {
-			return a, fmt.Errorf("scenario: %s needs macro_enb and small_enbs for eicic", where)
+			return a, fmt.Errorf("%s needs macro_enb and small_enbs for eicic", where)
 		}
 	case "":
-		return a, fmt.Errorf("scenario: %s.kind is required", where)
+		return a, fmt.Errorf("%s.kind is required", where)
 	default:
-		return a, fmt.Errorf("scenario: %s: unknown app kind %q", where, a.Kind)
+		return a, fmt.Errorf("%s: unknown app kind %q", where, a.Kind)
 	}
 	return a, nil
 }
 
-func shareChangeTable(ch *broker.ShareChange) []field {
-	return []field{
-		{"at", nonNegInt(&ch.At)},
-		{"shares", floats(&ch.Shares)},
+func shareChangeTable(ch *broker.ShareChange) []yamlite.Field {
+	return []yamlite.Field{
+		{Key: "at", Value: yamlite.NonNegInt(&ch.At)},
+		{Key: "shares", Value: yamlite.Floats(&ch.Shares)},
 	}
 }
 
 func parseShareChange(n *yamlite.Node, where string) (ch broker.ShareChange, err error) {
-	if err = decodeMap(n, where, shareChangeTable(&ch)); err == nil && ch.Shares == nil {
-		err = fmt.Errorf("scenario: %s.shares is required", where)
+	if err = yamlite.DecodeMap(n, where, shareChangeTable(&ch)); err == nil && ch.Shares == nil {
+		err = fmt.Errorf("%s.shares is required", where)
 	}
 	return ch, err
 }
 
-func slicingTable(d *SliceDecl) []field {
+func slicingTable(d *SliceDecl) []yamlite.Field {
 	*d = SliceDecl{Scheduler: "rr"}
-	return []field{
-		{"enb", enbOrAll(&d.ENB, &d.All)},
-		{"shares", floats(&d.Shares)},
-		{"work_conserving", boolean(&d.WorkConserving)},
-		{"scheduler", oneOf(&d.Scheduler, "scheduler", "rr", "pf")},
+	return []yamlite.Field{
+		{Key: "enb", Value: enbOrAll(&d.ENB, &d.All)},
+		{Key: "shares", Value: yamlite.Floats(&d.Shares)},
+		{Key: "work_conserving", Value: yamlite.Boolean(&d.WorkConserving)},
+		{Key: "scheduler", Value: yamlite.OneOf(&d.Scheduler, "scheduler", "rr", "pf")},
 	}
 }
 
 func parseSlicing(n *yamlite.Node, where string) (d SliceDecl, err error) {
-	if err = decodeMap(n, where, slicingTable(&d)); err != nil {
+	if err = yamlite.DecodeMap(n, where, slicingTable(&d)); err != nil {
 		return d, err
 	}
 	if d.Shares == nil {
-		return d, fmt.Errorf("scenario: %s.shares is required", where)
+		return d, fmt.Errorf("%s.shares is required", where)
 	}
 	if d.ENB == 0 && !d.All {
-		return d, fmt.Errorf("scenario: %s.enb is required (an id or \"all\")", where)
+		return d, fmt.Errorf("%s.enb is required (an id or \"all\")", where)
 	}
 	sum := 0.0
 	for _, f := range d.Shares {
 		if f < 0 || f > 1 {
-			return d, fmt.Errorf("scenario: %s.shares must hold fractions in [0, 1]", where)
+			return d, fmt.Errorf("%s.shares must hold fractions in [0, 1]", where)
 		}
 		sum += f
 	}
 	if sum > 1+1e-9 {
-		return d, fmt.Errorf("scenario: %s.shares sum to %.3f, want <= 1.0", where, sum)
+		return d, fmt.Errorf("%s.shares sum to %.3f, want <= 1.0", where, sum)
 	}
 	return d, nil
 }
 
-func slicesTable(d *SlicesDecl) []field {
+func slicesTable(d *SlicesDecl) []yamlite.Field {
 	*d = SlicesDecl{Config: broker.Config{Elastic: true}, Scheduler: "rr"}
-	return []field{
-		{"epoch_ttis", posInt(&d.EpochTTI)},
-		{"elastic", boolean(&d.Elastic)},
-		{"work_conserving", boolean(&d.WorkConserving)},
-		{"scheduler", oneOf(&d.Scheduler, "scheduler", "rr", "pf")},
-		{"hysteresis_epochs", posInt(&d.HysteresisEpochs)},
-		{"degrade_factor", fraction(&d.DegradeFactor)},
-		{"specs", list(&d.Specs, parseSliceSpec)},
+	return []yamlite.Field{
+		{Key: "epoch_ttis", Value: yamlite.PosInt(&d.EpochTTI)},
+		{Key: "elastic", Value: yamlite.Boolean(&d.Elastic)},
+		{Key: "work_conserving", Value: yamlite.Boolean(&d.WorkConserving)},
+		{Key: "scheduler", Value: yamlite.OneOf(&d.Scheduler, "scheduler", "rr", "pf")},
+		{Key: "hysteresis_epochs", Value: yamlite.PosInt(&d.HysteresisEpochs)},
+		{Key: "degrade_factor", Value: yamlite.Fraction(&d.DegradeFactor)},
+		{Key: "specs", Value: yamlite.List(&d.Specs, parseSliceSpec)},
 	}
 }
 
 func parseSlices(n *yamlite.Node, where string) (d SlicesDecl, err error) {
-	if err = decodeMap(n, where, slicesTable(&d)); err == nil && len(d.Specs) == 0 {
-		err = fmt.Errorf("scenario: %s.specs must declare at least one slice", where)
+	if err = yamlite.DecodeMap(n, where, slicesTable(&d)); err == nil && len(d.Specs) == 0 {
+		err = fmt.Errorf("%s.specs must declare at least one slice", where)
 	}
 	return d, err
 }
 
-func sliceSpecTable(sp *slice.Spec) []field {
-	return []field{
-		{"name", str(&sp.Name)},
-		{"group", nonNegInt(&sp.Group)},
-		{"weight", nonNegNum(&sp.Weight)},
-		{"min_throughput_kbps", posNum(&sp.SLA.MinThroughputKbps)},
-		{"max_queue_ms", posNum(&sp.SLA.MaxQueueMs)},
-		{"arrive_at", nonNegInt(&sp.ArriveAt)},
-		{"admit_above", nonNegNum(&sp.Admission.AdmitAbove)},
-		{"reject_below", nonNegNum(&sp.Admission.RejectBelow)},
-		{"hysteresis_epochs", posInt(&sp.HysteresisEpochs)},
+func sliceSpecTable(sp *slice.Spec) []yamlite.Field {
+	return []yamlite.Field{
+		{Key: "name", Value: yamlite.Str(&sp.Name)},
+		{Key: "group", Value: yamlite.NonNegInt(&sp.Group)},
+		{Key: "weight", Value: yamlite.NonNegNum(&sp.Weight)},
+		{Key: "min_throughput_kbps", Value: yamlite.PosNum(&sp.SLA.MinThroughputKbps)},
+		{Key: "max_queue_ms", Value: yamlite.PosNum(&sp.SLA.MaxQueueMs)},
+		{Key: "arrive_at", Value: yamlite.NonNegInt(&sp.ArriveAt)},
+		{Key: "admit_above", Value: yamlite.NonNegNum(&sp.Admission.AdmitAbove)},
+		{Key: "reject_below", Value: yamlite.NonNegNum(&sp.Admission.RejectBelow)},
+		{Key: "hysteresis_epochs", Value: yamlite.PosInt(&sp.HysteresisEpochs)},
 	}
 }
 
 func parseSliceSpec(n *yamlite.Node, where string) (sp slice.Spec, err error) {
-	if err = decodeMap(n, where, sliceSpecTable(&sp)); err != nil {
+	if err = yamlite.DecodeMap(n, where, sliceSpecTable(&sp)); err != nil {
 		return sp, err
 	}
 	if err := sp.Validate(); err != nil {
-		return sp, fmt.Errorf("scenario: %s: %v", where, err)
+		return sp, fmt.Errorf("%s: %v", where, err)
 	}
 	return sp, nil
 }
 
-func faultTable(d *sim.Fault) []field {
+func faultTable(d *sim.Fault) []yamlite.Field {
 	// The kinds are spelled as sim.FaultKind's String spells them: every
 	// kind from 0 up to the first it calls "unknown".
 	var names []string
@@ -892,34 +892,34 @@ func faultTable(d *sim.Fault) []field {
 		names = append(names, k.String())
 	}
 	var name string
-	kind := then(oneOf(&name, "fault kind", names...), func() {
+	kind := yamlite.Then(yamlite.OneOf(&name, "fault kind", names...), func() {
 		d.Kind = sim.FaultKind(slices.Index(names, name))
 	})
 	// An unknown kind is reported under the fault, not under its kind key.
-	underKey := kind.decode
-	kind.decode = func(n *yamlite.Node, where string) error {
+	underKey := kind.Decode
+	kind.Decode = func(n *yamlite.Node, where string) error {
 		return underKey(n, strings.TrimSuffix(where, ".kind"))
 	}
-	return []field{
-		{"at", nonNegInt(&d.At)},
-		{"kind", kind},
-		{"enb", posInt(&d.ENB)},
-		{"to_master", sub(parseNetem, intoPtr(&d.ToMaster))},
-		{"to_agent", sub(parseNetem, intoPtr(&d.ToAgent))},
+	return []yamlite.Field{
+		{Key: "at", Value: yamlite.NonNegInt(&d.At)},
+		{Key: "kind", Value: kind},
+		{Key: "enb", Value: yamlite.PosInt(&d.ENB)},
+		{Key: "to_master", Value: yamlite.Sub(parseNetem, yamlite.IntoPtr(&d.ToMaster))},
+		{Key: "to_agent", Value: yamlite.Sub(parseNetem, yamlite.IntoPtr(&d.ToAgent))},
 	}
 }
 
 func parseFault(n *yamlite.Node, where string) (d sim.Fault, err error) {
-	if err = decodeMap(n, where, faultTable(&d)); err != nil {
+	if err = yamlite.DecodeMap(n, where, faultTable(&d)); err != nil {
 		return d, err
 	}
 	// The zero FaultKind is link_cut, so a missing kind shows only in the
 	// document.
 	if n.Get("kind") == nil {
-		return d, fmt.Errorf("scenario: %s.kind is required", where)
+		return d, fmt.Errorf("%s.kind is required", where)
 	}
 	if d.ENB == 0 {
-		return d, fmt.Errorf("scenario: %s.enb is required", where)
+		return d, fmt.Errorf("%s.enb is required", where)
 	}
 	return d, nil
 }

@@ -4,17 +4,24 @@
 // indentation-structured document such as
 //
 //	mac:
-//	  dl_scheduler:
-//	    behavior: flexran.sched.pf
+//	  dl_ue_sched:
+//	    behavior: slice-rr
 //	    parameters:
 //	      rb_share: [0.7, 0.3]
-//	      fairness: 1.0
 //
 // The stdlib has no YAML support and the module must stay dependency-free,
 // so this package implements the subset the protocol needs: nested maps,
 // block sequences ("- item"), inline sequences ("[a, b]"), scalars with
 // int/float/bool/string interpretation, quoted strings and '#' comments.
 // Anchors, aliases, multi-document streams and flow maps are out of scope.
+//
+// On top of the parser sits the schema layer (schema.go), the one decoder
+// every document of the platform goes through: a section is a []Field
+// table of keys and the Values that check and store them, and DecodeMap
+// walks a map against it, refusing every key the table does not name.
+// The scenario parser's sections and the agent's policy sections (agent,
+// rrc, mac) are such tables; each Value phrases its constraint once, for
+// both the error ("<path> must be <what>") and a generated reference.
 package yamlite
 
 import (
