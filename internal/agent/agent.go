@@ -85,10 +85,9 @@ type Agent struct {
 	send func(*protocol.Message) error
 	opts Options
 
-	mac     *MACModule
-	mgmt    *MgmtModule
-	rrc     *RRCModule
-	modules map[string]Module
+	mac  *MACModule
+	mgmt *MgmtModule
+	rrc  *RRCModule
 
 	subs map[uint32]*statsSub
 	// subList mirrors subs sorted by subscription id. It is rebuilt on
@@ -159,11 +158,6 @@ func New(e *enb.ENB, opts Options) *Agent {
 		rrc:  NewRRCModule(),
 		subs: map[uint32]*statsSub{},
 		a3:   map[lte.RNTI]*a3State{},
-	}
-	a.modules = map[string]Module{
-		a.mac.Name():  a.mac,
-		a.mgmt.Name(): a.mgmt,
-		a.rrc.Name():  a.rrc,
 	}
 	// The MAC module picks the operation's VSF by in.Dir.
 	schedule := func(_ lte.CellID, in sched.Input) []sched.Alloc { return a.mac.Schedule(in) }
@@ -317,44 +311,41 @@ func (a *Agent) DroppedSends() int {
 // Deliver processes one message from the master (the message handler and
 // dispatcher of Fig. 2). It must be called from the same goroutine that
 // steps the eNodeB (sim loop) or with external serialization (TCP driver).
-func (a *Agent) Deliver(m *protocol.Message) {
-	if m.CmdSeq != 0 {
-		a.deliverSequenced(m)
-		return
-	}
-	a.dispatch(m)
-}
-
-// deliverSequenced applies a reliably-delivered command exactly once: a
+//
+// A reliably-delivered command (nonzero CmdSeq) applies exactly once: a
 // sequence number already seen re-acks its recorded outcome without
 // touching the data plane (the master retransmitted because our ack was
 // late or lost), a fresh one applies and records. Every sequenced message
 // is acked, success or failure, so the master can retire its retransmit
 // state.
-func (a *Agent) deliverSequenced(m *protocol.Message) {
+func (a *Agent) Deliver(m *protocol.Message) {
 	seq := m.CmdSeq
-	a.mu.Lock()
-	ok, seen := a.cmdSeen[seq]
-	a.mu.Unlock()
-	if seen {
-		a.emit(&protocol.ControlAck{OK: ok, Seq: seq})
+	if seq != 0 {
+		a.mu.Lock()
+		ok, seen := a.cmdSeen[seq]
+		a.mu.Unlock()
+		if seen {
+			a.emit(&protocol.ControlAck{OK: ok, Seq: seq})
+			return
+		}
+	}
+	acked, err := a.handle(m)
+	if seq != 0 {
+		a.record(seq, err == nil)
+	} else if !acked {
 		return
 	}
-	var err error
-	switch p := m.Payload.(type) {
-	case *protocol.VSFUpdate:
-		err = a.installVSF(p)
-	case *protocol.PolicyReconf:
-		err = a.Reconfigure(p.Doc)
-	case *protocol.HandoverCommand:
-		err = a.execHandover(p)
-	default:
-		// Other sequenced kinds apply through the normal dispatcher and
-		// are acked as received (their handlers have no failure path).
-		a.dispatch(m)
+	ack := &protocol.ControlAck{OK: err == nil, Seq: seq}
+	if err != nil {
+		ack.Detail = err.Error()
 	}
-	ok = err == nil
+	a.emit(ack)
+}
+
+// record enters a sequenced command's outcome in the dedup window.
+func (a *Agent) record(seq uint64, ok bool) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.cmdSeen == nil {
 		a.cmdSeen = map[uint64]bool{}
 	}
@@ -368,12 +359,6 @@ func (a *Agent) deliverSequenced(m *protocol.Message) {
 		delete(a.cmdSeen, a.cmdOrder[0])
 		a.cmdOrder = a.cmdOrder[1:]
 	}
-	a.mu.Unlock()
-	if err != nil {
-		a.emit(&protocol.ControlAck{OK: false, Detail: err.Error(), Seq: seq})
-		return
-	}
-	a.emit(&protocol.ControlAck{OK: true, Seq: seq})
 }
 
 // cmdSeenCap bounds the reliable-delivery dedup window.
@@ -390,8 +375,11 @@ func (a *Agent) execHandover(p *protocol.HandoverCommand) error {
 	return exec(p)
 }
 
-// dispatch routes one unsequenced message to its handler.
-func (a *Agent) dispatch(m *protocol.Message) {
+// handle applies one message and reports whether an unsequenced delivery
+// of it is acked: VSF updates and policy documents always are, a handover
+// command only when it fails (success is acknowledged by the target
+// agent's HandoverComplete), every other kind never.
+func (a *Agent) handle(m *protocol.Message) (acked bool, err error) {
 	switch p := m.Payload.(type) {
 	case *protocol.HelloAck:
 		// Session established: stop retransmitting the Hello. An ack
@@ -421,16 +409,14 @@ func (a *Agent) dispatch(m *protocol.Message) {
 	case *protocol.ULSchedule:
 		a.mac.PushDecision(OpULUESched, p.TargetSF, a.enb.Now(), fromProtocolAllocs(p.Allocs))
 	case *protocol.VSFUpdate:
-		a.ack(a.installVSF(p))
+		return true, a.installVSF(p)
 	case *protocol.PolicyReconf:
-		a.ack(a.Reconfigure(p.Doc))
+		return true, a.Reconfigure(p.Doc)
 	case *protocol.HandoverCommand:
-		if err := a.execHandover(p); err != nil {
-			a.ack(err)
-		}
-		// Success is acknowledged by the target agent's HandoverComplete,
-		// not by a ControlAck from this side.
+		err = a.execHandover(p)
+		return err != nil, err
 	}
+	return false, nil
 }
 
 // SetHandoverExecutor installs the data-plane handover path. The simulator
@@ -529,25 +515,18 @@ func (a *Agent) onMeasurement(rnti lte.RNTI, cell lte.CellID, serving radio.Meas
 	a.emit(rep)
 }
 
-func (a *Agent) ack(err error) {
-	if err != nil {
-		a.emit(&protocol.ControlAck{OK: false, Detail: err.Error()})
-		return
-	}
-	a.emit(&protocol.ControlAck{OK: true})
-}
-
+// installVSF caches a pushed VSF after checking its signature. Only the MAC
+// module has VSF slots in this prototype, as in the paper's.
 func (a *Agent) installVSF(up *protocol.VSFUpdate) error {
 	if a.opts.RequireSignedVSFs {
 		if err := up.Verify(a.opts.TrustKey); err != nil {
 			return fmt.Errorf("agent: %w", err)
 		}
 	}
-	mod, ok := a.modules[up.Module]
-	if !ok {
-		return fmt.Errorf("agent: unknown control module %q", up.Module)
+	if up.Module != "mac" {
+		return fmt.Errorf("agent: module %q accepts no VSF %q", up.Module, up.VSF)
 	}
-	return mod.InstallVSF(up)
+	return a.mac.InstallVSF(up)
 }
 
 // policyDoc is where a policy document decodes: a scratch copy of every
@@ -573,14 +552,20 @@ var policyDocs = sync.Pool{New: func() any {
 
 // Reconfigure applies a policy document (yamlite text) across modules.
 // It is exported so local applications can reconfigure a co-located agent
-// directly, exactly as the master does remotely. The whole document
-// decodes into a scratch copy and is checked before any of it is
-// committed: a refused document leaves the agent as it was.
+// directly, exactly as the master does remotely.
 func (a *Agent) Reconfigure(doc string) error {
 	root, err := yamlite.Parse(doc)
 	if err != nil {
 		return fmt.Errorf("agent: policy parse: %w", err)
 	}
+	return a.ReconfigureNode(root)
+}
+
+// ReconfigureNode applies an already parsed policy document, such as a
+// scenario's per-eNodeB policy map. The whole document decodes into a
+// scratch copy and is checked before any of it is committed: a refused
+// document leaves the agent as it was.
+func (a *Agent) ReconfigureNode(root *yamlite.Node) error {
 	d := policyDocs.Get().(*policyDoc)
 	defer policyDocs.Put(d)
 	d.mgmt, d.rrc, d.mac = a.mgmt.k.get(), a.rrc.k.get(), [2]opPlan{}
@@ -631,9 +616,6 @@ func (a *Agent) rebuildSubList() {
 	})
 }
 
-// onSubframe is the agent's TTI tick (installed as an eNodeB hook): it
-// retransmits an unacknowledged Hello, then emits subframe-sync triggers
-// and due statistics reports.
 // NextWork returns the earliest subframe >= from at which onSubframe would
 // do observable work: a pending Hello retransmission, a subframe-sync
 // trigger, or a subscription report. lte.NeverSF means the agent is fully
@@ -688,6 +670,9 @@ func (a *Agent) NextWork(from lte.Subframe) lte.Subframe {
 	return next
 }
 
+// onSubframe is the agent's TTI tick (installed as an eNodeB hook): it
+// retransmits an unacknowledged Hello, then emits subframe-sync triggers
+// and due statistics reports.
 func (a *Agent) onSubframe(sf lte.Subframe) {
 	// One look at the agent's state per TTI: the stall, the Hello
 	// retransmission and a snapshot of the presorted subscription list.

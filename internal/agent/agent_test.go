@@ -442,8 +442,9 @@ func TestReconfigureConcurrentAgents(t *testing.T) {
 // TestAllocGatePolicyShares bounds what a policy document costs the agent:
 // the share push is the document controller.Context.ApplyShares renders
 // for a three-share plan, which the slice broker sends every epoch. The
-// budgets are the readings of the per-module hand-written decoders the
-// field tables replaced (39 and 21); the pooled tables read 35 and 20.
+// budgets are readings: 31 for the share document, and 21 for the rrc
+// document, read from the hand-written decoders the field tables replaced
+// (the tables read 20).
 func TestAllocGatePolicyShares(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under -race (sync.Pool caching is randomized)")
@@ -456,7 +457,7 @@ func TestAllocGatePolicyShares(t *testing.T) {
 		name, doc string
 		budget    float64
 	}{
-		{"shares", "mac:\n  dl_ue_sched:\n    parameters:\n      rb_share: [0.25, 0.25, 0.5]\n", 39},
+		{"shares", "mac:\n  dl_ue_sched:\n    parameters:\n      rb_share: [0.25, 0.25, 0.5]\n", 31},
 		{"rrc", "rrc:\n  handover_hysteresis_db: 3\n  time_to_trigger_tti: 40\n  report_interval_tti: 240\n", 21},
 	} {
 		got := testing.AllocsPerRun(200, func() {

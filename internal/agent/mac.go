@@ -140,9 +140,6 @@ func (m *MACModule) stub(op string) *sched.RemoteStub {
 	return m.stubs[dir]
 }
 
-// Name implements Module.
-func (*MACModule) Name() string { return "mac" }
-
 // Schedule runs the active VSF of the operation scheduling in.Dir (called
 // from the data plane hooks every TTI).
 func (m *MACModule) Schedule(in sched.Input) []sched.Alloc {
@@ -173,8 +170,8 @@ func (m *MACModule) StubStats(op string) (applied, missed int) {
 	return stub.Stats()
 }
 
-// InstallVSF implements Module: it validates and caches a pushed
-// implementation without activating it (activation is a policy decision).
+// InstallVSF validates and caches a pushed implementation without
+// activating it (activation is a policy decision).
 func (m *MACModule) InstallVSF(up *protocol.VSFUpdate) error {
 	if up.VSF != OpDLUESched && up.VSF != OpULUESched {
 		return fmt.Errorf("agent: mac has no VSF operation %q", up.VSF)

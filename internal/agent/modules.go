@@ -1,25 +1,16 @@
 package agent
 
 import (
-	"fmt"
 	"sync"
 
-	"flexran/internal/protocol"
 	"flexran/internal/yamlite"
 )
 
-// Module is the Control Module Interface (CMI): the abstraction through
-// which the agent exposes each control subsystem (MAC/RLC, RRC, agent
-// management) to the delegation machinery without knowing implementation
-// details (paper §4.3.1). A module's section of a policy document is a
-// yamlite field table (mgmtTable, rrcTable, macTable) that
-// Agent.Reconfigure decodes into a scratch copy of the module's knobs.
-type Module interface {
-	// Name is the module key used in policy documents ("mac", "rrc", ...).
-	Name() string
-	// InstallVSF caches a pushed VSF implementation (VSF updation).
-	InstallVSF(up *protocol.VSFUpdate) error
-}
+// The agent's control modules (the paper's Control Module Interface,
+// §4.3.1) are MACModule, MgmtModule and RRCModule. A module's section of a
+// policy document is a yamlite field table (mgmtTable, rrcTable, macTable)
+// that Agent.Reconfigure decodes into a scratch copy of the module's knobs;
+// only the MAC module has VSF slots.
 
 // knobs is a module's knob set under its lock.
 type knobs[T any] struct {
@@ -70,14 +61,6 @@ func mgmtTable(k *mgmtKnobs) []yamlite.Field {
 	}
 }
 
-// Name implements Module.
-func (*MgmtModule) Name() string { return "agent" }
-
-// InstallVSF implements Module; the management module has no VSF slots.
-func (*MgmtModule) InstallVSF(up *protocol.VSFUpdate) error {
-	return fmt.Errorf("agent: management module has no VSF %q", up.VSF)
-}
-
 // SyncPeriod returns the SubframeTrigger period (0 = disabled).
 func (m *MgmtModule) SyncPeriod() int { return m.k.get().syncPeriod }
 
@@ -121,15 +104,6 @@ func rrcTable(k *rrcKnobs) []yamlite.Field {
 		{Key: "time_to_trigger_tti", Value: yamlite.NonNegInt(&k.timeToTriggerTTI)},
 		{Key: "report_interval_tti", Value: yamlite.NonNegInt(&k.reportIntervalTTI)},
 	}
-}
-
-// Name implements Module.
-func (*RRCModule) Name() string { return "rrc" }
-
-// InstallVSF implements Module; handover VSFs are not yet delegated in
-// this prototype (matching the paper's MAC-focused implementation).
-func (*RRCModule) InstallVSF(up *protocol.VSFUpdate) error {
-	return fmt.Errorf("agent: rrc module does not accept VSF %q in this prototype", up.VSF)
 }
 
 // Hysteresis returns the configured handover hysteresis in dB.

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"strconv"
 
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
@@ -94,9 +95,27 @@ func (c *Context) PushPolicy(enb lte.ENBID, doc string) (uint64, error) {
 // ActivateVSF sends the minimal policy document that swaps one VSF's
 // behavior (the runtime scheduler swap of §5.4).
 func (c *Context) ActivateVSF(enb lte.ENBID, module, vsf, name string) (uint64, error) {
-	doc := yamlite.Marshal(yamlite.Map().Set(module, yamlite.Map().
-		Set(vsf, yamlite.Map().Set("behavior", yamlite.Scalar(name)))))
-	return c.PushPolicy(enb, doc)
+	b := c.policyHead(module, vsf)
+	b = append(b, "    behavior: "...)
+	b = append(b, yamlite.Quote(name)...)
+	return c.pushDoc(enb, append(b, '\n'))
+}
+
+// policyHead starts a policy document addressed to one VSF in the master's
+// document buffer, which only the tick goroutine writes: the module and VSF
+// keys, written as given, as the agent's tables name them.
+func (c *Context) policyHead(module, vsf string) []byte {
+	b := append(c.master.docBuf[:0], module...)
+	b = append(b, ":\n  "...)
+	b = append(b, vsf...)
+	return append(b, ":\n"...)
+}
+
+// pushDoc keeps b as the master's document buffer and sends its text: the
+// string is the one allocation a document costs.
+func (c *Context) pushDoc(enb lte.ENBID, b []byte) (uint64, error) {
+	c.master.docBuf = b
+	return c.PushPolicy(enb, string(b))
 }
 
 // SharePlan is one typed share actuation: the slicing VSF addressed and
@@ -128,13 +147,13 @@ func (c *Context) ApplyShares(enb lte.ENBID, plan SharePlan) (uint64, error) {
 	if vsf == "" {
 		vsf = "dl_ue_sched"
 	}
-	items := make([]*yamlite.Node, len(plan.Shares))
+	b := c.policyHead(module, vsf)
+	b = append(b, "    parameters:\n      rb_share: ["...)
 	for i, s := range plan.Shares {
-		items[i] = yamlite.Scalar(s)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendFloat(b, s, 'g', -1, 64)
 	}
-	seq := yamlite.Seq(items...)
-	doc := yamlite.Marshal(yamlite.Map().Set(module, yamlite.Map().
-		Set(vsf, yamlite.Map().
-			Set("parameters", yamlite.Map().Set("rb_share", seq)))))
-	return c.PushPolicy(enb, doc)
+	return c.pushDoc(enb, append(b, "]\n"...))
 }

@@ -1,7 +1,6 @@
 package controller
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
@@ -10,10 +9,9 @@ import (
 // patterns of §4.4 — event-based (WatchApp) and periodic (TickerApp) —
 // are dispatched by dispatchTo from one registry walk per cycle, in
 // priority order, with per-app event/error counters and panic
-// containment. Apps can be registered, deregistered and retuned at
-// runtime; structural changes take effect at the next cycle boundary (the
-// tick snapshots the registry), so in-tick delivery order stays
-// deterministic.
+// containment. Apps can be registered at runtime and join at the next
+// cycle boundary (the tick snapshots the registry), so in-tick delivery
+// order stays deterministic; app state is changed off-loop through Do.
 
 // appEntry is one registered application. events and errors are atomic so
 // AppInfos can read them while a tick is dispatching.
@@ -57,24 +55,6 @@ func (m *Master) Register(app App, priority int) {
 	if _, ok := app.(WatchApp); ok {
 		m.watch.users.Add(1)
 	}
-}
-
-// Deregister removes the first registered application with the given name
-// (execution order) and reports whether one was found. The app stops
-// receiving dispatches at the next cycle boundary.
-func (m *Master) Deregister(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, e := range m.apps {
-		if e.name == name {
-			m.apps = append(m.apps[:i], m.apps[i+1:]...)
-			if _, ok := e.app.(WatchApp); ok {
-				m.watch.users.Add(-1)
-			}
-			return true
-		}
-	}
-	return false
 }
 
 // Apps lists registered application names in execution order.
@@ -123,42 +103,6 @@ func (m *Master) Do(fn func(*Context)) <-chan struct{} {
 	m.pendingOps = append(m.pendingOps, op)
 	m.mu.Unlock()
 	return op.done
-}
-
-// Retune queues a mutation of a registered application, applied on the
-// tick goroutine at the start of the next application slot — the one
-// place app state may be touched without racing the dispatch loop. The
-// app is looked up by name at execution time (a concurrent Deregister
-// makes the retune a no-op). Returns an error if no app with the name is
-// registered when Retune is called.
-func (m *Master) Retune(name string, fn func(App)) error {
-	m.mu.Lock()
-	found := false
-	for _, e := range m.apps {
-		if e.name == name {
-			found = true
-			break
-		}
-	}
-	m.mu.Unlock()
-	if !found {
-		return fmt.Errorf("controller: no registered app %q", name)
-	}
-	m.Do(func(*Context) {
-		m.mu.Lock()
-		var target App
-		for _, e := range m.apps {
-			if e.name == name {
-				target = e.app
-				break
-			}
-		}
-		m.mu.Unlock()
-		if target != nil {
-			fn(target)
-		}
-	})
-	return nil
 }
 
 // runOps executes the queued operations in submission order. Serial phase

@@ -10,27 +10,6 @@ import (
 	"flexran/internal/protocol"
 )
 
-func TestDeregisterRemovesApp(t *testing.T) {
-	m := controller.NewMaster(controller.DefaultOptions())
-	ticksA, ticksB := 0, 0
-	m.Register(appFunc{name: "a", fn: func(*controller.Context, lte.Subframe) { ticksA++ }}, 10)
-	m.Register(appFunc{name: "b", fn: func(*controller.Context, lte.Subframe) { ticksB++ }}, 5)
-	m.Tick()
-	if !m.Deregister("a") {
-		t.Fatal("Deregister(a) = false")
-	}
-	if m.Deregister("a") {
-		t.Error("second Deregister(a) = true")
-	}
-	m.Tick()
-	if ticksA != 1 || ticksB != 2 {
-		t.Errorf("ticks after deregister: a=%d b=%d, want 1/2", ticksA, ticksB)
-	}
-	if apps := m.Apps(); len(apps) != 1 || apps[0] != "b" {
-		t.Errorf("Apps() = %v", apps)
-	}
-}
-
 func TestRegisterOrdersByPriority(t *testing.T) {
 	m := controller.NewMaster(controller.DefaultOptions())
 	var order []string
@@ -45,33 +24,6 @@ func TestRegisterOrdersByPriority(t *testing.T) {
 	m.Tick()
 	if len(order) != 3 || order[0] != "high" || order[1] != "mid" || order[2] != "low" {
 		t.Errorf("dispatch order = %v", order)
-	}
-}
-
-// retunable exposes a mutable knob for the Retune test.
-type retunable struct {
-	appFunc
-	knob int
-}
-
-func TestRetuneAppliedOnTickGoroutine(t *testing.T) {
-	m := controller.NewMaster(controller.DefaultOptions())
-	app := &retunable{appFunc: appFunc{name: "tunable", fn: func(*controller.Context, lte.Subframe) {}}}
-	m.Register(app, 0)
-
-	if err := m.Retune("absent", func(controller.App) {}); err == nil {
-		t.Error("Retune of unknown app accepted")
-	}
-	err := m.Retune("tunable", func(a controller.App) { a.(*retunable).knob = 42 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if app.knob != 0 {
-		t.Error("retune applied before the tick (should run in the app slot)")
-	}
-	m.Tick()
-	if app.knob != 42 {
-		t.Errorf("knob = %d after tick, want 42", app.knob)
 	}
 }
 

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,6 +260,11 @@ type Master struct {
 	sessScratch []*session
 	appScratch  []*appEntry
 	ctx         Context // the application slot's, rewritten every cycle
+	// docBuf is where Context writes the policy documents it sends (tick
+	// goroutine only); syncDoc is the welcome's sync_period document,
+	// written once.
+	docBuf  []byte
+	syncDoc string
 }
 
 // NewMaster builds a master controller.
@@ -274,6 +280,7 @@ func NewMaster(opts Options) *Master {
 		rib:      NewRIB(),
 		sessions: map[lte.ENBID]*session{},
 		epochs:   map[lte.ENBID]uint64{},
+		syncDoc:  "agent:\n  sync_period: " + strconv.Itoa(opts.SyncPeriodTTI) + "\n",
 	}
 }
 
@@ -712,9 +719,7 @@ func (m *Master) welcome(enb lte.ENBID) {
 		m.Send(enb, &sub)
 	}
 	if m.opts.SyncPeriodTTI > 0 {
-		m.Send(enb, &protocol.PolicyReconf{
-			Doc: fmt.Sprintf("agent:\n  sync_period: %d\n", m.opts.SyncPeriodTTI),
-		})
+		m.Send(enb, &protocol.PolicyReconf{Doc: m.syncDoc})
 	}
 	if !m.opts.NoResync {
 		m.Send(enb, &protocol.ResyncRequest{Epoch: epoch})

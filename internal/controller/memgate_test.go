@@ -64,3 +64,31 @@ func TestRIBOnlyRowlessRecordsHoldStats(t *testing.T) {
 	report(70)
 	check("report after resync")
 }
+
+// TestAllocGateApplyShares bounds the master's end of a share push: a
+// three-share plan rendered and sent toward a bound session. The document
+// is appended as text into the master's buffer, so what allocates is its
+// string and the PolicyReconf that carries it.
+func TestAllocGateApplyShares(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are meaningless under -race (sync.Pool caching is randomized)")
+	}
+	m := NewMaster(DefaultOptions())
+	m.HandleAgentSession(func(*protocol.Message) error { return nil }).Deliver(
+		protocol.New(1, 0, &protocol.Hello{Version: protocol.ProtocolVersion}))
+	m.Tick()
+	plan := SharePlan{Shares: []float64{0.25, 0.25, 0.5}}
+	got := -1.0
+	var err error
+	m.Do(func(c *Context) {
+		got = testing.AllocsPerRun(200, func() { _, err = c.ApplyShares(1, plan) })
+	})
+	m.Tick()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got < 0 || got > 2 {
+		t.Errorf("ApplyShares of a three-share plan: %.1f allocs/op, budget 2", got)
+	}
+	t.Logf("ApplyShares of a three-share plan: %.1f allocs/op", got)
+}

@@ -23,7 +23,6 @@ import (
 	"flexran/internal/sched"
 	"flexran/internal/sim"
 	"flexran/internal/ue"
-	"flexran/internal/yamlite"
 )
 
 // LifecycleEvent is one up/down liveness transition observed by the
@@ -94,8 +93,8 @@ type Runtime struct {
 	lifecycle *lifecycleLog
 	imsis     []uint64 // every UE, ascending
 	groups    map[uint64]int
-	sharing   []AppDecl // ransharing apps, registered at run start
-	retunes   []AppDecl // mobility retunes, armed at run start
+	sharing   []AppDecl       // ransharing apps, registered at run start
+	retunes   []*retuneDriver // mobility retunes, armed at run start
 }
 
 // build wires the scenario on the TTI engine.
@@ -384,7 +383,7 @@ func (rt *Runtime) applyAgentConfig() error {
 		if n.Agent == nil {
 			return fmt.Errorf("scenario: eNodeB %d has a policy but no agent", d.ID)
 		}
-		if err := n.Agent.Reconfigure(yamlite.Marshal(d.Policy)); err != nil {
+		if err := n.Agent.ReconfigureNode(d.Policy); err != nil {
 			return fmt.Errorf("scenario: applying policy to eNodeB %d: %w", d.ID, err)
 		}
 	}
@@ -447,7 +446,7 @@ func (rt *Runtime) registerApps() error {
 			if a.RetuneAt > 0 {
 				// Armed when the measured run starts: retune_at is an
 				// offset from the end of the attach phase.
-				rt.retunes = append(rt.retunes, a)
+				rt.retunes = append(rt.retunes, &retuneDriver{mm: mm, decl: a})
 			}
 		case "eicic":
 			if err := rt.wireEICIC(a, prio); err != nil {

@@ -160,10 +160,9 @@ func (rt *Runtime) Execute() (*Result, error) {
 		rt.Broker.Arm(base)
 		s.Master.Register(rt.Broker, 1500)
 	}
-	for i, a := range rt.retunes {
-		s.Master.Register(&retuneDriver{
-			master: s.Master, at: base + lte.Subframe(a.RetuneAt), decl: a,
-		}, 2000+10*i)
+	for i, r := range rt.retunes {
+		r.master, r.at = s.Master, base+lte.Subframe(r.decl.RetuneAt)
+		s.Master.Register(r, 2000+10*i)
 	}
 
 	// Baseline the delivery counters so throughput covers the measured
@@ -180,13 +179,14 @@ func (rt *Runtime) Execute() (*Result, error) {
 	return &Result{Runtime: rt, Summary: rt.summarize(attachTTI, attachTTIs, base0)}, nil
 }
 
-// retuneDriver swaps the mobility manager's target policy mid-run through
-// the registry's Retune path — the same mechanism a live operator uses —
-// so scenario goldens cover runtime reconfiguration. The swap is queued on
-// the tick that reaches the deadline and applied at the start of the next
+// retuneDriver swaps a mobility manager's target policy mid-run through
+// Master.Do — the path a live northbound operator's change takes — so
+// scenario goldens cover runtime reconfiguration. The swap is queued on the
+// tick that reaches the deadline and applied at the start of the next
 // application slot, which keeps it deterministic.
 type retuneDriver struct {
 	master *controller.Master
+	mm     *apps.MobilityManager
 	at     lte.Subframe
 	decl   AppDecl
 	done   bool
@@ -199,18 +199,11 @@ func (d *retuneDriver) OnTick(ctx *controller.Context, now lte.Subframe) {
 		return
 	}
 	d.done = true
-	decl := d.decl
-	_ = d.master.Retune("mobility-manager", func(a controller.App) {
-		mm, ok := a.(*apps.MobilityManager)
-		if !ok {
-			return
-		}
-		if decl.RetunePolicy == "load_balanced" {
-			mm.Policy = apps.LoadBalanced{LoadWeight: decl.RetuneLoadWeight}
-		} else {
-			mm.Policy = apps.StrongestNeighbor{}
-		}
-	})
+	policy := apps.TargetPolicy(apps.StrongestNeighbor{})
+	if d.decl.RetunePolicy == "load_balanced" {
+		policy = apps.LoadBalanced{LoadWeight: d.decl.RetuneLoadWeight}
+	}
+	d.master.Do(func(*controller.Context) { d.mm.Policy = policy })
 }
 
 type ueFinal struct {

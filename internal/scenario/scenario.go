@@ -195,8 +195,8 @@ type AppDecl struct {
 	MinMarginDB       float64
 	CommandTimeoutTTI int
 	// mobility runtime retune: at RetuneAt TTIs into the measured run the
-	// target policy is swapped to RetunePolicy via the registry's Retune
-	// path (0 = never retune).
+	// target policy is swapped to RetunePolicy through Master.Do (0 = never
+	// retune).
 	RetuneAt         int64
 	RetunePolicy     string
 	RetuneLoadWeight float64

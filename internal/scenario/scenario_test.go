@@ -134,6 +134,11 @@ func TestValidationErrors(t *testing.T) {
 			want: `scenario: run has no knob "warp_factor"`,
 		},
 		{
+			name: "UE group naming count twice",
+			doc:  strings.Replace(minimalDoc, "    enb: 1\n", "    enb: 1\n    count: 3\n", 1),
+			want: `scenario: yamlite: line 11: duplicate key "count"`,
+		},
+		{
 			name: "duplicate eNodeB id",
 			doc:  "name: t\nrun:\n  ttis: 10\ntopology:\n  enbs:\n    - id: 1\n    - id: 1\n",
 			want: "scenario: duplicate eNodeB id 1",

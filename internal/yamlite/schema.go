@@ -38,15 +38,15 @@ func DecodeMap(n *Node, where string, fields []Field) error {
 	if n == nil || n.Kind != KindMap {
 		return fmt.Errorf("%s must be a map", Noun(where))
 	}
-	for _, key := range n.keys {
-		i := slices.IndexFunc(fields, func(f Field) bool { return f.Key == key })
+	for i, key := range n.keys {
+		j := slices.IndexFunc(fields, func(f Field) bool { return f.Key == key })
 		switch {
-		case i >= 0:
+		case j >= 0:
 			path := key
 			if where != "" {
 				path = where + "." + key
 			}
-			if err := fields[i].Decode(n.children[key], path); err != nil {
+			if err := fields[j].Decode(n.items[i], path); err != nil {
 				return err
 			}
 		case where == "":

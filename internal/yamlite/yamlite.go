@@ -1,7 +1,7 @@
-// Package yamlite is a minimal YAML-subset parser and emitter, written for
-// the FlexRAN policy reconfiguration mechanism (paper §4.3.1, Fig. 3): the
-// master controller expresses VSF swaps and parameter updates as an
-// indentation-structured document such as
+// Package yamlite is a minimal YAML-subset parser with a schema layer,
+// written for the FlexRAN policy reconfiguration mechanism (paper §4.3.1,
+// Fig. 3): the master controller expresses VSF swaps and parameter updates
+// as an indentation-structured document such as
 //
 //	mac:
 //	  dl_ue_sched:
@@ -14,6 +14,8 @@
 // block sequences ("- item"), inline sequences ("[a, b]"), scalars with
 // int/float/bool/string interpretation, quoted strings and '#' comments.
 // Anchors, aliases, multi-document streams and flow maps are out of scope.
+// The package only reads documents: a writer appends the text itself and
+// quotes its scalars with Quote.
 //
 // On top of the parser sits the schema layer (schema.go), the one decoder
 // every document of the platform goes through: a section is a []Field
@@ -27,7 +29,7 @@ package yamlite
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -54,41 +56,13 @@ func (k Kind) String() string {
 	return "invalid"
 }
 
-// Node is one value in a parsed document.
+// Node is one value in a parsed document. A map holds its keys as written
+// in keys and the value of keys[i] in items[i]; a sequence holds only items.
 type Node struct {
-	Kind     Kind
-	scalar   string
-	quoted   bool
-	keys     []string // map key order as written
-	children map[string]*Node
-	items    []*Node
-}
-
-// Scalar returns a new scalar node.
-func Scalar(v interface{}) *Node {
-	return &Node{Kind: KindScalar, scalar: fmt.Sprint(v)}
-}
-
-// Map returns a new empty map node.
-func Map() *Node {
-	return &Node{Kind: KindMap, children: map[string]*Node{}}
-}
-
-// Seq returns a new sequence node holding the given items.
-func Seq(items ...*Node) *Node {
-	return &Node{Kind: KindSeq, items: items}
-}
-
-// Set adds or replaces a map entry, preserving first-insertion order.
-func (n *Node) Set(key string, v *Node) *Node {
-	if n.Kind != KindMap {
-		panic("yamlite: Set on non-map node")
-	}
-	if _, ok := n.children[key]; !ok {
-		n.keys = append(n.keys, key)
-	}
-	n.children[key] = v
-	return n
+	Kind   Kind
+	scalar string
+	keys   []string
+	items  []*Node
 }
 
 // Get returns the child node for a map key, or nil.
@@ -96,37 +70,18 @@ func (n *Node) Get(key string) *Node {
 	if n == nil || n.Kind != KindMap {
 		return nil
 	}
-	return n.children[key]
-}
-
-// Keys returns the map keys in document order.
-func (n *Node) Keys() []string {
-	if n == nil {
-		return nil
+	if i := slices.Index(n.keys, key); i >= 0 {
+		return n.items[i]
 	}
-	return append([]string(nil), n.keys...)
+	return nil
 }
 
 // Items returns the sequence items.
 func (n *Node) Items() []*Node {
-	if n == nil {
+	if n == nil || n.Kind != KindSeq {
 		return nil
 	}
 	return n.items
-}
-
-// Len returns the number of entries (map) or items (sequence), 0 otherwise.
-func (n *Node) Len() int {
-	if n == nil {
-		return 0
-	}
-	switch n.Kind {
-	case KindMap:
-		return len(n.keys)
-	case KindSeq:
-		return len(n.items)
-	}
-	return 0
 }
 
 // Str returns the scalar as a string ("" for nil or non-scalars).
@@ -183,18 +138,6 @@ func (n *Node) Floats() ([]float64, error) {
 	return out, nil
 }
 
-// Strings returns a sequence interpreted as a string slice.
-func (n *Node) Strings() ([]string, error) {
-	if n == nil || n.Kind != KindSeq {
-		return nil, errors.New("yamlite: not a sequence")
-	}
-	out := make([]string, 0, len(n.items))
-	for _, it := range n.items {
-		out = append(out, it.Str())
-	}
-	return out, nil
-}
-
 // line is a logical input line with indentation resolved.
 type line struct {
 	num    int
@@ -221,7 +164,7 @@ func Parse(doc string) (*Node, error) {
 		})
 	}
 	if len(lines) == 0 {
-		return Map(), nil
+		return &Node{Kind: KindMap}, nil
 	}
 	p := &parser{lines: lines}
 	n, err := p.parseBlock(lines[0].indent)
@@ -259,6 +202,46 @@ func stripComment(s string) string {
 type parser struct {
 	lines []line
 	pos   int
+	// seen indexes the keys of every map that has grown past linearKeys
+	// entries, so that a long map still parses in linear time.
+	seen map[mapKey]bool
+}
+
+type mapKey struct {
+	m   *Node
+	key string
+}
+
+// linearKeys is the map size up to which add finds a duplicate by scanning
+// the keys; the maps of policy and scenario documents stay below it.
+const linearKeys = 32
+
+// add appends an entry for key, written on line num, to the map m, with an
+// empty value the caller then sets in the last item. It is the one way a
+// parsed map grows, so no map holds a key twice: a repeated key is refused
+// before its value is parsed.
+func (p *parser) add(m *Node, key string, num int) error {
+	var dup bool
+	if n := len(m.keys); n < linearKeys {
+		dup = slices.Contains(m.keys, key)
+	} else {
+		if n == linearKeys {
+			if p.seen == nil {
+				p.seen = map[mapKey]bool{}
+			}
+			for _, k := range m.keys {
+				p.seen[mapKey{m, k}] = true
+			}
+		}
+		dup = p.seen[mapKey{m, key}]
+		p.seen[mapKey{m, key}] = true
+	}
+	if dup {
+		return fmt.Errorf("yamlite: line %d: duplicate key %q", num, key)
+	}
+	m.keys = append(m.keys, key)
+	m.items = append(m.items, nil)
+	return nil
 }
 
 func (p *parser) peek() (line, bool) {
@@ -323,44 +306,53 @@ func splitKey(text string) (key, rest string, ok bool) {
 }
 
 func (p *parser) parseMap(indent int) (*Node, error) {
-	m := Map()
+	m := &Node{Kind: KindMap}
+	return m, p.parseEntries(m, indent)
+}
+
+// parseEntries adds the run of "key: value" lines at the given indentation
+// to the map m.
+func (p *parser) parseEntries(m *Node, indent int) error {
 	for {
 		ln, ok := p.peek()
 		if !ok || ln.indent < indent {
-			return m, nil
+			return nil
 		}
 		if ln.indent > indent {
-			return nil, fmt.Errorf("yamlite: line %d: unexpected indentation", ln.num)
+			return fmt.Errorf("yamlite: line %d: unexpected indentation", ln.num)
 		}
 		key, rest, isMap := splitKey(ln.text)
 		if !isMap {
-			return nil, fmt.Errorf("yamlite: line %d: expected 'key:' entry", ln.num)
+			return fmt.Errorf("yamlite: line %d: expected 'key:' entry", ln.num)
 		}
-		key = unquote(key)
-		if _, dup := m.children[key]; dup {
-			return nil, fmt.Errorf("yamlite: line %d: duplicate key %q", ln.num, key)
+		if err := p.add(m, unquote(key), ln.num); err != nil {
+			return err
 		}
 		p.pos++
-		if rest != "" {
-			v, err := parseScalarOrInline(rest)
-			if err != nil {
-				return nil, fmt.Errorf("yamlite: line %d: %v", ln.num, err)
-			}
-			m.Set(key, v)
-			continue
-		}
-		// Value is a nested block (or an empty scalar if nothing deeper).
-		next, ok := p.peek()
-		if !ok || next.indent <= indent {
-			m.Set(key, Scalar(""))
-			continue
-		}
-		child, err := p.parseBlock(next.indent)
+		v, err := p.parseValue(ln, rest, indent)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		m.Set(key, child)
+		m.items[len(m.items)-1] = v
 	}
+}
+
+// parseValue parses what follows "key:" or "-" on line ln: the inline
+// rest when there is one, else the nested block below the line, else an
+// empty scalar.
+func (p *parser) parseValue(ln line, rest string, indent int) (*Node, error) {
+	if rest != "" {
+		v, err := parseScalarOrInline(rest)
+		if err != nil {
+			return nil, fmt.Errorf("yamlite: line %d: %v", ln.num, err)
+		}
+		return v, nil
+	}
+	next, ok := p.peek()
+	if !ok || next.indent <= indent {
+		return &Node{Kind: KindScalar}, nil
+	}
+	return p.parseBlock(next.indent)
 }
 
 func (p *parser) parseSeq(indent int) (*Node, error) {
@@ -378,55 +370,32 @@ func (p *parser) parseSeq(indent int) (*Node, error) {
 		}
 		rest := strings.TrimSpace(strings.TrimPrefix(ln.text, "-"))
 		p.pos++
-		if rest == "" {
-			next, ok := p.peek()
-			if !ok || next.indent <= indent {
-				seq.items = append(seq.items, Scalar(""))
-				continue
-			}
-			child, err := p.parseBlock(next.indent)
+		if !isMapEntry(rest) {
+			v, err := p.parseValue(ln, rest, indent)
 			if err != nil {
 				return nil, err
 			}
-			seq.items = append(seq.items, child)
+			seq.items = append(seq.items, v)
 			continue
 		}
-		if isMapEntry(rest) {
-			// "- key: value" starts an inline map item whose further keys
-			// sit two spaces deeper than the dash.
-			itemIndent := ln.indent + 2
-			item := Map()
-			key, val, _ := splitKey(rest)
-			if val != "" {
-				v, err := parseScalarOrInline(val)
-				if err != nil {
-					return nil, fmt.Errorf("yamlite: line %d: %v", ln.num, err)
-				}
-				item.Set(unquote(key), v)
-			} else {
-				item.Set(unquote(key), Scalar(""))
-			}
-			for {
-				next, ok := p.peek()
-				if !ok || next.indent != itemIndent || !isMapEntry(next.text) {
-					break
-				}
-				sub, err := p.parseMap(itemIndent)
-				if err != nil {
-					return nil, err
-				}
-				for _, k := range sub.keys {
-					item.Set(k, sub.children[k])
-				}
-			}
-			seq.items = append(seq.items, item)
-			continue
-		}
-		v, err := parseScalarOrInline(rest)
+		// "- key: value" starts an inline map item whose further keys
+		// sit two spaces deeper than the dash.
+		itemIndent := ln.indent + 2
+		item := &Node{Kind: KindMap}
+		// The first key's value is inline only: none reads as "".
+		key, val, _ := splitKey(rest)
+		_ = p.add(item, unquote(key), ln.num) // the first key of a new map
+		v, err := parseScalarOrInline(val)
 		if err != nil {
 			return nil, fmt.Errorf("yamlite: line %d: %v", ln.num, err)
 		}
-		seq.items = append(seq.items, v)
+		item.items[0] = v
+		if next, ok := p.peek(); ok && next.indent == itemIndent && isMapEntry(next.text) {
+			if err := p.parseEntries(item, itemIndent); err != nil {
+				return nil, err
+			}
+		}
+		seq.items = append(seq.items, item)
 	}
 }
 
@@ -457,10 +426,9 @@ func parseScalarOrInline(text string) (*Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad quoted string %s", text)
 		}
-		n.scalar, n.quoted = u, true
+		n.scalar = u
 	case len(text) >= 2 && text[0] == '\'' && text[len(text)-1] == '\'':
 		n.scalar = strings.ReplaceAll(text[1:len(text)-1], "''", "'")
-		n.quoted = true
 	case len(text) > 0 && (text[0] == '"' || text[0] == '\''):
 		// A leading quote without a matching closer would otherwise be
 		// swallowed as a literal scalar — surface the typo instead.
@@ -517,75 +485,11 @@ func unquote(s string) string {
 	return s
 }
 
-// Marshal renders a node tree back into document text. Maps keep insertion
-// order; the output round-trips through Parse.
-func Marshal(n *Node) string {
-	var b strings.Builder
-	marshalNode(&b, n, 0)
-	return b.String()
-}
-
-func marshalNode(b *strings.Builder, n *Node, indent int) {
-	pad := strings.Repeat(" ", indent)
-	switch n.Kind {
-	case KindMap:
-		keys := n.keys
-		if keys == nil {
-			keys = make([]string, 0, len(n.children))
-			for k := range n.children {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-		}
-		for _, k := range keys {
-			c := n.children[k]
-			switch {
-			case c == nil:
-				fmt.Fprintf(b, "%s%s:\n", pad, k)
-			case c.Kind == KindScalar:
-				fmt.Fprintf(b, "%s%s: %s\n", pad, k, renderScalar(c))
-			case c.Kind == KindSeq && allScalars(c):
-				fmt.Fprintf(b, "%s%s: %s\n", pad, k, renderInlineSeq(c))
-			default:
-				fmt.Fprintf(b, "%s%s:\n", pad, k)
-				marshalNode(b, c, indent+2)
-			}
-		}
-	case KindSeq:
-		for _, it := range n.items {
-			if it.Kind == KindScalar {
-				fmt.Fprintf(b, "%s- %s\n", pad, renderScalar(it))
-			} else {
-				fmt.Fprintf(b, "%s-\n", pad)
-				marshalNode(b, it, indent+2)
-			}
-		}
-	case KindScalar:
-		fmt.Fprintf(b, "%s%s\n", pad, renderScalar(n))
-	}
-}
-
-func allScalars(n *Node) bool {
-	for _, it := range n.items {
-		if it.Kind != KindScalar {
-			return false
-		}
-	}
-	return true
-}
-
-func renderInlineSeq(n *Node) string {
-	parts := make([]string, len(n.items))
-	for i, it := range n.items {
-		parts[i] = renderScalar(it)
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
-}
-
-func renderScalar(n *Node) string {
-	s := n.scalar
-	if n.quoted || s == "" || strings.ContainsAny(s, ":#[],\"'") ||
-		s != strings.TrimSpace(s) {
+// Quote renders a one-line scalar for a document a writer appends by hand:
+// double-quoted when it is empty, holds one of :#[],"' or has leading or
+// trailing space, as written otherwise.
+func Quote(s string) string {
+	if s == "" || strings.ContainsAny(s, ":#[],\"'") || s != strings.TrimSpace(s) {
 		return strconv.Quote(s)
 	}
 	return s

@@ -1,8 +1,10 @@
 package yamlite
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The motivating document: a FlexRAN policy reconfiguration message
@@ -51,7 +53,7 @@ func TestParsePolicyDocument(t *testing.T) {
 	if got := mac.Get("ul_scheduler").Get("behavior").Str(); got != "flexran.sched.rr" {
 		t.Errorf("ul behavior = %q", got)
 	}
-	keys := mac.Keys()
+	keys := mac.keys
 	if len(keys) != 2 || keys[0] != "dl_scheduler" || keys[1] != "ul_scheduler" {
 		t.Errorf("key order = %v", keys)
 	}
@@ -74,7 +76,7 @@ plain:
 		t.Fatal(err)
 	}
 	vsfs := root.Get("vsfs")
-	if vsfs.Kind != KindSeq || vsfs.Len() != 2 {
+	if vsfs.Kind != KindSeq || len(vsfs.Items()) != 2 {
 		t.Fatalf("vsfs = %+v", vsfs)
 	}
 	first := vsfs.Items()[0]
@@ -82,7 +84,7 @@ plain:
 		t.Errorf("first item = %v %v", first.Get("name").Str(), first.Get("behavior").Str())
 	}
 	plain := root.Get("plain")
-	if plain.Len() != 3 {
+	if len(plain.Items()) != 3 {
 		t.Fatalf("plain = %+v", plain)
 	}
 	v, err := plain.Items()[2].Int()
@@ -141,15 +143,15 @@ strs: ["a, b", 'c']`)
 		t.Errorf("xs = %v, %v", xs, err)
 	}
 	nested := root.Get("nested")
-	if nested.Len() != 2 || nested.Items()[0].Len() != 2 {
+	if len(nested.Items()) != 2 || len(nested.Items()[0].Items()) != 2 {
 		t.Errorf("nested = %+v", nested)
 	}
-	if root.Get("empty").Len() != 0 {
+	if empty := root.Get("empty"); empty.Kind != KindSeq || len(empty.Items()) != 0 {
 		t.Error("empty should have no items")
 	}
-	strs, err := root.Get("strs").Strings()
-	if err != nil || strs[0] != "a, b" || strs[1] != "c" {
-		t.Errorf("strs = %v, %v", strs, err)
+	strs := root.Get("strs").Items()
+	if len(strs) != 2 || strs[0].Str() != "a, b" || strs[1].Str() != "c" {
+		t.Errorf("strs = %+v", strs)
 	}
 }
 
@@ -172,7 +174,7 @@ func TestEmptyDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Kind != KindMap || root.Len() != 0 {
+	if root.Kind != KindMap || len(root.keys) != 0 {
 		t.Errorf("empty doc = %+v", root)
 	}
 }
@@ -197,55 +199,31 @@ func TestBareScalarDocument(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	root, err := Parse(policyDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := Marshal(root)
-	again, err := Parse(out)
-	if err != nil {
-		t.Fatalf("re-parse failed: %v\n%s", err, out)
-	}
-	// Compare by re-marshaling: stable output implies structural equality.
-	if Marshal(again) != out {
-		t.Errorf("round trip unstable:\n%s\nvs\n%s", out, Marshal(again))
-	}
-	if again.Get("mac").Get("dl_scheduler").Get("behavior").Str() != "flexran.sched.pf" {
-		t.Error("content lost in round trip")
-	}
-}
-
-func TestMarshalProgrammaticBuild(t *testing.T) {
-	// The controller builds policy documents with the node API.
-	doc := Map().Set("mac", Map().
-		Set("dl_scheduler", Map().
-			Set("behavior", Scalar("flexran.sched.slice")).
-			Set("parameters", Map().
-				Set("rb_share", Seq(Scalar(0.4), Scalar(0.6))))))
-	out := Marshal(doc)
-	root, err := Parse(out)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
-	}
-	share, err := root.Get("mac").Get("dl_scheduler").Get("parameters").Get("rb_share").Floats()
-	if err != nil || share[0] != 0.4 || share[1] != 0.6 {
-		t.Errorf("share = %v, %v", share, err)
-	}
-}
-
-func TestMarshalQuoting(t *testing.T) {
-	doc := Map().Set("k", Scalar("needs: quoting"))
-	out := Marshal(doc)
-	if !strings.Contains(out, `"needs: quoting"`) {
-		t.Errorf("special chars not quoted: %s", out)
-	}
-	root, err := Parse(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Get("k").Str() != "needs: quoting" {
-		t.Errorf("round trip = %q", root.Get("k").Str())
+// TestQuote pins the quoting rule of hand-written documents, and that
+// Parse reads every rendered scalar back as the string it was.
+func TestQuote(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"slice-rr", "slice-rr"},
+		{"0.25", "0.25"},
+		{"premium tier", "premium tier"},
+		{"", `""`},
+		{"needs: quoting", `"needs: quoting"`},
+		{"a#b", `"a#b"`},
+		{"[x]", `"[x]"`},
+		{"a,b", `"a,b"`},
+		{`say "hi"`, `"say \"hi\""`},
+		{"it's", `"it's"`},
+		{" lead", `" lead"`},
+		{"trail ", `"trail "`},
+	} {
+		got := Quote(c.in)
+		if got != c.want {
+			t.Errorf("Quote(%q) = %s, want %s", c.in, got, c.want)
+		}
+		root, err := Parse("k: " + got)
+		if err != nil || root.Get("k").Str() != c.in {
+			t.Errorf("k: %s reads back %q, %v", got, root.Get("k").Str(), err)
+		}
 	}
 }
 
@@ -279,58 +257,71 @@ func TestDeepNesting(t *testing.T) {
 	}
 }
 
+// parseErrorCases holds one document per parse failure mode with its exact
+// diagnostic; FuzzParse seeds from the documents.
+var parseErrorCases = []struct {
+	name string
+	doc  string
+	want string
+}{
+	{
+		name: "tab indentation",
+		doc:  "a:\n\tb: 1",
+		want: "yamlite: line 2: tabs are not allowed in indentation",
+	},
+	{
+		name: "duplicate key",
+		doc:  "a: 1\na: 2",
+		want: `yamlite: line 2: duplicate key "a"`,
+	},
+	{
+		name: "duplicate nested key",
+		doc:  "m:\n  x: 1\n  x: 2",
+		want: `yamlite: line 3: duplicate key "x"`,
+	},
+	{
+		name: "duplicate key in a sequence item",
+		doc:  "- a: 1\n  a: 2\n",
+		want: `yamlite: line 2: duplicate key "a"`,
+	},
+	{
+		name: "duplicate key after another in a sequence item",
+		doc:  "- a: 1\n  b: 2\n  a: 3\n",
+		want: `yamlite: line 3: duplicate key "a"`,
+	},
+	{
+		name: "bad indentation inside map",
+		doc:  "a: 1\n   b: 2",
+		want: "yamlite: line 2: unexpected indentation",
+	},
+	{
+		name: "seq item then map entry at one level",
+		doc:  "a:\n  - x\n  b: 1",
+		want: "yamlite: line 3: expected sequence item",
+	},
+	{
+		name: "map entry then seq item at one level",
+		doc:  "a:\n  b: 1\n  - x",
+		want: "yamlite: line 3: expected 'key:' entry",
+	},
+	{
+		name: "unterminated inline sequence",
+		doc:  "a: [1, 2",
+		want: `yamlite: line 1: unterminated inline sequence "[1, 2"`,
+	},
+	{
+		name: "bad quoted string",
+		doc:  `a: "unclosed`,
+		want: `yamlite: line 1: bad quoted string "unclosed`,
+	},
+}
+
 // TestParseErrorMessages pins the exact diagnostics of every parse
 // failure mode: line numbers and reasons are the user interface of the
 // policy/scenario pipeline, so regressions here break operator-facing
 // errors even when parsing itself still fails "correctly".
 func TestParseErrorMessages(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-		want string
-	}{
-		{
-			name: "tab indentation",
-			doc:  "a:\n\tb: 1",
-			want: "yamlite: line 2: tabs are not allowed in indentation",
-		},
-		{
-			name: "duplicate key",
-			doc:  "a: 1\na: 2",
-			want: `yamlite: line 2: duplicate key "a"`,
-		},
-		{
-			name: "duplicate nested key",
-			doc:  "m:\n  x: 1\n  x: 2",
-			want: `yamlite: line 3: duplicate key "x"`,
-		},
-		{
-			name: "bad indentation inside map",
-			doc:  "a: 1\n   b: 2",
-			want: "yamlite: line 2: unexpected indentation",
-		},
-		{
-			name: "seq item then map entry at one level",
-			doc:  "a:\n  - x\n  b: 1",
-			want: "yamlite: line 3: expected sequence item",
-		},
-		{
-			name: "map entry then seq item at one level",
-			doc:  "a:\n  b: 1\n  - x",
-			want: "yamlite: line 3: expected 'key:' entry",
-		},
-		{
-			name: "unterminated inline sequence",
-			doc:  "a: [1, 2",
-			want: `yamlite: line 1: unterminated inline sequence "[1, 2"`,
-		},
-		{
-			name: "bad quoted string",
-			doc:  `a: "unclosed`,
-			want: `yamlite: line 1: bad quoted string "unclosed`,
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse(tc.doc)
 			if err == nil {
@@ -340,6 +331,32 @@ func TestParseErrorMessages(t *testing.T) {
 				t.Fatalf("error = %q\n      want %q", err.Error(), tc.want)
 			}
 		})
+	}
+}
+
+// TestLongMap holds a long map to linear parse time (a scan of the keys
+// for each new one took 7 s on 50,000 keys, where the whole parse takes
+// about 50 ms) and its duplicate check to every key, past the size where
+// the check stops scanning.
+func TestLongMap(t *testing.T) {
+	const n = 50000
+	var b strings.Builder
+	for i := range n {
+		fmt.Fprintf(&b, "k%d: %d\n", i, i)
+	}
+	start := time.Now()
+	root, err := Parse(b.String())
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("a %d-key map took %v", n, d)
+	}
+	if err != nil || len(root.keys) != n || root.Get("k49999").Str() != "49999" {
+		t.Fatalf("a %d-key map: %v", n, err)
+	}
+	for _, dup := range []string{"k0", "k31", "k32", "k49999"} {
+		want := fmt.Sprintf("yamlite: line %d: duplicate key %q", n+1, dup)
+		if _, err := Parse(b.String() + dup + ": x\n"); err == nil || err.Error() != want {
+			t.Errorf("repeating %s: %v, want %s", dup, err, want)
+		}
 	}
 }
 
@@ -365,9 +382,6 @@ func TestScalarTypeMismatches(t *testing.T) {
 	}
 	if _, err := root.Get("seq").Floats(); err == nil {
 		t.Error("Floats over a sequence with a non-float item should fail")
-	}
-	if _, err := root.Get("num").Strings(); err == nil {
-		t.Error("Strings on a scalar should fail")
 	}
 	if _, err := root.Get("flag").Bool(); err == nil {
 		t.Error("Bool on a non-boolean scalar should fail")
