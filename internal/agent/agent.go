@@ -12,9 +12,10 @@
 package agent
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,11 +90,10 @@ type Agent struct {
 	mgmt *MgmtModule
 	rrc  *RRCModule
 
-	subs map[uint32]*statsSub
-	// subList mirrors subs sorted by subscription id. It is rebuilt on
-	// (rare) subscription changes so the per-TTI sweep iterates a stable,
-	// deterministic order without sorting every subframe.
-	subList []*statsSub
+	// subs holds the statistics subscriptions sorted by id, the order of
+	// the per-TTI sweep. A StatsRequest replaces the slice and never edits
+	// it in place, so a reader holding the old one may iterate it unlocked.
+	subs []*statsSub
 
 	// a3 tracks the per-UE A3 entering condition (RRC module mobility
 	// parameters applied to the eNodeB's measurement stream).
@@ -136,10 +136,9 @@ type Agent struct {
 	loopStats *metrics.LoopStats
 
 	// Per-TTI scratch, reused across subframes so steady-state reporting
-	// allocates nothing: the cell snapshots, the due-subscription sweep
-	// and the triggered-mode fingerprint encoder.
+	// allocates nothing: the cell snapshots and the triggered-mode
+	// fingerprint encoder.
 	cellScratch []enb.CellReport
-	subScratch  []*statsSub
 	hashEnc     wire.Encoder
 }
 
@@ -156,7 +155,6 @@ func New(e *enb.ENB, opts Options) *Agent {
 		mac:  NewMACModule(),
 		mgmt: NewMgmtModule(),
 		rrc:  NewRRCModule(),
-		subs: map[uint32]*statsSub{},
 		a3:   map[lte.RNTI]*a3State{},
 	}
 	// The MAC module picks the operation's VSF by in.Dir.
@@ -233,8 +231,7 @@ func (a *Agent) Restart() {
 	defer a.mu.Unlock()
 	a.send = nil
 	a.helloAcked = false
-	a.subs = map[uint32]*statsSub{}
-	a.subList = a.subList[:0]
+	a.subs = nil
 	a.a3 = map[lte.RNTI]*a3State{}
 	a.stalled = false
 	a.cmdSeen = nil
@@ -586,34 +583,27 @@ func (a *Agent) handleStatsRequest(req *protocol.StatsRequest) {
 	switch req.Mode {
 	case protocol.StatsOneOff:
 		a.emitPooled(a.report(req, now))
-	case protocol.StatsPeriodic:
-		a.mu.Lock()
-		if req.PeriodTTI == 0 {
-			delete(a.subs, req.ID)
-		} else {
-			a.subs[req.ID] = &statsSub{req: *req, started: now}
+	case protocol.StatsPeriodic, protocol.StatsTriggered:
+		var s *statsSub // a periodic request of period 0 cancels
+		if req.Mode == protocol.StatsTriggered || req.PeriodTTI != 0 {
+			s = &statsSub{req: *req, started: now}
 		}
-		a.rebuildSubList()
-		a.mu.Unlock()
-	case protocol.StatsTriggered:
 		a.mu.Lock()
-		a.subs[req.ID] = &statsSub{req: *req, started: now}
-		a.rebuildSubList()
+		i, found := slices.BinarySearchFunc(a.subs, req.ID, func(s *statsSub, id uint32) int {
+			return cmp.Compare(s.req.ID, id)
+		})
+		subs := slices.Clone(a.subs)
+		switch {
+		case found && s == nil:
+			subs = slices.Delete(subs, i, i+1)
+		case found:
+			subs[i] = s
+		case s != nil:
+			subs = slices.Insert(subs, i, s)
+		}
+		a.subs = subs
 		a.mu.Unlock()
 	}
-}
-
-// rebuildSubList refreshes the id-sorted subscription list (a.mu held).
-// Subscriptions change only on StatsRequest handling, so the per-TTI
-// sweep never sorts.
-func (a *Agent) rebuildSubList() {
-	a.subList = a.subList[:0]
-	for _, s := range a.subs {
-		a.subList = append(a.subList, s)
-	}
-	sort.Slice(a.subList, func(i, j int) bool {
-		return a.subList[i].req.ID < a.subList[j].req.ID
-	})
 }
 
 // NextWork returns the earliest subframe >= from at which onSubframe would
@@ -649,7 +639,7 @@ func (a *Agent) NextWork(from lte.Subframe) lte.Subframe {
 			next = w
 		}
 	}
-	for _, s := range a.subList {
+	for _, s := range a.subs {
 		switch s.req.Mode {
 		case protocol.StatsPeriodic:
 			period := lte.Subframe(s.req.PeriodTTI)
@@ -675,18 +665,15 @@ func (a *Agent) NextWork(from lte.Subframe) lte.Subframe {
 // and due statistics reports.
 func (a *Agent) onSubframe(sf lte.Subframe) {
 	// One look at the agent's state per TTI: the stall, the Hello
-	// retransmission and a snapshot of the presorted subscription list.
-	// Deliver runs on the same goroutine as this hook (the agent's
-	// serialization contract), so the copy exists only to keep iteration
-	// stable if a StatsRequest handled later this subframe rebuilds the list.
+	// retransmission and the subscription list, which a StatsRequest
+	// replaces rather than edits, so the sweep reads it unlocked.
 	a.mu.Lock()
 	if a.stalled {
 		a.mu.Unlock()
 		return
 	}
 	resend := a.send != nil && !a.helloAcked && int(sf-a.lastHello) >= DefaultHelloRetryTTI
-	subs := append(a.subScratch[:0], a.subList...)
-	a.subScratch = subs
+	subs := a.subs
 	ls := a.loopStats
 	a.mu.Unlock()
 	if resend {
@@ -782,7 +769,7 @@ func (a *Agent) reportHash(rep *protocol.StatsReply) uint64 {
 func (a *Agent) buildSnapshot() *protocol.StateSnapshot {
 	a.mu.Lock()
 	snap := &protocol.StateSnapshot{Epoch: a.epoch}
-	for _, s := range a.subList {
+	for _, s := range a.subs {
 		snap.Subs = append(snap.Subs, s.req)
 	}
 	a.mu.Unlock()

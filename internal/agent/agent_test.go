@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"flexran/internal/controller"
 	"flexran/internal/enb"
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
@@ -357,6 +358,35 @@ func TestPolicyReconfErrors(t *testing.T) {
 		if err := h.agent.Reconfigure(doc); err == nil {
 			t.Errorf("policy %q accepted", doc)
 		}
+	}
+}
+
+// TestActivateVSFDocumentWithQuotedName: the document the master writes to
+// activate a VSF whose name holds a quote and a comment marker reads back
+// as that name, so the agent refuses it for the VSF it lacks, not for its
+// syntax.
+func TestActivateVSFDocumentWithQuotedName(t *testing.T) {
+	const name = `x" #y`
+	var doc string
+	m := controller.NewMaster(controller.DefaultOptions())
+	m.HandleAgentSession(func(msg *protocol.Message) error {
+		if p, ok := msg.Payload.(*protocol.PolicyReconf); ok {
+			doc = p.Doc
+		}
+		return nil
+	}).Deliver(protocol.New(5, 0, &protocol.Hello{Version: protocol.ProtocolVersion, Epoch: 1}))
+	m.Tick()
+	doc = ""
+	var err error
+	m.Do(func(c *controller.Context) { _, err = c.ActivateVSF(5, "mac", OpDLUESched, name) })
+	m.Tick()
+	if err != nil || doc == "" {
+		t.Fatalf("ActivateVSF sent %q: %v", doc, err)
+	}
+	h := newHarness(t, Options{})
+	err = h.agent.Reconfigure(doc)
+	if want := fmt.Sprintf("no cached VSF %q", name); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Reconfigure(%q) = %v, want %s", doc, err, want)
 	}
 }
 

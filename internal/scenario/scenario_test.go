@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +48,34 @@ func TestParseMinimal(t *testing.T) {
 	}
 	if sc.Master == nil || sc.Master.StatsPeriodTTI != 1 {
 		t.Fatalf("master defaults not applied: %+v", sc.Master)
+	}
+}
+
+// TestListItemOpensWithNestedKey: a ues item may open with its channel
+// block, and reads as the same item written with a scalar key first.
+func TestListItemOpensWithNestedKey(t *testing.T) {
+	ref, err := Parse(minimalDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := Parse(strings.Replace(minimalDoc, `  - count: 2
+    enb: 1
+    imsi_base: 100
+    channel:
+      model: fixed
+      cqi: 10
+`, `  - channel:
+      model: fixed
+      cqi: 10
+    count: 2
+    enb: 1
+    imsi_base: 100
+`, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sc.UEs, ref.UEs) {
+		t.Fatalf("ues = %+v\n want %+v", sc.UEs, ref.UEs)
 	}
 }
 

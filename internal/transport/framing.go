@@ -45,19 +45,20 @@ const frameHeaderSize = 8
 // amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteFrame writes one length-prefixed, checksummed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
+// AppendFrame appends one length-prefixed, checksummed frame to dst: the
+// header, then the payload appendPayload appends after it, so a message is
+// serialized straight into the frame. A payload over MaxFrameSize returns
+// ErrFrameTooLarge and only the bytes dst held.
+func AppendFrame(dst []byte, appendPayload func([]byte) []byte) ([]byte, error) {
+	start := len(dst)
+	b := appendPayload(append(dst, 0, 0, 0, 0, 0, 0, 0, 0))
+	payload := b[start+frameHeaderSize:]
 	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
+		return b[:start], ErrFrameTooLarge
 	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	binary.BigEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
+	return b, nil
 }
 
 // ReadFrame reads one length-prefixed frame, reusing buf when it is large

@@ -35,14 +35,8 @@ func FuzzFraming(f *testing.F) {
 
 		// Writer round trip: frame the fuzz input twice on one stream and
 		// read both copies back.
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, data); err != nil {
-			t.Fatalf("WriteFrame(%d bytes): %v", len(data), err)
-		}
-		if err := WriteFrame(&buf, data); err != nil {
-			t.Fatalf("second WriteFrame: %v", err)
-		}
-		r := bytes.NewReader(buf.Bytes())
+		wire := frame(t, frame(t, nil, data), data)
+		r := bytes.NewReader(wire)
 		var scratch []byte
 		for i := 0; i < 2; i++ {
 			got, err := ReadFrame(r, scratch)
@@ -64,7 +58,6 @@ func FuzzFraming(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		wire := buf.Bytes()
 		flip := frameHeaderSize + len(data)/2 // one representative position
 		dirty := append([]byte(nil), wire...)
 		dirty[flip] ^= 0x01

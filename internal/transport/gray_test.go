@@ -213,18 +213,12 @@ func TestNetemGrayKnobsOffDrawCompat(t *testing.T) {
 func TestConnSkipsCorruptFrames(t *testing.T) {
 	// A frame with a damaged payload must be counted and skipped by the
 	// read loop, and the connection must keep delivering what follows.
-	var wire bytes.Buffer
 	good := protocol.Encode(protocol.New(1, 5, &protocol.Echo{Seq: 7, SenderSF: 5}))
-	if err := WriteFrame(&wire, good); err != nil {
-		t.Fatal(err)
-	}
-	dirty := wire.Bytes()
-	dirty[frameHeaderSize] ^= 0xff // corrupt the first payload byte
-	if err := WriteFrame(&wire, good); err != nil {
-		t.Fatal(err)
-	}
+	wire := frame(t, nil, good)
+	wire[frameHeaderSize] ^= 0xff // corrupt the first payload byte
+	wire = frame(t, wire, good)
 
-	r := bytes.NewReader(wire.Bytes())
+	r := bytes.NewReader(wire)
 	var buf []byte
 	corrupted := 0
 	var delivered []*protocol.Message

@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -64,20 +62,13 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(nc, 1024), nil
 }
 
-// appendFrame serializes m as one length-prefixed, checksummed frame onto
-// c.wbuf, returning the encoded message size (without the header).
+// appendFrame serializes m as one frame onto c.wbuf, returning the encoded
+// message size (without the header).
 func (c *Conn) appendFrame(m *protocol.Message) (int, error) {
 	start := len(c.wbuf)
-	c.wbuf = append(c.wbuf, 0, 0, 0, 0, 0, 0, 0, 0)
-	c.wbuf = protocol.AppendMessage(c.wbuf, m)
-	n := len(c.wbuf) - start - frameHeaderSize
-	if n > MaxFrameSize {
-		return 0, ErrFrameTooLarge
-	}
-	payload := c.wbuf[start+frameHeaderSize:]
-	binary.BigEndian.PutUint32(c.wbuf[start:], uint32(n))
-	binary.BigEndian.PutUint32(c.wbuf[start+4:], crc32.Checksum(payload, crcTable))
-	return n, nil
+	b, err := AppendFrame(c.wbuf, func(b []byte) []byte { return protocol.AppendMessage(b, m) })
+	c.wbuf = b
+	return len(b) - start - frameHeaderSize, err
 }
 
 // Send serializes and writes one message: header and payload are coalesced

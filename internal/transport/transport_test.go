@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,21 +18,30 @@ import (
 	"flexran/internal/protocol"
 )
 
+// frame appends payload to dst as one frame, the way Conn frames a message.
+func frame(tb testing.TB, dst, payload []byte) []byte {
+	tb.Helper()
+	b, err := AppendFrame(dst, func(b []byte) []byte { return append(b, payload...) })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+	var wire []byte
 	payloads := [][]byte{
 		{},
 		{1},
 		bytes.Repeat([]byte{0xab}, 100000),
 	}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
+		wire = frame(t, wire, p)
 	}
+	buf := bytes.NewBuffer(wire)
 	var scratch []byte
 	for i, want := range payloads {
-		got, err := ReadFrame(&buf, scratch)
+		got, err := ReadFrame(buf, scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -40,7 +50,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		scratch = got[:0]
 	}
-	if _, err := ReadFrame(&buf, nil); err != io.EOF {
+	if _, err := ReadFrame(buf, nil); err != io.EOF {
 		t.Errorf("expected EOF after frames, got %v", err)
 	}
 }
@@ -51,14 +61,11 @@ func TestFrameRoundTrip(t *testing.T) {
 // through io.ReadFull.)
 func TestAllocGateReadFrame(t *testing.T) {
 	const budget = 0
-	var wire bytes.Buffer
-	if err := WriteFrame(&wire, bytes.Repeat([]byte{0x5a}, 512)); err != nil {
-		t.Fatal(err)
-	}
-	r := bytes.NewReader(wire.Bytes())
+	wire := frame(t, nil, bytes.Repeat([]byte{0x5a}, 512))
+	r := bytes.NewReader(wire)
 	var buf []byte
 	op := func() {
-		r.Reset(wire.Bytes())
+		r.Reset(wire)
 		payload, err := ReadFrame(r, buf)
 		if err != nil {
 			t.Fatal(err)
@@ -72,8 +79,11 @@ func TestAllocGateReadFrame(t *testing.T) {
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	if err := WriteFrame(io.Discard, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized write = %v", err)
+	head := []byte("head")
+	big := make([]byte, MaxFrameSize+1)
+	b, err := AppendFrame(head, func(b []byte) []byte { return append(b, big...) })
+	if !errors.Is(err, ErrFrameTooLarge) || string(b) != "head" {
+		t.Errorf("oversized frame = %d bytes, %v", len(b), err)
 	}
 	// A poisoned header must be rejected without allocating the payload.
 	hdr := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
@@ -83,11 +93,7 @@ func TestFrameSizeLimit(t *testing.T) {
 }
 
 func TestFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := frame(t, nil, []byte("hello"))
 	for i := 1; i < len(full); i++ {
 		if _, err := ReadFrame(bytes.NewReader(full[:i]), nil); err == nil {
 			t.Errorf("prefix of %d bytes should error", i)
@@ -388,6 +394,37 @@ func TestTCPConnRoundTrip(t *testing.T) {
 	}
 	if server.Meter().Bytes(protocol.CatCommands) == 0 {
 		t.Error("server meter empty")
+	}
+}
+
+// TestConnSendTooLarge: a message whose frame would exceed MaxFrameSize,
+// alone or in a batch, is refused with ErrFrameTooLarge before a byte is
+// written, and the connection goes on carrying what follows.
+func TestConnSendTooLarge(t *testing.T) {
+	local, remote := net.Pipe()
+	client, server := NewConn(local, 1), NewConn(remote, 1)
+	defer client.Close()
+	defer server.Close()
+	big := protocol.New(1, 0, &protocol.PolicyReconf{Doc: strings.Repeat("x", MaxFrameSize)})
+	if err := client.Send(big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized Send = %v", err)
+	}
+	if err := client.SendBatch([]*protocol.Message{echo(1, 1), big}); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized SendBatch = %v", err)
+	}
+	if n := client.Meter().TotalBytes(); n != 0 {
+		t.Fatalf("refused sends metered %d bytes", n)
+	}
+	if err := client.Send(echo(9, 3)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m, ok := <-server.Recv():
+		if !ok || m.Payload.(*protocol.Echo).Seq != 9 {
+			t.Fatalf("peer received %+v (open %v), want echo 9 first", m, ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer received nothing")
 	}
 }
 

@@ -2,6 +2,7 @@ package yamlite
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,23 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		checkNode(t, root)
+	})
+}
+
+// FuzzQuote checks that whatever one-line string a writer quotes reads back
+// as itself as a map value, an inline-sequence item and the value of a list
+// item's first key.
+func FuzzQuote(f *testing.F) {
+	for _, s := range []string{"", "slice-rr", "a: b", `x" #y`, `a"b: c`, `p", q`, "it's", `\`, " lead"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if strings.Contains(s, "\n") {
+			return
+		}
+		if err := readsBack(s, Quote(s)); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

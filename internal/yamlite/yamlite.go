@@ -14,6 +14,11 @@
 // block sequences ("- item"), inline sequences ("[a, b]"), scalars with
 // int/float/bool/string interpretation, quoted strings and '#' comments.
 // Anchors, aliases, multi-document streams and flow maps are out of scope.
+// A double-quoted scalar takes Go's escapes and ends at the first " that no
+// backslash escapes, as strconv.Unquote reads it; a single-quoted scalar
+// writes each ' it holds twice. The comment, key and inline-item splitters
+// step over a quoted run the same way, so no #, ": " or comma inside one
+// splits a line.
 // The package only reads documents: a writer appends the text itself and
 // quotes its scalars with Quote.
 //
@@ -177,23 +182,34 @@ func Parse(doc string) (*Node, error) {
 	return n, nil
 }
 
+// next returns the index of the byte after the one at s[i], stepping over
+// the whole quoted run when s[i] opens one: a double-quoted run ends at the
+// first " that no backslash escapes, a single-quoted one at the next ', and
+// a run left open ends with s. The splitters below scan with it, so each
+// keeps only its own rule.
+func next(s string, i int) int {
+	q := s[i]
+	if q != '"' && q != '\'' {
+		return i + 1
+	}
+	for i++; i < len(s); i++ {
+		switch s[i] {
+		case q:
+			return i + 1
+		case '\\':
+			if q == '"' {
+				i++
+			}
+		}
+	}
+	return len(s)
+}
+
 // stripComment removes a trailing # comment that is not inside quotes.
 func stripComment(s string) string {
-	inS, inD := false, false
-	for i, r := range s {
-		switch r {
-		case '\'':
-			if !inD {
-				inS = !inS
-			}
-		case '"':
-			if !inS {
-				inD = !inD
-			}
-		case '#':
-			if !inS && !inD && (i == 0 || s[i-1] == ' ' || s[i-1] == '\t') {
-				return s[:i]
-			}
+	for i := 0; i < len(s); i = next(s, i) {
+		if s[i] == '#' && (i == 0 || s[i-1] == ' ' || s[i-1] == '\t') {
+			return s[:i]
 		}
 	}
 	return s
@@ -279,59 +295,42 @@ func isMapEntry(text string) bool {
 
 // splitKey splits "key: value" at the first unquoted ": " or trailing ":".
 func splitKey(text string) (key, rest string, ok bool) {
-	inS, inD := false, false
-	for i := 0; i < len(text); i++ {
-		switch text[i] {
-		case '\'':
-			if !inD {
-				inS = !inS
-			}
-		case '"':
-			if !inS {
-				inD = !inD
-			}
-		case ':':
-			if inS || inD {
-				continue
-			}
-			if i == len(text)-1 {
-				return strings.TrimSpace(text[:i]), "", true
-			}
-			if text[i+1] == ' ' {
-				return strings.TrimSpace(text[:i]), strings.TrimSpace(text[i+2:]), true
-			}
+	for i := 0; i < len(text); i = next(text, i) {
+		if text[i] != ':' {
+			continue
+		}
+		if i == len(text)-1 {
+			return strings.TrimSpace(text[:i]), "", true
+		}
+		if text[i+1] == ' ' {
+			return strings.TrimSpace(text[:i]), strings.TrimSpace(text[i+2:]), true
 		}
 	}
 	return "", "", false
 }
 
+// parseMap parses the run of "key: value" lines at the given indentation.
 func (p *parser) parseMap(indent int) (*Node, error) {
 	m := &Node{Kind: KindMap}
-	return m, p.parseEntries(m, indent)
-}
-
-// parseEntries adds the run of "key: value" lines at the given indentation
-// to the map m.
-func (p *parser) parseEntries(m *Node, indent int) error {
 	for {
 		ln, ok := p.peek()
 		if !ok || ln.indent < indent {
-			return nil
+			return m, nil
 		}
 		if ln.indent > indent {
-			return fmt.Errorf("yamlite: line %d: unexpected indentation", ln.num)
+			return nil, fmt.Errorf("yamlite: line %d: unexpected indentation", ln.num)
 		}
 		key, rest, isMap := splitKey(ln.text)
 		if !isMap {
-			return fmt.Errorf("yamlite: line %d: expected 'key:' entry", ln.num)
+			return nil, fmt.Errorf("yamlite: line %d: expected 'key:' entry", ln.num)
 		}
 		if err := p.add(m, unquote(key), ln.num); err != nil {
-			return err
+			return nil, err
 		}
 		p.pos++
 		v, err := p.parseValue(ln, rest, indent)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		m.items[len(m.items)-1] = v
 	}
@@ -369,33 +368,21 @@ func (p *parser) parseSeq(indent int) (*Node, error) {
 			return nil, fmt.Errorf("yamlite: line %d: expected sequence item", ln.num)
 		}
 		rest := strings.TrimSpace(strings.TrimPrefix(ln.text, "-"))
-		p.pos++
-		if !isMapEntry(rest) {
-			v, err := p.parseValue(ln, rest, indent)
-			if err != nil {
-				return nil, err
-			}
-			seq.items = append(seq.items, v)
-			continue
+		var v *Node
+		var err error
+		if isMapEntry(rest) {
+			// "- key: value" opens a map item whose keys sit two columns
+			// deeper than the dash: its line is read as the first of them.
+			p.lines[p.pos] = line{num: ln.num, indent: ln.indent + 2, text: rest}
+			v, err = p.parseMap(ln.indent + 2)
+		} else {
+			p.pos++
+			v, err = p.parseValue(ln, rest, indent)
 		}
-		// "- key: value" starts an inline map item whose further keys
-		// sit two spaces deeper than the dash.
-		itemIndent := ln.indent + 2
-		item := &Node{Kind: KindMap}
-		// The first key's value is inline only: none reads as "".
-		key, val, _ := splitKey(rest)
-		_ = p.add(item, unquote(key), ln.num) // the first key of a new map
-		v, err := parseScalarOrInline(val)
 		if err != nil {
-			return nil, fmt.Errorf("yamlite: line %d: %v", ln.num, err)
+			return nil, err
 		}
-		item.items[0] = v
-		if next, ok := p.peek(); ok && next.indent == itemIndent && isMapEntry(next.text) {
-			if err := p.parseEntries(item, itemIndent); err != nil {
-				return nil, err
-			}
-		}
-		seq.items = append(seq.items, item)
+		seq.items = append(seq.items, v)
 	}
 }
 
@@ -419,52 +406,42 @@ func parseScalarOrInline(text string) (*Node, error) {
 		}
 		return seq, nil
 	}
-	n := &Node{Kind: KindScalar}
+	s, err := scalarText(text)
+	if err != nil {
+		return nil, err
+	}
+	return &Node{Kind: KindScalar, scalar: s}, nil
+}
+
+// scalarText decodes a plain, double-quoted or single-quoted scalar.
+func scalarText(text string) (string, error) {
 	switch {
 	case len(text) >= 2 && text[0] == '"' && text[len(text)-1] == '"':
-		u, err := strconv.Unquote(text)
-		if err != nil {
-			return nil, fmt.Errorf("bad quoted string %s", text)
+		if u, err := strconv.Unquote(text); err == nil {
+			return u, nil
 		}
-		n.scalar = u
 	case len(text) >= 2 && text[0] == '\'' && text[len(text)-1] == '\'':
-		n.scalar = strings.ReplaceAll(text[1:len(text)-1], "''", "'")
-	case len(text) > 0 && (text[0] == '"' || text[0] == '\''):
-		// A leading quote without a matching closer would otherwise be
-		// swallowed as a literal scalar — surface the typo instead.
-		return nil, fmt.Errorf("bad quoted string %s", text)
-	default:
-		n.scalar = text
+		return strings.ReplaceAll(text[1:len(text)-1], "''", "'"), nil
+	case len(text) == 0 || (text[0] != '"' && text[0] != '\''):
+		return text, nil
 	}
-	return n, nil
+	// A leading quote without a matching closer would otherwise be
+	// swallowed as a literal scalar — surface the typo instead.
+	return "", fmt.Errorf("bad quoted string %s", text)
 }
 
 // splitInline splits "a, b, [c, d]" on top-level commas.
 func splitInline(s string) []string {
 	var parts []string
-	depth := 0
-	start := 0
-	inS, inD := false, false
-	for i := 0; i < len(s); i++ {
+	depth, start := 0, 0
+	for i := 0; i < len(s); i = next(s, i) {
 		switch s[i] {
-		case '\'':
-			if !inD {
-				inS = !inS
-			}
-		case '"':
-			if !inS {
-				inD = !inD
-			}
 		case '[':
-			if !inS && !inD {
-				depth++
-			}
+			depth++
 		case ']':
-			if !inS && !inD {
-				depth--
-			}
+			depth--
 		case ',':
-			if depth == 0 && !inS && !inD {
+			if depth == 0 {
 				parts = append(parts, s[start:i])
 				start = i + 1
 			}
@@ -473,21 +450,19 @@ func splitInline(s string) []string {
 	return append(parts, s[start:])
 }
 
+// unquote decodes a map key as a scalar; a key that does not decode is
+// kept as written.
 func unquote(s string) string {
-	if len(s) >= 2 && (s[0] == '"' && s[len(s)-1] == '"') {
-		if u, err := strconv.Unquote(s); err == nil {
-			return u
-		}
-	}
-	if len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'' {
-		return strings.ReplaceAll(s[1:len(s)-1], "''", "'")
+	if u, err := scalarText(s); err == nil {
+		return u
 	}
 	return s
 }
 
 // Quote renders a one-line scalar for a document a writer appends by hand:
 // double-quoted when it is empty, holds one of :#[],"' or has leading or
-// trailing space, as written otherwise.
+// trailing space, as written otherwise. A string without a newline reads
+// back as itself as a map value or as a sequence item.
 func Quote(s string) string {
 	if s == "" || strings.ContainsAny(s, ":#[],\"'") || s != strings.TrimSpace(s) {
 		return strconv.Quote(s)

@@ -91,6 +91,15 @@ plain:
 	if err != nil || v != 3 {
 		t.Errorf("plain[2] = %v, %v", v, err)
 	}
+	// An item's first key may hold a nested block, as any later key may.
+	root, err = Parse("- channel:\n    model: fixed\n  kind: x\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := root.Items()[0]
+	if item.Get("channel").Get("model").Str() != "fixed" || item.Get("kind").Str() != "x" {
+		t.Errorf("item = %+v", item)
+	}
 }
 
 func TestScalarTypes(t *testing.T) {
@@ -200,7 +209,8 @@ func TestBareScalarDocument(t *testing.T) {
 }
 
 // TestQuote pins the quoting rule of hand-written documents, and that
-// Parse reads every rendered scalar back as the string it was.
+// Parse reads every rendered scalar back as the string it was, wherever a
+// writer puts it.
 func TestQuote(t *testing.T) {
 	for _, c := range []struct{ in, want string }{
 		{"slice-rr", "slice-rr"},
@@ -215,16 +225,54 @@ func TestQuote(t *testing.T) {
 		{"it's", `"it's"`},
 		{" lead", `" lead"`},
 		{"trail ", `"trail "`},
+		{`x" #y`, `"x\" #y"`},
+		{`a"b: c`, `"a\"b: c"`},
+		{`p", q`, `"p\", q"`},
 	} {
 		got := Quote(c.in)
 		if got != c.want {
 			t.Errorf("Quote(%q) = %s, want %s", c.in, got, c.want)
 		}
-		root, err := Parse("k: " + got)
-		if err != nil || root.Get("k").Str() != c.in {
-			t.Errorf("k: %s reads back %q, %v", got, root.Get("k").Str(), err)
+		if err := readsBack(c.in, got); err != nil {
+			t.Error(err)
+		}
+		if root, err := Parse(got + ": v"); err != nil {
+			t.Errorf("%s: v: %v", got, err)
+		} else if len(root.keys) != 1 || root.Get(c.in) == nil {
+			t.Errorf("%s: v reads back keys %q", got, root.keys)
 		}
 	}
+}
+
+// readsBack checks that the rendered scalar q reads back as s as a map
+// value, as an inline-sequence item and as the value of a list item's
+// first key.
+func readsBack(s, q string) error {
+	for _, c := range []struct {
+		doc string
+		get func(*Node) *Node
+	}{
+		{"k: " + q, func(n *Node) *Node { return n.Get("k") }},
+		{"k: [" + q + "]", func(n *Node) *Node { return only(n.Get("k").Items()) }},
+		{"- k: " + q + "\n  j: 1", func(n *Node) *Node { return only(n.Items()).Get("k") }},
+	} {
+		root, err := Parse(c.doc)
+		if err != nil {
+			return fmt.Errorf("%q: %v", c.doc, err)
+		}
+		if v := c.get(root); v == nil || v.Kind != KindScalar || v.Str() != s {
+			return fmt.Errorf("%q reads back %+v, want %q", c.doc, v, s)
+		}
+	}
+	return nil
+}
+
+// only returns the one item of a sequence, or nil.
+func only(items []*Node) *Node {
+	if len(items) != 1 {
+		return nil
+	}
+	return items[0]
 }
 
 func TestCommentStripping(t *testing.T) {

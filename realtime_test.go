@@ -372,7 +372,11 @@ func TestRealTimeStopFreesBlockedMaster(t *testing.T) {
 	}
 	defer nc.Close()
 	hello := protocol.New(stalled, 0, &protocol.Hello{Version: protocol.ProtocolVersion, Epoch: 1})
-	if err := transport.WriteFrame(nc, protocol.Encode(hello)); err != nil {
+	frame, err := transport.AppendFrame(nil, func(b []byte) []byte { return protocol.AppendMessage(b, hello) })
+	if err == nil {
+		_, err = nc.Write(frame)
+	}
+	if err != nil {
 		lb.Stop()
 		t.Fatal(err)
 	}
