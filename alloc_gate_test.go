@@ -158,7 +158,7 @@ func TestAllocGateAgentReportTTI(t *testing.T) {
 func agentReportTTIOp(tb testing.TB) func() {
 	e := enb.New(enb.Config{ID: 1, Seed: 1})
 	a := agent.New(e, agent.Options{})
-	a.Connect(func(m *protocol.Message) error { return nil })
+	a.Connect(func(m *protocol.Message) error { m.Release(); return nil })
 	rntis := make([]lte.RNTI, 0, 16)
 	for i := 0; i < 16; i++ {
 		rnti, err := e.AddUE(enb.UEParams{IMSI: uint64(i + 1), Cell: 0, Channel: radio.Fixed(12)})
@@ -292,7 +292,7 @@ const vanillaENBs, vanillaUEs = 64, 32
 // kb/s) on the serial engine and runs it until every UE attached. With
 // master set it is the dense-sim world: an agent on every eNodeB and a
 // master built from master.
-func newVanillaSim(t *testing.T, master *flexran.MasterOptions) *flexran.Sim {
+func newVanillaSim(t testing.TB, master *flexran.MasterOptions) *flexran.Sim {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	specs := make([]flexran.ENBSpec, vanillaENBs)
@@ -353,7 +353,7 @@ func TestAllocGateRemoteSchedulerTick(t *testing.T) {
 	var msgs []*protocol.Message
 	var sess []*controller.AgentSession
 	for _, id := range []lte.ENBID{1, 2} {
-		s := m.HandleAgentSession(func(*protocol.Message) error { return nil })
+		s := m.HandleAgentSession(func(msg *protocol.Message) error { msg.Release(); return nil })
 		s.Deliver(protocol.New(id, 0, &protocol.Hello{
 			Version: protocol.ProtocolVersion, Epoch: 1,
 			Config: protocol.ENBConfig{ID: id, Cells: []protocol.CellConfig{{Cell: 0, Bandwidth: lte.BW10MHz}}},

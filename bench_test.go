@@ -5,7 +5,8 @@ package flexran_test
 // a reduced measurement window and reports domain metrics), plus the
 // micro-benchmarks that bench/ has no metric for: VSF activation (~100 ns
 // in §5.4), VSF install and DSL evaluation, the agent report TTI, the
-// IMSI lookup, and the idle fast-forward pair. The codec, transport,
+// IMSI lookup, the idle fast-forward pair and the dense/vanilla TTI pair,
+// whose in-process runs A/B a control-plane change. The codec, transport,
 // eNodeB step, scheduler and full-platform TTI are measured end to end
 // and per layer by the bench/ module, the one performance ledger; no
 // benchmark here keeps a stored baseline. Allocation budgets are tests,
@@ -231,3 +232,28 @@ func BenchmarkSimTTISparse(b *testing.B) { benchOp(b, sparseSimOp(false)) }
 // BenchmarkSimTTISparseNoSkip is the no-skip baseline of the sparse-scale
 // pair: every one of the 4096 eNodeBs steps every subframe.
 func BenchmarkSimTTISparseNoSkip(b *testing.B) { benchOp(b, sparseSimOp(true)) }
+
+// BenchmarkSimTTIDense measures one TTI of the dense-sim world: the 64 x
+// 32 world of the allocation gates (newVanillaSim) with an agent on every
+// eNodeB reporting full stats every TTI to a default master. Its ratio to
+// BenchmarkSimTTIVanilla, the same world without agents or master, is the
+// agent overhead of Figs. 6–7 measured in one process.
+func BenchmarkSimTTIDense(b *testing.B) {
+	opts := flexran.DefaultMasterOptions()
+	benchSimTTI(b, &opts)
+}
+
+// BenchmarkSimTTIVanilla is the data-plane half of the dense/vanilla pair.
+func BenchmarkSimTTIVanilla(b *testing.B) { benchSimTTI(b, nil) }
+
+// benchSimTTI steps newVanillaSim's world, with master or without, after a
+// 500-TTI warm-up.
+func benchSimTTI(b *testing.B, master *flexran.MasterOptions) {
+	s := newVanillaSim(b, master)
+	s.Run(500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}

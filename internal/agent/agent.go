@@ -193,11 +193,11 @@ func (a *Agent) SetLoopStats(ls *metrics.LoopStats) {
 // until the master's HelloAck for this epoch arrives (see onSubframe), so
 // a lossy control channel cannot leave the agent unwelcomed forever.
 //
-// send must not retain m: the agent builds its per-TTI reports and
-// subframe triggers in messages from the protocol free lists and releases
-// each one when send returns. Both transports finish with m inside the call
-// (SimEndpoint.Send clones it, Conn.Send encodes it); a send function that
-// keeps messages keeps protocol.ClonePooled(m).
+// send consumes m: the agent builds its per-TTI reports and subframe
+// triggers in owned messages from the protocol free lists and never touches
+// one again once send returns, sent or not. The send function passes m on
+// (SimEndpoint.Send queues it) or releases it (Conn.Send, once encoded); one
+// that keeps messages may keep m itself.
 func (a *Agent) Connect(send func(*protocol.Message) error) {
 	a.mu.Lock()
 	a.send = send
@@ -282,20 +282,17 @@ func (a *Agent) emit(p protocol.Payload) {
 	a.transmit(protocol.New(a.enb.ID(), a.enb.Now(), p))
 }
 
-// emitPooled sends a message from protocol.AcquirePooled and releases it
-// when send returns, sent or not.
-func (a *Agent) emitPooled(m *protocol.Message) {
-	a.transmit(m)
-	m.Release()
-}
-
-// transmit hands m to the transport, counting it dropped when there is none
-// or the send fails. It takes a.mu once, to read the transport.
+// transmit hands m to the transport, which consumes it, counting it
+// dropped when the send fails or there is no transport, in which case m is
+// released here. It takes a.mu once, to read the transport.
 func (a *Agent) transmit(m *protocol.Message) {
 	a.mu.Lock()
 	send := a.send
 	a.mu.Unlock()
-	if send == nil || send(m) != nil {
+	if send == nil {
+		m.Release()
+		a.droppedSends.Add(1)
+	} else if send(m) != nil {
 		a.droppedSends.Add(1)
 	}
 }
@@ -582,7 +579,7 @@ func (a *Agent) handleStatsRequest(req *protocol.StatsRequest) {
 	now := a.enb.Now()
 	switch req.Mode {
 	case protocol.StatsOneOff:
-		a.emitPooled(a.report(req, now))
+		a.transmit(a.report(req, now))
 	case protocol.StatsPeriodic, protocol.StatsTriggered:
 		var s *statsSub // a periodic request of period 0 cancels
 		if req.Mode == protocol.StatsTriggered || req.PeriodTTI != 0 {
@@ -682,7 +679,7 @@ func (a *Agent) onSubframe(sf lte.Subframe) {
 	if p := a.mgmt.SyncPeriod(); p > 0 && int(sf)%p == 0 {
 		m := protocol.AcquirePooled(a.enb.ID(), sf, protocol.KindSubframeTrigger)
 		m.Payload.(*protocol.SubframeTrigger).SF = sf
-		a.emitPooled(m)
+		a.transmit(m)
 	}
 	var t0 time.Time
 	for _, s := range subs {
@@ -692,7 +689,7 @@ func (a *Agent) onSubframe(sf lte.Subframe) {
 				if ls != nil {
 					t0 = time.Now()
 				}
-				a.emitPooled(a.report(&s.req, sf))
+				a.transmit(a.report(&s.req, sf))
 				if ls != nil {
 					ls.Report.Observe(time.Since(t0))
 				}
@@ -703,15 +700,16 @@ func (a *Agent) onSubframe(sf lte.Subframe) {
 			}
 			m := a.report(&s.req, sf)
 			h := a.reportHash(m.Payload.(*protocol.StatsReply))
-			if !s.sentOnce || h != s.lastHash {
-				s.sentOnce = true
-				s.lastHash = h
-				a.transmit(m)
-				if ls != nil {
-					ls.Report.Observe(time.Since(t0))
-				}
+			if s.sentOnce && h == s.lastHash {
+				m.Release() // nothing changed: nothing to send
+				continue
 			}
-			m.Release()
+			s.sentOnce = true
+			s.lastHash = h
+			a.transmit(m)
+			if ls != nil {
+				ls.Report.Observe(time.Since(t0))
+			}
 		}
 	}
 }
@@ -720,7 +718,7 @@ func (a *Agent) onSubframe(sf lte.Subframe) {
 // message from the protocol free lists: the eNodeB writes its UE lanes
 // straight into the pooled reply's table, whose capacity survives the
 // reply's trips through the free list, so steady-state report construction
-// allocates nothing. The caller releases the message.
+// allocates nothing. The caller sends or releases the message.
 func (a *Agent) report(req *protocol.StatsRequest, sf lte.Subframe) *protocol.Message {
 	m := protocol.AcquirePooled(a.enb.ID(), sf, protocol.KindStatsReply)
 	rep := m.Payload.(*protocol.StatsReply)

@@ -15,8 +15,8 @@ import (
 	"flexran/internal/wire"
 )
 
-// harness wires an agent to a capture transport. The capture keeps a
-// protocol.ClonePooled copy of every message: send must not retain m.
+// harness wires an agent to a capture transport. The capture keeps every
+// message it is sent: send consumes m, so the agent never touches it again.
 type harness struct {
 	t     *testing.T
 	enb   *enb.ENB
@@ -35,7 +35,7 @@ func newHarness(t *testing.T, opts Options) *harness {
 
 // capture is the harness transport.
 func (h *harness) capture(m *protocol.Message) error {
-	h.sent = append(h.sent, protocol.ClonePooled(m))
+	h.sent = append(h.sent, m)
 	return nil
 }
 

@@ -143,7 +143,6 @@ func (m *Master) sendCmd(enb lte.ENBID, p protocol.Payload) (uint64, error) {
 	msg := protocol.AcquireMessage(enb, m.cycle, p)
 	msg.CmdSeq = seq
 	err := s.send(msg)
-	msg.Release()
 	// A failed transmit is not a failed delivery: the retransmission sweep
 	// owns the retry (and the eventual failure report).
 	return seq, err
@@ -205,7 +204,6 @@ func (m *Master) retransmit(s *session, enb lte.ENBID, fails []cmdFailure) []cmd
 		msg := protocol.AcquireMessage(enb, m.cycle, p.payload)
 		msg.CmdSeq = p.seq
 		s.send(msg) //nolint:errcheck // a failed retransmit waits for the next window
-		msg.Release()
 	}
 	s.pending = keep
 	return fails

@@ -327,11 +327,13 @@ func (as *AgentSession) Close() {
 }
 
 // HandleAgentSession attaches one agent transport. send transmits
-// master-to-agent messages; it must serialize synchronously and not retain
-// the message (the master pools command envelopes — both transport.Conn
-// and SimEndpoint satisfy this). The returned handle is how the transport
-// driver delivers agent-to-master messages (they are queued per session
-// and applied by the RIB Updater during the next Tick).
+// master-to-agent messages and consumes each one: the master wraps payloads
+// it may still hold (a command kept for retransmission) in pooled envelopes
+// (protocol.AcquireMessage) and never touches one again once send returns.
+// send copies or encodes the payload before it returns and releases the
+// envelope, as transport.Conn and SimEndpoint do. The returned handle is
+// how the transport driver delivers agent-to-master messages (they are
+// queued per session and applied by the RIB Updater during the next Tick).
 func (m *Master) HandleAgentSession(send func(*protocol.Message) error) *AgentSession {
 	s := &session{send: send}
 	m.mu.Lock()
@@ -396,10 +398,9 @@ func errNoSession(enb lte.ENBID) error {
 	return fmt.Errorf("controller: %w %d", ErrNoSession, enb)
 }
 
-// Send transmits a payload to an agent (northbound command path). The
-// envelope is pooled: session send functions serialize synchronously and
-// must not retain the message (see HandleAgentSession), so it is released
-// as soon as the send returns. The caller keeps ownership of the payload.
+// Send transmits a payload to an agent (northbound command path) in a
+// pooled envelope, which the session's send consumes (see
+// HandleAgentSession). The caller keeps ownership of the payload.
 func (m *Master) Send(enb lte.ENBID, p protocol.Payload) error {
 	m.mu.Lock()
 	s := m.sessions[enb]
@@ -407,10 +408,7 @@ func (m *Master) Send(enb lte.ENBID, p protocol.Payload) error {
 	if s == nil {
 		return errNoSession(enb)
 	}
-	msg := protocol.AcquireMessage(enb, m.cycle, p)
-	err := s.send(msg)
-	msg.Release()
-	return err
+	return s.send(protocol.AcquireMessage(enb, m.cycle, p))
 }
 
 // Tick runs one task-manager cycle: the RIB Updater slot (drain the
@@ -526,10 +524,10 @@ func (m *Master) snapshotBindings(sessions []*session) []lte.ENBID {
 
 // applyBatch runs the RIB Updater for one session's drained batch.
 // Applied messages are released back to the protocol free lists: transports
-// deliver protocol.DecodePooled or protocol.ClonePooled messages and the
-// updater is the end of the message's life (everything the RIB or the watch
-// recording keeps is copied — kinds retained by pointer, like MeasReport,
-// are exempt from payload pooling by construction). Release is a no-op for
+// deliver owned messages (protocol.Message.Owned) and the updater is the end
+// of the message's life (everything the RIB or the watch recording keeps is
+// moved or copied out — kinds retained by pointer, like MeasReport, are
+// exempt from payload pooling by construction). Release is a no-op for
 // messages that were built directly rather than pooled, so in-process
 // drivers and tests that Deliver hand-made messages are unaffected.
 func (m *Master) applyBatch(s *session) {
@@ -578,8 +576,8 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 	case *protocol.SubframeTrigger:
 		m.rib.applySF(msg.ENB, p.SF)
 	case *protocol.StatsReply:
-		m.rib.applyStats(msg.ENB, p)
-		s.lastReport = m.cycle
+		// The watch event reads the report first: takeStats leaves p with
+		// the table it replaced.
 		if m.watch.active() {
 			var kbps float64
 			for _, r := range p.UEs.DLRateKbps {
@@ -590,6 +588,12 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 				UEs: p.UEs.Len(), DLKbps: kbps,
 			})
 		}
+		if msg.Owned() {
+			m.rib.takeStats(msg.ENB, p)
+		} else {
+			m.rib.applyStats(msg.ENB, p)
+		}
+		s.lastReport = m.cycle
 	case *protocol.UEEvent:
 		m.rib.applyUEEvent(msg.ENB, p)
 		if m.watch.active() {
@@ -842,7 +846,6 @@ func (m *Master) heartbeat(s *session, enb lte.ENBID) bool {
 		TS:       ts,
 	})
 	s.send(msg) //nolint:errcheck // a failed probe shows up as continued silence
-	msg.Release()
 	return true
 }
 
@@ -856,7 +859,6 @@ func (m *Master) rttProbe(s *session, enb lte.ENBID) {
 		TS:       time.Now().UnixNano(),
 	})
 	s.send(msg) //nolint:errcheck // a lost probe is just a missing sample
-	msg.Release()
 }
 
 // maintainSubscription re-issues the default subscriptions toward an agent

@@ -74,7 +74,7 @@ func TestAllocGateApplyShares(t *testing.T) {
 		t.Skip("allocation gates are meaningless under -race (sync.Pool caching is randomized)")
 	}
 	m := NewMaster(DefaultOptions())
-	m.HandleAgentSession(func(*protocol.Message) error { return nil }).Deliver(
+	m.HandleAgentSession(func(msg *protocol.Message) error { msg.Release(); return nil }).Deliver(
 		protocol.New(1, 0, &protocol.Hello{Version: protocol.ProtocolVersion}))
 	m.Tick()
 	plan := SharePlan{Shares: []float64{0.25, 0.25, 0.5}}

@@ -59,13 +59,13 @@ type agentShard struct {
 	// policy code via HealthOf.
 	health atomic.Uint32
 
-	// tbl is a copy of the agent's latest statistics report and rowRec the
-	// record each of its rows resolved to, nil for a row in a cell the agent
-	// never announced (both guarded by mu). An agent reports the same UEs in
-	// the same order TTI after TTI, so while a report's RNTI and Cell
-	// columns equal tbl's and rowsValid holds — no record was removed since
-	// — applyStats copies the report over tbl column by column and touches
-	// no record.
+	// tbl is the agent's latest statistics report and rowRec the record
+	// each of its rows resolved to, nil for a row in a cell the agent never
+	// announced (both guarded by mu). An agent reports the same UEs in the
+	// same order TTI after TTI, so while a report's RNTI and Cell columns
+	// equal tbl's and rowsValid holds — no record was removed since —
+	// applyReport takes or copies the report's table (take) and touches no
+	// record.
 	tbl       protocol.UETable
 	rowRec    []*UERecord
 	rowsValid bool
@@ -227,7 +227,17 @@ func (r *RIB) applySF(enb lte.ENBID, sf lte.Subframe) {
 	}
 }
 
-func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
+// applyStats makes rep the shard's latest report, copying its table: rep
+// stays as it was, for a sender that delivers it again.
+func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) { r.applyReport(enb, rep, false) }
+
+// takeStats is applyStats for a report from the free lists
+// (protocol.Message.Owned), released after this tick: the shard takes its
+// table and leaves rep with the one it replaced.
+func (r *RIB) takeStats(enb lte.ENBID, rep *protocol.StatsReply) { r.applyReport(enb, rep, true) }
+
+// applyReport is applyStats, or takeStats when owned.
+func (r *RIB) applyReport(enb lte.ENBID, rep *protocol.StatsReply, owned bool) {
 	sh := r.shard(enb)
 	if sh == nil {
 		return
@@ -240,13 +250,9 @@ func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
 			c.Stats = cs
 		}
 	}
-	// The report is copied into the shard's own table, never kept: the reply
-	// may be a pooled decode or clone, released and reused after this tick,
-	// or a New-built message delivered again. Once the table's columns have
-	// grown, the copy allocates nothing.
 	ues := &rep.UEs
 	if sh.rowsValid && slices.Equal(sh.tbl.RNTI, ues.RNTI) && slices.Equal(sh.tbl.Cell, ues.Cell) {
-		sh.tbl.CopyFrom(ues)
+		sh.take(ues, owned)
 		return
 	}
 	// The row set changed. The report's rows are resolved first, so that
@@ -267,7 +273,6 @@ func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
 			u.row = 0
 		}
 	}
-	sh.tbl.CopyFrom(ues)
 	sh.rowRec = sh.rowRec[:0]
 	for i := 0; i < n; i++ {
 		var u *UERecord
@@ -280,6 +285,21 @@ func (r *RIB) applyStats(enb lte.ENBID, rep *protocol.StatsReply) {
 		sh.rowRec = append(sh.rowRec, u)
 	}
 	sh.rowsValid = true
+	sh.take(ues, owned)
+}
+
+// take makes ues the shard's table (sh.mu held), after every read of the
+// report and of the table it replaces. An owned report is released after
+// this tick, so the two tables swap and the shard's old one goes back to
+// the free list with the message. Any other report is copied, one bulk
+// copy per column into the table's own capacity, since a New-built message
+// may be delivered again.
+func (sh *agentShard) take(ues *protocol.UETable, owned bool) {
+	if owned {
+		sh.tbl, *ues = *ues, sh.tbl
+		return
+	}
+	sh.tbl.CopyFrom(ues)
 }
 
 // statsOf copies u's latest statistics into dst, reusing dst's

@@ -308,3 +308,46 @@ func TestWatchAppReceivesStreamInTick(t *testing.T) {
 		t.Errorf("app infos = %+v", infos)
 	}
 }
+
+// TestWatchStatsEventReadsTheAppliedReport pins the order inside the RIB
+// updater for owned reports, whose table the RIB takes in exchange for the
+// one it held: each stats event's UEs and DLKbps are those of the report
+// being applied, never those of the table handed back, whether the row set
+// repeats (the RIB's fast path) or changes.
+func TestWatchStatsEventReadsTheAppliedReport(t *testing.T) {
+	m, sess := scripted(controller.DefaultOptions(), 7)
+	w := m.Watch(controller.WatchFilter{Kinds: controller.WatchStats}, 0)
+	defer w.Cancel()
+	sess[7].Deliver(hello(7, 0))
+	m.Tick()
+	rows := func(kbps ...uint32) []protocol.UEStats {
+		out := make([]protocol.UEStats, len(kbps))
+		for i, k := range kbps {
+			out[i] = protocol.UEStats{RNTI: lte.RNTI(70 + i), CQI: 9, DLRateKbps: k}
+		}
+		return out
+	}
+	for i, kbps := range [][]uint32{{100, 200}, {1000, 2000}, {5, 6, 7}, {40, 50, 60}} {
+		sf := lte.Subframe(i + 1)
+		sent, err := protocol.DecodePooled(protocol.Encode(statsReply(7, sf, rows(kbps...)...)))
+		if err != nil || !sent.Owned() {
+			t.Fatalf("report %d: decoded %v, err %v: want an owned message", i, sent, err)
+		}
+		sess[7].Deliver(sent)
+		m.Tick()
+		if len(w.Events()) != 1 {
+			t.Fatalf("report %d: %d stats events, want 1", i, len(w.Events()))
+		}
+		ev := <-w.Events()
+		var want float64
+		for _, k := range kbps {
+			want += float64(k)
+		}
+		if ev.UEs != len(kbps) || ev.DLKbps != want || ev.SF != sf {
+			t.Errorf("report %d: event UEs %d DLKbps %v SF %d, want %d, %v and %d", i, ev.UEs, ev.DLKbps, ev.SF, len(kbps), want, sf)
+		}
+		if s, ok := m.RIB().UEStats(7, 70); !ok || s.DLRateKbps != kbps[0] {
+			t.Errorf("report %d: the RIB reads %+v for RNTI 70, want DL rate %d", i, s, kbps[0])
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package enb
 
 import (
+	"slices"
+
 	"flexran/internal/lte"
 	"flexran/internal/protocol"
 	"flexran/internal/radio"
@@ -170,7 +172,11 @@ func (e *ENB) FillUETable(t *protocol.UETable, flags protocol.StatsFlags) {
 			t.Group[i] = uint32(c.params.Group)
 		}
 	}
+	// The flat columns are grown to their full size up front, so a table
+	// gets the capacity it needs, not the slack of growth by appending.
+	n := len(e.order)
 	if flags&protocol.StatsQueues != 0 {
+		t.LCID, t.LCBytes, t.LCHoLMs = slices.Grow(t.LCID, 3*n), slices.Grow(t.LCBytes, 3*n), slices.Grow(t.LCHoLMs, 3*n)
 		for i, s := range e.order {
 			h := &e.hot[s]
 			dlq := uint64(h.dlQueue)
@@ -184,6 +190,7 @@ func (e *ENB) FillUETable(t *protocol.UETable, flags protocol.StatsFlags) {
 		}
 	}
 	if flags&protocol.StatsCQI != 0 {
+		t.Subbands = slices.Grow(t.Subbands, SubbandsAt10MHz*n)
 		for i, s := range e.order {
 			h := &e.hot[s]
 			t.CQI[i] = h.cqi

@@ -165,3 +165,35 @@ func TestWireCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestMessageSizeCorpus pins the counting encoder against the wire corpus:
+// the frame of every kind in testdata/wire decodes to a message whose
+// MessageSize is the frame's length, and the same message unsequenced
+// counts what AppendMessage writes for it.
+func TestMessageSizeCorpus(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "wire", "*.hex"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no wire corpus: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := hex.DecodeString(string(bytes.ReplaceAll(b, []byte("\n"), nil)))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		m, err := Decode(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if got := MessageSize(m); got != len(raw) {
+			t.Errorf("%s: MessageSize = %d, the frame is %d bytes", f, got, len(raw))
+		}
+		m.CmdSeq = 0
+		if got, want := MessageSize(m), len(AppendMessage(nil, m)); got != want {
+			t.Errorf("%s unsequenced: MessageSize = %d, AppendMessage wrote %d bytes", f, got, want)
+		}
+	}
+}

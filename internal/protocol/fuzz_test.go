@@ -26,8 +26,8 @@ func TestSeedPayloadsCoverEveryKind(t *testing.T) {
 // FuzzPayloadRoundTrip feeds arbitrary bytes through Decode. Inputs that
 // decode must re-encode to a fixpoint: Encode(Decode(b)) decodes again and
 // encodes to identical bytes (canonical form), with payloads structurally
-// equal. The decoded message must also clone (checkClone). Nothing may
-// panic.
+// equal. MessageSize must count exactly the bytes AppendMessage writes, and
+// the decoded message must clone (checkClone). Nothing may panic.
 func FuzzPayloadRoundTrip(f *testing.F) {
 	for _, p := range corpusPayloads() {
 		f.Add(Encode(New(7, 12345, p)))
@@ -61,6 +61,9 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 			return // rejected garbage is fine; panics are not
 		}
 		enc1 := Encode(m)
+		if n := MessageSize(m); n != len(AppendMessage(nil, m)) {
+			t.Fatalf("MessageSize = %d, AppendMessage wrote %d bytes", n, len(AppendMessage(nil, m)))
+		}
 		m2, err := Decode(enc1)
 		if err != nil {
 			t.Fatalf("re-decode of canonical encoding failed: %v", err)

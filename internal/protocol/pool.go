@@ -1,39 +1,44 @@
 package protocol
 
 // Message and payload pooling: the southbound fast path delivers one message
-// per frame — decoded from a TCP frame, or cloned by a simulated endpoint —
+// per frame — decoded from a TCP frame, or sent whole over a simulated link —
 // and the master/agent ingest loops discard it within the same tick, so
 // both the Message envelope and the payload body are recycled through free
 // lists instead of allocated per frame.
 //
-// Ownership contract:
+// Ownership contract — one rule for every send function: once send(m)
+// returns, sent or not, the caller does not touch m again.
 //
-//   - DecodePooled and ClonePooled return a message owned by the caller;
-//     calling Release hands the envelope (and, for pooled kinds, the
-//     payload) back to the free lists. After Release the message and its
-//     payload must not be touched. The two return the same message for the
-//     same bytes: ClonePooled(m) is DecodePooled(AppendMessage(nil, m))
-//     without the bytes, and shares no memory with m.
-//   - Anything that must outlive Release has to be copied out first. The
-//     RIB copies each report into its agent's own table, one bulk copy per
-//     column (UETable.CopyFrom), for exactly this reason: it never keeps or
-//     swaps in the decoded table, which a message built by New would share
-//     with every later delivery of that message.
+//   - AcquirePooled, DecodePooled and ClonePooled return an owned message
+//     (Owned): its envelope and payload belong to whoever holds it, and
+//     Release hands both back to the free lists. A send consumes it:
+//     SimEndpoint.Send queues m itself (a netem duplicate gets a
+//     ClonePooled copy) and releases it when the link loses, corrupts or
+//     cuts it; Conn.Send releases it once the frame is encoded and
+//     metered. ClonePooled(m) is DecodePooled(AppendMessage(nil, m)) without
+//     the bytes, and shares no memory with m.
+//   - AcquireMessage wraps a payload the caller keeps in a pooled envelope,
+//     and New builds a message nobody recycles. Neither is owned: a
+//     simulated link delivers a ClonePooled copy, and a send releases only
+//     the AcquireMessage envelope. Release on a New-built message is a
+//     no-op, so code paths and tests that keep or redeliver messages are
+//     unaffected.
+//   - A receiver releases what it is handed once applied. Anything that
+//     must outlive Release has to be moved or copied out first. The RIB
+//     takes an owned report's UE table by swapping it for the shard's old
+//     one, which goes back to the free list with the message; a report
+//     that is not owned is copied column by column (UETable.CopyFrom),
+//     since a New-built message may be delivered again.
 //   - Which kinds have a free list is the pool column of the kinds table
 //     (protocol.go), each row saying who keeps a decoded payload. A kind
 //     somebody does keep (MeasReport is stored in the RIB, Hello/config
 //     replies alias their Cells slice, VSFUpdate's program bytes reach the
 //     module cache) has none: Release recycles only its envelope and the
 //     payload stays alive for its retainers.
-//   - AcquirePooled returns an empty message owned the same way. The agent
-//     builds its two per-TTI messages, the StatsReply and the
-//     SubframeTrigger, in one, hands it to its transport's send function
-//     and releases it as soon as send returns, sent or not. A send
-//     function therefore must not retain m: both transports finish with it
-//     inside the call (SimEndpoint.Send clones it, Conn.Send encodes it),
-//     and a capture that keeps messages stores ClonePooled(m).
-//   - Release on a message built by New (or by hand) is a no-op, so code
-//     paths and tests that keep messages around are unaffected.
+//   - Under the race detector a released envelope is poisoned: it is never
+//     handed out again and its payload stays nil, so a message touched
+//     after Send or Release fails loudly instead of reading what the free
+//     list handed out next.
 
 import (
 	"sync"
@@ -58,9 +63,8 @@ func acquirePayload(k Kind, wantPool bool) (Payload, bool, error) {
 // AcquireMessage builds a message around a payload using a pooled envelope.
 // The caller keeps ownership of the payload: Release returns only the
 // envelope to the pool (the payload is recycled solely for messages
-// produced by AcquirePooled, DecodePooled or ClonePooled). Intended for
-// transient sends where the transport serializes synchronously and does not
-// retain the message.
+// produced by AcquirePooled, DecodePooled or ClonePooled), and a send
+// copies the payload or encodes it before it returns.
 func AcquireMessage(enb lte.ENBID, sf lte.Subframe, p Payload) *Message {
 	m := msgPool.Get().(*Message)
 	m.ENB, m.SF, m.Payload = enb, sf, p
@@ -70,10 +74,10 @@ func AcquireMessage(enb lte.ENBID, sf lte.Subframe, p Payload) *Message {
 	return m
 }
 
-// AcquirePooled returns an empty message of kind k drawn from the free lists,
-// owned like a ClonePooled message: the envelope from the message pool, the
-// payload from the kind's free list (or fresh, for a kind without one). The
-// caller fills the payload in place, sends it, and calls Release.
+// AcquirePooled returns an empty, owned message of kind k drawn from the
+// free lists: the envelope from the message pool, the payload from the
+// kind's free list (or fresh, for a kind without one). The caller fills the
+// payload in place and sends it, which consumes it, or calls Release.
 func AcquirePooled(enb lte.ENBID, sf lte.Subframe, k Kind) *Message {
 	p, pooled, _ := acquirePayload(k, true) // k is a known kind
 	m := msgPool.Get().(*Message)
@@ -111,22 +115,26 @@ func ClonePooled(m *Message) *Message {
 	return c
 }
 
-// MessageSize returns len(AppendMessage(nil, m)): the encoder runs into a
-// pooled buffer that is released again, so the size needs no second set of
-// column rules and costs no allocation at steady state.
-func MessageSize(m *Message) int {
-	e := wire.AcquireEncoder()
-	m.MarshalWire(e)
-	n := e.Len()
-	e.Release()
-	return n
-}
+// MessageSize returns len(AppendMessage(nil, m)) without encoding it: the
+// same MarshalWire bodies run against a counting encoder (wire.Size), so the
+// size needs no second set of column rules and costs no allocation.
+func MessageSize(m *Message) int { return wire.Size(m) }
+
+// Owned reports whether m came from AcquirePooled, DecodePooled or
+// ClonePooled: its envelope and payload belong to its holder, so a send may
+// pass m on as it is and a receiver may take its payload's storage.
+func (m *Message) Owned() bool { return m.poolMsg && m.wantPool }
 
 // Release recycles a message obtained from AcquireMessage, AcquirePooled,
 // DecodePooled or ClonePooled. For the last three, a payload of a pooled
 // kind is reset and returned to its kind's free list too. Messages built by
 // New (or composite literals) are untouched — Release is a no-op for them —
 // so retaining such messages stays safe.
+//
+// A released envelope has a nil payload. Under the race detector it is
+// retired, not recycled, so it keeps the nil payload for good: whatever
+// touches a message after Send or Release panics on that payload instead of
+// reading a message the free list has handed out again since.
 func (m *Message) Release() {
 	if m == nil || !m.poolMsg {
 		return
@@ -137,7 +145,9 @@ func (m *Message) Release() {
 		k.pool.Put(m.Payload)
 	}
 	*m = Message{}
-	msgPool.Put(m)
+	if !raceEnabled {
+		msgPool.Put(m)
+	}
 }
 
 // AppendMessage serializes m onto dst and returns the extended slice,

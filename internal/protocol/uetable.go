@@ -223,63 +223,28 @@ var (
 func (t *UETable) MarshalWire(e *wire.Encoder) {
 	e.Uint(colCount, uint64(t.Len()))
 	wire.PackUints(e, colRNTI, t.RNTI)
-	packUints(e, colCell, t.Cell)
-	packUints(e, colCQI, t.CQI)
-	packUints(e, colDLQueue, t.DLQueue)
-	packUints(e, colULQueue, t.ULQueue)
-	packUints(e, colDLRate, t.DLRateKbps)
-	packUints(e, colULRate, t.ULRateKbps)
-	packUints(e, colHARQ, t.HARQRetx)
-	packUints(e, colLastSched, t.LastSchedSF)
+	wire.PackNonZeroUints(e, colCell, t.Cell)
+	wire.PackNonZeroUints(e, colCQI, t.CQI)
+	wire.PackNonZeroUints(e, colDLQueue, t.DLQueue)
+	wire.PackNonZeroUints(e, colULQueue, t.ULQueue)
+	wire.PackNonZeroUints(e, colDLRate, t.DLRateKbps)
+	wire.PackNonZeroUints(e, colULRate, t.ULRateKbps)
+	wire.PackNonZeroUints(e, colHARQ, t.HARQRetx)
+	wire.PackNonZeroUints(e, colLastSched, t.LastSchedSF)
 	if len(t.Subbands) > 0 {
-		packCounts(e, colSubbandN, t.SubbandEnd)
+		wire.PackCounts(e, colSubbandN, t.SubbandEnd)
 		e.BytesField(colSubbands, t.Subbands)
 	}
 	if len(t.LCID) > 0 {
-		packCounts(e, colLCN, t.LCEnd)
+		wire.PackCounts(e, colLCN, t.LCEnd)
 		wire.PackUints(e, colLCID, t.LCID)
-		packUints(e, colLCBytes, t.LCBytes)
-		packUints(e, colLCHoL, t.LCHoLMs)
+		wire.PackNonZeroUints(e, colLCBytes, t.LCBytes)
+		wire.PackNonZeroUints(e, colLCHoL, t.LCHoLMs)
 	}
-	packSints(e, colPHR, t.PowerHeadroomDB)
-	packSints(e, colRSRP, t.RSRPdBm)
-	packSints(e, colRSRQ, t.RSRQdB)
-	packUints(e, colGroup, t.Group)
-}
-
-func allZero[T comparable](vs []T) bool {
-	var zero T
-	for _, v := range vs {
-		if v != zero {
-			return false
-		}
-	}
-	return true
-}
-
-// packUints emits a column unless it is all zero.
-func packUints[T wire.Uint](e *wire.Encoder, field int, vs []T) {
-	if !allZero(vs) {
-		wire.PackUints(e, field, vs)
-	}
-}
-
-// packSints is packUints for a zigzag column.
-func packSints[T wire.Sint](e *wire.Encoder, field int, vs []T) {
-	if !allZero(vs) {
-		wire.PackSints(e, field, vs)
-	}
-}
-
-// packCounts emits an end-offset column as per-row counts.
-func packCounts(e *wire.Encoder, field int, end []uint32) {
-	mark := e.Begin(field)
-	prev := uint32(0)
-	for _, v := range end {
-		e.Varint(uint64(v - prev))
-		prev = v
-	}
-	e.End(mark)
+	wire.PackNonZeroSints(e, colPHR, t.PowerHeadroomDB)
+	wire.PackNonZeroSints(e, colRSRP, t.RSRPdBm)
+	wire.PackNonZeroSints(e, colRSRQ, t.RSRQdB)
+	wire.PackNonZeroUints(e, colGroup, t.Group)
 }
 
 // UnmarshalWire implements wire.Unmarshaler. Nothing is sized from a number

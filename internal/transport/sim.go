@@ -173,11 +173,12 @@ func (h *inflightHeap) pop() inflight {
 // SimEndpoint is one side of a simulated control channel. It is driven by
 // the single-threaded simulation loop: Send enqueues toward the peer with
 // the configured delay, and AdvanceTo(sf) returns the messages that have
-// arrived by subframe sf. What travels is a pooled deep copy of the sent
-// message (protocol.ClonePooled), the message the TCP path would decode
-// from the same frame; the meter counts the frame the TCP path would write
-// (protocol.MessageSize plus FrameOverhead), so byte accounting matches it
-// exactly with no bytes in between.
+// arrived by subframe sf. What travels is the message the TCP path would
+// decode from the same frame: an owned message (protocol.Message.Owned)
+// itself, and a pooled deep copy (protocol.ClonePooled) of any other. The
+// meter counts the frame the TCP path would write (protocol.MessageSize
+// plus FrameOverhead), so byte accounting matches it exactly with no bytes
+// in between.
 type SimEndpoint struct {
 	peer  *SimEndpoint
 	netem Netem
@@ -220,10 +221,11 @@ func (e *SimEndpoint) armStall() {
 	}
 }
 
-// Send meters m's frame and schedules a pooled deep copy of m for delivery
-// at the peer; a lost frame is not copied, a duplicate gets a copy of its
-// own and a corrupted one none. m itself is not retained: callers may reuse
-// it — and any scratch its payload aliases — as soon as Send returns.
+// Send meters m's frame and schedules it for delivery at the peer, and
+// consumes m: an owned message travels as it is and belongs to the channel
+// until delivered, any other is delivered as a pooled deep copy and its
+// envelope released. A lost, corrupted or cut frame is released, and a
+// netem duplicate is a copy of its own.
 //
 // Random draws are strictly knob-gated and happen in a fixed order (burst
 // transition, loss, corrupt, reorder, jitter, dup, dup jitter). A Netem
@@ -231,7 +233,8 @@ func (e *SimEndpoint) armStall() {
 // drew — loss then jitter — so legacy scenarios replay bit-identically.
 func (e *SimEndpoint) Send(m *protocol.Message) error {
 	if e.down {
-		return nil // link cut: nothing is transmitted (and nothing metered)
+		m.Release() // link cut: nothing is transmitted (and nothing metered)
+		return nil
 	}
 	e.meter.Record(m.Payload.Kind().Category(), protocol.MessageSize(m)+FrameOverhead)
 	e.ctr.Sent++
@@ -248,7 +251,8 @@ func (e *SimEndpoint) Send(m *protocol.Message) error {
 	}
 	if lossProb > 0 && e.rnd.Float64() < lossProb {
 		e.ctr.Dropped++
-		return nil // dropped in flight
+		m.Release() // dropped in flight
+		return nil
 	}
 	corrupt := e.netem.CorruptProb > 0 && e.rnd.Float64() < e.netem.CorruptProb
 	var reorder lte.Subframe
@@ -257,7 +261,11 @@ func (e *SimEndpoint) Send(m *protocol.Message) error {
 	}
 	e.seq++
 	it := inflight{deliverAt: e.now + e.netem.delay(e.rnd) + reorder, seq: e.seq}
-	if !corrupt {
+	switch {
+	case corrupt: // the receiver gets nothing it could decode
+	case m.Owned():
+		it.msg = m
+	default:
 		it.msg = protocol.ClonePooled(m)
 	}
 	e.peer.pending.push(it)
@@ -271,13 +279,16 @@ func (e *SimEndpoint) Send(m *protocol.Message) error {
 			msg:       protocol.ClonePooled(m),
 		})
 	}
+	if it.msg != m {
+		m.Release()
+	}
 	return nil
 }
 
 // AdvanceTo moves this endpoint's clock to sf and returns every message
 // that has arrived (in delivery order). The clock must not move backwards.
-// Each message is the consumer's own pooled copy (protocol.ClonePooled):
-// the consumer should Release it once applied.
+// Each message is owned by the consumer, which should Release it once
+// applied.
 func (e *SimEndpoint) AdvanceTo(sf lte.Subframe) []*protocol.Message {
 	var out []*protocol.Message
 	e.AdvanceInto(sf, &out)
@@ -330,10 +341,10 @@ func (e *SimEndpoint) SetNetem(n Netem) {
 func (e *SimEndpoint) Counters() NetemCounters { return e.ctr }
 
 // SetDown cuts or restores the link for traffic sent BY this endpoint:
-// while down, Send silently discards everything (the netem-style blackhole
-// of a failure-injection scenario). Messages already in flight are
-// unaffected; pair SetDown with DropInflight on the receiving side to
-// model a cut that loses them too.
+// while down, Send silently discards and releases everything (the
+// netem-style blackhole of a failure-injection scenario). Messages already
+// in flight are unaffected; pair SetDown with DropInflight on the
+// receiving side to model a cut that loses them too.
 func (e *SimEndpoint) SetDown(down bool) { e.down = down }
 
 // Down reports whether outbound transmission is cut.

@@ -22,10 +22,11 @@ type Conn struct {
 	// wbuf is the per-connection write buffer, reused under sendMu: frames
 	// are assembled (header + serialized message, coalesced) into it and
 	// flushed with one Write, so steady-state sends allocate nothing and a
-	// frame can never be torn by an interleaved writer. sizes holds the
-	// per-frame payload sizes of the batch being flushed (for metering).
-	wbuf  []byte
-	sizes []int
+	// frame can never be torn by an interleaved writer. frames holds the
+	// category and size of each frame of the batch being flushed, for
+	// metering once the write succeeded.
+	wbuf   []byte
+	frames []sentFrame
 
 	recv chan *protocol.Message
 
@@ -71,49 +72,48 @@ func (c *Conn) appendFrame(m *protocol.Message) (int, error) {
 	return len(b) - start - frameHeaderSize, err
 }
 
+// sentFrame is what the meter records of one frame.
+type sentFrame struct {
+	category string
+	size     int
+}
+
 // Send serializes and writes one message: header and payload are coalesced
 // into the connection's reused write buffer and go out in a single Write
-// (one syscall, no torn frames under a slow peer). The message is metered
-// only after the write succeeded.
+// (one syscall, no torn frames under a slow peer). Send consumes m: it is
+// released once encoded, whether the write then succeeds or not. The frame
+// is metered only after the write succeeded.
 func (c *Conn) Send(m *protocol.Message) error {
-	c.sendMu.Lock()
-	defer c.sendMu.Unlock()
-	c.wbuf = c.wbuf[:0]
-	n, err := c.appendFrame(m)
-	if err != nil {
-		return err
-	}
-	if _, err := c.nc.Write(c.wbuf); err != nil {
-		return err
-	}
-	c.meter.Record(m.Payload.Kind().Category(), n+FrameOverhead)
-	return nil
+	return c.SendBatch([]*protocol.Message{m})
 }
 
 // SendBatch serializes every message into one coalesced buffer and writes
 // it with a single Write call — one syscall per flushed batch, however many
-// per-TTI messages it carries. Messages are metered only after the write
-// succeeded.
+// per-TTI messages it carries. It consumes every message, as Send does, on
+// error as well. Frames are metered only after the write succeeded.
 func (c *Conn) SendBatch(msgs []*protocol.Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.wbuf = c.wbuf[:0]
-	c.sizes = c.sizes[:0]
+	c.frames = c.frames[:0]
+	var err error
 	for _, m := range msgs {
-		n, err := c.appendFrame(m)
-		if err != nil {
-			return err
+		if err == nil {
+			var n int
+			if n, err = c.appendFrame(m); err == nil {
+				c.frames = append(c.frames, sentFrame{m.Payload.Kind().Category(), n + FrameOverhead})
+			}
 		}
-		c.sizes = append(c.sizes, n)
+		m.Release()
+	}
+	if err != nil || len(c.wbuf) == 0 {
+		return err
 	}
 	if _, err := c.nc.Write(c.wbuf); err != nil {
 		return err
 	}
-	for i, m := range msgs {
-		c.meter.Record(m.Payload.Kind().Category(), c.sizes[i]+FrameOverhead)
+	for _, f := range c.frames {
+		c.meter.Record(f.category, f.size)
 	}
 	return nil
 }

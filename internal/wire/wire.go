@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -65,10 +66,15 @@ type Unmarshaler interface {
 	UnmarshalWire(d *Decoder) error
 }
 
-// Encoder builds an encoded message by appending tagged fields.
-// The zero value is ready to use.
+// Encoder builds an encoded message by appending tagged fields. The zero
+// value is ready to use. An encoder in counting mode (Size) writes nothing:
+// every primitive adds the length it would have appended, so a message's
+// size comes from the same MarshalWire body as its bytes.
 type Encoder struct {
 	buf []byte
+	// count selects counting mode, in which n is the length so far.
+	count bool
+	n     int
 }
 
 // NewEncoder returns an encoder whose buffer has the given capacity hint.
@@ -81,26 +87,30 @@ func NewEncoder(sizeHint int) *Encoder {
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the current encoded size in bytes.
-func (e *Encoder) Len() int { return len(e.buf) }
+func (e *Encoder) Len() int { return len(e.buf) + e.n }
 
 // Reset clears the encoder for reuse, retaining the allocation.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+func (e *Encoder) Reset() { e.buf, e.n = e.buf[:0], 0 }
 
-func (e *Encoder) key(field int, t Type) {
-	e.buf = AppendUvarint(e.buf, uint64(field)<<3|uint64(t))
-}
+// uvarintLen is the length of v's varint, 1 to 10 bytes: one byte per seven
+// significant bits, as ⌈bits/7⌉ = (9·bits + 64) / 64 for 1 ≤ bits ≤ 64.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1)*9 + 64) >> 6 }
+
+// key is a field's key: its number and wire type.
+func key(field int, t Type) uint64 { return uint64(field)<<3 | uint64(t) }
 
 // Uint encodes an unsigned integer field as a varint.
 func (e *Encoder) Uint(field int, v uint64) {
-	e.key(field, TVarint)
-	e.buf = AppendUvarint(e.buf, v)
+	k := key(field, TVarint)
+	if e.count {
+		e.n += uvarintLen(k) + uvarintLen(v)
+		return
+	}
+	e.buf = AppendUvarint(AppendUvarint(e.buf, k), v)
 }
 
 // Int encodes a signed integer field with zigzag varint encoding.
-func (e *Encoder) Int(field int, v int64) {
-	e.key(field, TVarint)
-	e.buf = AppendUvarint(e.buf, Zigzag(v))
-}
+func (e *Encoder) Int(field int, v int64) { e.Uint(field, Zigzag(v)) }
 
 // Bool encodes a boolean field (as varint 0/1).
 func (e *Encoder) Bool(field int, v bool) {
@@ -113,32 +123,47 @@ func (e *Encoder) Bool(field int, v bool) {
 
 // Float encodes a float64 field as fixed64 (IEEE 754 bits, little endian).
 func (e *Encoder) Float(field int, v float64) {
-	e.key(field, TFixed64)
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+	k := key(field, TFixed64)
+	if e.count {
+		e.n += uvarintLen(k) + 8
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint64(AppendUvarint(e.buf, k), math.Float64bits(v))
 }
 
-// Bytes64 encodes raw bytes as a length-delimited field.
+// BytesField encodes raw bytes as a length-delimited field.
 func (e *Encoder) BytesField(field int, b []byte) {
-	e.key(field, TBytes)
-	e.buf = AppendUvarint(e.buf, uint64(len(b)))
-	e.buf = append(e.buf, b...)
+	k := key(field, TBytes)
+	if e.count {
+		e.n += uvarintLen(k) + uvarintLen(uint64(len(b))) + len(b)
+		return
+	}
+	e.buf = append(AppendUvarint(AppendUvarint(e.buf, k), uint64(len(b))), b...)
 }
 
 // String encodes a string as a length-delimited field.
 func (e *Encoder) String(field int, s string) {
-	e.key(field, TBytes)
-	e.buf = AppendUvarint(e.buf, uint64(len(s)))
-	e.buf = append(e.buf, s...)
+	k := key(field, TBytes)
+	if e.count {
+		e.n += uvarintLen(k) + uvarintLen(uint64(len(s))) + len(s)
+		return
+	}
+	e.buf = append(AppendUvarint(AppendUvarint(e.buf, k), uint64(len(s))), s...)
 }
 
 // Begin opens a length-delimited field for in-place encoding: it writes
 // the key, reserves a one-byte length slot and returns the offset of the
 // first payload byte, which End needs to backpatch the real length. Between
 // the two the caller appends the payload — a nested message's fields, or
-// the bare values of a packed repeated column (Varint).
+// the bare values of a packed repeated column (Varint). A counting encoder
+// reserves nothing: End adds the length's varint once it is known.
 func (e *Encoder) Begin(field int) int {
-	e.key(field, TBytes)
-	e.buf = append(e.buf, 0)
+	k := key(field, TBytes)
+	if e.count {
+		e.n += uvarintLen(k)
+		return e.n
+	}
+	e.buf = append(AppendUvarint(e.buf, k), 0)
 	return len(e.buf)
 }
 
@@ -148,6 +173,10 @@ func (e *Encoder) Begin(field int) int {
 // the bytes produced are identical to encoding the payload separately and
 // copying it in — without the sub-buffer.
 func (e *Encoder) End(start int) {
+	if e.count {
+		e.n += uvarintLen(uint64(e.n - start))
+		return
+	}
 	n := len(e.buf) - start
 	if n < 0x80 {
 		e.buf[start-1] = byte(n)
@@ -171,11 +200,14 @@ func (e *Encoder) Message(field int, m Marshaler) {
 
 // Varint appends a bare varint (no key) to the open field.
 func (e *Encoder) Varint(v uint64) {
-	if v < 0x80 {
+	switch {
+	case e.count:
+		e.n += uvarintLen(v)
+	case v < 0x80:
 		e.buf = append(e.buf, byte(v))
-		return
+	default:
+		e.buf = AppendUvarint(e.buf, v)
 	}
-	e.buf = AppendUvarint(e.buf, v)
 }
 
 // Uint constrains the element types of a packed unsigned column.
@@ -188,29 +220,149 @@ type Sint interface {
 	~int8 | ~int16 | ~int32 | ~int64
 }
 
-// PackUints encodes vs as one packed repeated varint field. The column's
-// worst case is reserved once and the varints are written by index, with
-// no append per byte.
-func PackUints[T Uint](e *Encoder, field int, vs []T) {
+// PackUints encodes vs as one packed repeated varint field.
+func PackUints[T Uint](e *Encoder, field int, vs []T) { pack(e, field, vs, false) }
+
+// PackSints encodes vs as one packed repeated zigzag varint field.
+func PackSints[T Sint](e *Encoder, field int, vs []T) { pack(e, field, vs, false) }
+
+// PackNonZeroUints is PackUints for a column that is omitted, and reads
+// back as zeros, when every value is zero.
+func PackNonZeroUints[T Uint](e *Encoder, field int, vs []T) { pack(e, field, vs, true) }
+
+// PackNonZeroSints is PackSints for a column that is omitted when every
+// value is zero.
+func PackNonZeroSints[T Sint](e *Encoder, field int, vs []T) { pack(e, field, vs, true) }
+
+// pack encodes a packed column, written by index into a worst-case
+// reservation with no append per byte. Counting, one pass ORs the values
+// together: that tells an all-zero column, and one whose every value is a
+// one-byte varint, which is len(vs) bytes.
+func pack[T Uint | Sint](e *Encoder, field int, vs []T, omitZero bool) {
+	if e.count {
+		or := orValues(vs)
+		if or != 0 || !omitZero {
+			e.packed(field, varintsLen(vs, or))
+		}
+		return
+	}
+	if omitZero && allZero(vs) {
+		return
+	}
 	mark := e.Begin(field)
 	b, n := e.reserve(len(vs) * maxVarintLen[T]())
 	for _, v := range vs {
-		n = putVarint(b, n, uint64(v))
+		n = putVarint(b, n, wireValue(v))
 	}
 	e.buf = b[:n]
 	e.End(mark)
 }
 
-// PackSints encodes vs as one packed repeated zigzag varint field, like
-// PackUints.
-func PackSints[T Sint](e *Encoder, field int, vs []T) {
-	mark := e.Begin(field)
-	b, n := e.reserve(len(vs) * maxVarintLen[T]())
+func allZero[T Uint | Sint](vs []T) bool {
 	for _, v := range vs {
-		n = putVarint(b, n, Zigzag(int64(v)))
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// PackCounts encodes a column of running end offsets (end[i] is the total
+// after row i, non-decreasing) as its per-row counts, one packed varint
+// each.
+func PackCounts(e *Encoder, field int, end []uint32) {
+	if e.count {
+		// No count exceeds the total: below 0x80, each is one byte.
+		n := len(end)
+		if n > 0 && end[n-1] >= 0x80 {
+			n = 0
+			prev := uint32(0)
+			for _, v := range end {
+				n += uvarintLen(uint64(v - prev))
+				prev = v
+			}
+		}
+		e.packed(field, n)
+		return
+	}
+	mark := e.Begin(field)
+	b, n := e.reserve(len(end) * maxVarintLen[uint32]())
+	prev := uint32(0)
+	for _, v := range end {
+		n = putVarint(b, n, uint64(v-prev))
+		prev = v
 	}
 	e.buf = b[:n]
 	e.End(mark)
+}
+
+// orValues ORs together the varints a packed column carries. OR works lane
+// by lane, so over the words of a narrow unsigned column (swar) folding the
+// lanes of the word-wise OR onto each other gives the values' OR.
+func orValues[T Uint | Sint](vs []T) uint64 {
+	var or uint64
+	words, vs, size := swar(vs)
+	if len(words) > 0 {
+		for _, w := range words {
+			or |= w
+		}
+		for shift := uintptr(32); shift >= 8*size; shift /= 2 {
+			or |= or >> shift
+		}
+		or &= 1<<(8*size) - 1
+	}
+	for _, v := range vs {
+		or |= wireValue(v)
+	}
+	return or
+}
+
+// swar splits an unsigned column narrower than 64 bits into the eight-byte
+// words its leading values fill, read in place, and the values left over;
+// size is the width of a value (lane) in bytes. Any other column is all
+// leftovers.
+func swar[T Uint | Sint](vs []T) (words []uint64, rest []T, size uintptr) {
+	var zero T
+	size = unsafe.Sizeof(zero)
+	n := uintptr(len(vs)) * size / 8
+	if ^zero < 0 || size == 8 || n == 0 {
+		return nil, vs, size
+	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(vs))), n), vs[n*8/size:], size
+}
+
+// wireValue is the varint a packed column carries for v: v itself, or its
+// zigzag for a signed column.
+func wireValue[T Uint | Sint](v T) uint64 {
+	if ^T(0) < 0 { // signed
+		return Zigzag(int64(v))
+	}
+	return uint64(v)
+}
+
+// varintsLen is the payload length of a packed column whose values OR to or.
+// Below 2^14 each value is one byte plus one from 0x80 up, which an add and
+// a shift give without a bit count.
+func varintsLen[T Uint | Sint](vs []T, or uint64) int {
+	n := len(vs)
+	switch {
+	case or < 0x80:
+	case or < 1<<14:
+		for _, v := range vs {
+			n += int((wireValue(v) + 1<<14 - 0x80) >> 14)
+		}
+	default:
+		n = 0
+		for _, v := range vs {
+			n += uvarintLen(wireValue(v))
+		}
+	}
+	return n
+}
+
+// packed counts a length-delimited field with an n-byte payload.
+func (e *Encoder) packed(field int, n int) {
+	e.n += uvarintLen(key(field, TBytes)) + uvarintLen(uint64(n)) + n
 }
 
 // reserve grows the buffer to hold n more bytes and returns it extended to
@@ -492,24 +644,20 @@ func (d *Decoder) Skip() error {
 	return ErrWireType
 }
 
-// encoderPool recycles Encoders (and their buffers) across Marshal and
-// AppendMarshal calls, so steady-state encoding costs no allocation.
+// encoderPool recycles Encoders across AppendMarshal and Size calls, so
+// steady-state encoding and counting cost no allocation.
 var encoderPool = sync.Pool{New: func() interface{} { return new(Encoder) }}
 
-// AcquireEncoder returns a pooled encoder, reset and ready to append.
-// Callers must Release it (after copying out Bytes, which alias the
-// encoder's buffer) to keep the fast path allocation-free.
-func AcquireEncoder() *Encoder {
+// Size returns len(Marshal(m)) without writing a byte: m's MarshalWire runs
+// against a pooled encoder in counting mode.
+func Size(m Marshaler) int {
 	e := encoderPool.Get().(*Encoder)
-	e.Reset()
-	return e
-}
-
-// Release returns the encoder (buffer included) to the pool. The slice
-// previously returned by Bytes must no longer be referenced.
-func (e *Encoder) Release() {
-	e.Reset()
+	e.count = true
+	m.MarshalWire(e)
+	n := e.n
+	e.count, e.n = false, 0
 	encoderPool.Put(e)
+	return n
 }
 
 // AppendMarshal encodes m onto dst and returns the extended slice. The
