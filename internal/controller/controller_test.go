@@ -306,6 +306,30 @@ func TestPushNativeVSF(t *testing.T) {
 	}
 }
 
+// TestForgedAckRecordsNoOutcome: a second session, which never sent Hello,
+// acks eNodeB 9's command first as eNodeB 7. The master records nothing
+// for it, and the outcome is eNodeB 9's own ack.
+func TestForgedAckRecordsNoOutcome(t *testing.T) {
+	r := newRig(t, reliableOptions(), transport.Netem{}, transport.Netem{})
+	r.run(3)
+	seq, err := r.cmd(func(ctx *controller.Context) (uint64, error) {
+		return ctx.PushNativeVSF(9, "mac", agent.OpDLUESched, "pf-live", "pf")
+	})
+	if err != nil || seq == 0 {
+		t.Fatalf("command not sequenced: seq %d, %v", seq, err)
+	}
+	forger := r.master.HandleAgentSession(func(*protocol.Message) error { return nil })
+	forger.Deliver(protocol.New(7, 0, &protocol.ControlAck{Seq: seq, OK: false, Detail: "forged"}))
+	r.master.Tick()
+	if o, ok := r.master.CommandOutcome(seq); ok {
+		t.Fatalf("forged ack recorded: %+v", o)
+	}
+	r.run(3)
+	if o, ok := r.master.CommandOutcome(seq); !ok || o.ENB != 9 || !o.OK || o.Detail != "" {
+		t.Errorf("outcome = %+v, %v; want eNodeB 9's ack", o, ok)
+	}
+}
+
 func TestApplySharesReachesAgent(t *testing.T) {
 	r := newRig(t, reliableOptions(), transport.Netem{}, transport.Netem{})
 	r.run(3)

@@ -148,11 +148,11 @@ func (m *Master) sendCmd(enb lte.ENBID, p protocol.Payload) (uint64, error) {
 	return seq, err
 }
 
-// retirePending removes an acked command from the session's pending list
-// and feeds the ack round trip into the session's RTT estimate. Runs on
-// the updater, so the only concurrent access is a transport-driver close —
-// hence qmu.
-func (m *Master) retirePending(s *session, seq uint64) {
+// retirePending removes an acked command from the session's pending list,
+// feeds the ack round trip into the session's RTT estimate and reports
+// whether the session had sent the command. Runs on the updater, so the
+// only concurrent access is a transport-driver close — hence qmu.
+func (m *Master) retirePending(s *session, seq uint64) bool {
 	s.qmu.Lock()
 	for i, p := range s.pending {
 		if p.seq != seq {
@@ -162,9 +162,10 @@ func (m *Master) retirePending(s *session, seq uint64) {
 		s.pending = append(s.pending[:i], s.pending[i+1:]...)
 		s.qmu.Unlock()
 		s.observeRTT(rtt)
-		return
+		return true
 	}
 	s.qmu.Unlock()
+	return false
 }
 
 // observeRTT folds one command or echo round trip (in cycles) into the

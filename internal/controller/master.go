@@ -634,11 +634,10 @@ func (m *Master) applyInbound(s *session, msg *protocol.Message) {
 		}
 	case *protocol.ControlAck:
 		// The ack is the command's terminal outcome: retire the retry and
-		// record it here, where it is applied.
-		if p.Seq != 0 {
-			m.retirePending(s, p.Seq)
+		// record it here, where it is applied, if this session sent it.
+		if p.Seq != 0 && m.retirePending(s, p.Seq) {
 			m.cmdTrack.record(CmdOutcome{
-				Seq: p.Seq, ENB: msg.ENB, OK: p.OK, Detail: p.Detail, Cycle: m.cycle,
+				Seq: p.Seq, ENB: s.enb, OK: p.OK, Detail: p.Detail, Cycle: m.cycle,
 			})
 		}
 	}

@@ -265,12 +265,12 @@ func repF[T, M any, PM message[M]](num int, name string, fs *fields[M], at func(
 	}
 }
 
-// ueBlockF is the columnar UE block (uetable.go), hand-written rather than
-// declared by a table. A table without rows is not sent, so it is not
-// copied either; reset keeps every column's capacity.
+// ueBlockF is the columnar UE block, declared by its column list
+// (uetable.go). A table without rows is not sent, so it is not copied
+// either; reset keeps every column's capacity.
 func ueBlockF[T any](num int, name string, at func(*T) *UETable) field[T] {
 	return field[T]{
-		fieldInfo{num, name, "UE block, omitted when empty", fmt.Sprintf("%T", UETable{})},
+		fieldInfo{num, name, "message, omitted when empty", fmt.Sprintf("%T", UETable{})},
 		func(p *T, e *wire.Encoder) {
 			if t := at(p); t.Len() > 0 {
 				e.Message(num, t)

@@ -41,9 +41,10 @@ func refAs[T any, P message[T]](r structRef) structRef {
 	return r
 }
 
-// structRefs lists every struct with a wire form except the envelope and
-// the UE block, which are not field tables. TestProtocolReference walks it
-// from the kinds table and fails on a struct that is reachable and missing.
+// structRefs lists every field table: every struct with a wire form but
+// the envelope, which is written by hand, and the UE block (blockRef).
+// TestProtocolReference walks it from the kinds table and fails on a struct
+// that is reachable and missing.
 var structRefs = []structRef{
 	refOf(helloFields), refOf(helloAckFields),
 	refOf(echoFields), refOf(echoReplyFields),
@@ -61,11 +62,20 @@ var structRefs = []structRef{
 	refOf(cellStatsFields), refOf(allocFields), refOf(neighborMeasFields),
 }
 
-const ueTableType = "protocol.UETable"
+// blockRef is the UE block, declared by its column list. Its fields are
+// columns and a row count, not the scalars TestScalarsNeverTruncate probes
+// in structRefs.
+var blockRef = func() structRef {
+	r := structRef{name: "protocol.UETable", new: func() codec { return new(UETable) }}
+	for _, c := range ueColumns {
+		r.info = append(r.info, c.fieldInfo)
+	}
+	return r
+}()
 
 // refByName finds a struct's entry by Go type name.
 func refByName(name string) (structRef, bool) {
-	for _, r := range structRefs {
+	for _, r := range append(structRefs[:len(structRefs):len(structRefs)], blockRef) {
 		if r.name == name {
 			return r, true
 		}
@@ -76,7 +86,7 @@ func refByName(name string) (structRef, bool) {
 // nested returns the Go type of the message a field carries, "" for a
 // field that is not a message.
 func (f fieldInfo) nested() string {
-	if strings.HasPrefix(f.shape, "message") || strings.HasPrefix(f.shape, "UE block") {
+	if strings.HasPrefix(f.shape, "message") {
 		return strings.TrimPrefix(f.goType, "[]")
 	}
 	return ""
@@ -84,9 +94,6 @@ func (f fieldInfo) nested() string {
 
 // maxField is the largest number a struct declares, retired ones included.
 func maxField(typ string) int {
-	if typ == ueTableType {
-		return colMax - 1
-	}
 	if typ == "protocol.Message" {
 		return envCmdSeq
 	}
@@ -233,7 +240,7 @@ func protocolReference(t *testing.T) string {
 	var order []structRef
 	var reach func(typ string)
 	reach = func(typ string) {
-		if typ == ueTableType || printed[typ] {
+		if printed[typ] {
 			return
 		}
 		ref, ok := refByName(typ)
@@ -284,8 +291,8 @@ func protocolReference(t *testing.T) string {
 			switch {
 			case f.shape == "retired":
 				fmt.Fprintf(&b, "| %d | ~~%s~~ | **retired**: never sent, skipped when received, never to be reused | |\n", f.num, f.name)
-			case f.nested() == ueTableType:
-				fmt.Fprintf(&b, "| %d | `%s` | %s | `UETable` (see \"The UE block on the wire\") |\n", f.num, f.name, f.shape)
+			case f.goType == "":
+				fmt.Fprintf(&b, "| %d | `%s` | %s | |\n", f.num, f.name, f.shape)
 			default:
 				fmt.Fprintf(&b, "| %d | `%s` | %s | `%s` |\n", f.num, f.name, f.shape, shortType(f.goType))
 			}

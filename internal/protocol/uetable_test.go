@@ -2,6 +2,8 @@ package protocol
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -203,5 +205,125 @@ func TestUEBlockSkipsUnknownColumns(t *testing.T) {
 	}
 	if gr, wr := tableRows(&got), tableRows(&want); len(gr) != 2 || gr[0].CQI != wr[0].CQI || gr[1].Group != 2 {
 		t.Errorf("rows = %+v, want %+v", gr, wr)
+	}
+}
+
+// TestUEColumnsCoverTheTable: the UE block's fields are numbered 1 to 20
+// with none reused, and every slice field of UETable is the column of
+// exactly one of them, with the Go type the reference prints. A column
+// added to the struct and not to the list fails here.
+func TestUEColumnsCoverTheTable(t *testing.T) {
+	if len(ueColumns) != 20 {
+		t.Errorf("the UE block declares %d fields, want 20", len(ueColumns))
+	}
+	typ := reflect.TypeOf(UETable{})
+	owner := map[string]int{} // UETable field → the block field holding it
+	for i, c := range ueColumns {
+		if c.num != i+1 {
+			t.Errorf("entry %d (%s) is field %d", i, c.name, c.num)
+		}
+		if c.num == rowCount {
+			continue // holds no values
+		}
+		held := heldFields(c)
+		if len(held) != 1 {
+			t.Errorf("field %d (%s) resizes and copies %v, want one UETable field", c.num, c.name, held)
+			continue
+		}
+		if prev, dup := owner[held[0]]; dup {
+			t.Errorf("UETable.%s is the column of fields %d and %d", held[0], prev, c.num)
+		}
+		owner[held[0]] = c.num
+		if f, _ := typ.FieldByName(held[0]); f.Type.String() != c.goType {
+			t.Errorf("field %d (%s) declares Go type %s, UETable.%s is %s", c.num, c.name, c.goType, held[0], f.Type)
+		}
+	}
+	for f := range typ.NumField() {
+		if name := typ.Field(f).Name; typ.Field(f).Type.Kind() == reflect.Slice && owner[name] == 0 {
+			t.Errorf("UETable.%s is no field of the UE block", name)
+		}
+	}
+}
+
+// heldFields names the UETable fields column c resizes and copies.
+func heldFields(c column) []string {
+	var tab, cp UETable
+	c.resize(&tab, 3)
+	c.copy(&cp, &tab)
+	var held []string
+	for f := range reflect.TypeOf(tab).NumField() {
+		if reflect.ValueOf(tab).Field(f).Len() == 3 && reflect.ValueOf(cp).Field(f).Len() == 3 {
+			held = append(held, reflect.TypeOf(tab).Field(f).Name)
+		}
+	}
+	return held
+}
+
+// TestResizeClearsEveryColumn: Resize, which names the columns itself,
+// leaves every per-row column of ueColumns n zeros and every flat column
+// empty, whatever the table held before.
+func TestResizeClearsEveryColumn(t *testing.T) {
+	rnd := rand.New(rand.NewSource(26))
+	for _, n := range []int{0, 3, 40} {
+		tab := UETableOf(randomRow(rnd, 1), randomRow(rnd, 2), randomRow(rnd, 3), randomRow(rnd, 4), randomRow(rnd, 5))
+		tab.Resize(n)
+		for _, c := range ueColumns[1:] {
+			want := n
+			if c.under != rowCount {
+				want = 0
+			}
+			col := reflect.ValueOf(tab).FieldByName(heldFields(c)[0])
+			if col.Len() != want {
+				t.Errorf("Resize(%d): field %d (%s) has %d values, want %d", n, c.num, c.name, col.Len(), want)
+			}
+			for j := range col.Len() {
+				if !col.Index(j).IsZero() {
+					t.Errorf("Resize(%d): field %d (%s) value %d is %v", n, c.num, c.name, j, col.Index(j))
+				}
+			}
+		}
+	}
+}
+
+// TestUETableRowRoundTrip: for random tables, with and without subbands
+// and logical channels, every row reads back as the row appended (a
+// negative group as 0), appending the rows read rebuilds the table, and
+// CopyFrom into a table that held other rows equals the source.
+func TestUETableRowRoundTrip(t *testing.T) {
+	rnd := rand.New(rand.NewSource(25))
+	norm := func(s UEStats) UEStats {
+		s.Group = max(s.Group, 0)
+		if len(s.SubbandCQI) == 0 {
+			s.SubbandCQI = nil
+		}
+		if len(s.LCs) == 0 {
+			s.LCs = nil
+		}
+		return s
+	}
+	for trial := range 300 {
+		rows := make([]UEStats, rnd.Intn(7))
+		for i := range rows {
+			rows[i] = randomRow(rnd, i)
+			rows[i].Group -= rnd.Intn(3)
+		}
+		src := UETableOf(rows...)
+		var rebuilt UETable
+		var s UEStats // reused: Row must overwrite all of it
+		for i := range rows {
+			src.Row(i, &s)
+			if got, want := norm(s), norm(rows[i]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d row %d: read %+v, appended %+v", trial, i, got, want)
+			}
+			rebuilt.Append(&s)
+		}
+		if !sameTable(&rebuilt, &src) {
+			t.Fatalf("trial %d: rows read and appended again give\n%+v\nwant\n%+v", trial, rebuilt, src)
+		}
+		dirty := UETableOf(randomRow(rnd, 1), randomRow(rnd, 2), randomRow(rnd, 3))
+		dirty.CopyFrom(&src)
+		if !sameTable(&dirty, &src) {
+			t.Fatalf("trial %d: CopyFrom gives\n%+v\nwant\n%+v", trial, dirty, src)
+		}
 	}
 }

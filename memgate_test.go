@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"weak"
 
 	"flexran"
 	"flexran/internal/enb"
@@ -121,8 +122,9 @@ const sparseBudgetBytesPerENB = 1408
 
 // sparseBytesPerENB builds newSparseSim's world at n eNodeBs, runs it 300
 // TTIs and returns the retained heap of the whole simulator per eNodeB
-// after a full GC, with the time the build took.
-func sparseBytesPerENB(n int) (float64, time.Duration) {
+// after a full GC, with the time the build took and a weak pointer to the
+// world, which tells when it has been collected.
+func sparseBytesPerENB(n int) (float64, time.Duration, weak.Pointer[flexran.Sim]) {
 	before := heapInUse()
 	start := time.Now()
 	s := newSparseWorld(n, false)
@@ -130,7 +132,7 @@ func sparseBytesPerENB(n int) (float64, time.Duration) {
 	s.Run(300)
 	perENB := float64(heapInUse()-before) / float64(len(s.Nodes))
 	runtime.KeepAlive(s)
-	return perENB, build
+	return perENB, build, weak.Make(s)
 }
 
 // TestMemGateSparseWorldBytesPerENB gates what an eNodeB costs in the
@@ -149,7 +151,7 @@ func sparseBytesPerENB(n int) (float64, time.Duration) {
 // built both default schedulers up front.)
 func TestMemGateSparseWorldBytesPerENB(t *testing.T) {
 	skipUnderRace(t)
-	perENB, _ := sparseBytesPerENB(4096)
+	perENB, _, _ := sparseBytesPerENB(4096)
 	t.Logf("retained heap: %.0f B/eNodeB over 4096 eNodeBs", perENB)
 	if perENB > sparseBudgetBytesPerENB {
 		t.Errorf("per-eNodeB footprint %.0f B exceeds budget %d B", perENB, sparseBudgetBytesPerENB)
@@ -164,12 +166,20 @@ func TestMemGateSparseWorldBytesPerENB(t *testing.T) {
 // within 3 % of the 4,096-eNodeB world per eNodeB, under the same budget,
 // so no per-node cost hides in a structure that grows faster than the
 // fleet. Measured: ~1,183 B/eNodeB at 65,536 against ~1,177 at 4,096. The
-// build time is logged, not gated.
+// build time is logged, not gated. The small world must be collected
+// before the large one's baseline is taken, or its footprint is counted
+// as freed during the large build.
 func TestMemGateSparseWorldLinearAt65536(t *testing.T) {
 	skipUnderRace(t)
 	const maxDrift = 0.03
-	small, _ := sparseBytesPerENB(4096)
-	large, build := sparseBytesPerENB(65536)
+	small, _, world := sparseBytesPerENB(4096)
+	for i := 0; world.Value() != nil; i++ {
+		if i == 10 {
+			t.Fatal("the 4,096-eNodeB world is still reachable after 10 collections")
+		}
+		runtime.GC()
+	}
+	large, build, _ := sparseBytesPerENB(65536)
 	t.Logf("retained heap: %.0f B/eNodeB over 65536 eNodeBs (built in %v), %.0f B/eNodeB over 4096",
 		large, build.Round(time.Millisecond), small)
 	if large > sparseBudgetBytesPerENB {
